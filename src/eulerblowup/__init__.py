@@ -22,11 +22,12 @@ from .model import (
     linear,
     make_bump_scenario,
     power_law,
+    power_law_B,
     pressure,
     riemann_variable,
     sound_speed,
 )
-from .quadrature import QuadratureRule, integrate_fn, integrate_samples, power_law_B
+from .quadrature import QuadratureRule, integrate_fn, integrate_samples
 from .functionals import (
     FieldSnapshot,
     FunctionalSeries,

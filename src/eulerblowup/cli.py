@@ -4,7 +4,7 @@ Commands
   check     evaluate a blowup criterion on a scenario file
   simulate  run the finite-volume solver, write snapshot and series CSVs
   verify    run a simulation and apply verification checks to its trace
-  sweep     evaluate a criterion across a parameter range (concurrent rows)
+  sweep     evaluate a criterion across a parameter range
   report    summarize the artifacts found in an output directory
 
 Scenario files are flat ``key = value`` text with dotted keys:
@@ -34,22 +34,12 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .criteria import (
-    FAMILY_GENERAL_1D,
-    FAMILY_GENERAL_RADIAL,
-    FAMILY_LINEAR_1D,
-    FAMILY_LINEAR_1D_TAU,
-    FAMILY_POWER_RADIAL,
-    run_family_check,
-    theorem_context,
-)
+from .criteria import FAMILIES, default_family, run_family_check, theorem_context
 from .model import (
     DetectorParams,
     EosParams,
@@ -81,18 +71,7 @@ from .verify import (
     summary_table,
 )
 
-FAMILIES = (
-    FAMILY_GENERAL_RADIAL,
-    FAMILY_GENERAL_1D,
-    FAMILY_POWER_RADIAL,
-    FAMILY_LINEAR_1D_TAU,
-    FAMILY_LINEAR_1D,
-)
-
 SWEEPABLE = ("amp_v", "amp_rho", "tau", "gamma", "R")
-
-# test hook: when set, applied to the trace before verification checks run
-TRACE_TRANSFORM = None
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -280,10 +259,6 @@ def _trace_summary(trace) -> dict:
     }
 
 
-def _default_family(scen: Scenario) -> str:
-    return FAMILY_POWER_RADIAL if scen.geometry.is_radial else FAMILY_LINEAR_1D
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -318,7 +293,7 @@ def _solver_config(args, scen: Scenario) -> SolverConfig:
 def cmd_simulate(args, argv) -> int:
     scen = load_scenario(args.scenario)
     config = _solver_config(args, scen)
-    family = args.family or _default_family(scen)
+    family = args.family or default_family(scen.geometry)
     weight = parse_weight(args.weight)
     ctx = theorem_context(scen, family, tau=args.tau, f=weight, a=args.a)
     recorder = ctx.recorder()
@@ -354,7 +329,7 @@ def cmd_verify(args, argv) -> int:
             f"unknown checks: {', '.join(unknown)}; available: {', '.join(TRACE_CHECKS)}"
         )
     config = _solver_config(args, scen)
-    family = args.family or _default_family(scen)
+    family = args.family or default_family(scen.geometry)
     weight = parse_weight(args.weight)
     recorder = None
     ctx = None
@@ -363,8 +338,6 @@ def cmd_verify(args, argv) -> int:
         if ctx.hypotheses_hold():
             recorder = ctx.recorder()
     trace = run(scen, config, recorder=recorder)
-    if TRACE_TRANSFORM is not None:
-        trace = TRACE_TRANSFORM(trace)
     reports = []
     for name in names:
         if name == CHECK_POSITIVITY:
@@ -429,10 +402,7 @@ def cmd_sweep(args, argv) -> int:
     values = np.linspace(args.lo, args.hi, args.steps)
     if args.lo >= args.hi:
         raise ConfigError("sweep range must satisfy lo < hi")
-    with ThreadPoolExecutor(max_workers=min(8, args.steps)) as pool:
-        rows = list(
-            pool.map(lambda v: _sweep_row(base_cfg, args.parameter, float(v), args), values)
-        )
+    rows = [_sweep_row(base_cfg, args.parameter, float(v), args) for v in values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:

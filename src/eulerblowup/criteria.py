@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .functionals import (
     FieldSnapshot,
     SeriesRecorder,
+    _band,
     initial_snapshot,
     mass_functional,
     momentum_functional,
@@ -41,7 +42,7 @@ from .model import (
     power_law,
     sound_speed,
 )
-from .quadrature import QuadratureRule, SIMPSON, integrate_fn
+from .quadrature import QuadratureRule, SIMPSON, integrate_fn, integrate_samples
 
 # resolved theorem families
 GENERAL_RADIAL = "general_radial"
@@ -52,19 +53,12 @@ LINEAR_1D_INFINITE = "linear_1d_infinite"
 LINEAR_1D_TAU_CASE1 = "linear_1d_tau_case1"
 LINEAR_1D_TAU_CASE2 = "linear_1d_tau_case2"
 
-# family groups accepted by minimal_tau and the CLI
+# family groups accepted by the API and the CLI (see FAMILY_GROUPS)
 FAMILY_GENERAL_RADIAL = "general-radial"
 FAMILY_GENERAL_1D = "general-1d"
 FAMILY_POWER_RADIAL = "power-radial"
 FAMILY_LINEAR_1D_TAU = "linear-1d-tau"
 FAMILY_LINEAR_1D = "linear-1d"
-FAMILIES = (
-    FAMILY_GENERAL_RADIAL,
-    FAMILY_GENERAL_1D,
-    FAMILY_POWER_RADIAL,
-    FAMILY_LINEAR_1D_TAU,
-    FAMILY_LINEAR_1D,
-)
 
 _HORIZON_RULE = QuadratureRule(SIMPSON, 2048)
 
@@ -223,6 +217,11 @@ def linear_tau_root_residual(
     return (lhs - rhs) / rhs
 
 
+def _barrier(eos: EosParams) -> float:
+    # enthalpy of the background state, K gamma/(gamma-1) rho_bar**(gamma-1)
+    return eos.K * eos.gamma / (eos.gamma - 1.0) * eos.rho_bar ** (eos.gamma - 1.0)
+
+
 def general_condition_thresholds(
     f: TestingFunction,
     a: float,
@@ -240,8 +239,7 @@ def general_condition_thresholds(
     sigma = sound_speed(eos)
     U = R + sigma * tau
     B_tau = weight_functional_B(f, R, sigma, tau, geometry, rule)
-    barrier = eos.K * eos.gamma / (eos.gamma - 1.0) * eos.rho_bar ** (eos.gamma - 1.0)
-    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * barrier * float(f.f(U)))
+    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
 
     def inv_aB(s):
         ss = np.atleast_1d(np.asarray(s, dtype=float))
@@ -522,6 +520,60 @@ def _self_check_linear_reciprocity(R: float, sigma: float, tau: float, thr: floa
 
 
 # ---------------------------------------------------------------------------
+# Family groups
+
+
+@dataclass(frozen=True)
+class FamilyGroup:
+    """A criterion family as the API and the CLI name it.
+
+    ``check(scenario, tau, f, a)`` resolves the family to one of its
+    theorems; ``radial`` is the geometry they are stated for, ``horizon``
+    whether the verdict depends on tau, and ``default`` marks the family
+    that simulate and verify monitor on that geometry when none is named.
+    """
+
+    check: Callable[..., CriterionReport]
+    radial: bool
+    horizon: bool
+    default: bool = False
+
+
+def _general_check(scenario: Scenario, tau: float, f: TestingFunction | None, a: float) -> CriterionReport:
+    if f is None:
+        raise ValueError("the general families need an explicit weight function")
+    return check_general(scenario, f, a=a, tau=tau)
+
+
+FAMILY_GROUPS = {
+    FAMILY_GENERAL_RADIAL: FamilyGroup(_general_check, True, True),
+    FAMILY_GENERAL_1D: FamilyGroup(_general_check, False, True),
+    FAMILY_POWER_RADIAL: FamilyGroup(lambda s, tau, f, a: check_power_radial(s, tau), True, True, True),
+    FAMILY_LINEAR_1D_TAU: FamilyGroup(lambda s, tau, f, a: check_linear_1d_tau(s, tau), False, True),
+    FAMILY_LINEAR_1D: FamilyGroup(lambda s, tau, f, a: check_linear_1d(s), False, False, True),
+}
+FAMILIES = tuple(FAMILY_GROUPS)
+
+
+def default_family(geometry: Geometry) -> str:
+    """The closed-form family monitored on a geometry when none is named."""
+    return next(n for n, g in FAMILY_GROUPS.items() if g.default and g.radial == geometry.is_radial)
+
+
+def run_family_check(
+    scenario: Scenario,
+    family: str,
+    tau: float = 1.0,
+    f: TestingFunction | None = None,
+    a: float = 4.0,
+) -> CriterionReport:
+    """Dispatch one of the named criterion families."""
+    if family not in FAMILY_GROUPS:
+        raise ValueError(f"unknown criterion family {family!r}")
+    return FAMILY_GROUPS[family].check(scenario, tau, f, a)
+
+
+# ---------------------------------------------------------------------------
 # Minimal certifying horizon
 
 
@@ -542,11 +594,11 @@ def minimal_tau(
     :class:`NonMonotoneVerdictError`), then bisects the first sign change
     to relative precision ``rtol``.
     """
-    if family not in (FAMILY_GENERAL_RADIAL, FAMILY_GENERAL_1D, FAMILY_POWER_RADIAL, FAMILY_LINEAR_1D_TAU):
+    if family not in FAMILY_GROUPS or not FAMILY_GROUPS[family].horizon:
         raise ValueError(f"family {family!r} does not take a horizon")
 
     def positive(tau: float) -> bool:
-        return _family_check(scenario, family, tau, f, a).verdict.certifies_blowup
+        return run_family_check(scenario, family, tau, f, a).verdict.certifies_blowup
 
     grid = np.geomspace(tau_lo, tau_hi, scan_points)
     verdicts = [positive(float(t)) for t in grid]
@@ -570,35 +622,25 @@ def minimal_tau(
     return hi
 
 
-def _family_check(
-    scenario: Scenario, family: str, tau: float, f: TestingFunction | None, a: float
-) -> CriterionReport:
-    if family in (FAMILY_GENERAL_RADIAL, FAMILY_GENERAL_1D):
-        if f is None:
-            raise ValueError("the general families need an explicit weight function")
-        return check_general(scenario, f, a=a, tau=tau)
-    if family == FAMILY_POWER_RADIAL:
-        return check_power_radial(scenario, tau)
-    if family == FAMILY_LINEAR_1D_TAU:
-        return check_linear_1d_tau(scenario, tau)
-    if family == FAMILY_LINEAR_1D:
-        return check_linear_1d(scenario)
-    raise ValueError(f"unknown criterion family {family!r}")
-
-
-def run_family_check(
-    scenario: Scenario,
-    family: str,
-    tau: float = 1.0,
-    f: TestingFunction | None = None,
-    a: float = 4.0,
-) -> CriterionReport:
-    """Dispatch one of the named criterion families."""
-    return _family_check(scenario, family, tau, f, a)
-
-
 # ---------------------------------------------------------------------------
 # Theorem context: the differential inequality a certified run must obey
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Weight, default trade-off constant and monitored inequality of one theorem.
+
+    ``weight(geometry, f)`` is the weight the theorem integrates against
+    (``f`` is the caller's) and ``a`` the trade-off constant when the report
+    records none.  ``riccati(ctx, t, U)`` is the coefficient c(t) with
+    U = R + sigma*t, and ``G(ctx, H, m0, snap, U_tau)`` the slack term of
+    dH/dt >= c(t) H**2 + G(t), with U_tau = R + sigma*tau.
+    """
+
+    weight: Callable
+    a: float | None
+    riccati: Callable
+    G: Callable
 
 
 @dataclass
@@ -617,13 +659,18 @@ class TheoremContext:
     tau: float
 
     def __post_init__(self) -> None:
+        self.spec = FAMILY_SPECS[self.family]
         self.sigma = sound_speed(self.scenario.eos)
+        self.N = self.scenario.geometry.ndim
+
+    def _upper(self, snap: FieldSnapshot) -> float:
+        # sound cone plus a three-cell halo, clipped to the grid
+        upper = self.scenario.R + self.sigma * snap.t + 3.0 * snap.spacing
+        return min(upper, float(snap.centers[-1]) + 0.5 * snap.spacing)
 
     # -- series callables -------------------------------------------------
     def H(self, snap: FieldSnapshot) -> float:
-        upper = self.scenario.R + self.sigma * snap.t + 3.0 * snap.spacing
-        upper = min(upper, float(snap.centers[-1]) + 0.5 * snap.spacing)
-        return momentum_functional(snap, self.f, self.scenario.geometry, upper=upper)
+        return momentum_functional(snap, self.f, self.scenario.geometry, upper=self._upper(snap))
 
     def B(self, t: float) -> float:
         return weight_functional_B(
@@ -633,73 +680,75 @@ class TheoremContext:
     def m(self, snap: FieldSnapshot) -> float:
         return mass_functional(snap, self.scenario.eos, self.scenario.geometry)
 
-    def _pressure_slack(self, snap: FieldSnapshot) -> float:
-        # weighted integral of the perturbed pressure-law term over the cone
-        eos = self.scenario.eos
-        geom = self.scenario.geometry
-        upper = min(
-            self.scenario.R + self.sigma * snap.t + 3.0 * snap.spacing,
-            float(snap.centers[-1]) + 0.5 * snap.spacing,
-        )
-        mask = (
-            snap.centers <= upper if geom.is_radial else np.abs(snap.centers) <= upper
-        )
-        diff = snap.rho[mask] ** (eos.gamma - 1.0) - eos.rho_bar ** (eos.gamma - 1.0)
-        if geom.is_radial and geom.ndim > 1:
-            diff = diff * snap.centers[mask] ** (geom.ndim - 1)
-        from .quadrature import integrate_samples
-
-        integral = integrate_samples(diff, snap.spacing)
-        scale = eos.K * eos.gamma / (eos.gamma - 1.0)
-        if geom.is_radial:
-            scale *= geom.ndim
-        return scale * integral
-
     def riccati_coeff(self, t: float) -> float:
-        R, sigma = self.scenario.R, self.sigma
-        U = R + sigma * t
-        N = self.scenario.geometry.ndim
-        if self.family in (GENERAL_RADIAL, GENERAL_1D):
-            return 1.0 / (self.a * self.B(t))
-        if self.family == POWER_RADIAL_CASE1:
-            return N * (N + 1) / (2.0 * U ** (N + 2))
-        if self.family == POWER_RADIAL_CASE2:
-            return N * (N + 1) / (self.a * U ** (N + 2))
-        if self.family in (LINEAR_1D_INFINITE, LINEAR_1D_TAU_CASE1):
-            return 3.0 / (4.0 * U ** 3)
-        if self.family == LINEAR_1D_TAU_CASE2:
-            return 1.0 / (self.a * U ** 3)
-        raise ValueError(f"unknown family {self.family!r}")
+        U = self.scenario.R + self.sigma * t
+        return self.spec.riccati(self, t, U)
 
     def G(self, t: float, H: float, m0: float, snap: FieldSnapshot) -> float:
-        eos = self.scenario.eos
-        R, sigma = self.scenario.R, self.sigma
-        N = self.scenario.geometry.ndim
-        U_tau = R + sigma * self.tau
-        if self.family in (GENERAL_RADIAL, GENERAL_1D):
-            barrier = eos.K * eos.gamma / (eos.gamma - 1.0) * eos.rho_bar ** (eos.gamma - 1.0)
-            return (self.a - 2.0) * H ** 2 / (2.0 * self.a * self.B(self.tau)) - barrier * float(
-                self.f.f(U_tau)
-            )
-        if self.family == POWER_RADIAL_CASE1:
-            return self._pressure_slack(snap)
-        if self.family == POWER_RADIAL_CASE2:
-            return (self.a - 2.0) * N * (N + 1) * H ** 2 / (
-                2.0 * self.a * U_tau ** (N + 2)
-            ) + 2.0 * eos.K * N * m0
-        if self.family in (LINEAR_1D_INFINITE, LINEAR_1D_TAU_CASE1):
-            return self._pressure_slack(snap)
-        if self.family == LINEAR_1D_TAU_CASE2:
-            return (3.0 * self.a - 4.0) * H ** 2 / (
-                4.0 * self.a * U_tau ** 3
-            ) + 2.0 * eos.K * m0
-        raise ValueError(f"unknown family {self.family!r}")
+        U_tau = self.scenario.R + self.sigma * self.tau
+        return self.spec.G(self, H, m0, snap, U_tau)
 
     def hypotheses_hold(self) -> bool:
         return self.report.verdict.certifies_blowup
 
     def recorder(self) -> SeriesRecorder:
         return SeriesRecorder(H=self.H, B=self.B, m=self.m, G=self.G, theorem=self.family)
+
+
+def _pressure_slack(ctx: TheoremContext, H: float, m0: float, snap: FieldSnapshot, U_tau: float) -> float:
+    # G of the non-negative-mass theorems: weighted integral of the perturbed
+    # pressure-law term over the cone
+    eos = ctx.scenario.eos
+    geom = ctx.scenario.geometry
+    mask = _band(snap, geom, ctx._upper(snap))
+    diff = snap.rho[mask] ** (eos.gamma - 1.0) - eos.rho_bar ** (eos.gamma - 1.0)
+    if geom.is_radial and geom.ndim > 1:
+        diff = diff * snap.centers[mask] ** (geom.ndim - 1)
+    integral = integrate_samples(diff, snap.spacing)
+    scale = eos.K * eos.gamma / (eos.gamma - 1.0)
+    if geom.is_radial:
+        scale *= geom.ndim
+    return scale * integral
+
+
+_GENERAL = FamilySpec(
+    lambda geometry, f: f,
+    None,
+    lambda c, t, U: 1.0 / (c.a * c.B(t)),
+    lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.B(c.tau))
+    - _barrier(c.scenario.eos) * float(c.f.f(U)),
+)
+_POWER = FamilySpec(
+    lambda geometry, f: power_law(geometry.ndim),
+    2.0,
+    lambda c, t, U: c.N * (c.N + 1) / (2.0 * U ** (c.N + 2)),
+    _pressure_slack,
+)
+_LINEAR = FamilySpec(
+    lambda geometry, f: linear(), 4.0 / 3.0, lambda c, t, U: 3.0 / (4.0 * U ** 3), _pressure_slack
+)
+
+# resolved theorem -> spec; the negative-mass cases 2 carry the root constant a
+FAMILY_SPECS = {
+    GENERAL_RADIAL: _GENERAL,
+    GENERAL_1D: _GENERAL,
+    POWER_RADIAL_CASE1: _POWER,
+    POWER_RADIAL_CASE2: replace(
+        _POWER,
+        riccati=lambda c, t, U: c.N * (c.N + 1) / (c.a * U ** (c.N + 2)),
+        G=lambda c, H, m0, snap, U: (c.a - 2.0) * c.N * (c.N + 1) * H ** 2
+        / (2.0 * c.a * U ** (c.N + 2))
+        + 2.0 * c.scenario.eos.K * c.N * m0,
+    ),
+    LINEAR_1D_INFINITE: _LINEAR,
+    LINEAR_1D_TAU_CASE1: _LINEAR,
+    LINEAR_1D_TAU_CASE2: replace(
+        _LINEAR,
+        riccati=lambda c, t, U: 1.0 / (c.a * U ** 3),
+        G=lambda c, H, m0, snap, U: (3.0 * c.a - 4.0) * H ** 2 / (4.0 * c.a * U ** 3)
+        + 2.0 * c.scenario.eos.K * m0,
+    ),
+}
 
 
 def theorem_context(
@@ -710,15 +759,8 @@ def theorem_context(
     a: float = 4.0,
 ) -> TheoremContext:
     """Resolve a family on a scenario and package its monitored inequality."""
-    report = _family_check(scenario, family, tau, f, a)
-    resolved = report.theorem
-    if resolved in (POWER_RADIAL_CASE1, POWER_RADIAL_CASE2):
-        weight = power_law(scenario.geometry.ndim)
-        a_eff = report.inputs.get("a", 2.0)
-    elif resolved in (LINEAR_1D_INFINITE, LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2):
-        weight = linear()
-        a_eff = report.inputs.get("a", 4.0 / 3.0)
-    else:
-        weight = f  # type: ignore[assignment]
-        a_eff = a
-    return TheoremContext(scenario, resolved, report, weight, float(a_eff), float(tau))
+    report = run_family_check(scenario, family, tau, f, a)
+    spec = FAMILY_SPECS[report.theorem]
+    weight = spec.weight(scenario.geometry, f)
+    a_eff = report.inputs.get("a", spec.a)
+    return TheoremContext(scenario, report.theorem, report, weight, float(a_eff), float(tau))

@@ -334,6 +334,28 @@ def _build(tf: TestingFunction) -> TestingFunction:
     return tf
 
 
+def power_law_B(n: float, R: float, sigma: float, t: float, geometry) -> float:
+    """Closed-form weight integral of f = x**n up to the sound cone.
+
+    Radial geometry integrates f**2/f' over [0, R + sigma*t]; the 1-D
+    geometry integrates over [-(R + sigma*t), R + sigma*t] and is defined
+    for the linear weight (n = 1) only.
+    """
+    if n <= 0:
+        raise ValueError("power-law exponent must be positive")
+    if R <= 0 or sigma <= 0 or t < 0:
+        raise ValueError("require R > 0, sigma > 0, t >= 0")
+    upper = R + sigma * t
+    kind = getattr(geometry, "kind", geometry)
+    if kind == "radial":
+        return float(upper ** (n + 2) / (n * (n + 2)))
+    if kind == "cartesian1d":
+        if n != 1:
+            raise ValueError("1-D closed form is defined for the linear weight only")
+        return float(2.0 * upper ** 3 / 3.0)
+    raise ValueError(f"unknown geometry {geometry!r}")
+
+
 def power_law(n: float) -> TestingFunction:
     """Weight f(r) = r**n for the radial momentum functionals."""
     if n <= 0:
@@ -346,8 +368,6 @@ def power_law(n: float) -> TestingFunction:
         return n * np.asarray(x, dtype=float) ** (n - 1.0)
 
     def analytic_B(R, sigma, t, geometry):
-        from .quadrature import power_law_B
-
         return power_law_B(n, R, sigma, t, geometry)
 
     return _build(
@@ -365,10 +385,7 @@ def linear() -> TestingFunction:
         return np.ones_like(np.asarray(x, dtype=float))
 
     def analytic_B(R, sigma, t, geometry):
-        upper = R + sigma * t
-        if getattr(geometry, "is_radial", False):
-            return upper ** 3 / 3.0
-        return 2.0 * upper ** 3 / 3.0
+        return power_law_B(1, R, sigma, t, geometry)
 
     return _build(TestingFunction(f, f_prime, LINEAR, power=1.0, analytic_B=analytic_B, name="x"))
 

@@ -51,7 +51,6 @@ class QuadratureRule:
 
 
 DEFAULT_RULE = QuadratureRule(TRAPEZOID, 1024)
-SIMPSON_RULE = QuadratureRule(SIMPSON, 1024)
 
 
 def _check_finite(values: np.ndarray, xs: np.ndarray) -> None:
@@ -104,25 +103,3 @@ def integrate_fn(g: Callable, a: float, b: float, rule: QuadratureRule = DEFAULT
     vals = _evaluate(g, xs)
     _check_finite(vals, xs)
     return integrate_samples(vals, (b - a) / rule.panels, QuadratureRule(rule.method, rule.panels))
-
-
-def power_law_B(n: float, R: float, sigma: float, t: float, geometry) -> float:
-    """Closed-form weight integral of f = x**n up to the sound cone.
-
-    Radial geometry integrates f**2/f' over [0, R + sigma*t]; the 1-D
-    geometry integrates over [-(R + sigma*t), R + sigma*t] and is defined
-    for the linear weight (n = 1) only.
-    """
-    if n <= 0:
-        raise ValueError("power-law exponent must be positive")
-    if R <= 0 or sigma <= 0 or t < 0:
-        raise ValueError("require R > 0, sigma > 0, t >= 0")
-    upper = R + sigma * t
-    kind = getattr(geometry, "kind", geometry)
-    if kind == "radial":
-        return float(upper ** (n + 2) / (n * (n + 2)))
-    if kind == "cartesian1d":
-        if n != 1:
-            raise ValueError("1-D closed form is defined for the linear weight only")
-        return float(2.0 * upper ** 3 / 3.0)
-    raise ValueError(f"unknown geometry {geometry!r}")

@@ -14,13 +14,15 @@ with g(y) = y (1 - y^2)^2,
     int_0^1 y^2 g(y) dy             = 8/315    (radial cubic weight)
     int_0^1 y g(y) dy               = 8/105    (radial identity weight)
 and for the exponential weight the shape integral is evaluated by
-Simpson quadrature at build time.
+Simpson quadrature at import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .criteria import (
     FAMILY_GENERAL_1D,
@@ -104,128 +106,99 @@ class CertifiedCase:
     a: float = 4.0
 
 
-def bump_momentum_amplitude(target_H0: float, R: float, shape: float) -> float:
-    """Velocity amplitude giving the quartic bump the target initial momentum."""
-    return target_H0 / shape
+# every certified preset has bump radius 1 and horizon 1
+_R, _TAU = 1.0, 1.0
 
 
-def certified_linear_tau_case(cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
-    """1-D identity-weight horizon criterion, case 1, at tau = 1."""
-    eos = reference_eos()
-    sigma = sound_speed(eos)
-    R, tau = 1.0, 1.0
-    thr = linear_tau_case1_threshold(R, sigma, tau)
-    amp_v = margin * thr / (SHAPE_1D_LINEAR * R ** 2)
-    scen = make_bump_scenario(
-        eos=eos,
-        geometry=Geometry.cartesian1d(),
-        R=R,
-        amp_rho=0.0,
-        amp_v=amp_v,
-        grid=GridSpec(extent=2.6, cells=cells),
-        detector=CERTIFIED_DETECTOR,
-    )
-    return CertifiedCase("cert-linear-tau-1d", scen, FAMILY_LINEAR_1D_TAU, tau)
-
-
-def certified_linear_infinite_case(cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
-    """1-D identity-weight horizon-free criterion (finite-time verdict)."""
-    eos = reference_eos()
-    sigma = sound_speed(eos)
-    R = 1.0
-    thr = linear_1d_threshold(R, sigma)
-    amp_v = margin * thr / (SHAPE_1D_LINEAR * R ** 2)
-    scen = make_bump_scenario(
-        eos=eos,
-        geometry=Geometry.cartesian1d(),
-        R=R,
-        amp_rho=0.0,
-        amp_v=amp_v,
-        grid=GridSpec(extent=2.6, cells=cells),
-        detector=CERTIFIED_DETECTOR,
-    )
-    return CertifiedCase("cert-linear-infinite-1d", scen, FAMILY_LINEAR_1D, tau=1.0)
-
-
-def certified_power_radial_case(cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
-    """Radial cubic-weight criterion, case 1, N = 3, at tau = 1."""
-    eos = reference_eos()
-    sigma = sound_speed(eos)
-    R, tau, N = 1.0, 1.0, 3
-    thr = power_radial_case1_threshold(N, R, sigma, tau)
-    amp_v = margin * thr / (SHAPE_RADIAL_CUBIC * R ** 4)
-    scen = make_bump_scenario(
-        eos=eos,
-        geometry=Geometry.radial(N),
-        R=R,
-        amp_rho=0.0,
-        amp_v=amp_v,
-        grid=GridSpec(extent=2.6, cells=cells),
-        detector=CERTIFIED_DETECTOR,
-    )
-    return CertifiedCase("cert-power-radial-n3", scen, FAMILY_POWER_RADIAL, tau)
-
-
-def certified_general_radial_case(cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
-    """General radial criterion with the identity weight, N = 1, a = 4."""
-    eos = EosParams(K=0.5, gamma=2.0, rho_bar=0.5)
-    R, tau, a = 1.0, 1.0, 4.0
-    geom = Geometry.radial(1)
-    f = linear()
-    strict, horizon = general_condition_thresholds(f, a, eos, R, tau, geom)
-    target = margin * max(strict, horizon)
-    amp_v = target / (SHAPE_RADIAL_LINEAR * R ** 2)
-    scen = make_bump_scenario(
-        eos=eos,
-        geometry=geom,
-        R=R,
-        amp_rho=0.0,
-        amp_v=amp_v,
-        grid=GridSpec(extent=2.0, cells=cells),
-        detector=CERTIFIED_DETECTOR,
-    )
-    return CertifiedCase("cert-general-radial-n1", scen, FAMILY_GENERAL_RADIAL, tau, f=f, a=a)
-
-
-def certified_general_1d_case(cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
-    """General 1-D criterion with an exponential weight.
-
-    beta and a sit near the minimizer of the combined threshold divided
-    by the bump shape integral, which keeps the certified amplitude (and
-    so the Mach number of the run) as small as the criterion allows.
-    """
-    eos = EosParams(K=0.25, gamma=2.0, rho_bar=0.5)
-    R, tau, a, beta = 1.0, 1.0, 3.5, 2.0
-    geom = Geometry.cartesian1d()
-    f = exponential(beta)
-    strict, horizon = general_condition_thresholds(f, a, eos, R, tau, geom)
-    target = margin * max(strict, horizon)
+def _exp_shape(beta: float) -> float:
     # H(0) = amp_v * R * 2 int_0^1 g(y) sinh(beta R y) dy for the odd bump
-    shape = 2.0 * integrate_fn(
-        lambda y: y * (1.0 - y ** 2) ** 2 * math.sinh(beta * R * y), 0.0, 1.0, _SHAPE_RULE
-    ) * R
-    amp_v = target / shape
+    return 2.0 * integrate_fn(
+        lambda y: y * (1.0 - y ** 2) ** 2 * math.sinh(beta * _R * y), 0.0, 1.0, _SHAPE_RULE
+    ) * _R
+
+
+def _general_threshold(eos: EosParams, geometry: Geometry, f: TestingFunction, a: float) -> float:
+    return max(general_condition_thresholds(f, a, eos, _R, _TAU, geometry))
+
+
+@dataclass(frozen=True)
+class _CertifiedPreset:
+    """Row of the certified-preset table.
+
+    ``shape`` is H(0) of the quartic bump per unit velocity amplitude,
+    ``threshold(eos, geometry, f, a)`` the H(0) the criterion needs, and
+    ``weight()`` builds the weight of a general family.
+    """
+
+    family: str
+    eos: EosParams
+    geometry: Geometry
+    extent: float
+    shape: float
+    threshold: Callable[..., float]
+    weight: Callable[[], TestingFunction] | None = None
+    a: float = 4.0
+
+
+CERTIFIED_PRESETS = {
+    # 1-D identity-weight horizon criterion, case 1
+    "cert-linear-tau-1d": _CertifiedPreset(
+        FAMILY_LINEAR_1D_TAU, reference_eos(), Geometry.cartesian1d(), 2.6, SHAPE_1D_LINEAR * _R ** 2,
+        lambda eos, geom, f, a: linear_tau_case1_threshold(_R, sound_speed(eos), _TAU),
+    ),
+    # 1-D identity-weight horizon-free criterion (finite-time verdict)
+    "cert-linear-infinite-1d": _CertifiedPreset(
+        FAMILY_LINEAR_1D, reference_eos(), Geometry.cartesian1d(), 2.6, SHAPE_1D_LINEAR * _R ** 2,
+        lambda eos, geom, f, a: linear_1d_threshold(_R, sound_speed(eos)),
+    ),
+    # radial cubic-weight criterion, case 1, N = 3
+    "cert-power-radial-n3": _CertifiedPreset(
+        FAMILY_POWER_RADIAL, reference_eos(), Geometry.radial(3), 2.6, SHAPE_RADIAL_CUBIC * _R ** 4,
+        lambda eos, geom, f, a: power_radial_case1_threshold(geom.ndim, _R, sound_speed(eos), _TAU),
+    ),
+    # general radial criterion with the identity weight, N = 1
+    "cert-general-radial-n1": _CertifiedPreset(
+        FAMILY_GENERAL_RADIAL, EosParams(K=0.5, gamma=2.0, rho_bar=0.5), Geometry.radial(1), 2.0,
+        SHAPE_RADIAL_LINEAR * _R ** 2, _general_threshold, weight=linear,
+    ),
+    # general 1-D criterion with an exponential weight: beta = 2 and a = 3.5
+    # sit near the minimizer of the combined threshold divided by the bump
+    # shape integral, which keeps the certified amplitude (and so the Mach
+    # number of the run) as small as the criterion allows
+    "cert-general-1d-exp": _CertifiedPreset(
+        FAMILY_GENERAL_1D, EosParams(K=0.25, gamma=2.0, rho_bar=0.5), Geometry.cartesian1d(), 2.0,
+        _exp_shape(2.0), _general_threshold, weight=lambda: exponential(2.0), a=3.5,
+    ),
+}
+
+
+def certified_case(name: str, cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
+    """Certified preset ``name``: H(0) sits at ``margin`` times the threshold."""
+    p = CERTIFIED_PRESETS[name]
+    f = p.weight() if p.weight is not None else None
+    amp_v = margin * p.threshold(p.eos, p.geometry, f, p.a) / p.shape
     scen = make_bump_scenario(
-        eos=eos,
-        geometry=geom,
-        R=R,
+        eos=p.eos,
+        geometry=p.geometry,
+        R=_R,
         amp_rho=0.0,
         amp_v=amp_v,
-        grid=GridSpec(extent=2.0, cells=cells),
+        grid=GridSpec(extent=p.extent, cells=cells),
         detector=CERTIFIED_DETECTOR,
     )
-    return CertifiedCase("cert-general-1d-exp", scen, FAMILY_GENERAL_1D, tau, f=f, a=a)
+    return CertifiedCase(name, scen, p.family, _TAU, f=f, a=p.a)
+
+
+certified_linear_tau_case = partial(certified_case, "cert-linear-tau-1d")
+certified_linear_infinite_case = partial(certified_case, "cert-linear-infinite-1d")
+certified_power_radial_case = partial(certified_case, "cert-power-radial-n3")
+certified_general_radial_case = partial(certified_case, "cert-general-radial-n1")
+certified_general_1d_case = partial(certified_case, "cert-general-1d-exp")
 
 
 def certified_suite(cells: int = REFERENCE_CELLS) -> list[CertifiedCase]:
     """Every certified preset shipped with the package."""
-    return [
-        certified_linear_tau_case(cells),
-        certified_linear_infinite_case(cells),
-        certified_power_radial_case(cells),
-        certified_general_radial_case(cells),
-        certified_general_1d_case(cells),
-    ]
+    return [certified_case(name, cells) for name in CERTIFIED_PRESETS]
 
 
 PRESETS = {
@@ -234,9 +207,8 @@ PRESETS = {
     "ref-1d": lambda cells=REFERENCE_CELLS: reference_scenario(Geometry.cartesian1d(), cells),
     "constant-1d": lambda cells=256: constant_scenario(Geometry.cartesian1d(), cells),
     "constant-radial3": lambda cells=256: constant_scenario(Geometry.radial(3), cells),
-    "cert-linear-tau-1d": lambda cells=REFERENCE_CELLS: certified_linear_tau_case(cells).scenario,
-    "cert-linear-infinite-1d": lambda cells=REFERENCE_CELLS: certified_linear_infinite_case(cells).scenario,
-    "cert-power-radial-n3": lambda cells=REFERENCE_CELLS: certified_power_radial_case(cells).scenario,
-    "cert-general-radial-n1": lambda cells=REFERENCE_CELLS: certified_general_radial_case(cells).scenario,
-    "cert-general-1d-exp": lambda cells=REFERENCE_CELLS: certified_general_1d_case(cells).scenario,
+    **{
+        name: lambda cells=REFERENCE_CELLS, name=name: certified_case(name, cells).scenario
+        for name in CERTIFIED_PRESETS
+    },
 }

@@ -14,9 +14,7 @@ falling under a floor.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +85,6 @@ class SolutionTrace:
 
 def _signal_speed(eos: EosParams, rho: np.ndarray) -> np.ndarray:
     return np.sqrt(eos.K * eos.gamma * rho ** (eos.gamma - 1.0))
-
-
-def reference_sound_speed(eos: EosParams) -> float:
-    """Background signal speed; valid for any gamma >= 1."""
-    return math.sqrt(eos.K * eos.gamma * eos.rho_bar ** (eos.gamma - 1.0))
 
 
 def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
@@ -218,7 +211,7 @@ def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams)
     """Flag a per-cell velocity jump at or above slope_factor * sound speed."""
     jumps = np.abs(np.diff(snap.V))
     i = int(np.argmax(jumps))
-    threshold = detector.slope_factor * reference_sound_speed(eos)
+    threshold = detector.slope_factor * _signal_speed(eos, eos.rho_bar)
     if jumps[i] >= threshold:
         loc = 0.5 * (snap.centers[i] + snap.centers[i + 1])
         return BlowupEvent(t=snap.t, cause=SLOPE_THRESHOLD, location=float(loc), value=float(jumps[i]))
@@ -229,7 +222,6 @@ def run(
     scenario: Scenario,
     config: SolverConfig,
     recorder: SeriesRecorder | None = None,
-    callbacks: tuple[Callable, ...] = (),
 ) -> SolutionTrace:
     """Run a scenario to t_end or first detector event.
 
@@ -240,7 +232,7 @@ def run(
     always strictly before any detection time.
     """
     eos, geom = scenario.eos, scenario.geometry
-    sigma = reference_sound_speed(eos)
+    sigma = _signal_speed(eos, eos.rho_bar)
     if scenario.grid.extent <= scenario.R + sigma * config.t_end:
         raise ValueError(
             "grid extent does not contain the sound cone of t_end: need extent > "
@@ -249,11 +241,8 @@ def run(
     snap = initial_snapshot(scenario)
     snapshots = [snap]
     blowup = detect_blowup(snap, eos, scenario.detector)
-    if blowup is None:
-        if recorder is not None:
-            recorder.observe(snap)
-        for cb in callbacks:
-            cb(snap)
+    if blowup is None and recorder is not None:
+        recorder.observe(snap)
     t, steps = 0.0, 0
     next_snap = config.snapshot_interval
     next_sample = scenario.detector.sample_interval
@@ -268,13 +257,10 @@ def run(
         t = snap.t
         steps += 1
         blowup = detect_blowup(snap, eos, scenario.detector)
-        if blowup is None:
-            if recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps):
-                recorder.observe(snap)
-                while next_sample <= t + eps:
-                    next_sample += scenario.detector.sample_interval
-            for cb in callbacks:
-                cb(snap)
+        if blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps):
+            recorder.observe(snap)
+            while next_sample <= t + eps:
+                next_sample += scenario.detector.sample_interval
         if t >= next_snap - eps or t >= config.t_end - eps or blowup is not None:
             snapshots.append(snap)
             while next_snap <= t + eps:

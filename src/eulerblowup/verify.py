@@ -272,13 +272,6 @@ def check_finite_propagation(
     )
 
 
-def mass_drift(trace: SolutionTrace) -> float:
-    """Max |m(t) - m(0)| over all snapshots of a trace."""
-    scen = trace.scenario
-    values = [mass_functional(s, scen.eos, scen.geometry) for s in trace.snapshots]
-    return float(np.max(np.abs(np.asarray(values) - values[0])))
-
-
 def check_mass_conservation(trace: SolutionTrace) -> VerificationReport:
     """The weighted density perturbation integral is conserved in time."""
     scen = trace.scenario

@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import eulerblowup.cli as cli
+from eulerblowup.criteria import FAMILIES
 from eulerblowup.cli import (
     ConfigError,
     main,
@@ -180,11 +182,14 @@ class TestVerifyCommand:
     def test_corrupted_trace_yields_verification_failure(
         self, ref_config, capsys, monkeypatch
     ):
-        def corrupt(trace):
+        real_run = cli.run
+
+        def corrupted_run(*args, **kwargs):
+            trace = real_run(*args, **kwargs)
             trace.snapshots[-1].rho[5] = -1.0
             return trace
 
-        monkeypatch.setattr(cli, "TRACE_TRANSFORM", corrupt)
+        monkeypatch.setattr(cli, "run", corrupted_run)
         code = main(["verify", "--t-end", "0.1", "--checks", "positivity", ref_config])
         assert code == 3
         assert "fail" in capsys.readouterr().out
@@ -259,3 +264,11 @@ class TestTopLevel:
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_family_choices_are_the_criteria_families(self):
+        commands = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name, dest in (("check", "theorem"), ("sweep", "theorem"), ("simulate", "family"), ("verify", "family")):
+            action = next(a for a in commands.choices[name]._actions if a.dest == dest)
+            assert tuple(action.choices) == FAMILIES

@@ -8,6 +8,7 @@ import eulerblowup.criteria as criteria
 from eulerblowup.criteria import (
     Condition,
     CriterionReport,
+    FAMILIES,
     FAMILY_GENERAL_RADIAL,
     FAMILY_LINEAR_1D,
     FAMILY_LINEAR_1D_TAU,
@@ -53,6 +54,7 @@ from eulerblowup.scenarios import (
     certified_linear_infinite_case,
     certified_linear_tau_case,
     certified_power_radial_case,
+    certified_suite,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -352,6 +354,22 @@ class TestMinimalTau:
         with pytest.raises(ValueError):
             minimal_tau(scen, FAMILY_LINEAR_1D)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_accepts_exactly_the_horizon_families(self, family):
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+
+        def search():
+            return minimal_tau(
+                case.scenario, family, f=case.f, a=case.a,
+                tau_lo=0.1, tau_hi=1.0, rtol=1e-3, scan_points=8,
+            )
+
+        if family == FAMILY_LINEAR_1D:
+            with pytest.raises(ValueError):
+                search()
+        else:
+            assert 0.1 < search() < case.tau
+
     def test_non_monotone_verdicts_raise(self, monkeypatch):
         scen = bump(Geometry.radial(3))
 
@@ -360,7 +378,7 @@ class TestMinimalTau:
             verdict = Verdict.blowup_before(tau) if ok else Verdict.inconclusive("no")
             return CriterionReport("fake", {}, [], verdict)
 
-        monkeypatch.setattr(criteria, "_family_check", fake_check)
+        monkeypatch.setattr(criteria, "run_family_check", fake_check)
         with pytest.raises(NonMonotoneVerdictError):
             minimal_tau(scen, FAMILY_POWER_RADIAL)
 
@@ -388,6 +406,40 @@ class TestTheoremContext:
         assert ctx.a == case.a
         # coefficient 1/(a*B(0)) with B(0) = R^3/3
         assert ctx.riccati_coeff(0.0) == pytest.approx(3.0 / case.a, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "geometry, family, resolved, coeff, slack",
+        [
+            # radial N = 2 and 1-D, K = 1, sigma = sqrt(2), R = tau = 1
+            (
+                Geometry.radial(2),
+                FAMILY_POWER_RADIAL,
+                POWER_RADIAL_CASE2,
+                lambda a, U: 6.0 / (a * U ** 4),
+                lambda a, H, m0, U: (a - 2.0) * 6.0 * H ** 2 / (2.0 * a * U ** 4) + 4.0 * m0,
+            ),
+            (
+                Geometry.cartesian1d(),
+                FAMILY_LINEAR_1D_TAU,
+                LINEAR_1D_TAU_CASE2,
+                lambda a, U: 1.0 / (a * U ** 3),
+                lambda a, H, m0, U: (3.0 * a - 4.0) * H ** 2 / (4.0 * a * U ** 3) + 2.0 * m0,
+            ),
+        ],
+    )
+    def test_negative_mass_context_closed_forms(self, geometry, family, resolved, coeff, slack):
+        scen = bump(geometry, amp_rho=-0.05, amp_v=80.0, extent=2.6)
+        ctx = theorem_context(scen, family, tau=1.0)
+        assert ctx.family == resolved
+        assert ctx.a == ctx.report.inputs["a"]
+        snap = initial_snapshot(scen)
+        H, m0 = ctx.H(snap), ctx.m(snap)
+        assert m0 < 0.0
+        for t, h in ((0.0, H), (0.6, 2.0 * H)):
+            U = 1.0 + SQRT2 * t
+            assert ctx.riccati_coeff(t) == pytest.approx(coeff(ctx.a, U), rel=1e-13)
+            got = ctx.G(t, h, m0, snap)
+            assert got == pytest.approx(slack(ctx.a, h, m0, 1.0 + SQRT2), rel=1e-13)
 
     def test_context_momentum_matches_report(self):
         case = certified_power_radial_case(cells=512)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from eulerblowup.model import Geometry
 from eulerblowup.quadrature import (
     NonFiniteIntegrandError,
     QuadratureRule,
@@ -11,10 +10,7 @@ from eulerblowup.quadrature import (
     TRAPEZOID,
     integrate_fn,
     integrate_samples,
-    power_law_B,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 class TestRuleValidation:
@@ -104,36 +100,3 @@ class TestIntegrateFn:
         with pytest.raises(NonFiniteIntegrandError) as err:
             integrate_fn(g, 0.0, 1.0)
         assert err.value.abscissa == 0.0
-
-
-class TestPowerLawB:
-    def test_radial_quadratic_closed_form(self):
-        # f = r^2 over [0, 1 + sqrt(2)]: integral of f^2/f' = U^4/8
-        got = power_law_B(2, 1.0, SQRT2, 1.0, Geometry.radial(3))
-        assert got == pytest.approx(4.246320343559642, rel=1e-14)
-
-    def test_cartesian_linear_closed_form(self):
-        # f = x over [-U, U]: integral of f^2/f' = 2 U^3/3
-        got = power_law_B(1, 1.0, SQRT2, 1.0, Geometry.cartesian1d())
-        assert got == pytest.approx(9.380711874576983, rel=1e-14)
-
-    def test_cartesian_rejects_nonlinear_power(self):
-        with pytest.raises(ValueError):
-            power_law_B(2, 1.0, SQRT2, 1.0, Geometry.cartesian1d())
-
-    def test_bad_parameters_rejected(self):
-        geom = Geometry.radial(2)
-        with pytest.raises(ValueError):
-            power_law_B(0, 1.0, SQRT2, 1.0, geom)
-        with pytest.raises(ValueError):
-            power_law_B(1, -1.0, SQRT2, 1.0, geom)
-        with pytest.raises(ValueError):
-            power_law_B(1, 1.0, SQRT2, -0.5, geom)
-
-    def test_matches_quadrature(self):
-        geom = Geometry.radial(2)
-        closed = power_law_B(3, 0.7, 1.3, 0.9, geom)
-        upper = 0.7 + 1.3 * 0.9
-        # f^2/f' for f = r^3 is r^4/3
-        quad = integrate_fn(lambda r: r**4 / 3.0, 0.0, upper, QuadratureRule(SIMPSON, 512))
-        assert closed == pytest.approx(quad, rel=1e-10)

@@ -161,6 +161,16 @@ class TestRun:
         with pytest.raises(ValueError, match="contain"):
             run(bump(Geometry.cartesian1d(), extent=1.5), SolverConfig(t_end=1.0))
 
+    def test_isothermal_gas_runs(self):
+        # gamma = 1 has no Riemann variable, but the scheme and the detector
+        # only need the signal speed sqrt(K)
+        scen = make_bump_scenario(
+            EosParams(1.0, 1.0, 1.0), Geometry.cartesian1d(), 1.0, 0.01, 0.02, GridSpec(2.2, 128)
+        )
+        trace = run(scen, SolverConfig(t_end=0.1))
+        assert trace.t_final == pytest.approx(0.1)
+        assert trace.blowup is None
+
     def test_max_steps_cap(self):
         trace = run(bump(Geometry.cartesian1d()), SolverConfig(t_end=0.05, max_steps=5))
         assert trace.steps == 5

@@ -37,7 +37,6 @@ from eulerblowup.verify import (
     check_finite_propagation,
     check_mass_conservation,
     check_positivity,
-    mass_drift,
     riccati_horizon,
     summary_table,
     validate_blowup_prediction,
@@ -134,8 +133,8 @@ class TestMassConservation:
             assert report.status == PASS, report.reason
 
     def test_exact_geometries_at_machine_level(self, ref_traces):
-        assert mass_drift(ref_traces("1d")) < 1e-13
-        assert mass_drift(ref_traces("radial1")) < 1e-13
+        assert check_mass_conservation(ref_traces("1d")).metrics["max_drift"] < 1e-13
+        assert check_mass_conservation(ref_traces("radial1")).metrics["max_drift"] < 1e-13
 
     def test_injected_mass_fails(self, small_1d_trace):
         bad = doctored(small_1d_trace)
