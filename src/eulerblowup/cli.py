@@ -23,8 +23,8 @@ Scenario files are flat ``key = value`` text with dotted keys:
     detector.dt_floor = 1e-10
     detector.sample_interval = 0.01
 
-Exit codes: 0 success (any verdict), 2 invalid input or config, 3
-verification failure.
+Exit codes: 0 success (any verdict), 2 invalid input or config (also a
+criterion whose values overflow floating point), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -267,6 +268,12 @@ def cmd_check(args, argv) -> int:
     scen = load_scenario(args.scenario)
     weight = parse_weight(args.weight)
     report = run_family_check(scen, args.theorem, tau=args.tau, f=weight, a=args.a)
+    overflowed = [k for k, v in report.inputs.items() if isinstance(v, float) and not math.isfinite(v)]
+    overflowed += [c.name for c in report.conditions if not math.isfinite(c.lhs - c.rhs)]
+    if overflowed:
+        raise ConfigError(
+            f"criterion values are not finite at tau={args.tau:g}: {', '.join(overflowed)}"
+        )
     print(f"theorem: {report.theorem}")
     print(f"verdict: {report.verdict.kind}" + (f" (tau={report.verdict.tau:g})" if report.verdict.tau is not None else ""))
     for cond in report.conditions:
@@ -561,11 +568,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

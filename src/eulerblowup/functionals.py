@@ -29,12 +29,18 @@ class GridCoverageError(ValueError):
 
 @dataclass
 class FieldSnapshot:
-    """Density and velocity sampled at cell centers at one instant."""
+    """Density and velocity sampled at cell centers at one instant.
+
+    ``spacing`` defaults to ``centers[1] - centers[0]``; a window cut from
+    a larger grid passes the full grid's value, which the difference of
+    its own first two centers may miss in the last bit.
+    """
 
     t: float
     centers: np.ndarray
     rho: np.ndarray
     V: np.ndarray
+    spacing: float | None = None
 
     def __post_init__(self) -> None:
         self.centers = np.asarray(self.centers, dtype=float)
@@ -43,10 +49,8 @@ class FieldSnapshot:
         n = self.centers.size
         if self.rho.size != n or self.V.size != n or n < 2:
             raise ValueError("snapshot arrays must share one length >= 2")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.centers[1] - self.centers[0])
+        if self.spacing is None:
+            self.spacing = float(self.centers[1] - self.centers[0])
 
 
 def initial_snapshot(scenario: Scenario) -> FieldSnapshot:

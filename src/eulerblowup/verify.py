@@ -471,13 +471,13 @@ def validate_blowup_prediction(
     }
     if verdict.kind == "blowup_finite":
         metrics["riccati_horizon"] = t_bound
-    status = PASS if ok else FAIL
-    return VerificationReport(
-        CHECK_PREDICTION,
-        scenario.label(),
-        status,
-        None
-        if ok
-        else f"no detection before the {cap_kind} horizon {t_end:g}",
-        metrics,
-    )
+    if ok:
+        reason = None
+    elif td is None and trace.steps >= cfg.max_steps:
+        reason = (
+            f"run stopped at the step budget max_steps={cfg.max_steps} at "
+            f"t_final={trace.t_final:g}, before the {cap_kind} horizon {t_end:g}"
+        )
+    else:
+        reason = f"no detection before the {cap_kind} horizon {t_end:g}"
+    return VerificationReport(CHECK_PREDICTION, scenario.label(), PASS if ok else FAIL, reason, metrics)

@@ -116,6 +116,33 @@ class TestCheckCommand:
         assert code == 0
         assert "blowup_before" in capsys.readouterr().out
 
+    def test_overflowing_weight_integral_is_invalid_input(self, tmp_path, capsys):
+        # sinh(beta * (R + sigma * tau)) overflows a double at tau = 1000
+        cfg = write_config(
+            tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512"]
+        )
+        code = main(["check", "--theorem", "general-1d", "--weight", "exp:2",
+                     "--tau", "1000", cfg])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+
+    def test_infinite_threshold_is_invalid_input(self, tmp_path, capsys):
+        # at tau = 400 B(tau) is finite but the strict threshold is not
+        cfg = write_config(
+            tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512"]
+        )
+        out = tmp_path / "out"
+        code = main(["check", "--theorem", "general-1d", "--weight", "exp:2",
+                     "--tau", "400", "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "strict_threshold" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_config_file_is_invalid_input(self, tmp_path):
         assert main(["check", "--theorem", "linear-1d", str(tmp_path / "nope.cfg")]) == 2
 

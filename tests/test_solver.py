@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,18 +6,20 @@ import pytest
 
 from eulerblowup.functionals import FieldSnapshot, initial_snapshot
 from eulerblowup.model import (
+    BumpProfile,
     DetectorParams,
     EosParams,
     Geometry,
     GridSpec,
     make_bump_scenario,
 )
-from eulerblowup.criteria import theorem_context
-from eulerblowup.scenarios import certified_linear_tau_case
+from eulerblowup.criteria import default_family, theorem_context
+from eulerblowup.scenarios import PRESETS, certified_linear_tau_case, constant_scenario
 from eulerblowup.solver import (
     DT_FLOOR,
     FIRST_ORDER,
     MUSCL,
+    BlowupEvent,
     NegativeDensityError,
     SLOPE_THRESHOLD,
     SolverConfig,
@@ -234,3 +237,118 @@ class TestAccuracy:
         final = trace.snapshots[-1]
         assert np.max(np.abs(final.rho - final.rho[::-1])) < 1e-13
         assert np.max(np.abs(final.V + final.V[::-1])) < 1e-13
+
+
+def full_grid_run(scenario, config, recorder=None):
+    """Oracle for ``run``: cfl_dt and the public step over the whole grid.
+
+    Same time step, detector, recorder and snapshot rules as ``run``, but
+    every step advances every cell.
+    """
+    eos, det = scenario.eos, scenario.detector
+    snap = initial_snapshot(scenario)
+    snapshots = [snap]
+    blowup = detect_blowup(snap, eos, det)
+    if blowup is None and recorder is not None:
+        recorder.observe(snap)
+    t, steps = 0.0, 0
+    next_snap, next_sample = config.snapshot_interval, det.sample_interval
+    eps = 1e-12 * config.t_end
+    while blowup is None and t < config.t_end - eps and steps < config.max_steps:
+        dtc = cfl_dt(snap, eos, config.cfl)
+        if dtc < det.dt_floor:
+            blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
+            break
+        snap = step(snap, eos, scenario.geometry, min(dtc, config.t_end - t), config.reconstruction)
+        t = snap.t
+        steps += 1
+        blowup = detect_blowup(snap, eos, det)
+        if blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps):
+            recorder.observe(snap)
+            while next_sample <= t + eps:
+                next_sample += det.sample_interval
+        if t >= next_snap - eps or t >= config.t_end - eps or blowup is not None:
+            snapshots.append(snap)
+            while next_snap <= t + eps:
+                next_snap += config.snapshot_interval
+    series = recorder.series() if recorder is not None else None
+    return snapshots, series, blowup, steps, t
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_run_matches_full_grid(scen, config):
+    family = default_family(scen.geometry)
+    trace = run(scen, config, recorder=theorem_context(scen, family, tau=1.0).recorder())
+    snapshots, series, blowup, steps, t = full_grid_run(
+        scen, config, recorder=theorem_context(scen, family, tau=1.0).recorder()
+    )
+    assert trace.steps == steps
+    assert trace.t_final == t
+    assert (trace.blowup is None) == (blowup is None)
+    if blowup is not None:
+        assert trace.blowup.to_dict() == blowup.to_dict()
+    assert len(trace.snapshots) == len(snapshots)
+    for got, want in zip(trace.snapshots, snapshots):
+        assert got.t == want.t
+        assert got.spacing == want.spacing
+        assert_bitwise(got.centers, want.centers)
+        assert_bitwise(got.rho, want.rho)
+        assert_bitwise(got.V, want.V)
+    for col in ("times", "H", "B", "m", "G"):
+        assert_bitwise(getattr(trace.series, col), getattr(series, col))
+    return trace
+
+
+class TestWindowedRun:
+    """``run`` steps only the perturbed window; it must equal the full-grid loop."""
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_match_full_grid(self, preset, recon):
+        assert_run_matches_full_grid(
+            PRESETS[preset](512), SolverConfig(t_end=0.5, reconstruction=recon)
+        )
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)])
+    def test_background_only_advances_time(self, geom, recon):
+        scen = constant_scenario(geom, cells=128)
+        trace = assert_run_matches_full_grid(scen, SolverConfig(t_end=0.2, reconstruction=recon))
+        final = trace.snapshots[-1]
+        assert trace.t_final == pytest.approx(0.2)
+        assert np.all(final.rho == EOS.rho_bar) and np.all(final.V == 0.0)
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    def test_window_reaching_the_grid_edge(self, recon):
+        # 16 cells across R = 1 on [-2, 2]: the window hits both ends
+        scen = make_bump_scenario(EOS, Geometry.cartesian1d(), 1.0, 0.01, 0.02, GridSpec(2.0, 64))
+        trace = assert_run_matches_full_grid(scen, SolverConfig(t_end=0.6, reconstruction=recon))
+        final = trace.snapshots[-1]
+        off = (final.rho != EOS.rho_bar) | (final.V != 0.0)
+        assert off[0] and off[-1]
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    def test_radial_shell_window_starts_at_the_origin(self, recon):
+        # a density shell on 0.5 <= r <= 1 leaves quiescent cells at the
+        # origin, whose reflection ghost the window must still include
+        class Shell(BumpProfile):
+            def __call__(self, x):
+                return super().__call__(np.asarray(x, dtype=float) - 0.75)
+
+        base = bump(Geometry.radial(3), cells=512)
+        scen = dataclasses.replace(base, rho0=Shell(0.01, 0.25))
+        snap0 = initial_snapshot(scen)
+        assert snap0.rho[0] == EOS.rho_bar and snap0.rho.max() > EOS.rho_bar
+        trace = assert_run_matches_full_grid(scen, SolverConfig(t_end=0.5, reconstruction=recon))
+        assert trace.snapshots[-1].rho[0] != EOS.rho_bar
+
+    def test_window_keeps_the_full_grid_spacing(self):
+        snap = initial_snapshot(bump(Geometry.cartesian1d(), cells=512))
+        window = FieldSnapshot(snap.t, snap.centers[100:300], snap.rho[100:300], snap.V[100:300], snap.spacing)
+        assert window.spacing == snap.spacing
+        moved = step(window, EOS, Geometry.cartesian1d(), cfl_dt(snap, EOS), MUSCL)
+        assert moved.spacing == snap.spacing

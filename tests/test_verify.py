@@ -230,6 +230,15 @@ class TestPredictionValidation:
         assert result.status == PASS, result.reason
         assert result.metrics["t_detect"] <= result.metrics["horizon"]
 
+    def test_step_budget_is_named_when_the_run_stops_early(self):
+        case = certified_linear_tau_case(cells=1024)
+        report_c = run_family_check(case.scenario, case.family, tau=case.tau)
+        result = validate_blowup_prediction(case.scenario, report_c, SolverConfig(max_steps=10))
+        assert result.status == FAIL
+        assert "max_steps=10" in result.reason
+        assert "t_final=" in result.reason
+        assert "no detection" not in result.reason
+
     def test_inconclusive_report_rejected(self):
         scen = reference_scenario(Geometry.cartesian1d(), cells=256)
         report_c = run_family_check(scen, "linear-1d-tau", tau=1.0)
