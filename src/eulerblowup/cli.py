@@ -24,7 +24,8 @@ Scenario files are flat ``key = value`` text with dotted keys:
     detector.sample_interval = 0.01
 
 Exit codes: 0 success (any verdict), 2 invalid input or config (also a
-criterion whose values overflow floating point), 3 verification failure.
+check or sweep whose criterion values overflow to +-inf), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -264,16 +265,23 @@ def _trace_summary(trace) -> dict:
 # Commands
 
 
+def _require_finite(report, tau: float) -> None:
+    """Reject a report whose inputs or condition sides overflowed to +-inf.
+
+    NaN is left alone: a criterion records a deliberate NaN threshold when
+    its hypotheses do not cover the data (an inconclusive verdict).
+    """
+    overflowed = [k for k, v in report.inputs.items() if isinstance(v, float) and math.isinf(v)]
+    overflowed += [c.name for c in report.conditions if math.isinf(c.lhs) or math.isinf(c.rhs)]
+    if overflowed:
+        raise ConfigError(f"criterion values are not finite at tau={tau:g}: {', '.join(overflowed)}")
+
+
 def cmd_check(args, argv) -> int:
     scen = load_scenario(args.scenario)
     weight = parse_weight(args.weight)
     report = run_family_check(scen, args.theorem, tau=args.tau, f=weight, a=args.a)
-    overflowed = [k for k, v in report.inputs.items() if isinstance(v, float) and not math.isfinite(v)]
-    overflowed += [c.name for c in report.conditions if not math.isfinite(c.lhs - c.rhs)]
-    if overflowed:
-        raise ConfigError(
-            f"criterion values are not finite at tau={args.tau:g}: {', '.join(overflowed)}"
-        )
+    _require_finite(report, args.tau)
     print(f"theorem: {report.theorem}")
     print(f"verdict: {report.verdict.kind}" + (f" (tau={report.verdict.tau:g})" if report.verdict.tau is not None else ""))
     for cond in report.conditions:
@@ -288,7 +296,7 @@ def cmd_check(args, argv) -> int:
     return EXIT_OK
 
 
-def _solver_config(args, scen: Scenario) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         cfl=args.cfl,
         reconstruction=args.reconstruction,
@@ -299,7 +307,7 @@ def _solver_config(args, scen: Scenario) -> SolverConfig:
 
 def cmd_simulate(args, argv) -> int:
     scen = load_scenario(args.scenario)
-    config = _solver_config(args, scen)
+    config = _solver_config(args)
     family = args.family or default_family(scen.geometry)
     weight = parse_weight(args.weight)
     ctx = theorem_context(scen, family, tau=args.tau, f=weight, a=args.a)
@@ -335,7 +343,7 @@ def cmd_verify(args, argv) -> int:
         raise ConfigError(
             f"unknown checks: {', '.join(unknown)}; available: {', '.join(TRACE_CHECKS)}"
         )
-    config = _solver_config(args, scen)
+    config = _solver_config(args)
     family = args.family or default_family(scen.geometry)
     weight = parse_weight(args.weight)
     recorder = None
@@ -387,6 +395,7 @@ def _sweep_row(base_cfg: dict, parameter: str, value: float, args) -> dict:
     scen = scenario_from_config(cfg)
     weight = parse_weight(args.weight)
     report = run_family_check(scen, args.theorem, tau=tau, f=weight, a=args.a)
+    _require_finite(report, tau)
     threshold = report.inputs.get("threshold", report.inputs.get("combined_threshold", float("nan")))
     return {
         "parameter": parameter,

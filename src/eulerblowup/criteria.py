@@ -229,21 +229,22 @@ def general_condition_thresholds(
     R: float,
     tau: float,
     geometry: Geometry,
-    rule: QuadratureRule = _HORIZON_RULE,
 ) -> tuple[float, float]:
     """(strict, horizon) H(0) thresholds of the general-weight criterion.
 
     The strict threshold makes the pressure-barrier inequality hold; the
     horizon threshold is the reciprocal of the time integral of 1/(a*B).
+    B and the time integral both use the Simpson rule ``_HORIZON_RULE``.
     """
     sigma = sound_speed(eos)
     U = R + sigma * tau
-    B_tau = weight_functional_B(f, R, sigma, tau, geometry, rule)
+    B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
 
     def inv_aB(s):
         ss = np.atleast_1d(np.asarray(s, dtype=float))
-        vals = np.array([1.0 / (a * weight_functional_B(f, R, sigma, float(t), geometry, rule)) for t in ss])
+        vals = np.array([1.0 / (a * weight_functional_B(f, R, sigma, float(t), geometry, _HORIZON_RULE))
+                         for t in ss])
         return vals if np.ndim(s) else float(vals[0])
 
     horizon_integral = integrate_fn(inv_aB, 0.0, tau, _HORIZON_RULE)
@@ -258,13 +259,7 @@ def _initial_upper(scenario: Scenario) -> float:
     return scenario.R + 3.0 * scenario.grid.spacing(scenario.geometry)
 
 
-def check_general(
-    scenario: Scenario,
-    f: TestingFunction,
-    a: float = 4.0,
-    tau: float = 1.0,
-    rule: QuadratureRule = _HORIZON_RULE,
-) -> CriterionReport:
+def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: float = 1.0) -> CriterionReport:
     """General-weight criterion: certify breakdown before tau.
 
     Needs gamma > 1, a > 2, a weight admissible for the geometry, and a
@@ -287,8 +282,8 @@ def check_general(
     sigma = sound_speed(eos)
     snap = initial_snapshot(scenario)
     H0 = momentum_functional(snap, f, geom, upper=_initial_upper(scenario))
-    B_tau = weight_functional_B(f, scenario.R, sigma, tau, geom, rule)
-    strict_thr, horizon_thr = general_condition_thresholds(f, a, eos, scenario.R, tau, geom, rule)
+    B_tau = weight_functional_B(f, scenario.R, sigma, tau, geom, _HORIZON_RULE)
+    strict_thr, horizon_thr = general_condition_thresholds(f, a, eos, scenario.R, tau, geom)
 
     conds = [
         Condition("initial_momentum_positive", H0, 0.0, ">"),

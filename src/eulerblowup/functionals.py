@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EosParams, Geometry, Scenario, TestingFunction, riemann_variable
+from .model import EosParams, Geometry, Scenario, TestingFunction, riemann_variable, sound_speed
 from .quadrature import DEFAULT_RULE, QuadratureRule, integrate_fn, integrate_samples
 
 
@@ -72,11 +72,7 @@ def _band(snap: FieldSnapshot, geometry: Geometry, upper: float | None) -> np.nd
 
 
 def momentum_functional(
-    snap: FieldSnapshot,
-    f: TestingFunction,
-    geometry: Geometry,
-    upper: float | None = None,
-    rule: QuadratureRule = DEFAULT_RULE,
+    snap: FieldSnapshot, f: TestingFunction, geometry: Geometry, upper: float | None = None
 ) -> float:
     """Weighted velocity integral of f * V over the grid (or up to ``upper``).
 
@@ -87,7 +83,7 @@ def momentum_functional(
     if mask.sum() < 2:
         raise GridCoverageError("integration band covers fewer than two cells")
     vals = np.asarray(f.f(snap.centers[mask]), dtype=float) * snap.V[mask]
-    return integrate_samples(vals, snap.spacing, rule)
+    return integrate_samples(vals, snap.spacing)
 
 
 def mass_functional(snap: FieldSnapshot, eos: EosParams, geometry: Geometry) -> float:
@@ -173,8 +169,6 @@ def cone_energy(
     sound speed.  The 1-D form is the one the supporting estimates use;
     the radial form integrates in dr and serves as a diagnostic.
     """
-    from .model import sound_speed
-
     sigma = sound_speed(eos)
     lo, hi = _cone_interval(snap, sigma, x_center, t_apex, geometry)
     if hi <= lo:
@@ -199,8 +193,6 @@ def cone_gradient_constant(
     Gradients are centered differences on the snapshots whose cross-section
     intersects the grid; at least two snapshots must contribute.
     """
-    from .model import sound_speed
-
     sigma = sound_speed(eos)
     worst = 0.0
     contributing = 0

@@ -50,11 +50,16 @@ def pressure(eos: EosParams, rho):
     return float(p) if np.isscalar(rho) else p
 
 
+def signal_speed(eos: EosParams, rho):
+    """Local sound speed sqrt(P'(rho)) = sqrt(K * gamma * rho**(gamma-1))."""
+    return np.sqrt(eos.K * eos.gamma * rho ** (eos.gamma - 1.0))
+
+
 def sound_speed(eos: EosParams) -> float:
-    """Background sound speed sqrt(K * gamma * rho_bar**(gamma-1)); needs gamma > 1."""
+    """Background sound speed sigma = signal_speed(eos, rho_bar); needs gamma > 1."""
     if not eos.gamma > 1:
         raise ValueError("sound speed of the background state requires gamma > 1")
-    return math.sqrt(eos.K * eos.gamma * eos.rho_bar ** (eos.gamma - 1.0))
+    return float(signal_speed(eos, eos.rho_bar))
 
 
 def riemann_variable(eos: EosParams, rho):
@@ -68,9 +73,7 @@ def riemann_variable(eos: EosParams, rho):
     r = np.asarray(rho, dtype=float)
     if np.any(r < 0):
         raise ValueError("density must be non-negative")
-    sigma = sound_speed(eos)
-    local = np.sqrt(eos.K * eos.gamma * r ** (eos.gamma - 1.0))
-    v = 2.0 / (eos.gamma - 1.0) * (local - sigma)
+    v = 2.0 / (eos.gamma - 1.0) * (signal_speed(eos, r) - sound_speed(eos))
     return float(v) if np.isscalar(rho) else v
 
 

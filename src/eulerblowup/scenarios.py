@@ -15,6 +15,16 @@ with g(y) = y (1 - y^2)^2,
     int_0^1 y g(y) dy               = 8/105    (radial identity weight)
 and for the exponential weight the shape integral is evaluated by
 Simpson quadrature at import.
+
+Minimum resolution of the certified presets: with fewer cells the initial
+velocity jump per cell already reaches the detector threshold, so a run
+stops at t = 0 with no step (four of the five do at 256 cells).
+
+    cert-linear-tau-1d        330 cells
+    cert-linear-infinite-1d   273 cells
+    cert-power-radial-n3      211 cells
+    cert-general-radial-n1    320 cells
+    cert-general-1d-exp       687 cells (use 768 or more)
 """
 
 from __future__ import annotations

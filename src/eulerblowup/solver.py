@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import FieldSnapshot, FunctionalSeries, SeriesRecorder, initial_snapshot
-from .model import DetectorParams, EosParams, Geometry, Scenario
+from .model import DetectorParams, EosParams, Geometry, Scenario, signal_speed
 
 FIRST_ORDER = "first_order"
 MUSCL = "muscl"
@@ -96,13 +96,9 @@ class SolutionTrace:
         return self.blowup.t if self.blowup is not None else None
 
 
-def _signal_speed(eos: EosParams, rho: np.ndarray) -> np.ndarray:
-    return np.sqrt(eos.K * eos.gamma * rho ** (eos.gamma - 1.0))
-
-
 def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
     """Largest stable time step: cfl * dx / max(|V| + c)."""
-    speed = np.abs(snap.V) + _signal_speed(eos, snap.rho)
+    speed = np.abs(snap.V) + signal_speed(eos, snap.rho)
     return float(cfl * snap.spacing / np.max(speed))
 
 
@@ -113,26 +109,17 @@ def _slopes(u: np.ndarray) -> np.ndarray:
     return 0.5 * (sign[:-1] + sign[1:]) * np.minimum(size[:-1], size[1:])
 
 
-def _pad(
-    rho: np.ndarray,
-    mom: np.ndarray,
-    geometry: Geometry,
-    eos: EosParams,
-    left_state: tuple[float, float] | None,
-    right_state: tuple[float, float] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    bg = (eos.rho_bar, 0.0)
-    right = right_state if right_state is not None else bg
-    rr, rv = right
+def _pad(rho: np.ndarray, mom: np.ndarray, geometry: Geometry, eos: EosParams) -> tuple[np.ndarray, np.ndarray]:
+    """Two ghost cells per side: the far-field background (rho_bar, 0), and
+    in radial geometry the reflection across r = 0 on the left."""
+    rb = eos.rho_bar
     if geometry.is_radial:
         # reflect across r = 0: even density, odd velocity
-        rho_p = np.concatenate(([rho[1], rho[0]], rho, [rr, rr]))
-        mom_p = np.concatenate(([-mom[1], -mom[0]], mom, [rr * rv, rr * rv]))
+        rho_p = np.concatenate(([rho[1], rho[0]], rho, [rb, rb]))
+        mom_p = np.concatenate(([-mom[1], -mom[0]], mom, [0.0, 0.0]))
     else:
-        left = left_state if left_state is not None else bg
-        lr, lv = left
-        rho_p = np.concatenate(([lr, lr], rho, [rr, rr]))
-        mom_p = np.concatenate(([lr * lv, lr * lv], mom, [rr * rv, rr * rv]))
+        rho_p = np.concatenate(([rb, rb], rho, [rb, rb]))
+        mom_p = np.concatenate(([0.0, 0.0], mom, [0.0, 0.0]))
     return rho_p, mom_p
 
 
@@ -142,7 +129,7 @@ def _rusanov(
     vL, vR = momL / rhoL, momR / rhoR
     pL = eos.K * rhoL ** eos.gamma
     pR = eos.K * rhoR ** eos.gamma
-    a = np.maximum(np.abs(vL) + _signal_speed(eos, rhoL), np.abs(vR) + _signal_speed(eos, rhoR))
+    a = np.maximum(np.abs(vL) + signal_speed(eos, rhoL), np.abs(vR) + signal_speed(eos, rhoR))
     f1 = 0.5 * (momL + momR) - 0.5 * a * (rhoR - rhoL)
     f2 = 0.5 * (momL * vL + pL + momR * vR + pR) - 0.5 * a * (momR - momL)
     return f1, f2
@@ -156,10 +143,8 @@ def _rhs(
     geometry: Geometry,
     eos: EosParams,
     reconstruction: str,
-    left_state,
-    right_state,
 ) -> tuple[np.ndarray, np.ndarray]:
-    rho_p, mom_p = _pad(rho, mom, geometry, eos, left_state, right_state)
+    rho_p, mom_p = _pad(rho, mom, geometry, eos)
     if reconstruction == FIRST_ORDER:
         rL, mL = rho_p[1:-2], mom_p[1:-2]
         rR, mR = rho_p[2:-1], mom_p[2:-1]
@@ -191,8 +176,6 @@ def step(
     geometry: Geometry,
     dt: float,
     reconstruction: str = FIRST_ORDER,
-    left_state: tuple[float, float] | None = None,
-    right_state: tuple[float, float] | None = None,
 ) -> FieldSnapshot:
     """Advance one time step; raises on non-positive density or unstable dt."""
     if not dt > 0:
@@ -202,7 +185,7 @@ def step(
         raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
     rho, mom = snap.rho, snap.rho * snap.V
     dx, centers = snap.spacing, snap.centers
-    args = (centers, dx, geometry, eos, reconstruction, left_state, right_state)
+    args = (centers, dx, geometry, eos, reconstruction)
     d1_rho, d1_mom = _rhs(rho, mom, *args)
     rho1 = rho + dt * d1_rho
     mom1 = mom + dt * d1_mom
@@ -260,7 +243,7 @@ def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams)
     """Flag a per-cell velocity jump at or above slope_factor * sound speed."""
     jumps = np.abs(np.diff(snap.V))
     i = int(np.argmax(jumps))
-    threshold = detector.slope_factor * _signal_speed(eos, eos.rho_bar)
+    threshold = detector.slope_factor * signal_speed(eos, eos.rho_bar)
     if jumps[i] >= threshold:
         loc = 0.5 * (snap.centers[i] + snap.centers[i + 1])
         return BlowupEvent(t=snap.t, cause=SLOPE_THRESHOLD, location=float(loc), value=float(jumps[i]))
@@ -281,7 +264,7 @@ def run(
     always strictly before any detection time.
     """
     eos, geom = scenario.eos, scenario.geometry
-    sigma = _signal_speed(eos, eos.rho_bar)
+    sigma = signal_speed(eos, eos.rho_bar)
     if scenario.grid.extent <= scenario.R + sigma * config.t_end:
         raise ValueError(
             "grid extent does not contain the sound cone of t_end: need extent > "

@@ -28,7 +28,7 @@ from .functionals import (
     cone_gradient_constant,
     mass_functional,
 )
-from .model import EosParams, TestingFunction, sound_speed
+from .model import TestingFunction, sound_speed
 from .solver import SolutionTrace, SolverConfig, run
 
 # Discrete mass drift scales like C_m * dx**2 * t.  Measured on the frozen
@@ -43,6 +43,9 @@ MASS_DRIFT_COEFF = 0.2
 # (band-edge quadrature noise), needing C_d >= 0.08; frozen at 60x that,
 # three orders below the genuine margins.
 DINEQ_SLACK_COEFF = 5.0
+
+# midpoint-rule substeps per snapshot interval along a flow line
+CHARACTERISTIC_SUBSTEPS = 32
 
 PASS = "pass"
 FAIL = "fail"
@@ -95,6 +98,11 @@ class VerificationReport:
             fh.write("\n")
 
 
+def _report(check: str, scenario: str, ok: bool, failure: str, metrics: dict) -> VerificationReport:
+    """PASS with no reason when ``ok``, otherwise FAIL with ``failure`` as the reason."""
+    return VerificationReport(check, scenario, PASS if ok else FAIL, None if ok else failure, metrics)
+
+
 def summary_table(reports: list[VerificationReport]) -> str:
     """Plain-text check x scenario status table."""
     rows = [("check", "scenario", "status", "reason")]
@@ -129,12 +137,8 @@ def check_positivity(trace: SolutionTrace) -> VerificationReport:
         if snap.rho[k] < worst:
             worst = float(snap.rho[k])
             worst_t, worst_x = snap.t, float(snap.centers[k])
-    status = PASS if worst > 0.0 else FAIL
-    return VerificationReport(
-        CHECK_POSITIVITY,
-        trace.scenario.label(),
-        status,
-        None if status == PASS else "non-positive density cell",
+    return _report(
+        CHECK_POSITIVITY, trace.scenario.label(), worst > 0.0, "non-positive density cell",
         {"min_rho": worst, "t_worst": worst_t, "x_worst": worst_x},
     )
 
@@ -146,13 +150,7 @@ def _divergence(snap: FieldSnapshot, ndim: int, radial: bool) -> np.ndarray:
     return div
 
 
-def check_characteristic_density(
-    trace: SolutionTrace,
-    x0: float,
-    eos: EosParams | None = None,
-    substeps: int = 32,
-    tol_char: float = 0.02,
-) -> VerificationReport:
+def check_characteristic_density(trace: SolutionTrace, x0: float, tol_char: float = 0.02) -> VerificationReport:
     """Density along the flow line from x0 matches the exponential of the
     accumulated velocity divergence.
 
@@ -161,7 +159,6 @@ def check_characteristic_density(
     rho0(x0) * exp(-int div V) against the interpolated field at every
     snapshot time before detection.
     """
-    eos = eos or trace.scenario.eos
     geom = trace.scenario.geometry
     snaps = _smooth_snapshots(trace)
     if len(snaps) < 2:
@@ -189,9 +186,9 @@ def check_characteristic_density(
     max_err, worst_t = 0.0, 0.0
     for k in range(len(snaps) - 1):
         t0, t1 = snaps[k].t, snaps[k + 1].t
-        h = (t1 - t0) / substeps
+        h = (t1 - t0) / CHARACTERISTIC_SUBSTEPS
         t = t0
-        for _ in range(substeps):
+        for _ in range(CHARACTERISTIC_SUBSTEPS):
             Vf, _ = fields_at(t, k)
             x_half = x + 0.5 * h * float(np.interp(x, centers, Vf))
             Vm, dm = fields_at(t + 0.5 * h, k)
@@ -207,12 +204,9 @@ def check_characteristic_density(
         err = abs(predicted - measured) / abs(measured)
         if err > max_err:
             max_err, worst_t = err, t1
-    status = PASS if max_err < tol_char else FAIL
-    return VerificationReport(
-        CHECK_CHARACTERISTIC,
-        trace.scenario.label(),
-        status,
-        None if status == PASS else "density drifts from the flow-line prediction",
+    return _report(
+        CHECK_CHARACTERISTIC, trace.scenario.label(), max_err < tol_char,
+        "density drifts from the flow-line prediction",
         {
             "max_rel_error": max_err,
             "tolerance": tol_char,
@@ -223,12 +217,7 @@ def check_characteristic_density(
     )
 
 
-def check_finite_propagation(
-    trace: SolutionTrace,
-    eos: EosParams | None = None,
-    R: float | None = None,
-    halo_cells: int = 5,
-) -> VerificationReport:
+def check_finite_propagation(trace: SolutionTrace, halo_cells: int = 5) -> VerificationReport:
     """The background state survives outside the sound cone of the bump.
 
     Beyond position R + sigma*t plus a halo of scheme-smearing cells, the
@@ -236,15 +225,13 @@ def check_finite_propagation(
     of the data scale at every snapshot.
     """
     scen = trace.scenario
-    eos = eos or scen.eos
-    R = scen.R if R is None else R
-    geom = scen.geometry
+    eos, geom = scen.eos, scen.geometry
     sigma = sound_speed(eos)
     v0_max = float(np.max(np.abs(trace.snapshots[0].V)))
     tol = 1e-6 * max(eos.rho_bar, v0_max)
     worst, worst_t = 0.0, 0.0
     for snap in trace.snapshots:
-        boundary = R + sigma * snap.t + halo_cells * snap.spacing
+        boundary = scen.R + sigma * snap.t + halo_cells * snap.spacing
         pos = snap.centers if geom.is_radial else np.abs(snap.centers)
         mask = pos >= boundary
         if not mask.any():
@@ -257,12 +244,8 @@ def check_finite_propagation(
         )
         if dev > worst:
             worst, worst_t = dev, snap.t
-    status = PASS if worst < tol else FAIL
-    return VerificationReport(
-        CHECK_PROPAGATION,
-        scen.label(),
-        status,
-        None if status == PASS else "signal escaped the sound cone plus halo",
+    return _report(
+        CHECK_PROPAGATION, scen.label(), worst < tol, "signal escaped the sound cone plus halo",
         {
             "max_deviation": worst,
             "tolerance": tol,
@@ -281,12 +264,8 @@ def check_mass_conservation(trace: SolutionTrace) -> VerificationReport:
     k = int(np.argmax(drifts))
     worst = float(drifts[k])
     tol = max(1e-10, MASS_DRIFT_COEFF * dx ** 2 * max(trace.t_final, 0.0))
-    status = PASS if worst < tol else FAIL
-    return VerificationReport(
-        CHECK_MASS,
-        scen.label(),
-        status,
-        None if status == PASS else "mass functional drifted beyond tolerance",
+    return _report(
+        CHECK_MASS, scen.label(), worst < tol, "mass functional drifted beyond tolerance",
         {
             "max_drift": worst,
             "tolerance": tol,
@@ -309,8 +288,9 @@ def check_differential_inequality(
 
     Skipped when the criterion hypotheses fail at t=0 (the inequality is
     only claimed on certified data).  Uses the series recorded during the
-    run when one is attached; otherwise reruns the scenario with the
-    family's recorder.
+    run when one of the family is attached; otherwise reruns the scenario
+    with the family's recorder.  A short attached series is not rerun: the
+    run is deterministic and would record the same samples.
     """
     ctx = context or theorem_context(trace.scenario, family, tau, f, a)
     label = trace.scenario.label()
@@ -322,10 +302,9 @@ def check_differential_inequality(
             ctx.report.verdict.reason or "criterion hypotheses fail at t=0",
         )
     series = trace.series
-    if series is None or series.theorem != ctx.family or len(series.times) < 3:
-        rec = ctx.recorder()
-        series = run(trace.scenario, trace.config, recorder=rec).series
-    if series is None or len(series.times) < 3:
+    if series is None or series.theorem != ctx.family:
+        series = run(trace.scenario, trace.config, recorder=ctx.recorder()).series
+    if len(series.times) < 3:
         return VerificationReport(
             CHECK_INEQUALITY, label, SKIPPED, "series has fewer than three samples"
         )
@@ -339,13 +318,9 @@ def check_differential_inequality(
     eps = DINEQ_SLACK_COEFF * (trace.scenario.detector.sample_interval + dx)
     k_ineq = int(np.argmin(margin))
     k_g = int(np.argmin(G))
-    ok = margin[k_ineq] >= -eps and G[k_g] >= -eps
-    status = PASS if ok else FAIL
-    return VerificationReport(
-        CHECK_INEQUALITY,
-        label,
-        status,
-        None if ok else "monitored inequality violated beyond the slack",
+    return _report(
+        CHECK_INEQUALITY, label, margin[k_ineq] >= -eps and G[k_g] >= -eps,
+        "monitored inequality violated beyond the slack",
         {
             "min_margin": float(margin[k_ineq]),
             "t_worst_margin": float(t[k_ineq]),
@@ -357,12 +332,7 @@ def check_differential_inequality(
     )
 
 
-def check_cone_energy(
-    trace: SolutionTrace,
-    x_center: float,
-    t_apex: float,
-    eos: EosParams | None = None,
-) -> VerificationReport:
+def check_cone_energy(trace: SolutionTrace, x_center: float, t_apex: float) -> VerificationReport:
     """Cross-section energy of a backward sound cone obeys the
     exponential bound e(s) <= e(0) exp(C t_apex) + tol, with cones based
     outside the data cone staying at numerical zero.
@@ -371,8 +341,7 @@ def check_cone_energy(
     status, metrics attached) for radial traces.
     """
     scen = trace.scenario
-    eos = eos or scen.eos
-    geom = scen.geometry
+    eos, geom = scen.eos, scen.geometry
     sigma = sound_speed(eos)
     snaps = [s for s in _smooth_snapshots(trace) if s.t <= t_apex * (1.0 + 1e-12)]
     if len(snaps) < 2:
@@ -405,14 +374,7 @@ def check_cone_energy(
             "cone energy bound is informational in radial geometry",
             metrics,
         )
-    status = PASS if ok else FAIL
-    return VerificationReport(
-        CHECK_CONE,
-        scen.label(),
-        status,
-        None if ok else "cone energy exceeds the exponential bound",
-        metrics,
-    )
+    return _report(CHECK_CONE, scen.label(), ok, "cone energy exceeds the exponential bound", metrics)
 
 
 def riccati_horizon(R: float, sigma: float, threshold: float, H0: float) -> float:
@@ -437,7 +399,9 @@ def validate_blowup_prediction(
     For a horizon verdict the run goes to tau and detection must fire
     strictly before it; for a finite-time verdict the run is capped at a
     generous multiple of the comparison-equation horizon (clipped to what
-    the grid can contain) and detection must fire within the cap.
+    the grid can contain) and detection must fire within the cap.  ``run``
+    raises ValueError when the grid cannot contain the sound cone of the
+    horizon.
     """
     verdict = report.verdict
     if not verdict.certifies_blowup:
@@ -453,10 +417,6 @@ def validate_blowup_prediction(
         containment = 0.95 * (scenario.grid.extent - scenario.R) / sigma
         t_end = min(10.0 * t_bound, containment)
         cap_kind = "cap"
-    if scenario.grid.extent <= scenario.R + sigma * t_end:
-        raise ValueError(
-            "grid extent cannot contain the sound cone of the validation horizon"
-        )
     cfg = replace(config, t_end=t_end) if config is not None else SolverConfig(t_end=t_end)
     trace = run(scenario, cfg)
     td = trace.t_detect
@@ -471,13 +431,11 @@ def validate_blowup_prediction(
     }
     if verdict.kind == "blowup_finite":
         metrics["riccati_horizon"] = t_bound
-    if ok:
-        reason = None
-    elif td is None and trace.steps >= cfg.max_steps:
+    if td is None and trace.steps >= cfg.max_steps:
         reason = (
             f"run stopped at the step budget max_steps={cfg.max_steps} at "
             f"t_final={trace.t_final:g}, before the {cap_kind} horizon {t_end:g}"
         )
     else:
         reason = f"no detection before the {cap_kind} horizon {t_end:g}"
-    return VerificationReport(CHECK_PREDICTION, scenario.label(), PASS if ok else FAIL, reason, metrics)
+    return _report(CHECK_PREDICTION, scenario.label(), ok, reason, metrics)

@@ -143,6 +143,24 @@ class TestCheckCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "preset, theorem", [("ref-radial3", "power-radial"), ("ref-1d", "linear-1d-tau")]
+    )
+    def test_uncovered_negative_mass_nan_threshold_exits_zero(self, preset, theorem, tmp_path, capsys):
+        # negative mass is covered for gamma = 2 only; the report records a
+        # deliberate NaN threshold, which is not an overflow
+        cfg = write_config(
+            tmp_path / "n.cfg",
+            [f"preset = {preset}", "grid.cells = 256", "eos.gamma = 3.0", "amp_rho = -0.1"],
+        )
+        out = tmp_path / "out"
+        code = main(["check", "--theorem", theorem, "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "verdict: inconclusive" in captured.out
+        data = json.loads((out / "criterion_report.json").read_text())
+        assert np.isnan(data["inputs"]["threshold"])
+
     def test_missing_config_file_is_invalid_input(self, tmp_path):
         assert main(["check", "--theorem", "linear-1d", str(tmp_path / "nope.cfg")]) == 2
 
@@ -245,6 +263,22 @@ class TestSweepCommand:
         # analytic crossing: (8*sqrt(2)/3) * 105/16 = 24.7487...
         assert len(flips) == 1
         assert flips[0][0] < 24.748737341529164 < flips[0][1]
+
+    def test_infinite_threshold_is_invalid_input(self, tmp_path, capsys):
+        # the tau = 400 row overflows the strict threshold, as in check
+        cfg = write_config(
+            tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512"]
+        )
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--theorem", "general-1d", "--weight", "exp:2", "--parameter", "tau",
+            "--lo", "1", "--hi", "400", "--steps", "5", "--out", str(out), cfg,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "tau=400" in captured.err
+        assert not (out / "sweep.csv").exists()
 
     def test_unsweepable_parameter_rejected(self, ref_config, tmp_path):
         code = main([

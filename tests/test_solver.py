@@ -98,16 +98,13 @@ class TestStep:
         with pytest.raises(NegativeDensityError):
             step(snap, EOS, geom, cfl_dt(snap, EOS))
 
-    def test_custom_boundary_states_respected(self):
-        # off-background constant plus matching Dirichlet states stays frozen;
-        # the default far-field ghost (rho_bar, 0) would launch boundary waves
+    def test_far_field_ghost_moves_off_background_constant(self):
+        # the far-field ghost is always (rho_bar, 0), so a constant state off
+        # the background launches waves from the boundary
         geom = Geometry.cartesian1d()
         snap = constant_snapshot(geom, rho=1.2)
-        dt = cfl_dt(snap, EOS)
-        held = step(snap, EOS, geom, dt, left_state=(1.2, 0.0), right_state=(1.2, 0.0))
-        assert np.all(held.rho == 1.2)
-        loose = step(snap, EOS, geom, dt)
-        assert not np.all(loose.rho == 1.2)
+        moved = step(snap, EOS, geom, cfl_dt(snap, EOS))
+        assert not np.all(moved.rho == 1.2)
 
     def test_interior_mass_is_conserved_exactly(self):
         geom = Geometry.cartesian1d()
@@ -312,6 +309,14 @@ class TestWindowedRun:
         assert_run_matches_full_grid(
             PRESETS[preset](512), SolverConfig(t_end=0.5, reconstruction=recon)
         )
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    def test_certified_general_1d_steps_at_1024_cells(self, recon):
+        # at 512 cells this preset trips the detector at t = 0 with no step
+        trace = assert_run_matches_full_grid(
+            PRESETS["cert-general-1d-exp"](1024), SolverConfig(t_end=0.5, reconstruction=recon)
+        )
+        assert trace.steps > 0
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)])

@@ -16,7 +16,9 @@ from eulerblowup.model import (
     GridSpec,
     make_bump_scenario,
 )
+import eulerblowup.verify as verify
 from eulerblowup.scenarios import (
+    certified_general_1d_case,
     certified_linear_infinite_case,
     certified_linear_tau_case,
     reference_scenario,
@@ -166,6 +168,27 @@ class TestDifferentialInequality:
         report = check_differential_inequality(trace, case.family, tau=case.tau)
         assert report.status == PASS, report.reason
 
+    def test_short_attached_series_is_not_rerun(self, monkeypatch):
+        # at 512 cells the detector fires at t = 0, so the attached series of
+        # the right family is empty; a rerun would record the same samples
+        case = certified_general_1d_case(cells=512)
+        ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+        trace = run(case.scenario, SolverConfig(t_end=1.0), recorder=ctx.recorder())
+        assert trace.series.theorem == ctx.family and len(trace.series.times) == 0
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "run", counting_run)
+        report = check_differential_inequality(trace, case.family, case.tau, case.f, case.a, ctx)
+        assert report.status == SKIPPED and "fewer than three" in report.reason
+        assert len(calls) == 0
+        trace.series = None
+        check_differential_inequality(trace, case.family, case.tau, case.f, case.a, ctx)
+        assert len(calls) == 1
+
     def test_decreasing_momentum_fails(self):
         case = certified_linear_tau_case(cells=1024)
         ctx = theorem_context(case.scenario, case.family, case.tau)
@@ -238,6 +261,14 @@ class TestPredictionValidation:
         assert "max_steps=10" in result.reason
         assert "t_final=" in result.reason
         assert "no detection" not in result.reason
+
+    def test_horizon_cone_leaving_the_grid_rejected(self):
+        # extent 2.6 holds the cone R + sigma * tau up to tau ~ 1.13
+        case = certified_linear_tau_case(cells=1024)
+        report_c = run_family_check(case.scenario, case.family, tau=2.0)
+        assert report_c.verdict.certifies_blowup
+        with pytest.raises(ValueError, match="contain"):
+            validate_blowup_prediction(case.scenario, report_c)
 
     def test_inconclusive_report_rejected(self):
         scen = reference_scenario(Geometry.cartesian1d(), cells=256)
