@@ -312,197 +312,10 @@ def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: f
     return CriterionReport(theorem, inputs, conds, verdict)
 
 
-def check_power_radial(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
-    """Power-weight radial criterion: certify breakdown before tau.
-
-    Case 1 needs gamma >= 2 with non-negative perturbed mass; case 2
-    covers gamma = 2 with negative perturbed mass through the root
-    constant a.
-    """
-    eos = scenario.eos
-    geom = scenario.geometry
-    if not geom.is_radial:
-        raise ValueError("the power-weight criterion applies to radial geometry")
-    if not eos.gamma >= 2:
-        raise ValueError("the power-weight criterion requires gamma >= 2")
-    if not tau > 0:
-        raise ValueError("the horizon tau must be positive")
-    N = geom.ndim
-    sigma = sound_speed(eos)
-    snap = initial_snapshot(scenario)
-    f = power_law(N)
-    H0 = momentum_functional(snap, f, geom, upper=_initial_upper(scenario))
-    m1_0 = mass_functional(snap, eos, geom)
-    inputs = {
-        "geometry": geom.label(),
-        "N": N,
-        "tau": tau,
-        "sigma": sigma,
-        "H0": H0,
-        "m0": m1_0,
-    }
-    notes: list[str] = []
-
-    if m1_0 >= 0.0:
-        thr = power_radial_case1_threshold(N, scenario.R, sigma, tau)
-        inputs["threshold"] = thr
-        conds = [Condition("initial_momentum_exceeds_threshold", H0, thr, ">")]
-        if H0 == thr:
-            notes.append(
-                "H(0) sits exactly on the threshold: the strict form does not certify, "
-                "the non-strict variant would"
-            )
-        verdict = (
-            Verdict.blowup_before(tau)
-            if conds[0].satisfied
-            else Verdict.inconclusive("initial momentum does not exceed the threshold")
-        )
-        return CriterionReport(POWER_RADIAL_CASE1, inputs, conds, verdict, notes)
-
-    if eos.gamma != 2.0:
-        inputs["threshold"] = float("nan")
-        return CriterionReport(
-            POWER_RADIAL_CASE2,
-            inputs,
-            [],
-            Verdict.inconclusive(
-                "negative perturbed mass is only covered for gamma = 2"
-            ),
-            notes,
-        )
-    a = power_radial_case2_a(N, eos.K, m1_0, scenario.R, sigma, tau)
-    thr = power_radial_case2_threshold(a, N, scenario.R, sigma, tau)
-    inputs["a"] = a
-    inputs["threshold"] = thr
-    conds = [
-        Condition("root_constant_admissible", a, 2.0, ">"),
-        Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
-    ]
-    if a == 2.0:
-        notes.append("root constant degenerates to the admissibility boundary a = 2")
-    if H0 == thr:
-        notes.append(
-            "H(0) sits exactly on the threshold: the strict form does not certify, "
-            "the non-strict variant would"
-        )
-    verdict = (
-        Verdict.blowup_before(tau)
-        if all(c.satisfied for c in conds)
-        else Verdict.inconclusive("negative-mass threshold not exceeded")
-    )
-    return CriterionReport(POWER_RADIAL_CASE2, inputs, conds, verdict, notes)
-
-
-def check_linear_1d(scenario: Scenario) -> CriterionReport:
-    """Horizon-free 1-D criterion: certify breakdown in finite time."""
-    eos = scenario.eos
-    geom = scenario.geometry
-    if geom.is_radial:
-        raise ValueError("the horizon-free criterion applies to the 1-D geometry")
-    if not eos.gamma >= 2:
-        raise ValueError("the horizon-free criterion requires gamma >= 2")
-    sigma = sound_speed(eos)
-    snap = initial_snapshot(scenario)
-    H0 = momentum_functional(snap, linear(), geom, upper=_initial_upper(scenario))
-    m2_0 = mass_functional(snap, eos, geom)
-    thr = linear_1d_threshold(scenario.R, sigma)
-    inputs = {
-        "geometry": geom.label(),
-        "sigma": sigma,
-        "H0": H0,
-        "m0": m2_0,
-        "threshold": thr,
-    }
-    conds = [
-        Condition("perturbed_mass_nonnegative", m2_0, 0.0, ">="),
-        Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
-    ]
-    notes: list[str] = []
-    if H0 == thr:
-        notes.append("H(0) sits exactly on the strict threshold")
-    verdict = (
-        Verdict.blowup_finite()
-        if all(c.satisfied for c in conds)
-        else Verdict.inconclusive(
-            "requires non-negative perturbed mass and momentum above the threshold"
-        )
-    )
-    return CriterionReport(LINEAR_1D_INFINITE, inputs, conds, verdict, notes)
-
-
-def check_linear_1d_tau(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
-    """Horizon 1-D criterion: certify breakdown before tau.
-
-    Case 1 (non-negative perturbed mass, gamma >= 2) uses a non-strict
-    comparison; case 2 (gamma = 2, negative mass) is strict with the root
-    constant a.
-    """
-    eos = scenario.eos
-    geom = scenario.geometry
-    if geom.is_radial:
-        raise ValueError("the horizon criterion applies to the 1-D geometry")
-    if not eos.gamma >= 2:
-        raise ValueError("the horizon criterion requires gamma >= 2")
-    if not tau > 0:
-        raise ValueError("the horizon tau must be positive")
-    sigma = sound_speed(eos)
-    snap = initial_snapshot(scenario)
-    H0 = momentum_functional(snap, linear(), geom, upper=_initial_upper(scenario))
-    m2_0 = mass_functional(snap, eos, geom)
-    inputs = {
-        "geometry": geom.label(),
-        "tau": tau,
-        "sigma": sigma,
-        "H0": H0,
-        "m0": m2_0,
-    }
-    notes: list[str] = []
-
-    if m2_0 >= 0.0:
-        thr = linear_tau_case1_threshold(scenario.R, sigma, tau)
-        _self_check_linear_reciprocity(scenario.R, sigma, tau, thr)
-        inputs["threshold"] = thr
-        conds = [Condition("initial_momentum_meets_threshold", H0, thr, ">=")]
-        verdict = (
-            Verdict.blowup_before(tau)
-            if conds[0].satisfied
-            else Verdict.inconclusive("initial momentum below the horizon threshold")
-        )
-        return CriterionReport(LINEAR_1D_TAU_CASE1, inputs, conds, verdict, notes)
-
-    if eos.gamma != 2.0:
-        inputs["threshold"] = float("nan")
-        return CriterionReport(
-            LINEAR_1D_TAU_CASE2,
-            inputs,
-            [],
-            Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2"),
-            notes,
-        )
-    a = linear_tau_case2_a(eos.K, m2_0, scenario.R, sigma, tau)
-    resid = linear_tau_root_residual(a, eos.K, m2_0, scenario.R, sigma, tau)
-    if abs(resid) > 1e-9:
-        raise RuntimeError(f"root constant fails its defining equation (residual {resid:g})")
-    thr = linear_tau_case2_threshold(a, scenario.R, sigma, tau)
-    inputs["a"] = a
-    inputs["threshold"] = thr
-    conds = [
-        Condition("root_constant_admissible", a, 4.0 / 3.0, ">"),
-        Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
-    ]
-    if H0 == thr:
-        notes.append("H(0) sits exactly on the strict threshold")
-    verdict = (
-        Verdict.blowup_before(tau)
-        if all(c.satisfied for c in conds)
-        else Verdict.inconclusive("negative-mass threshold not exceeded")
-    )
-    return CriterionReport(LINEAR_1D_TAU_CASE2, inputs, conds, verdict, notes)
-
-
-def _self_check_linear_reciprocity(R: float, sigma: float, tau: float, thr: float) -> None:
+def _checked_linear_tau_threshold(R: float, sigma: float, tau: float) -> float:
     # the closed form must equal the reciprocal horizon integral it came from;
     # integrate on a log-radius grid so horizons of any length stay resolved
+    thr = linear_tau_case1_threshold(R, sigma, tau)
     w_hi = math.log((R + sigma * tau) / R)
     integral = integrate_fn(
         lambda w: 3.0 * np.exp(-2.0 * np.asarray(w, dtype=float)) / (4.0 * sigma * R ** 2),
@@ -512,7 +325,146 @@ def _self_check_linear_reciprocity(R: float, sigma: float, tau: float, thr: floa
     )
     if abs(thr * integral - 1.0) > 1e-6:
         raise RuntimeError("horizon threshold fails its reciprocity identity")
+    return thr
 
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """How one closed-form family resolves to its case-1 or case-2 theorem.
+
+    Case 1 (non-negative perturbed mass) compares H(0) against
+    ``threshold(N, R, sigma, tau)`` with ``op``.  Case 2 (gamma = 2,
+    negative mass) raises that bar through the root constant
+    ``root(N, K, m0, R, sigma, tau)``: its threshold is
+    ``case2_threshold(a, N, R, sigma, tau)`` and ``residual(a, N, K, m0,
+    R, sigma, tau)`` the relative residual of its defining equation.  A
+    family with no case 2 states non-negative mass as a condition of case
+    1.  The weight and the admissibility bound of a come from the case-1
+    theorem's ``FAMILY_SPECS`` row.
+    """
+
+    name: str  # as error messages name the criterion
+    radial: bool
+    case1: str
+    case2: str | None
+    threshold: Callable[..., float]
+    op: str
+    condition: str
+    shortfall: str  # inconclusive reason of case 1
+    equality_note: str  # note when H(0) sits on a strict threshold
+    root: Callable[..., float] | None = None
+    case2_threshold: Callable[..., float] | None = None
+    residual: Callable[..., float] | None = None
+
+
+_STRICT_NOTE = "H(0) sits exactly on the strict threshold"
+
+# name, geometry, theorems; case-1 threshold, operator and condition;
+# shortfall reason and equality note; case-2 root constant, threshold, residual
+_POWER_RADIAL = _ClosedForm(
+    "power-weight", True, POWER_RADIAL_CASE1, POWER_RADIAL_CASE2,
+    power_radial_case1_threshold, ">", "initial_momentum_exceeds_threshold",
+    "initial momentum does not exceed the threshold",
+    "H(0) sits exactly on the threshold: the strict form does not certify, the non-strict variant would",
+    power_radial_case2_a, power_radial_case2_threshold, power_radial_root_residual,
+)
+_LINEAR_1D_TAU = _ClosedForm(
+    "horizon", False, LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2,
+    lambda N, R, sigma, tau: _checked_linear_tau_threshold(R, sigma, tau), ">=",
+    "initial_momentum_meets_threshold",
+    "initial momentum below the horizon threshold", _STRICT_NOTE,
+    lambda N, K, m0, R, sigma, tau: linear_tau_case2_a(K, m0, R, sigma, tau),
+    lambda a, N, R, sigma, tau: linear_tau_case2_threshold(a, R, sigma, tau),
+    lambda a, N, K, m0, R, sigma, tau: linear_tau_root_residual(a, K, m0, R, sigma, tau),
+)
+_LINEAR_1D = _ClosedForm(
+    "horizon-free", False, LINEAR_1D_INFINITE, None,
+    lambda N, R, sigma, tau: linear_1d_threshold(R, sigma), ">", "initial_momentum_exceeds_threshold",
+    "requires non-negative perturbed mass and momentum above the threshold", _STRICT_NOTE,
+)
+
+
+def _closed_form_check(row: _ClosedForm, scenario: Scenario, tau: float | None) -> CriterionReport:
+    """Resolve a closed-form family on a scenario; ``tau`` is None when it has no horizon."""
+    eos = scenario.eos
+    geom = scenario.geometry
+    if geom.is_radial != row.radial:
+        where = "radial geometry" if row.radial else "the 1-D geometry"
+        raise ValueError(f"the {row.name} criterion applies to {where}")
+    if not eos.gamma >= 2:
+        raise ValueError(f"the {row.name} criterion requires gamma >= 2")
+    if tau is not None and not tau > 0:
+        raise ValueError("the horizon tau must be positive")
+    spec = FAMILY_SPECS[row.case1]
+    N, R = geom.ndim, scenario.R
+    sigma = sound_speed(eos)
+    snap = initial_snapshot(scenario)
+    H0 = momentum_functional(snap, spec.weight(geom, None), geom, upper=_initial_upper(scenario))
+    m0 = mass_functional(snap, eos, geom)
+    inputs: dict = {"geometry": geom.label()}
+    if row.radial:
+        inputs["N"] = N
+    if tau is not None:
+        inputs["tau"] = tau
+    inputs.update(sigma=sigma, H0=H0, m0=m0)
+    notes: list[str] = []
+
+    if row.case2 is None or m0 >= 0.0:
+        theorem, shortfall = row.case1, row.shortfall
+        thr = row.threshold(N, R, sigma, tau)
+        conds = [] if row.case2 else [Condition("perturbed_mass_nonnegative", m0, 0.0, ">=")]
+        conds.append(Condition(row.condition, H0, thr, row.op))
+    elif eos.gamma != 2.0:
+        inputs["threshold"] = float("nan")
+        verdict = Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2")
+        return CriterionReport(row.case2, inputs, [], verdict, notes)
+    else:
+        theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
+        a = row.root(N, eos.K, m0, R, sigma, tau)
+        # closer to a_min, rounding in a - a_min alone exceeds the tolerance
+        if a - spec.a > 1e-6 * spec.a:
+            resid = row.residual(a, N, eos.K, m0, R, sigma, tau)
+            if abs(resid) > 1e-9:
+                raise RuntimeError(f"root constant fails its defining equation (residual {resid:g})")
+        thr = row.case2_threshold(a, N, R, sigma, tau)
+        inputs["a"] = a
+        conds = [
+            Condition("root_constant_admissible", a, spec.a, ">"),
+            Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
+        ]
+        if a == spec.a:
+            notes.append(f"root constant degenerates to the admissibility boundary a = {spec.a:g}")
+    inputs["threshold"] = thr
+    if H0 == thr and conds[-1].op == ">":
+        notes.append(row.equality_note)
+    certified = Verdict.blowup_finite() if tau is None else Verdict.blowup_before(tau)
+    verdict = certified if all(c.satisfied for c in conds) else Verdict.inconclusive(shortfall)
+    return CriterionReport(theorem, inputs, conds, verdict, notes)
+
+
+def check_power_radial(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
+    """Power-weight radial criterion: certify breakdown before tau.
+
+    Case 1 needs gamma >= 2 with non-negative perturbed mass; case 2
+    covers gamma = 2 with negative perturbed mass through the root
+    constant a.
+    """
+    return _closed_form_check(_POWER_RADIAL, scenario, tau)
+
+
+def check_linear_1d(scenario: Scenario) -> CriterionReport:
+    """Horizon-free 1-D criterion: certify breakdown in finite time."""
+    return _closed_form_check(_LINEAR_1D, scenario, None)
+
+
+def check_linear_1d_tau(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
+    """Horizon 1-D criterion: certify breakdown before tau.
+
+    Case 1 (non-negative perturbed mass, gamma >= 2) uses a non-strict
+    comparison; case 2 (gamma = 2, negative mass) is strict with the root
+    constant a.
+    """
+    return _closed_form_check(_LINEAR_1D_TAU, scenario, tau)
 
 # ---------------------------------------------------------------------------
 # Family groups

@@ -338,14 +338,16 @@ def check_cone_energy(trace: SolutionTrace, x_center: float, t_apex: float) -> V
     outside the data cone staying at numerical zero.
 
     Normative in the 1-D geometry; reported as informational (skipped
-    status, metrics attached) for radial traces.
+    status, metrics attached) for radial traces.  Skipped with no metrics
+    when fewer than two smooth snapshots lie at or before t_apex.
     """
     scen = trace.scenario
     eos, geom = scen.eos, scen.geometry
     sigma = sound_speed(eos)
     snaps = [s for s in _smooth_snapshots(trace) if s.t <= t_apex * (1.0 + 1e-12)]
     if len(snaps) < 2:
-        raise ValueError("need at least two smooth snapshots at or before t_apex")
+        reason = "fewer than two smooth snapshots at or before t_apex"
+        return VerificationReport(CHECK_CONE, scen.label(), SKIPPED, reason)
     energies = np.array([cone_energy(s, eos, x_center, t_apex, geom) for s in snaps])
     C = cone_gradient_constant(snaps, eos, x_center, t_apex, geom)
     v0_max = float(np.max(np.abs(trace.snapshots[0].V)))

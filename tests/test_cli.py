@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from eulerblowup.cli import (
     scenario_to_config,
 )
 from eulerblowup.model import LINEAR, NONNEG_INCREASING, POWER_LAW
+from eulerblowup.verify import TRACE_CHECKS
 
 
 def write_config(path, lines):
@@ -161,6 +166,18 @@ class TestCheckCommand:
         data = json.loads((out / "criterion_report.json").read_text())
         assert np.isnan(data["inputs"]["threshold"])
 
+    @pytest.mark.parametrize("amp_rho", ["-1e-9", "-1e-16"])
+    def test_slightly_negative_mass_resolves_to_case2(self, amp_rho, tmp_path, capsys):
+        # the root constant lies within rounding of its bound 4/3, where the
+        # residual of its defining equation divides by 3a - 4
+        cfg = write_config(
+            tmp_path / "n.cfg", ["preset = ref-1d", "grid.cells = 256", f"amp_rho = {amp_rho}"]
+        )
+        code = main(["check", "--theorem", "linear-1d-tau", cfg])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "theorem: linear_1d_tau_case2" in captured.out
+
     def test_missing_config_file_is_invalid_input(self, tmp_path):
         assert main(["check", "--theorem", "linear-1d", str(tmp_path / "nope.cfg")]) == 2
 
@@ -220,6 +237,20 @@ class TestVerifyCommand:
         assert code == 0
         # inequality hypotheses fail on reference amplitudes: skipped, not failed
         assert "skipped" in stdout
+
+    def test_all_checks_on_a_certified_preset(self, tmp_path, capsys):
+        # the detector fires before the second snapshot, so the cone check
+        # has too few smooth snapshots and is skipped, not an error
+        cfg = write_config(
+            tmp_path / "c.cfg", ["preset = cert-linear-tau-1d", "grid.cells = 1024"]
+        )
+        out = tmp_path / "ver"
+        code = main(["verify", "--checks", "all", "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        reports = json.loads((out / "verification_reports.json").read_text())
+        assert [r["check"] for r in reports] == list(TRACE_CHECKS)
+        assert reports[-1]["status"] == "skipped"
 
     def test_unknown_check_is_invalid_input(self, ref_config, capsys):
         assert main(["verify", "--checks", "entropy", ref_config]) == 2
@@ -322,6 +353,17 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
+
+    def test_module_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulerblowup.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "eulerblowup 0.1.0"
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

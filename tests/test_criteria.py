@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,6 +312,234 @@ class TestCheckLinear1dTau:
     def test_geometry_gate(self):
         with pytest.raises(ValueError):
             check_linear_1d_tau(bump(Geometry.radial(1)), tau=1.0)
+
+
+NAN = float("nan")
+
+# report.to_dict() of each resolved closed-form theorem on the negative-mass
+# bump (amp_v = 80, extent 2.6, tau = 1) or its positive-mass mirror; the
+# wording, key order, operators and verdicts are exact, floats to 1e-12
+PINNED_REPORTS = {
+    "power-case1": (
+        check_power_radial, Geometry.radial(2), 0.05, 2.0,
+        {"theorem": "power_radial_case1",
+         "inputs": {"geometry": "radial2",
+                    "N": 2,
+                    "tau": 1.0,
+                    "sigma": 1.4142135623730951,
+                    "H0": 3.3333330729590642,
+                    "m0": 0.008333386895305567,
+                    "threshold": 1.5224077499274828},
+         "conditions": [{"name": "initial_momentum_exceeds_threshold",
+                         "lhs": 3.3333330729590642,
+                         "rhs": 1.5224077499274828,
+                         "op": ">",
+                         "satisfied": True,
+                         "margin": 1.8109253230315814}],
+         "verdict": {"kind": "blowup_before", "tau": 1.0},
+         "margins": {"initial_momentum_exceeds_threshold": 1.8109253230315814},
+         "notes": []},
+    ),
+    "power-case2": (
+        check_power_radial, Geometry.radial(2), -0.05, 2.0,
+        {"theorem": "power_radial_case2",
+         "inputs": {"geometry": "radial2",
+                    "N": 2,
+                    "tau": 1.0,
+                    "sigma": 1.4142135623730951,
+                    "H0": 3.3333330729590642,
+                    "m0": -0.00833338689530557,
+                    "a": 2.2850758465379872,
+                    "threshold": 1.7394085889707676},
+         "conditions": [{"name": "root_constant_admissible",
+                         "lhs": 2.2850758465379872,
+                         "rhs": 2.0,
+                         "op": ">",
+                         "satisfied": True,
+                         "margin": 0.28507584653798723},
+                        {"name": "initial_momentum_exceeds_threshold",
+                         "lhs": 3.3333330729590642,
+                         "rhs": 1.7394085889707676,
+                         "op": ">",
+                         "satisfied": True,
+                         "margin": 1.5939244839882967}],
+         "verdict": {"kind": "blowup_before", "tau": 1.0},
+         "margins": {"root_constant_admissible": 0.28507584653798723,
+                     "initial_momentum_exceeds_threshold": 1.5939244839882967},
+         "notes": []},
+    ),
+    "power-uncovered": (
+        check_power_radial, Geometry.radial(2), -0.05, 3.0,
+        {"theorem": "power_radial_case2",
+         "inputs": {"geometry": "radial2",
+                    "N": 2,
+                    "tau": 1.0,
+                    "sigma": 1.7320508075688772,
+                    "H0": 3.3333330729590642,
+                    "m0": -0.00833338689530557,
+                    "threshold": NAN},
+         "conditions": [],
+         "verdict": {"kind": "inconclusive",
+                     "reason": "negative perturbed mass is only covered for gamma = 2"},
+         "margins": {},
+         "notes": []},
+    ),
+    "linear-1d": (
+        check_linear_1d, Geometry.cartesian1d(), -0.05, 2.0,
+        {"theorem": "linear_1d_infinite",
+         "inputs": {"geometry": "cartesian1d",
+                    "sigma": 1.4142135623730951,
+                    "H0": 12.190479841641569,
+                    "m0": -0.053333335683495124,
+                    "threshold": 3.771236166328254},
+         "conditions": [{"name": "perturbed_mass_nonnegative",
+                         "lhs": -0.053333335683495124,
+                         "rhs": 0.0,
+                         "op": ">=",
+                         "satisfied": False,
+                         "margin": -0.053333335683495124},
+                        {"name": "initial_momentum_exceeds_threshold",
+                         "lhs": 12.190479841641569,
+                         "rhs": 3.771236166328254,
+                         "op": ">",
+                         "satisfied": True,
+                         "margin": 8.419243675313314}],
+         "verdict": {"kind": "inconclusive",
+                     "reason": "requires non-negative perturbed mass and momentum above the "
+                               "threshold"},
+         "margins": {"perturbed_mass_nonnegative": -0.053333335683495124,
+                     "initial_momentum_exceeds_threshold": 8.419243675313314},
+         "notes": []},
+    ),
+    "linear-tau-case1": (
+        check_linear_1d_tau, Geometry.cartesian1d(), 0.05, 2.0,
+        {"theorem": "linear_1d_tau_case1",
+         "inputs": {"geometry": "cartesian1d",
+                    "tau": 1.0,
+                    "sigma": 1.4142135623730951,
+                    "H0": 12.190479841641569,
+                    "m0": 0.0533333356834951,
+                    "threshold": 4.552284749830794},
+         "conditions": [{"name": "initial_momentum_meets_threshold",
+                         "lhs": 12.190479841641569,
+                         "rhs": 4.552284749830794,
+                         "op": ">=",
+                         "satisfied": True,
+                         "margin": 7.638195091810775}],
+         "verdict": {"kind": "blowup_before", "tau": 1.0},
+         "margins": {"initial_momentum_meets_threshold": 7.638195091810775},
+         "notes": []},
+    ),
+    "linear-tau-case2": (
+        check_linear_1d_tau, Geometry.cartesian1d(), -0.05, 2.0,
+        {"theorem": "linear_1d_tau_case2",
+         "inputs": {"geometry": "cartesian1d",
+                    "tau": 1.0,
+                    "sigma": 1.4142135623730951,
+                    "H0": 12.190479841641569,
+                    "m0": -0.053333335683495124,
+                    "a": 1.451600970216566,
+                    "threshold": 4.956075719667343},
+         "conditions": [{"name": "root_constant_admissible",
+                         "lhs": 1.451600970216566,
+                         "rhs": 1.3333333333333333,
+                         "op": ">",
+                         "satisfied": True,
+                         "margin": 0.11826763688323272},
+                        {"name": "initial_momentum_exceeds_threshold",
+                         "lhs": 12.190479841641569,
+                         "rhs": 4.956075719667343,
+                         "op": ">",
+                         "satisfied": True,
+                         "margin": 7.234404121974226}],
+         "verdict": {"kind": "blowup_before", "tau": 1.0},
+         "margins": {"root_constant_admissible": 0.11826763688323272,
+                     "initial_momentum_exceeds_threshold": 7.234404121974226},
+         "notes": []},
+    ),
+    "linear-tau-uncovered": (
+        check_linear_1d_tau, Geometry.cartesian1d(), -0.05, 3.0,
+        {"theorem": "linear_1d_tau_case2",
+         "inputs": {"geometry": "cartesian1d",
+                    "tau": 1.0,
+                    "sigma": 1.7320508075688772,
+                    "H0": 12.190479841641569,
+                    "m0": -0.053333335683495124,
+                    "threshold": NAN},
+         "conditions": [],
+         "verdict": {"kind": "inconclusive",
+                     "reason": "negative perturbed mass is only covered for gamma = 2"},
+         "margins": {},
+         "notes": []},
+    ),
+}
+
+
+def _flatten(value, path=""):
+    if isinstance(value, dict):
+        return [kv for k, v in value.items() for kv in _flatten(v, f"{path}/{k}")]
+    if isinstance(value, list):
+        return [kv for i, v in enumerate(value) for kv in _flatten(v, f"{path}/{i}")]
+    return [(path, value)]
+
+
+class TestClosedFormResolution:
+    @pytest.mark.parametrize("case", list(PINNED_REPORTS))
+    def test_report_matches_the_pinned_value(self, case):
+        check, geometry, amp_rho, gamma, expected = PINNED_REPORTS[case]
+        scen = bump(geometry, amp_rho=amp_rho, amp_v=80.0, extent=2.6, gamma=gamma)
+        report = check(scen) if check is check_linear_1d else check(scen, tau=1.0)
+        got, want = _flatten(report.to_dict()), _flatten(expected)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        for (path, g), (_, w) in zip(got, want):
+            if isinstance(w, float):
+                assert g == pytest.approx(w, rel=1e-12, nan_ok=True), path
+            else:
+                assert (type(g), g) == (type(w), w), path
+
+    @pytest.mark.parametrize(
+        "check, scenario, message",
+        [
+            (check_power_radial, bump(Geometry.cartesian1d()),
+             "the power-weight criterion applies to radial geometry"),
+            (check_linear_1d_tau, bump(Geometry.radial(1)),
+             "the horizon criterion applies to the 1-D geometry"),
+            (check_linear_1d, bump(Geometry.radial(1)),
+             "the horizon-free criterion applies to the 1-D geometry"),
+            (check_power_radial, bump(Geometry.radial(2), gamma=1.5),
+             "the power-weight criterion requires gamma >= 2"),
+            (check_linear_1d_tau, bump(Geometry.cartesian1d(), gamma=1.5),
+             "the horizon criterion requires gamma >= 2"),
+            (check_linear_1d, bump(Geometry.cartesian1d(), gamma=1.5),
+             "the horizon-free criterion requires gamma >= 2"),
+            (lambda s: check_power_radial(s, tau=0.0), bump(Geometry.radial(2)),
+             "the horizon tau must be positive"),
+            (lambda s: check_linear_1d_tau(s, tau=-1.0), bump(Geometry.cartesian1d()),
+             "the horizon tau must be positive"),
+        ],
+    )
+    def test_guard_messages(self, check, scenario, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(scenario)
+
+    @pytest.mark.parametrize(
+        "row, geometry, tau, notes",
+        [
+            ("_POWER_RADIAL", Geometry.radial(2), 1.0,
+             ["H(0) sits exactly on the threshold: the strict form does not certify, "
+              "the non-strict variant would"]),
+            ("_LINEAR_1D", Geometry.cartesian1d(), None, ["H(0) sits exactly on the strict threshold"]),
+            # case 1 of the horizon criterion is non-strict: equality certifies
+            ("_LINEAR_1D_TAU", Geometry.cartesian1d(), 1.0, []),
+        ],
+    )
+    def test_equality_note_only_on_strict_thresholds(self, row, geometry, tau, notes):
+        scen = bump(geometry, amp_v=80.0, extent=2.6)
+        H0 = criteria._closed_form_check(getattr(criteria, row), scen, tau).inputs["H0"]
+        on_threshold = replace(getattr(criteria, row), threshold=lambda N, R, sigma, tau: H0)
+        report = criteria._closed_form_check(on_threshold, scen, tau)
+        assert report.notes == notes
+        assert report.verdict.certifies_blowup == (notes == [])
 
 
 class TestMinimalTau:

@@ -223,8 +223,10 @@ class TestConeEnergy:
         assert report.metrics
 
     def test_needs_two_snapshots_before_apex(self, small_1d_trace):
-        with pytest.raises(ValueError):
-            check_cone_energy(small_1d_trace, x_center=0.0, t_apex=1e-6)
+        report = check_cone_energy(small_1d_trace, x_center=0.0, t_apex=1e-6)
+        assert report.status == SKIPPED
+        assert "two smooth snapshots" in report.reason
+        assert report.metrics == {}
 
 
 class TestRiccatiHorizon:
