@@ -12,6 +12,7 @@ blowup criteria and the verification checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -337,28 +338,40 @@ def _build(tf: TestingFunction) -> TestingFunction:
     return tf
 
 
-def power_law_B(n: float, R: float, sigma: float, t: float, geometry) -> float:
+def power_law_B(n: float, R: float, sigma: float, t, geometry):
     """Closed-form weight integral of f = x**n up to the sound cone.
 
     Radial geometry integrates f**2/f' over [0, R + sigma*t]; the 1-D
     geometry integrates over [-(R + sigma*t), R + sigma*t] and is defined
-    for the linear weight (n = 1) only.
+    for the linear weight (n = 1) only.  A scalar ``t`` gives a float, an
+    array of times an array.
     """
     if n <= 0:
         raise ValueError("power-law exponent must be positive")
-    if R <= 0 or sigma <= 0 or t < 0:
+    if R <= 0 or sigma <= 0 or np.any(np.asarray(t) < 0):
         raise ValueError("require R > 0, sigma > 0, t >= 0")
-    upper = R + sigma * t
     kind = getattr(geometry, "kind", geometry)
-    if kind == "radial":
-        return float(upper ** (n + 2) / (n * (n + 2)))
-    if kind == "cartesian1d":
-        if n != 1:
-            raise ValueError("1-D closed form is defined for the linear weight only")
+    if kind == "cartesian1d" and n != 1:
+        raise ValueError("1-D closed form is defined for the linear weight only")
+    if kind not in ("radial", "cartesian1d"):
+        raise ValueError(f"unknown geometry {geometry!r}")
+    if np.ndim(t) == 0:
+        upper = R + sigma * t
+        if kind == "radial":
+            return float(upper ** (n + 2) / (n * (n + 2)))
         return float(2.0 * upper ** 3 / 3.0)
-    raise ValueError(f"unknown geometry {geometry!r}")
+    upper = R + sigma * np.asarray(t, dtype=float)
+    if kind == "radial":
+        return upper ** (n + 2) / (n * (n + 2))
+    return 2.0 * upper ** 3 / 3.0
 
 
+# the built-in weights are pure functions of their arguments; each is built
+# (and its closed form cross-checked) once per process
+_WEIGHT_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE, typed=True)
 def power_law(n: float) -> TestingFunction:
     """Weight f(r) = r**n for the radial momentum functionals."""
     if n <= 0:
@@ -378,6 +391,7 @@ def power_law(n: float) -> TestingFunction:
     )
 
 
+@functools.lru_cache(maxsize=_WEIGHT_CACHE)
 def linear() -> TestingFunction:
     """The identity weight, admissible in both geometries."""
 
@@ -393,6 +407,7 @@ def linear() -> TestingFunction:
     return _build(TestingFunction(f, f_prime, LINEAR, power=1.0, analytic_B=analytic_B, name="x"))
 
 
+@functools.lru_cache(maxsize=_WEIGHT_CACHE, typed=True)
 def exponential(beta: float = 1.0) -> TestingFunction:
     """Weight f(x) = exp(beta*x), a positive increasing weight for 1-D criteria."""
     if beta <= 0:
@@ -407,8 +422,15 @@ def exponential(beta: float = 1.0) -> TestingFunction:
     def analytic_B(R, sigma, t, geometry):
         if getattr(geometry, "is_radial", False):
             raise ValueError("exponential weight is for the 1-D geometry")
-        upper = R + sigma * t
-        return 2.0 * math.sinh(beta * upper) / beta ** 2
+        if np.ndim(t) == 0:
+            upper = R + sigma * t
+            return 2.0 * math.sinh(beta * upper) / beta ** 2
+        # an array overflows as math.sinh does on a scalar: with OverflowError
+        with np.errstate(over="ignore"):
+            sinh = np.sinh(beta * (R + sigma * np.asarray(t, dtype=float)))
+        if np.isinf(sinh).any():
+            raise OverflowError("math range error")
+        return 2.0 * sinh / beta ** 2
 
     return _build(
         TestingFunction(f, f_prime, NONNEG_INCREASING, analytic_B=analytic_B, name=f"exp({beta:g}x)")

@@ -178,6 +178,24 @@ class TestCheckCommand:
         assert code == 0, captured.err
         assert "theorem: linear_1d_tau_case2" in captured.out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--theorem", "linear-1d", "--tau", "-1"], ["--theorem", "linear-1d", "--tau", "0"],
+         ["--theorem", "linear-1d-tau", "--weight", "exp:2"], ["--theorem", "linear-1d", "--weight", "linear"]],
+    )
+    def test_closed_form_family_rejects_unused_flags(self, flags, ref_config, capsys):
+        code = main(["check", *flags, ref_config])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_closed_form_family_accepts_trade_off_constant(self, ref_config, capsys):
+        # sweeps pass one --a to every family; the closed forms carry their own
+        assert main(["check", "--theorem", "linear-1d-tau", ref_config]) == 0
+        plain = capsys.readouterr().out
+        assert main(["check", "--theorem", "linear-1d-tau", "--a", "3", ref_config]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_missing_config_file_is_invalid_input(self, tmp_path):
         assert main(["check", "--theorem", "linear-1d", str(tmp_path / "nope.cfg")]) == 2
 

@@ -39,11 +39,19 @@ from eulerblowup.criteria import (
     run_family_check,
     theorem_context,
 )
-from eulerblowup.functionals import initial_snapshot, momentum_functional
+import eulerblowup.functionals as functionals
+from eulerblowup.functionals import (
+    WeightDivergenceError,
+    initial_snapshot,
+    momentum_functional,
+    weight_functional_B,
+)
 from eulerblowup.model import (
+    RADIAL_VANISHING,
     EosParams,
     Geometry,
     GridSpec,
+    TestingFunction as WeightFn,
     exponential,
     linear,
     make_bump_scenario,
@@ -230,6 +238,103 @@ class TestCheckGeneral:
         report = check_general(case.scenario, case.f, a=case.a, tau=case.tau)
         assert report.theorem == criteria.GENERAL_1D
         assert report.verdict.certifies_blowup
+
+
+def _per_time_thresholds(f, a, eos, R, tau, geometry):
+    """General thresholds with a separate Simpson B at every abscissa of the
+    horizon integral: the computation the B(t) table replaced, kept as an oracle."""
+    rule = criteria._HORIZON_RULE
+    sigma = math.sqrt(eos.K * eos.gamma * eos.rho_bar ** (eos.gamma - 1.0))
+    U = R + sigma * tau
+    B_tau = weight_functional_B(f, R, sigma, tau, geometry, rule)
+    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * criteria._barrier(eos) * float(f.f(U)))
+
+    def inv_aB(s):
+        ss = np.atleast_1d(np.asarray(s, dtype=float))
+        vals = np.array([1.0 / (a * weight_functional_B(f, R, sigma, float(t), geometry, rule)) for t in ss])
+        return vals if np.ndim(s) else float(vals[0])
+
+    return strict, 1.0 / integrate_fn(inv_aB, 0.0, tau, rule)
+
+
+class TestGeneralThresholdTable:
+    EOS_RADIAL = EosParams(K=0.5, gamma=2.0, rho_bar=0.5)
+    EOS_1D = EosParams(K=0.25, gamma=2.0, rho_bar=0.5)
+
+    @pytest.mark.parametrize(
+        "geom, seed, tau",
+        [(Geometry.radial(1), 0, 1.0), (Geometry.radial(3), 1, 0.4),
+         (Geometry.cartesian1d(), 0, 2.0), (Geometry.cartesian1d(), 2, 5.0)],
+    )
+    def test_quadrature_weight_matches_per_time_oracle(self, seeded_weight, geom, seed, tau):
+        f = seeded_weight(geom.is_radial, seed)
+        eos = self.EOS_RADIAL if geom.is_radial else self.EOS_1D
+        strict, horizon = general_condition_thresholds(f, 4.0, eos, 1.0, tau, geom)
+        strict_ref, horizon_ref = _per_time_thresholds(f, 4.0, eos, 1.0, tau, geom)
+        assert strict == strict_ref
+        assert abs(horizon - horizon_ref) <= 1e-12 * horizon_ref
+
+    @pytest.mark.parametrize(
+        "f, geom, tau",
+        [(linear(), Geometry.radial(1), 0.37), (power_law(3), Geometry.radial(3), 1.9),
+         (exponential(2.0), Geometry.cartesian1d(), 1.0)],
+    )
+    def test_closed_form_weight_matches_per_time_oracle(self, f, geom, tau):
+        eos = self.EOS_RADIAL if geom.is_radial else self.EOS_1D
+        strict, horizon = general_condition_thresholds(f, 3.5, eos, 1.0, tau, geom)
+        strict_ref, horizon_ref = _per_time_thresholds(f, 3.5, eos, 1.0, tau, geom)
+        assert strict == strict_ref
+        assert abs(horizon - horizon_ref) <= 1e-12 * horizon_ref
+
+    def test_overflowing_closed_form_raises(self):
+        with pytest.raises(OverflowError):
+            general_condition_thresholds(exponential(2.0), 3.5, self.EOS_1D, 1.0, 1000.0, Geometry.cartesian1d())
+
+    def test_divergent_weight_raises_typed_error(self):
+        bad = WeightFn(
+            f=lambda x: 1.0 + np.asarray(x, dtype=float) ** 2,
+            f_prime=lambda x: 2.0 * np.asarray(x, dtype=float),
+            cls=RADIAL_VANISHING,
+        )
+        with pytest.raises(WeightDivergenceError):
+            general_condition_thresholds(bad, 4.0, self.EOS_RADIAL, 1.0, 1.0, Geometry.radial(3))
+
+    def test_check_general_makes_three_B_calls(self, seeded_weight, monkeypatch):
+        # B(tau) twice (report and strict threshold) and B(0) once for the table
+        case = certified_general_radial_case(cells=512)
+        calls = []
+        original = functionals.weight_functional_B
+        monkeypatch.setattr(functionals, "weight_functional_B", lambda *a: calls.append(a[3]) or original(*a))
+        monkeypatch.setattr(criteria, "weight_functional_B", functionals.weight_functional_B)
+        check_general(case.scenario, seeded_weight(True, 0), a=4.0, tau=0.8)
+        assert sorted(calls) == [0.0, 0.8, 0.8]
+
+
+class TestClosedFormFamilyFlags:
+    @pytest.mark.parametrize(
+        "family, geom",
+        [(FAMILY_POWER_RADIAL, Geometry.radial(3)), (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d()),
+         (FAMILY_LINEAR_1D, Geometry.cartesian1d())],
+    )
+    def test_weight_is_rejected(self, family, geom):
+        with pytest.raises(ValueError, match="own weight"):
+            run_family_check(bump(geom), family, tau=1.0, f=linear())
+
+    @pytest.mark.parametrize("family", [FAMILY_LINEAR_1D, FAMILY_LINEAR_1D_TAU])
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_tau_is_rejected(self, family, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            run_family_check(bump(Geometry.cartesian1d()), family, tau=tau)
+
+    @pytest.mark.parametrize(
+        "family, geom",
+        [(FAMILY_POWER_RADIAL, Geometry.radial(3)), (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d()),
+         (FAMILY_LINEAR_1D, Geometry.cartesian1d())],
+    )
+    def test_trade_off_constant_is_accepted_and_unused(self, family, geom):
+        scen = bump(geom)
+        default = run_family_check(scen, family, tau=1.0)
+        assert run_family_check(scen, family, tau=1.0, a=3.0).to_dict() == default.to_dict()
 
 
 class TestCheckPowerRadial:

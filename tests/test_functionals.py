@@ -15,6 +15,7 @@ from eulerblowup.functionals import (
     mass_functional,
     momentum_functional,
     weight_functional_B,
+    weight_functional_B_table,
 )
 from eulerblowup.model import (
     EosParams,
@@ -27,7 +28,7 @@ from eulerblowup.model import (
     power_law,
     radial_vanishing,
 )
-from eulerblowup.quadrature import QuadratureRule, SIMPSON
+from eulerblowup.quadrature import NonFiniteIntegrandError, QuadratureRule, SIMPSON, integrate_fn
 
 SQRT2 = math.sqrt(2.0)
 EOS = EosParams(1.0, 2.0, 1.0)
@@ -240,3 +241,94 @@ class TestSeries:
     def test_empty_recorder_yields_empty_series(self):
         rec = SeriesRecorder(H=lambda s: 0.0, B=lambda t: 1.0, m=lambda s: 0.0)
         assert rec.series().times.size == 0
+
+
+class TestWeightFunctionalBTable:
+    # the horizon rule of the general criteria
+    RULE = QuadratureRule(SIMPSON, 2048)
+
+    @staticmethod
+    def _times(tau):
+        return np.linspace(0.0, tau, 2049)
+
+    @pytest.mark.parametrize("f, geom", [(linear(), Geometry.radial(3)), (linear(), Geometry.cartesian1d()),
+                                         (power_law(2.5), Geometry.radial(2))])
+    def test_closed_form_is_one_vector_call(self, f, geom):
+        ts = self._times(1.7)
+        table = weight_functional_B_table(f, 1.0, SQRT2, ts, geom, self.RULE)
+        np.testing.assert_array_equal(table, f.analytic_B(1.0, SQRT2, ts, geom))
+        scalars = np.array([weight_functional_B(f, 1.0, SQRT2, float(t), geom, self.RULE) for t in ts])
+        assert np.max(np.abs(table - scalars) / scalars) <= 4e-16
+
+    def test_scalar_only_closed_form_falls_back_per_time(self):
+        def analytic_B(R, sigma, t, geometry):
+            return math.pow(R + sigma * t, 3) / 3.0
+
+        f = radial_vanishing(
+            lambda x: np.asarray(x, dtype=float) + 0.0,
+            lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            analytic_B=analytic_B,
+        )
+        ts = self._times(0.9)
+        table = weight_functional_B_table(f, 1.0, SQRT2, ts, Geometry.radial(1), self.RULE)
+        np.testing.assert_array_equal(table, [analytic_B(1.0, SQRT2, float(t), None) for t in ts])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "geom, tau",
+        [(Geometry.radial(1), 0.05), (Geometry.radial(1), 5.0), (Geometry.radial(3), 1.0),
+         (Geometry.radial(3), 5.0), (Geometry.cartesian1d(), 0.05), (Geometry.cartesian1d(), 0.4)],
+    )
+    def test_quadrature_table_matches_per_time_rule(self, seeded_weight, seed, geom, tau):
+        f = seeded_weight(geom.is_radial, seed)
+        ts = self._times(tau)
+        table = weight_functional_B_table(f, 1.0, SQRT2, ts, geom, self.RULE)
+        assert table.shape == ts.shape
+        # every 64th abscissa and the last one against a Simpson rule of their own
+        for k in list(range(0, ts.size, 64)) + [ts.size - 1]:
+            per_time = weight_functional_B(f, 1.0, SQRT2, float(ts[k]), geom, self.RULE)
+            assert abs(table[k] - per_time) <= 1e-12 * per_time, k
+        assert table[0] == weight_functional_B(f, 1.0, SQRT2, 0.0, geom, self.RULE)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_table_beats_per_time_rule_on_long_slab_horizons(self, seeded_weight, seed):
+        # past U ~ 2 the per-time Simpson rule on exponential weights drifts
+        # above 1e-12 relative; the Gauss-Legendre increments do not
+        f = seeded_weight(False, seed)
+        geom = Geometry.cartesian1d()
+        table = weight_functional_B_table(f, 1.0, SQRT2, self._times(5.0), geom, self.RULE)
+        U = 1.0 + SQRT2 * 5.0
+        fine = integrate_fn(f.weight_integrand, -U, U, QuadratureRule(SIMPSON, 2 ** 16))
+        per_time = weight_functional_B(f, 1.0, SQRT2, 5.0, geom, self.RULE)
+        assert abs(table[-1] - fine) <= 1e-13 * fine
+        assert abs(table[-1] - fine) < abs(per_time - fine)
+
+    def test_divergent_weight_rejected(self):
+        bad = WeightFn(
+            f=lambda x: 1.0 + np.asarray(x, dtype=float) ** 2,
+            f_prime=lambda x: 2.0 * np.asarray(x, dtype=float),
+            cls=RADIAL_VANISHING,
+        )
+        with pytest.raises(WeightDivergenceError):
+            weight_functional_B_table(bad, 1.0, SQRT2, self._times(1.0), Geometry.radial(3), self.RULE)
+
+    @pytest.mark.parametrize("geom", [Geometry.radial(2), Geometry.cartesian1d()])
+    def test_nan_integrand_past_B0_raises(self, geom):
+        # finite on the initial support [-1, 1], NaN once the cone passes |x| = 2
+        nan_far = WeightFn(
+            f=lambda x: np.where(np.abs(np.asarray(x, dtype=float)) > 2.0, np.nan, np.exp(np.asarray(x, dtype=float))),
+            f_prime=lambda x: np.exp(np.asarray(x, dtype=float)),
+            cls=RADIAL_VANISHING,
+        )
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            weight_functional_B_table(nan_far, 1.0, SQRT2, self._times(1.0), geom, self.RULE)
+        assert abs(err.value.abscissa) > 2.0
+
+    @pytest.mark.parametrize("times", [[0.1, 0.2], [0.0, 0.5, 0.5], [0.0, -0.5], [[0.0, 1.0]], [0.0], []])
+    def test_time_grid_validation(self, times):
+        with pytest.raises(ValueError, match="times"):
+            weight_functional_B_table(linear(), 1.0, SQRT2, np.array(times), Geometry.radial(1))
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            weight_functional_B_table(linear(), 0.0, SQRT2, self._times(1.0), Geometry.radial(1))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import eulerblowup.model as model
 from eulerblowup.model import (
     BumpProfile,
     DetectorParams,
@@ -303,3 +304,76 @@ class TestPowerLawB:
         # f^2/f' for f = r^3 is r^4/3
         quad = integrate_fn(lambda r: r**4 / 3.0, 0.0, upper, QuadratureRule(SIMPSON, 512))
         assert closed == pytest.approx(quad, rel=1e-10)
+
+
+class TestClosedFormBArrays:
+    TIMES = np.linspace(0.0, 3.0, 2049)
+
+    @staticmethod
+    def _max_rel(array, scalars):
+        scalars = np.asarray(scalars)
+        return float(np.max(np.abs(array - scalars) / np.abs(scalars)))
+
+    @pytest.mark.parametrize(
+        "n, geom",
+        [(1, Geometry.radial(1)), (2.5, Geometry.radial(2)), (3, Geometry.radial(3)), (1, Geometry.cartesian1d())],
+    )
+    def test_power_law_array_matches_scalar_calls(self, n, geom):
+        got = power_law_B(n, 0.8, SQRT2, self.TIMES, geom)
+        assert isinstance(got, np.ndarray) and got.shape == self.TIMES.shape
+        scalars = [power_law_B(n, 0.8, SQRT2, float(t), geom) for t in self.TIMES]
+        assert all(type(b) is float for b in scalars)
+        assert self._max_rel(got, scalars) <= 4e-16
+
+    def test_power_law_array_rejects_negative_time(self):
+        with pytest.raises(ValueError):
+            power_law_B(1, 1.0, SQRT2, np.array([0.0, -0.1]), Geometry.radial(1))
+
+    def test_exponential_array_matches_scalar_calls(self):
+        f = exponential(2.0)
+        geom = Geometry.cartesian1d()
+        got = f.analytic_B(1.0, SQRT2, self.TIMES, geom)
+        scalars = [f.analytic_B(1.0, SQRT2, float(t), geom) for t in self.TIMES]
+        assert self._max_rel(got, scalars) <= 4e-16
+
+    def test_exponential_array_overflow_raises(self):
+        f = exponential(2.0)
+        # sinh(2 * (1 + sqrt(2) * 300)) exceeds the double range
+        with pytest.raises(OverflowError):
+            f.analytic_B(1.0, SQRT2, np.array([0.0, 1.0, 300.0]), Geometry.cartesian1d())
+        with pytest.raises(OverflowError):
+            f.analytic_B(1.0, SQRT2, 300.0, Geometry.cartesian1d())
+
+
+class TestWeightMemoization:
+    def test_builtin_weights_are_built_once(self):
+        assert linear() is linear()
+        assert power_law(3) is power_law(3)
+        assert exponential(2.0) is exponential(2.0)
+        assert power_law(3) is not power_law(2)
+
+    def test_cross_check_runs_once_per_weight(self, monkeypatch):
+        calls = []
+        original = model._cross_check_analytic_B
+        monkeypatch.setattr(model, "_cross_check_analytic_B", lambda tf: calls.append(tf) or original(tf))
+        exponential.cache_clear()
+        try:
+            first = exponential(2.0)
+            assert exponential(2.0) is first
+            assert len(calls) == 1
+        finally:
+            exponential.cache_clear()
+
+    def test_invalid_arguments_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                power_law(-1.0)
+
+    def test_custom_weights_are_not_cached(self):
+        def f(x):
+            return np.asarray(x, dtype=float) ** 2
+
+        def fp(x):
+            return 2.0 * np.asarray(x, dtype=float)
+
+        assert radial_vanishing(f, fp) is not radial_vanishing(f, fp)

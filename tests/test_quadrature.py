@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import eulerblowup.quadrature as quadrature
 from eulerblowup.quadrature import (
     NonFiniteIntegrandError,
     QuadratureRule,
@@ -10,6 +11,7 @@ from eulerblowup.quadrature import (
     TRAPEZOID,
     integrate_fn,
     integrate_samples,
+    integrate_segments,
 )
 
 
@@ -100,3 +102,42 @@ class TestIntegrateFn:
         with pytest.raises(NonFiniteIntegrandError) as err:
             integrate_fn(g, 0.0, 1.0)
         assert err.value.abscissa == 0.0
+
+
+class TestIntegrateSegments:
+    def test_nodes_and_weights_match_legendre_roots(self):
+        # numpy.polynomial is imported here only; the package keeps literals
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        np.testing.assert_allclose(quadrature._GL8_NODES, nodes, rtol=0, atol=2e-15)
+        np.testing.assert_allclose(quadrature._GL8_WEIGHTS, weights, rtol=0, atol=2e-15)
+        assert quadrature._GL8_WEIGHTS.sum() == pytest.approx(2.0, rel=1e-15)
+
+    def test_exact_for_degree_fifteen(self):
+        edges = np.array([-1.3, -0.2, 0.5, 2.0])
+        got = integrate_segments(lambda x: np.asarray(x, dtype=float) ** 15, edges)
+        exact = np.diff(edges ** 16) / 16.0
+        np.testing.assert_allclose(got, exact, rtol=1e-13)
+
+    def test_segments_add_up_to_the_integral(self):
+        edges = np.linspace(0.0, math.pi, 65)
+        got = integrate_segments(np.sin, edges)
+        assert got.shape == (64,)
+        assert got.sum() == pytest.approx(2.0, rel=1e-15)
+
+    def test_scalar_only_callable_accepted(self):
+        got = integrate_segments(lambda x: math.exp(float(x)), np.array([0.0, 0.5, 1.0]))
+        assert got.sum() == pytest.approx(math.e - 1.0, rel=1e-15)
+
+    def test_non_finite_value_reports_node(self):
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 1.5, np.nan, x)
+
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_segments(g, np.array([0.0, 1.0, 2.0]))
+        assert 1.5 < err.value.abscissa < 2.0
+
+    @pytest.mark.parametrize("edges", [[1.0], [0.0, 1.0, 1.0], [1.0, 0.0]])
+    def test_edges_must_increase(self, edges):
+        with pytest.raises(ValueError):
+            integrate_segments(np.exp, np.array(edges))
