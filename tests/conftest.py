@@ -1,4 +1,4 @@
-"""Shared fixtures: session-cached solver traces for the expensive runs."""
+"""Shared fixtures: session-cached solver traces for the expensive runs, seeded weights."""
 
 import numpy as np
 import pytest

@@ -364,11 +364,6 @@ class TestWeightMemoization:
         finally:
             exponential.cache_clear()
 
-    def test_invalid_arguments_are_not_cached(self):
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                power_law(-1.0)
-
     def test_custom_weights_are_not_cached(self):
         def f(x):
             return np.asarray(x, dtype=float) ** 2
