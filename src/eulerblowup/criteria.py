@@ -243,9 +243,22 @@ def general_condition_thresholds(
     threshold stays within 1e-12 relative of evaluating each abscissa's B
     by its own Simpson rule.
     """
+    B_tau = weight_functional_B(f, R, sound_speed(eos), tau, geometry, _HORIZON_RULE)
+    return _thresholds_from_B(f, a, eos, R, tau, geometry, B_tau)
+
+
+def _thresholds_from_B(
+    f: TestingFunction,
+    a: float,
+    eos: EosParams,
+    R: float,
+    tau: float,
+    geometry: Geometry,
+    B_tau: float,
+) -> tuple[float, float]:
+    # general_condition_thresholds given its B(tau), which check_general reports too
     sigma = sound_speed(eos)
     U = R + sigma * tau
-    B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
 
     # the abscissae and spacing integrate_fn would use; integrating the table
@@ -288,7 +301,7 @@ def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: f
     snap = initial_snapshot(scenario)
     H0 = momentum_functional(snap, f, geom, upper=_initial_upper(scenario))
     B_tau = weight_functional_B(f, scenario.R, sigma, tau, geom, _HORIZON_RULE)
-    strict_thr, horizon_thr = general_condition_thresholds(f, a, eos, scenario.R, tau, geom)
+    strict_thr, horizon_thr = _thresholds_from_B(f, a, eos, scenario.R, tau, geom, B_tau)
 
     conds = [
         Condition("initial_momentum_positive", H0, 0.0, ">"),
@@ -389,13 +402,18 @@ _LINEAR_1D = _ClosedForm(
 )
 
 
+def _require_geometry(name: str, radial: bool, geometry: Geometry) -> None:
+    """Reject a geometry other than the one the named criterion is stated for."""
+    if geometry.is_radial != radial:
+        where = "radial geometry" if radial else "the 1-D geometry"
+        raise ValueError(f"the {name} criterion applies to {where}")
+
+
 def _closed_form_check(row: _ClosedForm, scenario: Scenario, tau: float | None) -> CriterionReport:
     """Resolve a closed-form family on a scenario; ``tau`` is None when it has no horizon."""
     eos = scenario.eos
     geom = scenario.geometry
-    if geom.is_radial != row.radial:
-        where = "radial geometry" if row.radial else "the 1-D geometry"
-        raise ValueError(f"the {row.name} criterion applies to {where}")
+    _require_geometry(row.name, row.radial, geom)
     if not eos.gamma >= 2:
         raise ValueError(f"the {row.name} criterion requires gamma >= 2")
     if tau is not None and not tau > 0:
@@ -491,10 +509,16 @@ class FamilyGroup:
     default: bool = False
 
 
-def _general_check(scenario: Scenario, tau: float, f: TestingFunction | None, a: float) -> CriterionReport:
-    if f is None:
-        raise ValueError("the general families need an explicit weight function")
-    return check_general(scenario, f, a=a, tau=tau)
+def _general_group(family: str, radial: bool) -> Callable[..., CriterionReport]:
+    """Group check of a general family: its geometry, then the caller's weight."""
+
+    def group_check(scenario: Scenario, tau: float, f: TestingFunction | None, a: float) -> CriterionReport:
+        _require_geometry(family, radial, scenario.geometry)
+        if f is None:
+            raise ValueError("the general families need an explicit weight function")
+        return check_general(scenario, f, a=a, tau=tau)
+
+    return group_check
 
 
 def _closed_form_group(check: Callable[[Scenario, float], CriterionReport]) -> Callable[..., CriterionReport]:
@@ -519,8 +543,8 @@ def _closed_form_group(check: Callable[[Scenario, float], CriterionReport]) -> C
 # the closed-form rows call the checks by their module names, which the
 # tracer in perfbench/spans.py wraps
 FAMILY_GROUPS = {
-    FAMILY_GENERAL_RADIAL: FamilyGroup(_general_check, True, True),
-    FAMILY_GENERAL_1D: FamilyGroup(_general_check, False, True),
+    FAMILY_GENERAL_RADIAL: FamilyGroup(_general_group(FAMILY_GENERAL_RADIAL, True), True, True),
+    FAMILY_GENERAL_1D: FamilyGroup(_general_group(FAMILY_GENERAL_1D, False), False, True),
     FAMILY_POWER_RADIAL: FamilyGroup(_closed_form_group(lambda s, tau: check_power_radial(s, tau)), True, True, True),
     FAMILY_LINEAR_1D_TAU: FamilyGroup(_closed_form_group(lambda s, tau: check_linear_1d_tau(s, tau)), False, True),
     FAMILY_LINEAR_1D: FamilyGroup(_closed_form_group(lambda s, tau: check_linear_1d(s)), False, False, True),

@@ -51,9 +51,23 @@ def pressure(eos: EosParams, rho):
     return float(p) if np.isscalar(rho) else p
 
 
+def rho_power(rho, e: float):
+    """rho ** e, with the shortcuts e == 1 -> rho and e == 2 -> rho * rho.
+
+    rho * rho is the correctly rounded square, which is what pow returns
+    for e == 2 wherever it is within half an ulp, and pow(x, 1) == x; the
+    shortcuts skip the general pow for gamma = 2, the gas of every preset.
+    """
+    if e == 1.0:
+        return rho
+    if e == 2.0:
+        return rho * rho
+    return rho ** e
+
+
 def signal_speed(eos: EosParams, rho):
     """Local sound speed sqrt(P'(rho)) = sqrt(K * gamma * rho**(gamma-1))."""
-    return np.sqrt(eos.K * eos.gamma * rho ** (eos.gamma - 1.0))
+    return np.sqrt(eos.K * eos.gamma * rho_power(rho, eos.gamma - 1.0))
 
 
 def sound_speed(eos: EosParams) -> float:

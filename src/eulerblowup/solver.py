@@ -11,18 +11,50 @@ Blowup is proxied by two detectors: a per-cell velocity jump reaching a
 fixed fraction of the background sound speed, and the CFL time step
 falling under a floor.
 
-``run`` steps only the perturbed window.  The background (rho_bar, 0) is
-a bitwise fixed point of both schemes, so a cell can leave it only when a
-perturbed cell lies within the reach of one step: two cells per
-Runge-Kutta stage of the MUSCL stencil, four per step, and one cell per
-first-order step.  Each step therefore advances the cells [lo - reach,
-hi + reach] around the perturbed range [lo, hi], clipped to the grid and
-always starting at the origin in radial geometry, where the reflection
-ghost applies; every other cell is copied unchanged.  The window is
-stepped with the full grid's spacing, not one recomputed from its own
-centers, so the result equals a full-grid step bit for bit.  A run with
-no perturbed cell only advances the time.  Snapshots, the time step, the
-detector and the recorder see the full grid.
+The kernel.  ``step`` stacks (rho, rho*V) of its n cells in one (2, n + 4)
+buffer with two ghost cells per side written in place: the far-field
+background on the right (and on the left in the slab), the reflection
+across r = 0 on the left in radial geometry.  ``_rhs`` works on both
+variables at once: one difference and one minmod pass for the slopes,
+the left and right face states in one (2, 2, n + 1) array, the sound
+speed, pressure and flux of those states once per stage, and one
+difference of the stacked flux.  First order evaluates them once per cell,
+since its face states are the cells themselves.  Each rewrite gives the
+same bits as the separate per-variable kernel it replaced:
+
+- the same elementwise IEEE operations act on the same operands in the
+  same order; stacking, in-place updates (``out=``) and swapping the
+  operands of a single + or * change no rounding;
+- minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0) equals
+  0.5 * (sign(a) + sign(b)) * min(|a|, |b|) for every non-zero result
+  (one of the two terms is the exact min or max, the other a zero); the
+  two can differ only in the sign of a zero slope, and a zero slope of
+  either sign leaves every face state unchanged unless the cell holds
+  -0.0, which the oracle tests check bit for bit;
+- rho ** 1 is rho and rho ** 2 is rho * rho, the correctly rounded square
+  (``model.rho_power``);
+- -(f[j+1] - f[j]) / dx keeps its negation and its division: f[j] -
+  f[j+1] or a multiplication by -1/dx would move the sign of a zero or
+  the last bit.
+
+The window.  ``run`` keeps one full-grid (rho, V) pair and updates it in
+place.  The background (rho_bar, 0) is a bitwise fixed point of both
+schemes, so a cell can leave it only when a perturbed cell lies within
+the reach of one step: two cells per Runge-Kutta stage of the MUSCL
+stencil, four per step, and one cell per first-order step.  Each step
+therefore hands ``step`` the cells [lo - reach, hi + reach] around the
+perturbed range [lo, hi], clipped to the grid and always starting at the
+origin in radial geometry, where the reflection ghost applies; every
+other cell stays as it is.  The window keeps the full grid's spacing, not
+one recomputed from its own centers, so the result equals a full-grid
+step bit for bit.  ``cfl_dt`` and ``detect_blowup`` then read that window
+widened by one cell on each side: it holds every perturbed cell and, unless
+the perturbation spans the grid, a background cell, whose speed |V| + c
+is the same in every background cell, so the maximum speed and the
+largest velocity jump are the full grid's.  Only the first time step and
+the detector at t = 0 read the full grid.  A run with no perturbed cell
+only advances the time.  The state is copied only for a snapshot or a
+recorder sample.
 """
 
 from __future__ import annotations
@@ -32,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import FieldSnapshot, FunctionalSeries, SeriesRecorder, initial_snapshot
-from .model import DetectorParams, EosParams, Geometry, Scenario, signal_speed
+from .model import DetectorParams, EosParams, Geometry, Scenario, rho_power, signal_speed
 
 FIRST_ORDER = "first_order"
 MUSCL = "muscl"
@@ -98,76 +130,99 @@ class SolutionTrace:
 
 def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
     """Largest stable time step: cfl * dx / max(|V| + c)."""
-    speed = np.abs(snap.V) + signal_speed(eos, snap.rho)
+    speed = signal_speed(eos, snap.rho)
+    speed += np.abs(snap.V)
     return float(cfl * snap.spacing / np.max(speed))
 
 
-def _slopes(u: np.ndarray) -> np.ndarray:
-    """Minmod-limited slopes of the cells between the first and last of u."""
-    d = np.diff(u)
-    sign, size = np.sign(d), np.abs(d)
-    return 0.5 * (sign[:-1] + sign[1:]) * np.minimum(size[:-1], size[1:])
-
-
-def _pad(rho: np.ndarray, mom: np.ndarray, geometry: Geometry, eos: EosParams) -> tuple[np.ndarray, np.ndarray]:
-    """Two ghost cells per side: the far-field background (rho_bar, 0), and
-    in radial geometry the reflection across r = 0 on the left."""
-    rb = eos.rho_bar
-    if geometry.is_radial:
-        # reflect across r = 0: even density, odd velocity
-        rho_p = np.concatenate(([rho[1], rho[0]], rho, [rb, rb]))
-        mom_p = np.concatenate(([-mom[1], -mom[0]], mom, [0.0, 0.0]))
-    else:
-        rho_p = np.concatenate(([rb, rb], rho, [rb, rb]))
-        mom_p = np.concatenate(([0.0, 0.0], mom, [0.0, 0.0]))
-    return rho_p, mom_p
-
-
-def _rusanov(
-    rhoL: np.ndarray, momL: np.ndarray, rhoR: np.ndarray, momR: np.ndarray, eos: EosParams
-) -> tuple[np.ndarray, np.ndarray]:
-    vL, vR = momL / rhoL, momR / rhoR
-    pL = eos.K * rhoL ** eos.gamma
-    pR = eos.K * rhoR ** eos.gamma
-    a = np.maximum(np.abs(vL) + signal_speed(eos, rhoL), np.abs(vR) + signal_speed(eos, rhoR))
-    f1 = 0.5 * (momL + momR) - 0.5 * a * (rhoR - rhoL)
-    f2 = 0.5 * (momL * vL + pL + momR * vR + pR) - 0.5 * a * (momR - momL)
-    return f1, f2
+def _ghosted(n: int, eos: EosParams) -> np.ndarray:
+    """A (2, n + 4) buffer of (rho, rho*V) with the far-field ghosts (rho_bar, 0)
+    written on both sides; radial geometry overwrites the left pair."""
+    u = np.empty((2, n + 4))
+    u[0, :2] = u[0, -2:] = eos.rho_bar
+    u[1, :2] = u[1, -2:] = 0.0
+    return u
 
 
 def _rhs(
-    rho: np.ndarray,
-    mom: np.ndarray,
-    centers: np.ndarray,
+    u: np.ndarray,
     dx: float,
+    coeff: np.ndarray | None,
     geometry: Geometry,
     eos: EosParams,
     reconstruction: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    rho_p, mom_p = _pad(rho, mom, geometry, eos)
+) -> np.ndarray:
+    """Time derivative of the n cells of the ghosted buffer u, as a (2, n) array.
+
+    Writes the reflection ghosts first in radial geometry; ``coeff`` is the
+    radial source coefficient (N - 1)/r, None when there is no source.
+    """
+    if geometry.is_radial:
+        # reflect across r = 0: even density, odd velocity
+        u[:, 1::-1] = u[:, 2:4]
+        np.negative(u[1, :2], out=u[1, :2])
+    n = u.shape[1] - 4
     if reconstruction == FIRST_ORDER:
-        rL, mL = rho_p[1:-2], mom_p[1:-2]
-        rR, mR = rho_p[2:-1], mom_p[2:-1]
+        # the face states are the cells next to each face: evaluate each once
+        states = u[:, 1:-1]
+        left, right = states[:, :-1], states[:, 1:]
+
+        def sides(x):
+            return x[:-1], x[1:]
+
     else:
-        hr, hm = 0.5 * _slopes(rho_p), 0.5 * _slopes(mom_p)
-        rL, mL = rho_p[1:-2] + hr[:-1], mom_p[1:-2] + hm[:-1]
-        rR, mR = rho_p[2:-1] - hr[1:], mom_p[2:-1] - hm[1:]
-        if rL.min() <= 0 or rR.min() <= 0:
+        d = np.subtract(u[:, 1:], u[:, :-1])
+        dl, dr = d[:, :-1], d[:, 1:]
+        half = np.minimum(dl, dr)
+        np.maximum(half, 0.0, out=half)
+        above = np.maximum(dl, dr)
+        np.minimum(above, 0.0, out=above)
+        half += above
+        half *= 0.5
+        # states[var, side, j]: the left and right states of face j, between
+        # cells j - 1 and j
+        states = np.empty((2, 2, n + 1))
+        left, right = states[:, 0], states[:, 1]
+        np.add(u[:, 1:-2], half[:, :-1], out=left)
+        np.subtract(u[:, 2:-1], half[:, 1:], out=right)
+        if left[0].min() <= 0 or right[0].min() <= 0:
             # limited face states should stay positive; fall back locally
-            bad = (rL <= 0) | (rR <= 0)
-            rL = np.where(bad, rho_p[1:-2], rL)
-            mL = np.where(bad, mom_p[1:-2], mL)
-            rR = np.where(bad, rho_p[2:-1], rR)
-            mR = np.where(bad, mom_p[2:-1], mR)
-    f1, f2 = _rusanov(rL, mL, rR, mR, eos)
-    d_rho = -(f1[1:] - f1[:-1]) / dx
-    d_mom = -(f2[1:] - f2[:-1]) / dx
-    if geometry.is_radial and geometry.ndim > 1:
-        r = np.maximum(centers, 0.5 * dx)
-        coeff = (geometry.ndim - 1) / r
-        d_rho = d_rho - coeff * mom
-        d_mom = d_mom - coeff * mom * (mom / rho)
-    return d_rho, d_mom
+            bad = (left[0] <= 0) | (right[0] <= 0)
+            np.copyto(left, u[:, 1:-2], where=bad)
+            np.copyto(right, u[:, 2:-1], where=bad)
+
+        def sides(x):
+            return x[0], x[1]
+
+    rho_s, mom_s = states
+    v = mom_s / rho_s
+    speed = signal_speed(eos, rho_s)
+    speed += np.abs(v)
+    mv = np.multiply(v, mom_s, out=v)
+    p = eos.K * rho_power(rho_s, eos.gamma)
+    (speed_l, speed_r), (p_l, p_r), (mv_l, mv_r) = sides(speed), sides(p), sides(mv)
+    # Rusanov flux: the central average minus half the larger speed times the jump
+    half_a = np.maximum(speed_l, speed_r)
+    half_a *= 0.5
+    flux = np.empty((2, n + 1))
+    np.add(left[1], right[1], out=flux[0])
+    np.add(mv_l, p_l, out=flux[1])
+    flux[1] += mv_r
+    flux[1] += p_r
+    flux *= 0.5
+    jump = right - left
+    jump *= half_a
+    flux -= jump
+    du = np.subtract(flux[:, 1:], flux[:, :-1])
+    np.negative(du, out=du)
+    du /= dx
+    if coeff is not None:
+        rho, mom = u[:, 2:-2]
+        source = coeff * mom
+        du[0] -= source
+        source *= mom / rho
+        du[1] -= source
+    return du
 
 
 def step(
@@ -183,21 +238,33 @@ def step(
     hard_limit = cfl_dt(snap, eos, cfl=1.0)
     if dt > hard_limit * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
-    rho, mom = snap.rho, snap.rho * snap.V
     dx, centers = snap.spacing, snap.centers
-    args = (centers, dx, geometry, eos, reconstruction)
-    d1_rho, d1_mom = _rhs(rho, mom, *args)
-    rho1 = rho + dt * d1_rho
-    mom1 = mom + dt * d1_mom
+    n = centers.size
+    coeff = None
+    if geometry.is_radial and geometry.ndim > 1:
+        coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx)
+    u = _ghosted(n, eos)
+    state = u[:, 2:-2]
+    state[0] = snap.rho
+    np.multiply(snap.rho, snap.V, out=state[1])
+    args = (dx, coeff, geometry, eos, reconstruction)
+    d1 = _rhs(u, *args)
+    d1 *= dt
     if reconstruction == MUSCL:
-        if rho1.min() <= 0:
-            i = int(np.argmin(rho1))
-            raise NegativeDensityError(snap.t + dt, centers[i], rho1[i])
-        d2_rho, d2_mom = _rhs(rho1, mom1, *args)
-        rho_new = 0.5 * (rho + rho1 + dt * d2_rho)
-        mom_new = 0.5 * (mom + mom1 + dt * d2_mom)
+        u1 = _ghosted(n, eos)
+        stage = u1[:, 2:-2]
+        np.add(state, d1, out=stage)
+        if stage[0].min() <= 0:
+            i = int(np.argmin(stage[0]))
+            raise NegativeDensityError(snap.t + dt, centers[i], stage[0, i])
+        d2 = _rhs(u1, *args)
+        d2 *= dt
+        new = state + stage
+        new += d2
+        new *= 0.5
     else:
-        rho_new, mom_new = rho1, mom1
+        new = state + d1
+    rho_new, mom_new = new
     if rho_new.min() <= 0:
         i = int(np.argmin(rho_new))
         raise NegativeDensityError(snap.t + dt, centers[i], rho_new[i])
@@ -214,29 +281,6 @@ def _perturbed(rho: np.ndarray, V: np.ndarray, rho_bar: float, offset: int = 0) 
     if off.size == 0:
         return None
     return offset + int(off[0]), offset + int(off[-1])
-
-
-def _advance(
-    snap: FieldSnapshot,
-    perturbed: tuple[int, int] | None,
-    eos: EosParams,
-    geometry: Geometry,
-    dt: float,
-    reconstruction: str,
-) -> tuple[FieldSnapshot, tuple[int, int] | None]:
-    """One full-grid step that runs ``step`` on the perturbed window only."""
-    rho, V = snap.rho.copy(), snap.V.copy()
-    if perturbed is None:
-        return FieldSnapshot(snap.t + dt, snap.centers, rho, V, snap.spacing), None
-    lo, hi = perturbed
-    reach = _REACH[reconstruction]
-    a = 0 if geometry.is_radial else max(lo - reach, 0)
-    b = min(hi + reach + 1, rho.size)
-    window = FieldSnapshot(snap.t, snap.centers[a:b], rho[a:b], V[a:b], snap.spacing)
-    moved = step(window, eos, geometry, dt, reconstruction)
-    rho[a:b], V[a:b] = moved.rho, moved.V
-    new = FieldSnapshot(moved.t, snap.centers, rho, V, snap.spacing)
-    return new, _perturbed(moved.rho, moved.V, eos.rho_bar, a)
 
 
 def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams) -> BlowupEvent | None:
@@ -263,7 +307,7 @@ def run(
     observes the state at every crossing of the detector sample interval,
     always strictly before any detection time.
     """
-    eos, geom = scenario.eos, scenario.geometry
+    eos, geom, det = scenario.eos, scenario.geometry, scenario.detector
     sigma = signal_speed(eos, eos.rho_bar)
     if scenario.grid.extent <= scenario.R + sigma * config.t_end:
         raise ValueError(
@@ -271,30 +315,52 @@ def run(
             f"{scenario.R + sigma * config.t_end:g}"
         )
     snap = initial_snapshot(scenario)
-    perturbed = _perturbed(snap.rho, snap.V, eos.rho_bar)
+    centers, dx = snap.centers, snap.spacing
+    rho, V = snap.rho.copy(), snap.V.copy()  # the state, updated in place
+    n = rho.size
+    perturbed = _perturbed(rho, V, eos.rho_bar)
     snapshots = [snap]
-    blowup = detect_blowup(snap, eos, scenario.detector)
+    blowup = detect_blowup(snap, eos, det)
     if blowup is None and recorder is not None:
         recorder.observe(snap)
+    # view: every perturbed cell and at least one background cell, unless the
+    # perturbation spans the grid; the time step and the detector read it
+    view = snap
     t, steps = 0.0, 0
     next_snap = config.snapshot_interval
-    next_sample = scenario.detector.sample_interval
+    next_sample = det.sample_interval
     eps = 1e-12 * config.t_end
     while blowup is None and t < config.t_end - eps and steps < config.max_steps:
-        dtc = cfl_dt(snap, eos, config.cfl)
-        if dtc < scenario.detector.dt_floor:
+        dtc = cfl_dt(view, eos, config.cfl)
+        if dtc < det.dt_floor:
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
         dt = min(dtc, config.t_end - t)
-        snap, perturbed = _advance(snap, perturbed, eos, geom, dt, config.reconstruction)
-        t = snap.t
+        if perturbed is None:
+            t += dt
+            lo, hi = 0, 2
+        else:
+            reach = _REACH[config.reconstruction]
+            a = 0 if geom.is_radial else max(perturbed[0] - reach, 0)
+            b = min(perturbed[1] + reach + 1, n)
+            window = FieldSnapshot(t, centers[a:b], rho[a:b], V[a:b], dx)
+            moved = step(window, eos, geom, dt, config.reconstruction)
+            rho[a:b], V[a:b] = moved.rho, moved.V
+            t = moved.t
+            perturbed = _perturbed(moved.rho, moved.V, eos.rho_bar, a)
+            lo, hi = max(a - 1, 0), min(b + 1, n)
+        view = FieldSnapshot(t, centers[lo:hi], rho[lo:hi], V[lo:hi], dx)
         steps += 1
-        blowup = detect_blowup(snap, eos, scenario.detector)
-        if blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps):
+        blowup = detect_blowup(view, eos, det)
+        sample = blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps)
+        keep = t >= next_snap - eps or t >= config.t_end - eps or blowup is not None
+        if sample or keep:
+            snap = FieldSnapshot(t, centers, rho.copy(), V.copy(), dx)
+        if sample:
             recorder.observe(snap)
             while next_sample <= t + eps:
-                next_sample += scenario.detector.sample_interval
-        if t >= next_snap - eps or t >= config.t_end - eps or blowup is not None:
+                next_sample += det.sample_interval
+        if keep:
             snapshots.append(snap)
             while next_snap <= t + eps:
                 next_snap += config.snapshot_interval

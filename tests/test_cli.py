@@ -121,6 +121,31 @@ class TestCheckCommand:
         assert code == 0
         assert "blowup_before" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "preset, theorem, weight, where",
+        [
+            ("cert-general-1d-exp", "general-radial", "exp:2", "the general-radial criterion applies to radial geometry"),
+            ("cert-general-radial-n1", "general-1d", "power:2", "the general-1d criterion applies to the 1-D geometry"),
+        ],
+    )
+    def test_general_family_on_the_other_geometry_is_invalid_input(
+        self, preset, theorem, weight, where, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path / "g.cfg", [f"preset = {preset}", "grid.cells = 512"])
+        code = main(["check", "--theorem", theorem, "--weight", weight, cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {where}\n"
+        assert "theorem:" not in captured.out
+
+    def test_simulate_rejects_a_general_family_on_the_other_geometry(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512"])
+        out = tmp_path / "out"
+        code = main(["simulate", "--t-end", "0.05", "--family", "general-radial", "--weight", "exp:2",
+                     "--out", str(out), cfg])
+        assert code == 2
+        assert "applies to radial geometry" in capsys.readouterr().err
+
     def test_overflowing_weight_integral_is_invalid_input(self, tmp_path, capsys):
         # sinh(beta * (R + sigma * tau)) overflows a double at tau = 1000
         cfg = write_config(

@@ -300,15 +300,18 @@ class TestGeneralThresholdTable:
         with pytest.raises(WeightDivergenceError):
             general_condition_thresholds(bad, 4.0, self.EOS_RADIAL, 1.0, 1.0, Geometry.radial(3))
 
-    def test_check_general_makes_no_per_abscissa_B_calls(self, seeded_weight, monkeypatch):
-        # B(tau) for the report and the strict threshold, B(0) for the table
+    def test_check_general_evaluates_B_once_at_zero_and_tau(self, seeded_weight, monkeypatch):
+        # one B(tau) shared by the report and the strict threshold, B(0) for the table
         case = certified_general_radial_case(cells=512)
         calls = []
         original = functionals.weight_functional_B
         monkeypatch.setattr(functionals, "weight_functional_B", lambda *a: calls.append(a[3]) or original(*a))
         monkeypatch.setattr(criteria, "weight_functional_B", functionals.weight_functional_B)
-        check_general(case.scenario, seeded_weight(True, 0), a=4.0, tau=0.8)
-        assert len(calls) <= 3 and set(calls) == {0.0, 0.8}
+        report = check_general(case.scenario, seeded_weight(True, 0), a=4.0, tau=0.8)
+        assert sorted(calls) == [0.0, 0.8]
+        strict, horizon = general_condition_thresholds(seeded_weight(True, 0), 4.0, case.scenario.eos,
+                                                       case.scenario.R, 0.8, case.scenario.geometry)
+        assert (report.inputs["strict_threshold"], report.inputs["horizon_threshold"]) == (strict, horizon)
 
 
 class TestClosedFormFamilyFlags:

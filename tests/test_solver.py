@@ -236,8 +236,207 @@ class TestAccuracy:
         assert np.max(np.abs(final.V + final.V[::-1])) < 1e-13
 
 
-def full_grid_run(scenario, config, recorder=None):
-    """Oracle for ``run``: cfl_dt and the public step over the whole grid.
+# ---------------------------------------------------------------------------
+# Reference kernel: the unfused step the fused kernel replaced, kept verbatim
+# as a test-only oracle (separate pad, slopes, Rusanov flux and RHS, np.sign
+# minmod, plain powers).  The public step must equal it bit for bit.
+
+REFERENCE_FALLBACKS = []  # one entry per reference RHS that took the first-order fallback
+
+
+def _reference_speed(eos, rho):
+    return np.sqrt(eos.K * eos.gamma * rho ** (eos.gamma - 1.0))
+
+
+def reference_cfl_dt(snap, eos, cfl=0.45):
+    speed = np.abs(snap.V) + _reference_speed(eos, snap.rho)
+    return float(cfl * snap.spacing / np.max(speed))
+
+
+def _reference_slopes(u):
+    d = np.diff(u)
+    sign, size = np.sign(d), np.abs(d)
+    return 0.5 * (sign[:-1] + sign[1:]) * np.minimum(size[:-1], size[1:])
+
+
+def _reference_pad(rho, mom, geometry, eos):
+    rb = eos.rho_bar
+    if geometry.is_radial:
+        rho_p = np.concatenate(([rho[1], rho[0]], rho, [rb, rb]))
+        mom_p = np.concatenate(([-mom[1], -mom[0]], mom, [0.0, 0.0]))
+    else:
+        rho_p = np.concatenate(([rb, rb], rho, [rb, rb]))
+        mom_p = np.concatenate(([0.0, 0.0], mom, [0.0, 0.0]))
+    return rho_p, mom_p
+
+
+def _reference_rusanov(rhoL, momL, rhoR, momR, eos):
+    vL, vR = momL / rhoL, momR / rhoR
+    pL = eos.K * rhoL ** eos.gamma
+    pR = eos.K * rhoR ** eos.gamma
+    a = np.maximum(np.abs(vL) + _reference_speed(eos, rhoL), np.abs(vR) + _reference_speed(eos, rhoR))
+    f1 = 0.5 * (momL + momR) - 0.5 * a * (rhoR - rhoL)
+    f2 = 0.5 * (momL * vL + pL + momR * vR + pR) - 0.5 * a * (momR - momL)
+    return f1, f2
+
+
+def _reference_rhs(rho, mom, centers, dx, geometry, eos, reconstruction):
+    rho_p, mom_p = _reference_pad(rho, mom, geometry, eos)
+    if reconstruction == FIRST_ORDER:
+        rL, mL = rho_p[1:-2], mom_p[1:-2]
+        rR, mR = rho_p[2:-1], mom_p[2:-1]
+    else:
+        hr, hm = 0.5 * _reference_slopes(rho_p), 0.5 * _reference_slopes(mom_p)
+        rL, mL = rho_p[1:-2] + hr[:-1], mom_p[1:-2] + hm[:-1]
+        rR, mR = rho_p[2:-1] - hr[1:], mom_p[2:-1] - hm[1:]
+        if rL.min() <= 0 or rR.min() <= 0:
+            REFERENCE_FALLBACKS.append(True)
+            bad = (rL <= 0) | (rR <= 0)
+            rL = np.where(bad, rho_p[1:-2], rL)
+            mL = np.where(bad, mom_p[1:-2], mL)
+            rR = np.where(bad, rho_p[2:-1], rR)
+            mR = np.where(bad, mom_p[2:-1], mR)
+    f1, f2 = _reference_rusanov(rL, mL, rR, mR, eos)
+    d_rho = -(f1[1:] - f1[:-1]) / dx
+    d_mom = -(f2[1:] - f2[:-1]) / dx
+    if geometry.is_radial and geometry.ndim > 1:
+        r = np.maximum(centers, 0.5 * dx)
+        coeff = (geometry.ndim - 1) / r
+        d_rho = d_rho - coeff * mom
+        d_mom = d_mom - coeff * mom * (mom / rho)
+    return d_rho, d_mom
+
+
+def reference_step(snap, eos, geometry, dt, reconstruction=FIRST_ORDER):
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    hard_limit = reference_cfl_dt(snap, eos, cfl=1.0)
+    if dt > hard_limit * (1.0 + 1e-12):
+        raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
+    rho, mom = snap.rho, snap.rho * snap.V
+    dx, centers = snap.spacing, snap.centers
+    args = (centers, dx, geometry, eos, reconstruction)
+    d1_rho, d1_mom = _reference_rhs(rho, mom, *args)
+    rho1 = rho + dt * d1_rho
+    mom1 = mom + dt * d1_mom
+    if reconstruction == MUSCL:
+        if rho1.min() <= 0:
+            i = int(np.argmin(rho1))
+            raise NegativeDensityError(snap.t + dt, centers[i], rho1[i])
+        d2_rho, d2_mom = _reference_rhs(rho1, mom1, *args)
+        rho_new = 0.5 * (rho + rho1 + dt * d2_rho)
+        mom_new = 0.5 * (mom + mom1 + dt * d2_mom)
+    else:
+        rho_new, mom_new = rho1, mom1
+    if rho_new.min() <= 0:
+        i = int(np.argmin(rho_new))
+        raise NegativeDensityError(snap.t + dt, centers[i], rho_new[i])
+    return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho_new, V=mom_new / rho_new, spacing=dx)
+
+
+def outcome(step_fn, *args):
+    """The snapshot a step returns, or the type and message of what it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return step_fn(*args)
+        except (ValueError, NegativeDensityError) as exc:
+            return type(exc), str(exc)
+
+
+def assert_same_outcome(snap, eos, geometry, dt, recon):
+    got = outcome(step, snap, eos, geometry, dt, recon)
+    want = outcome(reference_step, snap, eos, geometry, dt, recon)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert isinstance(got, FieldSnapshot)
+    assert got.t == want.t and got.spacing == want.spacing
+    assert_bitwise(got.rho, want.rho)
+    assert_bitwise(got.V, want.V)
+    return want
+
+
+GAMMAS = (1.0, 1.4, 5.0 / 3.0, 2.0, 3.0)
+KERNEL_GEOMETRIES = (Geometry.cartesian1d(), Geometry.radial(1), Geometry.radial(3))
+
+
+def seeded_state(seed, eos, geometry, cells=96):
+    """A rough state off the background, exact background cells at both ends.
+
+    Inside, each cell draws its velocity from a normal sample, +0.0, -0.0
+    or +-0.3, and its density from rho_bar or a random value, so that runs
+    of equal values give exact zero differences of either sign next to
+    non-zero ones, where the minmod slope is a signed zero.
+    """
+    rng = np.random.default_rng(seed)
+    centers = GridSpec(2.0, cells).centers(geometry)
+    rho = np.full(cells, eos.rho_bar)
+    V = np.zeros(cells)
+    inner = slice(cells // 8, cells - cells // 8)
+    m = inner.stop - inner.start
+    kind = rng.integers(0, 5, m)
+    V[inner] = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [np.full(m, 0.0), np.full(m, -0.0), np.full(m, -0.3), np.full(m, 0.3)],
+        0.3 * rng.standard_normal(m),
+    )
+    rho[inner] = np.where(rng.random(m) < 0.4, eos.rho_bar, eos.rho_bar * (1.0 + 0.4 * rng.uniform(-1.0, 1.0, m)))
+    return FieldSnapshot(0.25, centers, rho, V)
+
+
+class TestKernelMatchesReference:
+    """The fused step against the test-only reference kernel, bit for bit."""
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("geom", KERNEL_GEOMETRIES, ids=lambda g: g.label())
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_seeded_states(self, gamma, geom, recon):
+        eos = EosParams(1.3, gamma, 0.8)
+        for seed in range(8):
+            snap = seeded_state(seed, eos, geom)
+            dt = reference_cfl_dt(snap, eos, 0.45)
+            want = assert_same_outcome(snap, eos, geom, dt, recon)
+            assert isinstance(want, FieldSnapshot)
+            # a few more steps from the moved state
+            for _ in range(3):
+                want = assert_same_outcome(want, eos, geom, reference_cfl_dt(want, eos, 0.45), recon)
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("geom", KERNEL_GEOMETRIES, ids=lambda g: g.label())
+    def test_window_cut_mid_grid(self, geom, recon):
+        snap = initial_snapshot(bump(geom, cells=512))
+        for a, b in ((100, 300), (0, 257), (255, 512)):
+            window = FieldSnapshot(snap.t, snap.centers[a:b], snap.rho[a:b], snap.V[a:b], snap.spacing)
+            assert_same_outcome(window, EOS, geom, reference_cfl_dt(snap, EOS), recon)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_first_order_fallback(self, gamma):
+        # a non-positive cell drives a limited face density to zero or below
+        eos = EosParams(1.0, gamma, 1.0)
+        geom = Geometry.cartesian1d()
+        snap = seeded_state(3, eos, geom)
+        snap.rho[40] = -0.05
+        REFERENCE_FALLBACKS.clear()
+        assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
+        assert REFERENCE_FALLBACKS
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    def test_negative_density_error(self, recon):
+        geom = Geometry.radial(3)
+        snap = constant_snapshot(geom, rho=0.01, V=5.0)
+        want = assert_same_outcome(snap, EOS, geom, reference_cfl_dt(snap, EOS), recon)
+        assert want[0] is NegativeDensityError
+
+    def test_dt_errors(self):
+        geom = Geometry.cartesian1d()
+        snap = seeded_state(0, EOS, geom)
+        for dt in (0.0, -1.0, 100.0):
+            want = assert_same_outcome(snap, EOS, geom, dt, MUSCL)
+            assert want[0] is ValueError
+
+
+def full_grid_run(scenario, config, step_fn, recorder=None):
+    """Oracle for ``run``: the time step and ``step_fn`` over the whole grid.
 
     Same time step, detector, recorder and snapshot rules as ``run``, but
     every step advances every cell.
@@ -252,11 +451,11 @@ def full_grid_run(scenario, config, recorder=None):
     next_snap, next_sample = config.snapshot_interval, det.sample_interval
     eps = 1e-12 * config.t_end
     while blowup is None and t < config.t_end - eps and steps < config.max_steps:
-        dtc = cfl_dt(snap, eos, config.cfl)
+        dtc = reference_cfl_dt(snap, eos, config.cfl)
         if dtc < det.dt_floor:
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
-        snap = step(snap, eos, scenario.geometry, min(dtc, config.t_end - t), config.reconstruction)
+        snap = step_fn(snap, eos, scenario.geometry, min(dtc, config.t_end - t), config.reconstruction)
         t = snap.t
         steps += 1
         blowup = detect_blowup(snap, eos, det)
@@ -281,7 +480,7 @@ def assert_run_matches_full_grid(scen, config):
     family = default_family(scen.geometry)
     trace = run(scen, config, recorder=theorem_context(scen, family, tau=1.0).recorder())
     snapshots, series, blowup, steps, t = full_grid_run(
-        scen, config, recorder=theorem_context(scen, family, tau=1.0).recorder()
+        scen, config, reference_step, recorder=theorem_context(scen, family, tau=1.0).recorder()
     )
     assert trace.steps == steps
     assert trace.t_final == t
@@ -301,7 +500,8 @@ def assert_run_matches_full_grid(scen, config):
 
 
 class TestWindowedRun:
-    """``run`` steps only the perturbed window; it must equal the full-grid loop."""
+    """``run`` steps only the perturbed window; it must equal the full-grid
+    loop of the reference kernel."""
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
