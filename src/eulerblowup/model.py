@@ -54,9 +54,9 @@ def pressure(eos: EosParams, rho):
 def rho_power(rho, e: float):
     """rho ** e, with the shortcuts e == 1 -> rho and e == 2 -> rho * rho.
 
-    rho * rho is the correctly rounded square, which is what pow returns
-    for e == 2 wherever it is within half an ulp, and pow(x, 1) == x; the
-    shortcuts skip the general pow for gamma = 2, the gas of every preset.
+    pow(x, 1) is x, and rho * rho is the correctly rounded square, so it
+    equals pow(rho, 2) wherever pow rounds correctly; with gamma = 2, the
+    gas of every preset, neither the pressure nor the sound speed calls pow.
     """
     if e == 1.0:
         return rho

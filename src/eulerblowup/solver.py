@@ -173,11 +173,12 @@ def _rhs(
     else:
         d = np.subtract(u[:, 1:], u[:, :-1])
         dl, dr = d[:, :-1], d[:, 1:]
+        # half the minmod slope, 0.5 * (max(min(dl, dr), 0) + min(max(dl, dr), 0))
         half = np.minimum(dl, dr)
         np.maximum(half, 0.0, out=half)
-        above = np.maximum(dl, dr)
-        np.minimum(above, 0.0, out=above)
-        half += above
+        negative = np.maximum(dl, dr)
+        np.minimum(negative, 0.0, out=negative)
+        half += negative
         half *= 0.5
         # states[var, side, j]: the left and right states of face j, between
         # cells j - 1 and j
@@ -323,8 +324,9 @@ def run(
     blowup = detect_blowup(snap, eos, det)
     if blowup is None and recorder is not None:
         recorder.observe(snap)
-    # view: every perturbed cell and at least one background cell, unless the
-    # perturbation spans the grid; the time step and the detector read it
+    # view, cells [lo, hi): every perturbed cell and at least one background
+    # cell, unless the perturbation spans the grid; the time step and the
+    # detector read it
     view = snap
     t, steps = 0.0, 0
     next_snap = config.snapshot_interval
