@@ -24,8 +24,8 @@ Scenario files are flat ``key = value`` text with dotted keys:
     detector.sample_interval = 0.01
 
 Exit codes: 0 success (any verdict), 2 invalid input or config (also a
-check or sweep whose criterion values overflow to +-inf), 3 verification
-failure.
+check or sweep whose criterion values overflow to +-inf or whose initial
+functionals H0, m0 are not finite), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -266,12 +266,15 @@ def _trace_summary(trace) -> dict:
 
 
 def _require_finite(report, tau: float) -> None:
-    """Reject a report whose inputs or condition sides overflowed to +-inf.
+    """Reject a report whose inputs or condition sides overflowed to +-inf,
+    or whose initial functionals H0 and m0 are not finite.
 
-    NaN is left alone: a criterion records a deliberate NaN threshold when
-    its hypotheses do not cover the data (an inconclusive verdict).
+    A NaN elsewhere is left alone: a criterion records a deliberate NaN
+    threshold when its hypotheses do not cover the data (an inconclusive
+    verdict).
     """
     overflowed = [k for k, v in report.inputs.items() if isinstance(v, float) and math.isinf(v)]
+    overflowed += [k for k in ("H0", "m0") if math.isnan(report.inputs.get(k, 0.0))]
     overflowed += [c.name for c in report.conditions if math.isinf(c.lhs) or math.isinf(c.rhs)]
     if overflowed:
         raise ConfigError(f"criterion values are not finite at tau={tau:g}: {', '.join(overflowed)}")
@@ -383,22 +386,19 @@ def cmd_verify(args, argv) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAILED
 
 
-def _sweep_row(base_cfg: dict, parameter: str, value: float, args) -> dict:
-    cfg = dict(base_cfg)
+def _sweep_row(scen: Scenario, base_cfg: dict, value: float, weight: TestingFunction | None, args) -> dict:
+    """One row: the loaded scenario at tau = value, or one rebuilt with the parameter at value."""
     tau = args.tau
-    if parameter == "tau":
+    if args.parameter == "tau":
         tau = value
-    elif parameter == "gamma":
-        cfg["eos.gamma"] = repr(value)
     else:
-        cfg[parameter] = repr(value)
-    scen = scenario_from_config(cfg)
-    weight = parse_weight(args.weight)
+        key = "eos.gamma" if args.parameter == "gamma" else args.parameter
+        scen = scenario_from_config({**base_cfg, key: repr(value)})
     report = run_family_check(scen, args.theorem, tau=tau, f=weight, a=args.a)
     _require_finite(report, tau)
     threshold = report.inputs.get("threshold", report.inputs.get("combined_threshold", float("nan")))
     return {
-        "parameter": parameter,
+        "parameter": args.parameter,
         "value": value,
         "H0": report.inputs.get("H0", float("nan")),
         "threshold": threshold,
@@ -413,12 +413,15 @@ def cmd_sweep(args, argv) -> int:
         )
     if args.steps < 2:
         raise ConfigError("need at least 2 sweep steps")
-    scen = load_scenario(args.scenario)
-    base_cfg = {k: str(v) for k, v in scenario_to_config(scen).items()}
-    values = np.linspace(args.lo, args.hi, args.steps)
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise ConfigError("sweep range must be finite")
     if args.lo >= args.hi:
         raise ConfigError("sweep range must satisfy lo < hi")
-    rows = [_sweep_row(base_cfg, args.parameter, float(v), args) for v in values]
+    scen = load_scenario(args.scenario)
+    weight = parse_weight(args.weight)
+    base_cfg = {k: str(v) for k, v in scenario_to_config(scen).items()}
+    values = np.linspace(args.lo, args.hi, args.steps)
+    rows = [_sweep_row(scen, base_cfg, float(v), weight, args) for v in values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as fh:

@@ -243,30 +243,7 @@ def general_condition_thresholds(
     threshold stays within 1e-12 relative of evaluating each abscissa's B
     by its own Simpson rule.
     """
-    B_tau = weight_functional_B(f, R, sound_speed(eos), tau, geometry, _HORIZON_RULE)
-    return _thresholds_from_B(f, a, eos, R, tau, geometry, B_tau)
-
-
-def _thresholds_from_B(
-    f: TestingFunction,
-    a: float,
-    eos: EosParams,
-    R: float,
-    tau: float,
-    geometry: Geometry,
-    B_tau: float,
-) -> tuple[float, float]:
-    # general_condition_thresholds given its B(tau), which check_general reports too
-    sigma = sound_speed(eos)
-    U = R + sigma * tau
-    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
-
-    # the abscissae and spacing integrate_fn would use; integrating the table
-    # directly keeps its typed errors out of integrate_fn's per-point fallback
-    times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
-    B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
-    horizon_integral = integrate_samples(1.0 / (a * B), tau / _HORIZON_RULE.panels, _HORIZON_RULE)
-    return strict, 1.0 / horizon_integral
+    return _horizon_side(f, a, eos, R, tau, geometry)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +252,85 @@ def _thresholds_from_B(
 
 def _initial_upper(scenario: Scenario) -> float:
     return scenario.R + 3.0 * scenario.grid.spacing(scenario.geometry)
+
+
+# A check compares initial-data functionals, fixed by the scenario and the
+# weight, against thresholds fixed by the horizon.  Each side is kept for its
+# last arguments, so consecutive checks that share a side (the rows of a tau
+# or amp_v sweep, the probes of minimal_tau) compute it once.
+
+
+def _same(x, y) -> bool:
+    """Whether two arguments of a side match exactly.
+
+    Floats match when equal with the same sign, so -0.0 and 0.0 differ
+    and NaN never matches; ints, strings and bools match by value;
+    instances of one dataclass type field by field; anything else,
+    callables included, only itself.  Every argument a side takes is
+    immutable, so an object also matches itself.
+    """
+    if type(x) is float:
+        return type(y) is float and x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    if x is y:
+        return True
+    if type(x) is not type(y):
+        return False
+    if type(x) in (int, str, bool):
+        return x == y
+    fields = getattr(type(x), "__dataclass_fields__", None)
+    return fields is not None and all(_same(getattr(x, k), getattr(y, k)) for k in fields)
+
+
+class _LastCall:
+    """A pure function that keeps its last arguments and value.
+
+    A call whose positional arguments all match the kept ones returns the
+    kept value; any other call replaces them.  An error propagates and
+    replaces nothing.
+    """
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.last: tuple | None = None  # (args, value)
+
+    def __call__(self, *args):
+        last = self.last
+        # equality turns most other arguments away at C speed; _same then
+        # rejects what it lets through: signed zeros, NaNs, equal callables
+        if last is not None and args == last[0] and all(map(_same, args, last[0])):
+            return last[1]
+        value = self.fn(*args)
+        self.last = (args, value)
+        return value
+
+
+def _data_side(scenario: Scenario, f: TestingFunction) -> tuple[float, float]:
+    """(H0, m0): weighted momentum and perturbed mass of the initial data."""
+    geom = scenario.geometry
+    snap = initial_snapshot(scenario)
+    H0 = momentum_functional(snap, f, geom, upper=_initial_upper(scenario))
+    return H0, mass_functional(snap, scenario.eos, geom)
+
+
+def _horizon_side(
+    f: TestingFunction, a: float, eos: EosParams, R: float, tau: float, geometry: Geometry
+) -> tuple[float, float, float]:
+    """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds."""
+    sigma = sound_speed(eos)
+    B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
+    U = R + sigma * tau
+    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
+
+    # the abscissae and spacing integrate_fn would use; integrating the table
+    # directly keeps its typed errors out of integrate_fn's per-point fallback
+    times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
+    B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+    horizon_integral = integrate_samples(1.0 / (a * B), tau / _HORIZON_RULE.panels, _HORIZON_RULE)
+    return B_tau, strict, 1.0 / horizon_integral
+
+
+_initial_data = _LastCall(_data_side)
+_general_horizon = _LastCall(_horizon_side)
 
 
 def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: float = 1.0) -> CriterionReport:
@@ -298,10 +354,8 @@ def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: f
         )
     theorem = GENERAL_RADIAL if geom.is_radial else GENERAL_1D
     sigma = sound_speed(eos)
-    snap = initial_snapshot(scenario)
-    H0 = momentum_functional(snap, f, geom, upper=_initial_upper(scenario))
-    B_tau = weight_functional_B(f, scenario.R, sigma, tau, geom, _HORIZON_RULE)
-    strict_thr, horizon_thr = _thresholds_from_B(f, a, eos, scenario.R, tau, geom, B_tau)
+    H0, _ = _initial_data(scenario, f)
+    B_tau, strict_thr, horizon_thr = _general_horizon(f, a, eos, scenario.R, tau, geom)
 
     conds = [
         Condition("initial_momentum_positive", H0, 0.0, ">"),
@@ -421,9 +475,7 @@ def _closed_form_check(row: _ClosedForm, scenario: Scenario, tau: float | None) 
     spec = FAMILY_SPECS[row.case1]
     N, R = geom.ndim, scenario.R
     sigma = sound_speed(eos)
-    snap = initial_snapshot(scenario)
-    H0 = momentum_functional(snap, spec.weight(geom, None), geom, upper=_initial_upper(scenario))
-    m0 = mass_functional(snap, eos, geom)
+    H0, m0 = _initial_data(scenario, spec.weight(geom, None))
     inputs: dict = {"geometry": geom.label()}
     if row.radial:
         inputs["N"] = N

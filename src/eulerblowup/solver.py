@@ -40,8 +40,11 @@ same bits as the separate per-variable kernel it replaced:
 The window.  ``run`` keeps one full-grid (rho, V) pair and updates it in
 place.  The background (rho_bar, 0) is a bitwise fixed point of both
 schemes, so a cell can leave it only when a perturbed cell lies within
-the reach of one step: two cells per Runge-Kutta stage of the MUSCL
-stencil, four per step, and one cell per first-order step.  Each step
+the reach of one step: one cell per stage, two per MUSCL step and one per
+first-order step.  The MUSCL stencil spans two cells per side, but the
+minmod slope of a background cell with a background neighbour is zero, so
+a face between two background cells carries the background flux, and a
+background cell changes in a stage only next to a perturbed one.  Each step
 therefore hands ``step`` the cells [lo - reach, hi + reach] around the
 perturbed range [lo, hi], clipped to the grid and always starting at the
 origin in radial geometry, where the reflection ghost applies; every
@@ -272,8 +275,8 @@ def step(
     return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho_new, V=mom_new / rho_new, spacing=dx)
 
 
-# cells one step can carry a disturbance: 2 per stage of the MUSCL stencil
-_REACH = {FIRST_ORDER: 1, MUSCL: 4}
+# cells one step can carry a disturbance: one per stage (see the module docstring)
+_REACH = {FIRST_ORDER: 1, MUSCL: 2}
 
 
 def _perturbed(rho: np.ndarray, V: np.ndarray, rho_bar: float, offset: int = 0) -> tuple[int, int] | None:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import eulerblowup.cli as cli
+import eulerblowup.criteria as criteria
 from eulerblowup.criteria import FAMILIES
 from eulerblowup.cli import (
     ConfigError,
@@ -20,6 +22,7 @@ from eulerblowup.cli import (
     scenario_to_config,
 )
 from eulerblowup.model import LINEAR, NONNEG_INCREASING, POWER_LAW
+from eulerblowup.scenarios import PRESETS
 from eulerblowup.verify import TRACE_CHECKS
 
 
@@ -170,6 +173,27 @@ class TestCheckCommand:
         assert code == 2
         assert captured.err.startswith("error:") and "not finite" in captured.err
         assert "strict_threshold" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--theorem", "general-1d", "--weight", "exp:2"],
+        ["check", "--theorem", "linear-1d-tau"],
+        ["sweep", "--theorem", "general-1d", "--weight", "exp:2", "--parameter", "tau",
+         "--lo", "1", "--hi", "2", "--steps", "3"],
+    ])
+    def test_non_finite_initial_momentum_is_invalid_input(self, command, tmp_path, capsys):
+        # finite samples of amp_v = 1e308 sum to inf - inf: H(0) is NaN
+        cfg = write_config(
+            tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512", "amp_v = 1e308"]
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(command + ["--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "H0" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -362,13 +386,106 @@ class TestSweepCommand:
         ])
         assert code == 2
 
-    def test_bad_range_rejected(self, ref_config, tmp_path):
-        code = main([
-            "sweep", "--theorem", "linear-1d", "--parameter", "amp_v",
-            "--lo", "2", "--hi", "1", "--steps", "5",
-            "--out", str(tmp_path / "x"), ref_config,
-        ])
+    @pytest.mark.parametrize("parameter", ["amp_v", "tau"])
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("2", "1", "lo < hi"),
+        ("1", "1", "lo < hi"),
+        ("nan", "2", "finite"),
+        ("1", "nan", "finite"),
+        ("1", "inf", "finite"),
+        ("-inf", "1", "finite"),
+    ])
+    def test_bad_range_rejected(self, parameter, lo, hi, message, ref_config, tmp_path, capsys):
+        out = tmp_path / "x"
+        with np.errstate(all="raise"):
+            code = main([
+                "sweep", "--theorem", "linear-1d-tau", "--parameter", parameter,
+                f"--lo={lo}", f"--hi={hi}", "--steps", "5", "--out", str(out), ref_config,
+            ])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith("error: sweep range") and message in err
+        assert not out.exists()
+
+    def test_tau_sweep_samples_the_initial_data_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        original = criteria.initial_snapshot
+        monkeypatch.setattr(criteria, "initial_snapshot", lambda s: calls.append(s) or original(s))
+        monkeypatch.setattr(criteria._initial_data, "last", None)
+        cfg = write_config(tmp_path / "s.cfg", ["preset = cert-power-radial-n3", "grid.cells = 512"])
+        code = main([
+            "sweep", "--theorem", "power-radial", "--parameter", "tau",
+            "--lo", "0.2", "--hi", "2", "--steps", "16", "--out", str(tmp_path / "o"), cfg,
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == 1
+
+
+# family -> (preset, weight, a): the certified presets of the sweep benchmark
+SWEEP_PRESETS = {
+    "general-radial": ("cert-general-radial-n1", "linear", 4.0),
+    "general-1d": ("cert-general-1d-exp", "exp:2", 3.5),
+    "power-radial": ("cert-power-radial-n3", None, 4.0),
+    "linear-1d-tau": ("cert-linear-tau-1d", None, 4.0),
+    "linear-1d": ("cert-linear-infinite-1d", None, 4.0),
+}
+
+# SHA-256 of sweep.csv for 64-row sweeps at the presets' 4096 cells, amp_v
+# over [0.5, 1.8] times the preset's amplitude and tau over [0.3, 2], as the
+# checks wrote them when they recomputed both sides at every row (numpy 2.4,
+# x86-64): with numpy's AVX-512 kernels and, where their last bits differ,
+# without them
+PINNED_SWEEP_CSV = {
+    ("general-1d", "amp_v"): (
+        "a5dfd24977024193c0be34b0fd567c2afce7ac7e918f24d9072122ba26dca8b5",
+        "041a58935f5f20bdb055ffa7255235de244d41f13b2ca2a0bba0118252896be7",
+    ),
+    ("general-1d", "tau"): (
+        "7f9a48a2a43d7261577d091abfc486f7bafff85ecb6932ef4d5e6883d5b37d1d",
+        "c51d31d5a8f502f31c226fd286bd8125ecb8df478bb5b578350f71692471138a",
+    ),
+    ("general-radial", "amp_v"): ("a8b2a2273b7e685aada39fba710f3771247104e1b23824367a1e2eb5f744324b",),
+    ("general-radial", "tau"): (
+        "94aa0fc5033d03493c14c0dc80440f6e3aa8fbb5348a34abd9e444a6c316478c",
+        "84fb26f182da959445a41cfeb57e9195d8094eee6192b2de060f0e788079b763",
+    ),
+    ("linear-1d-tau", "amp_v"): ("1e3ec960da47419b5a941d2e0c61ec1f4e66711af819b178f3a26a219cac4fc8",),
+    ("linear-1d-tau", "tau"): ("33978fee05b9441aeff2e6344e09f5861902315c0f35e2339f89078b3b756308",),
+    ("linear-1d", "amp_v"): ("25482fac1e07f8ee830894685e4c9477c371d82f669d6c05f3022d0a7aed07f5",),
+    ("linear-1d", "tau"): ("5c0add009312ff071c04ffaac3e0009517d396434c12031b27a70674bd16957f",),
+    ("power-radial", "amp_v"): (
+        "c4106518a4e8662b0691a372863c3cdb9dc26bfc7bac661439227c0ad904d87e",
+        "d98142ed37d000fc40eea08159a43341e2d10d51e9f00c7353092a3f3477e9a3",
+    ),
+    ("power-radial", "tau"): ("b5590721e44febfce883e17db7c82d7572cab31983fd5d627ee71ef4ef6a0b3a",),
+}
+
+
+def sweep_csv_sha256(family: str, parameter: str, tmp_path) -> str:
+    preset, weight, a = SWEEP_PRESETS[family]
+    cfg = write_config(tmp_path / f"{preset}.cfg", [f"preset = {preset}"])
+    if parameter == "amp_v":
+        amp = PRESETS[preset]().amp_v
+        lo, hi = 0.5 * amp, 1.8 * amp
+    else:
+        lo, hi = 0.3, 2.0
+    out = tmp_path / f"{family}-{parameter}"
+    argv = ["sweep", "--theorem", family, "--parameter", parameter, "--lo", repr(lo), "--hi", repr(hi),
+            "--steps", "64", "--a", repr(a), "--out", str(out), cfg]
+    if weight is not None:
+        argv += ["--weight", weight]
+    assert main(argv) == 0
+    return hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+
+
+class TestSweepArtifactsPinned:
+    """Sweep CSVs stay byte for byte as they were before the criterion
+    checks kept their initial-data and horizon sides between rows."""
+
+    @pytest.mark.parametrize("parameter", ["amp_v", "tau"])
+    @pytest.mark.parametrize("family", sorted(SWEEP_PRESETS))
+    def test_sweep_csv_matches_pinned_digest(self, family, parameter, tmp_path, capsys):
+        assert sweep_csv_sha256(family, parameter, tmp_path) in PINNED_SWEEP_CSV[(family, parameter)]
 
 
 class TestReportCommand:

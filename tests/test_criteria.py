@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 import re
 from dataclasses import replace
 
@@ -56,6 +57,7 @@ from eulerblowup.model import (
     linear,
     make_bump_scenario,
     power_law,
+    radial_vanishing,
     sound_speed,
 )
 from eulerblowup.quadrature import QuadratureRule, SIMPSON, integrate_fn
@@ -312,6 +314,156 @@ class TestGeneralThresholdTable:
         strict, horizon = general_condition_thresholds(seeded_weight(True, 0), 4.0, case.scenario.eos,
                                                        case.scenario.R, 0.8, case.scenario.geometry)
         assert (report.inputs["strict_threshold"], report.inputs["horizon_threshold"]) == (strict, horizon)
+
+
+@pytest.fixture()
+def sides(monkeypatch):
+    """Empty both kept sides of the checks and count what they compute
+    (``clear()`` restarts the count)."""
+    counts = Counter()
+    for name in ("initial_snapshot", "weight_functional_B_table"):
+        original = getattr(criteria, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(criteria, name, counted)
+    monkeypatch.setattr(criteria._initial_data, "last", None)
+    monkeypatch.setattr(criteria._general_horizon, "last", None)
+    return counts
+
+
+class Power:
+    """A callable weight that compares by value, so it has no hash."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        return isinstance(other, Power) and other.n == self.n
+
+    def __call__(self, x):
+        return np.asarray(x, dtype=float) ** self.n
+
+
+def report_json(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+class TestKeptSides:
+    """A check keeps its initial-data side and its horizon side for their
+    last arguments only, matched exactly."""
+
+    def test_last_call_keeps_one_entry(self):
+        calls = []
+        kept = criteria._LastCall(lambda x: calls.append(x) or 2.0 * x)
+        assert [kept(x) for x in (1.0, 1.0, 2.0, 1.0, 1.0)] == [2.0, 2.0, 4.0, 2.0, 2.0]
+        assert calls == [1.0, 2.0, 1.0]
+
+    def test_keys_match_exactly(self):
+        nan = float("nan")
+        assert not criteria._same(0.0, -0.0)
+        assert not criteria._same(nan, nan)
+        assert not criteria._same(1, 1.0)
+        assert criteria._same(EosParams(1.0, 2.0, 1.0), EosParams(1.0, 2.0, 1.0))
+        assert not criteria._same(EosParams(1.0, 2.0, 1.0), EosParams(1.0, 2.0, 1.5))
+        assert not criteria._same(Power(2.0), Power(2.0))
+        signs = criteria._LastCall(lambda x: math.copysign(1.0, x))
+        assert [signs(0.0), signs(-0.0), signs(0.0)] == [1.0, -1.0, 1.0]
+        calls = []
+        kept = criteria._LastCall(lambda x: calls.append(x) or x)
+        kept(nan)
+        kept(nan)
+        assert len(calls) == 2
+
+    def test_errors_are_not_kept(self):
+        calls = []
+
+        def root(x):
+            calls.append(x)
+            return math.sqrt(x)
+
+        kept = criteria._LastCall(root)
+        assert kept(4.0) == 2.0
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                kept(-1.0)
+        assert kept(4.0) == 2.0
+        assert calls == [4.0, -1.0, -1.0]
+
+    @pytest.mark.parametrize("amp", [0.0, -0.0])
+    def test_signed_zero_amplitude_gives_its_own_functionals(self, amp, sides):
+        # the other sign's side is kept first; a match would hand it over
+        geom = Geometry.cartesian1d()
+        other = bump(geom, amp_rho=-amp, amp_v=-amp)
+        scen = bump(geom, amp_rho=amp, amp_v=amp)
+        check_linear_1d_tau(other)
+        report = check_linear_1d_tau(scen)
+        assert sides["initial_snapshot"] == 2
+        snap = initial_snapshot(scen)
+        dx = scen.grid.spacing(geom)
+        want = (
+            momentum_functional(snap, linear(), geom, upper=1.0 + 3.0 * dx),
+            functionals.mass_functional(snap, scen.eos, geom),
+        )
+        got = (report.inputs["H0"], report.inputs["m0"])
+        assert [(v, math.copysign(1.0, v)) for v in got] == [(v, math.copysign(1.0, v)) for v in want]
+
+    def test_unhashable_weight_is_kept_by_identity(self, sides):
+        weight = radial_vanishing(Power(2.0), lambda x: 2.0 * np.asarray(x, dtype=float), name="r^2")
+        twin = radial_vanishing(Power(2.0), weight.f_prime, name="r^2")
+        with pytest.raises(TypeError):
+            hash(weight)
+        scen = certified_general_radial_case(cells=512).scenario
+        sides.clear()
+        first = check_general(scen, weight, a=4.0, tau=0.8)
+        again = check_general(scen, weight, a=4.0, tau=0.8)
+        assert sides == {"initial_snapshot": 1, "weight_functional_B_table": 1}
+        assert report_json(again) == report_json(first)
+        # an equal but distinct callable is another weight
+        assert report_json(check_general(scen, twin, a=4.0, tau=0.8)) == report_json(first)
+        assert sides == {"initial_snapshot": 2, "weight_functional_B_table": 2}
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != FAMILY_LINEAR_1D])
+    def test_minimal_tau_samples_the_initial_data_once(self, family, sides):
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        sides.clear()
+        got = minimal_tau(case.scenario, family, f=case.f, a=case.a, tau_lo=0.1, tau_hi=1.0, rtol=1e-4)
+        assert 0.1 < got < case.tau
+        assert sides["initial_snapshot"] == 1
+
+    @pytest.mark.parametrize("radial", [True, False])
+    def test_amplitude_rows_build_the_horizon_once(self, radial, seeded_weight, sides):
+        # every row rebuilds its scenario, as the CLI sweep does; the horizon
+        # side matches by value
+        case = (certified_general_radial_case if radial else certified_general_1d_case)(cells=512)
+        weight = seeded_weight(radial, 3)
+        amps = np.linspace(0.5, 1.5, 5) * case.scenario.amp_v
+        sides.clear()
+        rows = [
+            check_general(replace(case.scenario, eos=replace(case.scenario.eos), v0=replace(case.scenario.v0, amp=amp)),
+                          weight, a=case.a, tau=0.8)
+            for amp in amps
+        ]
+        assert sides == {"initial_snapshot": 5, "weight_functional_B_table": 1}
+        assert len({r.inputs["combined_threshold"] for r in rows}) == 1
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != FAMILY_LINEAR_1D])
+    def test_kept_sides_give_the_recomputed_reports(self, family, monkeypatch):
+        # a tau scan and an amplitude scan through the kept sides, against
+        # each check made with both sides emptied first
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        scans = [(case.scenario, tau) for tau in np.linspace(0.3, 2.0, 6).tolist()]
+        scans += [(replace(case.scenario, v0=replace(case.scenario.v0, amp=amp)), case.tau)
+                  for amp in (np.linspace(0.5, 1.5, 6) * case.scenario.amp_v).tolist()]
+        kept = [report_json(run_family_check(s, family, tau, case.f, case.a)) for s, tau in scans]
+        fresh = []
+        for s, tau in scans:
+            monkeypatch.setattr(criteria._initial_data, "last", None)
+            monkeypatch.setattr(criteria._general_horizon, "last", None)
+            fresh.append(report_json(run_family_check(s, family, tau, case.f, case.a)))
+        assert kept == fresh
 
 
 class TestClosedFormFamilyFlags:

@@ -551,6 +551,30 @@ class TestWindowedRun:
         trace = assert_run_matches_full_grid(scen, SolverConfig(t_end=0.5, reconstruction=recon))
         assert trace.snapshots[-1].rho[0] != EOS.rho_bar
 
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)])
+    def test_muscl_step_carries_a_disturbance_two_cells(self, geom):
+        # one perturbed cell in the background: the reference MUSCL step
+        # changes exactly the cells within two of it, one per stage
+        snap = constant_snapshot(geom, cells=64)
+        snap.rho[32] += 0.01
+        snap.V[32] = 0.01
+        moved = reference_step(snap, EOS, geom, reference_cfl_dt(snap, EOS), MUSCL)
+        off = np.flatnonzero((moved.rho != EOS.rho_bar) | (moved.V != 0.0))
+        assert off.tolist() == list(range(30, 35))
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)])
+    def test_two_cell_disturbance_matches_full_grid(self, geom, recon):
+        # a bump narrower than a cell leaves one or two perturbed cells, so
+        # every step's window is the perturbed range plus the reach alone
+        base = bump(geom, cells=128)
+        dx = base.grid.spacing(geom)
+        scen = dataclasses.replace(base, rho0=BumpProfile(0.01, 0.6 * dx), v0=BumpProfile(0.02, 0.6 * dx, odd=True))
+        off = np.flatnonzero(initial_snapshot(scen).rho != EOS.rho_bar)
+        assert 1 <= off.size <= 2
+        trace = assert_run_matches_full_grid(scen, SolverConfig(t_end=0.3, reconstruction=recon))
+        assert trace.steps > 0
+
     def test_window_keeps_the_full_grid_spacing(self):
         snap = initial_snapshot(bump(Geometry.cartesian1d(), cells=512))
         window = FieldSnapshot(snap.t, snap.centers[100:300], snap.rho[100:300], snap.V[100:300], snap.spacing)
