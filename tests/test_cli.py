@@ -386,16 +386,26 @@ class TestSweepCommand:
         ])
         assert code == 2
 
+    def test_bad_range_rejected(self, ref_config, tmp_path):
+        code = main([
+            "sweep", "--theorem", "linear-1d", "--parameter", "amp_v",
+            "--lo", "2", "--hi", "1", "--steps", "5",
+            "--out", str(tmp_path / "x"), ref_config,
+        ])
+        assert code == 2
+
     @pytest.mark.parametrize("parameter", ["amp_v", "tau"])
     @pytest.mark.parametrize("lo, hi, message", [
-        ("2", "1", "lo < hi"),
         ("1", "1", "lo < hi"),
         ("nan", "2", "finite"),
         ("1", "nan", "finite"),
         ("1", "inf", "finite"),
         ("-inf", "1", "finite"),
     ])
-    def test_bad_range_rejected(self, parameter, lo, hi, message, ref_config, tmp_path, capsys):
+    def test_non_finite_or_empty_range_rejected_before_sampling(
+        self, parameter, lo, hi, message, ref_config, tmp_path, capsys
+    ):
+        # numpy warnings raise here: the range is checked before np.linspace
         out = tmp_path / "x"
         with np.errstate(all="raise"):
             code = main([
