@@ -1,7 +1,7 @@
 import json
 import math
-from collections import Counter
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
