@@ -7,21 +7,13 @@ Commands
   sweep     evaluate a criterion across a parameter range
   report    summarize the artifacts found in an output directory
 
-Scenario files are flat ``key = value`` text with dotted keys:
-
-    preset = ref-1d              # optional starting preset
-    eos.K = 1.0
-    eos.gamma = 2.0
-    eos.rho_bar = 1.0
-    geometry = radial3           # cartesian1d | radial<N>
-    R = 1.0
-    amp_rho = 0.01
-    amp_v = 0.02
-    grid.extent = 2.2
-    grid.cells = 4096
-    detector.slope_factor = 0.2
-    detector.dt_floor = 1e-10
-    detector.sample_interval = 0.01
+Every file format of the commands is defined here once. Scenario files
+are flat ``key = value`` text with '#' comments (``parse_config``). An
+optional ``preset = <name>`` supplies starting values; every other key is
+one of ``_FIELDS``, the table of each key's parser and default, say
+``eos.gamma = 2.0``, ``geometry = radial3`` (cartesian1d | radial<N>) or
+``grid.cells = 4096``. Every JSON artifact comes from ``_write_json`` and
+every CSV artifact from ``_write_csv``.
 
 Exit codes: 0 success (any verdict), 2 invalid input or config (also a
 check or sweep whose criterion values overflow to +-inf or whose initial
@@ -32,11 +24,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
 import sys
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -73,7 +68,8 @@ from .verify import (
     summary_table,
 )
 
-SWEEPABLE = ("amp_v", "amp_rho", "tau", "gamma", "R")
+# sweep parameter -> the scenario field it sets; tau sets the horizon instead
+SWEEPABLE = {"amp_v": "amp_v", "amp_rho": "amp_rho", "tau": None, "gamma": "eos.gamma", "R": "R"}
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -104,24 +100,6 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _as_float(cfg: dict, key: str, default: float) -> float:
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {cfg[key]!r}") from exc
-
-
-def _as_int(cfg: dict, key: str, default: int) -> int:
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {cfg[key]!r}") from exc
-
-
 def parse_geometry(label: str) -> Geometry:
     if label == "cartesian1d":
         return Geometry.cartesian1d()
@@ -134,42 +112,69 @@ def parse_geometry(label: str) -> Geometry:
     raise ConfigError(f"geometry: expected cartesian1d or radial<N>, got {label!r}")
 
 
-def scenario_to_config(scen: Scenario) -> dict:
-    return {
-        "eos.K": scen.eos.K,
-        "eos.gamma": scen.eos.gamma,
-        "eos.rho_bar": scen.eos.rho_bar,
-        "geometry": scen.geometry.label(),
-        "R": scen.R,
-        "amp_rho": scen.amp_rho,
-        "amp_v": scen.amp_v,
-        "grid.extent": scen.grid.extent,
-        "grid.cells": scen.grid.cells,
-        "detector.slope_factor": scen.detector.slope_factor,
-        "detector.dt_floor": scen.detector.dt_floor,
-        "detector.sample_interval": scen.detector.sample_interval,
-    }
+def _number(kind: type, noun: str) -> Callable:
+    def parse(key: str, value):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: not {noun}: {value!r}") from exc
+
+    return parse
 
 
-_KNOWN_KEYS = {
-    "preset",
-    "eos.K",
-    "eos.gamma",
-    "eos.rho_bar",
-    "geometry",
-    "R",
-    "amp_rho",
-    "amp_v",
-    "grid.extent",
-    "grid.cells",
-    "detector.slope_factor",
-    "detector.dt_floor",
-    "detector.sample_interval",
+_FLOAT = _number(float, "a number")
+_DETECTOR = DetectorParams()
+
+# scenario-file key -> (parser, default), in the order a file's values are
+# parsed; a parser takes the key and the file's text or a typed value, and
+# each key is the path of its attribute on a Scenario
+_FIELDS = {
+    "geometry": (lambda key, label: parse_geometry(label), Geometry.cartesian1d()),
+    "eos.K": (_FLOAT, 1.0),
+    "eos.gamma": (_FLOAT, 2.0),
+    "eos.rho_bar": (_FLOAT, 1.0),
+    "detector.slope_factor": (_FLOAT, _DETECTOR.slope_factor),
+    "detector.dt_floor": (_FLOAT, _DETECTOR.dt_floor),
+    "detector.sample_interval": (_FLOAT, _DETECTOR.sample_interval),
+    "grid.extent": (_FLOAT, 2.2),
+    "grid.cells": (_number(int, "an integer"), 4096),
+    "R": (_FLOAT, 1.0),
+    "amp_rho": (_FLOAT, 0.0),
+    "amp_v": (_FLOAT, 0.0),
 }
 
 
+def scenario_to_config(scen: Scenario) -> dict:
+    """The scenario's value of every field, each key read as an attribute
+    path; ``str`` of each value is its file text."""
+    return {**{key: attrgetter(key)(scen) for key in _FIELDS}, "geometry": scen.geometry.label()}
+
+
+def _field_values(cfg: dict) -> dict:
+    """Every field typed: the value in ``cfg`` parsed, else the default."""
+    return {key: parse(key, cfg[key]) if key in cfg else default for key, (parse, default) in _FIELDS.items()}
+
+
+def _scenario(values: dict) -> Scenario:
+    """The scenario of typed field values; gas, detector and grid are checked in that order."""
+    return make_bump_scenario(
+        eos=EosParams(K=values["eos.K"], gamma=values["eos.gamma"], rho_bar=values["eos.rho_bar"]),
+        detector=DetectorParams(
+            slope_factor=values["detector.slope_factor"],
+            dt_floor=values["detector.dt_floor"],
+            sample_interval=values["detector.sample_interval"],
+        ),
+        grid=GridSpec(extent=values["grid.extent"], cells=values["grid.cells"]),
+        geometry=values["geometry"],
+        R=values["R"],
+        amp_rho=values["amp_rho"],
+        amp_v=values["amp_v"],
+    )
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
-    unknown = set(cfg) - _KNOWN_KEYS
+    """The scenario of a parsed file: its preset's values, if any, with the file's keys over them."""
+    unknown = set(cfg) - {"preset", *_FIELDS}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     base: dict = {}
@@ -179,32 +184,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        base = {k: str(v) for k, v in scenario_to_config(PRESETS[name]()).items()}
-    merged = {**base, **{k: v for k, v in cfg.items() if k != "preset"}}
-    geometry = parse_geometry(str(merged.get("geometry", "cartesian1d")))
-    eos = EosParams(
-        K=_as_float(merged, "eos.K", 1.0),
-        gamma=_as_float(merged, "eos.gamma", 2.0),
-        rho_bar=_as_float(merged, "eos.rho_bar", 1.0),
-    )
-    detector = DetectorParams(
-        slope_factor=_as_float(merged, "detector.slope_factor", 0.2),
-        dt_floor=_as_float(merged, "detector.dt_floor", 1e-10),
-        sample_interval=_as_float(merged, "detector.sample_interval", 0.01),
-    )
-    grid = GridSpec(
-        extent=_as_float(merged, "grid.extent", 2.2),
-        cells=_as_int(merged, "grid.cells", 4096),
-    )
-    return make_bump_scenario(
-        eos=eos,
-        geometry=geometry,
-        R=_as_float(merged, "R", 1.0),
-        amp_rho=_as_float(merged, "amp_rho", 0.0),
-        amp_v=_as_float(merged, "amp_v", 0.0),
-        grid=grid,
-        detector=detector,
-    )
+        base = scenario_to_config(PRESETS[name]())
+    return _scenario(_field_values({**base, **cfg}))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -235,19 +216,23 @@ def parse_weight(spec: str | None) -> TestingFunction | None:
 # Artifacts
 
 
-def _write_invocation(out_dir: Path, argv: list[str]) -> None:
-    record = {"argv": list(argv), "version": __version__}
-    with open(out_dir / "invocation.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, data) -> None:
+    """A JSON artifact: indent 2, sorted keys, one trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def snapshot_csv(snap, path) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """A CSV artifact: the header, then one line per row, numbers as %.17g and text as is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r_or_x", "rho", "V"])
-        for x, rho, V in zip(snap.centers, snap.rho, snap.V):
-            writer.writerow([f"{x:.17g}", f"{rho:.17g}", f"{V:.17g}"])
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else format(c, ".17g") for c in row] for row in rows)
+
+
+def _write_invocation(out_dir: Path, argv: list[str]) -> None:
+    _write_json(out_dir / "invocation.json", {"argv": list(argv), "version": __version__})
 
 
 def _trace_summary(trace) -> dict:
@@ -293,7 +278,7 @@ def cmd_check(args, argv) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        report.to_json(out / "criterion_report.json")
+        _write_json(out / "criterion_report.json", report.to_dict())
         _write_invocation(out, argv)
         print(f"report written to {out / 'criterion_report.json'}")
     return EXIT_OK
@@ -319,12 +304,12 @@ def cmd_simulate(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k, snap in enumerate(trace.snapshots):
-        snapshot_csv(snap, out / f"snapshot_{k:04d}.csv")
-    if trace.series is not None and len(trace.series.times):
-        trace.series.to_csv(out / "series.csv")
-    with open(out / "trace_summary.json", "w") as fh:
-        json.dump(_trace_summary(trace), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_csv(out / f"snapshot_{k:04d}.csv", ("r_or_x", "rho", "V"), zip(snap.centers, snap.rho, snap.V))
+    series = trace.series
+    if series is not None and len(series.times):
+        columns = (series.times, series.H, series.B, series.m, series.G, series.dH_dt())
+        _write_csv(out / "series.csv", ("t", "H", "B", "m", "G", "dH_dt"), zip(*columns))
+    _write_json(out / "trace_summary.json", _trace_summary(trace))
     _write_invocation(out, argv)
     print(
         f"simulated {scen.label()} to t={trace.t_final:g} in {trace.steps} steps"
@@ -379,21 +364,18 @@ def cmd_verify(args, argv) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "verification_reports.json", "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "verification_reports.json", [r.to_dict() for r in reports])
         _write_invocation(out, argv)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAILED
 
 
-def _sweep_row(scen: Scenario, base_cfg: dict, value: float, weight: TestingFunction | None, args) -> dict:
-    """One row: the loaded scenario at tau = value, or one rebuilt with the parameter at value."""
-    tau = args.tau
-    if args.parameter == "tau":
-        tau = value
-    else:
-        key = "eos.gamma" if args.parameter == "gamma" else args.parameter
-        scen = scenario_from_config({**base_cfg, key: repr(value)})
+def _sweep_row(scen: Scenario, fields: dict, value: float, weight: TestingFunction | None, args) -> dict:
+    """One row: the loaded scenario at tau = value, or one built from its typed
+    ``fields`` with the parameter's field at value."""
+    field = SWEEPABLE[args.parameter]
+    tau = args.tau if field else value
+    if field:
+        scen = _scenario({**fields, field: value})
     report = run_family_check(scen, args.theorem, tau=tau, f=weight, a=args.a)
     _require_finite(report, tau)
     threshold = report.inputs.get("threshold", report.inputs.get("combined_threshold", float("nan")))
@@ -419,24 +401,12 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError("sweep range must satisfy lo < hi")
     scen = load_scenario(args.scenario)
     weight = parse_weight(args.weight)
-    base_cfg = {k: str(v) for k, v in scenario_to_config(scen).items()}
+    fields = _field_values(scenario_to_config(scen))
     values = np.linspace(args.lo, args.hi, args.steps)
-    rows = [_sweep_row(scen, base_cfg, float(v), weight, args) for v in values]
+    rows = [_sweep_row(scen, fields, float(v), weight, args) for v in values]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "H0", "threshold", "verdict"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["parameter"],
-                    f"{row['value']:.17g}",
-                    f"{row['H0']:.17g}",
-                    f"{row['threshold']:.17g}",
-                    row["verdict"],
-                ]
-            )
+    _write_csv(out / "sweep.csv", rows[0].keys(), (row.values() for row in rows))
     _write_invocation(out, argv)
     flips = [
         (rows[i]["value"], rows[i + 1]["value"])
@@ -452,43 +422,57 @@ def cmd_sweep(args, argv) -> int:
     return EXIT_OK
 
 
+def _report_criterion(path: Path) -> None:
+    data = json.loads(path.read_text())
+    print(f"criterion {data['theorem']}: {data['verdict']['kind']}")
+    for cond in data.get("conditions", []):
+        print(f"  {cond['name']}: margin {cond['margin']:.6g}")
+
+
+def _report_trace(path: Path) -> None:
+    data = json.loads(path.read_text())
+    line = f"trace {data['scenario']}: t_final={data['t_final']:g}, steps={data['steps']}"
+    if data.get("t_detect") is not None:
+        line += f", t_detect={data['t_detect']:g}"
+    print(line)
+
+
+def _report_verification(path: Path) -> None:
+    for rep in json.loads(path.read_text()):
+        print(f"verify {rep['check']} on {rep['scenario']}: {rep['status']}")
+
+
+def _report_sweep(path: Path) -> None:
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    verdicts = {}
+    for row in rows:
+        verdicts[row["verdict"]] = verdicts.get(row["verdict"], 0) + 1
+    counts = ", ".join(f"{k}: {v}" for k, v in sorted(verdicts.items()))
+    print(f"sweep over {rows[0]['parameter']} ({len(rows)} rows) -> {counts}")
+
+
+# artifact -> its summary, in the order report prints them
+_REPORTS = {
+    "criterion_report.json": _report_criterion,
+    "trace_summary.json": _report_trace,
+    "verification_reports.json": _report_verification,
+    "sweep.csv": _report_sweep,
+}
+
+
 def cmd_report(args, argv) -> int:
     out = Path(args.out)
     if not out.is_dir():
         raise ConfigError(f"output directory not found: {args.out}")
-    found = False
-    crit = out / "criterion_report.json"
-    if crit.is_file():
-        found = True
-        data = json.loads(crit.read_text())
-        print(f"criterion {data['theorem']}: {data['verdict']['kind']}")
-        for cond in data.get("conditions", []):
-            print(f"  {cond['name']}: margin {cond['margin']:.6g}")
-    summary = out / "trace_summary.json"
-    if summary.is_file():
-        found = True
-        data = json.loads(summary.read_text())
-        line = f"trace {data['scenario']}: t_final={data['t_final']:g}, steps={data['steps']}"
-        if data.get("t_detect") is not None:
-            line += f", t_detect={data['t_detect']:g}"
-        print(line)
-    ver = out / "verification_reports.json"
-    if ver.is_file():
-        found = True
-        for rep in json.loads(ver.read_text()):
-            print(f"verify {rep['check']} on {rep['scenario']}: {rep['status']}")
-    sweep = out / "sweep.csv"
-    if sweep.is_file():
-        found = True
-        with open(sweep, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        verdicts = {}
-        for row in rows:
-            verdicts[row["verdict"]] = verdicts.get(row["verdict"], 0) + 1
-        counts = ", ".join(f"{k}: {v}" for k, v in sorted(verdicts.items()))
-        print(f"sweep over {rows[0]['parameter']} ({len(rows)} rows) -> {counts}")
+    found = [out / name for name in _REPORTS if (out / name).is_file()]
     if not found:
         raise ConfigError(f"no artifacts found in {args.out}")
+    for path in found:
+        try:
+            _REPORTS[path.name](path)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
     return EXIT_OK
 
 
@@ -517,7 +501,9 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snapshot-interval", type=float, default=0.05)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="eulerblowup",
         description="Blowup criteria laboratory for compressible isentropic flow",
@@ -529,14 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_criterion_args(p_check, required_theorem=True)
     p_check.add_argument("--out", default=None, help="directory for the JSON report")
     p_check.add_argument("scenario", help="scenario config file")
-    p_check.set_defaults(func=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run the solver, write CSV artifacts")
     _add_solver_args(p_sim)
     _add_criterion_args(p_sim, required_theorem=False)
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("scenario", help="scenario config file")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run checks against a fresh trace")
     _add_solver_args(p_ver)
@@ -551,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--cone-apex", type=float, default=None)
     p_ver.add_argument("--out", default=None, help="output directory")
     p_ver.add_argument("scenario", help="scenario config file")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a criterion across a range")
     _add_criterion_args(p_sweep, required_theorem=True)
@@ -561,25 +544,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("scenario", help="scenario config file")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("report", help="summarize artifacts in a directory")
     p_rep.add_argument("--out", required=True, help="directory to summarize")
-    p_rep.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit 2 for usage errors already
         return int(exc.code or 0)
+    # looked up at each call, so a wrapper put on the module's cmd_* runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args, argv)
+        return command(args, argv)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

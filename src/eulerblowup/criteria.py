@@ -15,7 +15,6 @@ cases are visible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
@@ -26,6 +25,7 @@ from .functionals import (
     FieldSnapshot,
     SeriesRecorder,
     _band,
+    cone_band_upper,
     initial_snapshot,
     mass_functional,
     momentum_functional,
@@ -149,11 +149,6 @@ class CriterionReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # Closed-form thresholds and root constants
@@ -250,10 +245,6 @@ def general_condition_thresholds(
 # Criterion checks
 
 
-def _initial_upper(scenario: Scenario) -> float:
-    return scenario.R + 3.0 * scenario.grid.spacing(scenario.geometry)
-
-
 # A check compares initial-data functionals, fixed by the scenario and the
 # weight, against thresholds fixed by the horizon.  Each side is kept for its
 # last arguments, so consecutive checks that share a side (the rows of a tau
@@ -308,7 +299,7 @@ def _data_side(scenario: Scenario, f: TestingFunction) -> tuple[float, float]:
     """(H0, m0): weighted momentum and perturbed mass of the initial data."""
     geom = scenario.geometry
     snap = initial_snapshot(scenario)
-    H0 = momentum_functional(snap, f, geom, upper=_initial_upper(scenario))
+    H0 = momentum_functional(snap, f, geom, upper=cone_band_upper(snap, scenario.R))
     return H0, mass_functional(snap, scenario.eos, geom)
 
 
@@ -325,8 +316,12 @@ def _horizon_side(
     # directly keeps its typed errors out of integrate_fn's per-point fallback
     times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
     B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
-    horizon_integral = integrate_samples(1.0 / (a * B), tau / _HORIZON_RULE.panels, _HORIZON_RULE)
-    return B_tau, strict, 1.0 / horizon_integral
+    # a*B past the float range has a zero reciprocal; a zero integral is an
+    # infinite threshold, which the CLI rejects as an overflow
+    with np.errstate(over="ignore"):
+        reciprocal = 1.0 / (a * B)
+    horizon_integral = integrate_samples(reciprocal, tau / _HORIZON_RULE.panels, _HORIZON_RULE)
+    return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
 
 
 _initial_data = _LastCall(_data_side)
@@ -336,14 +331,16 @@ _general_horizon = _LastCall(_horizon_side)
 def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: float = 1.0) -> CriterionReport:
     """General-weight criterion: certify breakdown before tau.
 
-    Needs gamma > 1, a > 2, a weight admissible for the geometry, and a
-    positive initial weighted momentum.
+    Needs gamma > 1, a finite a > 2, a weight admissible for the geometry,
+    and a positive initial weighted momentum.
     """
     eos = scenario.eos
     if not eos.gamma > 1:
         raise ValueError("the general criterion requires gamma > 1")
     if not a > 2:
         raise ValueError("the trade-off constant a must exceed 2")
+    if a == math.inf:
+        raise ValueError("the trade-off constant a must be finite")
     if not tau > 0:
         raise ValueError("the horizon tau must be positive")
     geom = scenario.geometry
@@ -400,6 +397,10 @@ def _checked_linear_tau_threshold(R: float, sigma: float, tau: float) -> float:
     return thr
 
 
+# depends on (R, sigma, tau) only, so an amp_v sweep checks it once
+_linear_tau_threshold = _LastCall(_checked_linear_tau_threshold)
+
+
 @dataclass(frozen=True)
 class _ClosedForm:
     """How one closed-form family resolves to its case-1 or case-2 theorem.
@@ -442,7 +443,7 @@ _POWER_RADIAL = _ClosedForm(
 )
 _LINEAR_1D_TAU = _ClosedForm(
     "horizon", False, LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2,
-    lambda N, R, sigma, tau: _checked_linear_tau_threshold(R, sigma, tau), ">=",
+    lambda N, R, sigma, tau: _linear_tau_threshold(R, sigma, tau), ">=",
     "initial_momentum_meets_threshold",
     "initial momentum below the horizon threshold", _STRICT_NOTE,
     lambda N, K, m0, R, sigma, tau: linear_tau_case2_a(K, m0, R, sigma, tau),
@@ -713,9 +714,7 @@ class TheoremContext:
         self.N = self.scenario.geometry.ndim
 
     def _upper(self, snap: FieldSnapshot) -> float:
-        # sound cone plus a three-cell halo, clipped to the grid
-        upper = self.scenario.R + self.sigma * snap.t + 3.0 * snap.spacing
-        return min(upper, float(snap.centers[-1]) + 0.5 * snap.spacing)
+        return cone_band_upper(snap, self.scenario.R + self.sigma * snap.t)
 
     # -- series callables -------------------------------------------------
     def H(self, snap: FieldSnapshot) -> float:

@@ -9,7 +9,6 @@ collects them into a :class:`FunctionalSeries` as a run progresses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,6 +68,16 @@ def _band(snap: FieldSnapshot, geometry: Geometry, upper: float | None) -> np.nd
     if geometry.is_radial:
         return snap.centers <= upper
     return np.abs(snap.centers) <= upper
+
+
+def cone_band_upper(snap: FieldSnapshot, U: float) -> float:
+    """Upper bound of the band the criteria integrate over at a snapshot.
+
+    The sound cone's radius ``U = R + sigma*t`` at the snapshot's time
+    plus a three-cell halo, clipped to the grid; at t = 0, U is the bump
+    radius R.
+    """
+    return min(U + 3.0 * snap.spacing, float(snap.centers[-1]) + 0.5 * snap.spacing)
 
 
 def momentum_functional(
@@ -306,19 +315,6 @@ class FunctionalSeries:
         if self.times.size == 2:
             return np.gradient(self.H, self.times)
         return np.gradient(self.H, self.times, edge_order=2)
-
-    def to_csv(self, path) -> None:
-        dH = self.dH_dt()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "H", "B", "m", "G", "dH_dt"])
-            for k in range(self.times.size):
-                writer.writerow(
-                    [
-                        format(col[k], ".17g")
-                        for col in (self.times, self.H, self.B, self.m, self.G, dH)
-                    ]
-                )
 
 
 class SeriesRecorder:

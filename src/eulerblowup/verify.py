@@ -14,7 +14,6 @@ restricts itself to samples strictly before the detection time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -91,11 +90,6 @@ class VerificationReport:
             "reason": self.reason,
             "metrics": {k: float(v) for k, v in self.metrics.items()},
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _report(check: str, scenario: str, ok: bool, failure: str, metrics: dict) -> VerificationReport:

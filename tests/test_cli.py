@@ -110,6 +110,19 @@ class TestCheckCommand:
         data = json.loads((out / "criterion_report.json").read_text())
         assert data["verdict"]["kind"] == "blowup_before"
 
+    def test_report_json_round_trip(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "p.cfg", ["preset = cert-power-radial-n3", "grid.cells = 512"])
+        out = tmp_path / "out"
+        assert main(["check", "--theorem", "power-radial", "--out", str(out), cfg]) == 0
+        report = criteria.run_family_check(cli.load_scenario(cfg), "power-radial")
+        blob = (out / "criterion_report.json").read_text()
+        assert blob == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        back = json.loads(blob)
+        assert back["theorem"] == criteria.POWER_RADIAL_CASE1
+        assert back["verdict"]["kind"] == "blowup_before"
+        assert back["conditions"][0]["satisfied"] is True
+        assert set(back["margins"]) == {c.name for c in report.conditions}
+
     def test_inconclusive_check_still_exits_zero(self, ref_config, capsys):
         code = main(["check", "--theorem", "linear-1d-tau", ref_config])
         assert code == 0
@@ -160,6 +173,22 @@ class TestCheckCommand:
         assert code == 2
         assert err.startswith("error:") and "overflow" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("a", ["inf", "1.5e308"])
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["sweep", "--parameter", "tau", "--lo", "1", "--hi", "2", "--steps", "3"],
+    ])
+    def test_huge_trade_off_constant_is_invalid_input(self, a, command, tmp_path, capsys):
+        # 1/(a*B) underflows to 0 at every abscissa of the horizon integral
+        cfg = write_config(tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512"])
+        out = tmp_path / "out"
+        code = main([*command, "--theorem", "general-1d", "--weight", "exp:2", "--a", a, "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_infinite_threshold_is_invalid_input(self, tmp_path, capsys):
         # at tau = 400 B(tau) is finite but the strict threshold is not
@@ -278,6 +307,25 @@ class TestSimulateCommand:
         assert summary["t_final"] >= 0.1
         assert summary["blowup"] is None
         assert (out / "series.csv").read_text().splitlines()[0] == "t,H,B,m,G,dH_dt"
+
+    def test_csv_artifacts_round_trip(self, ref_config, tmp_path, capsys):
+        # every %.17g number reads back as the float the run produced
+        out = tmp_path / "sim"
+        assert main(["simulate", "--t-end", "0.1", "--out", str(out), ref_config]) == 0
+        scen = cli.load_scenario(ref_config)
+        ctx = criteria.theorem_context(scen, criteria.default_family(scen.geometry))
+        trace = cli.run(scen, cli.SolverConfig(t_end=0.1), recorder=ctx.recorder())
+        assert len(list(out.glob("snapshot_*.csv"))) == len(trace.snapshots)
+        for k, snap in enumerate(trace.snapshots):
+            back = np.loadtxt(out / f"snapshot_{k:04d}.csv", delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(back, np.column_stack([snap.centers, snap.rho, snap.V]))
+        series = trace.series
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[0] == "t,H,B,m,G,dH_dt"
+        assert len(lines) == series.times.size + 1
+        back = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
+        columns = [series.times, series.H, series.B, series.m, series.G, series.dH_dt()]
+        np.testing.assert_array_equal(back, np.column_stack(columns))
 
     def test_containment_violation_is_invalid_input(self, ref_config, tmp_path):
         out = tmp_path / "sim"
@@ -430,6 +478,19 @@ class TestSweepCommand:
         assert code == 0, capsys.readouterr().err
         assert len(calls) == 1
 
+    def test_amplitude_sweep_checks_the_reciprocity_identity_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        original = criteria.integrate_fn
+        monkeypatch.setattr(criteria, "integrate_fn", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(criteria._linear_tau_threshold, "last", None)
+        cfg = write_config(tmp_path / "s.cfg", ["preset = cert-linear-tau-1d", "grid.cells = 512"])
+        code = main([
+            "sweep", "--theorem", "linear-1d-tau", "--parameter", "amp_v",
+            "--lo", "1", "--hi", "3", "--steps", "16", "--out", str(tmp_path / "o"), cfg,
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert len(calls) == 1
+
 
 # family -> (preset, weight, a): the certified presets of the sweep benchmark
 SWEEP_PRESETS = {
@@ -440,11 +501,16 @@ SWEEP_PRESETS = {
     "linear-1d": ("cert-linear-infinite-1d", None, 4.0),
 }
 
-# SHA-256 of sweep.csv for 64-row sweeps at the presets' 4096 cells, amp_v
-# over [0.5, 1.8] times the preset's amplitude and tau over [0.3, 2], as the
-# checks wrote them when they recomputed both sides at every row (numpy 2.4,
-# x86-64): with numpy's AVX-512 kernels and, where their last bits differ,
-# without them
+# ranges of the pinned sweeps; amp_v runs over [0.5, 1.8] times the preset's
+# amplitude
+SWEEP_RANGES = {"tau": (0.3, 2.0), "amp_rho": (-0.05, 0.05), "gamma": (2.0, 3.0), "R": (0.6, 1.2)}
+
+# SHA-256 of sweep.csv for 64-row sweeps at the presets' 4096 cells (numpy
+# 2.4, x86-64). The amp_v and tau digests are as the checks wrote them when
+# they recomputed both sides at every row: with numpy's AVX-512 kernels and,
+# where their last bits differ, without them. The amp_rho, gamma and R
+# digests are as the sweep wrote them when it rebuilt each row's scenario
+# from the text of its config, with AVX-512 kernels only.
 PINNED_SWEEP_CSV = {
     ("general-1d", "amp_v"): (
         "a5dfd24977024193c0be34b0fd567c2afce7ac7e918f24d9072122ba26dca8b5",
@@ -468,6 +534,21 @@ PINNED_SWEEP_CSV = {
         "d98142ed37d000fc40eea08159a43341e2d10d51e9f00c7353092a3f3477e9a3",
     ),
     ("power-radial", "tau"): ("b5590721e44febfce883e17db7c82d7572cab31983fd5d627ee71ef4ef6a0b3a",),
+    ("general-1d", "amp_rho"): ("063fece25679d4a9af1e4d95d8e743dfbb1248d88ecbcb6d53312c27b86a092c",),
+    ("general-1d", "gamma"): ("a15a37c104b3203c0655b0d8a3860f7eaaa808ccdd0bb58b416bf2d039da748a",),
+    ("general-1d", "R"): ("41362fc92891075705ab55ccb3a0fab8ace2ac8d9bda8cc63acbc4abfabf887e",),
+    ("general-radial", "amp_rho"): ("c24e49bdff2f0466cca4cafee5664d7e1223b950cae6fb428b9e478a56b70241",),
+    ("general-radial", "gamma"): ("cba50966157c0686ea16ab3872362f6d96fc9cba2d31615db24cfec109cf4b1a",),
+    ("general-radial", "R"): ("ff46cfafbe34f3779e7ae56fb5874e5830355f02044c1e641a5f681938df8264",),
+    ("linear-1d", "amp_rho"): ("4438e13cef262c60a6f84fdeb23e7ba34078b02d9540fa642de75ddfe0624145",),
+    ("linear-1d", "gamma"): ("9bc03f04f2df0c0a825fc96191e43b9ac85f483288284a4a57b89cea1e0964c9",),
+    ("linear-1d", "R"): ("6c19e170f9d3062c6d41a2d118e117f6e04c2c668e4eae8f20ca7e06554c722d",),
+    ("linear-1d-tau", "amp_rho"): ("037b918be071fc87ac4089fb2199871fbfecf9191bbae74c244ae729a0e4eb2f",),
+    ("linear-1d-tau", "gamma"): ("c1ea36cc8dd24cc8f093d5e24b7c0f19c5c326a736e3ffb97f10502d128b9be3",),
+    ("linear-1d-tau", "R"): ("19a418f9aaf847abe994ad640835264be1530a8a8889baf2f32b320ed6f8fc44",),
+    ("power-radial", "amp_rho"): ("a937b87ccd4bf970dcb99a26ac57df8e351dc437308d0cbe7a957722264c0973",),
+    ("power-radial", "gamma"): ("525cc3937d1b783a7f8372248e5b9cfed6290f83fdee53e1737b827403b714ca",),
+    ("power-radial", "R"): ("f9c508d225740ab93f586533dc62830b973eff912245bcf4e0d1dae3074ef502",),
 }
 
 
@@ -478,7 +559,7 @@ def sweep_csv_sha256(family: str, parameter: str, tmp_path) -> str:
         amp = PRESETS[preset]().amp_v
         lo, hi = 0.5 * amp, 1.8 * amp
     else:
-        lo, hi = 0.3, 2.0
+        lo, hi = SWEEP_RANGES[parameter]
     out = tmp_path / f"{family}-{parameter}"
     argv = ["sweep", "--theorem", family, "--parameter", parameter, "--lo", repr(lo), "--hi", repr(hi),
             "--steps", "64", "--a", repr(a), "--out", str(out), cfg]
@@ -490,9 +571,10 @@ def sweep_csv_sha256(family: str, parameter: str, tmp_path) -> str:
 
 class TestSweepArtifactsPinned:
     """Sweep CSVs stay byte for byte as they were before the criterion
-    checks kept their initial-data and horizon sides between rows."""
+    checks kept their initial-data and horizon sides between rows, and
+    before the sweep built its rows from typed field values."""
 
-    @pytest.mark.parametrize("parameter", ["amp_v", "tau"])
+    @pytest.mark.parametrize("parameter", list(cli.SWEEPABLE))
     @pytest.mark.parametrize("family", sorted(SWEEP_PRESETS))
     def test_sweep_csv_matches_pinned_digest(self, family, parameter, tmp_path, capsys):
         assert sweep_csv_sha256(family, parameter, tmp_path) in PINNED_SWEEP_CSV[(family, parameter)]
@@ -509,6 +591,22 @@ class TestReportCommand:
         assert code == 0
         assert "criterion linear_1d_tau_case1: blowup_before" in stdout
         assert "trace " in stdout
+
+    @pytest.mark.parametrize("name, text", [
+        ("sweep.csv", "parameter,value,H0,threshold,verdict\n"),
+        ("criterion_report.json", "{}"),
+        ("verification_reports.json", '[{"check": "mass"}]'),
+        ("trace_summary.json", "not json"),
+    ])
+    def test_malformed_artifact_is_invalid_input(self, name, text, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        out.mkdir()
+        (out / name).write_text(text)
+        code = main(["report", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: malformed artifact {out / name}:")
+        assert "Traceback" not in err
 
     def test_empty_directory_is_invalid_input(self, tmp_path):
         empty = tmp_path / "empty"
@@ -534,6 +632,22 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "eulerblowup 0.1.0"
+
+    def test_two_calls_build_one_parser(self, ref_config, capsys):
+        cli.build_parser.cache_clear()
+        assert main(["check", "--theorem", "linear-1d-tau", ref_config]) == 0
+        assert main(["--version"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_commands_are_looked_up_at_each_call(self, monkeypatch, capsys):
+        # a wrapper put on the module after the parser is built still runs
+        assert main(["--version"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args, argv: seen.append(argv) or 7)
+        argv = ["sweep", "--theorem", "linear-1d", "--parameter", "amp_v", "--lo", "0", "--hi", "1",
+                "--steps", "2", "--out", "x", "s.cfg"]
+        assert main(argv) == 7
+        assert seen == [argv]
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

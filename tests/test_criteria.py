@@ -62,6 +62,8 @@ from eulerblowup.model import (
 )
 from eulerblowup.quadrature import QuadratureRule, SIMPSON, integrate_fn
 from eulerblowup.scenarios import (
+    CERTIFIED_PRESETS,
+    certified_case,
     certified_general_1d_case,
     certified_general_radial_case,
     certified_linear_infinite_case,
@@ -227,6 +229,15 @@ class TestCheckGeneral:
             check_general(scen, linear(), tau=0.0)
         with pytest.raises(ValueError):
             check_general(bump(Geometry.radial(1), gamma=1.0), linear())
+        with pytest.raises(ValueError, match="finite"):
+            check_general(scen, linear(), a=math.inf)
+
+    def test_huge_trade_off_constant_gives_an_infinite_horizon_threshold(self):
+        # 1/(a*B) underflows to 0 at every abscissa: a zero horizon integral
+        case = certified_general_1d_case(cells=512)
+        report = check_general(case.scenario, case.f, a=1.5e308, tau=case.tau)
+        assert report.inputs["horizon_threshold"] == math.inf
+        assert report.verdict.kind == "inconclusive"
 
     def test_weight_admissibility_by_geometry(self):
         # exponential weights do not vanish at the radial origin
@@ -555,6 +566,13 @@ class TestCheckLinear1d:
 
 
 class TestCheckLinear1dTau:
+    def test_grid_edge_within_the_halo_clips_the_band(self):
+        # R + 3 dx lies past the grid's edge; the band stops there and still
+        # holds the whole bump: H(0) = 16/105 amp_v R**2
+        scen = bump(Geometry.cartesian1d(), extent=1.001, cells=4096)
+        report = check_linear_1d_tau(scen)
+        assert report.inputs["H0"] == pytest.approx(16.0 / 105.0 * 0.02, rel=1e-6)
+
     def test_case1_uses_nonstrict_comparison(self):
         case = certified_linear_tau_case(cells=512)
         report = check_linear_1d_tau(case.scenario, tau=case.tau)
@@ -932,11 +950,13 @@ class TestTheoremContext:
             got = ctx.G(t, h, m0, snap)
             assert got == pytest.approx(slack(ctx.a, h, m0, 1.0 + SQRT2), rel=1e-13)
 
-    def test_context_momentum_matches_report(self):
-        case = certified_power_radial_case(cells=512)
-        ctx = theorem_context(case.scenario, case.family, case.tau)
-        snap = initial_snapshot(case.scenario)
-        assert ctx.H(snap) == pytest.approx(ctx.report.inputs["H0"], rel=1e-12)
+    @pytest.mark.parametrize("cells", [512, 1024, 4096])
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))
+    def test_context_momentum_matches_report(self, name, cells):
+        # the report's H0 and the series' H at t = 0 integrate over one band
+        case = certified_case(name, cells)
+        ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+        assert ctx.H(initial_snapshot(case.scenario)) == ctx.report.inputs["H0"]
 
     def test_recorder_smoke(self):
         case = certified_power_radial_case(cells=512)
@@ -957,16 +977,3 @@ class TestTheoremContext:
         scen = bump(Geometry.radial(1))
         with pytest.raises(ValueError):
             run_family_check(scen, "mystery")
-
-
-class TestReportSerialization:
-    def test_round_trip(self, tmp_path):
-        case = certified_power_radial_case(cells=512)
-        report = check_power_radial(case.scenario, tau=case.tau)
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        back = json.loads(path.read_text())
-        assert back["theorem"] == POWER_RADIAL_CASE1
-        assert back["verdict"]["kind"] == "blowup_before"
-        assert back["conditions"][0]["satisfied"] is True
-        assert set(back["margins"]) == {c.name for c in report.conditions}

@@ -202,18 +202,6 @@ class TestSeries:
         with pytest.raises(ValueError):
             FunctionalSeries(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
 
-    def test_csv_round_trip(self, tmp_path):
-        t = np.linspace(0.0, 0.4, 5)
-        series = FunctionalSeries(t, 2 * t, np.ones_like(t), np.zeros_like(t), t - 1.0)
-        path = tmp_path / "series.csv"
-        series.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,H,B,m,G,dH_dt"
-        assert len(lines) == 6
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(back[:, 0], t, rtol=1e-15)
-        np.testing.assert_allclose(back[:, 5], 2.0, rtol=1e-12)
-
     def test_recorder_freezes_initial_mass(self):
         geom = Geometry.cartesian1d()
         seen_m0 = []
