@@ -216,10 +216,22 @@ def parse_weight(spec: str | None) -> TestingFunction | None:
 # Artifacts
 
 
+def _finite_or_null(data):
+    """``data`` with every non-finite float, which JSON cannot hold, as None."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {k: _finite_or_null(v) for k, v in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite_or_null(v) for v in data]
+    return data
+
+
 def _write_json(path: Path, data) -> None:
-    """A JSON artifact: indent 2, sorted keys, one trailing newline."""
+    """A JSON artifact: indent 2, sorted keys, one trailing newline; a NaN or
+    infinite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(data), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -426,7 +438,8 @@ def _report_criterion(path: Path) -> None:
     data = json.loads(path.read_text())
     print(f"criterion {data['theorem']}: {data['verdict']['kind']}")
     for cond in data.get("conditions", []):
-        print(f"  {cond['name']}: margin {cond['margin']:.6g}")
+        margin = cond["margin"]
+        print(f"  {cond['name']}: margin {float('nan') if margin is None else margin:.6g}")
 
 
 def _report_trace(path: Path) -> None:

@@ -166,11 +166,16 @@ class BumpProfile:
         xs = np.asarray(x, dtype=float)
         y = xs / self.R
         inside = np.abs(y) <= 1.0
+        if np.isscalar(x):
+            return float(np.where(inside, self.amp * self._shape(y), 0.0))
+        # the quartic on |x| <= R only; +0.0 elsewhere, NaN included
+        vals = np.zeros_like(y)
+        vals[inside] = self.amp * self._shape(y[inside])
+        return vals
+
+    def _shape(self, y):
         shape = (1.0 - y ** 2) ** 2
-        if self.odd:
-            shape = y * shape
-        vals = np.where(inside, self.amp * shape, 0.0)
-        return float(vals) if np.isscalar(x) else vals
+        return y * shape if self.odd else shape
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,13 @@ Blowup is proxied by two detectors: a per-cell velocity jump reaching a
 fixed fraction of the background sound speed, and the CFL time step
 falling under a floor.
 
-The kernel.  ``step`` stacks (rho, rho*V) of its n cells in one (2, n + 4)
-buffer with two ghost cells per side written in place: the far-field
-background on the right (and on the left in the slab), the reflection
-across r = 0 on the left in radial geometry.  ``_rhs`` works on both
+The kernel.  ``_advance`` advances the cells [a, b) of a (2, n + 4) buffer
+of (rho, rho*V) in place by one step, with two ghost columns per side: it
+writes the far-field background (rho_bar, +0.0) into the two columns
+beyond each end of the window, and ``_rhs`` overwrites the left pair with
+the reflection across r = 0 in radial geometry.  ``step`` wraps it: it
+checks dt, copies a snapshot into a fresh buffer, advances every cell and
+returns a new snapshot.  ``_rhs`` works on both
 variables at once: one difference and one minmod pass for the slopes,
 the left and right face states in one (2, 2, n + 1) array, the sound
 speed, pressure and flux of those states once per stage, and one
@@ -37,7 +40,7 @@ same bits as the separate per-variable kernel it replaced:
   f[j+1] or a multiplication by -1/dx would move the sign of a zero or
   the last bit.
 
-The window.  ``run`` keeps one full-grid (rho, V) pair and updates it in
+The window.  ``run`` keeps one full-grid (rho, V) state and updates it in
 place.  The background (rho_bar, 0) is a bitwise fixed point of both
 schemes, so a cell can leave it only when a perturbed cell lies within
 the reach of one step: one cell per stage, two per MUSCL step and one per
@@ -45,19 +48,37 @@ first-order step.  The MUSCL stencil spans two cells per side, but the
 minmod slope of a background cell with a background neighbour is zero, so
 a face between two background cells carries the background flux, and a
 background cell changes in a stage only next to a perturbed one.  Each step
-therefore hands ``step`` the cells [lo - reach, hi + reach] around the
-perturbed range [lo, hi], clipped to the grid and always starting at the
-origin in radial geometry, where the reflection ghost applies; every
-other cell stays as it is.  The window keeps the full grid's spacing, not
-one recomputed from its own centers, so the result equals a full-grid
-step bit for bit.  ``cfl_dt`` and ``detect_blowup`` then read that window
-widened by one cell on each side: it holds every perturbed cell and, unless
-the perturbation spans the grid, a background cell, whose speed |V| + c
-is the same in every background cell, so the maximum speed and the
-largest velocity jump are the full grid's.  Only the first time step and
-the detector at t = 0 read the full grid.  A run with no perturbed cell
-only advances the time.  The state is copied only for a snapshot or a
-recorder sample.
+therefore advances the cells [lo - reach, hi + reach] around the perturbed
+range [lo, hi], clipped to the grid and always starting at the origin in
+radial geometry, where the reflection ghost applies; every other cell
+stays as it is.  The window keeps the full grid's spacing, so the result
+equals a full-grid step bit for bit.  ``cfl_dt`` and ``detect_blowup``
+then read that window widened by one cell on each side, the view: it holds
+every perturbed cell and, unless it is the whole grid, a background cell,
+whose speed |V| + c is the same in every background cell, so the maximum
+speed and the largest velocity jump are the full grid's.  Only the first
+time step and the detector at t = 0 read the full grid.  A run with no
+perturbed cell only advances the time.
+
+In place.  ``run`` allocates the kernel's ghosted buffer once per run,
+with the state's rho as its density row, and the MUSCL stage buffer and
+the radial coefficient once per run too.  Each step writes rho*V of the
+window into the momentum row, hands the window to ``_advance`` and writes
+V = (rho*V)/rho back, the same operations ``step`` does on a copy.  The
+ghost columns beyond the window are cells of the grid, background cells
+by the reach argument, or the buffer's own ghosts at its ends; the kernel
+overwrites them with (rho_bar, +0.0) in both buffers, because a background
+cell may hold V = -0.0, whose momentum is -0.0, and the stage buffer holds
+the last step's stage there.  The state is copied only for a snapshot or
+a recorder sample.
+
+The time step.  ``run`` does not rescan its window for the unit-CFL limit
+that ``step`` checks.  Its dt is at most cfl < 1 times dx over the view's
+maximum speed, and every cell of the window lies in the view or is a
+background cell, whose speed the view holds, so the window's maximum
+speed is at most the view's and dt stays under dx over it (rounding is
+monotone, so the bound holds in floating point).  ``run`` keeps the check
+dt > 0, which a NaN in the state fails: its speed, and so dt, is NaN.
 """
 
 from __future__ import annotations
@@ -138,15 +159,6 @@ def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
     return float(cfl * snap.spacing / np.max(speed))
 
 
-def _ghosted(n: int, eos: EosParams) -> np.ndarray:
-    """A (2, n + 4) buffer of (rho, rho*V) with the far-field ghosts (rho_bar, 0)
-    written on both sides; radial geometry overwrites the left pair."""
-    u = np.empty((2, n + 4))
-    u[0, :2] = u[0, -2:] = eos.rho_bar
-    u[1, :2] = u[1, -2:] = 0.0
-    return u
-
-
 def _rhs(
     u: np.ndarray,
     dx: float,
@@ -169,10 +181,8 @@ def _rhs(
         # the face states are the cells next to each face: evaluate each once
         states = u[:, 1:-1]
         left, right = states[:, :-1], states[:, 1:]
-
-        def sides(x):
-            return x[:-1], x[1:]
-
+        # index of the left and right state of every face in a per-state array
+        il, ir = slice(None, -1), slice(1, None)
     else:
         d = np.subtract(u[:, 1:], u[:, :-1])
         dl, dr = d[:, :-1], d[:, 1:]
@@ -189,14 +199,14 @@ def _rhs(
         left, right = states[:, 0], states[:, 1]
         np.add(u[:, 1:-2], half[:, :-1], out=left)
         np.subtract(u[:, 2:-1], half[:, 1:], out=right)
-        if left[0].min() <= 0 or right[0].min() <= 0:
+        # the least left and the least right face density, in one reduction
+        least_l, least_r = np.minimum.reduce(states[0], axis=1)
+        if least_l <= 0 or least_r <= 0:
             # limited face states should stay positive; fall back locally
             bad = (left[0] <= 0) | (right[0] <= 0)
             np.copyto(left, u[:, 1:-2], where=bad)
             np.copyto(right, u[:, 2:-1], where=bad)
-
-        def sides(x):
-            return x[0], x[1]
+        il, ir = 0, 1
 
     rho_s, mom_s = states
     v = mom_s / rho_s
@@ -204,15 +214,14 @@ def _rhs(
     speed += np.abs(v)
     mv = np.multiply(v, mom_s, out=v)
     p = eos.K * rho_power(rho_s, eos.gamma)
-    (speed_l, speed_r), (p_l, p_r), (mv_l, mv_r) = sides(speed), sides(p), sides(mv)
     # Rusanov flux: the central average minus half the larger speed times the jump
-    half_a = np.maximum(speed_l, speed_r)
+    half_a = np.maximum(speed[il], speed[ir])
     half_a *= 0.5
     flux = np.empty((2, n + 1))
     np.add(left[1], right[1], out=flux[0])
-    np.add(mv_l, p_l, out=flux[1])
-    flux[1] += mv_r
-    flux[1] += p_r
+    np.add(mv[il], p[il], out=flux[1])
+    flux[1] += mv[ir]
+    flux[1] += p[ir]
     flux *= 0.5
     jump = right - left
     jump *= half_a
@@ -227,6 +236,67 @@ def _rhs(
         source *= mom / rho
         du[1] -= source
     return du
+
+
+def _radial_coeff(centers: np.ndarray, dx: float, geometry: Geometry) -> np.ndarray | None:
+    """The radial source coefficient (N - 1)/r of each cell, None when there is no source."""
+    if geometry.is_radial and geometry.ndim > 1:
+        return (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx)
+    return None
+
+
+def _advance(
+    U: np.ndarray,
+    U1: np.ndarray | None,
+    a: int,
+    b: int,
+    t: float,
+    dt: float,
+    centers: np.ndarray,
+    dx: float,
+    coeff: np.ndarray | None,
+    geometry: Geometry,
+    eos: EosParams,
+    reconstruction: str,
+) -> None:
+    """Advance cells [a, b) of the ghosted (2, n + 4) (rho, rho*V) buffer U by dt, in place.
+
+    Column j + 2 of U holds cell j.  The two columns on each side of the
+    window are written as the far-field ghost (rho_bar, +0.0) first, in U
+    and in the MUSCL stage buffer U1 (same shape; None for first order), so
+    the cells there must be background cells; in radial geometry a must be
+    0.  ``centers`` and ``coeff`` cover all n cells; ``t`` is the time
+    before the step.  Raises NegativeDensityError on a non-positive stage
+    or final density, leaving the window's cells undefined.
+    """
+    rho_bar = eos.rho_bar
+    u = U[:, a:b + 4]
+    u[0, :2] = u[0, -2:] = rho_bar
+    u[1, :2] = u[1, -2:] = 0.0
+    state = u[:, 2:-2]
+    args = (dx, None if coeff is None else coeff[a:b], geometry, eos, reconstruction)
+    d1 = _rhs(u, *args)
+    d1 *= dt
+    if reconstruction == MUSCL:
+        u1 = U1[:, a:b + 4]
+        u1[0, :2] = u1[0, -2:] = rho_bar
+        u1[1, :2] = u1[1, -2:] = 0.0
+        stage = u1[:, 2:-2]
+        np.add(state, d1, out=stage)
+        if stage[0].min() <= 0:
+            i = int(np.argmin(stage[0]))
+            raise NegativeDensityError(t + dt, centers[a + i], stage[0, i])
+        d2 = _rhs(u1, *args)
+        d2 *= dt
+        state += stage
+        state += d2
+        state *= 0.5
+    else:
+        state += d1
+    rho = state[0]
+    if rho.min() <= 0:
+        i = int(np.argmin(rho))
+        raise NegativeDensityError(t + dt, centers[a + i], rho[i])
 
 
 def step(
@@ -244,35 +314,14 @@ def step(
         raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
     dx, centers = snap.spacing, snap.centers
     n = centers.size
-    coeff = None
-    if geometry.is_radial and geometry.ndim > 1:
-        coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx)
-    u = _ghosted(n, eos)
-    state = u[:, 2:-2]
-    state[0] = snap.rho
-    np.multiply(snap.rho, snap.V, out=state[1])
-    args = (dx, coeff, geometry, eos, reconstruction)
-    d1 = _rhs(u, *args)
-    d1 *= dt
-    if reconstruction == MUSCL:
-        u1 = _ghosted(n, eos)
-        stage = u1[:, 2:-2]
-        np.add(state, d1, out=stage)
-        if stage[0].min() <= 0:
-            i = int(np.argmin(stage[0]))
-            raise NegativeDensityError(snap.t + dt, centers[i], stage[0, i])
-        d2 = _rhs(u1, *args)
-        d2 *= dt
-        new = state + stage
-        new += d2
-        new *= 0.5
-    else:
-        new = state + d1
-    rho_new, mom_new = new
-    if rho_new.min() <= 0:
-        i = int(np.argmin(rho_new))
-        raise NegativeDensityError(snap.t + dt, centers[i], rho_new[i])
-    return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho_new, V=mom_new / rho_new, spacing=dx)
+    U = np.empty((2, n + 4))
+    U[0, 2:-2] = snap.rho
+    np.multiply(snap.rho, snap.V, out=U[1, 2:-2])
+    U1 = np.empty_like(U) if reconstruction == MUSCL else None
+    coeff = _radial_coeff(centers, dx, geometry)
+    _advance(U, U1, 0, n, snap.t, dt, centers, dx, coeff, geometry, eos, reconstruction)
+    rho, mom = U[:, 2:-2]
+    return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho, V=mom / rho, spacing=dx)
 
 
 # cells one step can carry a disturbance: one per stage (see the module docstring)
@@ -320,8 +369,16 @@ def run(
         )
     snap = initial_snapshot(scenario)
     centers, dx = snap.centers, snap.spacing
-    rho, V = snap.rho.copy(), snap.V.copy()  # the state, updated in place
-    n = rho.size
+    n = centers.size
+    # the state (rho, V), updated in place; rho is the density row of the
+    # kernel's ghosted buffer (see "In place" in the module docstring)
+    U = np.empty((2, n + 4))
+    rho, mom = U[:, 2:-2]
+    rho[:] = snap.rho
+    V = snap.V.copy()
+    U1 = np.empty_like(U) if config.reconstruction == MUSCL else None
+    coeff = _radial_coeff(centers, dx, geom)
+    reach = _REACH[config.reconstruction]
     perturbed = _perturbed(rho, V, eos.rho_bar)
     snapshots = [snap]
     blowup = detect_blowup(snap, eos, det)
@@ -345,14 +402,15 @@ def run(
             t += dt
             lo, hi = 0, 2
         else:
-            reach = _REACH[config.reconstruction]
+            if not dt > 0:
+                raise ValueError("dt must be positive")
             a = 0 if geom.is_radial else max(perturbed[0] - reach, 0)
             b = min(perturbed[1] + reach + 1, n)
-            window = FieldSnapshot(t, centers[a:b], rho[a:b], V[a:b], dx)
-            moved = step(window, eos, geom, dt, config.reconstruction)
-            rho[a:b], V[a:b] = moved.rho, moved.V
-            t = moved.t
-            perturbed = _perturbed(moved.rho, moved.V, eos.rho_bar, a)
+            np.multiply(rho[a:b], V[a:b], out=mom[a:b])
+            _advance(U, U1, a, b, t, dt, centers, dx, coeff, geom, eos, config.reconstruction)
+            np.divide(mom[a:b], rho[a:b], out=V[a:b])
+            t += dt
+            perturbed = _perturbed(rho[a:b], V[a:b], eos.rho_bar, a)
             lo, hi = max(a - 1, 0), min(b + 1, n)
         view = FieldSnapshot(t, centers[lo:hi], rho[lo:hi], V[lo:hi], dx)
         steps += 1

@@ -31,6 +31,15 @@ def write_config(path, lines):
     return str(path)
 
 
+def strict_json(path):
+    """The JSON file at path, refusing the NaN and Infinity tokens RFC 8259 lacks."""
+
+    def reject(token):
+        raise ValueError(f"{path.name}: non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture()
 def ref_config(tmp_path):
     return write_config(
@@ -242,7 +251,7 @@ class TestCheckCommand:
         assert code == 0, captured.err
         assert "verdict: inconclusive" in captured.out
         data = json.loads((out / "criterion_report.json").read_text())
-        assert np.isnan(data["inputs"]["threshold"])
+        assert data["inputs"]["threshold"] is None
 
     @pytest.mark.parametrize("amp_rho", ["-1e-9", "-1e-16"])
     def test_slightly_negative_mass_resolves_to_case2(self, amp_rho, tmp_path, capsys):
@@ -578,6 +587,97 @@ class TestSweepArtifactsPinned:
     @pytest.mark.parametrize("family", sorted(SWEEP_PRESETS))
     def test_sweep_csv_matches_pinned_digest(self, family, parameter, tmp_path, capsys):
         assert sweep_csv_sha256(family, parameter, tmp_path) in PINNED_SWEEP_CSV[(family, parameter)]
+
+
+# SHA-256 over the name and bytes of every snapshot_NNNN.csv, then
+# trace_summary.json, that simulate --out writes for each preset at 1024
+# cells (numpy 2.4, x86-64, AVX-512), as the solver wrote them when every
+# step of run went through step on a copied window
+PINNED_SIMULATE = {
+    ("cert-general-1d-exp", "muscl"): "9c0907c96172b351b30b36ad2197773e8e5e32527dbf1f62373b9fe168096220",
+    ("cert-general-1d-exp", "first_order"): "747e536de7fa2d010ac86bcf685d1c697436d49562ec7c0b5f61aea0dec80ea7",
+    ("cert-general-radial-n1", "muscl"): "6f55e40315e05fdcfa2082e5643381505d5d1b056aa6366f7e0448a70ba8d451",
+    ("cert-general-radial-n1", "first_order"): "810f079a6cf9d27564658001678a924810b3c85931d4aa6200a3b34b5e815051",
+    ("cert-linear-infinite-1d", "muscl"): "c009b03cf7bb2d069672732980efd1dc5800526d4cbaa1a997c7e2df11be2711",
+    ("cert-linear-infinite-1d", "first_order"): "78a2226a2bef2df82750fa52746a52ad59486f1f039683f0c0db17fdbfb08847",
+    ("cert-linear-tau-1d", "muscl"): "6825fbd9acda9fd73f296c0fc0a349ad7d597f58ad93629626835e74bf220629",
+    ("cert-linear-tau-1d", "first_order"): "881491945edbce90e41285a0ff2fa52b6298d93084edb72f9251e1f7c6aa2089",
+    ("cert-power-radial-n3", "muscl"): "ca8dead762c92923646b32041eb865da80c10073bfeda9f2cf637281fcb41e8e",
+    ("cert-power-radial-n3", "first_order"): "43e06a65540151024fb940b7559e903ef1217b1e7082bd8bbbe0d405bf294fc2",
+    ("constant-1d", "muscl"): "96218916437534e6408c35e7bfd179b58a6b5cc54a3bf0bdb0b8663b6a22ba89",
+    ("constant-1d", "first_order"): "96218916437534e6408c35e7bfd179b58a6b5cc54a3bf0bdb0b8663b6a22ba89",
+    ("constant-radial3", "muscl"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
+    ("constant-radial3", "first_order"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
+    ("ref-1d", "muscl"): "6cb7d57b213d920784947fd5eaf49f3e938e1b2266b5968f89d66b6a7b4f5b95",
+    ("ref-1d", "first_order"): "91e38dcaee4cda88901056fe4c99ccfd7ba11043d9752d2d48d738ff4bde756e",
+    ("ref-radial1", "muscl"): "1100725ec7d7490519a3bb209b410f16d5d8cd59f36930378e97fd7b19105e1d",
+    ("ref-radial1", "first_order"): "c704eabf7608593fad9681e60e198c8022417c510070715ea149ab310c512bcd",
+    ("ref-radial3", "muscl"): "0856ef455e688613552544b7986530d01b943255aa0f021d2d35a23568dfbb16",
+    ("ref-radial3", "first_order"): "2cdf76c17900ade9f9762d7bbe7d91c1cf606ea20bf443f9a8bbdc2fb6a31c9d",
+}
+
+
+class TestSimulateArtifactsPinned:
+    """The solver's artifacts stay byte for byte as they were before run
+    stepped its window in place. series.csv is left out: its B and G
+    columns go through transcendental weights, whose last bits vary with
+    numpy's SIMD kernels."""
+
+    @pytest.mark.parametrize("recon", ["muscl", "first_order"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_snapshots_and_summary_match_pinned_digest(self, preset, recon, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.cfg", [f"preset = {preset}", "grid.cells = 1024"])
+        out = tmp_path / "out"
+        assert main(["simulate", "--reconstruction", recon, "--out", str(out), cfg]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.glob("snapshot_*.csv")) + [out / "trace_summary.json"]:
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == PINNED_SIMULATE[(preset, recon)]
+
+
+class TestNonFiniteArtifacts:
+    """Every JSON artifact parses strictly: a non-finite float is written as null."""
+
+    @pytest.mark.parametrize(
+        "preset, theorem", [("ref-radial3", "power-radial"), ("ref-1d", "linear-1d-tau")]
+    )
+    def test_uncovered_negative_mass_report_is_strict_json(self, preset, theorem, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "n.cfg",
+            [f"preset = {preset}", "grid.cells = 256", "eos.gamma = 3.0", "amp_rho = -0.1"],
+        )
+        out = tmp_path / "out"
+        assert main(["check", "--theorem", theorem, "--out", str(out), cfg]) == 0
+        data = strict_json(out / "criterion_report.json")
+        assert data["inputs"]["threshold"] is None
+        assert data["verdict"]["kind"] == "inconclusive"
+        assert main(["report", "--out", str(out)]) == 0
+
+    def test_dt_floor_summary_is_strict_json(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "f.cfg", ["preset = ref-1d", "grid.cells = 256", "detector.dt_floor = 1.0"])
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out), cfg]) == 0
+        blowup = strict_json(out / "trace_summary.json")["blowup"]
+        assert blowup["cause"] == "dt_floor" and blowup["location"] is None
+        assert main(["report", "--out", str(out)]) == 0
+
+    def test_infinite_values_are_null(self, tmp_path):
+        path = tmp_path / "x.json"
+        cli._write_json(path, {"a": [float("inf"), -float("inf"), 1.5], "b": (float("nan"), 2)})
+        assert strict_json(path) == {"a": [None, None, 1.5], "b": [None, 2]}
+
+    def test_report_prints_a_null_margin_as_nan(self, cert_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", "--theorem", "linear-1d-tau", "--out", str(out), cert_config]) == 0
+        path = out / "criterion_report.json"
+        data = json.loads(path.read_text())
+        data["conditions"][0]["margin"] = None
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        name = data["conditions"][0]["name"]
+        assert f"  {name}: margin nan" in capsys.readouterr().out
 
 
 class TestReportCommand:

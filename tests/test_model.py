@@ -152,6 +152,38 @@ class TestBumpProfile:
         xs = np.linspace(0.0, 1.0, 20001)
         assert np.max(bump(xs)) <= bump(y) + 1e-9
 
+    @staticmethod
+    def _where_form(bump, x):
+        # the quartic on every point, masked by np.where; inf * 0 outside is NaN
+        y = np.asarray(x, dtype=float) / bump.R
+        with np.errstate(invalid="ignore"):
+            shape = (1.0 - y ** 2) ** 2
+            if bump.odd:
+                shape = y * shape
+            return np.where(np.abs(y) <= 1.0, bump.amp * shape, 0.0)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("amp", [0.3, -0.02, 0.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arrays_match_the_where_form(self, seed, amp, odd):
+        rng = np.random.default_rng(seed)
+        R = rng.uniform(0.3, 2.0)
+        x = np.concatenate([
+            rng.uniform(-3.0 * R, 3.0 * R, 500),
+            [R, -R, np.nextafter(R, 0.0), np.nextafter(-R, 0.0), np.nextafter(R, 9.0), 0.0, -0.0],
+            [np.nan, np.inf, -np.inf],
+        ])
+        bump = BumpProfile(amp, R, odd=odd)
+        got, want = bump(x), self._where_form(bump, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.all(got[np.abs(x / R) > 1.0] == 0.0) and not np.any(np.signbit(got[np.isnan(x)]))
+        for xi in x[::37].tolist() + [R, -R, np.nan]:
+            value = bump(xi)
+            assert isinstance(value, float)
+            assert math.copysign(1.0, value) == math.copysign(1.0, float(self._where_form(bump, xi)))
+            assert value == float(self._where_form(bump, xi))
+
 
 class TestDetectorParams:
     def test_validation(self):

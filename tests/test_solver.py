@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import eulerblowup.solver as solver
 from eulerblowup.functionals import FieldSnapshot, initial_snapshot
 from eulerblowup.model import (
     BumpProfile,
@@ -581,3 +582,41 @@ class TestWindowedRun:
         assert window.spacing == snap.spacing
         moved = step(window, EOS, Geometry.cartesian1d(), cfl_dt(snap, EOS), MUSCL)
         assert moved.spacing == snap.spacing
+
+
+class TestRunTimeStep:
+    """``run`` hands the kernel its own time step with no unit-CFL rescan of
+    the window: the view it bounds the step by holds the window's largest
+    speed."""
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_dt_within_the_window_unit_cfl_limit(self, preset, recon, monkeypatch):
+        kernel, seen = solver._advance, []
+
+        def checked(U, U1, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction):
+            rho, mom = U[:, a + 2:b + 2]
+            limit = cfl_dt(FieldSnapshot(t, centers[a:b], rho, mom / rho, dx), eos, cfl=1.0)
+            assert 0 < dt <= limit
+            seen.append(dt)
+            kernel(U, U1, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction)
+
+        monkeypatch.setattr(solver, "_advance", checked)
+        trace = run(PRESETS[preset](512), SolverConfig(t_end=0.5, reconstruction=recon))
+        # the constant presets have no perturbed cell to step
+        assert len(seen) == (0 if preset.startswith("constant") else trace.steps)
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)])
+    def test_nan_cell_stops_the_run(self, geom, recon):
+        # the NaN makes the time step NaN, which the dt guard rejects
+        class OneNaN(BumpProfile):
+            def __call__(self, x):
+                vals = super().__call__(x)
+                vals[vals.size // 3] = np.nan
+                return vals
+
+        scen = dataclasses.replace(bump(geom, cells=128), rho0=OneNaN(0.01, 1.0))
+        assert np.isnan(initial_snapshot(scen).rho).sum() == 1
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            run(scen, SolverConfig(t_end=0.5, reconstruction=recon))
