@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .criteria import FAMILIES, default_family, run_family_check, theorem_context
+from .criteria import FAMILIES, PreparedCriterion, default_family, prepare, run_family_check, theorem_context
 from .model import (
     DetectorParams,
     EosParams,
@@ -381,17 +381,24 @@ def cmd_verify(args, argv) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAILED
 
 
-def _sweep_row(scen: Scenario, fields: dict, value: float, weight: TestingFunction | None, args) -> dict:
-    """One row: the loaded scenario at tau = value, or one built from its typed
-    ``fields`` with the parameter's field at value."""
+def _sweep_row(
+    prepared: PreparedCriterion | None, scen: Scenario, fields: dict, value: float, weight: TestingFunction | None, args
+) -> tuple[PreparedCriterion, dict]:
+    """One row and the criterion it read: the loaded scenario at tau = value, or
+    one built from its typed ``fields`` with the parameter's field at value.
+    ``prepared`` is the previous row's criterion, None on the first row."""
     field = SWEEPABLE[args.parameter]
     tau = args.tau if field else value
     if field:
         scen = _scenario({**fields, field: value})
-    report = run_family_check(scen, args.theorem, tau=tau, f=weight, a=args.a)
+    if prepared is None:
+        prepared = prepare(scen, args.theorem, weight, args.a)
+    elif field:
+        prepared = prepared.with_scenario(scen)
+    report = prepared.report(tau)
     _require_finite(report, tau)
     threshold = report.inputs.get("threshold", report.inputs.get("combined_threshold", float("nan")))
-    return {
+    return prepared, {
         "parameter": args.parameter,
         "value": value,
         "H0": report.inputs.get("H0", float("nan")),
@@ -414,8 +421,11 @@ def cmd_sweep(args, argv) -> int:
     scen = load_scenario(args.scenario)
     weight = parse_weight(args.weight)
     fields = _field_values(scenario_to_config(scen))
-    values = np.linspace(args.lo, args.hi, args.steps)
-    rows = [_sweep_row(scen, fields, float(v), weight, args) for v in values]
+    # the first row prepares: a gamma sweep may load a gamma its family rejects
+    prepared, rows = None, []
+    for v in np.linspace(args.lo, args.hi, args.steps):
+        prepared, row = _sweep_row(prepared, scen, fields, float(v), weight, args)
+        rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", rows[0].keys(), (row.values() for row in rows))

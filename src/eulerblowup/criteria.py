@@ -245,64 +245,6 @@ def general_condition_thresholds(
 # Criterion checks
 
 
-# A check compares initial-data functionals, fixed by the scenario and the
-# weight, against thresholds fixed by the horizon.  Each side is kept for its
-# last arguments, so consecutive checks that share a side (the rows of a tau
-# or amp_v sweep, the probes of minimal_tau) compute it once.
-
-
-def _same(x, y) -> bool:
-    """Whether two arguments of a side match exactly.
-
-    Floats match when equal with the same sign, so -0.0 and 0.0 differ
-    and NaN never matches; ints, strings and bools match by value;
-    instances of one dataclass type field by field; anything else,
-    callables included, only itself.  Every argument a side takes is
-    immutable, so an object also matches itself.
-    """
-    if type(x) is float:
-        return type(y) is float and x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-    if x is y:
-        return True
-    if type(x) is not type(y):
-        return False
-    if type(x) in (int, str, bool):
-        return x == y
-    fields = getattr(type(x), "__dataclass_fields__", None)
-    return fields is not None and all(_same(getattr(x, k), getattr(y, k)) for k in fields)
-
-
-class _LastCall:
-    """A pure function that keeps its last arguments and value.
-
-    A call whose positional arguments all match the kept ones returns the
-    kept value; any other call replaces them.  An error propagates and
-    replaces nothing.
-    """
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.last: tuple | None = None  # (args, value)
-
-    def __call__(self, *args):
-        last = self.last
-        # equality turns most other arguments away at C speed; _same then
-        # rejects what it lets through: signed zeros, NaNs, equal callables
-        if last is not None and args == last[0] and all(map(_same, args, last[0])):
-            return last[1]
-        value = self.fn(*args)
-        self.last = (args, value)
-        return value
-
-
-def _data_side(scenario: Scenario, f: TestingFunction) -> tuple[float, float]:
-    """(H0, m0): weighted momentum and perturbed mass of the initial data."""
-    geom = scenario.geometry
-    snap = initial_snapshot(scenario)
-    H0 = momentum_functional(snap, f, geom, upper=cone_band_upper(snap, scenario.R))
-    return H0, mass_functional(snap, scenario.eos, geom)
-
-
 def _horizon_side(
     f: TestingFunction, a: float, eos: EosParams, R: float, tau: float, geometry: Geometry
 ) -> tuple[float, float, float]:
@@ -324,64 +266,7 @@ def _horizon_side(
     return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
 
 
-_initial_data = _LastCall(_data_side)
-_general_horizon = _LastCall(_horizon_side)
-
-
-def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: float = 1.0) -> CriterionReport:
-    """General-weight criterion: certify breakdown before tau.
-
-    Needs gamma > 1, a finite a > 2, a weight admissible for the geometry,
-    and a positive initial weighted momentum.
-    """
-    eos = scenario.eos
-    if not eos.gamma > 1:
-        raise ValueError("the general criterion requires gamma > 1")
-    if not a > 2:
-        raise ValueError("the trade-off constant a must exceed 2")
-    if a == math.inf:
-        raise ValueError("the trade-off constant a must be finite")
-    if not tau > 0:
-        raise ValueError("the horizon tau must be positive")
-    geom = scenario.geometry
-    admissible = RADIAL_CLASSES if geom.is_radial else CARTESIAN_CLASSES
-    if f.cls not in admissible:
-        raise ValueError(
-            f"weight class {f.cls!r} is not admissible for {geom.label()} geometry"
-        )
-    theorem = GENERAL_RADIAL if geom.is_radial else GENERAL_1D
-    sigma = sound_speed(eos)
-    H0, _ = _initial_data(scenario, f)
-    B_tau, strict_thr, horizon_thr = _general_horizon(f, a, eos, scenario.R, tau, geom)
-
-    conds = [
-        Condition("initial_momentum_positive", H0, 0.0, ">"),
-        Condition("pressure_barrier_strict", H0, strict_thr, ">"),
-        Condition("horizon_budget", H0, horizon_thr, ">="),
-    ]
-    inputs = {
-        "geometry": geom.label(),
-        "weight": f.name or f.cls,
-        "a": a,
-        "tau": tau,
-        "sigma": sigma,
-        "H0": H0,
-        "B_tau": B_tau,
-        "strict_threshold": strict_thr,
-        "horizon_threshold": horizon_thr,
-        "combined_threshold": max(strict_thr, horizon_thr),
-    }
-    if not conds[0].satisfied:
-        verdict = Verdict.inconclusive("initial weighted momentum is not positive")
-    elif conds[1].satisfied and conds[2].satisfied:
-        verdict = Verdict.blowup_before(tau)
-    else:
-        failed = next(c.name for c in conds if not c.satisfied)
-        verdict = Verdict.inconclusive(f"condition {failed} not met")
-    return CriterionReport(theorem, inputs, conds, verdict)
-
-
-def _checked_linear_tau_threshold(R: float, sigma: float, tau: float) -> float:
+def _checked_horizon_threshold(R: float, sigma: float, tau: float) -> float:
     # the closed form must equal the reciprocal horizon integral it came from;
     # integrate on a log-radius grid so horizons of any length stay resolved
     thr = linear_tau_case1_threshold(R, sigma, tau)
@@ -395,10 +280,6 @@ def _checked_linear_tau_threshold(R: float, sigma: float, tau: float) -> float:
     if abs(thr * integral - 1.0) > 1e-6:
         raise RuntimeError("horizon threshold fails its reciprocity identity")
     return thr
-
-
-# depends on (R, sigma, tau) only, so an amp_v sweep checks it once
-_linear_tau_threshold = _LastCall(_checked_linear_tau_threshold)
 
 
 @dataclass(frozen=True)
@@ -417,7 +298,6 @@ class _ClosedForm:
     """
 
     name: str  # as error messages name the criterion
-    radial: bool
     case1: str
     case2: str | None
     threshold: Callable[..., float]
@@ -432,18 +312,18 @@ class _ClosedForm:
 
 _STRICT_NOTE = "H(0) sits exactly on the strict threshold"
 
-# name, geometry, theorems; case-1 threshold, operator and condition;
-# shortfall reason and equality note; case-2 root constant, threshold, residual
+# name, theorems; case-1 threshold, operator and condition; shortfall reason
+# and equality note; case-2 root constant, threshold, residual
 _POWER_RADIAL = _ClosedForm(
-    "power-weight", True, POWER_RADIAL_CASE1, POWER_RADIAL_CASE2,
+    "power-weight", POWER_RADIAL_CASE1, POWER_RADIAL_CASE2,
     power_radial_case1_threshold, ">", "initial_momentum_exceeds_threshold",
     "initial momentum does not exceed the threshold",
     "H(0) sits exactly on the threshold: the strict form does not certify, the non-strict variant would",
     power_radial_case2_a, power_radial_case2_threshold, power_radial_root_residual,
 )
 _LINEAR_1D_TAU = _ClosedForm(
-    "horizon", False, LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2,
-    lambda N, R, sigma, tau: _linear_tau_threshold(R, sigma, tau), ">=",
+    "horizon", LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2,
+    lambda N, R, sigma, tau: _checked_horizon_threshold(R, sigma, tau), ">=",
     "initial_momentum_meets_threshold",
     "initial momentum below the horizon threshold", _STRICT_NOTE,
     lambda N, K, m0, R, sigma, tau: linear_tau_case2_a(K, m0, R, sigma, tau),
@@ -451,96 +331,11 @@ _LINEAR_1D_TAU = _ClosedForm(
     lambda a, N, K, m0, R, sigma, tau: linear_tau_root_residual(a, K, m0, R, sigma, tau),
 )
 _LINEAR_1D = _ClosedForm(
-    "horizon-free", False, LINEAR_1D_INFINITE, None,
+    "horizon-free", LINEAR_1D_INFINITE, None,
     lambda N, R, sigma, tau: linear_1d_threshold(R, sigma), ">", "initial_momentum_exceeds_threshold",
     "requires non-negative perturbed mass and momentum above the threshold", _STRICT_NOTE,
 )
 
-
-def _require_geometry(name: str, radial: bool, geometry: Geometry) -> None:
-    """Reject a geometry other than the one the named criterion is stated for."""
-    if geometry.is_radial != radial:
-        where = "radial geometry" if radial else "the 1-D geometry"
-        raise ValueError(f"the {name} criterion applies to {where}")
-
-
-def _closed_form_check(row: _ClosedForm, scenario: Scenario, tau: float | None) -> CriterionReport:
-    """Resolve a closed-form family on a scenario; ``tau`` is None when it has no horizon."""
-    eos = scenario.eos
-    geom = scenario.geometry
-    _require_geometry(row.name, row.radial, geom)
-    if not eos.gamma >= 2:
-        raise ValueError(f"the {row.name} criterion requires gamma >= 2")
-    if tau is not None and not tau > 0:
-        raise ValueError("the horizon tau must be positive")
-    spec = FAMILY_SPECS[row.case1]
-    N, R = geom.ndim, scenario.R
-    sigma = sound_speed(eos)
-    H0, m0 = _initial_data(scenario, spec.weight(geom, None))
-    inputs: dict = {"geometry": geom.label()}
-    if row.radial:
-        inputs["N"] = N
-    if tau is not None:
-        inputs["tau"] = tau
-    inputs.update(sigma=sigma, H0=H0, m0=m0)
-    notes: list[str] = []
-
-    if row.case2 is None or m0 >= 0.0:
-        theorem, shortfall = row.case1, row.shortfall
-        thr = row.threshold(N, R, sigma, tau)
-        conds = [] if row.case2 else [Condition("perturbed_mass_nonnegative", m0, 0.0, ">=")]
-        conds.append(Condition(row.condition, H0, thr, row.op))
-    elif eos.gamma != 2.0:
-        inputs["threshold"] = float("nan")
-        verdict = Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2")
-        return CriterionReport(row.case2, inputs, [], verdict, notes)
-    else:
-        theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
-        a = row.root(N, eos.K, m0, R, sigma, tau)
-        # closer to a_min, rounding in a - a_min alone exceeds the tolerance
-        if a - spec.a > 1e-6 * spec.a:
-            resid = row.residual(a, N, eos.K, m0, R, sigma, tau)
-            if abs(resid) > 1e-9:
-                raise RuntimeError(f"root constant fails its defining equation (residual {resid:g})")
-        thr = row.case2_threshold(a, N, R, sigma, tau)
-        inputs["a"] = a
-        conds = [
-            Condition("root_constant_admissible", a, spec.a, ">"),
-            Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
-        ]
-        if a == spec.a:
-            notes.append(f"root constant degenerates to the admissibility boundary a = {spec.a:g}")
-    inputs["threshold"] = thr
-    if H0 == thr and conds[-1].op == ">":
-        notes.append(row.equality_note)
-    certified = Verdict.blowup_finite() if tau is None else Verdict.blowup_before(tau)
-    verdict = certified if all(c.satisfied for c in conds) else Verdict.inconclusive(shortfall)
-    return CriterionReport(theorem, inputs, conds, verdict, notes)
-
-
-def check_power_radial(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
-    """Power-weight radial criterion: certify breakdown before tau.
-
-    Case 1 needs gamma >= 2 with non-negative perturbed mass; case 2
-    covers gamma = 2 with negative perturbed mass through the root
-    constant a.
-    """
-    return _closed_form_check(_POWER_RADIAL, scenario, tau)
-
-
-def check_linear_1d(scenario: Scenario) -> CriterionReport:
-    """Horizon-free 1-D criterion: certify breakdown in finite time."""
-    return _closed_form_check(_LINEAR_1D, scenario, None)
-
-
-def check_linear_1d_tau(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
-    """Horizon 1-D criterion: certify breakdown before tau.
-
-    Case 1 (non-negative perturbed mass, gamma >= 2) uses a non-strict
-    comparison; case 2 (gamma = 2, negative mass) is strict with the root
-    constant a.
-    """
-    return _closed_form_check(_LINEAR_1D_TAU, scenario, tau)
 
 # ---------------------------------------------------------------------------
 # Family groups
@@ -550,57 +345,25 @@ def check_linear_1d_tau(scenario: Scenario, tau: float = 1.0) -> CriterionReport
 class FamilyGroup:
     """A criterion family as the API and the CLI name it.
 
-    ``check(scenario, tau, f, a)`` resolves the family to one of its
-    theorems; ``radial`` is the geometry they are stated for, ``horizon``
+    ``radial`` is the geometry its theorems are stated for, ``horizon``
     whether the verdict depends on tau, and ``default`` marks the family
     that simulate and verify monitor on that geometry when none is named.
+    A closed-form family resolves through its ``closed_form`` row and fixes
+    its own weight; a general family has no row and takes the caller's.
     """
 
-    check: Callable[..., CriterionReport]
     radial: bool
     horizon: bool
     default: bool = False
+    closed_form: _ClosedForm | None = None
 
 
-def _general_group(family: str, radial: bool) -> Callable[..., CriterionReport]:
-    """Group check of a general family: its geometry, then the caller's weight."""
-
-    def group_check(scenario: Scenario, tau: float, f: TestingFunction | None, a: float) -> CriterionReport:
-        _require_geometry(family, radial, scenario.geometry)
-        if f is None:
-            raise ValueError("the general families need an explicit weight function")
-        return check_general(scenario, f, a=a, tau=tau)
-
-    return group_check
-
-
-def _closed_form_group(check: Callable[[Scenario, float], CriterionReport]) -> Callable[..., CriterionReport]:
-    """Group check of a closed-form family, which fixes its own weight.
-
-    A weight is an error rather than silently dropped, and so is a
-    non-positive tau, also for the horizon-free family that never reads
-    it.  The trade-off constant ``a`` is accepted and unused: the closed
-    forms carry their own (case 2 solves for it).
-    """
-
-    def group_check(scenario: Scenario, tau: float, f: TestingFunction | None, a: float) -> CriterionReport:
-        if f is not None:
-            raise ValueError("closed-form families fix their own weight; drop the weight")
-        if not tau > 0:
-            raise ValueError("the horizon tau must be positive")
-        return check(scenario, tau)
-
-    return group_check
-
-
-# the closed-form rows call the checks by their module names, which the
-# tracer in perfbench/spans.py wraps
 FAMILY_GROUPS = {
-    FAMILY_GENERAL_RADIAL: FamilyGroup(_general_group(FAMILY_GENERAL_RADIAL, True), True, True),
-    FAMILY_GENERAL_1D: FamilyGroup(_general_group(FAMILY_GENERAL_1D, False), False, True),
-    FAMILY_POWER_RADIAL: FamilyGroup(_closed_form_group(lambda s, tau: check_power_radial(s, tau)), True, True, True),
-    FAMILY_LINEAR_1D_TAU: FamilyGroup(_closed_form_group(lambda s, tau: check_linear_1d_tau(s, tau)), False, True),
-    FAMILY_LINEAR_1D: FamilyGroup(_closed_form_group(lambda s, tau: check_linear_1d(s)), False, False, True),
+    FAMILY_GENERAL_RADIAL: FamilyGroup(True, True),
+    FAMILY_GENERAL_1D: FamilyGroup(False, True),
+    FAMILY_POWER_RADIAL: FamilyGroup(True, True, True, _POWER_RADIAL),
+    FAMILY_LINEAR_1D_TAU: FamilyGroup(False, True, closed_form=_LINEAR_1D_TAU),
+    FAMILY_LINEAR_1D: FamilyGroup(False, False, True, _LINEAR_1D),
 }
 FAMILIES = tuple(FAMILY_GROUPS)
 
@@ -608,6 +371,174 @@ FAMILIES = tuple(FAMILY_GROUPS)
 def default_family(geometry: Geometry) -> str:
     """The closed-form family monitored on a geometry when none is named."""
     return next(n for n, g in FAMILY_GROUPS.items() if g.default and g.radial == geometry.is_radial)
+
+
+# ---------------------------------------------------------------------------
+# Prepared criteria
+
+
+class PreparedCriterion:
+    """One criterion family on one scenario; build it with :func:`prepare`.
+
+    A check compares the data side H(0), m(0), fixed by the scenario and
+    the weight, against the horizon side, thresholds fixed by the gas, R,
+    the geometry, the weight, ``a`` and tau.  The data side is computed
+    once, the horizon side once per tau into ``horizons``.
+    """
+
+    def __init__(self, scenario: Scenario, family: str, f: TestingFunction | None, a: float, horizons: dict):
+        group = FAMILY_GROUPS[family]
+        row = group.closed_form
+        eos, geom = scenario.eos, scenario.geometry
+        if geom.is_radial != group.radial:
+            where = "radial geometry" if group.radial else "the 1-D geometry"
+            raise ValueError(f"the {row.name if row else family} criterion applies to {where}")
+        if row is not None:
+            # a closed form takes no weight and ignores a: case 2 solves for its own
+            if f is not None:
+                raise ValueError("closed-form families fix their own weight; drop the weight")
+            if not eos.gamma >= 2:
+                raise ValueError(f"the {row.name} criterion requires gamma >= 2")
+            weight = FAMILY_SPECS[row.case1].weight(geom, None)
+        else:
+            if f is None:
+                raise ValueError("the general families need an explicit weight function")
+            if not eos.gamma > 1:
+                raise ValueError("the general criterion requires gamma > 1")
+            if not a > 2:
+                raise ValueError("the trade-off constant a must exceed 2")
+            if a == math.inf:
+                raise ValueError("the trade-off constant a must be finite")
+            admissible = RADIAL_CLASSES if geom.is_radial else CARTESIAN_CLASSES
+            if f.cls not in admissible:
+                raise ValueError(f"weight class {f.cls!r} is not admissible for {geom.label()} geometry")
+            weight = f
+        self.scenario, self.family, self.f, self.a = scenario, family, f, a
+        self.group, self.horizons = group, horizons
+        self.sigma = sound_speed(eos)
+        snap = initial_snapshot(scenario)
+        self.H0 = momentum_functional(snap, weight, geom, upper=cone_band_upper(snap, scenario.R))
+        self.m0 = mass_functional(snap, eos, geom)
+
+    def with_scenario(self, scenario: Scenario) -> "PreparedCriterion":
+        """This criterion on another scenario.  ``horizons`` is kept while the gas,
+        R and the geometry compare equal (their floats are validated positive)."""
+        old = self.scenario
+        same = (scenario.eos, scenario.R, scenario.geometry) == (old.eos, old.R, old.geometry)
+        return PreparedCriterion(scenario, self.family, self.f, self.a, self.horizons if same else {})
+
+    def report(self, tau: float = 1.0) -> CriterionReport:
+        """The criterion at horizon ``tau``, which must be positive, also for
+        the horizon-free family that never reads it."""
+        if not tau > 0:
+            raise ValueError("the horizon tau must be positive")
+        row = self.group.closed_form
+        if row is None:
+            return self._general_report(tau)
+        return self._closed_form_report(row, tau if self.group.horizon else None)
+
+    def _horizon(self, tau: float | None):
+        # (B(tau), strict, horizon) of a general family, a closed form's case-1 threshold
+        if tau not in self.horizons:
+            s = self.scenario
+            row = self.group.closed_form
+            if row is None:
+                side = _horizon_side(self.f, self.a, s.eos, s.R, tau, s.geometry)
+            else:
+                side = row.threshold(s.geometry.ndim, s.R, self.sigma, tau)
+            self.horizons[tau] = side
+        return self.horizons[tau]
+
+    def _general_report(self, tau: float) -> CriterionReport:
+        geom, H0 = self.scenario.geometry, self.H0
+        theorem = GENERAL_RADIAL if geom.is_radial else GENERAL_1D
+        B_tau, strict_thr, horizon_thr = self._horizon(tau)
+        conds = [
+            Condition("initial_momentum_positive", H0, 0.0, ">"),
+            Condition("pressure_barrier_strict", H0, strict_thr, ">"),
+            Condition("horizon_budget", H0, horizon_thr, ">="),
+        ]
+        inputs = {
+            "geometry": geom.label(),
+            "weight": self.f.name or self.f.cls,
+            "a": self.a,
+            "tau": tau,
+            "sigma": self.sigma,
+            "H0": H0,
+            "B_tau": B_tau,
+            "strict_threshold": strict_thr,
+            "horizon_threshold": horizon_thr,
+            "combined_threshold": max(strict_thr, horizon_thr),
+        }
+        if not conds[0].satisfied:
+            verdict = Verdict.inconclusive("initial weighted momentum is not positive")
+        elif conds[1].satisfied and conds[2].satisfied:
+            verdict = Verdict.blowup_before(tau)
+        else:
+            failed = next(c.name for c in conds if not c.satisfied)
+            verdict = Verdict.inconclusive(f"condition {failed} not met")
+        return CriterionReport(theorem, inputs, conds, verdict)
+
+    def _closed_form_report(self, row: _ClosedForm, tau: float | None) -> CriterionReport:
+        """Resolve a closed-form family; ``tau`` is None when it has no horizon."""
+        eos, geom = self.scenario.eos, self.scenario.geometry
+        spec = FAMILY_SPECS[row.case1]
+        N, R, sigma = geom.ndim, self.scenario.R, self.sigma
+        H0, m0 = self.H0, self.m0
+        inputs: dict = {"geometry": geom.label()}
+        if geom.is_radial:
+            inputs["N"] = N
+        if tau is not None:
+            inputs["tau"] = tau
+        inputs.update(sigma=sigma, H0=H0, m0=m0)
+        notes: list[str] = []
+
+        if row.case2 is None or m0 >= 0.0:
+            theorem, shortfall = row.case1, row.shortfall
+            thr = self._horizon(tau)
+            conds = [] if row.case2 else [Condition("perturbed_mass_nonnegative", m0, 0.0, ">=")]
+            conds.append(Condition(row.condition, H0, thr, row.op))
+        elif eos.gamma != 2.0:
+            inputs["threshold"] = float("nan")
+            verdict = Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2")
+            return CriterionReport(row.case2, inputs, [], verdict, notes)
+        else:
+            theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
+            a = row.root(N, eos.K, m0, R, sigma, tau)
+            # closer to a_min, rounding in a - a_min alone exceeds the tolerance
+            if a - spec.a > 1e-6 * spec.a:
+                resid = row.residual(a, N, eos.K, m0, R, sigma, tau)
+                if abs(resid) > 1e-9:
+                    raise RuntimeError(f"root constant fails its defining equation (residual {resid:g})")
+            thr = row.case2_threshold(a, N, R, sigma, tau)
+            inputs["a"] = a
+            conds = [
+                Condition("root_constant_admissible", a, spec.a, ">"),
+                Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
+            ]
+            if a == spec.a:
+                notes.append(f"root constant degenerates to the admissibility boundary a = {spec.a:g}")
+        inputs["threshold"] = thr
+        if H0 == thr and conds[-1].op == ">":
+            notes.append(row.equality_note)
+        certified = Verdict.blowup_finite() if tau is None else Verdict.blowup_before(tau)
+        verdict = certified if all(c.satisfied for c in conds) else Verdict.inconclusive(shortfall)
+        return CriterionReport(theorem, inputs, conds, verdict, notes)
+
+
+def prepare(
+    scenario: Scenario,
+    family: str,
+    f: TestingFunction | None = None,
+    a: float = 4.0,
+) -> PreparedCriterion:
+    """Run a named family's tau-independent checks on a scenario and compute its
+    data side: the family, the geometry, the weight (required by the general
+    families, refused by the closed forms), gamma, then a general family's ``a``
+    and weight class."""
+    if family not in FAMILY_GROUPS:
+        raise ValueError(f"unknown criterion family {family!r}")
+    return PreparedCriterion(scenario, family, f, a, {})
 
 
 def run_family_check(
@@ -618,9 +549,42 @@ def run_family_check(
     a: float = 4.0,
 ) -> CriterionReport:
     """Dispatch one of the named criterion families."""
-    if family not in FAMILY_GROUPS:
-        raise ValueError(f"unknown criterion family {family!r}")
-    return FAMILY_GROUPS[family].check(scenario, tau, f, a)
+    return prepare(scenario, family, f, a).report(tau)
+
+
+def check_general(scenario: Scenario, f: TestingFunction, a: float = 4.0, tau: float = 1.0) -> CriterionReport:
+    """General-weight criterion: certify breakdown before tau.
+
+    Needs gamma > 1, a finite a > 2, a weight admissible for the geometry,
+    and a positive initial weighted momentum.
+    """
+    family = FAMILY_GENERAL_RADIAL if scenario.geometry.is_radial else FAMILY_GENERAL_1D
+    return prepare(scenario, family, f, a).report(tau)
+
+
+def check_power_radial(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
+    """Power-weight radial criterion: certify breakdown before tau.
+
+    Case 1 needs gamma >= 2 with non-negative perturbed mass; case 2
+    covers gamma = 2 with negative perturbed mass through the root
+    constant a.
+    """
+    return prepare(scenario, FAMILY_POWER_RADIAL).report(tau)
+
+
+def check_linear_1d(scenario: Scenario) -> CriterionReport:
+    """Horizon-free 1-D criterion: certify breakdown in finite time."""
+    return prepare(scenario, FAMILY_LINEAR_1D).report()
+
+
+def check_linear_1d_tau(scenario: Scenario, tau: float = 1.0) -> CriterionReport:
+    """Horizon 1-D criterion: certify breakdown before tau.
+
+    Case 1 (non-negative perturbed mass, gamma >= 2) uses a non-strict
+    comparison; case 2 (gamma = 2, negative mass) is strict with the root
+    constant a.
+    """
+    return prepare(scenario, FAMILY_LINEAR_1D_TAU).report(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +603,27 @@ def minimal_tau(
 ) -> float | None:
     """Smallest horizon in [tau_lo, tau_hi] the family certifies, or None.
 
-    Scans a log-spaced grid, requires the positive verdicts to form one
-    contiguous upper tail (otherwise raises
+    Scans ``scan_points >= 2`` log-spaced horizons, requires the positive
+    verdicts to form one contiguous upper tail (otherwise raises
     :class:`NonMonotoneVerdictError`), then bisects the first sign change
-    to relative precision ``rtol``.
+    to relative precision ``rtol`` in (0, 1), or to adjacent floats.  The
+    bounds must be finite with 0 < tau_lo < tau_hi.  The family is
+    prepared once for every probe.
     """
     if family not in FAMILY_GROUPS or not FAMILY_GROUPS[family].horizon:
         raise ValueError(f"family {family!r} does not take a horizon")
+    if not (math.isfinite(tau_lo) and math.isfinite(tau_hi)):
+        raise ValueError("the horizon bounds must be finite")
+    if not 0 < tau_lo < tau_hi:
+        raise ValueError("the horizon bounds must satisfy 0 < tau_lo < tau_hi")
+    if not 0 < rtol < 1:
+        raise ValueError("rtol must lie in (0, 1)")
+    if scan_points < 2:
+        raise ValueError("scan_points must be at least 2")
+    prepared = prepare(scenario, family, f, a)
 
     def positive(tau: float) -> bool:
-        return run_family_check(scenario, family, tau, f, a).verdict.certifies_blowup
+        return prepared.report(tau).verdict.certifies_blowup
 
     grid = np.geomspace(tau_lo, tau_hi, scan_points)
     verdicts = [positive(float(t)) for t in grid]
@@ -665,6 +640,8 @@ def minimal_tau(
     lo, hi = float(grid[first - 1]), float(grid[first])
     while (hi - lo) > rtol * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
         if positive(mid):
             hi = mid
         else:

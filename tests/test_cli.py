@@ -474,11 +474,10 @@ class TestSweepCommand:
         assert err.startswith("error: sweep range") and message in err
         assert not out.exists()
 
-    def test_tau_sweep_samples_the_initial_data_once(self, monkeypatch, tmp_path, capsys):
+    def test_tau_sweep_takes_one_initial_snapshot(self, monkeypatch, tmp_path, capsys):
         calls = []
         original = criteria.initial_snapshot
         monkeypatch.setattr(criteria, "initial_snapshot", lambda s: calls.append(s) or original(s))
-        monkeypatch.setattr(criteria._initial_data, "last", None)
         cfg = write_config(tmp_path / "s.cfg", ["preset = cert-power-radial-n3", "grid.cells = 512"])
         code = main([
             "sweep", "--theorem", "power-radial", "--parameter", "tau",
@@ -491,7 +490,6 @@ class TestSweepCommand:
         calls = []
         original = criteria.integrate_fn
         monkeypatch.setattr(criteria, "integrate_fn", lambda *args: calls.append(args) or original(*args))
-        monkeypatch.setattr(criteria._linear_tau_threshold, "last", None)
         cfg = write_config(tmp_path / "s.cfg", ["preset = cert-linear-tau-1d", "grid.cells = 512"])
         code = main([
             "sweep", "--theorem", "linear-1d-tau", "--parameter", "amp_v",
@@ -634,6 +632,68 @@ class TestSimulateArtifactsPinned:
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
         assert digest.hexdigest() == PINNED_SIMULATE[(preset, recon)]
+
+
+# SHA-256 of criterion_report.json that check --out writes for every preset
+# and every family of its geometry at tau = 1 and the presets' 4096 cells,
+# the general families with the SWEEP_PRESETS weight and a (numpy 2.4,
+# x86-64, AVX-512), as the checks wrote them when they kept each side of a
+# criterion in a memo of its last arguments
+PINNED_CHECK_REPORT = {
+    ("cert-general-1d-exp", "general-1d"): "61b48c81acc8738818c6a674a8b0c04877cd83cd73599ee002b801d6f2677178",
+    ("cert-general-1d-exp", "linear-1d"): "f68b011f291995eeca71413eb68a3238f074cddfb09698b908fe857e226e42df",
+    ("cert-general-1d-exp", "linear-1d-tau"): "c78e889336411f84d98e4fe546e3fe5aa7147aa4beef86ca255d4c5be7d04f8b",
+    ("cert-general-radial-n1", "general-radial"): "266fbdc65a9bb1c42ed8066b6a5f766b47319492f74a9b50401de20129b6ce02",
+    ("cert-general-radial-n1", "power-radial"): "3777482a7d94793afc1c25447f97e7e05b3f9959fc02a1792ee24b132920d8b9",
+    ("cert-linear-infinite-1d", "general-1d"): "2f9471583b3f933fa5f43e84a8f14964243d4312f5d170b1c9ef6198f37e83e3",
+    ("cert-linear-infinite-1d", "linear-1d"): "31135cc198d363cef67bb6e02bfde7fbf7c0fe4191cae41c4f663a3cdecdfe66",
+    ("cert-linear-infinite-1d", "linear-1d-tau"): "a14022e35b6401619e830c63e53ed43139c2ee263f5768ed6cf3a8b8cff7c338",
+    ("cert-linear-tau-1d", "general-1d"): "b058b2a93a5a39d87b296cf3180d6db1d4cdd4b55ae41069a2a0de22cb31a21e",
+    ("cert-linear-tau-1d", "linear-1d"): "4aa15dea4017d5bdaae7d4bad55355f94fe22c287628add074eca26d9b622712",
+    ("cert-linear-tau-1d", "linear-1d-tau"): "05477235542eb9101c7af5ffba4992a9af45fefde6ce5feac0587151cc034bd1",
+    ("cert-power-radial-n3", "general-radial"): "3c43a69c708c9fc24b76fd2aab62a103d51ab865a3e438079bda021e0a5dcf9c",
+    ("cert-power-radial-n3", "power-radial"): "e12381f8eab6b7a3659b5e0ae53ef8e29c3f4fe86d5826a5ad2ee78c8644aa99",
+    ("constant-1d", "general-1d"): "75338c21c71f70f6839501567157894eecfefff346bcb2bab3dacea1d07113e1",
+    ("constant-1d", "linear-1d"): "e6a8fdbde7b0cef9edb054030490015cf842298d9a0e5d15c01afff9b4326118",
+    ("constant-1d", "linear-1d-tau"): "d0b9039d5e9ffdc1fc476dd841d8fe3bcadd5d5f26df5783bf3ce228207dcc7d",
+    ("constant-radial3", "general-radial"): "520ed79e27716fde49043a4fa7ef2bccbfc8eb742d4fa72bd692d0d13846fa0f",
+    ("constant-radial3", "power-radial"): "c36a0ceacdd093d29cca229596c3166457c5a4f8d8e94133eddecab53d49d6ea",
+    ("ref-1d", "general-1d"): "59783e7de2238f66d2abff24159b867d850061bb3213358b59e659e534ca73f2",
+    ("ref-1d", "linear-1d"): "a28f878306d61df85aa255ed1025372ce4786752730b4e806522d95a553705b1",
+    ("ref-1d", "linear-1d-tau"): "bd1e8a7e1817a7067cf3fa781271d4e8f71dbab0f828cd53de5905af9e6eb4f5",
+    ("ref-radial1", "general-radial"): "8d81e37537bdf8aac2148cb937582328031cf197cdc805ea20e499413240f8f1",
+    ("ref-radial1", "power-radial"): "7df62f2115ea8cfc1f9bb693c3de10aadc92c23692cd8887a048d3a039533e67",
+    ("ref-radial3", "general-radial"): "72efc5c4cedd5036c088993460e80e726ce4b9533b1cd3baa58f5d5cafb6af3a",
+    ("ref-radial3", "power-radial"): "0d67a21f53c9c277302fc805c126463a71e4696e9ec56ad77bab495c512ba373",
+}
+
+
+def _check_cases():
+    for preset in sorted(PRESETS):
+        radial = PRESETS[preset]().geometry.is_radial
+        for family in sorted(SWEEP_PRESETS):
+            if criteria.FAMILY_GROUPS[family].radial == radial:
+                yield preset, family
+
+
+class TestCheckReportsPinned:
+    """The criterion reports stay byte for byte as they were before the
+    checks prepared each criterion once as an explicit object."""
+
+    def test_every_preset_and_family_is_pinned(self):
+        assert sorted(_check_cases()) == sorted(PINNED_CHECK_REPORT)
+
+    @pytest.mark.parametrize("preset, family", list(_check_cases()))
+    def test_report_matches_pinned_digest(self, preset, family, tmp_path, capsys):
+        _, weight, a = SWEEP_PRESETS[family]
+        cfg = write_config(tmp_path / "s.cfg", [f"preset = {preset}"])
+        out = tmp_path / "out"
+        argv = ["check", "--theorem", family, "--a", repr(a), "--out", str(out), cfg]
+        if weight is not None:
+            argv += ["--weight", weight]
+        assert main(argv) == 0
+        digest = hashlib.sha256((out / "criterion_report.json").read_bytes()).hexdigest()
+        assert digest == PINNED_CHECK_REPORT[(preset, family)]
 
 
 class TestNonFiniteArtifacts:

@@ -131,7 +131,7 @@ class TestClosedFormThresholds:
         assert strict == pytest.approx(9.517781639083362, rel=1e-12)
         assert horizon == pytest.approx(4.552284749830794, rel=1e-9)
 
-    def test_general_horizon_reciprocity(self):
+    def test_general_weight_horizon_reciprocity(self):
         f = linear()
         a, R, tau = 3.0, 1.0, 0.8
         _, horizon = general_condition_thresholds(f, a, EOS, R, tau, Geometry.radial(2))
@@ -328,8 +328,8 @@ class TestGeneralThresholdTable:
 
 
 @pytest.fixture()
-def sides(monkeypatch):
-    """Empty both kept sides of the checks and count what they compute
+def computed(monkeypatch):
+    """Count the initial snapshots and B tables the checks compute
     (``clear()`` restarts the count)."""
     counts = Counter()
     for name in ("initial_snapshot", "weight_functional_B_table"):
@@ -340,8 +340,6 @@ def sides(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(criteria, name, counted)
-    monkeypatch.setattr(criteria._initial_data, "last", None)
-    monkeypatch.setattr(criteria._general_horizon, "last", None)
     return counts
 
 
@@ -362,56 +360,99 @@ def report_json(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-class TestKeptSides:
-    """A check keeps its initial-data side and its horizon side for their
-    last arguments only, matched exactly."""
+HORIZON_FAMILIES = [f for f in FAMILIES if f != FAMILY_LINEAR_1D]
 
-    def test_last_call_keeps_one_entry(self):
-        calls = []
-        kept = criteria._LastCall(lambda x: calls.append(x) or 2.0 * x)
-        assert [kept(x) for x in (1.0, 1.0, 2.0, 1.0, 1.0)] == [2.0, 2.0, 4.0, 2.0, 2.0]
-        assert calls == [1.0, 2.0, 1.0]
 
-    def test_keys_match_exactly(self):
-        nan = float("nan")
-        assert not criteria._same(0.0, -0.0)
-        assert not criteria._same(nan, nan)
-        assert not criteria._same(1, 1.0)
-        assert criteria._same(EosParams(1.0, 2.0, 1.0), EosParams(1.0, 2.0, 1.0))
-        assert not criteria._same(EosParams(1.0, 2.0, 1.0), EosParams(1.0, 2.0, 1.5))
-        assert not criteria._same(Power(2.0), Power(2.0))
-        signs = criteria._LastCall(lambda x: math.copysign(1.0, x))
-        assert [signs(0.0), signs(-0.0), signs(0.0)] == [1.0, -1.0, 1.0]
+def with_amp_v(scenario, amp):
+    return replace(scenario, v0=replace(scenario.v0, amp=amp))
+
+
+class TestPreparedCriterion:
+    """A prepared criterion computes its data side once and the horizon
+    side of each tau once along a chain of ``with_scenario`` calls."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_snapshot_per_prepare(self, family, computed):
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        computed.clear()
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        for tau in (0.5, 1.0, 2.0, 1.0):
+            prepared.report(tau)
+        assert computed["initial_snapshot"] == 1
+        prepared.with_scenario(with_amp_v(case.scenario, 2.0 * case.scenario.amp_v)).report(1.0)
+        assert computed["initial_snapshot"] == 2
+
+    @pytest.mark.parametrize("radial", [True, False])
+    def test_one_table_per_tau_along_a_chain(self, radial, seeded_weight, computed):
+        # every row rebuilds its scenario, as the CLI sweep does; the horizon
+        # side is handed on while the gas, R and the geometry compare equal
+        case = (certified_general_radial_case if radial else certified_general_1d_case)(cells=512)
+        family = FAMILY_GENERAL_RADIAL if radial else criteria.FAMILY_GENERAL_1D
+        weight = seeded_weight(radial, 3)
+        computed.clear()
+        prepared = criteria.prepare(case.scenario, family, weight, case.a)
+        rows = []
+        for amp in np.linspace(0.5, 1.5, 5) * case.scenario.amp_v:
+            prepared = prepared.with_scenario(
+                replace(with_amp_v(case.scenario, amp), eos=replace(case.scenario.eos)))
+            rows += [prepared.report(0.8), prepared.report(1.2)]
+        assert computed == {"initial_snapshot": 6, "weight_functional_B_table": 2}
+        assert len({r.inputs["combined_threshold"] for r in rows}) == 2
+
+    @pytest.mark.parametrize("change", [
+        lambda s: replace(s, eos=replace(s.eos, gamma=3.0)),
+        lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)),
+    ], ids=["gamma", "R"])
+    def test_a_new_gas_or_radius_recomputes_the_horizon(self, change, computed):
+        case = certified_general_radial_case(cells=512)
+        computed.clear()
+        prepared = criteria.prepare(case.scenario, case.family, case.f, case.a)
+        prepared.report(0.8)
+        moved = prepared.with_scenario(change(case.scenario))
+        report = moved.report(0.8)
+        assert computed["weight_functional_B_table"] == 2
+        fresh = criteria.prepare(change(case.scenario), case.family, case.f, case.a).report(0.8)
+        assert report_json(report) == report_json(fresh)
+        assert report.inputs["horizon_threshold"] != prepared.report(0.8).inputs["horizon_threshold"]
+
+    def test_a_new_radius_rechecks_the_reciprocity_identity(self, monkeypatch):
         calls = []
-        kept = criteria._LastCall(lambda x: calls.append(x) or x)
-        kept(nan)
-        kept(nan)
+        original = criteria.integrate_fn
+        monkeypatch.setattr(criteria, "integrate_fn", lambda *args: calls.append(args) or original(*args))
+        scen = certified_linear_tau_case(cells=512).scenario
+        prepared = criteria.prepare(scen, FAMILY_LINEAR_1D_TAU)
+        prepared.with_scenario(with_amp_v(scen, 2.0 * scen.amp_v)).report(1.0)
+        prepared.report(1.0)
+        assert len(calls) == 1
+        wider = replace(scen, R=1.2, rho0=replace(scen.rho0, R=1.2), v0=replace(scen.v0, R=1.2))
+        prepared.with_scenario(wider).report(1.0)
         assert len(calls) == 2
 
-    def test_errors_are_not_kept(self):
-        calls = []
-
-        def root(x):
-            calls.append(x)
-            return math.sqrt(x)
-
-        kept = criteria._LastCall(root)
-        assert kept(4.0) == 2.0
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                kept(-1.0)
-        assert kept(4.0) == 2.0
-        assert calls == [4.0, -1.0, -1.0]
+    @pytest.mark.parametrize("family", HORIZON_FAMILIES)
+    def test_scans_give_the_reports_of_a_fresh_prepare(self, family):
+        # a tau scan and an amplitude scan through one prepared criterion,
+        # against a fresh prepare for every check
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        taus = np.linspace(0.3, 2.0, 6).tolist()
+        scanned = [report_json(prepared.report(tau)) for tau in taus]
+        fresh = [report_json(criteria.prepare(case.scenario, family, case.f, case.a).report(tau)) for tau in taus]
+        for amp in (np.linspace(0.5, 1.5, 6) * case.scenario.amp_v).tolist():
+            scen = with_amp_v(case.scenario, amp)
+            prepared = prepared.with_scenario(scen)
+            scanned.append(report_json(prepared.report(case.tau)))
+            fresh.append(report_json(run_family_check(scen, family, case.tau, case.f, case.a)))
+        assert scanned == fresh
 
     @pytest.mark.parametrize("amp", [0.0, -0.0])
-    def test_signed_zero_amplitude_gives_its_own_functionals(self, amp, sides):
-        # the other sign's side is kept first; a match would hand it over
+    def test_signed_zero_amplitude_gives_its_own_functionals(self, amp, computed):
+        # the other sign's criterion is prepared first; its data side must
+        # not be handed over
         geom = Geometry.cartesian1d()
         other = bump(geom, amp_rho=-amp, amp_v=-amp)
         scen = bump(geom, amp_rho=amp, amp_v=amp)
-        check_linear_1d_tau(other)
-        report = check_linear_1d_tau(scen)
-        assert sides["initial_snapshot"] == 2
+        report = criteria.prepare(other, FAMILY_LINEAR_1D_TAU).with_scenario(scen).report()
+        assert computed["initial_snapshot"] == 2
         snap = initial_snapshot(scen)
         dx = scen.grid.spacing(geom)
         want = (
@@ -421,60 +462,24 @@ class TestKeptSides:
         got = (report.inputs["H0"], report.inputs["m0"])
         assert [(v, math.copysign(1.0, v)) for v in got] == [(v, math.copysign(1.0, v)) for v in want]
 
-    def test_unhashable_weight_is_kept_by_identity(self, sides):
+    def test_unhashable_weight(self, computed):
         weight = radial_vanishing(Power(2.0), lambda x: 2.0 * np.asarray(x, dtype=float), name="r^2")
-        twin = radial_vanishing(Power(2.0), weight.f_prime, name="r^2")
         with pytest.raises(TypeError):
             hash(weight)
         scen = certified_general_radial_case(cells=512).scenario
-        sides.clear()
-        first = check_general(scen, weight, a=4.0, tau=0.8)
-        again = check_general(scen, weight, a=4.0, tau=0.8)
-        assert sides == {"initial_snapshot": 1, "weight_functional_B_table": 1}
-        assert report_json(again) == report_json(first)
-        # an equal but distinct callable is another weight
-        assert report_json(check_general(scen, twin, a=4.0, tau=0.8)) == report_json(first)
-        assert sides == {"initial_snapshot": 2, "weight_functional_B_table": 2}
+        computed.clear()
+        prepared = criteria.prepare(scen, FAMILY_GENERAL_RADIAL, weight, 4.0)
+        first, again = prepared.report(0.8), prepared.report(0.8)
+        assert computed == {"initial_snapshot": 1, "weight_functional_B_table": 1}
+        assert report_json(again) == report_json(first) == report_json(check_general(scen, weight, tau=0.8))
 
-    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != FAMILY_LINEAR_1D])
-    def test_minimal_tau_samples_the_initial_data_once(self, family, sides):
+    @pytest.mark.parametrize("family", HORIZON_FAMILIES)
+    def test_minimal_tau_takes_one_initial_snapshot(self, family, computed):
         case = next(c for c in certified_suite(cells=512) if c.family == family)
-        sides.clear()
+        computed.clear()
         got = minimal_tau(case.scenario, family, f=case.f, a=case.a, tau_lo=0.1, tau_hi=1.0, rtol=1e-4)
         assert 0.1 < got < case.tau
-        assert sides["initial_snapshot"] == 1
-
-    @pytest.mark.parametrize("radial", [True, False])
-    def test_amplitude_rows_build_the_horizon_once(self, radial, seeded_weight, sides):
-        # every row rebuilds its scenario, as the CLI sweep does; the horizon
-        # side matches by value
-        case = (certified_general_radial_case if radial else certified_general_1d_case)(cells=512)
-        weight = seeded_weight(radial, 3)
-        amps = np.linspace(0.5, 1.5, 5) * case.scenario.amp_v
-        sides.clear()
-        rows = [
-            check_general(replace(case.scenario, eos=replace(case.scenario.eos), v0=replace(case.scenario.v0, amp=amp)),
-                          weight, a=case.a, tau=0.8)
-            for amp in amps
-        ]
-        assert sides == {"initial_snapshot": 5, "weight_functional_B_table": 1}
-        assert len({r.inputs["combined_threshold"] for r in rows}) == 1
-
-    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != FAMILY_LINEAR_1D])
-    def test_kept_sides_give_the_recomputed_reports(self, family, monkeypatch):
-        # a tau scan and an amplitude scan through the kept sides, against
-        # each check made with both sides emptied first
-        case = next(c for c in certified_suite(cells=512) if c.family == family)
-        scans = [(case.scenario, tau) for tau in np.linspace(0.3, 2.0, 6).tolist()]
-        scans += [(replace(case.scenario, v0=replace(case.scenario.v0, amp=amp)), case.tau)
-                  for amp in (np.linspace(0.5, 1.5, 6) * case.scenario.amp_v).tolist()]
-        kept = [report_json(run_family_check(s, family, tau, case.f, case.a)) for s, tau in scans]
-        fresh = []
-        for s, tau in scans:
-            monkeypatch.setattr(criteria._initial_data, "last", None)
-            monkeypatch.setattr(criteria._general_horizon, "last", None)
-            fresh.append(report_json(run_family_check(s, family, tau, case.f, case.a)))
-        assert kept == fresh
+        assert computed["initial_snapshot"] == 1
 
 
 class TestClosedFormFamilyFlags:
@@ -802,21 +807,23 @@ class TestClosedFormResolution:
             check(scenario)
 
     @pytest.mark.parametrize(
-        "row, geometry, tau, notes",
+        "family, geometry, notes",
         [
-            ("_POWER_RADIAL", Geometry.radial(2), 1.0,
+            (FAMILY_POWER_RADIAL, Geometry.radial(2),
              ["H(0) sits exactly on the threshold: the strict form does not certify, "
               "the non-strict variant would"]),
-            ("_LINEAR_1D", Geometry.cartesian1d(), None, ["H(0) sits exactly on the strict threshold"]),
+            (FAMILY_LINEAR_1D, Geometry.cartesian1d(), ["H(0) sits exactly on the strict threshold"]),
             # case 1 of the horizon criterion is non-strict: equality certifies
-            ("_LINEAR_1D_TAU", Geometry.cartesian1d(), 1.0, []),
+            (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d(), []),
         ],
     )
-    def test_equality_note_only_on_strict_thresholds(self, row, geometry, tau, notes):
+    def test_equality_note_only_on_strict_thresholds(self, family, geometry, notes, monkeypatch):
         scen = bump(geometry, amp_v=80.0, extent=2.6)
-        H0 = criteria._closed_form_check(getattr(criteria, row), scen, tau).inputs["H0"]
-        on_threshold = replace(getattr(criteria, row), threshold=lambda N, R, sigma, tau: H0)
-        report = criteria._closed_form_check(on_threshold, scen, tau)
+        H0 = criteria.prepare(scen, family).H0
+        group = criteria.FAMILY_GROUPS[family]
+        on_threshold = replace(group.closed_form, threshold=lambda N, R, sigma, tau: H0)
+        monkeypatch.setitem(criteria.FAMILY_GROUPS, family, replace(group, closed_form=on_threshold))
+        report = run_family_check(scen, family)
         assert report.notes == notes
         assert report.verdict.certifies_blowup == (notes == [])
 
@@ -882,14 +889,43 @@ class TestMinimalTau:
     def test_non_monotone_verdicts_raise(self, monkeypatch):
         scen = bump(Geometry.radial(3))
 
-        def fake_check(scenario, family, tau, f, a):
-            ok = 0.1 < tau < 1.0 or tau > 50.0
-            verdict = Verdict.blowup_before(tau) if ok else Verdict.inconclusive("no")
-            return CriterionReport("fake", {}, [], verdict)
+        class Fake:
+            def report(self, tau):
+                ok = 0.1 < tau < 1.0 or tau > 50.0
+                verdict = Verdict.blowup_before(tau) if ok else Verdict.inconclusive("no")
+                return CriterionReport("fake", {}, [], verdict)
 
-        monkeypatch.setattr(criteria, "run_family_check", fake_check)
+        monkeypatch.setattr(criteria, "prepare", lambda *args: Fake())
         with pytest.raises(NonMonotoneVerdictError):
             minimal_tau(scen, FAMILY_POWER_RADIAL)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tau_lo=0.0), dict(tau_lo=-1.0), dict(tau_lo=2.0, tau_hi=1.0), dict(tau_lo=1.0, tau_hi=1.0),
+        dict(tau_hi=math.inf), dict(tau_lo=math.nan), dict(rtol=0.0), dict(rtol=1.0), dict(rtol=-1e-6),
+        dict(rtol=math.nan), dict(scan_points=0), dict(scan_points=1),
+    ])
+    def test_invalid_arguments_raise_before_any_check(self, kwargs, monkeypatch):
+        def no_check(scenario):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(criteria, "initial_snapshot", no_check)
+        with pytest.raises(ValueError):
+            minimal_tau(bump(Geometry.radial(3)), FAMILY_POWER_RADIAL, **kwargs)
+
+    def test_rtol_below_the_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
+        probes = []
+        report = criteria.PreparedCriterion.report
+
+        def bounded(self, tau=1.0):
+            probes.append(tau)
+            assert len(probes) < 200, "the bisection does not stop"
+            return report(self, tau)
+
+        monkeypatch.setattr(criteria.PreparedCriterion, "report", bounded)
+        case = certified_power_radial_case(cells=512)
+        got = minimal_tau(case.scenario, FAMILY_POWER_RADIAL, tau_lo=0.1, tau_hi=1.0, rtol=1e-20, scan_points=8)
+        assert check_power_radial(case.scenario, got).verdict.certifies_blowup
+        assert not check_power_radial(case.scenario, float(np.nextafter(got, 0.0))).verdict.certifies_blowup
 
 
 class TestTheoremContext:

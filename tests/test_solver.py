@@ -189,7 +189,7 @@ class TestRun:
         assert trace.series.times.size >= 3
         assert np.all(trace.series.times < trace.t_detect)
 
-    def test_steep_initial_data_detects_at_time_zero(self):
+    def test_steep_initial_profile_detects_at_time_zero(self):
         det = DetectorParams(slope_factor=1e-4)
         scen = bump(Geometry.cartesian1d(), amp_v=1.0, detector=det)
         trace = run(scen, SolverConfig(t_end=0.5))
