@@ -64,10 +64,6 @@ FAMILY_LINEAR_1D = "linear-1d"
 _HORIZON_RULE = QuadratureRule(SIMPSON, 2048)
 
 
-class NonMonotoneVerdictError(RuntimeError):
-    """The verdict flips more than once along the scanned horizon grid."""
-
-
 @dataclass(frozen=True)
 class Condition:
     """One inequality of a criterion, compared exactly as claimed."""
@@ -157,7 +153,8 @@ class CriterionReport:
 def power_radial_case1_threshold(N: int, R: float, sigma: float, tau: float) -> float:
     """Strict H threshold for the power-weight radial criterion, non-negative mass."""
     U = R + sigma * tau
-    return 2.0 * sigma * R ** (N + 1) * U ** (N + 1) / (N * (U ** (N + 1) - R ** (N + 1)))
+    gap = U ** (N + 1) - R ** (N + 1)  # 0 when R + sigma*tau rounds to R: no finite threshold
+    return 2.0 * sigma * R ** (N + 1) * U ** (N + 1) / (N * gap) if gap else math.inf
 
 
 def power_radial_case2_a(N: int, K: float, m1_0: float, R: float, sigma: float, tau: float) -> float:
@@ -270,7 +267,7 @@ def _checked_horizon_threshold(R: float, sigma: float, tau: float) -> float:
     # the closed form must equal the reciprocal horizon integral it came from;
     # integrate on a log-radius grid so horizons of any length stay resolved
     thr = linear_tau_case1_threshold(R, sigma, tau)
-    w_hi = math.log((R + sigma * tau) / R)
+    w_hi = math.log1p(sigma * tau / R)
     integral = integrate_fn(
         lambda w: 3.0 * np.exp(-2.0 * np.asarray(w, dtype=float)) / (4.0 * sigma * R ** 2),
         0.0,
@@ -293,13 +290,15 @@ class _ClosedForm:
     ``case2_threshold(a, N, R, sigma, tau)`` and ``residual(a, N, K, m0,
     R, sigma, tau)`` the relative residual of its defining equation.  A
     family with no case 2 states non-negative mass as a condition of case
-    1.  The weight and the admissibility bound of a come from the case-1
-    theorem's ``FAMILY_SPECS`` row.
+    1.  ``weight(geometry)`` is the weight both cases integrate against;
+    the admissibility bound of a comes from the case-1 theorem's
+    ``FAMILY_SPECS`` row.
     """
 
     name: str  # as error messages name the criterion
     case1: str
     case2: str | None
+    weight: Callable[[Geometry], TestingFunction]
     threshold: Callable[..., float]
     op: str
     condition: str
@@ -312,17 +311,17 @@ class _ClosedForm:
 
 _STRICT_NOTE = "H(0) sits exactly on the strict threshold"
 
-# name, theorems; case-1 threshold, operator and condition; shortfall reason
-# and equality note; case-2 root constant, threshold, residual
+# name, theorems, weight; case-1 threshold, operator and condition; shortfall
+# reason and equality note; case-2 root constant, threshold, residual
 _POWER_RADIAL = _ClosedForm(
-    "power-weight", POWER_RADIAL_CASE1, POWER_RADIAL_CASE2,
+    "power-weight", POWER_RADIAL_CASE1, POWER_RADIAL_CASE2, lambda geometry: power_law(geometry.ndim),
     power_radial_case1_threshold, ">", "initial_momentum_exceeds_threshold",
     "initial momentum does not exceed the threshold",
     "H(0) sits exactly on the threshold: the strict form does not certify, the non-strict variant would",
     power_radial_case2_a, power_radial_case2_threshold, power_radial_root_residual,
 )
 _LINEAR_1D_TAU = _ClosedForm(
-    "horizon", LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2,
+    "horizon", LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2, lambda geometry: linear(),
     lambda N, R, sigma, tau: _checked_horizon_threshold(R, sigma, tau), ">=",
     "initial_momentum_meets_threshold",
     "initial momentum below the horizon threshold", _STRICT_NOTE,
@@ -331,7 +330,7 @@ _LINEAR_1D_TAU = _ClosedForm(
     lambda a, N, K, m0, R, sigma, tau: linear_tau_root_residual(a, K, m0, R, sigma, tau),
 )
 _LINEAR_1D = _ClosedForm(
-    "horizon-free", LINEAR_1D_INFINITE, None,
+    "horizon-free", LINEAR_1D_INFINITE, None, lambda geometry: linear(),
     lambda N, R, sigma, tau: linear_1d_threshold(R, sigma), ">", "initial_momentum_exceeds_threshold",
     "requires non-negative perturbed mass and momentum above the threshold", _STRICT_NOTE,
 )
@@ -383,7 +382,8 @@ class PreparedCriterion:
     A check compares the data side H(0), m(0), fixed by the scenario and
     the weight, against the horizon side, thresholds fixed by the gas, R,
     the geometry, the weight, ``a`` and tau.  The data side is computed
-    once, the horizon side once per tau into ``horizons``.
+    once, the horizon side once per tau into ``horizons``.  ``weight`` is
+    the weight H(0) integrates against: a closed form's own, else ``f``.
     """
 
     def __init__(self, scenario: Scenario, family: str, f: TestingFunction | None, a: float, horizons: dict):
@@ -399,7 +399,7 @@ class PreparedCriterion:
                 raise ValueError("closed-form families fix their own weight; drop the weight")
             if not eos.gamma >= 2:
                 raise ValueError(f"the {row.name} criterion requires gamma >= 2")
-            weight = FAMILY_SPECS[row.case1].weight(geom, None)
+            weight = row.weight(geom)
         else:
             if f is None:
                 raise ValueError("the general families need an explicit weight function")
@@ -413,7 +413,7 @@ class PreparedCriterion:
             if f.cls not in admissible:
                 raise ValueError(f"weight class {f.cls!r} is not admissible for {geom.label()} geometry")
             weight = f
-        self.scenario, self.family, self.f, self.a = scenario, family, f, a
+        self.scenario, self.family, self.f, self.a, self.weight = scenario, family, f, a, weight
         self.group, self.horizons = group, horizons
         self.sigma = sound_speed(eos)
         snap = initial_snapshot(scenario)
@@ -603,12 +603,14 @@ def minimal_tau(
 ) -> float | None:
     """Smallest horizon in [tau_lo, tau_hi] the family certifies, or None.
 
-    Scans ``scan_points >= 2`` log-spaced horizons, requires the positive
-    verdicts to form one contiguous upper tail (otherwise raises
-    :class:`NonMonotoneVerdictError`), then bisects the first sign change
-    to relative precision ``rtol`` in (0, 1), or to adjacent floats.  The
-    bounds must be finite with 0 < tau_lo < tau_hi.  The family is
-    prepared once for every probe.
+    Scans ``scan_points >= 2`` log-spaced horizons upward, stops at the
+    first that certifies, and bisects the bracket below it to relative
+    precision ``rtol`` in (0, 1), or to adjacent floats.  The criteria are
+    sufficient conditions only: for a general weight the certifying
+    horizons form a window, not an upper tail, so no horizon past the
+    first certifying one is probed.  A window narrower than the grid
+    spacing can be missed.  The bounds must be finite with
+    0 < tau_lo < tau_hi.  The family is prepared once for every probe.
     """
     if family not in FAMILY_GROUPS or not FAMILY_GROUPS[family].horizon:
         raise ValueError(f"family {family!r} does not take a horizon")
@@ -626,15 +628,9 @@ def minimal_tau(
         return prepared.report(tau).verdict.certifies_blowup
 
     grid = np.geomspace(tau_lo, tau_hi, scan_points)
-    verdicts = [positive(float(t)) for t in grid]
-    if not any(verdicts):
+    first = next((i for i, t in enumerate(grid) if positive(float(t))), None)
+    if first is None:
         return None
-    first = verdicts.index(True)
-    if not all(verdicts[first:]):
-        flips = [float(grid[i]) for i in range(first, len(grid) - 1) if verdicts[i] != verdicts[i + 1]]
-        raise NonMonotoneVerdictError(
-            f"verdict is not monotone in the horizon; flips near {flips}"
-        )
     if first == 0:
         return float(grid[0])
     lo, hi = float(grid[first - 1]), float(grid[first])
@@ -655,16 +651,15 @@ def minimal_tau(
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Weight, default trade-off constant and monitored inequality of one theorem.
+    """Default trade-off constant and monitored inequality of one theorem.
 
-    ``weight(geometry, f)`` is the weight the theorem integrates against
-    (``f`` is the caller's) and ``a`` the trade-off constant when the report
-    records none.  ``riccati(ctx, t, U)`` is the coefficient c(t) with
-    U = R + sigma*t, and ``G(ctx, H, m0, snap, U_tau)`` the slack term of
-    dH/dt >= c(t) H**2 + G(t), with U_tau = R + sigma*tau.
+    ``a`` is the trade-off constant when the report records none; the
+    weight is the prepared criterion's.  ``riccati(ctx, t, U)`` is the
+    coefficient c(t) with U = R + sigma*t, and ``G(ctx, H, m0, snap,
+    U_tau)`` the slack term of dH/dt >= c(t) H**2 + G(t), with
+    U_tau = R + sigma*tau.
     """
 
-    weight: Callable
     a: float | None
     riccati: Callable
     G: Callable
@@ -737,21 +732,17 @@ def _pressure_slack(ctx: TheoremContext, H: float, m0: float, snap: FieldSnapsho
 
 
 _GENERAL = FamilySpec(
-    lambda geometry, f: f,
     None,
     lambda c, t, U: 1.0 / (c.a * c.B(t)),
     lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.B(c.tau))
     - _barrier(c.scenario.eos) * float(c.f.f(U)),
 )
 _POWER = FamilySpec(
-    lambda geometry, f: power_law(geometry.ndim),
     2.0,
     lambda c, t, U: c.N * (c.N + 1) / (2.0 * U ** (c.N + 2)),
     _pressure_slack,
 )
-_LINEAR = FamilySpec(
-    lambda geometry, f: linear(), 4.0 / 3.0, lambda c, t, U: 3.0 / (4.0 * U ** 3), _pressure_slack
-)
+_LINEAR = FamilySpec(4.0 / 3.0, lambda c, t, U: 3.0 / (4.0 * U ** 3), _pressure_slack)
 
 # resolved theorem -> spec; the negative-mass cases 2 carry the root constant a
 FAMILY_SPECS = {
@@ -784,8 +775,7 @@ def theorem_context(
     a: float = 4.0,
 ) -> TheoremContext:
     """Resolve a family on a scenario and package its monitored inequality."""
-    report = run_family_check(scenario, family, tau, f, a)
-    spec = FAMILY_SPECS[report.theorem]
-    weight = spec.weight(scenario.geometry, f)
-    a_eff = report.inputs.get("a", spec.a)
-    return TheoremContext(scenario, report.theorem, report, weight, float(a_eff), float(tau))
+    prepared = prepare(scenario, family, f, a)
+    report = prepared.report(tau)
+    a_eff = report.inputs.get("a", FAMILY_SPECS[report.theorem].a)
+    return TheoremContext(scenario, report.theorem, report, prepared.weight, float(a_eff), float(tau))

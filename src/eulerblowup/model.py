@@ -353,7 +353,11 @@ def _cross_check_analytic_B(tf: TestingFunction) -> None:
 
 
 def _build(tf: TestingFunction) -> TestingFunction:
-    _validate_testing_function(tf)
+    # a weight whose own arithmetic fails (beta**2 underflowing to 0) is a bad weight
+    try:
+        _validate_testing_function(tf)
+    except ArithmeticError as exc:
+        raise ValueError(f"testing function {tf.name or tf.cls}: {type(exc).__name__}: {exc}") from exc
     return tf
 
 

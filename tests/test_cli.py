@@ -214,6 +214,37 @@ class TestCheckCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("amp_rho", ["0.01", "-0.01"])
+    def test_horizon_below_rounding_of_R_is_invalid_input(self, amp_rho, tmp_path, capsys):
+        # R + sigma*tau rounds to R: the power-weight threshold is infinite in
+        # case 1 (amp_rho > 0) and in case 2 (negative mass)
+        cfg = write_config(tmp_path / "r.cfg", ["preset = ref-radial3", "grid.cells = 256", f"amp_rho = {amp_rho}"])
+        out = tmp_path / "out"
+        code = main(["check", "--theorem", "power-radial", "--tau", "1e-17", "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "threshold" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["1e-12", "1e-17", "1e-300"])
+    def test_tiny_horizon_is_inconclusive(self, tau, cert_config, capsys):
+        # sigma*tau/R far below the float spacing of 1: the reciprocity
+        # quadrature's upper limit must not cancel
+        code = main(["check", "--theorem", "linear-1d-tau", "--tau", tau, cert_config])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "verdict: inconclusive" in captured.out
+
+    def test_underflowing_weight_parameter_is_invalid_input(self, cert_config, capsys):
+        # beta**2 underflows to 0 in the exponential weight's closed-form B
+        code = main(["check", "--theorem", "general-1d", "--weight", "exp:1e-200", cert_config])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: bad weight spec 'exp:1e-200'")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", [
         ["check", "--theorem", "general-1d", "--weight", "exp:2"],
         ["check", "--theorem", "linear-1d-tau"],

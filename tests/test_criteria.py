@@ -20,7 +20,6 @@ from eulerblowup.criteria import (
     LINEAR_1D_INFINITE,
     LINEAR_1D_TAU_CASE1,
     LINEAR_1D_TAU_CASE2,
-    NonMonotoneVerdictError,
     POWER_RADIAL_CASE1,
     POWER_RADIAL_CASE2,
     Verdict,
@@ -90,6 +89,23 @@ class TestClosedFormThresholds:
     def test_power_case1_n3_value(self):
         got = power_radial_case1_threshold(3, 1.0, SQRT2, 1.0)
         assert got == pytest.approx(0.9714045207910318, rel=1e-12)
+
+    @pytest.mark.parametrize("amp_rho, theorem", [(0.01, POWER_RADIAL_CASE1), (-0.01, POWER_RADIAL_CASE2)])
+    def test_power_threshold_is_infinite_when_the_horizon_rounds_away(self, amp_rho, theorem):
+        # R + sigma*tau rounds to R, so U**(N+1) - R**(N+1) is 0
+        assert power_radial_case1_threshold(3, 1.0, SQRT2, 1e-17) == math.inf
+        report = run_family_check(bump(Geometry.radial(3), amp_rho=amp_rho), FAMILY_POWER_RADIAL, tau=1e-17)
+        assert report.theorem == theorem
+        assert report.inputs["threshold"] == math.inf
+        assert report.verdict.kind == "inconclusive"
+
+    @pytest.mark.parametrize("tau", [1e-12, 1e-17, 1e-300])
+    def test_linear_tau_threshold_at_tiny_horizons(self, tau):
+        # sigma*tau/R far below the float spacing of 1 still passes the
+        # reciprocity check, and the threshold is the closed form's
+        report = check_linear_1d_tau(bump(Geometry.cartesian1d()), tau)
+        assert report.inputs["threshold"] == linear_tau_case1_threshold(1.0, SQRT2, tau)
+        assert report.verdict.kind == "inconclusive"
 
     def test_linear_tau_case1_value(self):
         got = linear_tau_case1_threshold(1.0, SQRT2, 1.0)
@@ -886,18 +902,42 @@ class TestMinimalTau:
         else:
             assert 0.1 < search() < case.tau
 
-    def test_non_monotone_verdicts_raise(self, monkeypatch):
+    def test_certifying_window_gives_its_left_end(self, monkeypatch):
+        # sufficient conditions only: the certifying horizons may form a window
         scen = bump(Geometry.radial(3))
+        probes = []
 
         class Fake:
             def report(self, tau):
+                probes.append(tau)
                 ok = 0.1 < tau < 1.0 or tau > 50.0
                 verdict = Verdict.blowup_before(tau) if ok else Verdict.inconclusive("no")
                 return CriterionReport("fake", {}, [], verdict)
 
         monkeypatch.setattr(criteria, "prepare", lambda *args: Fake())
-        with pytest.raises(NonMonotoneVerdictError):
-            minimal_tau(scen, FAMILY_POWER_RADIAL)
+        got = minimal_tau(scen, FAMILY_POWER_RADIAL)
+        assert 0.1 < got <= 0.1 * (1.0 + 2e-6)
+        assert max(probes) < 1.0
+
+    @pytest.mark.parametrize("name", ["cert-general-radial-n1", "cert-general-1d-exp"])
+    def test_general_presets_give_the_smallest_certifying_horizon(self, name):
+        case = certified_case(name, cells=1024)
+
+        def certifies(tau):
+            return run_family_check(case.scenario, case.family, tau, case.f, case.a).verdict.certifies_blowup
+
+        got = minimal_tau(case.scenario, case.family, f=case.f, a=case.a)
+        assert got is not None and got < case.tau
+        assert certifies(got)
+        assert not certifies(got * (1.0 - 2e-6))
+
+    @pytest.mark.parametrize(
+        "name, want", [("cert-power-radial-n3", 0.21028363246797344), ("cert-linear-tau-1d", 0.34967211604259496)]
+    )
+    def test_closed_form_presets_pinned(self, name, want):
+        # the horizon an exhaustive scan of the grid bisects to, bit for bit
+        case = certified_case(name)
+        assert minimal_tau(case.scenario, case.family) == want
 
     @pytest.mark.parametrize("kwargs", [
         dict(tau_lo=0.0), dict(tau_lo=-1.0), dict(tau_lo=2.0, tau_hi=1.0), dict(tau_lo=1.0, tau_hi=1.0),
@@ -943,6 +983,15 @@ class TestTheoremContext:
         ctx = theorem_context(case.scenario, case.family, case.tau)
         assert ctx.family == LINEAR_1D_TAU_CASE1
         assert ctx.riccati_coeff(0.0) == pytest.approx(0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))
+    def test_context_weight_is_the_prepared_weight(self, name):
+        case = certified_case(name, cells=512)
+        ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+        own = {"cert-power-radial-n3": power_law(3), "cert-linear-tau-1d": linear(), "cert-linear-infinite-1d": linear()}
+        want = own.get(name, case.f)
+        assert want is not None and ctx.f is want
+        assert ctx.f is criteria.prepare(case.scenario, case.family, case.f, case.a).weight
 
     def test_general_context_keeps_weight_and_a(self):
         case = certified_general_radial_case(cells=512)

@@ -294,6 +294,20 @@ class TestTestingFunctions:
                 analytic_B=lambda R, sigma, t, geom: 999.0,
             )
 
+    def test_underflowing_closed_form_is_a_bad_weight(self):
+        # beta**2 underflows to 0 in the closed-form B of the cross-check
+        with pytest.raises(ValueError, match=r"exp\(1e-200x\): ZeroDivisionError"):
+            exponential(1e-200)
+
+    def test_arithmetic_error_in_a_closed_form_names_the_weight(self):
+        with pytest.raises(ValueError, match="testing function r2: ZeroDivisionError"):
+            radial_vanishing(
+                lambda x: np.asarray(x, dtype=float) ** 2,
+                lambda x: 2.0 * np.asarray(x, dtype=float),
+                analytic_B=lambda R, sigma, t, geom: R ** 4 / (4.0 * t),  # t = 0 is cross-checked
+                name="r2",
+            )
+
     def test_custom_weight_accepted(self):
         f = radial_vanishing(
             lambda x: np.sinh(np.asarray(x, dtype=float)),
