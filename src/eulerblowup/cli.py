@@ -397,12 +397,11 @@ def _sweep_row(
         prepared = prepared.with_scenario(scen)
     report = prepared.report(tau)
     _require_finite(report, tau)
-    threshold = report.inputs.get("threshold", report.inputs.get("combined_threshold", float("nan")))
     return prepared, {
         "parameter": args.parameter,
         "value": value,
         "H0": report.inputs.get("H0", float("nan")),
-        "threshold": threshold,
+        "threshold": report.threshold,
         "verdict": report.verdict.kind,
     }
 

@@ -16,7 +16,7 @@ cases are visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,7 @@ from .model import (
     power_law,
     sound_speed,
 )
-from .quadrature import QuadratureRule, SIMPSON, integrate_fn, integrate_samples
+from .quadrature import QuadratureRule, SIMPSON, integrate_samples
 
 # resolved theorem families
 GENERAL_RADIAL = "general_radial"
@@ -134,6 +134,12 @@ class CriterionReport:
     @property
     def margins(self) -> dict:
         return {c.name: c.margin for c in self.conditions}
+
+    @property
+    def threshold(self) -> float:
+        """The H(0) the criterion needs: a closed form's threshold, a general
+        family's combined threshold, NaN where no threshold applies."""
+        return self.inputs.get("threshold", self.inputs.get("combined_threshold", math.nan))
 
     def to_dict(self) -> dict:
         return {
@@ -263,22 +269,6 @@ def _horizon_side(
     return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
 
 
-def _checked_horizon_threshold(R: float, sigma: float, tau: float) -> float:
-    # the closed form must equal the reciprocal horizon integral it came from;
-    # integrate on a log-radius grid so horizons of any length stay resolved
-    thr = linear_tau_case1_threshold(R, sigma, tau)
-    w_hi = math.log1p(sigma * tau / R)
-    integral = integrate_fn(
-        lambda w: 3.0 * np.exp(-2.0 * np.asarray(w, dtype=float)) / (4.0 * sigma * R ** 2),
-        0.0,
-        w_hi,
-        QuadratureRule(SIMPSON, 512),
-    )
-    if abs(thr * integral - 1.0) > 1e-6:
-        raise RuntimeError("horizon threshold fails its reciprocity identity")
-    return thr
-
-
 @dataclass(frozen=True)
 class _ClosedForm:
     """How one closed-form family resolves to its case-1 or case-2 theorem.
@@ -286,13 +276,10 @@ class _ClosedForm:
     Case 1 (non-negative perturbed mass) compares H(0) against
     ``threshold(N, R, sigma, tau)`` with ``op``.  Case 2 (gamma = 2,
     negative mass) raises that bar through the root constant
-    ``root(N, K, m0, R, sigma, tau)``: its threshold is
-    ``case2_threshold(a, N, R, sigma, tau)`` and ``residual(a, N, K, m0,
-    R, sigma, tau)`` the relative residual of its defining equation.  A
-    family with no case 2 states non-negative mass as a condition of case
-    1.  ``weight(geometry)`` is the weight both cases integrate against;
-    the admissibility bound of a comes from the case-1 theorem's
-    ``FAMILY_SPECS`` row.
+    ``root(N, K, m0, R, sigma, tau)``, admissible above ``a_min``: its
+    threshold is ``case2_threshold(a, N, R, sigma, tau)``.  A family with
+    no case 2 states non-negative mass as a condition of case 1.
+    ``weight(geometry)`` is the weight both cases integrate against.
     """
 
     name: str  # as error messages name the criterion
@@ -305,29 +292,28 @@ class _ClosedForm:
     shortfall: str  # inconclusive reason of case 1
     equality_note: str  # note when H(0) sits on a strict threshold
     root: Callable[..., float] | None = None
+    a_min: float | None = None
     case2_threshold: Callable[..., float] | None = None
-    residual: Callable[..., float] | None = None
 
 
 _STRICT_NOTE = "H(0) sits exactly on the strict threshold"
 
 # name, theorems, weight; case-1 threshold, operator and condition; shortfall
-# reason and equality note; case-2 root constant, threshold, residual
+# reason and equality note; case-2 root constant, its bound and threshold
 _POWER_RADIAL = _ClosedForm(
     "power-weight", POWER_RADIAL_CASE1, POWER_RADIAL_CASE2, lambda geometry: power_law(geometry.ndim),
     power_radial_case1_threshold, ">", "initial_momentum_exceeds_threshold",
     "initial momentum does not exceed the threshold",
     "H(0) sits exactly on the threshold: the strict form does not certify, the non-strict variant would",
-    power_radial_case2_a, power_radial_case2_threshold, power_radial_root_residual,
+    power_radial_case2_a, 2.0, power_radial_case2_threshold,
 )
 _LINEAR_1D_TAU = _ClosedForm(
     "horizon", LINEAR_1D_TAU_CASE1, LINEAR_1D_TAU_CASE2, lambda geometry: linear(),
-    lambda N, R, sigma, tau: _checked_horizon_threshold(R, sigma, tau), ">=",
+    lambda N, R, sigma, tau: linear_tau_case1_threshold(R, sigma, tau), ">=",
     "initial_momentum_meets_threshold",
     "initial momentum below the horizon threshold", _STRICT_NOTE,
-    lambda N, K, m0, R, sigma, tau: linear_tau_case2_a(K, m0, R, sigma, tau),
+    lambda N, K, m0, R, sigma, tau: linear_tau_case2_a(K, m0, R, sigma, tau), 4.0 / 3.0,
     lambda a, N, R, sigma, tau: linear_tau_case2_threshold(a, R, sigma, tau),
-    lambda a, N, K, m0, R, sigma, tau: linear_tau_root_residual(a, K, m0, R, sigma, tau),
 )
 _LINEAR_1D = _ClosedForm(
     "horizon-free", LINEAR_1D_INFINITE, None, lambda geometry: linear(),
@@ -482,7 +468,6 @@ class PreparedCriterion:
     def _closed_form_report(self, row: _ClosedForm, tau: float | None) -> CriterionReport:
         """Resolve a closed-form family; ``tau`` is None when it has no horizon."""
         eos, geom = self.scenario.eos, self.scenario.geometry
-        spec = FAMILY_SPECS[row.case1]
         N, R, sigma = geom.ndim, self.scenario.R, self.sigma
         H0, m0 = self.H0, self.m0
         inputs: dict = {"geometry": geom.label()}
@@ -505,19 +490,14 @@ class PreparedCriterion:
         else:
             theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
             a = row.root(N, eos.K, m0, R, sigma, tau)
-            # closer to a_min, rounding in a - a_min alone exceeds the tolerance
-            if a - spec.a > 1e-6 * spec.a:
-                resid = row.residual(a, N, eos.K, m0, R, sigma, tau)
-                if abs(resid) > 1e-9:
-                    raise RuntimeError(f"root constant fails its defining equation (residual {resid:g})")
             thr = row.case2_threshold(a, N, R, sigma, tau)
             inputs["a"] = a
             conds = [
-                Condition("root_constant_admissible", a, spec.a, ">"),
+                Condition("root_constant_admissible", a, row.a_min, ">"),
                 Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
             ]
-            if a == spec.a:
-                notes.append(f"root constant degenerates to the admissibility boundary a = {spec.a:g}")
+            if a == row.a_min:
+                notes.append(f"root constant degenerates to the admissibility boundary a = {row.a_min:g}")
         inputs["threshold"] = thr
         if H0 == thr and conds[-1].op == ">":
             notes.append(row.equality_note)
@@ -651,16 +631,14 @@ def minimal_tau(
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Default trade-off constant and monitored inequality of one theorem.
+    """Monitored inequality of one theorem.
 
-    ``a`` is the trade-off constant when the report records none; the
-    weight is the prepared criterion's.  ``riccati(ctx, t, U)`` is the
-    coefficient c(t) with U = R + sigma*t, and ``G(ctx, H, m0, snap,
-    U_tau)`` the slack term of dH/dt >= c(t) H**2 + G(t), with
-    U_tau = R + sigma*tau.
+    ``riccati(ctx, t, U)`` is the coefficient c(t) with U = R + sigma*t,
+    and ``G(ctx, H, m0, snap, U_tau)`` the slack term of
+    dH/dt >= c(t) H**2 + G(t), with U_tau = R + sigma*tau.  Both read the
+    context's weight and, where the theorem has one, its ``a``.
     """
 
-    a: float | None
     riccati: Callable
     G: Callable
 
@@ -732,36 +710,29 @@ def _pressure_slack(ctx: TheoremContext, H: float, m0: float, snap: FieldSnapsho
 
 
 _GENERAL = FamilySpec(
-    None,
     lambda c, t, U: 1.0 / (c.a * c.B(t)),
     lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.B(c.tau))
     - _barrier(c.scenario.eos) * float(c.f.f(U)),
 )
-_POWER = FamilySpec(
-    2.0,
-    lambda c, t, U: c.N * (c.N + 1) / (2.0 * U ** (c.N + 2)),
-    _pressure_slack,
-)
-_LINEAR = FamilySpec(4.0 / 3.0, lambda c, t, U: 3.0 / (4.0 * U ** 3), _pressure_slack)
+_POWER = FamilySpec(lambda c, t, U: c.N * (c.N + 1) / (2.0 * U ** (c.N + 2)), _pressure_slack)
+_LINEAR = FamilySpec(lambda c, t, U: 3.0 / (4.0 * U ** 3), _pressure_slack)
 
 # resolved theorem -> spec; the negative-mass cases 2 carry the root constant a
 FAMILY_SPECS = {
     GENERAL_RADIAL: _GENERAL,
     GENERAL_1D: _GENERAL,
     POWER_RADIAL_CASE1: _POWER,
-    POWER_RADIAL_CASE2: replace(
-        _POWER,
-        riccati=lambda c, t, U: c.N * (c.N + 1) / (c.a * U ** (c.N + 2)),
-        G=lambda c, H, m0, snap, U: (c.a - 2.0) * c.N * (c.N + 1) * H ** 2
+    POWER_RADIAL_CASE2: FamilySpec(
+        lambda c, t, U: c.N * (c.N + 1) / (c.a * U ** (c.N + 2)),
+        lambda c, H, m0, snap, U: (c.a - 2.0) * c.N * (c.N + 1) * H ** 2
         / (2.0 * c.a * U ** (c.N + 2))
         + 2.0 * c.scenario.eos.K * c.N * m0,
     ),
     LINEAR_1D_INFINITE: _LINEAR,
     LINEAR_1D_TAU_CASE1: _LINEAR,
-    LINEAR_1D_TAU_CASE2: replace(
-        _LINEAR,
-        riccati=lambda c, t, U: 1.0 / (c.a * U ** 3),
-        G=lambda c, H, m0, snap, U: (3.0 * c.a - 4.0) * H ** 2 / (4.0 * c.a * U ** 3)
+    LINEAR_1D_TAU_CASE2: FamilySpec(
+        lambda c, t, U: 1.0 / (c.a * U ** 3),
+        lambda c, H, m0, snap, U: (3.0 * c.a - 4.0) * H ** 2 / (4.0 * c.a * U ** 3)
         + 2.0 * c.scenario.eos.K * m0,
     ),
 }
@@ -777,5 +748,6 @@ def theorem_context(
     """Resolve a family on a scenario and package its monitored inequality."""
     prepared = prepare(scenario, family, f, a)
     report = prepared.report(tau)
-    a_eff = report.inputs.get("a", FAMILY_SPECS[report.theorem].a)
+    # a case-1 closed form has no trade-off constant, and its inequality reads none
+    a_eff = report.inputs.get("a", math.nan)
     return TheoremContext(scenario, report.theorem, report, prepared.weight, float(a_eff), float(tau))

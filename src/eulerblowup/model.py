@@ -293,7 +293,6 @@ class TestingFunction:
     f: Callable
     f_prime: Callable
     cls: str
-    power: float | None = None
     analytic_B: Callable | None = None
     name: str = ""
 
@@ -316,10 +315,12 @@ def _sample_domain(cls: str) -> np.ndarray:
 
 def _validate_testing_function(tf: TestingFunction) -> None:
     xs = _sample_domain(tf.cls)
-    fp = np.asarray(tf.f_prime(xs), dtype=float)
+    # an overflowing weight is reported by the checks below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = np.asarray(tf.f_prime(xs), dtype=float)
+        fv = np.asarray(tf.f(xs), dtype=float)
     if not np.all(np.isfinite(fp)) or not np.all(fp > 0):
-        raise ValueError(f"testing function {tf.name or tf.cls}: f' must be positive")
-    fv = np.asarray(tf.f(xs), dtype=float)
+        raise ValueError(f"testing function {tf.name or tf.cls}: f' must be finite and positive")
     if not np.all(np.isfinite(fv)):
         raise ValueError(f"testing function {tf.name or tf.cls}: f must be finite")
     if tf.cls in (RADIAL_VANISHING, POWER_LAW, LINEAR):
@@ -410,7 +411,7 @@ def power_law(n: float) -> TestingFunction:
         return power_law_B(n, R, sigma, t, geometry)
 
     return _build(
-        TestingFunction(f, f_prime, POWER_LAW, power=float(n), analytic_B=analytic_B, name=f"r^{n:g}")
+        TestingFunction(f, f_prime, POWER_LAW, analytic_B=analytic_B, name=f"r^{n:g}")
     )
 
 
@@ -427,7 +428,7 @@ def linear() -> TestingFunction:
     def analytic_B(R, sigma, t, geometry):
         return power_law_B(1, R, sigma, t, geometry)
 
-    return _build(TestingFunction(f, f_prime, LINEAR, power=1.0, analytic_B=analytic_B, name="x"))
+    return _build(TestingFunction(f, f_prime, LINEAR, analytic_B=analytic_B, name="x"))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE, typed=True)

@@ -37,13 +37,11 @@ from typing import Callable
 from .criteria import (
     FAMILY_GENERAL_1D,
     FAMILY_GENERAL_RADIAL,
+    FAMILY_GROUPS,
     FAMILY_LINEAR_1D,
     FAMILY_LINEAR_1D_TAU,
     FAMILY_POWER_RADIAL,
     general_condition_thresholds,
-    linear_1d_threshold,
-    linear_tau_case1_threshold,
-    power_radial_case1_threshold,
 )
 from .model import (
     DetectorParams,
@@ -127,17 +125,13 @@ def _exp_shape(beta: float) -> float:
     ) * _R
 
 
-def _general_threshold(eos: EosParams, geometry: Geometry, f: TestingFunction, a: float) -> float:
-    return max(general_condition_thresholds(f, a, eos, _R, _TAU, geometry))
-
-
 @dataclass(frozen=True)
 class _CertifiedPreset:
     """Row of the certified-preset table.
 
-    ``shape`` is H(0) of the quartic bump per unit velocity amplitude,
-    ``threshold(eos, geometry, f, a)`` the H(0) the criterion needs, and
-    ``weight()`` builds the weight of a general family.
+    ``shape`` is H(0) of the quartic bump per unit velocity amplitude and
+    ``weight()`` builds the weight of a general family.  The threshold is
+    the family's: see :func:`certified_case`.
     """
 
     family: str
@@ -145,7 +139,6 @@ class _CertifiedPreset:
     geometry: Geometry
     extent: float
     shape: float
-    threshold: Callable[..., float]
     weight: Callable[[], TestingFunction] | None = None
     a: float = 4.0
 
@@ -154,22 +147,19 @@ CERTIFIED_PRESETS = {
     # 1-D identity-weight horizon criterion, case 1
     "cert-linear-tau-1d": _CertifiedPreset(
         FAMILY_LINEAR_1D_TAU, reference_eos(), Geometry.cartesian1d(), 2.6, SHAPE_1D_LINEAR * _R ** 2,
-        lambda eos, geom, f, a: linear_tau_case1_threshold(_R, sound_speed(eos), _TAU),
     ),
     # 1-D identity-weight horizon-free criterion (finite-time verdict)
     "cert-linear-infinite-1d": _CertifiedPreset(
         FAMILY_LINEAR_1D, reference_eos(), Geometry.cartesian1d(), 2.6, SHAPE_1D_LINEAR * _R ** 2,
-        lambda eos, geom, f, a: linear_1d_threshold(_R, sound_speed(eos)),
     ),
     # radial cubic-weight criterion, case 1, N = 3
     "cert-power-radial-n3": _CertifiedPreset(
         FAMILY_POWER_RADIAL, reference_eos(), Geometry.radial(3), 2.6, SHAPE_RADIAL_CUBIC * _R ** 4,
-        lambda eos, geom, f, a: power_radial_case1_threshold(geom.ndim, _R, sound_speed(eos), _TAU),
     ),
     # general radial criterion with the identity weight, N = 1
     "cert-general-radial-n1": _CertifiedPreset(
         FAMILY_GENERAL_RADIAL, EosParams(K=0.5, gamma=2.0, rho_bar=0.5), Geometry.radial(1), 2.0,
-        SHAPE_RADIAL_LINEAR * _R ** 2, _general_threshold, weight=linear,
+        SHAPE_RADIAL_LINEAR * _R ** 2, weight=linear,
     ),
     # general 1-D criterion with an exponential weight: beta = 2 and a = 3.5
     # sit near the minimizer of the combined threshold divided by the bump
@@ -177,7 +167,7 @@ CERTIFIED_PRESETS = {
     # number of the run) as small as the criterion allows
     "cert-general-1d-exp": _CertifiedPreset(
         FAMILY_GENERAL_1D, EosParams(K=0.25, gamma=2.0, rho_bar=0.5), Geometry.cartesian1d(), 2.0,
-        _exp_shape(2.0), _general_threshold, weight=lambda: exponential(2.0), a=3.5,
+        _exp_shape(2.0), weight=lambda: exponential(2.0), a=3.5,
     ),
 }
 
@@ -186,7 +176,12 @@ def certified_case(name: str, cells: int = REFERENCE_CELLS, margin: float = CERT
     """Certified preset ``name``: H(0) sits at ``margin`` times the threshold."""
     p = CERTIFIED_PRESETS[name]
     f = p.weight() if p.weight is not None else None
-    amp_v = margin * p.threshold(p.eos, p.geometry, f, p.a) / p.shape
+    row = FAMILY_GROUPS[p.family].closed_form
+    if row is None:
+        threshold = max(general_condition_thresholds(f, p.a, p.eos, _R, _TAU, p.geometry))
+    else:
+        threshold = row.threshold(p.geometry.ndim, _R, sound_speed(p.eos), _TAU)
+    amp_v = margin * threshold / p.shape
     scen = make_bump_scenario(
         eos=p.eos,
         geometry=p.geometry,

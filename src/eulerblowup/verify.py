@@ -407,9 +407,7 @@ def validate_blowup_prediction(
         t_end = float(verdict.tau)
         cap_kind = "tau"
     else:
-        t_bound = riccati_horizon(
-            scenario.R, sigma, report.inputs["threshold"], report.inputs["H0"]
-        )
+        t_bound = riccati_horizon(scenario.R, sigma, report.threshold, report.inputs["H0"])
         containment = 0.95 * (scenario.grid.extent - scenario.R) / sigma
         t_end = min(10.0 * t_bound, containment)
         cap_kind = "cap"

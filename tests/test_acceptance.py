@@ -62,10 +62,31 @@ def gauss(fn, lo: float, hi: float) -> float:
     return half * float(np.sum(_GAUSS_W * fn(mid + half * _GAUSS_X)))
 
 
+def _assert_reciprocity(N, R, tau, K, rho_bar, m2):
+    # substituting w = 1/(R + sigma*s) turns each time integral of a Riccati
+    # coefficient into a polynomial that the Gauss rule evaluates exactly
+    sigma = math.sqrt(2.0 * K * rho_bar)  # gamma = 2
+    U = R + sigma * tau
+    ints = {
+        "power1": gauss(lambda w: 0.5 * N * (N + 1) * w ** N, 1.0 / U, 1.0 / R) / sigma,
+        "linear": gauss(lambda w: 0.75 * w, 0.0, 1.0 / R) / sigma,
+        "tau1": gauss(lambda w: 0.75 * w, 1.0 / U, 1.0 / R) / sigma,
+    }
+    a = linear_tau_case2_a(K, m2, R, sigma, tau)
+    ints["tau2"] = gauss(lambda w: w / a, 1.0 / U, 1.0 / R) / sigma
+    thrs = {
+        "power1": power_radial_case1_threshold(N, R, sigma, tau),
+        "linear": linear_1d_threshold(R, sigma),
+        "tau1": linear_tau_case1_threshold(R, sigma, tau),
+        "tau2": linear_tau_case2_threshold(a, R, sigma, tau),
+    }
+    for key in thrs:
+        assert abs(thrs[key] * ints[key] - 1.0) < 1e-10, (key, tau)
+
+
 def test_criterion_01_threshold_reciprocity():
     # every closed-form threshold is the reciprocal of the time integral
-    # of its Riccati coefficient; substituting w = 1/(R + sigma*s) turns
-    # each integral into a polynomial that the Gauss rule evaluates exactly
+    # of its Riccati coefficient
     rng = np.random.default_rng(2026)
     for _ in range(200):
         N = int(rng.integers(1, 4))
@@ -74,24 +95,17 @@ def test_criterion_01_threshold_reciprocity():
         K = rng.uniform(0.5, 2.0)
         rho_bar = rng.uniform(0.5, 2.0)
         m2 = -rng.uniform(1e-4, 1.0)
-        sigma = math.sqrt(2.0 * K * rho_bar)  # gamma = 2
-        U = R + sigma * tau
-
-        ints = {
-            "power1": gauss(lambda w: 0.5 * N * (N + 1) * w ** N, 1.0 / U, 1.0 / R) / sigma,
-            "linear": gauss(lambda w: 0.75 * w, 0.0, 1.0 / R) / sigma,
-            "tau1": gauss(lambda w: 0.75 * w, 1.0 / U, 1.0 / R) / sigma,
-        }
-        a = linear_tau_case2_a(K, m2, R, sigma, tau)
-        ints["tau2"] = gauss(lambda w: w / a, 1.0 / U, 1.0 / R) / sigma
-        thrs = {
-            "power1": power_radial_case1_threshold(N, R, sigma, tau),
-            "linear": linear_1d_threshold(R, sigma),
-            "tau1": linear_tau_case1_threshold(R, sigma, tau),
-            "tau2": linear_tau_case2_threshold(a, R, sigma, tau),
-        }
-        for key in thrs:
-            assert abs(thrs[key] * ints[key] - 1.0) < 1e-10, key
+        _assert_reciprocity(N, R, tau, K, rho_bar, m2)
+    # horizons over fifteen decades, log-uniform
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        N = int(rng.integers(1, 4))
+        R = rng.uniform(0.5, 2.0)
+        tau = 10.0 ** rng.uniform(-3.0, 12.0)
+        K = rng.uniform(0.5, 2.0)
+        rho_bar = rng.uniform(0.5, 2.0)
+        m2 = -rng.uniform(1e-4, 1.0)
+        _assert_reciprocity(N, R, tau, K, rho_bar, m2)
 
 
 def test_criterion_02_root_formula_residuals():

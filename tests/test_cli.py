@@ -101,7 +101,7 @@ class TestConfigParsing:
         assert parse_weight(None) is None
         assert parse_weight("linear").cls == LINEAR
         w = parse_weight("power:2.5")
-        assert w.cls == POWER_LAW and w.power == 2.5
+        assert w.cls == POWER_LAW and w.f(2.0) == 2.0 ** 2.5
         assert parse_weight("exp:1.5").cls == NONNEG_INCREASING
         with pytest.raises(ConfigError):
             parse_weight("spline:3")
@@ -236,6 +236,43 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "verdict: inconclusive" in captured.out
+
+    def test_huge_horizon_certifies_at_the_horizon_free_limit(self, cert_config, tmp_path, capsys):
+        # the threshold tends to 8 sigma R**2/3 as tau grows; sigma = sqrt(2), R = 1
+        out = tmp_path / "out"
+        code = main(["check", "--theorem", "linear-1d-tau", "--tau", "1e50", "--out", str(out), cert_config])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        threshold = strict_json(out / "criterion_report.json")["inputs"]["threshold"]
+        limit = 8.0 * np.sqrt(2.0) / 3.0
+        assert abs(threshold - limit) <= 1e-12 * limit
+
+    def test_subnormal_horizon_is_invalid_input(self, cert_config, capsys):
+        # 3*tau*(2R + sigma*tau) is subnormal: the threshold overflows
+        code = main(["check", "--theorem", "linear-1d-tau", "--tau", "5e-324", cert_config])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert "threshold" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("preset, theorem, weight", [
+        ("ref-radial3", "general-radial", "power:1e300"),
+        ("cert-linear-tau-1d", "general-1d", "exp:300"),
+    ])
+    def test_overflowing_weight_is_invalid_input_without_warnings(self, preset, theorem, weight, tmp_path):
+        # a subprocess, so stderr is what a user sees, numpy warnings included
+        cfg = write_config(tmp_path / "w.cfg", [f"preset = {preset}", "grid.cells = 256"])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulerblowup.cli", "check", "--theorem", theorem, "--weight", weight, cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: bad weight spec {weight!r}")
+        assert "f' must be finite and positive" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_underflowing_weight_parameter_is_invalid_input(self, cert_config, capsys):
         # beta**2 underflows to 0 in the exponential weight's closed-form B
@@ -517,11 +554,13 @@ class TestSweepCommand:
         assert code == 0, capsys.readouterr().err
         assert len(calls) == 1
 
-    def test_amplitude_sweep_checks_the_reciprocity_identity_once(self, monkeypatch, tmp_path, capsys):
+    def test_amplitude_sweep_computes_the_closed_form_threshold_once(self, monkeypatch, tmp_path, capsys):
+        # the preset's fields, not its name: building the preset reads the threshold too
+        fields = scenario_to_config(PRESETS["cert-linear-tau-1d"](512))
+        cfg = write_config(tmp_path / "s.cfg", [f"{key} = {value}" for key, value in fields.items()])
         calls = []
-        original = criteria.integrate_fn
-        monkeypatch.setattr(criteria, "integrate_fn", lambda *args: calls.append(args) or original(*args))
-        cfg = write_config(tmp_path / "s.cfg", ["preset = cert-linear-tau-1d", "grid.cells = 512"])
+        original = criteria.linear_tau_case1_threshold
+        monkeypatch.setattr(criteria, "linear_tau_case1_threshold", lambda *args: calls.append(args) or original(*args))
         code = main([
             "sweep", "--theorem", "linear-1d-tau", "--parameter", "amp_v",
             "--lo", "1", "--hi", "3", "--steps", "16", "--out", str(tmp_path / "o"), cfg,

@@ -12,10 +12,12 @@ from eulerblowup.criteria import (
     Condition,
     CriterionReport,
     FAMILIES,
+    FAMILY_GENERAL_1D,
     FAMILY_GENERAL_RADIAL,
     FAMILY_LINEAR_1D,
     FAMILY_LINEAR_1D_TAU,
     FAMILY_POWER_RADIAL,
+    GENERAL_1D,
     GENERAL_RADIAL,
     LINEAR_1D_INFINITE,
     LINEAR_1D_TAU_CASE1,
@@ -186,6 +188,25 @@ class TestRootConstants:
             assert a > 4.0 / 3.0
             assert abs(linear_tau_root_residual(a, K, m2, R, sigma, tau)) < 1e-9
 
+    def test_residuals_over_wide_horizons_and_masses(self):
+        # log-uniform horizons over fifteen decades; the masses are uniform,
+        # because the residual divides by a - a_min: draws within rounding of
+        # the bound measure that division, not the root
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            N = int(rng.integers(1, 4))
+            K = float(rng.uniform(0.2, 3.0))
+            m0 = float(-rng.uniform(1e-6, 1e3))
+            R = float(rng.uniform(0.3, 2.0))
+            sigma = float(rng.uniform(0.3, 3.0))
+            tau = float(10.0 ** rng.uniform(-3.0, 12.0))
+            a = power_radial_case2_a(N, K, m0, R, sigma, tau)
+            assert a > 2.0
+            assert abs(power_radial_root_residual(a, N, K, m0, R, sigma, tau)) < 1e-9, tau
+            a = linear_tau_case2_a(K, m0, R, sigma, tau)
+            assert a > 4.0 / 3.0
+            assert abs(linear_tau_root_residual(a, K, m0, R, sigma, tau)) < 1e-9, tau
+
     def test_vanishing_mass_recovers_case1_scaling(self):
         # as m -> 0 the root constant approaches its degenerate value
         a = power_radial_case2_a(2, 1.0, -1e-14, 1.0, SQRT2, 1.0)
@@ -205,6 +226,43 @@ class TestConditionSemantics:
         assert Verdict.blowup_finite().certifies_blowup
         assert not Verdict.inconclusive("x").certifies_blowup
         assert Verdict.blowup_before(2.0).tau == 2.0
+
+
+class TestReportThreshold:
+    @pytest.mark.parametrize(
+        "geometry, family, weight, amp_rho, theorem, key",
+        [
+            (Geometry.radial(1), FAMILY_GENERAL_RADIAL, linear, 0.01, GENERAL_RADIAL, "combined_threshold"),
+            (Geometry.cartesian1d(), FAMILY_GENERAL_1D, lambda: exponential(2.0), 0.01, GENERAL_1D,
+             "combined_threshold"),
+            (Geometry.radial(3), FAMILY_POWER_RADIAL, None, 0.01, POWER_RADIAL_CASE1, "threshold"),
+            (Geometry.radial(3), FAMILY_POWER_RADIAL, None, -0.01, POWER_RADIAL_CASE2, "threshold"),
+            (Geometry.cartesian1d(), FAMILY_LINEAR_1D, None, 0.01, LINEAR_1D_INFINITE, "threshold"),
+            (Geometry.cartesian1d(), FAMILY_LINEAR_1D_TAU, None, 0.01, LINEAR_1D_TAU_CASE1, "threshold"),
+            (Geometry.cartesian1d(), FAMILY_LINEAR_1D_TAU, None, -0.01, LINEAR_1D_TAU_CASE2, "threshold"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_threshold_is_the_resolved_theorems_input(self, geometry, family, weight, amp_rho, theorem, key):
+        f = weight() if weight is not None else None
+        report = run_family_check(bump(geometry, amp_rho=amp_rho), family, f=f)
+        assert report.theorem == theorem
+        assert math.isfinite(report.inputs[key])
+        assert report.threshold == report.inputs[key]
+
+    @pytest.mark.parametrize(
+        "geometry, family, theorem",
+        [(Geometry.radial(3), FAMILY_POWER_RADIAL, POWER_RADIAL_CASE2),
+         (Geometry.cartesian1d(), FAMILY_LINEAR_1D_TAU, LINEAR_1D_TAU_CASE2)],
+    )
+    def test_threshold_is_nan_for_uncovered_negative_mass(self, geometry, family, theorem):
+        # negative mass is covered for gamma = 2 only
+        report = run_family_check(bump(geometry, amp_rho=-0.1, gamma=3.0), family)
+        assert report.theorem == theorem
+        assert math.isnan(report.threshold)
+
+    def test_threshold_is_nan_without_a_threshold_input(self):
+        assert math.isnan(CriterionReport("x", {"H0": 1.0}, [], Verdict.inconclusive("x")).threshold)
 
 
 class TestCheckGeneral:
@@ -431,11 +489,11 @@ class TestPreparedCriterion:
         assert report_json(report) == report_json(fresh)
         assert report.inputs["horizon_threshold"] != prepared.report(0.8).inputs["horizon_threshold"]
 
-    def test_a_new_radius_rechecks_the_reciprocity_identity(self, monkeypatch):
-        calls = []
-        original = criteria.integrate_fn
-        monkeypatch.setattr(criteria, "integrate_fn", lambda *args: calls.append(args) or original(*args))
+    def test_a_new_radius_recomputes_the_closed_form_threshold(self, monkeypatch):
         scen = certified_linear_tau_case(cells=512).scenario
+        calls = []
+        original = criteria.linear_tau_case1_threshold
+        monkeypatch.setattr(criteria, "linear_tau_case1_threshold", lambda *args: calls.append(args) or original(*args))
         prepared = criteria.prepare(scen, FAMILY_LINEAR_1D_TAU)
         prepared.with_scenario(with_amp_v(scen, 2.0 * scen.amp_v)).report(1.0)
         prepared.report(1.0)
@@ -973,7 +1031,7 @@ class TestTheoremContext:
         case = certified_power_radial_case(cells=512)
         ctx = theorem_context(case.scenario, case.family, case.tau)
         assert ctx.family == POWER_RADIAL_CASE1
-        assert ctx.f.power == 3.0
+        assert ctx.f.f(2.0) == 2.0 ** 3
         assert ctx.hypotheses_hold()
         # coefficient at t=0: N(N+1)/(2 R^(N+2)) with N=3, R=1
         assert ctx.riccati_coeff(0.0) == pytest.approx(6.0, rel=1e-12)

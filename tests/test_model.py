@@ -237,7 +237,7 @@ class TestScenarioConstruction:
 class TestTestingFunctions:
     def test_power_law_basics(self):
         f = power_law(2.0)
-        assert f.cls == POWER_LAW and f.power == 2.0
+        assert f.cls == POWER_LAW and f.f(2.0) == 2.0 ** 2.0
         assert f.f(3.0) == pytest.approx(9.0)
         assert f.f_prime(3.0) == pytest.approx(6.0)
         # f^2/f' = r^3/2
