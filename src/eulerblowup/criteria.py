@@ -16,6 +16,7 @@ cases are visible.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -62,6 +63,22 @@ FAMILY_LINEAR_1D_TAU = "linear-1d-tau"
 FAMILY_LINEAR_1D = "linear-1d"
 
 _HORIZON_RULE = QuadratureRule(SIMPSON, 2048)
+
+
+class HorizonRangeError(ValueError):
+    """A horizon tau at which a criterion's values leave the float range."""
+
+
+@contextmanager
+def _overflow_named(quantity: str, family: str, tau: float):
+    """Re-raise an OverflowError of Python float arithmetic as a HorizonRangeError
+    naming the horizon, the quantity and the criterion family."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise HorizonRangeError(
+            f"criterion values are not finite at tau={tau:g}: {quantity} of the {family} criterion overflows"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -251,16 +268,27 @@ def general_condition_thresholds(
 def _horizon_side(
     f: TestingFunction, a: float, eos: EosParams, R: float, tau: float, geometry: Geometry
 ) -> tuple[float, float, float]:
-    """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds."""
-    sigma = sound_speed(eos)
-    B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
-    U = R + sigma * tau
-    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
+    """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds.
 
+    Raises HorizonRangeError when tau is too small for distinct abscissae
+    or B overflows.
+    """
+    family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
     # the abscissae and spacing integrate_fn would use; integrating the table
     # directly keeps its typed errors out of integrate_fn's per-point fallback
     times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
-    B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+    if not np.all(times[1:] > times[:-1]):
+        raise HorizonRangeError(
+            f"the {family} criterion cannot resolve tau={tau:g}: "
+            f"the {_HORIZON_RULE.panels}-panel horizon integral's abscissae round to repeated times"
+        )
+    sigma = sound_speed(eos)
+    with _overflow_named("B_tau", family, tau):
+        B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
+        B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+    U = R + sigma * tau
+    strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
+
     # a*B past the float range has a zero reciprocal; a zero integral is an
     # infinite threshold, which the CLI rejects as an overflow
     with np.errstate(over="ignore"):
@@ -431,7 +459,8 @@ class PreparedCriterion:
             if row is None:
                 side = _horizon_side(self.f, self.a, s.eos, s.R, tau, s.geometry)
             else:
-                side = row.threshold(s.geometry.ndim, s.R, self.sigma, tau)
+                with _overflow_named("threshold", self.family, tau):
+                    side = row.threshold(s.geometry.ndim, s.R, self.sigma, tau)
             self.horizons[tau] = side
         return self.horizons[tau]
 
@@ -489,8 +518,10 @@ class PreparedCriterion:
             return CriterionReport(row.case2, inputs, [], verdict, notes)
         else:
             theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
-            a = row.root(N, eos.K, m0, R, sigma, tau)
-            thr = row.case2_threshold(a, N, R, sigma, tau)
+            with _overflow_named("a", self.family, tau):
+                a = row.root(N, eos.K, m0, R, sigma, tau)
+            with _overflow_named("threshold", self.family, tau):
+                thr = row.case2_threshold(a, N, R, sigma, tau)
             inputs["a"] = a
             conds = [
                 Condition("root_constant_admissible", a, row.a_min, ">"),

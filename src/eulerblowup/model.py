@@ -51,23 +51,28 @@ def pressure(eos: EosParams, rho):
     return float(p) if np.isscalar(rho) else p
 
 
-def rho_power(rho, e: float):
+def rho_power(rho, e: float, out=None):
     """rho ** e, with the shortcuts e == 1 -> rho and e == 2 -> rho * rho.
 
     pow(x, 1) is x, and rho * rho is the correctly rounded square, so it
     equals pow(rho, 2) wherever pow rounds correctly; with gamma = 2, the
     gas of every preset, neither the pressure nor the sound speed calls pow.
+    Given an array ``out``, the square and the power are written there
+    (``np.power`` gives the bits of ``**``); e == 1 still returns rho.
     """
     if e == 1.0:
         return rho
     if e == 2.0:
-        return rho * rho
-    return rho ** e
+        return rho * rho if out is None else np.multiply(rho, rho, out=out)
+    return rho ** e if out is None else np.power(rho, e, out=out)
 
 
-def signal_speed(eos: EosParams, rho):
-    """Local sound speed sqrt(P'(rho)) = sqrt(K * gamma * rho**(gamma-1))."""
-    return np.sqrt(eos.K * eos.gamma * rho_power(rho, eos.gamma - 1.0))
+def signal_speed(eos: EosParams, rho, out=None):
+    """Local sound speed sqrt(P'(rho)) = sqrt(K * gamma * rho**(gamma-1)), written into ``out`` if given."""
+    if out is None:
+        return np.sqrt(eos.K * eos.gamma * rho_power(rho, eos.gamma - 1.0))
+    np.multiply(eos.K * eos.gamma, rho_power(rho, eos.gamma - 1.0, out), out=out)
+    return np.sqrt(out, out=out)
 
 
 def sound_speed(eos: EosParams) -> float:

@@ -61,15 +61,28 @@ time step and the detector at t = 0 read the full grid.  A run with no
 perturbed cell only advances the time.
 
 In place.  ``run`` allocates the kernel's ghosted buffer once per run,
-with the state's rho as its density row, and the MUSCL stage buffer and
-the radial coefficient once per run too.  Each step writes rho*V of the
-window into the momentum row, hands the window to ``_advance`` and writes
-V = (rho*V)/rho back, the same operations ``step`` does on a copy.  The
-ghost columns beyond the window are cells of the grid, background cells
-by the reach argument, or the buffer's own ghosts at its ends; the kernel
-overwrites them with (rho_bar, +0.0) in both buffers, because a background
-cell may hold V = -0.0, whose momentum is -0.0, and the stage buffer holds
-the last step's stage there.  The state is copied only for a snapshot or
+with the state's rho as its density row, and the radial coefficient and
+one ``_Workspace`` for the grid once per run too; ``step`` builds a fresh
+workspace for its copy.  The workspace owns the MUSCL stage buffer and
+every temporary of ``_rhs``: slopes, face states, velocities, speeds, |v|,
+pressures, half the Rusanov speed, flux, jump, du, and the radial source
+and mom/rho rows, one flat array each.  ``_rhs`` writes every value with
+``out=``, the same ufuncs on the same operands in the same order, so no
+bit changes, and a step allocates no window-sized array: freed kernel
+temporaries of more than about 2048 cells used to push glibc past its trim
+threshold, so each step returned their pages to the system and faulted
+them back in.  ``fit(m)`` cuts from each array a contiguous view shaped
+for an m-cell window, only when m changes: a prefix slice of a 2-D buffer
+is strided, which slows every ufunc on it, and views of one shared buffer
+can make numpy copy an operand it cannot prove disjoint from the output.
+Each step writes rho*V of the window into the momentum row, hands the
+window to ``_advance`` and writes V = (rho*V)/rho back, the same
+operations ``step`` does on a copy.  The ghost columns beyond the window
+are cells of the grid, background cells by the reach argument, or the
+buffer's own ghosts at its ends; the kernel overwrites them with (rho_bar,
++0.0) in the state and the stage buffer, because a background cell may
+hold V = -0.0, whose momentum is -0.0, and the stage buffer holds an
+earlier step's values there.  The state is copied only for a snapshot or
 a recorder sample.
 
 The time step.  ``run`` does not rescan its window for the unit-CFL limit
@@ -83,6 +96,7 @@ dt > 0, which a NaN in the state fails: its speed, and so dt, is NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,24 +173,72 @@ def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
     return float(cfl * snap.spacing / np.max(speed))
 
 
+# the arrays of a workspace: name, leading dimensions, and cells past the
+# window's m in the last dimension; the per-state arrays hold a value per
+# cell next to a face (first order) or per side of each face (MUSCL)
+_COMMON = (
+    ("half_a", (), 1),
+    ("flux", (2,), 1),
+    ("jump", (2,), 1),
+    ("du", (2,), 0),
+    ("source", (), 0),
+    ("ratio", (), 0),
+)
+_ARRAYS = {
+    FIRST_ORDER: tuple((name, (), 2) for name in ("v", "speed", "abs_v", "p")) + _COMMON,
+    MUSCL: tuple((name, (2,), 1) for name in ("v", "speed", "abs_v", "p")) + _COMMON + (
+        ("stage", (2,), 4),
+        ("d", (2,), 3),
+        ("half", (2,), 2),
+        ("negative", (2,), 2),
+        ("states", (2, 2), 1),
+    ),
+}
+
+
+class _Workspace:
+    """The MUSCL stage buffer and every temporary of ``_rhs``, for windows of up to n cells.
+
+    Each array is allocated once, as its own flat buffer; ``fit(m)`` cuts
+    from each a contiguous view shaped for an m-cell window, and only when
+    m changes (see "In place" in the module docstring).
+    """
+
+    def __init__(self, n: int, reconstruction: str):
+        self._buffers = []
+        for name, lead, extra in _ARRAYS[reconstruction]:
+            rows = math.prod(lead)
+            self._buffers.append((name, lead, rows, extra, np.empty(rows * (n + extra))))
+        self.cells = None
+
+    def fit(self, m: int) -> None:
+        """Point each named view at the start of its buffer, shaped for m cells."""
+        if m != self.cells:
+            for name, lead, rows, extra, flat in self._buffers:
+                size = m + extra
+                setattr(self, name, flat[:rows * size].reshape(*lead, size) if lead else flat[:size])
+            self.cells = m
+
+
 def _rhs(
     u: np.ndarray,
+    ws: _Workspace,
     dx: float,
     coeff: np.ndarray | None,
     geometry: Geometry,
     eos: EosParams,
     reconstruction: str,
 ) -> np.ndarray:
-    """Time derivative of the n cells of the ghosted buffer u, as a (2, n) array.
+    """Time derivative of the n cells of the ghosted buffer u, as ``ws.du``.
 
     Writes the reflection ghosts first in radial geometry; ``coeff`` is the
-    radial source coefficient (N - 1)/r, None when there is no source.
+    radial source coefficient (N - 1)/r, None when there is no source; ``ws``
+    is fitted to n cells.
     """
     if geometry.is_radial:
         # reflect across r = 0: even density, odd velocity
         u[:, 1::-1] = u[:, 2:4]
         np.negative(u[1, :2], out=u[1, :2])
-    n = u.shape[1] - 4
     if reconstruction == FIRST_ORDER:
         # the face states are the cells next to each face: evaluate each once
         states = u[:, 1:-1]
@@ -184,18 +246,18 @@ def _rhs(
         # index of the left and right state of every face in a per-state array
         il, ir = slice(None, -1), slice(1, None)
     else:
-        d = np.subtract(u[:, 1:], u[:, :-1])
+        d = np.subtract(u[:, 1:], u[:, :-1], out=ws.d)
         dl, dr = d[:, :-1], d[:, 1:]
         # half the minmod slope, 0.5 * (max(min(dl, dr), 0) + min(max(dl, dr), 0))
-        half = np.minimum(dl, dr)
+        half = np.minimum(dl, dr, out=ws.half)
         np.maximum(half, 0.0, out=half)
-        negative = np.maximum(dl, dr)
+        negative = np.maximum(dl, dr, out=ws.negative)
         np.minimum(negative, 0.0, out=negative)
         half += negative
         half *= 0.5
         # states[var, side, j]: the left and right states of face j, between
         # cells j - 1 and j
-        states = np.empty((2, 2, n + 1))
+        states = ws.states
         left, right = states[:, 0], states[:, 1]
         np.add(u[:, 1:-2], half[:, :-1], out=left)
         np.subtract(u[:, 2:-1], half[:, 1:], out=right)
@@ -209,31 +271,34 @@ def _rhs(
         il, ir = 0, 1
 
     rho_s, mom_s = states
-    v = mom_s / rho_s
-    speed = signal_speed(eos, rho_s)
-    speed += np.abs(v)
+    v = np.divide(mom_s, rho_s, out=ws.v)
+    speed = signal_speed(eos, rho_s, out=ws.speed)
+    speed += np.abs(v, out=ws.abs_v)
     mv = np.multiply(v, mom_s, out=v)
-    p = eos.K * rho_power(rho_s, eos.gamma)
+    p = np.multiply(eos.K, rho_power(rho_s, eos.gamma, out=ws.p), out=ws.p)
     # Rusanov flux: the central average minus half the larger speed times the jump
-    half_a = np.maximum(speed[il], speed[ir])
+    half_a = np.maximum(speed[il], speed[ir], out=ws.half_a)
     half_a *= 0.5
-    flux = np.empty((2, n + 1))
+    flux = ws.flux
     np.add(left[1], right[1], out=flux[0])
     np.add(mv[il], p[il], out=flux[1])
     flux[1] += mv[ir]
     flux[1] += p[ir]
     flux *= 0.5
-    jump = right - left
-    jump *= half_a
+    jump = np.subtract(right, left, out=ws.jump)
+    # row by row: broadcasting half_a over both rows makes numpy's iterator
+    # allocate a buffer of up to 8192 values per call
+    for row in jump:
+        row *= half_a
     flux -= jump
-    du = np.subtract(flux[:, 1:], flux[:, :-1])
+    du = np.subtract(flux[:, 1:], flux[:, :-1], out=ws.du)
     np.negative(du, out=du)
     du /= dx
     if coeff is not None:
         rho, mom = u[:, 2:-2]
-        source = coeff * mom
+        source = np.multiply(coeff, mom, out=ws.source)
         du[0] -= source
-        source *= mom / rho
+        source *= np.divide(mom, rho, out=ws.ratio)
         du[1] -= source
     return du
 
@@ -247,7 +312,7 @@ def _radial_coeff(centers: np.ndarray, dx: float, geometry: Geometry) -> np.ndar
 
 def _advance(
     U: np.ndarray,
-    U1: np.ndarray | None,
+    ws: _Workspace,
     a: int,
     b: int,
     t: float,
@@ -263,22 +328,24 @@ def _advance(
 
     Column j + 2 of U holds cell j.  The two columns on each side of the
     window are written as the far-field ghost (rho_bar, +0.0) first, in U
-    and in the MUSCL stage buffer U1 (same shape; None for first order), so
-    the cells there must be background cells; in radial geometry a must be
-    0.  ``centers`` and ``coeff`` cover all n cells; ``t`` is the time
-    before the step.  Raises NegativeDensityError on a non-positive stage
-    or final density, leaving the window's cells undefined.
+    and in the MUSCL stage buffer of ``ws``, so the cells there must be
+    background cells; in radial geometry a must be 0.  ``ws`` is a workspace
+    for the scheme and at least b - a cells; ``centers`` and ``coeff``
+    cover all n cells; ``t`` is the time before the step.  Raises
+    NegativeDensityError on a non-positive stage or final density, leaving
+    the window's cells undefined.
     """
     rho_bar = eos.rho_bar
+    ws.fit(b - a)
     u = U[:, a:b + 4]
     u[0, :2] = u[0, -2:] = rho_bar
     u[1, :2] = u[1, -2:] = 0.0
     state = u[:, 2:-2]
-    args = (dx, None if coeff is None else coeff[a:b], geometry, eos, reconstruction)
+    args = (ws, dx, None if coeff is None else coeff[a:b], geometry, eos, reconstruction)
     d1 = _rhs(u, *args)
     d1 *= dt
     if reconstruction == MUSCL:
-        u1 = U1[:, a:b + 4]
+        u1 = ws.stage
         u1[0, :2] = u1[0, -2:] = rho_bar
         u1[1, :2] = u1[1, -2:] = 0.0
         stage = u1[:, 2:-2]
@@ -317,9 +384,8 @@ def step(
     U = np.empty((2, n + 4))
     U[0, 2:-2] = snap.rho
     np.multiply(snap.rho, snap.V, out=U[1, 2:-2])
-    U1 = np.empty_like(U) if reconstruction == MUSCL else None
     coeff = _radial_coeff(centers, dx, geometry)
-    _advance(U, U1, 0, n, snap.t, dt, centers, dx, coeff, geometry, eos, reconstruction)
+    _advance(U, _Workspace(n, reconstruction), 0, n, snap.t, dt, centers, dx, coeff, geometry, eos, reconstruction)
     rho, mom = U[:, 2:-2]
     return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho, V=mom / rho, spacing=dx)
 
@@ -376,7 +442,7 @@ def run(
     rho, mom = U[:, 2:-2]
     rho[:] = snap.rho
     V = snap.V.copy()
-    U1 = np.empty_like(U) if config.reconstruction == MUSCL else None
+    ws = _Workspace(n, config.reconstruction)
     coeff = _radial_coeff(centers, dx, geom)
     reach = _REACH[config.reconstruction]
     perturbed = _perturbed(rho, V, eos.rho_bar)
@@ -407,7 +473,7 @@ def run(
             a = 0 if geom.is_radial else max(perturbed[0] - reach, 0)
             b = min(perturbed[1] + reach + 1, n)
             np.multiply(rho[a:b], V[a:b], out=mom[a:b])
-            _advance(U, U1, a, b, t, dt, centers, dx, coeff, geom, eos, config.reconstruction)
+            _advance(U, ws, a, b, t, dt, centers, dx, coeff, geom, eos, config.reconstruction)
             np.divide(mom[a:b], rho[a:b], out=V[a:b])
             t += dt
             perturbed = _perturbed(rho[a:b], V[a:b], eos.rho_bar, a)

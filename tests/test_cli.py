@@ -257,6 +257,59 @@ class TestCheckCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize("preset, theorem, weight", [
+        ("ref-radial3", "general-radial", "linear"),
+        ("cert-general-1d-exp", "general-1d", "exp:2"),
+    ])
+    def test_subnormal_horizon_of_a_general_family_names_it(self, preset, theorem, weight, tmp_path, capsys):
+        # tau / 2048 rounds to zero: the horizon integral has no distinct abscissae
+        cfg = write_config(tmp_path / "g.cfg", [f"preset = {preset}", "grid.cells = 256"])
+        code = main(["check", "--theorem", theorem, "--weight", weight, "--tau", "5e-324", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: the {theorem} criterion cannot resolve tau=4.94066e-324")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("preset, theorem, weight, tau, quantity", [
+        ("cert-linear-tau-1d", "linear-1d-tau", None, "1e300", "threshold"),
+        ("ref-radial3", "power-radial", None, "1e300", "threshold"),
+        ("ref-radial3", "general-radial", "linear", "1e300", "B_tau"),
+        ("cert-general-1d-exp", "general-1d", "exp:2", "1e6", "B_tau"),
+    ])
+    def test_overflowing_horizon_names_tau_and_the_quantity(self, preset, theorem, weight, tau, quantity, tmp_path, capsys):
+        # Python float ** and math.sinh raise OverflowError past the float range
+        cfg = write_config(tmp_path / "h.cfg", [f"preset = {preset}", "grid.cells = 256"])
+        out = tmp_path / "out"
+        code = main(["check", "--theorem", theorem, *(["--weight", weight] if weight else []),
+                     "--tau", tau, "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"error: criterion values are not finite at tau={float(tau):g}: "
+            f"{quantity} of the {theorem} criterion overflows\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, theorem", [("ref-radial3", "power-radial"), ("ref-1d", "linear-1d-tau")])
+    def test_overflowing_root_constant_names_it(self, preset, theorem, tmp_path, capsys):
+        # negative mass (case 2): the root constant overflows first
+        cfg = write_config(tmp_path / "n.cfg", [f"preset = {preset}", "grid.cells = 256", "amp_rho = -0.01"])
+        code = main(["check", "--theorem", theorem, "--tau", "1e300", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: criterion values are not finite at tau=1e+300: a of the {theorem} criterion overflows\n"
+
+    def test_overflowing_sweep_horizon_names_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.cfg", ["preset = ref-radial3", "grid.cells = 256"])
+        out = tmp_path / "out"
+        code = main(["sweep", "--theorem", "power-radial", "--parameter", "tau", "--lo", "1", "--hi", "1e300",
+                     "--steps", "3", "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        # the sweep stops at its first row past the float range, tau = (1 + 1e300)/2
+        assert "tau=5e+299: threshold of the power-radial criterion overflows" in captured.err
+
+    @pytest.mark.parametrize("preset, theorem, weight", [
         ("ref-radial3", "general-radial", "power:1e300"),
         ("cert-linear-tau-1d", "general-1d", "exp:300"),
     ])

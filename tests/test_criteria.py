@@ -375,7 +375,8 @@ class TestGeneralThresholdTable:
         assert abs(horizon - horizon_ref) <= 1e-12 * horizon_ref
 
     def test_overflowing_closed_form_raises(self):
-        with pytest.raises(OverflowError):
+        # sinh's OverflowError, re-raised naming the horizon and B_tau
+        with pytest.raises(criteria.HorizonRangeError, match=r"tau=1000: B_tau of the general-1d criterion overflows"):
             general_condition_thresholds(exponential(2.0), 3.5, self.EOS_1D, 1.0, 1000.0, Geometry.cartesian1d())
 
     def test_divergent_weight_raises_typed_error(self):
@@ -444,6 +445,23 @@ def with_amp_v(scenario, amp):
 class TestPreparedCriterion:
     """A prepared criterion computes its data side once and the horizon
     side of each tau once along a chain of ``with_scenario`` calls."""
+
+    @pytest.mark.parametrize("family, tau, message", [
+        (FAMILY_GENERAL_RADIAL, 5e-324, "cannot resolve tau=4.94066e-324"),
+        (FAMILY_GENERAL_1D, 5e-324, "cannot resolve tau=4.94066e-324"),
+        (FAMILY_GENERAL_RADIAL, 1e300, "tau=1e+300: B_tau of the general-radial criterion overflows"),
+        (FAMILY_GENERAL_1D, 1e6, "tau=1e+06: B_tau of the general-1d criterion overflows"),
+        (FAMILY_POWER_RADIAL, 1e300, "tau=1e+300: threshold of the power-radial criterion overflows"),
+        (FAMILY_LINEAR_1D_TAU, 1e300, "tau=1e+300: threshold of the linear-1d-tau criterion overflows"),
+    ])
+    def test_horizon_out_of_range_is_a_typed_error(self, family, tau, message):
+        case = next(c for c in certified_suite(cells=256) if c.family == family)
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        with pytest.raises(criteria.HorizonRangeError, match=re.escape(message)):
+            prepared.report(tau)
+        # the error leaves no horizon side behind, and a valid tau still reports
+        assert tau not in prepared.horizons
+        assert prepared.report(case.tau).verdict.certifies_blowup
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_snapshot_per_prepare(self, family, computed):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -576,12 +577,62 @@ class TestWindowedRun:
         trace = assert_run_matches_full_grid(scen, SolverConfig(t_end=0.3, reconstruction=recon))
         assert trace.steps > 0
 
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    def test_window_wider_than_2048_cells_at_4096_cells(self, recon):
+        # the window's arrays outgrow the sizes the narrower cases exercise
+        trace = assert_run_matches_full_grid(
+            PRESETS["ref-1d"](4096), SolverConfig(t_end=0.25, reconstruction=recon)
+        )
+        final = trace.snapshots[-1]
+        off = np.flatnonzero((final.rho != EOS.rho_bar) | (final.V != 0.0))
+        assert off[-1] - off[0] + 1 > 2048
+
     def test_window_keeps_the_full_grid_spacing(self):
         snap = initial_snapshot(bump(Geometry.cartesian1d(), cells=512))
         window = FieldSnapshot(snap.t, snap.centers[100:300], snap.rho[100:300], snap.V[100:300], snap.spacing)
         assert window.spacing == snap.spacing
         moved = step(window, EOS, Geometry.cartesian1d(), cfl_dt(snap, EOS), MUSCL)
         assert moved.spacing == snap.spacing
+
+
+class TestWorkspace:
+    """The kernel writes every temporary into a workspace sized once."""
+
+    def test_views_are_contiguous_prefixes_of_one_buffer_each(self):
+        ws = solver._Workspace(512, MUSCL)
+        ws.fit(300)
+        first = {name: getattr(ws, name) for name, *_ in solver._ARRAYS[MUSCL]}
+        ws.fit(200)
+        for name, view in first.items():
+            again = getattr(ws, name)
+            assert view.flags.c_contiguous and again.flags.c_contiguous
+            assert view.shape[-1] - again.shape[-1] == 100
+            assert again.__array_interface__["data"][0] == view.__array_interface__["data"][0]
+        views = list(first.values())
+        for i, u in enumerate(views):
+            assert not any(np.shares_memory(u, w) for w in views[i + 1:])
+
+    def test_advance_makes_no_window_sized_temporaries(self):
+        # a 3000-cell window of a 4096-cell grid holds arrays of 24 KB per row
+        scen = PRESETS["ref-radial3"](4096)
+        snap = initial_snapshot(scen)
+        n = snap.rho.size
+        U = np.empty((2, n + 4))
+        U[0, 2:-2] = snap.rho
+        U[1, 2:-2] = snap.rho * snap.V
+        ws = solver._Workspace(n, MUSCL)
+        coeff = solver._radial_coeff(snap.centers, snap.spacing, scen.geometry)
+        dt = cfl_dt(snap, scen.eos)
+        args = (snap.centers, snap.spacing, coeff, scen.geometry, scen.eos, MUSCL)
+        solver._advance(U, ws, 0, 3000, 0.0, dt, *args)
+        tracemalloc.start()
+        try:
+            for k in range(1, 6):
+                solver._advance(U, ws, 0, 3000, k * dt, dt, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestRunTimeStep:
@@ -594,12 +645,12 @@ class TestRunTimeStep:
     def test_every_dt_within_the_window_unit_cfl_limit(self, preset, recon, monkeypatch):
         kernel, seen = solver._advance, []
 
-        def checked(U, U1, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction):
+        def checked(U, ws, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction):
             rho, mom = U[:, a + 2:b + 2]
             limit = cfl_dt(FieldSnapshot(t, centers[a:b], rho, mom / rho, dx), eos, cfl=1.0)
             assert 0 < dt <= limit
             seen.append(dt)
-            kernel(U, U1, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction)
+            kernel(U, ws, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction)
 
         monkeypatch.setattr(solver, "_advance", checked)
         trace = run(PRESETS[preset](512), SolverConfig(t_end=0.5, reconstruction=recon))
