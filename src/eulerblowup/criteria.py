@@ -16,7 +16,6 @@ cases are visible.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -69,16 +68,11 @@ class HorizonRangeError(ValueError):
     """A horizon tau at which a criterion's values leave the float range."""
 
 
-@contextmanager
-def _overflow_named(quantity: str, family: str, tau: float):
-    """Re-raise an OverflowError of Python float arithmetic as a HorizonRangeError
-    naming the horizon, the quantity and the criterion family."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise HorizonRangeError(
-            f"criterion values are not finite at tau={tau:g}: {quantity} of the {family} criterion overflows"
-        ) from exc
+def _overflow(quantity: str, family: str, tau: float) -> HorizonRangeError:
+    """The error for an OverflowError of Python float arithmetic in a tau-dependent quantity."""
+    return HorizonRangeError(
+        f"criterion values are not finite at tau={tau:g}: {quantity} of the {family} criterion overflows"
+    )
 
 
 @dataclass(frozen=True)
@@ -274,18 +268,23 @@ def _horizon_side(
     or B overflows.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
+    sigma = sound_speed(eos)
     # the abscissae and spacing integrate_fn would use; integrating the table
     # directly keeps its typed errors out of integrate_fn's per-point fallback
     times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
-    if not np.all(times[1:] > times[:-1]):
+    try:
+        B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
+        B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+    except OverflowError as exc:
+        raise _overflow("B_tau", family, tau) from exc
+    except ValueError:
+        # the table rejects the grid a subnormal tau gives; look only then
+        if np.all(times[1:] > times[:-1]):
+            raise
         raise HorizonRangeError(
             f"the {family} criterion cannot resolve tau={tau:g}: "
             f"the {_HORIZON_RULE.panels}-panel horizon integral's abscissae round to repeated times"
-        )
-    sigma = sound_speed(eos)
-    with _overflow_named("B_tau", family, tau):
-        B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
-        B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+        ) from None
     U = R + sigma * tau
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
 
@@ -459,8 +458,10 @@ class PreparedCriterion:
             if row is None:
                 side = _horizon_side(self.f, self.a, s.eos, s.R, tau, s.geometry)
             else:
-                with _overflow_named("threshold", self.family, tau):
+                try:
                     side = row.threshold(s.geometry.ndim, s.R, self.sigma, tau)
+                except OverflowError as exc:
+                    raise _overflow("threshold", self.family, tau) from exc
             self.horizons[tau] = side
         return self.horizons[tau]
 
@@ -518,10 +519,12 @@ class PreparedCriterion:
             return CriterionReport(row.case2, inputs, [], verdict, notes)
         else:
             theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
-            with _overflow_named("a", self.family, tau):
+            try:
+                # the root raises first: it takes the powers the threshold takes, or larger
                 a = row.root(N, eos.K, m0, R, sigma, tau)
-            with _overflow_named("threshold", self.family, tau):
-                thr = row.case2_threshold(a, N, R, sigma, tau)
+            except OverflowError as exc:
+                raise _overflow("a", self.family, tau) from exc
+            thr = row.case2_threshold(a, N, R, sigma, tau)
             inputs["a"] = a
             conds = [
                 Condition("root_constant_admissible", a, row.a_min, ">"),
