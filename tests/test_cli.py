@@ -275,7 +275,9 @@ class TestCheckCommand:
         ("ref-radial3", "general-radial", "linear", "1e300", "B_tau"),
         ("cert-general-1d-exp", "general-1d", "exp:2", "1e6", "B_tau"),
     ])
-    def test_overflowing_horizon_names_tau_and_the_quantity(self, preset, theorem, weight, tau, quantity, tmp_path, capsys):
+    def test_overflowing_horizon_names_tau_and_the_quantity(
+        self, preset, theorem, weight, tau, quantity, tmp_path, capsys
+    ):
         # Python float ** and math.sinh raise OverflowError past the float range
         cfg = write_config(tmp_path / "h.cfg", [f"preset = {preset}", "grid.cells = 256"])
         out = tmp_path / "out"
@@ -297,7 +299,9 @@ class TestCheckCommand:
         code = main(["check", "--theorem", theorem, "--tau", "1e300", cfg])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == f"error: criterion values are not finite at tau=1e+300: a of the {theorem} criterion overflows\n"
+        assert captured.err == (
+            f"error: criterion values are not finite at tau=1e+300: a of the {theorem} criterion overflows\n"
+        )
 
     def test_overflowing_sweep_horizon_names_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.cfg", ["preset = ref-radial3", "grid.cells = 256"])
