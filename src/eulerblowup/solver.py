@@ -14,11 +14,10 @@ falling under a floor.
 The kernel.  ``_advance`` advances the cells [a, b) of a (2, n + 4) buffer
 of (rho, rho*V) in place by one step, with two ghost columns per side: it
 writes the far-field background (rho_bar, +0.0) into the two columns
-beyond each end of the window, and ``_rhs`` overwrites the left pair with
-the reflection across r = 0 in radial geometry.  ``step`` wraps it: it
-checks dt, copies a snapshot into a fresh buffer, advances every cell and
-returns a new snapshot.  ``_rhs`` works on both
-variables at once: one difference and one minmod pass for the slopes,
+beyond each end of the window, except the left pair in radial geometry,
+which ``_rhs`` fills with the reflection across r = 0.  ``step`` wraps
+it: it checks dt, copies a snapshot into a fresh buffer, advances every
+cell and returns a new snapshot.  ``_rhs`` works on both variables at once: one difference and one minmod pass for the slopes,
 the left and right face states in one (2, 2, n + 1) array, the sound
 speed, pressure and flux of those states once per stage, and one
 difference of the stacked flux.  First order evaluates them once per cell,
@@ -75,15 +74,34 @@ them back in.  ``fit(m)`` cuts from each array a contiguous view shaped
 for an m-cell window, only when m changes: a prefix slice of a 2-D buffer
 is strided, which slows every ufunc on it, and views of one shared buffer
 can make numpy copy an operand it cannot prove disjoint from the output.
-Each step writes rho*V of the window into the momentum row, hands the
-window to ``_advance`` and writes V = (rho*V)/rho back, the same
-operations ``step`` does on a copy.  The ghost columns beyond the window
-are cells of the grid, background cells by the reach argument, or the
-buffer's own ghosts at its ends; the kernel overwrites them with (rho_bar,
-+0.0) in the state and the stage buffer, because a background cell may
-hold V = -0.0, whose momentum is -0.0, and the stage buffer holds an
-earlier step's values there.  The state is copied only for a snapshot or
-a recorder sample.
+With them ``fit`` cuts the rows and shifted views of its arrays that
+``_rhs`` reads (flux[:, 1:], the left and right speeds of each face, ...),
+which depend only on m, and the stage buffer's window views.  Each step
+writes rho*V of the window into the momentum row, hands the window to
+``_advance`` and writes V = (rho*V)/rho back, the same operations
+``step`` does on a copy.  The ghost columns beyond the window are cells
+of the grid, background cells by the reach argument, or the buffer's own
+ghosts at its ends; the kernel overwrites them with (rho_bar, +0.0), or
+with the reflection, in the state and the stage buffer, because a
+background cell may hold V = -0.0, whose momentum is -0.0, and the stage
+buffer holds an earlier step's values there.  The state is copied only
+for a snapshot, a recorder sample or the final state.
+
+Bound views.  ``_Workspace.bind(U, a, b, coeff, rho_bar)`` cuts the views
+of the window [a, b) of a ghosted buffer once: the window's cells and
+their rho and mom rows, the two ghost blocks, the reflection pair, the
+shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2] and u[:, 2:-1], the
+face states of first order, and coeff[a:b]; it cuts them again only when
+its key (U, a, b, coeff, rho_bar) changes, and a new width refits the
+workspace first.  After that ``_rhs`` and ``_advance`` slice nothing and
+write each ghost pair as one (2, 2) block.  A step makes about 40 ufunc
+calls, most on a few hundred cells, so their fixed cost is most of it:
+measured on a 2-vCPU x86-64 VM with numpy 2.4, a slice costs 0.2-0.5 us,
+and a ufunc on two freshly sliced strided (2, 477) views 2.1-2.3 us,
+against 1.2-1.5 us on the same views cut beforehand and 0.7 us on
+contiguous arrays.  A rebuild (refit and rebind) costs about 45 us under
+MUSCL; the reference runs at 4096 cells change width on about half their
+steps, the certified runs at 1024 cells on about one step in ten.
 
 The time step.  ``run`` does not rescan its window for the unit-CFL limit
 that ``step`` checks.  Its dt is at most cfl < 1 times dx over the view's
@@ -97,6 +115,7 @@ dt > 0, which a NaN in the state fails: its speed, and so dt, is NaN.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +157,8 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if not self.snapshot_interval > 0:
             raise ValueError("snapshot_interval must be positive")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1:
+            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +191,7 @@ def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
     """Largest stable time step: cfl * dx / max(|V| + c)."""
     speed = signal_speed(eos, snap.rho)
     speed += np.abs(snap.V)
-    return float(cfl * snap.spacing / np.max(speed))
+    return float(cfl * snap.spacing / np.maximum.reduce(speed))
 
 
 # the arrays of a workspace: name, leading dimensions, and cells past the
@@ -196,20 +217,48 @@ _ARRAYS = {
 }
 
 
+class _Window:
+    """The views of a ghosted (2, m + 4) window u that ``_rhs`` and ``_advance`` read, cut once.
+
+    The face states are the cells next to each face under first order,
+    and the workspace's reconstructed states under MUSCL.
+    """
+
+    def __init__(self, u: np.ndarray, ws: "_Workspace"):
+        self.cells = cells = u[:, 2:-2]
+        self.rho, self.mom = cells[0], cells[1]
+        self.left_ghosts, self.right_ghosts = u[:, :2], u[:, -2:]
+        # the reflection across r = 0: even density, odd velocity
+        self.mirror, self.image, self.mirror_mom = u[:, 1::-1], u[:, 2:4], u[1, :2]
+        # the cells left and right of face j, between cells j - 1 and j
+        self.lower, self.upper = u[:, 1:-2], u[:, 2:-1]
+        if ws.muscl:
+            self.hi, self.lo = u[:, 1:], u[:, :-1]
+            self.left, self.right, self.rho_s, self.mom_s = ws.left, ws.right, ws.rho_s, ws.mom_s
+        else:
+            self.left, self.right = self.lower, self.upper
+            self.rho_s, self.mom_s = u[0, 1:-1], u[1, 1:-1]
+        self.left_mom, self.right_mom = self.left[1], self.right[1]
+
+
 class _Workspace:
     """The MUSCL stage buffer and every temporary of ``_rhs``, for windows of up to n cells.
 
     Each array is allocated once, as its own flat buffer; ``fit(m)`` cuts
-    from each a contiguous view shaped for an m-cell window, and only when
-    m changes (see "In place" in the module docstring).
+    from each a contiguous view shaped for an m-cell window, and the rows
+    and shifted views ``_rhs`` reads, only when m changes; ``bind`` cuts
+    the views of one window of a ghosted buffer, only when the window
+    changes (see "In place" in the module docstring).
     """
 
     def __init__(self, n: int, reconstruction: str):
+        self.muscl = reconstruction == MUSCL
         self._buffers = []
         for name, lead, extra in _ARRAYS[reconstruction]:
             rows = math.prod(lead)
             self._buffers.append((name, lead, rows, extra, np.empty(rows * (n + extra))))
         self.cells = None
+        self.key = None
 
     def fit(self, m: int) -> None:
         """Point each named view at the start of its buffer, shaped for m cells."""
@@ -217,89 +266,103 @@ class _Workspace:
             for name, lead, rows, extra, flat in self._buffers:
                 size = m + extra
                 setattr(self, name, flat[:rows * size].reshape(*lead, size) if lead else flat[:size])
+            # the values at the left and the right state of every face in a per-state array
+            il, ir = (0, 1) if self.muscl else (slice(None, -1), slice(1, None))
+            self.speed_l, self.speed_r = self.speed[il], self.speed[ir]
+            self.mv_l, self.mv_r = self.v[il], self.v[ir]
+            self.p_l, self.p_r = self.p[il], self.p[ir]
+            flux, jump, du = self.flux, self.jump, self.du
+            self.flux_rho, self.flux_mom = flux[0], flux[1]
+            self.flux_hi, self.flux_lo = flux[:, 1:], flux[:, :-1]
+            self.jump_rho, self.jump_mom = jump[0], jump[1]
+            self.du_rho, self.du_mom = du[0], du[1]
+            if self.muscl:
+                self.d_l, self.d_r = self.d[:, :-1], self.d[:, 1:]
+                self.half_l, self.half_r = self.half[:, :-1], self.half[:, 1:]
+                # states[var, side, j]: the left and right states of face j
+                states = self.states
+                self.left, self.right = states[:, 0], states[:, 1]
+                self.rho_s, self.mom_s = states[0], states[1]
+                self.left_rho, self.right_rho = states[0, 0], states[0, 1]
+                self.stage_window = _Window(self.stage, self)
             self.cells = m
+            self.key = None
+
+    def bind(self, U: np.ndarray, a: int, b: int, coeff: np.ndarray | None, rho_bar: float) -> _Window:
+        """The window of cells [a, b) of the ghosted buffer U, cut when (U, a, b) changes.
+
+        Also keeps ``coeff[a:b]`` and the far-field ghost block, so the
+        key holds coeff and rho_bar too; the bound views keep U and coeff
+        alive, so their ids cannot pass to other arrays.
+        """
+        key = (id(U), a, b, id(coeff), rho_bar)
+        if key != self.key:
+            self.fit(b - a)
+            self.window = _Window(U[:, a:b + 4], self)
+            self.coeff = None if coeff is None else coeff[a:b]
+            self.far_field = np.array(((rho_bar, rho_bar), (0.0, 0.0)))
+            self.key = key
+        return self.window
 
 
-def _rhs(
-    u: np.ndarray,
-    ws: _Workspace,
-    dx: float,
-    coeff: np.ndarray | None,
-    geometry: Geometry,
-    eos: EosParams,
-    reconstruction: str,
-) -> np.ndarray:
-    """Time derivative of the n cells of the ghosted buffer u, as ``ws.du``.
+def _rhs(w: _Window, ws: _Workspace, dx: float, radial: bool, eos: EosParams) -> np.ndarray:
+    """Time derivative of the cells of the bound window w, as ``ws.du``.
 
-    Writes the reflection ghosts first in radial geometry; ``coeff`` is the
-    radial source coefficient (N - 1)/r, None when there is no source; ``ws``
-    is fitted to n cells.
+    Writes the reflection ghosts first in radial geometry; ``ws.coeff`` is
+    the radial source coefficient (N - 1)/r of the window's cells, None
+    when there is no source.
     """
-    if geometry.is_radial:
-        # reflect across r = 0: even density, odd velocity
-        u[:, 1::-1] = u[:, 2:4]
-        np.negative(u[1, :2], out=u[1, :2])
-    if reconstruction == FIRST_ORDER:
-        # the face states are the cells next to each face: evaluate each once
-        states = u[:, 1:-1]
-        left, right = states[:, :-1], states[:, 1:]
-        # index of the left and right state of every face in a per-state array
-        il, ir = slice(None, -1), slice(1, None)
-    else:
-        d = np.subtract(u[:, 1:], u[:, :-1], out=ws.d)
-        dl, dr = d[:, :-1], d[:, 1:]
+    if radial:
+        w.mirror[...] = w.image
+        np.negative(w.mirror_mom, out=w.mirror_mom)
+    if ws.muscl:
+        np.subtract(w.hi, w.lo, out=ws.d)
         # half the minmod slope, 0.5 * (max(min(dl, dr), 0) + min(max(dl, dr), 0))
-        half = np.minimum(dl, dr, out=ws.half)
+        half = np.minimum(ws.d_l, ws.d_r, out=ws.half)
         np.maximum(half, 0.0, out=half)
-        negative = np.maximum(dl, dr, out=ws.negative)
+        negative = np.maximum(ws.d_l, ws.d_r, out=ws.negative)
         np.minimum(negative, 0.0, out=negative)
         half += negative
         half *= 0.5
-        # states[var, side, j]: the left and right states of face j, between
-        # cells j - 1 and j
-        states = ws.states
-        left, right = states[:, 0], states[:, 1]
-        np.add(u[:, 1:-2], half[:, :-1], out=left)
-        np.subtract(u[:, 2:-1], half[:, 1:], out=right)
+        np.add(w.lower, ws.half_l, out=w.left)
+        np.subtract(w.upper, ws.half_r, out=w.right)
         # the least left and the least right face density, in one reduction
-        least_l, least_r = np.minimum.reduce(states[0], axis=1)
+        least_l, least_r = np.minimum.reduce(w.rho_s, axis=1)
         if least_l <= 0 or least_r <= 0:
             # limited face states should stay positive; fall back locally
-            bad = (left[0] <= 0) | (right[0] <= 0)
-            np.copyto(left, u[:, 1:-2], where=bad)
-            np.copyto(right, u[:, 2:-1], where=bad)
-        il, ir = 0, 1
+            bad = (ws.left_rho <= 0) | (ws.right_rho <= 0)
+            np.copyto(w.left, w.lower, where=bad)
+            np.copyto(w.right, w.upper, where=bad)
 
-    rho_s, mom_s = states
+    rho_s, mom_s = w.rho_s, w.mom_s
     v = np.divide(mom_s, rho_s, out=ws.v)
     speed = signal_speed(eos, rho_s, out=ws.speed)
     speed += np.abs(v, out=ws.abs_v)
-    mv = np.multiply(v, mom_s, out=v)
-    p = np.multiply(eos.K, rho_power(rho_s, eos.gamma, out=ws.p), out=ws.p)
+    np.multiply(v, mom_s, out=v)
+    np.multiply(eos.K, rho_power(rho_s, eos.gamma, out=ws.p), out=ws.p)
     # Rusanov flux: the central average minus half the larger speed times the jump
-    half_a = np.maximum(speed[il], speed[ir], out=ws.half_a)
+    half_a = np.maximum(ws.speed_l, ws.speed_r, out=ws.half_a)
     half_a *= 0.5
-    flux = ws.flux
-    np.add(left[1], right[1], out=flux[0])
-    np.add(mv[il], p[il], out=flux[1])
-    flux[1] += mv[ir]
-    flux[1] += p[ir]
+    flux, flux_mom = ws.flux, ws.flux_mom
+    np.add(w.left_mom, w.right_mom, out=ws.flux_rho)
+    np.add(ws.mv_l, ws.p_l, out=flux_mom)
+    flux_mom += ws.mv_r
+    flux_mom += ws.p_r
     flux *= 0.5
-    jump = np.subtract(right, left, out=ws.jump)
+    jump = np.subtract(w.right, w.left, out=ws.jump)
     # row by row: broadcasting half_a over both rows makes numpy's iterator
     # allocate a buffer of up to 8192 values per call
-    for row in jump:
-        row *= half_a
+    ws.jump_rho *= half_a
+    ws.jump_mom *= half_a
     flux -= jump
-    du = np.subtract(flux[:, 1:], flux[:, :-1], out=ws.du)
+    du = np.subtract(ws.flux_hi, ws.flux_lo, out=ws.du)
     np.negative(du, out=du)
     du /= dx
-    if coeff is not None:
-        rho, mom = u[:, 2:-2]
-        source = np.multiply(coeff, mom, out=ws.source)
-        du[0] -= source
-        source *= np.divide(mom, rho, out=ws.ratio)
-        du[1] -= source
+    if ws.coeff is not None:
+        source = np.multiply(ws.coeff, w.mom, out=ws.source)
+        ws.du_rho -= source
+        source *= np.divide(w.mom, w.rho, out=ws.ratio)
+        ws.du_mom -= source
     return du
 
 
@@ -329,41 +392,42 @@ def _advance(
     Column j + 2 of U holds cell j.  The two columns on each side of the
     window are written as the far-field ghost (rho_bar, +0.0) first, in U
     and in the MUSCL stage buffer of ``ws``, so the cells there must be
-    background cells; in radial geometry a must be 0.  ``ws`` is a workspace
-    for the scheme and at least b - a cells; ``centers`` and ``coeff``
-    cover all n cells; ``t`` is the time before the step.  Raises
+    background cells; in radial geometry a must be 0, and the reflection
+    fills the left pair instead.  ``ws`` is a workspace for the scheme and
+    at least b - a cells, which binds the window's views while (U, a, b)
+    stays the same; ``centers`` and ``coeff`` cover all n cells; ``t`` is
+    the time before the step.  Raises
     NegativeDensityError on a non-positive stage or final density, leaving
     the window's cells undefined.
     """
-    rho_bar = eos.rho_bar
-    ws.fit(b - a)
-    u = U[:, a:b + 4]
-    u[0, :2] = u[0, -2:] = rho_bar
-    u[1, :2] = u[1, -2:] = 0.0
-    state = u[:, 2:-2]
-    args = (ws, dx, None if coeff is None else coeff[a:b], geometry, eos, reconstruction)
-    d1 = _rhs(u, *args)
+    w = ws.bind(U, a, b, coeff, eos.rho_bar)
+    radial, far = geometry.is_radial, ws.far_field
+    if not radial:
+        w.left_ghosts[...] = far
+    w.right_ghosts[...] = far
+    state = w.cells
+    d1 = _rhs(w, ws, dx, radial, eos)
     d1 *= dt
     if reconstruction == MUSCL:
-        u1 = ws.stage
-        u1[0, :2] = u1[0, -2:] = rho_bar
-        u1[1, :2] = u1[1, -2:] = 0.0
-        stage = u1[:, 2:-2]
+        w1 = ws.stage_window
+        if not radial:
+            w1.left_ghosts[...] = far
+        w1.right_ghosts[...] = far
+        stage = w1.cells
         np.add(state, d1, out=stage)
-        if stage[0].min() <= 0:
-            i = int(np.argmin(stage[0]))
-            raise NegativeDensityError(t + dt, centers[a + i], stage[0, i])
-        d2 = _rhs(u1, *args)
+        if np.minimum.reduce(w1.rho) <= 0:
+            i = int(w1.rho.argmin())
+            raise NegativeDensityError(t + dt, centers[a + i], w1.rho[i])
+        d2 = _rhs(w1, ws, dx, radial, eos)
         d2 *= dt
         state += stage
         state += d2
         state *= 0.5
     else:
         state += d1
-    rho = state[0]
-    if rho.min() <= 0:
-        i = int(np.argmin(rho))
-        raise NegativeDensityError(t + dt, centers[a + i], rho[i])
+    if np.minimum.reduce(w.rho) <= 0:
+        i = int(w.rho.argmin())
+        raise NegativeDensityError(t + dt, centers[a + i], w.rho[i])
 
 
 def step(
@@ -396,7 +460,7 @@ _REACH = {FIRST_ORDER: 1, MUSCL: 2}
 
 def _perturbed(rho: np.ndarray, V: np.ndarray, rho_bar: float, offset: int = 0) -> tuple[int, int] | None:
     """Index range [lo, hi] (shifted by offset) of cells off (rho_bar, 0), or None."""
-    off = np.flatnonzero((rho != rho_bar) | (V != 0.0))
+    off = ((rho != rho_bar) | (V != 0.0)).nonzero()[0]
     if off.size == 0:
         return None
     return offset + int(off[0]), offset + int(off[-1])
@@ -404,8 +468,10 @@ def _perturbed(rho: np.ndarray, V: np.ndarray, rho_bar: float, offset: int = 0) 
 
 def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams) -> BlowupEvent | None:
     """Flag a per-cell velocity jump at or above slope_factor * sound speed."""
-    jumps = np.abs(np.diff(snap.V))
-    i = int(np.argmax(jumps))
+    V = snap.V
+    jumps = np.subtract(V[1:], V[:-1])
+    np.abs(jumps, out=jumps)
+    i = int(jumps.argmax())
     threshold = detector.slope_factor * signal_speed(eos, eos.rho_bar)
     if jumps[i] >= threshold:
         loc = 0.5 * (snap.centers[i] + snap.centers[i + 1])
@@ -493,6 +559,9 @@ def run(
             snapshots.append(snap)
             while next_snap <= t + eps:
                 next_snap += config.snapshot_interval
+    if snapshots[-1].t < t:
+        # stopped at the step budget or the dt floor between snapshots
+        snapshots.append(FieldSnapshot(t, centers, rho.copy(), V.copy(), dx))
     series = recorder.series() if recorder is not None else None
     return SolutionTrace(
         scenario=scenario,

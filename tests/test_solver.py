@@ -61,6 +61,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(snapshot_interval=0.0)
 
+    @pytest.mark.parametrize("max_steps", [0, -3, 2.5, 5.0, True, False, "3", None])
+    def test_bad_max_steps(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            SolverConfig(max_steps=max_steps)
+
+    @pytest.mark.parametrize("max_steps", [1, 7, np.int64(4)])
+    def test_integer_max_steps(self, max_steps):
+        assert SolverConfig(max_steps=max_steps).max_steps == max_steps
+
     def test_default_reconstruction_is_second_order(self):
         assert SolverConfig().reconstruction == MUSCL
 
@@ -178,6 +187,36 @@ class TestRun:
         assert trace.steps == 5
         assert trace.t_final < 0.05
         assert trace.blowup is None
+        # the budget stops the run between snapshots; its final state is kept
+        assert [s.t for s in trace.snapshots] == [0.0, trace.t_final]
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("preset", ["ref-1d", "ref-radial3"])
+    def test_step_budget_keeps_the_final_state(self, preset, recon):
+        trace = assert_run_matches_full_grid(
+            PRESETS[preset](256), SolverConfig(t_end=0.1, max_steps=3, reconstruction=recon)
+        )
+        assert trace.steps == 3 and 0 < trace.t_final < 0.1
+        assert [s.t for s in trace.snapshots] == [0.0, trace.t_final]
+
+    def test_dt_floor_keeps_the_final_state(self):
+        # the first time steps shrink: a floor between the second and the
+        # third stops the run after two steps, between snapshots
+        scen = PRESETS["ref-1d"](128)
+        every = run(scen, SolverConfig(t_end=0.5, snapshot_interval=1e-9))
+        times = [s.t for s in every.snapshots]
+        dts = np.diff(times)
+        assert dts[2] < dts[1]
+        det = dataclasses.replace(scen.detector, dt_floor=0.5 * (dts[1] + dts[2]))
+        floored, config = dataclasses.replace(scen, detector=det), SolverConfig(t_end=0.5)
+        trace = run(floored, config)
+        assert trace.blowup.cause == DT_FLOOR and trace.blowup.t == times[2]
+        assert trace.steps == 2 and trace.t_final == times[2]
+        snapshots = full_grid_run(floored, config, reference_step)[0]
+        assert [s.t for s in trace.snapshots] == [s.t for s in snapshots] == [0.0, trace.t_final]
+        for want in (snapshots[-1], every.snapshots[2]):
+            assert_bitwise(trace.snapshots[-1].rho, want.rho)
+            assert_bitwise(trace.snapshots[-1].V, want.V)
 
     def test_certified_case_detects_blowup(self):
         case = certified_linear_tau_case(cells=1024)
@@ -469,6 +508,8 @@ def full_grid_run(scenario, config, step_fn, recorder=None):
             snapshots.append(snap)
             while next_snap <= t + eps:
                 next_snap += config.snapshot_interval
+    if snapshots[-1].t < t:
+        snapshots.append(snap)
     series = recorder.series() if recorder is not None else None
     return snapshots, series, blowup, steps, t
 
@@ -633,6 +674,45 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_window_views_are_bound_once_per_buffer_and_range(self):
+        scen = PRESETS["ref-1d"](256)
+        snap = initial_snapshot(scen)
+        n = snap.rho.size
+        buffers = []
+        for _ in range(2):
+            U = np.empty((2, n + 4))
+            U[0, 2:-2] = snap.rho
+            U[1, 2:-2] = snap.rho * snap.V
+            buffers.append(U)
+        ws = solver._Workspace(n, MUSCL)
+        dt = 0.1 * cfl_dt(snap, scen.eos)
+        args = (snap.centers, snap.spacing, None, scen.geometry, scen.eos, MUSCL)
+
+        def advance(U, a, b):
+            solver._advance(U, ws, a, b, 0.0, dt, *args)
+            window = ws.window
+            # the bound views are cells [a, b) of U and their ghosts
+            assert np.shares_memory(window.cells, U)
+            assert window.cells.shape == (2, b - a)
+            assert window.rho.ctypes.data == U[0, a + 2:].ctypes.data
+            return window
+
+        U, other = buffers
+        bound = advance(U, 40, 216)
+        flux = ws.flux
+        assert advance(U, 40, 216) is bound
+        # a new buffer, start or end rebinds; the workspace's views change with the width only
+        for buf, a, b, same_width in ((other, 40, 216, True), (other, 41, 216, False), (other, 41, 217, False),
+                                      (other, 42, 218, True), (other, 42, 218, None)):
+            if same_width is None:
+                # refitting the workspace drops the binding too
+                ws.fit(100)
+            again = advance(buf, a, b)
+            assert again is not bound
+            assert (ws.flux is flux) == bool(same_width)
+            assert advance(buf, a, b) is again
+            bound, flux = again, ws.flux
 
 
 class TestRunTimeStep:
