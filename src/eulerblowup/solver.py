@@ -11,13 +11,14 @@ Blowup is proxied by two detectors: a per-cell velocity jump reaching a
 fixed fraction of the background sound speed, and the CFL time step
 falling under a floor.
 
-The kernel.  ``_advance`` advances the cells [a, b) of a (2, n + 4) buffer
-of (rho, rho*V) in place by one step, with two ghost columns per side: it
-writes the far-field background (rho_bar, +0.0) into the two columns
-beyond each end of the window, except the left pair in radial geometry,
-which ``_rhs`` fills with the reflection across r = 0.  ``step`` wraps
-it: it checks dt, copies a snapshot into a fresh buffer, advances every
-cell and returns a new snapshot.  ``_rhs`` works on both variables at once: one difference and one minmod pass for the slopes,
+The kernel.  ``_advance`` advances the cells [a, b) of a workspace's
+(2, n + 4) buffer of (rho, rho*V) in place by one step, with two ghost
+columns per side: it writes the far-field background (rho_bar, +0.0) into
+the two columns beyond each end of the window, except the left pair in
+radial geometry, which ``_rhs`` fills with the reflection across r = 0.
+``step`` wraps it: it checks dt, loads a snapshot into a fresh workspace,
+advances every cell and returns a new snapshot.  ``_rhs`` works on both
+variables at once: one difference and one minmod pass for the slopes,
 the left and right face states in one (2, 2, n + 1) array, the sound
 speed, pressure and flux of those states once per stage, and one
 difference of the stacked flux.  First order evaluates them once per cell,
@@ -59,49 +60,47 @@ speed and the largest velocity jump are the full grid's.  Only the first
 time step and the detector at t = 0 read the full grid.  A run with no
 perturbed cell only advances the time.
 
-In place.  ``run`` allocates the kernel's ghosted buffer once per run,
-with the state's rho as its density row, and the radial coefficient and
-one ``_Workspace`` for the grid once per run too; ``step`` builds a fresh
-workspace for its copy.  The workspace owns the MUSCL stage buffer and
-every temporary of ``_rhs``: slopes, face states, velocities, speeds, |v|,
-pressures, half the Rusanov speed, flux, jump, du, and the radial source
-and mom/rho rows, one flat array each.  ``_rhs`` writes every value with
-``out=``, the same ufuncs on the same operands in the same order, so no
-bit changes, and a step allocates no window-sized array: freed kernel
-temporaries of more than about 2048 cells used to push glibc past its trim
-threshold, so each step returned their pages to the system and faulted
-them back in.  ``fit(m)`` cuts from each array a contiguous view shaped
-for an m-cell window, only when m changes: a prefix slice of a 2-D buffer
-is strided, which slows every ufunc on it, and views of one shared buffer
-can make numpy copy an operand it cannot prove disjoint from the output.
-With them ``fit`` cuts the rows and shifted views of its arrays that
-``_rhs`` reads (flux[:, 1:], the left and right speeds of each face, ...),
-which depend only on m, and the stage buffer's window views.  Each step
-writes rho*V of the window into the momentum row, hands the window to
-``_advance`` and writes V = (rho*V)/rho back, the same operations
-``step`` does on a copy.  The ghost columns beyond the window are cells
-of the grid, background cells by the reach argument, or the buffer's own
-ghosts at its ends; the kernel overwrites them with (rho_bar, +0.0), or
-with the reflection, in the state and the stage buffer, because a
-background cell may hold V = -0.0, whose momentum is -0.0, and the stage
-buffer holds an earlier step's values there.  The state is copied only
-for a snapshot, a recorder sample or the final state.
+The workspace.  A ``_Workspace`` owns everything the kernel touches for
+one grid, allocated once: the ghosted (2, n + 4) buffer U with its rho and
+mom rows, the radial coefficient (N - 1)/r of every cell, the far-field
+ghost block, the MUSCL stage buffer and every temporary of ``_rhs``
+(slopes, face states, velocities, speeds, |v|, pressures, half the
+Rusanov speed, flux, jump, du, and the radial source and mom/rho rows, one
+flat array each).  ``_rhs`` writes every value with ``out=``, the same
+ufuncs on the same operands in the same order, so no bit changes and a
+step allocates no window-sized array.  ``bind(a, b)`` cuts every view the
+kernel reads for the window [a, b), and cuts them again only when (a, b)
+changes: from each temporary a contiguous prefix shaped for b - a cells (a
+prefix slice of a 2-D buffer is strided, which slows every ufunc on it,
+and views of one shared buffer can make numpy copy an operand it cannot
+prove disjoint from the output), their rows and shifted views (flux[:,
+1:], the left and right speeds of each face, ...), the window's cells and
+their rho and mom rows in U and in the stage buffer, the two ghost blocks,
+the reflection pair, the shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2]
+and u[:, 2:-1], the face states of first order, and coeff[a:b].  After
+that ``_rhs`` and ``_advance`` slice nothing and write each ghost pair as
+one (2, 2) block.  A step makes about 40 ufunc calls, most on a few
+hundred cells, so their fixed cost is most of it: measured on a 2-vCPU
+x86-64 VM with numpy 2.4, a slice costs 0.2-0.5 us, and a ufunc on two
+freshly sliced strided (2, 477) views 2.1-2.3 us, against 1.2-1.5 us on
+the same views cut beforehand and 0.7 us on contiguous arrays; a rebind
+costs about 45 us under MUSCL.
 
-Bound views.  ``_Workspace.bind(U, a, b, coeff, rho_bar)`` cuts the views
-of the window [a, b) of a ghosted buffer once: the window's cells and
-their rho and mom rows, the two ghost blocks, the reflection pair, the
-shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2] and u[:, 2:-1], the
-face states of first order, and coeff[a:b]; it cuts them again only when
-its key (U, a, b, coeff, rho_bar) changes, and a new width refits the
-workspace first.  After that ``_rhs`` and ``_advance`` slice nothing and
-write each ghost pair as one (2, 2) block.  A step makes about 40 ufunc
-calls, most on a few hundred cells, so their fixed cost is most of it:
-measured on a 2-vCPU x86-64 VM with numpy 2.4, a slice costs 0.2-0.5 us,
-and a ufunc on two freshly sliced strided (2, 477) views 2.1-2.3 us,
-against 1.2-1.5 us on the same views cut beforehand and 0.7 us on
-contiguous arrays.  A rebuild (refit and rebind) costs about 45 us under
-MUSCL; the reference runs at 4096 cells change width on about half their
-steps, the certified runs at 1024 cells on about one step in ten.
+``run`` builds one workspace per run and keeps the state's rho as the
+density row of its buffer.  Each step writes rho*V of the window into the
+mom row, hands the window to ``_advance`` and writes V = (rho*V)/rho
+back, the same operations ``step`` does on a copy.  The ghost columns
+beyond the window are cells of the grid, background cells by the reach
+argument, or the buffer's own ghosts at its ends; the kernel overwrites
+them with (rho_bar, +0.0), or with the reflection, in the state and the
+stage buffer, because a background cell may hold V = -0.0, whose momentum
+is -0.0, and the stage buffer holds an earlier step's values there.  The
+state is copied only for a snapshot, a recorder sample or the final state.
+
+The clocks.  The snapshot and sample times are k * interval for an integer
+count k, which moves past the time just kept even where the interval is
+below the ulp of t; an interval too small for t_end / interval to be
+finite is rejected.
 
 The time step.  ``run`` does not rescan its window for the unit-CFL limit
 that ``step`` checks.  Its dt is at most cfl < 1 times dx over the view's
@@ -242,27 +241,34 @@ class _Window:
 
 
 class _Workspace:
-    """The MUSCL stage buffer and every temporary of ``_rhs``, for windows of up to n cells.
+    """One grid's ghosted (rho, rho*V) buffer ``U`` and all the kernel needs to step it.
 
-    Each array is allocated once, as its own flat buffer; ``fit(m)`` cuts
-    from each a contiguous view shaped for an m-cell window, and the rows
-    and shifted views ``_rhs`` reads, only when m changes; ``bind`` cuts
-    the views of one window of a ghosted buffer, only when the window
-    changes (see "In place" in the module docstring).
+    Allocates the buffer, the radial coefficient, the far-field block, the
+    MUSCL stage buffer and every temporary of ``_rhs`` once; ``bind(a, b)``
+    cuts the views of the window [a, b), only when (a, b) changes (see
+    "The workspace" in the module docstring).
     """
 
-    def __init__(self, n: int, reconstruction: str):
-        self.muscl = reconstruction == MUSCL
+    def __init__(self, centers: np.ndarray, dx: float, geometry: Geometry, eos: EosParams, reconstruction: str):
+        n = centers.size
+        self.centers, self.dx, self.eos = centers, dx, eos
+        self.radial, self.muscl = geometry.is_radial, reconstruction == MUSCL
+        self.U = np.empty((2, n + 4))
+        self.rho, self.mom = self.U[:, 2:-2]
         self._buffers = []
         for name, lead, extra in _ARRAYS[reconstruction]:
             rows = math.prod(lead)
             self._buffers.append((name, lead, rows, extra, np.empty(rows * (n + extra))))
-        self.cells = None
+        # the radial source coefficient (N - 1)/r of each cell, None when there is no source
+        radial_source = geometry.is_radial and geometry.ndim > 1
+        self.radial_coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx) if radial_source else None
+        self.far_field = np.array(((eos.rho_bar, eos.rho_bar), (0.0, 0.0)))
         self.key = None
 
-    def fit(self, m: int) -> None:
-        """Point each named view at the start of its buffer, shaped for m cells."""
-        if m != self.cells:
+    def bind(self, a: int, b: int) -> _Window:
+        """The window of cells [a, b) of ``U``; its views are cut when (a, b) changes."""
+        if (a, b) != self.key:
+            m = b - a
             for name, lead, rows, extra, flat in self._buffers:
                 size = m + extra
                 setattr(self, name, flat[:rows * size].reshape(*lead, size) if lead else flat[:size])
@@ -285,34 +291,19 @@ class _Workspace:
                 self.rho_s, self.mom_s = states[0], states[1]
                 self.left_rho, self.right_rho = states[0, 0], states[0, 1]
                 self.stage_window = _Window(self.stage, self)
-            self.cells = m
-            self.key = None
-
-    def bind(self, U: np.ndarray, a: int, b: int, coeff: np.ndarray | None, rho_bar: float) -> _Window:
-        """The window of cells [a, b) of the ghosted buffer U, cut when (U, a, b) changes.
-
-        Also keeps ``coeff[a:b]`` and the far-field ghost block, so the
-        key holds coeff and rho_bar too; the bound views keep U and coeff
-        alive, so their ids cannot pass to other arrays.
-        """
-        key = (id(U), a, b, id(coeff), rho_bar)
-        if key != self.key:
-            self.fit(b - a)
-            self.window = _Window(U[:, a:b + 4], self)
-            self.coeff = None if coeff is None else coeff[a:b]
-            self.far_field = np.array(((rho_bar, rho_bar), (0.0, 0.0)))
-            self.key = key
+            self.window = _Window(self.U[:, a:b + 4], self)
+            self.coeff = None if self.radial_coeff is None else self.radial_coeff[a:b]
+            self.key = (a, b)
         return self.window
 
 
-def _rhs(w: _Window, ws: _Workspace, dx: float, radial: bool, eos: EosParams) -> np.ndarray:
+def _rhs(w: _Window, ws: _Workspace) -> np.ndarray:
     """Time derivative of the cells of the bound window w, as ``ws.du``.
 
-    Writes the reflection ghosts first in radial geometry; ``ws.coeff`` is
-    the radial source coefficient (N - 1)/r of the window's cells, None
-    when there is no source.
+    Writes the reflection ghosts first in radial geometry.
     """
-    if radial:
+    eos = ws.eos
+    if ws.radial:
         w.mirror[...] = w.image
         np.negative(w.mirror_mom, out=w.mirror_mom)
     if ws.muscl:
@@ -357,7 +348,7 @@ def _rhs(w: _Window, ws: _Workspace, dx: float, radial: bool, eos: EosParams) ->
     flux -= jump
     du = np.subtract(ws.flux_hi, ws.flux_lo, out=ws.du)
     np.negative(du, out=du)
-    du /= dx
+    du /= ws.dx
     if ws.coeff is not None:
         source = np.multiply(ws.coeff, w.mom, out=ws.source)
         ws.du_rho -= source
@@ -366,49 +357,26 @@ def _rhs(w: _Window, ws: _Workspace, dx: float, radial: bool, eos: EosParams) ->
     return du
 
 
-def _radial_coeff(centers: np.ndarray, dx: float, geometry: Geometry) -> np.ndarray | None:
-    """The radial source coefficient (N - 1)/r of each cell, None when there is no source."""
-    if geometry.is_radial and geometry.ndim > 1:
-        return (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx)
-    return None
-
-
-def _advance(
-    U: np.ndarray,
-    ws: _Workspace,
-    a: int,
-    b: int,
-    t: float,
-    dt: float,
-    centers: np.ndarray,
-    dx: float,
-    coeff: np.ndarray | None,
-    geometry: Geometry,
-    eos: EosParams,
-    reconstruction: str,
-) -> None:
-    """Advance cells [a, b) of the ghosted (2, n + 4) (rho, rho*V) buffer U by dt, in place.
+def _advance(ws: _Workspace, a: int, b: int, t: float, dt: float) -> None:
+    """Advance cells [a, b) of the workspace's buffer ``ws.U`` by dt, in place.
 
     Column j + 2 of U holds cell j.  The two columns on each side of the
     window are written as the far-field ghost (rho_bar, +0.0) first, in U
-    and in the MUSCL stage buffer of ``ws``, so the cells there must be
-    background cells; in radial geometry a must be 0, and the reflection
-    fills the left pair instead.  ``ws`` is a workspace for the scheme and
-    at least b - a cells, which binds the window's views while (U, a, b)
-    stays the same; ``centers`` and ``coeff`` cover all n cells; ``t`` is
-    the time before the step.  Raises
+    and in the MUSCL stage buffer, so the cells there must be background
+    cells; in radial geometry a must be 0, and the reflection fills the
+    left pair instead.  ``t`` is the time before the step.  Raises
     NegativeDensityError on a non-positive stage or final density, leaving
     the window's cells undefined.
     """
-    w = ws.bind(U, a, b, coeff, eos.rho_bar)
-    radial, far = geometry.is_radial, ws.far_field
+    w = ws.bind(a, b)
+    radial, far = ws.radial, ws.far_field
     if not radial:
         w.left_ghosts[...] = far
     w.right_ghosts[...] = far
     state = w.cells
-    d1 = _rhs(w, ws, dx, radial, eos)
+    d1 = _rhs(w, ws)
     d1 *= dt
-    if reconstruction == MUSCL:
+    if ws.muscl:
         w1 = ws.stage_window
         if not radial:
             w1.left_ghosts[...] = far
@@ -417,8 +385,8 @@ def _advance(
         np.add(state, d1, out=stage)
         if np.minimum.reduce(w1.rho) <= 0:
             i = int(w1.rho.argmin())
-            raise NegativeDensityError(t + dt, centers[a + i], w1.rho[i])
-        d2 = _rhs(w1, ws, dx, radial, eos)
+            raise NegativeDensityError(t + dt, ws.centers[a + i], w1.rho[i])
+        d2 = _rhs(w1, ws)
         d2 *= dt
         state += stage
         state += d2
@@ -427,7 +395,7 @@ def _advance(
         state += d1
     if np.minimum.reduce(w.rho) <= 0:
         i = int(w.rho.argmin())
-        raise NegativeDensityError(t + dt, centers[a + i], w.rho[i])
+        raise NegativeDensityError(t + dt, ws.centers[a + i], w.rho[i])
 
 
 def step(
@@ -437,21 +405,22 @@ def step(
     dt: float,
     reconstruction: str = FIRST_ORDER,
 ) -> FieldSnapshot:
-    """Advance one time step; raises on non-positive density or unstable dt."""
+    """Advance one time step; raises on non-positive density or unstable dt.
+
+    Builds a fresh workspace on every call, by design: ``run`` keeps one
+    per run, and a cache here would hold a grid's buffers alive between
+    unrelated calls.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
     hard_limit = cfl_dt(snap, eos, cfl=1.0)
     if dt > hard_limit * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
-    dx, centers = snap.spacing, snap.centers
-    n = centers.size
-    U = np.empty((2, n + 4))
-    U[0, 2:-2] = snap.rho
-    np.multiply(snap.rho, snap.V, out=U[1, 2:-2])
-    coeff = _radial_coeff(centers, dx, geometry)
-    _advance(U, _Workspace(n, reconstruction), 0, n, snap.t, dt, centers, dx, coeff, geometry, eos, reconstruction)
-    rho, mom = U[:, 2:-2]
-    return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho, V=mom / rho, spacing=dx)
+    ws = _Workspace(snap.centers, snap.spacing, geometry, eos, reconstruction)
+    ws.rho[:] = snap.rho
+    np.multiply(snap.rho, snap.V, out=ws.mom)
+    _advance(ws, 0, snap.rho.size, snap.t, dt)
+    return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=ws.mom / ws.rho, spacing=snap.spacing)
 
 
 # cells one step can carry a disturbance: one per stage (see the module docstring)
@@ -490,7 +459,8 @@ def run(
     sigma * t_end.  Snapshots are recorded at t = 0, at every crossing of
     the snapshot interval, and at the final time; the recorder (if given)
     observes the state at every crossing of the detector sample interval,
-    always strictly before any detection time.
+    always strictly before any detection time.  Either interval must be
+    large enough for t_end / interval to be finite.
     """
     eos, geom, det = scenario.eos, scenario.geometry, scenario.detector
     sigma = signal_speed(eos, eos.rho_bar)
@@ -499,17 +469,20 @@ def run(
             "grid extent does not contain the sound cone of t_end: need extent > "
             f"{scenario.R + sigma * config.t_end:g}"
         )
+    eps = 1e-12 * config.t_end
+    for name, interval in (("snapshot_interval", config.snapshot_interval),
+                           ("detector.sample_interval", det.sample_interval)):
+        if not math.isfinite((config.t_end + eps) / interval):
+            raise ValueError(f"{name} {interval!r} is too small to count up to t_end {config.t_end!r}")
     snap = initial_snapshot(scenario)
     centers, dx = snap.centers, snap.spacing
     n = centers.size
     # the state (rho, V), updated in place; rho is the density row of the
-    # kernel's ghosted buffer (see "In place" in the module docstring)
-    U = np.empty((2, n + 4))
-    rho, mom = U[:, 2:-2]
-    rho[:] = snap.rho
+    # workspace's buffer (see "The workspace" in the module docstring)
     V = snap.V.copy()
-    ws = _Workspace(n, config.reconstruction)
-    coeff = _radial_coeff(centers, dx, geom)
+    ws = _Workspace(centers, dx, geom, eos, config.reconstruction)
+    rho, mom = ws.rho, ws.mom
+    rho[:] = snap.rho
     reach = _REACH[config.reconstruction]
     perturbed = _perturbed(rho, V, eos.rho_bar)
     snapshots = [snap]
@@ -521,9 +494,9 @@ def run(
     # detector read it
     view = snap
     t, steps = 0.0, 0
-    next_snap = config.snapshot_interval
-    next_sample = det.sample_interval
-    eps = 1e-12 * config.t_end
+    # the clocks: the next snapshot and sample at k * interval (see "The clocks")
+    k_snap = k_sample = 1
+    next_snap, next_sample = config.snapshot_interval, det.sample_interval
     while blowup is None and t < config.t_end - eps and steps < config.max_steps:
         dtc = cfl_dt(view, eos, config.cfl)
         if dtc < det.dt_floor:
@@ -539,7 +512,7 @@ def run(
             a = 0 if geom.is_radial else max(perturbed[0] - reach, 0)
             b = min(perturbed[1] + reach + 1, n)
             np.multiply(rho[a:b], V[a:b], out=mom[a:b])
-            _advance(U, ws, a, b, t, dt, centers, dx, coeff, geom, eos, config.reconstruction)
+            _advance(ws, a, b, t, dt)
             np.divide(mom[a:b], rho[a:b], out=V[a:b])
             t += dt
             perturbed = _perturbed(rho[a:b], V[a:b], eos.rho_bar, a)
@@ -553,12 +526,12 @@ def run(
             snap = FieldSnapshot(t, centers, rho.copy(), V.copy(), dx)
         if sample:
             recorder.observe(snap)
-            while next_sample <= t + eps:
-                next_sample += det.sample_interval
+            k_sample = max(k_sample + 1, math.floor((t + eps) / det.sample_interval) + 1)
+            next_sample = k_sample * det.sample_interval
         if keep:
             snapshots.append(snap)
-            while next_snap <= t + eps:
-                next_snap += config.snapshot_interval
+            k_snap = max(k_snap + 1, math.floor((t + eps) / config.snapshot_interval) + 1)
+            next_snap = k_snap * config.snapshot_interval
     if snapshots[-1].t < t:
         # stopped at the step budget or the dt floor between snapshots
         snapshots.append(FieldSnapshot(t, centers, rho.copy(), V.copy(), dx))

@@ -151,9 +151,15 @@ def check_characteristic_density(trace: SolutionTrace, x0: float, tol_char: floa
     Integrates dx/dt = V with the explicit midpoint rule on space-time
     interpolants of the snapshots and compares the predicted density
     rho0(x0) * exp(-int div V) against the interpolated field at every
-    snapshot time before detection.
+    snapshot time before detection.  An x0 off the grid raises
+    GridCoverageError, also when too few smooth snapshots make the check
+    skip.
     """
     geom = trace.scenario.geometry
+    centers = trace.snapshots[0].centers
+    lo, hi = float(centers[0]), float(centers[-1])
+    if not lo <= x0 <= hi:
+        raise GridCoverageError(f"start point x0={x0:g} is outside the grid [{lo:g}, {hi:g}]")
     snaps = _smooth_snapshots(trace)
     if len(snaps) < 2:
         return VerificationReport(
@@ -162,10 +168,6 @@ def check_characteristic_density(trace: SolutionTrace, x0: float, tol_char: floa
             SKIPPED,
             "fewer than two smooth snapshots",
         )
-    centers = snaps[0].centers
-    lo, hi = float(centers[0]), float(centers[-1])
-    if not lo <= x0 <= hi:
-        raise GridCoverageError(f"start point {x0:g} is outside the grid [{lo:g}, {hi:g}]")
     divs = [_divergence(s, geom.ndim, geom.is_radial) for s in snaps]
 
     def fields_at(t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +335,14 @@ def check_cone_energy(trace: SolutionTrace, x_center: float, t_apex: float) -> V
 
     Normative in the 1-D geometry; reported as informational (skipped
     status, metrics attached) for radial traces.  Skipped with no metrics
-    when fewer than two smooth snapshots lie at or before t_apex.
+    when fewer than two smooth snapshots lie at or before t_apex.  Raises
+    ValueError for a non-finite x_center or a t_apex that is not finite
+    and positive.
     """
+    if not math.isfinite(x_center):
+        raise ValueError(f"cone center x_center={x_center!r} must be finite")
+    if not (math.isfinite(t_apex) and t_apex > 0):
+        raise ValueError(f"cone apex t_apex={t_apex!r} must be finite and positive")
     scen = trace.scenario
     eos, geom = scen.eos, scen.geometry
     sigma = sound_speed(eos)

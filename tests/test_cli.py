@@ -465,6 +465,24 @@ class TestSimulateCommand:
         out = tmp_path / "sim"
         assert main(["simulate", "--t-end", "5.0", "--out", str(out), ref_config]) == 2
 
+    @pytest.mark.parametrize("interval, code", [("1e-30", 0), ("5e-324", 2)])
+    def test_tiny_snapshot_interval(self, tmp_path, capsys, interval, code):
+        # 1e-30 keeps every step; 5e-324 cannot count up to t_end
+        cfg = write_config(tmp_path / "r.cfg", ["preset = ref-1d", "grid.cells = 128"])
+        argv = ["simulate", "--snapshot-interval", interval, "--t-end", "0.1", "--out", str(tmp_path / "sim"), cfg]
+        assert main(argv) == code
+        if code:
+            assert "snapshot_interval 5e-324" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval, code", [("1e-30", 0), ("5e-324", 2)])
+    def test_tiny_sample_interval(self, tmp_path, capsys, interval, code):
+        cfg = write_config(
+            tmp_path / "r.cfg", ["preset = ref-1d", "grid.cells = 128", f"detector.sample_interval = {interval}"]
+        )
+        assert main(["simulate", "--t-end", "0.1", "--out", str(tmp_path / "sim"), cfg]) == code
+        if code:
+            assert "detector.sample_interval 5e-324" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_reference_checks_pass(self, ref_config, tmp_path, capsys):
@@ -500,6 +518,20 @@ class TestVerifyCommand:
         reports = json.loads((out / "verification_reports.json").read_text())
         assert [r["check"] for r in reports] == list(TRACE_CHECKS)
         assert reports[-1]["status"] == "skipped"
+
+    @pytest.mark.parametrize("args, name", [
+        (["--checks", "cone", "--cone-apex", "nan"], "t_apex="),
+        (["--checks", "cone", "--cone-apex", "-1"], "t_apex="),
+        (["--checks", "cone", "--cone-center", "nan"], "x_center="),
+        (["--checks", "characteristic", "--x0", "nan"], "x0="),
+    ])
+    @pytest.mark.parametrize("preset", ["ref-1d", "cert-linear-tau-1d"])
+    def test_invalid_check_inputs_are_invalid_input(self, tmp_path, capsys, preset, args, name):
+        # the certified run detects before its second snapshot, where these
+        # checks would otherwise skip
+        cfg = write_config(tmp_path / "c.cfg", [f"preset = {preset}", "grid.cells = 512"])
+        assert main(["verify", "--t-end", "0.1", *args, cfg]) == 2
+        assert name in capsys.readouterr().err
 
     def test_unknown_check_is_invalid_input(self, ref_config, capsys):
         assert main(["verify", "--checks", "entropy", ref_config]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -217,6 +218,32 @@ class TestRun:
         for want in (snapshots[-1], every.snapshots[2]):
             assert_bitwise(trace.snapshots[-1].rho, want.rho)
             assert_bitwise(trace.snapshots[-1].V, want.V)
+
+    def test_tiny_snapshot_interval_keeps_every_step(self):
+        # the ulp of t is far above 1e-30, so a clock summed interval by
+        # interval would never move past the time it just kept
+        start = time.perf_counter()
+        trace = run(PRESETS["ref-1d"](128), SolverConfig(t_end=0.1, snapshot_interval=1e-30))
+        assert time.perf_counter() - start < 1.0
+        assert trace.t_final == pytest.approx(0.1) and trace.steps > 0
+        assert len(trace.snapshots) == trace.steps + 1
+
+    def test_tiny_sample_interval_samples_every_step(self):
+        scen = PRESETS["ref-1d"](128)
+        scen = dataclasses.replace(scen, detector=dataclasses.replace(scen.detector, sample_interval=1e-30))
+        recorder = theorem_context(scen, default_family(scen.geometry), tau=1.0).recorder()
+        start = time.perf_counter()
+        trace = run(scen, SolverConfig(t_end=0.1), recorder=recorder)
+        assert time.perf_counter() - start < 1.0
+        assert trace.series.times.size == trace.steps + 1
+
+    def test_interval_too_small_to_count_is_rejected(self):
+        scen = PRESETS["ref-1d"](128)
+        with pytest.raises(ValueError, match="^snapshot_interval 5e-324 "):
+            run(scen, SolverConfig(t_end=0.1, snapshot_interval=5e-324))
+        det = dataclasses.replace(scen.detector, sample_interval=5e-324)
+        with pytest.raises(ValueError, match="^detector.sample_interval 5e-324 "):
+            run(dataclasses.replace(scen, detector=det), SolverConfig(t_end=0.1))
 
     def test_certified_case_detects_blowup(self):
         case = certified_linear_tau_case(cells=1024)
@@ -489,6 +516,7 @@ def full_grid_run(scenario, config, step_fn, recorder=None):
     if blowup is None and recorder is not None:
         recorder.observe(snap)
     t, steps = 0.0, 0
+    k_snap = k_sample = 1
     next_snap, next_sample = config.snapshot_interval, det.sample_interval
     eps = 1e-12 * config.t_end
     while blowup is None and t < config.t_end - eps and steps < config.max_steps:
@@ -502,12 +530,12 @@ def full_grid_run(scenario, config, step_fn, recorder=None):
         blowup = detect_blowup(snap, eos, det)
         if blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps):
             recorder.observe(snap)
-            while next_sample <= t + eps:
-                next_sample += det.sample_interval
+            k_sample = max(k_sample + 1, math.floor((t + eps) / det.sample_interval) + 1)
+            next_sample = k_sample * det.sample_interval
         if t >= next_snap - eps or t >= config.t_end - eps or blowup is not None:
             snapshots.append(snap)
-            while next_snap <= t + eps:
-                next_snap += config.snapshot_interval
+            k_snap = max(k_snap + 1, math.floor((t + eps) / config.snapshot_interval) + 1)
+            next_snap = k_snap * config.snapshot_interval
     if snapshots[-1].t < t:
         snapshots.append(snap)
     series = recorder.series() if recorder is not None else None
@@ -636,14 +664,24 @@ class TestWindowedRun:
         assert moved.spacing == snap.spacing
 
 
+def loaded_workspace(preset, cells):
+    """A MUSCL workspace for a preset's grid holding its initial (rho, rho*V), and its time step."""
+    scen = PRESETS[preset](cells)
+    snap = initial_snapshot(scen)
+    ws = solver._Workspace(snap.centers, snap.spacing, scen.geometry, scen.eos, MUSCL)
+    ws.rho[:] = snap.rho
+    ws.mom[:] = snap.rho * snap.V
+    return ws, cfl_dt(snap, scen.eos)
+
+
 class TestWorkspace:
     """The kernel writes every temporary into a workspace sized once."""
 
     def test_views_are_contiguous_prefixes_of_one_buffer_each(self):
-        ws = solver._Workspace(512, MUSCL)
-        ws.fit(300)
+        ws = loaded_workspace("ref-1d", 512)[0]
+        ws.bind(0, 300)
         first = {name: getattr(ws, name) for name, *_ in solver._ARRAYS[MUSCL]}
-        ws.fit(200)
+        ws.bind(50, 250)
         for name, view in first.items():
             again = getattr(ws, name)
             assert view.flags.c_contiguous and again.flags.c_contiguous
@@ -651,68 +689,45 @@ class TestWorkspace:
             assert again.__array_interface__["data"][0] == view.__array_interface__["data"][0]
         views = list(first.values())
         for i, u in enumerate(views):
-            assert not any(np.shares_memory(u, w) for w in views[i + 1:])
+            assert not any(np.shares_memory(u, w) for w in views[i + 1:] + [ws.U])
 
     def test_advance_makes_no_window_sized_temporaries(self):
         # a 3000-cell window of a 4096-cell grid holds arrays of 24 KB per row
-        scen = PRESETS["ref-radial3"](4096)
-        snap = initial_snapshot(scen)
-        n = snap.rho.size
-        U = np.empty((2, n + 4))
-        U[0, 2:-2] = snap.rho
-        U[1, 2:-2] = snap.rho * snap.V
-        ws = solver._Workspace(n, MUSCL)
-        coeff = solver._radial_coeff(snap.centers, snap.spacing, scen.geometry)
-        dt = cfl_dt(snap, scen.eos)
-        args = (snap.centers, snap.spacing, coeff, scen.geometry, scen.eos, MUSCL)
-        solver._advance(U, ws, 0, 3000, 0.0, dt, *args)
+        ws, dt = loaded_workspace("ref-radial3", 4096)
+        solver._advance(ws, 0, 3000, 0.0, dt)
         tracemalloc.start()
         try:
             for k in range(1, 6):
-                solver._advance(U, ws, 0, 3000, k * dt, dt, *args)
+                solver._advance(ws, 0, 3000, k * dt, dt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    def test_window_views_are_bound_once_per_buffer_and_range(self):
-        scen = PRESETS["ref-1d"](256)
-        snap = initial_snapshot(scen)
-        n = snap.rho.size
-        buffers = []
-        for _ in range(2):
-            U = np.empty((2, n + 4))
-            U[0, 2:-2] = snap.rho
-            U[1, 2:-2] = snap.rho * snap.V
-            buffers.append(U)
-        ws = solver._Workspace(n, MUSCL)
-        dt = 0.1 * cfl_dt(snap, scen.eos)
-        args = (snap.centers, snap.spacing, None, scen.geometry, scen.eos, MUSCL)
+    def test_views_are_recut_iff_the_window_changes(self):
+        ws, dt = loaded_workspace("ref-1d", 256)
+        dt *= 0.1
 
-        def advance(U, a, b):
-            solver._advance(U, ws, a, b, 0.0, dt, *args)
+        def advance(a, b):
+            solver._advance(ws, a, b, 0.0, dt)
             window = ws.window
-            # the bound views are cells [a, b) of U and their ghosts
-            assert np.shares_memory(window.cells, U)
+            # the bound views are cells [a, b) of the workspace's buffer
             assert window.cells.shape == (2, b - a)
-            assert window.rho.ctypes.data == U[0, a + 2:].ctypes.data
-            return window
+            assert window.rho.ctypes.data == ws.U[0, a + 2:].ctypes.data
+            assert window.mom.ctypes.data == ws.mom[a:].ctypes.data
+            return window, ws.flux
 
-        U, other = buffers
-        bound = advance(U, 40, 216)
-        flux = ws.flux
-        assert advance(U, 40, 216) is bound
-        # a new buffer, start or end rebinds; the workspace's views change with the width only
-        for buf, a, b, same_width in ((other, 40, 216, True), (other, 41, 216, False), (other, 41, 217, False),
-                                      (other, 42, 218, True), (other, 42, 218, None)):
-            if same_width is None:
-                # refitting the workspace drops the binding too
-                ws.fit(100)
-            again = advance(buf, a, b)
-            assert again is not bound
-            assert (ws.flux is flux) == bool(same_width)
-            assert advance(buf, a, b) is again
-            bound, flux = again, ws.flux
+        def same(views, other):
+            return [u is v for u, v in zip(views, other)]
+
+        bound = advance(40, 216)
+        assert same(advance(40, 216), bound) == [True, True]
+        # a new start, end or both recuts every view, at the same width too
+        for a, b in ((41, 216), (41, 217), (42, 218)):
+            again = advance(a, b)
+            assert same(again, bound) == [False, False]
+            assert same(advance(a, b), again) == [True, True]
+            bound = again
 
 
 class TestRunTimeStep:
@@ -725,12 +740,12 @@ class TestRunTimeStep:
     def test_every_dt_within_the_window_unit_cfl_limit(self, preset, recon, monkeypatch):
         kernel, seen = solver._advance, []
 
-        def checked(U, ws, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction):
-            rho, mom = U[:, a + 2:b + 2]
-            limit = cfl_dt(FieldSnapshot(t, centers[a:b], rho, mom / rho, dx), eos, cfl=1.0)
+        def checked(ws, a, b, t, dt):
+            rho, mom = ws.U[:, a + 2:b + 2]
+            limit = cfl_dt(FieldSnapshot(t, ws.centers[a:b], rho, mom / rho, ws.dx), ws.eos, cfl=1.0)
             assert 0 < dt <= limit
             seen.append(dt)
-            kernel(U, ws, a, b, t, dt, centers, dx, coeff, geometry, eos, reconstruction)
+            kernel(ws, a, b, t, dt)
 
         monkeypatch.setattr(solver, "_advance", checked)
         trace = run(PRESETS[preset](512), SolverConfig(t_end=0.5, reconstruction=recon))

@@ -11,6 +11,7 @@ from eulerblowup.functionals import (
     GridCoverageError,
 )
 from eulerblowup.model import (
+    DetectorParams,
     EosParams,
     Geometry,
     GridSpec,
@@ -102,6 +103,18 @@ class TestCharacteristicDensity:
     def test_start_point_outside_grid(self, small_1d_trace):
         with pytest.raises(GridCoverageError):
             check_characteristic_density(small_1d_trace, x0=99.0)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -99.0])
+    def test_bad_start_point_rejected_before_a_skip(self, x0):
+        # detected at t = 0: no smooth snapshot, yet x0 is still checked
+        scen = make_bump_scenario(
+            EOS, Geometry.cartesian1d(), 1.0, 0.01, 1.0, GridSpec(2.2, 128), DetectorParams(slope_factor=1e-4)
+        )
+        trace = run(scen, SolverConfig(t_end=0.5))
+        assert trace.t_detect == 0.0
+        with pytest.raises(GridCoverageError, match="x0="):
+            check_characteristic_density(trace, x0=x0)
+        assert check_characteristic_density(trace, x0=0.3).status == SKIPPED
 
     def test_characteristic_leaving_grid_is_an_error(self):
         scen = make_bump_scenario(
@@ -221,6 +234,16 @@ class TestConeEnergy:
         assert report.status == SKIPPED
         assert "informational" in report.reason
         assert report.metrics
+
+    @pytest.mark.parametrize("x_center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, small_1d_trace, x_center):
+        with pytest.raises(ValueError, match="x_center="):
+            check_cone_energy(small_1d_trace, x_center=x_center, t_apex=0.3)
+
+    @pytest.mark.parametrize("t_apex", [math.nan, math.inf, -1.0, 0.0])
+    def test_apex_not_finite_and_positive_rejected(self, small_1d_trace, t_apex):
+        with pytest.raises(ValueError, match="t_apex="):
+            check_cone_energy(small_1d_trace, x_center=0.0, t_apex=t_apex)
 
     def test_needs_two_snapshots_before_apex(self, small_1d_trace):
         report = check_cone_energy(small_1d_trace, x_center=0.0, t_apex=1e-6)
