@@ -63,6 +63,7 @@ from .verify import (
     check_cone_energy,
     check_differential_inequality,
     check_finite_propagation,
+    check_inputs,
     check_mass_conservation,
     check_positivity,
     summary_table,
@@ -344,6 +345,15 @@ def cmd_verify(args, argv) -> int:
             f"unknown checks: {', '.join(unknown)}; available: {', '.join(TRACE_CHECKS)}"
         )
     config = _solver_config(args)
+    apex = args.cone_apex if args.cone_apex is not None else 0.8 * config.t_end
+    # reject the inputs of the chosen checks before the run, not after it
+    cone = CHECK_CONE in names
+    check_inputs(
+        scen.grid.centers(scen.geometry),
+        x0=args.x0 if CHECK_CHARACTERISTIC in names else None,
+        x_center=args.cone_center if cone else None,
+        t_apex=apex if cone else None,
+    )
     family = args.family or default_family(scen.geometry)
     weight = parse_weight(args.weight)
     recorder = None
@@ -370,7 +380,6 @@ def cmd_verify(args, argv) -> int:
                 )
             )
         elif name == CHECK_CONE:
-            apex = args.cone_apex if args.cone_apex is not None else 0.8 * config.t_end
             reports.append(check_cone_energy(trace, args.cone_center, apex))
     print(summary_table(reports))
     if args.out:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -709,6 +710,11 @@ class TheoremContext:
             self.f, self.scenario.R, self.sigma, t, self.scenario.geometry
         )
 
+    @cached_property
+    def B_tau(self) -> float:
+        """B(tau), which the general families' G reads at every sample."""
+        return self.B(self.tau)
+
     def m(self, snap: FieldSnapshot) -> float:
         return mass_functional(snap, self.scenario.eos, self.scenario.geometry)
 
@@ -745,7 +751,7 @@ def _pressure_slack(ctx: TheoremContext, H: float, m0: float, snap: FieldSnapsho
 
 _GENERAL = FamilySpec(
     lambda c, t, U: 1.0 / (c.a * c.B(t)),
-    lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.B(c.tau))
+    lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.B_tau)
     - _barrier(c.scenario.eos) * float(c.f.f(U)),
 )
 _POWER = FamilySpec(lambda c, t, U: c.N * (c.N + 1) / (2.0 * U ** (c.N + 2)), _pressure_slack)

@@ -28,17 +28,23 @@ same bits as the separate per-variable kernel it replaced:
 - the same elementwise IEEE operations act on the same operands in the
   same order; stacking, in-place updates (``out=``) and swapping the
   operands of a single + or * change no rounding;
-- minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0) equals
-  0.5 * (sign(a) + sign(b)) * min(|a|, |b|) for every non-zero result
-  (one of the two terms is the exact min or max, the other a zero); the
-  two can differ only in the sign of a zero slope, and a zero slope of
-  either sign leaves every face state unchanged unless the cell holds
-  -0.0, which the oracle tests check bit for bit;
+- half the minmod slope is 0.5 * max(min(a, b), min(max(a, b), 0)), the
+  median of a, b and 0; the median equals 0.5 * (sign(a) + sign(b)) *
+  min(|a|, |b|) and the sum max(min(a, b), 0) + min(max(a, b), 0) for
+  every non-zero result (each is a or b when both share a sign, else a
+  zero); the three can differ only in the sign of a zero slope, and a zero
+  slope of either sign leaves every face state unchanged unless the cell
+  holds -0.0, which the oracle tests check bit for bit;
 - rho ** 1 is rho and rho ** 2 is rho * rho, the correctly rounded square
   (``model.rho_power``);
-- -(f[j+1] - f[j]) / dx keeps its negation and its division: f[j] -
-  f[j+1] or a multiplication by -1/dx would move the sign of a zero or
-  the last bit.
+- the flux is kept doubled, the sum of both sides' fluxes minus the larger
+  speed times the jump, and du is -(f[j+1] - f[j]) / (2 dx): scaling by 2
+  commutes with correctly rounded +, -, * and /, so this is the halved
+  flux over dx unless a halved value would be subnormal or a doubled one
+  overflow (the oracle tests pin momenta of 1e-310, 3e-308 and 1e150);
+  the negation stays a call of its own: f[j] - f[j+1] would move the sign
+  of a zero, a division by -2 dx would keep the sign of a NaN that the
+  negation flips, and a multiplication by -1/(2 dx) the last bit.
 
 The window.  ``run`` keeps one full-grid (rho, V) state and updates it in
 place.  The background (rho_bar, 0) is a bitwise fixed point of both
@@ -52,7 +58,7 @@ therefore advances the cells [lo - reach, hi + reach] around the perturbed
 range [lo, hi], clipped to the grid and always starting at the origin in
 radial geometry, where the reflection ghost applies; every other cell
 stays as it is.  The window keeps the full grid's spacing, so the result
-equals a full-grid step bit for bit.  ``cfl_dt`` and ``detect_blowup``
+equals a full-grid step bit for bit.  The time step and the detector
 then read that window widened by one cell on each side, the view: it holds
 every perturbed cell and, unless it is the whole grid, a background cell,
 whose speed |V| + c is the same in every background cell, so the maximum
@@ -60,42 +66,49 @@ speed and the largest velocity jump are the full grid's.  Only the first
 time step and the detector at t = 0 read the full grid.  A run with no
 perturbed cell only advances the time.
 
-The workspace.  A ``_Workspace`` owns everything the kernel touches for
-one grid, allocated once: the ghosted (2, n + 4) buffer U with its rho and
-mom rows, the radial coefficient (N - 1)/r of every cell, the far-field
-ghost block, the MUSCL stage buffer and every temporary of ``_rhs``
-(slopes, face states, velocities, speeds, |v|, pressures, half the
-Rusanov speed, flux, jump, du, and the radial source and mom/rho rows, one
-flat array each).  ``_rhs`` writes every value with ``out=``, the same
-ufuncs on the same operands in the same order, so no bit changes and a
-step allocates no window-sized array.  ``bind(a, b)`` cuts every view the
-kernel reads for the window [a, b), and cuts them again only when (a, b)
-changes: from each temporary a contiguous prefix shaped for b - a cells (a
-prefix slice of a 2-D buffer is strided, which slows every ufunc on it,
-and views of one shared buffer can make numpy copy an operand it cannot
-prove disjoint from the output), their rows and shifted views (flux[:,
-1:], the left and right speeds of each face, ...), the window's cells and
+The workspace.  A ``_Workspace`` owns everything a run touches for one
+grid, allocated once: the ghosted (2, n + 4) buffer U with its rho and mom
+rows, the velocities V, the radial coefficient (N - 1)/r of every cell,
+the far-field ghost block, the MUSCL stage buffer, every temporary of
+``_rhs`` (slopes, face states, velocities, speeds, |v|, pressures, the
+Rusanov speed, flux, jump, du and the radial source, one flat array each)
+and the scratch of the view and of the perturbed range.  ``_rhs`` writes
+every value with ``out=``, the same ufuncs on the same operands in the
+same order, so no bit changes and a step allocates no window-sized array.
+``bind(a, b)`` cuts every view the kernel reads for the window [a, b), and
+cuts them again only when (a, b) changes: from each temporary a
+contiguous prefix shaped for b - a cells (a prefix slice of a 2-D buffer
+is strided, which slows every ufunc on it, and views of one shared buffer
+can make numpy copy an operand it cannot prove disjoint from the output),
+their rows and shifted views (flux[:, 1:], the left and right speeds of
+each face, every face density as one row, ...), the window's cells and
 their rho and mom rows in U and in the stage buffer, the two ghost blocks,
 the reflection pair, the shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2]
-and u[:, 2:-1], the face states of first order, and coeff[a:b].  After
-that ``_rhs`` and ``_advance`` slice nothing and write each ghost pair as
-one (2, 2) block.  A step makes about 40 ufunc calls, most on a few
-hundred cells, so their fixed cost is most of it: measured on a 2-vCPU
-x86-64 VM with numpy 2.4, a slice costs 0.2-0.5 us, and a ufunc on two
-freshly sliced strided (2, 477) views 2.1-2.3 us, against 1.2-1.5 us on
-the same views cut beforehand and 0.7 us on contiguous arrays; a rebind
-costs about 45 us under MUSCL.
+and u[:, 2:-1], the face states of first order, coeff[a:b] and the
+window's V.  ``view(lo, hi)`` likewise cuts the view's cells, V[1:],
+V[:-1] and scratch.  After that ``_rhs`` and ``_advance`` slice nothing
+and write each ghost pair as one (2, 2) block.  A stage makes 29 ufunc
+calls in slab geometry and 35 in radial3 under MUSCL, 20 and 26 under
+first order, most on a few hundred cells, so their fixed cost is most of
+a step: measured on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a
+ufunc call costs 0.9 us on contiguous arrays with ``out=``, 0.7 us as an
+in-place operator and 2.2 us on strided (2, 476) views, a Python-float
+operand adds 0.35 us over a 0-d array, a slice costs 0.2-0.5 us and a
+rebind about 45 us under MUSCL.
 
-``run`` builds one workspace per run and keeps the state's rho as the
-density row of its buffer.  Each step writes rho*V of the window into the
-mom row, hands the window to ``_advance`` and writes V = (rho*V)/rho
-back, the same operations ``step`` does on a copy.  The ghost columns
-beyond the window are cells of the grid, background cells by the reach
-argument, or the buffer's own ghosts at its ends; the kernel overwrites
-them with (rho_bar, +0.0), or with the reflection, in the state and the
-stage buffer, because a background cell may hold V = -0.0, whose momentum
-is -0.0, and the stage buffer holds an earlier step's values there.  The
-state is copied only for a snapshot, a recorder sample or the final state.
+``run`` builds one workspace per run and keeps its state in it: rho as the
+density row of the buffer, and V.  Each step writes rho*V of the window
+into the mom row, hands the window to ``_advance`` and writes V =
+(rho*V)/rho back, the same operations ``step`` does on a copy.  The ghost
+columns beyond the window are cells of the grid, background cells by the
+reach argument, or the buffer's own ghosts at its ends; the kernel
+overwrites them with (rho_bar, +0.0), or with the reflection, in the state
+and the stage buffer, because a background cell may hold V = -0.0, whose
+momentum is -0.0, and the stage buffer holds an earlier step's values
+there.  The detector's threshold and cfl * dx are computed once per run;
+``cfl_dt`` and ``detect_blowup`` read a snapshot through the same ``_View``
+as the view.  The state is copied only for a snapshot, a recorder sample
+or the final state.
 
 The clocks.  The snapshot and sample times are k * interval for an integer
 count k, which moves past the time just kept even where the interval is
@@ -186,23 +199,53 @@ class SolutionTrace:
         return self.blowup.t if self.blowup is not None else None
 
 
+class _View:
+    """Cells whose largest signal speed and velocity jump the time step and detector read, with scratch.
+
+    ``speed`` and ``scratch`` have the cells' size; |V| and then the
+    velocity jumps share ``scratch``.
+    """
+
+    def __init__(self, rho: np.ndarray, V: np.ndarray, centers: np.ndarray, speed: np.ndarray, scratch: np.ndarray):
+        self.rho, self.V, self.centers, self.speed, self.abs_v = rho, V, centers, speed, scratch
+        self.V_hi, self.V_lo, self.jumps = V[1:], V[:-1], scratch[:-1]
+
+    def max_speed(self, eos: EosParams):
+        """max(|V| + c) over the cells."""
+        signal_speed(eos, self.rho, out=self.speed)
+        self.speed += np.abs(self.V, out=self.abs_v)
+        return np.maximum.reduce(self.speed)
+
+    def jump_event(self, t: float, threshold) -> BlowupEvent | None:
+        """A slope event at t if the largest |V[i+1] - V[i]| reaches threshold, or None."""
+        jumps = np.subtract(self.V_hi, self.V_lo, out=self.jumps)
+        np.abs(jumps, out=jumps)
+        i = int(jumps.argmax())
+        if jumps[i] >= threshold:
+            loc = 0.5 * (self.centers[i] + self.centers[i + 1])
+            return BlowupEvent(t=t, cause=SLOPE_THRESHOLD, location=float(loc), value=float(jumps[i]))
+        return None
+
+
+def _snapshot_view(snap: FieldSnapshot) -> _View:
+    n = snap.rho.size
+    return _View(snap.rho, snap.V, snap.centers, np.empty(n), np.empty(n))
+
+
 def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
     """Largest stable time step: cfl * dx / max(|V| + c)."""
-    speed = signal_speed(eos, snap.rho)
-    speed += np.abs(snap.V)
-    return float(cfl * snap.spacing / np.maximum.reduce(speed))
+    return float(cfl * snap.spacing / _snapshot_view(snap).max_speed(eos))
 
 
 # the arrays of a workspace: name, leading dimensions, and cells past the
 # window's m in the last dimension; the per-state arrays hold a value per
 # cell next to a face (first order) or per side of each face (MUSCL)
 _COMMON = (
-    ("half_a", (), 1),
+    ("a", (), 1),
     ("flux", (2,), 1),
     ("jump", (2,), 1),
     ("du", (2,), 0),
-    ("source", (), 0),
-    ("ratio", (), 0),
+    ("source", (2,), 0),
 )
 _ARRAYS = {
     FIRST_ORDER: tuple((name, (), 2) for name in ("v", "speed", "abs_v", "p")) + _COMMON,
@@ -240,21 +283,30 @@ class _Window:
         self.left_mom, self.right_mom = self.left[1], self.right[1]
 
 
-class _Workspace:
-    """One grid's ghosted (rho, rho*V) buffer ``U`` and all the kernel needs to step it.
+# 0-d operands: a ufunc takes them faster than a Python float, with the same bits
+_ZERO, _HALF = np.array(0.0), np.array(0.5)
 
-    Allocates the buffer, the radial coefficient, the far-field block, the
-    MUSCL stage buffer and every temporary of ``_rhs`` once; ``bind(a, b)``
-    cuts the views of the window [a, b), only when (a, b) changes (see
-    "The workspace" in the module docstring).
+
+class _Workspace:
+    """One grid's ghosted (rho, rho*V) buffer ``U``, velocities ``V`` and all ``run`` needs to step them.
+
+    Allocates everything once; ``bind(a, b)`` cuts the views of the window
+    [a, b) and ``view(lo, hi)`` those of the cells [lo, hi) that ``run``
+    reads, each only when its key changes (see "The workspace" in the
+    module docstring).
     """
 
     def __init__(self, centers: np.ndarray, dx: float, geometry: Geometry, eos: EosParams, reconstruction: str):
         n = centers.size
         self.centers, self.dx, self.eos = centers, dx, eos
+        self.dx2 = np.array(2.0 * dx)  # du's divisor: the flux is kept doubled
         self.radial, self.muscl = geometry.is_radial, reconstruction == MUSCL
         self.U = np.empty((2, n + 4))
         self.rho, self.mom = self.U[:, 2:-2]
+        self.V = np.empty(n)
+        self.view_speed, self.view_scratch = np.empty(n), np.empty(n)
+        self.off_all, self.off_v_all = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        self.K, self.rho_bar = np.array(eos.K), np.array(eos.rho_bar)
         self._buffers = []
         for name, lead, extra in _ARRAYS[reconstruction]:
             rows = math.prod(lead)
@@ -263,7 +315,16 @@ class _Workspace:
         radial_source = geometry.is_radial and geometry.ndim > 1
         self.radial_coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx) if radial_source else None
         self.far_field = np.array(((eos.rho_bar, eos.rho_bar), (0.0, 0.0)))
-        self.key = None
+        self.key = self.view_key = None
+
+    def view(self, lo: int, hi: int) -> _View:
+        """The view of cells [lo, hi) that ``run`` reads; cut when (lo, hi) changes."""
+        if (lo, hi) != self.view_key:
+            m = hi - lo
+            self._view = _View(self.rho[lo:hi], self.V[lo:hi], self.centers[lo:hi],
+                               self.view_speed[:m], self.view_scratch[:m])
+            self.view_key = (lo, hi)
+        return self._view
 
     def bind(self, a: int, b: int) -> _Window:
         """The window of cells [a, b) of ``U``; its views are cut when (a, b) changes."""
@@ -281,7 +342,7 @@ class _Workspace:
             self.flux_rho, self.flux_mom = flux[0], flux[1]
             self.flux_hi, self.flux_lo = flux[:, 1:], flux[:, :-1]
             self.jump_rho, self.jump_mom = jump[0], jump[1]
-            self.du_rho, self.du_mom = du[0], du[1]
+            self.source_rho, self.source_mom = self.source
             if self.muscl:
                 self.d_l, self.d_r = self.d[:, :-1], self.d[:, 1:]
                 self.half_l, self.half_r = self.half[:, :-1], self.half[:, 1:]
@@ -290,8 +351,11 @@ class _Workspace:
                 self.left, self.right = states[:, 0], states[:, 1]
                 self.rho_s, self.mom_s = states[0], states[1]
                 self.left_rho, self.right_rho = states[0, 0], states[0, 1]
+                # every face density, one contiguous row
+                self.face_rho = states[0].reshape(-1)
                 self.stage_window = _Window(self.stage, self)
             self.window = _Window(self.U[:, a:b + 4], self)
+            self.window_V, self.off, self.off_v = self.V[a:b], self.off_all[:m], self.off_v_all[:m]
             self.coeff = None if self.radial_coeff is None else self.radial_coeff[a:b]
             self.key = (a, b)
         return self.window
@@ -308,18 +372,16 @@ def _rhs(w: _Window, ws: _Workspace) -> np.ndarray:
         np.negative(w.mirror_mom, out=w.mirror_mom)
     if ws.muscl:
         np.subtract(w.hi, w.lo, out=ws.d)
-        # half the minmod slope, 0.5 * (max(min(dl, dr), 0) + min(max(dl, dr), 0))
+        # half the minmod slope: 0.5 * max(min(dl, dr), min(max(dl, dr), 0)),
+        # the median of dl, dr and 0
         half = np.minimum(ws.d_l, ws.d_r, out=ws.half)
-        np.maximum(half, 0.0, out=half)
         negative = np.maximum(ws.d_l, ws.d_r, out=ws.negative)
-        np.minimum(negative, 0.0, out=negative)
-        half += negative
-        half *= 0.5
+        np.minimum(negative, _ZERO, out=negative)
+        np.maximum(half, negative, out=half)
+        half *= _HALF
         np.add(w.lower, ws.half_l, out=w.left)
         np.subtract(w.upper, ws.half_r, out=w.right)
-        # the least left and the least right face density, in one reduction
-        least_l, least_r = np.minimum.reduce(w.rho_s, axis=1)
-        if least_l <= 0 or least_r <= 0:
+        if np.minimum.reduce(ws.face_rho) <= 0:
             # limited face states should stay positive; fall back locally
             bad = (ws.left_rho <= 0) | (ws.right_rho <= 0)
             np.copyto(w.left, w.lower, where=bad)
@@ -329,31 +391,31 @@ def _rhs(w: _Window, ws: _Workspace) -> np.ndarray:
     v = np.divide(mom_s, rho_s, out=ws.v)
     speed = signal_speed(eos, rho_s, out=ws.speed)
     speed += np.abs(v, out=ws.abs_v)
-    np.multiply(v, mom_s, out=v)
-    np.multiply(eos.K, rho_power(rho_s, eos.gamma, out=ws.p), out=ws.p)
-    # Rusanov flux: the central average minus half the larger speed times the jump
-    half_a = np.maximum(ws.speed_l, ws.speed_r, out=ws.half_a)
-    half_a *= 0.5
+    v *= mom_s
+    np.multiply(ws.K, rho_power(rho_s, eos.gamma, out=ws.p), out=ws.p)
+    # twice the Rusanov flux: the sum of both sides' fluxes minus the larger
+    # speed times the jump; du divides by 2 dx
+    a = np.maximum(ws.speed_l, ws.speed_r, out=ws.a)
     flux, flux_mom = ws.flux, ws.flux_mom
     np.add(w.left_mom, w.right_mom, out=ws.flux_rho)
     np.add(ws.mv_l, ws.p_l, out=flux_mom)
     flux_mom += ws.mv_r
     flux_mom += ws.p_r
-    flux *= 0.5
     jump = np.subtract(w.right, w.left, out=ws.jump)
-    # row by row: broadcasting half_a over both rows makes numpy's iterator
+    # row by row: broadcasting a over both rows makes numpy's iterator
     # allocate a buffer of up to 8192 values per call
-    ws.jump_rho *= half_a
-    ws.jump_mom *= half_a
+    ws.jump_rho *= a
+    ws.jump_mom *= a
     flux -= jump
     du = np.subtract(ws.flux_hi, ws.flux_lo, out=ws.du)
     np.negative(du, out=du)
-    du /= ws.dx
+    du /= ws.dx2
     if ws.coeff is not None:
-        source = np.multiply(ws.coeff, w.mom, out=ws.source)
-        ws.du_rho -= source
-        source *= np.divide(w.mom, w.rho, out=ws.ratio)
-        ws.du_mom -= source
+        # the radial source (coeff * mom, (mom/rho) * coeff * mom), one block
+        np.multiply(ws.coeff, w.mom, out=ws.source_rho)
+        np.divide(w.mom, w.rho, out=ws.source_mom)
+        ws.source_mom *= ws.source_rho
+        du -= ws.source
     return du
 
 
@@ -390,7 +452,7 @@ def _advance(ws: _Workspace, a: int, b: int, t: float, dt: float) -> None:
         d2 *= dt
         state += stage
         state += d2
-        state *= 0.5
+        state *= _HALF
     else:
         state += d1
     if np.minimum.reduce(w.rho) <= 0:
@@ -420,32 +482,27 @@ def step(
     ws.rho[:] = snap.rho
     np.multiply(snap.rho, snap.V, out=ws.mom)
     _advance(ws, 0, snap.rho.size, snap.t, dt)
-    return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=ws.mom / ws.rho, spacing=snap.spacing)
+    V = np.divide(ws.mom, ws.rho, out=ws.V)
+    return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=V, spacing=snap.spacing)
 
 
 # cells one step can carry a disturbance: one per stage (see the module docstring)
 _REACH = {FIRST_ORDER: 1, MUSCL: 2}
 
 
-def _perturbed(rho: np.ndarray, V: np.ndarray, rho_bar: float, offset: int = 0) -> tuple[int, int] | None:
-    """Index range [lo, hi] (shifted by offset) of cells off (rho_bar, 0), or None."""
-    off = ((rho != rho_bar) | (V != 0.0)).nonzero()[0]
-    if off.size == 0:
-        return None
-    return offset + int(off[0]), offset + int(off[-1])
+def _perturbed(
+    rho: np.ndarray, V: np.ndarray, rho_bar: np.ndarray, off: np.ndarray, off_v: np.ndarray, offset: int = 0
+) -> tuple[int, int] | None:
+    """Index range [lo, hi] (shifted by offset) of cells off (rho_bar, 0), or None; off, off_v: boolean scratch."""
+    np.not_equal(rho, rho_bar, out=off)
+    off |= np.not_equal(V, _ZERO, out=off_v)
+    first = int(off.argmax())
+    return (offset + first, offset + off.size - 1 - int(off[::-1].argmax())) if off[first] else None
 
 
 def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams) -> BlowupEvent | None:
     """Flag a per-cell velocity jump at or above slope_factor * sound speed."""
-    V = snap.V
-    jumps = np.subtract(V[1:], V[:-1])
-    np.abs(jumps, out=jumps)
-    i = int(jumps.argmax())
-    threshold = detector.slope_factor * signal_speed(eos, eos.rho_bar)
-    if jumps[i] >= threshold:
-        loc = 0.5 * (snap.centers[i] + snap.centers[i + 1])
-        return BlowupEvent(t=snap.t, cause=SLOPE_THRESHOLD, location=float(loc), value=float(jumps[i]))
-    return None
+    return _snapshot_view(snap).jump_event(snap.t, detector.slope_factor * signal_speed(eos, eos.rho_bar))
 
 
 def run(
@@ -477,28 +534,30 @@ def run(
     snap = initial_snapshot(scenario)
     centers, dx = snap.centers, snap.spacing
     n = centers.size
-    # the state (rho, V), updated in place; rho is the density row of the
-    # workspace's buffer (see "The workspace" in the module docstring)
-    V = snap.V.copy()
+    # the state (rho, V), updated in place: rho is the density row of the
+    # workspace's buffer, V its velocities (see "The workspace" in the
+    # module docstring)
     ws = _Workspace(centers, dx, geom, eos, config.reconstruction)
-    rho, mom = ws.rho, ws.mom
+    rho, V = ws.rho, ws.V
     rho[:] = snap.rho
+    V[:] = snap.V
     reach = _REACH[config.reconstruction]
-    perturbed = _perturbed(rho, V, eos.rho_bar)
-    snapshots = [snap]
-    blowup = detect_blowup(snap, eos, det)
-    if blowup is None and recorder is not None:
-        recorder.observe(snap)
+    perturbed = _perturbed(rho, V, ws.rho_bar, ws.off_all, ws.off_v_all)
+    threshold, cfl_dx = det.slope_factor * sigma, config.cfl * dx
     # view, cells [lo, hi): every perturbed cell and at least one background
     # cell, unless the perturbation spans the grid; the time step and the
     # detector read it
-    view = snap
+    view = ws.view(0, n)
+    snapshots = [snap]
+    blowup = view.jump_event(0.0, threshold)
+    if blowup is None and recorder is not None:
+        recorder.observe(snap)
     t, steps = 0.0, 0
     # the clocks: the next snapshot and sample at k * interval (see "The clocks")
     k_snap = k_sample = 1
     next_snap, next_sample = config.snapshot_interval, det.sample_interval
     while blowup is None and t < config.t_end - eps and steps < config.max_steps:
-        dtc = cfl_dt(view, eos, config.cfl)
+        dtc = float(cfl_dx / view.max_speed(eos))
         if dtc < det.dt_floor:
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
@@ -511,15 +570,16 @@ def run(
                 raise ValueError("dt must be positive")
             a = 0 if geom.is_radial else max(perturbed[0] - reach, 0)
             b = min(perturbed[1] + reach + 1, n)
-            np.multiply(rho[a:b], V[a:b], out=mom[a:b])
+            w = ws.bind(a, b)
+            np.multiply(w.rho, ws.window_V, out=w.mom)
             _advance(ws, a, b, t, dt)
-            np.divide(mom[a:b], rho[a:b], out=V[a:b])
+            np.divide(w.mom, w.rho, out=ws.window_V)
             t += dt
-            perturbed = _perturbed(rho[a:b], V[a:b], eos.rho_bar, a)
+            perturbed = _perturbed(w.rho, ws.window_V, ws.rho_bar, ws.off, ws.off_v, a)
             lo, hi = max(a - 1, 0), min(b + 1, n)
-        view = FieldSnapshot(t, centers[lo:hi], rho[lo:hi], V[lo:hi], dx)
+        view = ws.view(lo, hi)
         steps += 1
-        blowup = detect_blowup(view, eos, det)
+        blowup = view.jump_event(t, threshold)
         sample = blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps)
         keep = t >= next_snap - eps or t >= config.t_end - eps or blowup is not None
         if sample or keep:

@@ -144,6 +144,22 @@ def _divergence(snap: FieldSnapshot, ndim: int, radial: bool) -> np.ndarray:
     return div
 
 
+def check_inputs(centers=None, x0: float | None = None, x_center: float | None = None, t_apex: float | None = None):
+    """Reject check inputs no run can make valid, so a caller can check before its run; None skips one.
+
+    x0 must lie on the grid of ``centers`` (GridCoverageError), x_center
+    be finite and t_apex finite and positive (ValueError).
+    """
+    if x0 is not None:
+        lo, hi = float(centers[0]), float(centers[-1])
+        if not lo <= x0 <= hi:
+            raise GridCoverageError(f"start point x0={x0:g} is outside the grid [{lo:g}, {hi:g}]")
+    if x_center is not None and not math.isfinite(x_center):
+        raise ValueError(f"cone center x_center={x_center!r} must be finite")
+    if t_apex is not None and not (math.isfinite(t_apex) and t_apex > 0):
+        raise ValueError(f"cone apex t_apex={t_apex!r} must be finite and positive")
+
+
 def check_characteristic_density(trace: SolutionTrace, x0: float, tol_char: float = 0.02) -> VerificationReport:
     """Density along the flow line from x0 matches the exponential of the
     accumulated velocity divergence.
@@ -157,9 +173,8 @@ def check_characteristic_density(trace: SolutionTrace, x0: float, tol_char: floa
     """
     geom = trace.scenario.geometry
     centers = trace.snapshots[0].centers
+    check_inputs(centers, x0=x0)
     lo, hi = float(centers[0]), float(centers[-1])
-    if not lo <= x0 <= hi:
-        raise GridCoverageError(f"start point x0={x0:g} is outside the grid [{lo:g}, {hi:g}]")
     snaps = _smooth_snapshots(trace)
     if len(snaps) < 2:
         return VerificationReport(
@@ -339,10 +354,7 @@ def check_cone_energy(trace: SolutionTrace, x_center: float, t_apex: float) -> V
     ValueError for a non-finite x_center or a t_apex that is not finite
     and positive.
     """
-    if not math.isfinite(x_center):
-        raise ValueError(f"cone center x_center={x_center!r} must be finite")
-    if not (math.isfinite(t_apex) and t_apex > 0):
-        raise ValueError(f"cone apex t_apex={t_apex!r} must be finite and positive")
+    check_inputs(x_center=x_center, t_apex=t_apex)
     scen = trace.scenario
     eos, geom = scen.eos, scen.geometry
     sigma = sound_speed(eos)

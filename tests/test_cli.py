@@ -484,6 +484,15 @@ class TestSimulateCommand:
             assert "detector.sample_interval 5e-324" in capsys.readouterr().err
 
 
+# verify arguments whose check can never run, and the name the error gives
+INVALID_CHECK_INPUTS = [
+    (["--checks", "cone", "--cone-apex", "nan"], "t_apex="),
+    (["--checks", "cone", "--cone-apex", "-1"], "t_apex="),
+    (["--checks", "cone", "--cone-center", "nan"], "x_center="),
+    (["--checks", "characteristic", "--x0", "nan"], "x0="),
+]
+
+
 class TestVerifyCommand:
     def test_reference_checks_pass(self, ref_config, tmp_path, capsys):
         out = tmp_path / "ver"
@@ -519,12 +528,7 @@ class TestVerifyCommand:
         assert [r["check"] for r in reports] == list(TRACE_CHECKS)
         assert reports[-1]["status"] == "skipped"
 
-    @pytest.mark.parametrize("args, name", [
-        (["--checks", "cone", "--cone-apex", "nan"], "t_apex="),
-        (["--checks", "cone", "--cone-apex", "-1"], "t_apex="),
-        (["--checks", "cone", "--cone-center", "nan"], "x_center="),
-        (["--checks", "characteristic", "--x0", "nan"], "x0="),
-    ])
+    @pytest.mark.parametrize("args, name", INVALID_CHECK_INPUTS)
     @pytest.mark.parametrize("preset", ["ref-1d", "cert-linear-tau-1d"])
     def test_invalid_check_inputs_are_invalid_input(self, tmp_path, capsys, preset, args, name):
         # the certified run detects before its second snapshot, where these
@@ -532,6 +536,25 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path / "c.cfg", [f"preset = {preset}", "grid.cells = 512"])
         assert main(["verify", "--t-end", "0.1", *args, cfg]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, name", INVALID_CHECK_INPUTS + [
+        (["--checks", "characteristic", "--x0", "-0.5"], "x0="),
+        (["--checks", "positivity,characteristic", "--x0", "inf"], "x0="),
+        (["--checks", "cone", "--cone-apex", "0"], "t_apex="),
+    ])
+    def test_invalid_check_inputs_are_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, args, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("verify ran the solver on invalid check inputs")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg = write_config(tmp_path / "c.cfg", ["preset = ref-radial3", "grid.cells = 4096"])
+        assert main(["verify", *args, cfg]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_inputs_of_checks_not_chosen_are_not_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", ["preset = ref-1d", "grid.cells = 256"])
+        args = ["--checks", "positivity", "--x0", "nan", "--cone-apex", "nan", "--cone-center", "nan"]
+        assert main(["verify", "--t-end", "0.1", *args, cfg]) == 0, capsys.readouterr().err
 
     def test_unknown_check_is_invalid_input(self, ref_config, capsys):
         assert main(["verify", "--checks", "entropy", ref_config]) == 2

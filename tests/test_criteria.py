@@ -72,6 +72,7 @@ from eulerblowup.scenarios import (
     certified_power_radial_case,
     certified_suite,
 )
+from eulerblowup.solver import SolverConfig, run
 
 SQRT2 = math.sqrt(2.0)
 EOS = EosParams(1.0, 2.0, 1.0)
@@ -1128,6 +1129,35 @@ class TestTheoremContext:
         assert series.times.size == 1
         assert series.theorem == POWER_RADIAL_CASE1
         assert np.isfinite(series.G).all()
+
+    @pytest.mark.parametrize("name", ["cert-general-radial-n1", "cert-general-1d-exp"])
+    def test_general_run_evaluates_B_at_tau_once(self, name, monkeypatch):
+        case = certified_case(name, 1024)
+        real, at = criteria.weight_functional_B, []
+
+        def counted(f, R, sigma, t, *args):
+            at.append(t)
+            return real(f, R, sigma, t, *args)
+
+        def traced_run():
+            ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+            at.clear()
+            monkeypatch.setattr(criteria, "weight_functional_B", counted)
+            trace = run(case.scenario, SolverConfig(t_end=case.tau), recorder=ctx.recorder())
+            monkeypatch.setattr(criteria, "weight_functional_B", real)
+            return trace
+
+        trace = traced_run()
+        # the B column reads B(t) at every sample, all before tau; G reads B(tau)
+        samples = trace.series.times.size
+        assert samples > 10 and trace.t_detect < case.tau
+        assert at.count(case.tau) == 1 and len(at) == samples + 1
+        # the same G column, bit for bit, as B(tau) evaluated at every sample
+        monkeypatch.setattr(criteria.TheoremContext, "B_tau", property(lambda c: c.B(c.tau)))
+        fresh = traced_run()
+        assert at.count(case.tau) == samples
+        assert np.array_equal(trace.series.G, fresh.series.G)
+        assert np.array_equal(np.signbit(trace.series.G), np.signbit(fresh.series.G))
 
     def test_general_family_requires_weight(self):
         scen = bump(Geometry.radial(1))

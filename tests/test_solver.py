@@ -470,6 +470,25 @@ class TestKernelMatchesReference:
                 want = assert_same_outcome(want, eos, geom, reference_cfl_dt(want, eos, 0.45), recon)
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)], ids=lambda g: g.label())
+    @pytest.mark.parametrize("scale", [1e-310, 3e-308, 1e150])
+    def test_extreme_momenta(self, scale, geom, recon):
+        # the kernel keeps the Rusanov flux doubled and divides by 2 dx:
+        # pin that against the reference's halves where the momenta and
+        # their fluxes are subnormal, at the bottom of the normal range, or
+        # near the top of the range
+        for seed in range(4):
+            snap = seeded_state(seed, EOS, geom)
+            snap.V *= scale / 0.3
+            mom = np.abs(snap.rho * snap.V)
+            assert mom.max() > scale / 10 and mom[mom > 0].min() < 10 * scale
+            want = assert_same_outcome(snap, EOS, geom, reference_cfl_dt(snap, EOS), recon)
+            for _ in range(3):
+                if not isinstance(want, FieldSnapshot):
+                    break
+                want = assert_same_outcome(want, EOS, geom, reference_cfl_dt(want, EOS), recon)
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("geom", KERNEL_GEOMETRIES, ids=lambda g: g.label())
     def test_window_cut_mid_grid(self, geom, recon):
         snap = initial_snapshot(bump(geom, cells=512))
@@ -487,6 +506,24 @@ class TestKernelMatchesReference:
         REFERENCE_FALLBACKS.clear()
         assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
         assert REFERENCE_FALLBACKS
+
+    @pytest.mark.parametrize("nan_at, bad_at", [(None, 44), (40, 50), (60, 44), (0, 44), (95, 44)])
+    @pytest.mark.parametrize("geom", KERNEL_GEOMETRIES, ids=lambda g: g.label())
+    def test_fallback_decision_with_a_nan_density(self, geom, nan_at, bad_at):
+        # densities 3.2, 1, -1.5 limit the right face of the middle cell to
+        # -0.1, so the fallback changes it, and with gamma = 3 the negative
+        # cell has a real sound speed; the kernel decides the fallback with
+        # one reduction over the left and the right face densities, the
+        # reference with one per side: a NaN cell puts a NaN on both sides,
+        # where neither falls back
+        eos = EosParams(1.0, 3.0, 1.0)
+        snap = seeded_state(3, eos, geom)
+        snap.rho[bad_at - 2:bad_at + 1] = 3.2, 1.0, -1.5
+        if nan_at is not None:
+            snap.rho[nan_at] = np.nan
+        REFERENCE_FALLBACKS.clear()
+        assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
+        assert bool(REFERENCE_FALLBACKS) == (nan_at is None)
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     def test_negative_density_error(self, recon):
@@ -703,6 +740,51 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_run_views_are_contiguous_prefixes_of_their_scratch(self):
+        ws = loaded_workspace("ref-1d", 512)[0]
+        first = ws.view(0, 300)
+        assert ws.view(0, 300) is first
+        again = ws.view(50, 250)
+        assert again.rho.ctypes.data == ws.rho[50:].ctypes.data
+        assert again.V.ctypes.data == ws.V[50:].ctypes.data
+        assert again.centers.ctypes.data == ws.centers[50:].ctypes.data
+        for name, m in (("speed", 300), ("abs_v", 300), ("jumps", 299)):
+            view, other = getattr(first, name), getattr(again, name)
+            assert view.flags.c_contiguous and other.flags.c_contiguous
+            assert (view.size, other.size) == (m, m - 100)
+            assert view.ctypes.data == other.ctypes.data
+        # |V| and the jumps share a buffer; nothing else the kernel or the
+        # state holds does
+        assert first.abs_v.ctypes.data == first.jumps.ctypes.data
+        ws.bind(0, 512)
+        kernel = [getattr(ws, name) for name, *_ in solver._ARRAYS[MUSCL]]
+        for u in (first.speed, first.abs_v):
+            assert not any(np.shares_memory(u, v) for v in kernel + [ws.U, ws.V, ws.off_all, ws.off_v_all])
+        assert not np.shares_memory(first.speed, first.abs_v)
+
+    @pytest.mark.parametrize("preset", ["ref-1d", "ref-radial3"])
+    def test_run_step_loop_makes_no_window_sized_temporaries(self, preset, monkeypatch):
+        # five whole steps of run, from the second kernel call to the
+        # seventh, on a window of about 3700 cells: 29 KB per row
+        kernel, widths, peak = solver._advance, [], []
+
+        def traced(ws, a, b, t, dt):
+            widths.append(b - a)
+            if len(widths) == 2:
+                tracemalloc.start()
+            elif len(widths) == 7:
+                peak.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            kernel(ws, a, b, t, dt)
+
+        monkeypatch.setattr(solver, "_advance", traced)
+        try:
+            run(PRESETS[preset](8192), SolverConfig(t_end=0.05, snapshot_interval=1.0, max_steps=8))
+        finally:
+            tracemalloc.stop()
+        assert min(widths) > 3700
+        assert peak[0] < min(64 * 1024, 8 * min(widths))
 
     def test_views_are_recut_iff_the_window_changes(self):
         ws, dt = loaded_workspace("ref-1d", 256)
