@@ -738,10 +738,10 @@ def _pressure_slack(ctx: TheoremContext, H: float, m0: float, snap: FieldSnapsho
     # pressure-law term over the cone
     eos = ctx.scenario.eos
     geom = ctx.scenario.geometry
-    mask = _band(snap, geom, ctx._upper(snap))
-    diff = snap.rho[mask] ** (eos.gamma - 1.0) - eos.rho_bar ** (eos.gamma - 1.0)
+    band = _band(snap, geom, ctx._upper(snap))
+    diff = snap.rho[band] ** (eos.gamma - 1.0) - eos.rho_bar ** (eos.gamma - 1.0)
     if geom.is_radial and geom.ndim > 1:
-        diff = diff * snap.centers[mask] ** (geom.ndim - 1)
+        diff = diff * snap.centers[band] ** (geom.ndim - 1)
     integral = integrate_samples(diff, snap.spacing)
     scale = eos.K * eos.gamma / (eos.gamma - 1.0)
     if geom.is_radial:

@@ -60,14 +60,21 @@ def initial_snapshot(scenario: Scenario) -> FieldSnapshot:
     return FieldSnapshot(t=0.0, centers=centers, rho=rho, V=V)
 
 
-def _band(snap: FieldSnapshot, geometry: Geometry, upper: float | None) -> np.ndarray:
+def _band(snap: FieldSnapshot, geometry: Geometry, upper: float | None) -> slice:
+    """Index range of the cells within ``upper``: r <= upper radially, |x| <= upper in 1-D.
+
+    The centers increase, so the range is [0, #{r <= upper}) radially and
+    [#{x < -upper}, #{x <= upper}) in 1-D, the cells -upper <= x <= upper.
+    Without ``upper`` it is every cell; a NaN ``upper`` or one past the grid
+    raises GridCoverageError.
+    """
+    centers = snap.centers
     if upper is None:
-        return np.ones(snap.centers.size, dtype=bool)
-    if upper > snap.centers[-1] + 0.5 * snap.spacing:
+        return slice(0, centers.size)
+    if not upper <= centers[-1] + 0.5 * snap.spacing:
         raise GridCoverageError(f"integration bound {upper:g} exceeds grid coverage")
-    if geometry.is_radial:
-        return snap.centers <= upper
-    return np.abs(snap.centers) <= upper
+    start = 0 if geometry.is_radial else int(centers.searchsorted(-upper, "left"))
+    return slice(start, int(centers.searchsorted(upper, "right")))
 
 
 def cone_band_upper(snap: FieldSnapshot, U: float) -> float:
@@ -88,10 +95,10 @@ def momentum_functional(
     Radial geometry integrates in the plain radial measure dr; the 1-D
     geometry integrates over the symmetric interval.
     """
-    mask = _band(snap, geometry, upper)
-    if mask.sum() < 2:
+    band = _band(snap, geometry, upper)
+    if band.stop - band.start < 2:
         raise GridCoverageError("integration band covers fewer than two cells")
-    vals = np.asarray(f.f(snap.centers[mask]), dtype=float) * snap.V[mask]
+    vals = np.asarray(f.f(snap.centers[band]), dtype=float) * snap.V[band]
     return integrate_samples(vals, snap.spacing)
 
 

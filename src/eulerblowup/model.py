@@ -373,18 +373,20 @@ def power_law_B(n: float, R: float, sigma: float, t, geometry):
     Radial geometry integrates f**2/f' over [0, R + sigma*t]; the 1-D
     geometry integrates over [-(R + sigma*t), R + sigma*t] and is defined
     for the linear weight (n = 1) only.  A scalar ``t`` gives a float, an
-    array of times an array.
+    array of times an array; a Python or numpy float or a Python int skips
+    the array tests.
     """
     if n <= 0:
         raise ValueError("power-law exponent must be positive")
-    if R <= 0 or sigma <= 0 or np.any(np.asarray(t) < 0):
+    scalar = isinstance(t, (float, int))
+    if R <= 0 or sigma <= 0 or (t < 0 if scalar else np.any(np.asarray(t) < 0)):
         raise ValueError("require R > 0, sigma > 0, t >= 0")
     kind = getattr(geometry, "kind", geometry)
     if kind == "cartesian1d" and n != 1:
         raise ValueError("1-D closed form is defined for the linear weight only")
     if kind not in ("radial", "cartesian1d"):
         raise ValueError(f"unknown geometry {geometry!r}")
-    if np.ndim(t) == 0:
+    if scalar or np.ndim(t) == 0:
         upper = R + sigma * t
         if kind == "radial":
             return float(upper ** (n + 2) / (n * (n + 2)))

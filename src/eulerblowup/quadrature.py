@@ -19,6 +19,7 @@ the Simpson rule's own error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,19 +75,29 @@ def integrate_samples(values: np.ndarray, spacing: float, rule: QuadratureRule =
     """Integrate uniformly spaced samples with the rule's method.
 
     The panel count is ``len(values) - 1``; Simpson requires it to be even.
+    A non-finite sample raises :class:`NonFiniteIntegrandError` at its
+    abscissa ``i * spacing``.  The samples are scanned only when a sum over
+    all of them is not finite, which overflow of finite samples can also
+    make it: the trapezoid rule's sum, before its end correction, or
+    Simpson's result.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a 1-D array of at least two samples")
     if not spacing > 0:
         raise ValueError("spacing must be positive")
-    _check_finite(v, np.arange(v.size) * spacing)
     if rule.method == TRAPEZOID:
-        return float(spacing * (v.sum() - 0.5 * (v[0] + v[-1])))
-    n = v.size - 1
-    if n % 2 != 0:
+        total = v.sum()
+        if not math.isfinite(total):
+            _check_finite(v, np.arange(v.size) * spacing)
+        return float(spacing * (total - 0.5 * (v[0] + v[-1])))
+    if (v.size - 1) % 2 != 0:
+        _check_finite(v, np.arange(v.size) * spacing)
         raise ValueError("Simpson rule requires an even panel count")
-    return float(spacing / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()))
+    total = float(spacing / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()))
+    if not math.isfinite(total):
+        _check_finite(v, np.arange(v.size) * spacing)
+    return total
 
 
 def _evaluate(g: Callable, xs: np.ndarray) -> np.ndarray:

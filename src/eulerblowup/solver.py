@@ -87,14 +87,16 @@ the reflection pair, the shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2]
 and u[:, 2:-1], the face states of first order, coeff[a:b] and the
 window's V.  ``view(lo, hi)`` likewise cuts the view's cells, V[1:],
 V[:-1] and scratch.  After that ``_rhs`` and ``_advance`` slice nothing
-and write each ghost pair as one (2, 2) block.  A stage makes 29 ufunc
-calls in slab geometry and 35 in radial3 under MUSCL, 20 and 26 under
-first order, most on a few hundred cells, so their fixed cost is most of
-a step: measured on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a
-ufunc call costs 0.9 us on contiguous arrays with ``out=``, 0.7 us as an
-in-place operator and 2.2 us on strided (2, 476) views, a Python-float
-operand adds 0.35 us over a 0-d array, a slice costs 0.2-0.5 us and a
-rebind about 45 us under MUSCL.
+and write each ghost pair as one (2, 2) block.  A MUSCL stage makes 28
+ufunc calls in slab geometry and 34 in radial3, and stage 1 one argmin
+of the face densities more; a first-order stage makes 20 and 26; each
+density check of ``_advance`` is one argmin (see "The checks").  Most run
+on a few hundred cells, so their fixed cost is most of a step: measured
+on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a ufunc call costs 0.9
+us on contiguous arrays with ``out=``, 0.7 us as an in-place operator and
+2.2 us on strided (2, 476) views, a Python-float operand adds 0.35 us over
+a 0-d array, a slice costs 0.2-0.5 us and a rebind about 45 us under
+MUSCL.
 
 ``run`` builds one workspace per run and keeps its state in it: rho as the
 density row of the buffer, and V.  Each step writes rho*V of the window
@@ -122,6 +124,25 @@ background cell, whose speed the view holds, so the window's maximum
 speed is at most the view's and dt stays under dx over it (rounding is
 monotone, so the bound holds in floating point).  ``run`` keeps the check
 dt > 0, which a NaN in the state fails: its speed, and so dt, is NaN.
+
+The checks.  Each positivity check reads one element: ``x[x.argmin()] <=
+0`` for the stage and final densities and the MUSCL face densities, and
+the time step's maximum speed is ``speed[speed.argmax()]``.  An argmin
+costs 0.65-1.6 us where ``np.minimum.reduce`` costs 1.7-2.7 us, at
+474-4400 values, and the two decide alike: without a NaN they read the
+same extreme value, a zero of either sign is <= 0, and a speed |V| + c is
+never -0.0; argmin and argmax return the first NaN, so a NaN reads NaN
+and NaN <= 0 is false, as for the NaN the reduction returns.  The face
+densities are checked at stage 1 only, because stage 2 cannot fail the
+check.  Its cells passed the stage density check, so each is > 0 or NaN,
+and its ghosts are rho_bar > 0 or reflections of its cells.  A NaN cell
+gives NaN faces, which fail no check.  For positive cells u, minmod limits
+each half slope h to |h| <= fl(0.5 * u) when it points toward a smaller
+neighbour v > 0, since that difference rounds to at most u - v < u; so
+each face fl(u +- h) is at least fl(u - fl(0.5 * u)) > 0: about 0.5 * u
+for normal u, and for a subnormal u of k ulp, fl(0.5 * u) rounds half to
+even to fewer than k ulp.  The public ``step`` reaches stage 1's check on
+non-positive input.
 """
 
 from __future__ import annotations
@@ -211,10 +232,10 @@ class _View:
         self.V_hi, self.V_lo, self.jumps = V[1:], V[:-1], scratch[:-1]
 
     def max_speed(self, eos: EosParams):
-        """max(|V| + c) over the cells."""
-        signal_speed(eos, self.rho, out=self.speed)
-        self.speed += np.abs(self.V, out=self.abs_v)
-        return np.maximum.reduce(self.speed)
+        """max(|V| + c) over the cells, read at argmax (see "The checks")."""
+        speed = signal_speed(eos, self.rho, out=self.speed)
+        speed += np.abs(self.V, out=self.abs_v)
+        return speed[speed.argmax()]
 
     def jump_event(self, t: float, threshold) -> BlowupEvent | None:
         """A slope event at t if the largest |V[i+1] - V[i]| reaches threshold, or None."""
@@ -361,10 +382,12 @@ class _Workspace:
         return self.window
 
 
-def _rhs(w: _Window, ws: _Workspace) -> np.ndarray:
+def _rhs(w: _Window, ws: _Workspace, guard: bool) -> np.ndarray:
     """Time derivative of the cells of the bound window w, as ``ws.du``.
 
-    Writes the reflection ghosts first in radial geometry.
+    Writes the reflection ghosts first in radial geometry.  ``guard``
+    checks the MUSCL face densities, which only stage 1 needs (see "The
+    checks" in the module docstring).
     """
     eos = ws.eos
     if ws.radial:
@@ -381,8 +404,8 @@ def _rhs(w: _Window, ws: _Workspace) -> np.ndarray:
         half *= _HALF
         np.add(w.lower, ws.half_l, out=w.left)
         np.subtract(w.upper, ws.half_r, out=w.right)
-        if np.minimum.reduce(ws.face_rho) <= 0:
-            # limited face states should stay positive; fall back locally
+        # limited face states should stay positive; fall back locally
+        if guard and ws.face_rho[ws.face_rho.argmin()] <= 0:
             bad = (ws.left_rho <= 0) | (ws.right_rho <= 0)
             np.copyto(w.left, w.lower, where=bad)
             np.copyto(w.right, w.upper, where=bad)
@@ -436,7 +459,7 @@ def _advance(ws: _Workspace, a: int, b: int, t: float, dt: float) -> None:
         w.left_ghosts[...] = far
     w.right_ghosts[...] = far
     state = w.cells
-    d1 = _rhs(w, ws)
+    d1 = _rhs(w, ws, True)
     d1 *= dt
     if ws.muscl:
         w1 = ws.stage_window
@@ -445,18 +468,18 @@ def _advance(ws: _Workspace, a: int, b: int, t: float, dt: float) -> None:
         w1.right_ghosts[...] = far
         stage = w1.cells
         np.add(state, d1, out=stage)
-        if np.minimum.reduce(w1.rho) <= 0:
-            i = int(w1.rho.argmin())
+        i = w1.rho.argmin()
+        if w1.rho[i] <= 0:
             raise NegativeDensityError(t + dt, ws.centers[a + i], w1.rho[i])
-        d2 = _rhs(w1, ws)
+        d2 = _rhs(w1, ws, False)
         d2 *= dt
         state += stage
         state += d2
         state *= _HALF
     else:
         state += d1
-    if np.minimum.reduce(w.rho) <= 0:
-        i = int(w.rho.argmin())
+    i = w.rho.argmin()
+    if w.rho[i] <= 0:
         raise NegativeDensityError(t + dt, ws.centers[a + i], w.rho[i])
 
 

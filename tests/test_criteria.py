@@ -48,7 +48,10 @@ from eulerblowup.functionals import (
     momentum_functional,
     weight_functional_B,
 )
+import eulerblowup.model as model
 from eulerblowup.model import (
+    LINEAR,
+    POWER_LAW,
     RADIAL_VANISHING,
     EosParams,
     Geometry,
@@ -61,6 +64,7 @@ from eulerblowup.model import (
     radial_vanishing,
     sound_speed,
 )
+import eulerblowup.quadrature as quadrature
 from eulerblowup.quadrature import QuadratureRule, SIMPSON, integrate_fn
 from eulerblowup.scenarios import (
     CERTIFIED_PRESETS,
@@ -72,7 +76,7 @@ from eulerblowup.scenarios import (
     certified_power_radial_case,
     certified_suite,
 )
-from eulerblowup.solver import SolverConfig, run
+from eulerblowup.solver import FIRST_ORDER, MUSCL, SolverConfig, run
 
 SQRT2 = math.sqrt(2.0)
 EOS = EosParams(1.0, 2.0, 1.0)
@@ -1045,6 +1049,66 @@ class TestMinimalTau:
         assert not check_power_radial(case.scenario, float(np.nextafter(got, 0.0))).verdict.certifies_blowup
 
 
+# ---------------------------------------------------------------------------
+# The recorder's columns with boolean-mask bands, fancy indexing, a
+# finiteness scan before each sum and an array test of t in the closed-form
+# B: the series must equal them bit for bit.
+
+
+def masked_band(snap, geometry, upper):
+    if upper > snap.centers[-1] + 0.5 * snap.spacing:
+        raise functionals.GridCoverageError(f"integration bound {upper:g} exceeds grid coverage")
+    return snap.centers <= upper if geometry.is_radial else np.abs(snap.centers) <= upper
+
+
+def scanned_trapezoid(values, spacing):
+    v = np.asarray(values, dtype=float)
+    quadrature._check_finite(v, np.arange(v.size) * spacing)
+    return float(spacing * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def array_tested_power_law_B(n, R, sigma, t, geometry):
+    if n <= 0:
+        raise ValueError("power-law exponent must be positive")
+    if R <= 0 or sigma <= 0 or np.any(np.asarray(t) < 0):
+        raise ValueError("require R > 0, sigma > 0, t >= 0")
+    kind = getattr(geometry, "kind", geometry)
+    if kind == "cartesian1d" and n != 1:
+        raise ValueError("1-D closed form is defined for the linear weight only")
+    if kind not in ("radial", "cartesian1d"):
+        raise ValueError(f"unknown geometry {geometry!r}")
+    if np.ndim(t) == 0:
+        upper = R + sigma * t
+        if kind == "radial":
+            return float(upper ** (n + 2) / (n * (n + 2)))
+        return float(2.0 * upper ** 3 / 3.0)
+    upper = R + sigma * np.asarray(t, dtype=float)
+    if kind == "radial":
+        return upper ** (n + 2) / (n * (n + 2))
+    return 2.0 * upper ** 3 / 3.0
+
+
+def reference_observe(ctx, snap, m0):
+    """A recorder row (t, H, B, m, G) by the masked formulas; m0 is None at the first sample."""
+    geom, eos = ctx.scenario.geometry, ctx.scenario.eos
+    mask = masked_band(snap, geom, ctx._upper(snap))
+    assert mask.sum() >= 2
+    H = scanned_trapezoid(np.asarray(ctx.f.f(snap.centers[mask]), dtype=float) * snap.V[mask], snap.spacing)
+    m = float(ctx.m(snap))
+    m0 = m if m0 is None else m0
+    if ctx.spec.G is criteria._pressure_slack:
+        diff = snap.rho[mask] ** (eos.gamma - 1.0) - eos.rho_bar ** (eos.gamma - 1.0)
+        if geom.is_radial and geom.ndim > 1:
+            diff = diff * snap.centers[mask] ** (geom.ndim - 1)
+        scale = eos.K * eos.gamma / (eos.gamma - 1.0)
+        if geom.is_radial:
+            scale *= geom.ndim
+        G = scale * scanned_trapezoid(diff, snap.spacing)
+    else:
+        G = ctx.spec.G(ctx, H, m0, snap, ctx.scenario.R + ctx.sigma * ctx.tau)
+    return snap.t, H, float(ctx.B(snap.t)), m, float(G)
+
+
 class TestTheoremContext:
     def test_power_radial_context(self):
         case = certified_power_radial_case(cells=512)
@@ -1158,6 +1222,38 @@ class TestTheoremContext:
         assert at.count(case.tau) == samples
         assert np.array_equal(trace.series.G, fresh.series.G)
         assert np.array_equal(np.signbit(trace.series.G), np.signbit(fresh.series.G))
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))
+    def test_recorder_columns_match_the_masked_formulas(self, name, recon, monkeypatch):
+        case = certified_case(name, 1024)
+        ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+        recorder, observed = ctx.recorder(), []
+        observe = recorder.observe
+
+        def kept(snap):
+            observed.append(snap)
+            observe(snap)
+
+        recorder.observe = kept
+        series = run(case.scenario, SolverConfig(t_end=case.tau, reconstruction=recon), recorder=recorder).series
+        assert series.times.size == len(observed) > 10
+        closed_forms = []
+
+        def counted(*args):
+            closed_forms.append(args)
+            return array_tested_power_law_B(*args)
+
+        monkeypatch.setattr(model, "power_law_B", counted)
+        ref = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+        rows, m0 = [], None
+        for snap in observed:
+            rows.append(reference_observe(ref, snap, m0))
+            m0 = rows[0][3]
+        assert bool(closed_forms) == (ref.f.cls in (POWER_LAW, LINEAR))
+        for column, want in zip(("times", "H", "B", "m", "G"), np.array(rows).T):
+            got = getattr(series, column)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), column
 
     def test_general_family_requires_weight(self):
         scen = bump(Geometry.radial(1))

@@ -9,6 +9,7 @@ from eulerblowup.functionals import (
     GridCoverageError,
     SeriesRecorder,
     WeightDivergenceError,
+    _band,
     cone_energy,
     cone_gradient_constant,
     initial_snapshot,
@@ -93,6 +94,56 @@ class TestMomentumFunctional:
         snap = initial_snapshot(reference_1d(256))
         with pytest.raises(GridCoverageError):
             momentum_functional(snap, linear(), Geometry.cartesian1d(), upper=50.0)
+
+
+class TestBand:
+    """The recorder's band is an index range: the cells of the boolean mask it replaced."""
+
+    @staticmethod
+    def masked(snap, geometry, upper):
+        mask = snap.centers <= upper if geometry.is_radial else np.abs(snap.centers) <= upper
+        return np.flatnonzero(mask)
+
+    @pytest.mark.parametrize("geom", [Geometry.radial(3), Geometry.cartesian1d()], ids=lambda g: g.label())
+    def test_range_holds_the_masked_cells(self, geom):
+        snap = constant_snapshot(geom, cells=64)
+        c, dx = snap.centers, snap.spacing
+        uppers = [0.0, -0.0, c[-1] + 0.5 * dx]
+        for k in (0, 1, 20, 31, 32, 62, 63):
+            # on a center, a rounding off it either way, half a cell off
+            # either way, and the mirror image, negative in 1-D
+            for upper in (c[k], np.nextafter(c[k], -9.0), np.nextafter(c[k], 9.0), c[k] - 0.5 * dx, c[k] + 0.5 * dx):
+                uppers += [upper, -upper]
+        for upper in uppers:
+            if upper > c[-1] + 0.5 * dx:
+                continue
+            band = _band(snap, geom, float(upper))
+            assert isinstance(band, slice) and band.step is None
+            assert np.array_equal(np.arange(band.start, band.stop), self.masked(snap, geom, upper))
+
+    def test_negative_upper_in_1d_is_empty(self):
+        geom = Geometry.cartesian1d()
+        snap = constant_snapshot(geom, V=1.0, cells=64)
+        band = _band(snap, geom, -0.5)
+        assert band.stop - band.start < 0 and snap.V[band].size == 0
+        with pytest.raises(GridCoverageError, match="fewer than two cells"):
+            momentum_functional(snap, linear(), geom, upper=-0.5)
+
+    @pytest.mark.parametrize("geom", [Geometry.radial(1), Geometry.cartesian1d()], ids=lambda g: g.label())
+    def test_no_upper_is_every_cell(self, geom):
+        snap = constant_snapshot(geom, cells=64)
+        assert _band(snap, geom, None) == slice(0, 64)
+
+    @pytest.mark.parametrize("geom", [Geometry.radial(1), Geometry.cartesian1d()], ids=lambda g: g.label())
+    def test_nan_or_past_the_grid_raises(self, geom):
+        snap = constant_snapshot(geom, V=1.0, cells=64)
+        edge = snap.centers[-1] + 0.5 * snap.spacing
+        assert _band(snap, geom, edge) == slice(0, 64)
+        for upper in (math.nan, np.nextafter(edge, 9.0), math.inf):
+            with pytest.raises(GridCoverageError, match="exceeds grid coverage"):
+                _band(snap, geom, upper)
+            with pytest.raises(GridCoverageError):
+                momentum_functional(snap, linear(), geom, upper=upper)
 
 
 class TestMassFunctional:

@@ -343,6 +343,30 @@ class TestPowerLawB:
         with pytest.raises(ValueError):
             power_law_B(1, 1.0, SQRT2, -0.5, geom)
 
+    @pytest.mark.parametrize("n, geom", [(3, Geometry.radial(3)), (2.5, Geometry.radial(2)), (1, Geometry.cartesian1d())])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.37, 2.5])
+    def test_scalar_time_of_any_type_gives_the_float_of_a_0d_array(self, t, n, geom):
+        want = power_law_B(n, 0.8, SQRT2, np.array(t), geom)
+        assert type(want) is float
+        for scalar in [t, np.float64(t)] + ([int(t)] if t.is_integer() else []):
+            got = power_law_B(n, 0.8, SQRT2, scalar, geom)
+            assert type(got) is float
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_scalar_time_checks(self):
+        geom = Geometry.radial(3)
+        for t in (-1, -1.0, np.float64(-1e-300), np.array(-1.0)):
+            with pytest.raises(ValueError, match="t >= 0"):
+                power_law_B(1, 1.0, SQRT2, t, geom)
+        # a NaN time fails no comparison and reaches the closed form
+        assert math.isnan(power_law_B(1, 1.0, SQRT2, math.nan, geom))
+        assert math.isnan(power_law_B(1, 1.0, SQRT2, np.float64(math.nan), Geometry.cartesian1d()))
+        with pytest.raises(ValueError, match="linear weight only"):
+            power_law_B(2, 1.0, SQRT2, 0.5, Geometry.cartesian1d())
+        for geometry in ("spherical", None):
+            with pytest.raises(ValueError, match="unknown geometry"):
+                power_law_B(1, 1.0, SQRT2, 0.5, geometry)
+
     def test_matches_quadrature(self):
         geom = Geometry.radial(2)
         closed = power_law_B(3, 0.7, 1.3, 0.9, geom)

@@ -61,6 +61,47 @@ class TestIntegrateSamples:
             integrate_samples(vals, 0.5)
         assert err.value.abscissa == pytest.approx(1.0)
 
+    @staticmethod
+    def first_non_finite(values, spacing):
+        """The abscissa and value a scan before the sum names: the first non-finite sample."""
+        xs = np.arange(values.size) * spacing
+        i = int(np.argmax(~np.isfinite(values)))
+        return xs[i], values[i]
+
+    @pytest.mark.parametrize("rule", [QuadratureRule(TRAPEZOID, 8), QuadratureRule(SIMPSON, 8)], ids=lambda r: r.method)
+    @pytest.mark.parametrize("at", [0, 4, 8])
+    @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)], ids=repr)
+    def test_non_finite_sample_names_the_first_one(self, bad, at, rule):
+        # the samples are scanned only when a sum is not finite; the error
+        # names the same sample a scan before the sum does, and only both
+        # signs of inf together make the sum invalid (inf - inf)
+        vals = np.linspace(0.5, 1.3, 9)
+        for k, value in enumerate(bad):
+            vals[(at + 3 * k) % vals.size] = value
+        x, value = self.first_non_finite(vals, 0.1)
+        invalid = "ignore" if len(bad) > 1 else "raise"
+        with np.errstate(invalid=invalid), pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_samples(vals, 0.1, rule)
+        assert err.value.abscissa == x
+        assert np.array(err.value.value).tobytes() == np.array(value).tobytes()
+
+    def test_non_finite_sample_with_odd_simpson_panels_names_the_sample(self):
+        vals = np.array([1.0, np.inf, 2.0, 3.0])
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_samples(vals, 0.25, QuadratureRule(SIMPSON, 2))
+        assert (err.value.abscissa, err.value.value) == (0.25, np.inf)
+
+    @pytest.mark.parametrize("vals, rule, want", [
+        ([1.0, 1e308, 1e308, 1.0], QuadratureRule(TRAPEZOID), math.inf),
+        ([1e308] * 5, QuadratureRule(SIMPSON, 2), math.inf),
+        # the end correction overflows too: inf - inf
+        ([1e308] * 4, QuadratureRule(TRAPEZOID), math.nan),
+    ])
+    def test_overflow_from_finite_samples_is_returned(self, vals, rule, want):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_samples(np.array(vals), 1.0, rule)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
 
 class TestIntegrateFn:
     def test_matches_closed_form_sin(self):

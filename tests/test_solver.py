@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eulerblowup.solver as solver
 from eulerblowup.functionals import FieldSnapshot, initial_snapshot
@@ -455,6 +457,44 @@ def seeded_state(seed, eos, geometry, cells=96):
 class TestKernelMatchesReference:
     """The fused step against the test-only reference kernel, bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def stage_two(self, monkeypatch):
+        """Whether each reference step that reached stage 2 fell back there; none may.
+
+        The kernel checks its face densities at stage 1 only (see "The
+        checks" in the solver's docstring).
+        """
+        module = sys.modules[__name__]
+        rhs, reference = module._reference_rhs, module.reference_step
+        fell_back, stage_two = [], []
+
+        def counted_rhs(*args):
+            before = len(REFERENCE_FALLBACKS)
+            derivative = rhs(*args)
+            fell_back.append(len(REFERENCE_FALLBACKS) > before)
+            return derivative
+
+        def staged_step(*args):
+            fell_back.clear()
+            try:
+                return reference(*args)
+            finally:
+                if len(fell_back) == 2:
+                    stage_two.append(fell_back[1])
+
+        monkeypatch.setattr(module, "_reference_rhs", counted_rhs)
+        monkeypatch.setattr(module, "reference_step", staged_step)
+        yield stage_two
+        assert not any(stage_two)
+
+    @pytest.mark.parametrize("geom", KERNEL_GEOMETRIES, ids=lambda g: g.label())
+    def test_reference_steps_reach_stage_two(self, geom, stage_two):
+        for gamma in GAMMAS:
+            eos = EosParams(1.3, gamma, 0.8)
+            snap = seeded_state(0, eos, geom)
+            assert_same_outcome(snap, eos, geom, reference_cfl_dt(snap, eos, 0.45), MUSCL)
+        assert len(stage_two) == len(GAMMAS)
+
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("geom", KERNEL_GEOMETRIES, ids=lambda g: g.label())
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -538,6 +578,41 @@ class TestKernelMatchesReference:
         for dt in (0.0, -1.0, 100.0):
             want = assert_same_outcome(snap, EOS, geom, dt, MUSCL)
             assert want[0] is ValueError
+
+
+# positive densities, log-uniform over [5e-324, 1e300] (2**-1022 and below are
+# subnormal), and the ends of that range
+_DENSITY = st.one_of(
+    st.floats(-1074.0, 996.5).map(lambda e: 2.0 ** e),
+    st.sampled_from([5e-324, 1e-323, 2.0 ** -1022, 1e300]),
+)
+# runs of equal densities give zero slopes next to non-zero ones
+_DENSITY_ROW = st.lists(st.tuples(_DENSITY, st.integers(1, 4)), min_size=1, max_size=24).map(
+    lambda runs: [rho for rho, k in runs for _ in range(k)]
+).filter(lambda row: len(row) >= 2)
+
+
+class TestFaceLemma:
+    """Positive cells and ghosts give positive MUSCL face densities (see "The checks" in the solver's docstring)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(row=_DENSITY_ROW, rho_bar=_DENSITY, radial=st.booleans())
+    def test_positive_cells_give_positive_faces(self, row, rho_bar, radial):
+        geom = Geometry.radial(3) if radial else Geometry.cartesian1d()
+        n, dx = len(row), 0.1
+        ws = solver._Workspace((np.arange(n) + 0.5) * dx, dx, geom, EosParams(1.0, 2.0, rho_bar), MUSCL)
+        ws.rho[:] = row
+        ws.mom[:] = 0.0
+        # the ghosts as _advance writes them: the far field, and in radial
+        # geometry the reflection, which _rhs writes
+        w = ws.bind(0, n)
+        if not radial:
+            w.left_ghosts[...] = ws.far_field
+        w.right_ghosts[...] = ws.far_field
+        with np.errstate(all="ignore"):
+            solver._rhs(w, ws, False)
+        assert ws.face_rho.size == 2 * (n + 1)
+        assert np.all(ws.face_rho > 0), ws.face_rho
 
 
 def full_grid_run(scenario, config, step_fn, recorder=None):
