@@ -243,11 +243,15 @@ def make_bump_scenario(
 ) -> Scenario:
     """Build and validate a quartic-bump scenario.
 
-    Rejects initial vacuum (rho_bar + amp_rho <= 0), grids that do not
-    contain the bump, and grids with fewer than 16 cells across [0, R].
+    Rejects non-finite amplitudes, initial vacuum (rho_bar + amp_rho <= 0),
+    grids that do not contain the bump, and grids with fewer than 16 cells
+    across [0, R].
     """
     if not R > 0:
         raise ValueError("bump radius R must be positive")
+    for name, amp in (("amp_rho", amp_rho), ("amp_v", amp_v)):
+        if not math.isfinite(amp):
+            raise ValueError(f"{name} must be finite, got {amp!r}")
     if eos.rho_bar + min(amp_rho, 0.0) <= 0:
         raise ValueError("initial data touch vacuum: rho_bar + amp_rho must be positive")
     if not grid.extent > R:

@@ -54,17 +54,22 @@ first-order step.  The MUSCL stencil spans two cells per side, but the
 minmod slope of a background cell with a background neighbour is zero, so
 a face between two background cells carries the background flux, and a
 background cell changes in a stage only next to a perturbed one.  Each step
-therefore advances the cells [lo - reach, hi + reach] around the perturbed
-range [lo, hi], clipped to the grid and always starting at the origin in
-radial geometry, where the reflection ghost applies; every other cell
-stays as it is.  The window keeps the full grid's spacing, so the result
-equals a full-grid step bit for bit.  The time step and the detector
-then read that window widened by one cell on each side, the view: it holds
-every perturbed cell and, unless it is the whole grid, a background cell,
-whose speed |V| + c is the same in every background cell, so the maximum
-speed and the largest velocity jump are the full grid's.  Only the first
-time step and the detector at t = 0 read the full grid.  A run with no
-perturbed cell only advances the time.
+therefore advances one range, the window [lo - reach - 1, hi + reach + 1]
+around the perturbed range [lo, hi], clipped to the grid and always
+starting at the origin in radial geometry, where the reflection ghost
+applies; every other cell stays as it is.  The window keeps the full
+grid's spacing, so the result equals a full-grid step bit for bit.  Its
+outermost cells lie beyond the reach: they are background cells, and the
+step leaves them as they are, bit for bit, a zero velocity of either sign
+included: their du is a zero, -0.0 in the momentum row, so adding it
+changes neither a non-zero density nor a momentum zero of either sign.  The time step and the
+detector read the window just stepped, the view: it holds every
+perturbed cell and, unless it is the whole grid, a background cell, whose
+speed |V| + c is the same in every background cell, so the maximum speed
+and the largest velocity jump are the full grid's.  Only the first time
+step and the detector at t = 0 read the full grid.  A run with no
+perturbed cell binds a window of two background cells once and only
+advances the time, so its time step costs the same on every grid.
 
 The workspace.  A ``_Workspace`` owns everything a run touches for one
 grid, allocated once: the ghosted (2, n + 4) buffer U with its rho and mom
@@ -84,9 +89,9 @@ their rows and shifted views (flux[:, 1:], the left and right speeds of
 each face, every face density as one row, ...), the window's cells and
 their rho and mom rows in U and in the stage buffer, the two ghost blocks,
 the reflection pair, the shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2]
-and u[:, 2:-1], the face states of first order, coeff[a:b] and the
-window's V.  ``view(lo, hi)`` likewise cuts the view's cells, V[1:],
-V[:-1] and scratch.  After that ``_rhs`` and ``_advance`` slice nothing
+and u[:, 2:-1], the face states of first order, coeff[a:b], and the
+window's ``view``: a ``_View`` of its cells, their V, V[1:], V[:-1] and
+scratch.  After that ``_rhs`` and ``_advance`` slice nothing
 and write each ghost pair as one (2, 2) block.  A MUSCL stage makes 28
 ufunc calls in slab geometry and 34 in radial3, and stage 1 one argmin
 of the face densities more; a first-order stage makes 20 and 26; each
@@ -98,31 +103,37 @@ us on contiguous arrays with ``out=``, 0.7 us as an in-place operator and
 a 0-d array, a slice costs 0.2-0.5 us and a rebind about 45 us under
 MUSCL.
 
-``run`` builds one workspace per run and keeps its state in it: rho as the
-density row of the buffer, and V.  Each step writes rho*V of the window
-into the mom row, hands the window to ``_advance`` and writes V =
-(rho*V)/rho back, the same operations ``step`` does on a copy.  The ghost
-columns beyond the window are cells of the grid, background cells by the
+The workspace owns the step: ``step(a, b, t, dt)`` writes rho*V of the
+window into the mom row, hands the window to ``_advance`` and writes V =
+(rho*V)/rho back, and ``perturbed()`` finds the perturbed range among the
+bound window's cells.  ``run`` builds one workspace per run and keeps its
+state in it, rho as the density row of the buffer and V; the public
+``step`` loads a snapshot into a fresh workspace and steps every cell.
+The ghost columns beyond the window are cells of the grid, background cells by the
 reach argument, or the buffer's own ghosts at its ends; the kernel
 overwrites them with (rho_bar, +0.0), or with the reflection, in the state
 and the stage buffer, because a background cell may hold V = -0.0, whose
 momentum is -0.0, and the stage buffer holds an earlier step's values
 there.  The detector's threshold and cfl * dx are computed once per run;
 ``cfl_dt`` and ``detect_blowup`` read a snapshot through the same ``_View``
-as the view.  The state is copied only for a snapshot, a recorder sample
+as the window's view.  The state is copied only for a snapshot, a recorder sample
 or the final state.
 
-The clocks.  The snapshot and sample times are k * interval for an integer
-count k, which moves past the time just kept even where the interval is
-below the ulp of t; an interval too small for t_end / interval to be
-finite is rejected.
+The clocks.  Each of the snapshot and the sample clocks keeps only an
+integer count k: a step at t >= k * interval - eps keeps a snapshot or a
+sample, and k then moves past the time just kept, even where the interval
+is below the ulp of t; an interval too small for t_end / interval to be
+finite is rejected.  The trace records why the loop stopped: ``t_end``,
+``slope_threshold``, ``dt_floor`` or ``max_steps``.
 
 The time step.  ``run`` does not rescan its window for the unit-CFL limit
-that ``step`` checks.  Its dt is at most cfl < 1 times dx over the view's
-maximum speed, and every cell of the window lies in the view or is a
-background cell, whose speed the view holds, so the window's maximum
-speed is at most the view's and dt stays under dx over it (rounding is
-monotone, so the bound holds in floating point).  ``run`` keeps the check
+that ``step`` checks.  Its dt is at most cfl < 1 times dx over the maximum
+speed of the view, the window last stepped, which dt and the detector
+read.  The next window's perturbed range lies in the view, so every cell
+of the next window lies in the view or is a background cell, whose speed
+the view holds; the window's maximum speed is at most the view's and dt
+stays under dx over it (rounding is monotone, so the bound holds in
+floating point).  ``run`` keeps the check
 dt > 0, which a NaN in the state fails: its speed, and so dt, is NaN.
 
 The checks.  Each positivity check reads one element: ``x[x.argmin()] <=
@@ -161,6 +172,9 @@ MUSCL = "muscl"
 
 SLOPE_THRESHOLD = "slope_threshold"
 DT_FLOOR = "dt_floor"
+# the other causes a run stops for
+T_END = "t_end"
+MAX_STEPS = "max_steps"
 
 
 class NegativeDensityError(RuntimeError):
@@ -214,6 +228,9 @@ class SolutionTrace:
     blowup: BlowupEvent | None
     steps: int
     t_final: float
+    # why run stopped: t_end, slope_threshold, dt_floor or max_steps; None
+    # for a trace that run did not make
+    stop: str | None = None
 
     @property
     def t_detect(self) -> float | None:
@@ -284,7 +301,9 @@ class _Window:
     """The views of a ghosted (2, m + 4) window u that ``_rhs`` and ``_advance`` read, cut once.
 
     The face states are the cells next to each face under first order,
-    and the workspace's reconstructed states under MUSCL.
+    and the workspace's reconstructed states under MUSCL.  The state's
+    window also carries ``view``, the ``_View`` of its cells (set by
+    ``_Workspace.bind``).
     """
 
     def __init__(self, u: np.ndarray, ws: "_Workspace"):
@@ -312,9 +331,9 @@ class _Workspace:
     """One grid's ghosted (rho, rho*V) buffer ``U``, velocities ``V`` and all ``run`` needs to step them.
 
     Allocates everything once; ``bind(a, b)`` cuts the views of the window
-    [a, b) and ``view(lo, hi)`` those of the cells [lo, hi) that ``run``
-    reads, each only when its key changes (see "The workspace" in the
-    module docstring).
+    [a, b), its ``view`` included, only when (a, b) changes, and ``step``
+    advances the state over a window (see "The workspace" in the module
+    docstring).
     """
 
     def __init__(self, centers: np.ndarray, dx: float, geometry: Geometry, eos: EosParams, reconstruction: str):
@@ -336,16 +355,7 @@ class _Workspace:
         radial_source = geometry.is_radial and geometry.ndim > 1
         self.radial_coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx) if radial_source else None
         self.far_field = np.array(((eos.rho_bar, eos.rho_bar), (0.0, 0.0)))
-        self.key = self.view_key = None
-
-    def view(self, lo: int, hi: int) -> _View:
-        """The view of cells [lo, hi) that ``run`` reads; cut when (lo, hi) changes."""
-        if (lo, hi) != self.view_key:
-            m = hi - lo
-            self._view = _View(self.rho[lo:hi], self.V[lo:hi], self.centers[lo:hi],
-                               self.view_speed[:m], self.view_scratch[:m])
-            self.view_key = (lo, hi)
-        return self._view
+        self.key = None
 
     def bind(self, a: int, b: int) -> _Window:
         """The window of cells [a, b) of ``U``; its views are cut when (a, b) changes."""
@@ -359,10 +369,9 @@ class _Workspace:
             self.speed_l, self.speed_r = self.speed[il], self.speed[ir]
             self.mv_l, self.mv_r = self.v[il], self.v[ir]
             self.p_l, self.p_r = self.p[il], self.p[ir]
-            flux, jump, du = self.flux, self.jump, self.du
-            self.flux_rho, self.flux_mom = flux[0], flux[1]
-            self.flux_hi, self.flux_lo = flux[:, 1:], flux[:, :-1]
-            self.jump_rho, self.jump_mom = jump[0], jump[1]
+            self.flux_rho, self.flux_mom = self.flux
+            self.flux_hi, self.flux_lo = self.flux[:, 1:], self.flux[:, :-1]
+            self.jump_rho, self.jump_mom = self.jump
             self.source_rho, self.source_mom = self.source
             if self.muscl:
                 self.d_l, self.d_r = self.d[:, :-1], self.d[:, 1:]
@@ -375,11 +384,32 @@ class _Workspace:
                 # every face density, one contiguous row
                 self.face_rho = states[0].reshape(-1)
                 self.stage_window = _Window(self.stage, self)
-            self.window = _Window(self.U[:, a:b + 4], self)
-            self.window_V, self.off, self.off_v = self.V[a:b], self.off_all[:m], self.off_v_all[:m]
+            w = self.window = _Window(self.U[:, a:b + 4], self)
+            w.view = _View(w.rho, self.V[a:b], self.centers[a:b], self.view_speed[:m], self.view_scratch[:m])
+            self.off, self.off_v = self.off_all[:m], self.off_v_all[:m]
             self.coeff = None if self.radial_coeff is None else self.radial_coeff[a:b]
             self.key = (a, b)
         return self.window
+
+    def step(self, a: int, b: int, t: float, dt: float) -> _View:
+        """Advance the state's cells [a, b) by dt in place and return their view.
+
+        Writes rho*V into the mom row, hands the window to ``_advance`` and
+        writes V = (rho*V)/rho back.
+        """
+        w = self.bind(a, b)
+        np.multiply(w.rho, w.view.V, out=w.mom)
+        _advance(self, a, b, t, dt)
+        np.divide(w.mom, w.rho, out=w.view.V)
+        return w.view
+
+    def perturbed(self) -> tuple[int, int] | None:
+        """Index range [lo, hi] of the bound window's cells off (rho_bar, 0), or None."""
+        view, off, a = self.window.view, self.off, self.key[0]
+        np.not_equal(view.rho, self.rho_bar, out=off)
+        off |= np.not_equal(view.V, _ZERO, out=self.off_v)
+        first = int(off.argmax())
+        return (a + first, a + off.size - 1 - int(off[::-1].argmax())) if off[first] else None
 
 
 def _rhs(w: _Window, ws: _Workspace, guard: bool) -> np.ndarray:
@@ -454,18 +484,15 @@ def _advance(ws: _Workspace, a: int, b: int, t: float, dt: float) -> None:
     the window's cells undefined.
     """
     w = ws.bind(a, b)
-    radial, far = ws.radial, ws.far_field
-    if not radial:
-        w.left_ghosts[...] = far
-    w.right_ghosts[...] = far
+    for u in (w, ws.stage_window) if ws.muscl else (w,):
+        if not ws.radial:
+            u.left_ghosts[...] = ws.far_field
+        u.right_ghosts[...] = ws.far_field
     state = w.cells
     d1 = _rhs(w, ws, True)
     d1 *= dt
     if ws.muscl:
         w1 = ws.stage_window
-        if not radial:
-            w1.left_ghosts[...] = far
-        w1.right_ghosts[...] = far
         stage = w1.cells
         np.add(state, d1, out=stage)
         i = w1.rho.argmin()
@@ -502,25 +529,13 @@ def step(
     if dt > hard_limit * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
     ws = _Workspace(snap.centers, snap.spacing, geometry, eos, reconstruction)
-    ws.rho[:] = snap.rho
-    np.multiply(snap.rho, snap.V, out=ws.mom)
-    _advance(ws, 0, snap.rho.size, snap.t, dt)
-    V = np.divide(ws.mom, ws.rho, out=ws.V)
-    return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=V, spacing=snap.spacing)
+    ws.rho[:], ws.V[:] = snap.rho, snap.V
+    ws.step(0, snap.rho.size, snap.t, dt)
+    return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=ws.V, spacing=snap.spacing)
 
 
 # cells one step can carry a disturbance: one per stage (see the module docstring)
 _REACH = {FIRST_ORDER: 1, MUSCL: 2}
-
-
-def _perturbed(
-    rho: np.ndarray, V: np.ndarray, rho_bar: np.ndarray, off: np.ndarray, off_v: np.ndarray, offset: int = 0
-) -> tuple[int, int] | None:
-    """Index range [lo, hi] (shifted by offset) of cells off (rho_bar, 0), or None; off, off_v: boolean scratch."""
-    np.not_equal(rho, rho_bar, out=off)
-    off |= np.not_equal(V, _ZERO, out=off_v)
-    first = int(off.argmax())
-    return (offset + first, offset + off.size - 1 - int(off[::-1].argmax())) if off[first] else None
 
 
 def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams) -> BlowupEvent | None:
@@ -533,14 +548,15 @@ def run(
     config: SolverConfig,
     recorder: SeriesRecorder | None = None,
 ) -> SolutionTrace:
-    """Run a scenario to t_end or first detector event.
+    """Run a scenario to t_end, the first detector event or the step budget.
 
     The grid must contain the sound cone of the horizon: extent > R +
     sigma * t_end.  Snapshots are recorded at t = 0, at every crossing of
     the snapshot interval, and at the final time; the recorder (if given)
     observes the state at every crossing of the detector sample interval,
     always strictly before any detection time.  Either interval must be
-    large enough for t_end / interval to be finite.
+    large enough for t_end / interval to be finite.  The trace's ``stop``
+    names what ended the run.
     """
     eos, geom, det = scenario.eos, scenario.geometry, scenario.detector
     sigma = signal_speed(eos, eos.rho_bar)
@@ -550,6 +566,7 @@ def run(
             f"{scenario.R + sigma * config.t_end:g}"
         )
     eps = 1e-12 * config.t_end
+    end = config.t_end - eps  # t_end, less the rounding the loop forgives
     for name, interval in (("snapshot_interval", config.snapshot_interval),
                            ("detector.sample_interval", det.sample_interval)):
         if not math.isfinite((config.t_end + eps) / interval):
@@ -561,63 +578,54 @@ def run(
     # workspace's buffer, V its velocities (see "The workspace" in the
     # module docstring)
     ws = _Workspace(centers, dx, geom, eos, config.reconstruction)
-    rho, V = ws.rho, ws.V
-    rho[:] = snap.rho
-    V[:] = snap.V
-    reach = _REACH[config.reconstruction]
-    perturbed = _perturbed(rho, V, ws.rho_bar, ws.off_all, ws.off_v_all)
+    ws.rho[:], ws.V[:] = snap.rho, snap.V
+    # the window's margin: the reach and one background cell beyond it
+    margin = _REACH[config.reconstruction] + 1
     threshold, cfl_dx = det.slope_factor * sigma, config.cfl * dx
-    # view, cells [lo, hi): every perturbed cell and at least one background
-    # cell, unless the perturbation spans the grid; the time step and the
-    # detector read it
-    view = ws.view(0, n)
+    # the view: the cells of the last window, which the time step and the
+    # detector read (see "The window"); the full grid at t = 0
+    view = ws.bind(0, n).view
+    perturbed = ws.perturbed()
     snapshots = [snap]
     blowup = view.jump_event(0.0, threshold)
     if blowup is None and recorder is not None:
         recorder.observe(snap)
     t, steps = 0.0, 0
-    # the clocks: the next snapshot and sample at k * interval (see "The clocks")
+    # the clocks' counts: the next snapshot and sample at k * interval (see "The clocks")
     k_snap = k_sample = 1
-    next_snap, next_sample = config.snapshot_interval, det.sample_interval
-    while blowup is None and t < config.t_end - eps and steps < config.max_steps:
+    while blowup is None and t < end and steps < config.max_steps:
         dtc = float(cfl_dx / view.max_speed(eos))
         if dtc < det.dt_floor:
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
         dt = min(dtc, config.t_end - t)
         if perturbed is None:
-            t += dt
-            lo, hi = 0, 2
+            # nothing to step: two background cells hold the grid's speed and jump
+            view = ws.bind(0, 2).view
         else:
             if not dt > 0:
                 raise ValueError("dt must be positive")
-            a = 0 if geom.is_radial else max(perturbed[0] - reach, 0)
-            b = min(perturbed[1] + reach + 1, n)
-            w = ws.bind(a, b)
-            np.multiply(w.rho, ws.window_V, out=w.mom)
-            _advance(ws, a, b, t, dt)
-            np.divide(w.mom, w.rho, out=ws.window_V)
-            t += dt
-            perturbed = _perturbed(w.rho, ws.window_V, ws.rho_bar, ws.off, ws.off_v, a)
-            lo, hi = max(a - 1, 0), min(b + 1, n)
-        view = ws.view(lo, hi)
+            a = 0 if geom.is_radial else max(perturbed[0] - margin, 0)
+            view = ws.step(a, min(perturbed[1] + margin + 1, n), t, dt)
+            perturbed = ws.perturbed()
+        t += dt
         steps += 1
         blowup = view.jump_event(t, threshold)
-        sample = blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps)
-        keep = t >= next_snap - eps or t >= config.t_end - eps or blowup is not None
+        sample = blowup is None and recorder is not None and (t >= k_sample * det.sample_interval - eps or t >= end)
+        keep = t >= k_snap * config.snapshot_interval - eps or t >= end or blowup is not None
         if sample or keep:
-            snap = FieldSnapshot(t, centers, rho.copy(), V.copy(), dx)
+            snap = FieldSnapshot(t, centers, ws.rho.copy(), ws.V.copy(), dx)
         if sample:
             recorder.observe(snap)
             k_sample = max(k_sample + 1, math.floor((t + eps) / det.sample_interval) + 1)
-            next_sample = k_sample * det.sample_interval
         if keep:
             snapshots.append(snap)
             k_snap = max(k_snap + 1, math.floor((t + eps) / config.snapshot_interval) + 1)
-            next_snap = k_snap * config.snapshot_interval
+    # why the loop stopped, read in the order of its condition
+    stop = blowup.cause if blowup is not None else T_END if t >= end else MAX_STEPS
     if snapshots[-1].t < t:
         # stopped at the step budget or the dt floor between snapshots
-        snapshots.append(FieldSnapshot(t, centers, rho.copy(), V.copy(), dx))
+        snapshots.append(FieldSnapshot(t, centers, ws.rho.copy(), ws.V.copy(), dx))
     series = recorder.series() if recorder is not None else None
     return SolutionTrace(
         scenario=scenario,
@@ -627,4 +635,5 @@ def run(
         blowup=blowup,
         steps=steps,
         t_final=t,
+        stop=stop,
     )

@@ -28,7 +28,7 @@ from .functionals import (
     mass_functional,
 )
 from .model import TestingFunction, sound_speed
-from .solver import SolutionTrace, SolverConfig, run
+from .solver import MAX_STEPS, SolutionTrace, SolverConfig, run
 
 # Discrete mass drift scales like C_m * dx**2 * t.  Measured on the frozen
 # reference bumps (4096/8192 cells, t_end 0.5): drift/(dx^2 t) = 0.004 on
@@ -445,7 +445,7 @@ def validate_blowup_prediction(
     }
     if verdict.kind == "blowup_finite":
         metrics["riccati_horizon"] = t_bound
-    if td is None and trace.steps >= cfg.max_steps:
+    if trace.stop == MAX_STEPS:
         reason = (
             f"run stopped at the step budget max_steps={cfg.max_steps} at "
             f"t_final={trace.t_final:g}, before the {cap_kind} horizon {t_end:g}"

@@ -214,6 +214,19 @@ class TestCheckCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["amp_rho", "amp_v"])
+    @pytest.mark.parametrize("command", [["check", "--theorem", "linear-1d-tau"], ["simulate"]])
+    def test_non_finite_amplitude_is_invalid_input(self, command, key, value, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.cfg", ["preset = ref-1d", "grid.cells = 256", f"{key} = {value}"])
+        out = tmp_path / "out"
+        code = main([*command, "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {key} must be finite, got {float(value)!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("amp_rho", ["0.01", "-0.01"])
     def test_horizon_below_rounding_of_R_is_invalid_input(self, amp_rho, tmp_path, capsys):
         # R + sigma*tau rounds to R: the power-weight threshold is infinite in

@@ -215,6 +215,13 @@ class TestScenarioConstruction:
                 self.eos, Geometry.cartesian1d(), 1.0, -1.0, 0.0, GridSpec(2.0, 256)
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["amp_rho", "amp_v"])
+    def test_rejects_non_finite_amplitude(self, key, value):
+        amps = {"amp_rho": 0.01, "amp_v": 0.02, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_bump_scenario(self.eos, Geometry.cartesian1d(), 1.0, grid=GridSpec(2.0, 256), **amps)
+
     def test_rejects_grid_smaller_than_bump(self):
         with pytest.raises(ValueError, match="extent"):
             make_bump_scenario(

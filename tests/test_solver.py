@@ -17,6 +17,7 @@ from eulerblowup.model import (
     Geometry,
     GridSpec,
     make_bump_scenario,
+    signal_speed,
 )
 from eulerblowup.criteria import default_family, theorem_context
 from eulerblowup.scenarios import PRESETS, certified_linear_tau_case, constant_scenario
@@ -818,9 +819,9 @@ class TestWorkspace:
 
     def test_run_views_are_contiguous_prefixes_of_their_scratch(self):
         ws = loaded_workspace("ref-1d", 512)[0]
-        first = ws.view(0, 300)
-        assert ws.view(0, 300) is first
-        again = ws.view(50, 250)
+        first = ws.bind(0, 300).view
+        assert ws.bind(0, 300).view is first
+        again = ws.bind(50, 250).view
         assert again.rho.ctypes.data == ws.rho[50:].ctypes.data
         assert again.V.ctypes.data == ws.V[50:].ctypes.data
         assert again.centers.ctypes.data == ws.centers[50:].ctypes.data
@@ -872,25 +873,65 @@ class TestWorkspace:
             assert window.cells.shape == (2, b - a)
             assert window.rho.ctypes.data == ws.U[0, a + 2:].ctypes.data
             assert window.mom.ctypes.data == ws.mom[a:].ctypes.data
-            return window, ws.flux
+            # and so are the cells the time step and the detector read
+            assert window.view.rho.ctypes.data == window.rho.ctypes.data
+            assert window.view.V.ctypes.data == ws.V[a:].ctypes.data
+            assert window.view.speed.size == b - a
+            return window, ws.flux, window.view
 
         def same(views, other):
             return [u is v for u, v in zip(views, other)]
 
         bound = advance(40, 216)
-        assert same(advance(40, 216), bound) == [True, True]
+        assert same(advance(40, 216), bound) == [True, True, True]
         # a new start, end or both recuts every view, at the same width too
         for a, b in ((41, 216), (41, 217), (42, 218)):
             again = advance(a, b)
-            assert same(again, bound) == [False, False]
-            assert same(advance(a, b), again) == [True, True]
+            assert same(again, bound) == [False, False, False]
+            assert same(advance(a, b), again) == [True, True, True]
             bound = again
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("preset", ["constant-1d", "constant-radial3"])
+    def test_unperturbed_run_reads_a_two_cell_view(self, preset, recon, monkeypatch):
+        # the full grid at t = 0, then two background cells at every step
+        max_speed, sizes = solver._View.max_speed, []
+
+        def recorded(view, eos):
+            sizes.append(view.rho.size)
+            return max_speed(view, eos)
+
+        monkeypatch.setattr(solver._View, "max_speed", recorded)
+        trace = run(PRESETS[preset](4096), SolverConfig(t_end=0.5, reconstruction=recon))
+        assert trace.steps > 1 and trace.blowup is None
+        assert sizes == [4096] + [2] * (trace.steps - 1)
 
 
 class TestRunTimeStep:
     """``run`` hands the kernel its own time step with no unit-CFL rescan of
     the window: the view it bounds the step by holds the window's largest
     speed."""
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("preset", ["ref-1d", "ref-radial3", "cert-linear-tau-1d"])
+    def test_view_holds_the_grid_speed_and_jump(self, preset, recon, monkeypatch):
+        # a window ends in a background cell on each side that does not meet
+        # the grid's edge, so its largest speed and velocity jump are the grid's
+        stepped, seen = solver._Workspace.step, []
+
+        def checked(ws, a, b, t, dt):
+            view = stepped(ws, a, b, t, dt)
+            for i, inner in ((0, a > 0), (-1, b < ws.V.size)):
+                assert not inner or (view.rho[i] == ws.eos.rho_bar and view.V[i] == 0.0)
+            speed = signal_speed(ws.eos, ws.rho) + np.abs(ws.V)
+            assert view.max_speed(ws.eos) == speed.max()
+            assert np.abs(np.diff(view.V)).max() == np.abs(np.diff(ws.V)).max()
+            seen.append(b - a)
+            return view
+
+        monkeypatch.setattr(solver._Workspace, "step", checked)
+        trace = run(PRESETS[preset](512), SolverConfig(t_end=0.3, reconstruction=recon))
+        assert len(seen) == trace.steps > 0 and min(seen) < 512
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eulerblowup.criteria import run_family_check, theorem_context
+from eulerblowup.criteria import CriterionReport, Verdict, run_family_check, theorem_context
 from eulerblowup.functionals import (
     FieldSnapshot,
     FunctionalSeries,
@@ -286,6 +286,19 @@ class TestPredictionValidation:
         assert "max_steps=10" in result.reason
         assert "t_final=" in result.reason
         assert "no detection" not in result.reason
+
+    @pytest.mark.parametrize("max_steps, budget", [(92, True), (93, False), (94, False)])
+    def test_step_budget_is_named_only_when_it_stopped_the_run(self, max_steps, budget):
+        # ref-1d at 256 cells reaches t = 0.5 in exactly 93 steps with no
+        # detection: a budget of 93 or more stops it at the horizon
+        scen = reference_scenario(Geometry.cartesian1d(), cells=256)
+        report_c = CriterionReport("forced", {}, [], Verdict.blowup_before(0.5))
+        result = validate_blowup_prediction(scen, report_c, SolverConfig(max_steps=max_steps))
+        assert result.status == FAIL
+        if budget:
+            assert result.reason.startswith(f"run stopped at the step budget max_steps={max_steps} at t_final=")
+        else:
+            assert result.reason == "no detection before the tau horizon 0.5"
 
     def test_horizon_cone_leaving_the_grid_rejected(self):
         # extent 2.6 holds the cone R + sigma * tau up to tau ~ 1.13
