@@ -50,7 +50,7 @@ from .model import (
     power_law,
 )
 from .scenarios import PRESETS
-from .solver import SolverConfig, run
+from .solver import FIRST_ORDER, MUSCL, SolverConfig, run
 from .verify import (
     CHECK_CHARACTERISTIC,
     CHECK_CONE,
@@ -356,31 +356,18 @@ def cmd_verify(args, argv) -> int:
     )
     family = args.family or default_family(scen.geometry)
     weight = parse_weight(args.weight)
-    recorder = None
-    ctx = None
-    if CHECK_INEQUALITY in names:
-        ctx = theorem_context(scen, family, tau=args.tau, f=weight, a=args.a)
-        if ctx.hypotheses_hold():
-            recorder = ctx.recorder()
-    trace = run(scen, config, recorder=recorder)
-    reports = []
-    for name in names:
-        if name == CHECK_POSITIVITY:
-            reports.append(check_positivity(trace))
-        elif name == CHECK_CHARACTERISTIC:
-            reports.append(check_characteristic_density(trace, args.x0))
-        elif name == CHECK_PROPAGATION:
-            reports.append(check_finite_propagation(trace))
-        elif name == CHECK_MASS:
-            reports.append(check_mass_conservation(trace))
-        elif name == CHECK_INEQUALITY:
-            reports.append(
-                check_differential_inequality(
-                    trace, family, tau=args.tau, f=weight, a=args.a, context=ctx
-                )
-            )
-        elif name == CHECK_CONE:
-            reports.append(check_cone_energy(trace, args.cone_center, apex))
+    # the inequality check monitors its family's series during the run, when the criterion certifies
+    ctx = theorem_context(scen, family, tau=args.tau, f=weight, a=args.a) if CHECK_INEQUALITY in names else None
+    trace = run(scen, config, recorder=ctx.recorder() if ctx is not None and ctx.hypotheses_hold() else None)
+    checks = {
+        CHECK_POSITIVITY: lambda: check_positivity(trace),
+        CHECK_CHARACTERISTIC: lambda: check_characteristic_density(trace, args.x0),
+        CHECK_PROPAGATION: lambda: check_finite_propagation(trace),
+        CHECK_MASS: lambda: check_mass_conservation(trace),
+        CHECK_INEQUALITY: lambda: check_differential_inequality(trace, family, context=ctx),
+        CHECK_CONE: lambda: check_cone_energy(trace, args.cone_center, apex),
+    }
+    reports = [checks[name]() for name in names]
     print(summary_table(reports))
     if args.out:
         out = Path(args.out)
@@ -527,9 +514,9 @@ def _add_criterion_args(p: argparse.ArgumentParser, required_theorem: bool) -> N
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, default=0.5, help="simulation end time")
-    p.add_argument("--cfl", type=float, default=0.45)
-    p.add_argument("--reconstruction", choices=("first_order", "muscl"), default="muscl")
-    p.add_argument("--snapshot-interval", type=float, default=0.05)
+    p.add_argument("--cfl", type=float, default=SolverConfig.cfl)
+    p.add_argument("--reconstruction", choices=(FIRST_ORDER, MUSCL), default=SolverConfig.reconstruction)
+    p.add_argument("--snapshot-interval", type=float, default=SolverConfig.snapshot_interval)
 
 
 @functools.cache

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -671,7 +670,8 @@ class FamilySpec:
     ``riccati(ctx, t, U)`` is the coefficient c(t) with U = R + sigma*t,
     and ``G(ctx, H, m0, snap, U_tau)`` the slack term of
     dH/dt >= c(t) H**2 + G(t), with U_tau = R + sigma*tau.  Both read the
-    context's weight and, where the theorem has one, its ``a``.
+    context's weight and, where the theorem has one, its ``a``; a general
+    family's G reads the B(tau) its report compared H(0) with.
     """
 
     riccati: Callable
@@ -706,14 +706,10 @@ class TheoremContext:
         return momentum_functional(snap, self.f, self.scenario.geometry, upper=self._upper(snap))
 
     def B(self, t: float) -> float:
+        """B(t) by the rule the criterion's own B(tau) uses."""
         return weight_functional_B(
-            self.f, self.scenario.R, self.sigma, t, self.scenario.geometry
+            self.f, self.scenario.R, self.sigma, t, self.scenario.geometry, _HORIZON_RULE
         )
-
-    @cached_property
-    def B_tau(self) -> float:
-        """B(tau), which the general families' G reads at every sample."""
-        return self.B(self.tau)
 
     def m(self, snap: FieldSnapshot) -> float:
         return mass_functional(snap, self.scenario.eos, self.scenario.geometry)
@@ -751,7 +747,7 @@ def _pressure_slack(ctx: TheoremContext, H: float, m0: float, snap: FieldSnapsho
 
 _GENERAL = FamilySpec(
     lambda c, t, U: 1.0 / (c.a * c.B(t)),
-    lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.B_tau)
+    lambda c, H, m0, snap, U: (c.a - 2.0) * H ** 2 / (2.0 * c.a * c.report.inputs["B_tau"])
     - _barrier(c.scenario.eos) * float(c.f.f(U)),
 )
 _POWER = FamilySpec(lambda c, t, U: c.N * (c.N + 1) / (2.0 * U ** (c.N + 2)), _pressure_slack)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import EosParams, Geometry, Scenario, TestingFunction, riemann_variable, sound_speed
-from .quadrature import DEFAULT_RULE, QuadratureRule, integrate_fn, integrate_samples, integrate_segments
+from .quadrature import DEFAULT_RULE, QuadratureRule, _evaluate, integrate_fn, integrate_samples, integrate_segments
 
 
 class WeightDivergenceError(ValueError):
@@ -170,13 +170,7 @@ def weight_functional_B_table(
     if ts.ndim != 1 or ts.size < 2 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be an increasing 1-D grid of two or more, starting at 0")
     if f.analytic_B is not None:
-        try:
-            B = np.asarray(f.analytic_B(R, sigma, ts, geometry), dtype=float)
-            if B.shape != ts.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            B = np.array([float(f.analytic_B(R, sigma, float(t), geometry)) for t in ts])
-        return B
+        return _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), ts)
     B0 = weight_functional_B(f, R, sigma, 0.0, geometry, rule)
     upper = R + sigma * ts
     if geometry.is_radial:

@@ -34,6 +34,10 @@ class EosParams:
     rho_bar: float
 
     def __post_init__(self) -> None:
+        for name in ("K", "gamma", "rho_bar"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.K > 0:
             raise ValueError("K must be positive")
         if not self.gamma >= 1:
@@ -140,6 +144,8 @@ class GridSpec:
     cells: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.extent):
+            raise ValueError(f"grid extent must be finite, got {self.extent!r}")
         if not self.extent > 0:
             raise ValueError("grid extent must be positive")
         if self.cells < 16:

@@ -76,30 +76,26 @@ def reference_eos() -> EosParams:
     return EosParams(K=1.0, gamma=2.0, rho_bar=1.0)
 
 
-def reference_scenario(geometry: Geometry | None = None, cells: int = REFERENCE_CELLS) -> Scenario:
-    """Gentle bump (amp_rho 0.01, amp_v 0.02) on a cone-containing grid."""
-    geom = geometry if geometry is not None else Geometry.radial(3)
+def _bump(geometry: Geometry, cells: int, amp_rho: float, amp_v: float) -> Scenario:
+    """A bump of radius 1 in the reference gas, on a grid of extent 2.2."""
     return make_bump_scenario(
         eos=reference_eos(),
-        geometry=geom,
+        geometry=geometry,
         R=1.0,
-        amp_rho=0.01,
-        amp_v=0.02,
+        amp_rho=amp_rho,
+        amp_v=amp_v,
         grid=GridSpec(extent=2.2, cells=cells),
     )
+
+
+def reference_scenario(geometry: Geometry | None = None, cells: int = REFERENCE_CELLS) -> Scenario:
+    """Gentle bump (amp_rho 0.01, amp_v 0.02) on a cone-containing grid."""
+    return _bump(geometry if geometry is not None else Geometry.radial(3), cells, 0.01, 0.02)
 
 
 def constant_scenario(geometry: Geometry | None = None, cells: int = 256) -> Scenario:
     """Pure background state: both bump amplitudes zero."""
-    geom = geometry if geometry is not None else Geometry.cartesian1d()
-    return make_bump_scenario(
-        eos=reference_eos(),
-        geometry=geom,
-        R=1.0,
-        amp_rho=0.0,
-        amp_v=0.0,
-        grid=GridSpec(extent=2.2, cells=cells),
-    )
+    return _bump(geometry if geometry is not None else Geometry.cartesian1d(), cells, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

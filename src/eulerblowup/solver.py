@@ -270,7 +270,7 @@ def _snapshot_view(snap: FieldSnapshot) -> _View:
     return _View(snap.rho, snap.V, snap.centers, np.empty(n), np.empty(n))
 
 
-def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = 0.45) -> float:
+def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = SolverConfig.cfl) -> float:
     """Largest stable time step: cfl * dx / max(|V| + c)."""
     return float(cfl * snap.spacing / _snapshot_view(snap).max_speed(eos))
 

@@ -227,6 +227,22 @@ class TestCheckCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "key, field", [("eos.K", "K"), ("eos.gamma", "gamma"), ("eos.rho_bar", "rho_bar"), ("grid.extent", "grid extent")]
+    )
+    @pytest.mark.parametrize("command", [["check", "--theorem", "linear-1d-tau"], ["simulate"]])
+    def test_non_finite_gas_or_grid_value_is_invalid_input(self, command, key, field, value, tmp_path, capsys):
+        # the value is named before any check it would derail: sound speed, cone, resolution
+        cfg = write_config(tmp_path / "g.cfg", ["preset = ref-1d", "grid.cells = 256", f"{key} = {value}"])
+        out = tmp_path / "out"
+        code = main([*command, "--out", str(out), cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {field} must be finite, got {float(value)!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("amp_rho", ["0.01", "-0.01"])
     def test_horizon_below_rounding_of_R_is_invalid_input(self, amp_rho, tmp_path, capsys):
         # R + sigma*tau rounds to R: the power-weight threshold is infinite in
@@ -520,12 +536,23 @@ class TestVerifyCommand:
         assert [r["check"] for r in reports] == ["positivity", "mass"]
         assert all(r["status"] == "pass" for r in reports)
 
-    def test_all_expands_to_every_trace_check(self, ref_config, capsys):
-        code = main(["verify", "--t-end", "0.1", "--checks", "all", ref_config])
+    def test_all_expands_to_every_trace_check(self, ref_config, tmp_path, capsys):
+        out = tmp_path / "ver"
+        code = main(["verify", "--t-end", "0.1", "--checks", "all", "--out", str(out), ref_config])
         stdout = capsys.readouterr().out
         assert code == 0
         # inequality hypotheses fail on reference amplitudes: skipped, not failed
         assert "skipped" in stdout
+        reports = json.loads((out / "verification_reports.json").read_text())
+        assert [r["check"] for r in reports] == list(TRACE_CHECKS)
+
+    @pytest.mark.parametrize("name", TRACE_CHECKS)
+    def test_each_check_runs_alone(self, name, ref_config, tmp_path, capsys):
+        out = tmp_path / "ver"
+        code = main(["verify", "--t-end", "0.1", "--checks", name, "--out", str(out), ref_config])
+        assert code == 0, capsys.readouterr().err
+        reports = json.loads((out / "verification_reports.json").read_text())
+        assert [r["check"] for r in reports] == [name]
 
     def test_all_checks_on_a_certified_preset(self, tmp_path, capsys):
         # the detector fires before the second snapshot, so the cone check

@@ -1196,6 +1196,7 @@ class TestTheoremContext:
 
     @pytest.mark.parametrize("name", ["cert-general-radial-n1", "cert-general-1d-exp"])
     def test_general_run_evaluates_B_at_tau_once(self, name, monkeypatch):
+        # the report evaluates B(tau) once; the run reads it from the report
         case = certified_case(name, 1024)
         real, at = criteria.weight_functional_B, []
 
@@ -1203,25 +1204,41 @@ class TestTheoremContext:
             at.append(t)
             return real(f, R, sigma, t, *args)
 
-        def traced_run():
-            ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
-            at.clear()
-            monkeypatch.setattr(criteria, "weight_functional_B", counted)
-            trace = run(case.scenario, SolverConfig(t_end=case.tau), recorder=ctx.recorder())
-            monkeypatch.setattr(criteria, "weight_functional_B", real)
-            return trace
-
-        trace = traced_run()
-        # the B column reads B(t) at every sample, all before tau; G reads B(tau)
+        monkeypatch.setattr(criteria, "weight_functional_B", counted)
+        ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+        assert at == [case.tau]
+        at.clear()
+        trace = run(case.scenario, SolverConfig(t_end=case.tau), recorder=ctx.recorder())
+        # the B column reads B(t) at every sample, all before tau; G reads no B
         samples = trace.series.times.size
         assert samples > 10 and trace.t_detect < case.tau
-        assert at.count(case.tau) == 1 and len(at) == samples + 1
-        # the same G column, bit for bit, as B(tau) evaluated at every sample
-        monkeypatch.setattr(criteria.TheoremContext, "B_tau", property(lambda c: c.B(c.tau)))
-        fresh = traced_run()
-        assert at.count(case.tau) == samples
-        assert np.array_equal(trace.series.G, fresh.series.G)
-        assert np.array_equal(np.signbit(trace.series.G), np.signbit(fresh.series.G))
+        assert at.count(case.tau) == 0 and len(at) == samples
+        # the G column, bit for bit, of the report's B(tau)
+        B_tau = ctx.report.inputs["B_tau"]
+        barrier = criteria._barrier(case.scenario.eos) * float(ctx.f.f(case.scenario.R + ctx.sigma * ctx.tau))
+        want = np.array([(ctx.a - 2.0) * H ** 2 / (2.0 * ctx.a * B_tau) - barrier for H in trace.series.H.tolist()])
+        assert np.array_equal(trace.series.G.view(np.uint64), want.view(np.uint64))
+
+    def test_monitor_and_verdict_share_one_B(self):
+        # a weight with no closed form: B comes from quadrature, by the rule of the verdict
+        weight = radial_vanishing(
+            lambda r: np.asarray(r, dtype=float) ** 1.5 + 0.3 * np.asarray(r, dtype=float) ** 2.5,
+            lambda r: 1.5 * np.asarray(r, dtype=float) ** 0.5 + 0.75 * np.asarray(r, dtype=float) ** 1.5,
+        )
+        case = certified_case("cert-general-radial-n1", 1024)
+        scen = case.scenario
+        ctx = theorem_context(scen, case.family, case.tau, weight, case.a)
+        series = run(scen, SolverConfig(t_end=case.tau), recorder=ctx.recorder()).series
+        assert series.times.size > 10
+        B_tau = ctx.report.inputs["B_tau"]
+        barrier = criteria._barrier(scen.eos) * float(weight.f(scen.R + ctx.sigma * ctx.tau))
+        want_G = np.array([(ctx.a - 2.0) * H ** 2 / (2.0 * ctx.a * B_tau) - barrier for H in series.H.tolist()])
+        assert np.array_equal(series.G.view(np.uint64), want_G.view(np.uint64))
+        want_B = np.array([
+            weight_functional_B(weight, scen.R, ctx.sigma, t, scen.geometry, criteria._HORIZON_RULE)
+            for t in series.times.tolist()
+        ])
+        assert np.array_equal(series.B.view(np.uint64), want_B.view(np.uint64))
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))

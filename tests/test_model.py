@@ -38,6 +38,13 @@ class TestEos:
         with pytest.raises(ValueError):
             EosParams(1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["K", "gamma", "rho_bar"])
+    def test_non_finite_value_is_named(self, field, value):
+        values = {"K": 1.0, "gamma": 2.0, "rho_bar": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            EosParams(**values)
+
     def test_pressure_closed_form(self):
         eos = EosParams(2.0, 1.4, 1.0)
         assert pressure(eos, 1.5) == pytest.approx(3.5282370675740204, rel=1e-14)
@@ -122,6 +129,11 @@ class TestGeometryAndGrid:
             GridSpec(0.0, 64)
         with pytest.raises(ValueError):
             GridSpec(1.0, 8)
+
+    @pytest.mark.parametrize("extent", [math.inf, -math.inf, math.nan])
+    def test_non_finite_extent_is_named(self, extent):
+        with pytest.raises(ValueError, match=f"^grid extent must be finite, got {extent!r}$"):
+            GridSpec(extent, 64)
 
 
 class TestBumpProfile:
