@@ -389,17 +389,31 @@ def default_family(geometry: Geometry) -> str:
 # Prepared criteria
 
 
+# The scenario fields the density part of the data side reads.  The
+# amplitude also enters by bit pattern: == holds for 0.0 and -0.0, whose
+# sampled densities differ in sign.
+def _density_key(s: Scenario) -> tuple:
+    return s.grid, s.geometry, s.eos.rho_bar, s.rho0, float(s.rho0.amp).hex()
+
+
 class PreparedCriterion:
     """One criterion family on one scenario; build it with :func:`prepare`.
 
     A check compares the data side H(0), m(0), fixed by the scenario and
     the weight, against the horizon side, thresholds fixed by the gas, R,
     the geometry, the weight, ``a`` and tau.  The data side is computed
-    once, the horizon side once per tau into ``horizons``.  ``weight`` is
-    the weight H(0) integrates against: a closed form's own, else ``f``.
+    once from the initial ``snapshot``.  Its density part (centers, rho
+    and m(0)) reads the grid, the geometry, ``eos.rho_bar`` and ``rho0``;
+    :meth:`with_scenario` hands it over while those are unchanged, and
+    samples V and computes H(0) on every scenario.  The horizon side is
+    computed once per tau into ``horizons``.  ``weight`` is the weight
+    H(0) integrates against: a closed form's own, else ``f``.
     """
 
-    def __init__(self, scenario: Scenario, family: str, f: TestingFunction | None, a: float, horizons: dict):
+    def __init__(
+        self, scenario: Scenario, family: str, f: TestingFunction | None, a: float, horizons: dict,
+        rho_from: PreparedCriterion | None = None,
+    ):
         group = FAMILY_GROUPS[family]
         row = group.closed_form
         eos, geom = scenario.eos, scenario.geometry
@@ -429,16 +443,31 @@ class PreparedCriterion:
         self.scenario, self.family, self.f, self.a, self.weight = scenario, family, f, a, weight
         self.group, self.horizons = group, horizons
         self.sigma = sound_speed(eos)
-        snap = initial_snapshot(scenario)
+        if rho_from is None:
+            snap = initial_snapshot(scenario)
+        else:
+            # the density part is handed over: sample V as initial_snapshot does
+            old = rho_from.snapshot
+            snap = FieldSnapshot(t=0.0, centers=old.centers, rho=old.rho, V=scenario.v0(old.centers))
+        self.snapshot = snap
         self.H0 = momentum_functional(snap, weight, geom, upper=cone_band_upper(snap, scenario.R))
-        self.m0 = mass_functional(snap, eos, geom)
+        self.m0 = rho_from.m0 if rho_from else mass_functional(snap, eos, geom)
 
     def with_scenario(self, scenario: Scenario) -> "PreparedCriterion":
-        """This criterion on another scenario.  ``horizons`` is kept while the gas,
-        R and the geometry compare equal (their floats are validated positive)."""
+        """This criterion on another scenario, handing over what the change leaves valid.
+
+        ``horizons`` is kept while the gas, R and the geometry compare equal
+        (their floats are validated positive); the density part (centers,
+        rho, m(0)) while the grid, the geometry, ``eos.rho_bar`` and ``rho0``
+        are unchanged, the amplitude also by bit pattern: -0.0 compares
+        equal to 0.0 but samples a density of its own sign.  V and H(0) are
+        computed anew, so an amp_v or a gamma row evaluates them alone.
+        """
         old = self.scenario
         same = (scenario.eos, scenario.R, scenario.geometry) == (old.eos, old.R, old.geometry)
-        return PreparedCriterion(scenario, self.family, self.f, self.a, self.horizons if same else {})
+        rho_from = self if _density_key(scenario) == _density_key(old) else None
+        horizons = self.horizons if same else {}
+        return PreparedCriterion(scenario, self.family, self.f, self.a, horizons, rho_from)
 
     def report(self, tau: float = 1.0) -> CriterionReport:
         """The criterion at horizon ``tau``, which must be positive, also for

@@ -409,15 +409,15 @@ class TestGeneralThresholdTable:
 
 @pytest.fixture()
 def computed(monkeypatch):
-    """Count the initial snapshots and B tables the checks compute
-    (``clear()`` restarts the count)."""
+    """Count the initial snapshots, the H(0) and m(0) functionals and the B
+    tables the checks compute (``clear()`` restarts the count)."""
     counts = Counter()
-    for name in ("initial_snapshot", "weight_functional_B_table"):
+    for name in ("initial_snapshot", "momentum_functional", "mass_functional", "weight_functional_B_table"):
         original = getattr(criteria, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(criteria, name, counted)
     return counts
@@ -445,6 +445,19 @@ HORIZON_FAMILIES = [f for f in FAMILIES if f != FAMILY_LINEAR_1D]
 
 def with_amp_v(scenario, amp):
     return replace(scenario, v0=replace(scenario.v0, amp=amp))
+
+
+def with_amp_rho(scenario, amp):
+    return replace(scenario, rho0=replace(scenario.rho0, amp=amp))
+
+
+def with_gamma(scenario, gamma):
+    return replace(scenario, eos=replace(scenario.eos, gamma=gamma))
+
+
+def data_side(computed) -> tuple:
+    """(initial snapshots, H(0), m(0)) computed so far."""
+    return computed["initial_snapshot"], computed["momentum_functional"], computed["mass_functional"]
 
 
 class TestPreparedCriterion:
@@ -475,14 +488,25 @@ class TestPreparedCriterion:
         prepared = criteria.prepare(case.scenario, family, case.f, case.a)
         for tau in (0.5, 1.0, 2.0, 1.0):
             prepared.report(tau)
-        assert computed["initial_snapshot"] == 1
-        prepared.with_scenario(with_amp_v(case.scenario, 2.0 * case.scenario.amp_v)).report(1.0)
-        assert computed["initial_snapshot"] == 2
+        assert data_side(computed) == (1, 1, 1)
+        # the density part is handed over while its fields are unchanged:
+        # an amp_v or a gamma row evaluates one H(0) and no m(0), an amp_rho
+        # row takes a whole new snapshot
+        prepared = prepared.with_scenario(with_amp_v(prepared.scenario, 2.0 * case.scenario.amp_v))
+        prepared.report(1.0)
+        assert data_side(computed) == (1, 2, 1)
+        prepared = prepared.with_scenario(with_amp_rho(prepared.scenario, 0.01))
+        prepared.report(1.0)
+        assert data_side(computed) == (2, 3, 2)
+        prepared = prepared.with_scenario(with_gamma(prepared.scenario, 3.0))
+        prepared.report(1.0)
+        assert data_side(computed) == (2, 4, 2)
 
     @pytest.mark.parametrize("radial", [True, False])
     def test_one_table_per_tau_along_a_chain(self, radial, seeded_weight, computed):
         # every row rebuilds its scenario, as the CLI sweep does; the horizon
-        # side is handed on while the gas, R and the geometry compare equal
+        # side is handed on while the gas, R and the geometry compare equal,
+        # the density part while the amp_v rows leave its fields alone
         case = (certified_general_radial_case if radial else certified_general_1d_case)(cells=512)
         family = FAMILY_GENERAL_RADIAL if radial else criteria.FAMILY_GENERAL_1D
         weight = seeded_weight(radial, 3)
@@ -493,7 +517,9 @@ class TestPreparedCriterion:
             prepared = prepared.with_scenario(
                 replace(with_amp_v(case.scenario, amp), eos=replace(case.scenario.eos)))
             rows += [prepared.report(0.8), prepared.report(1.2)]
-        assert computed == {"initial_snapshot": 6, "weight_functional_B_table": 2}
+        assert computed == {
+            "initial_snapshot": 1, "momentum_functional": 6, "mass_functional": 1, "weight_functional_B_table": 2,
+        }
         assert len({r.inputs["combined_threshold"] for r in rows}) == 2
 
     @pytest.mark.parametrize("change", [
@@ -559,6 +585,63 @@ class TestPreparedCriterion:
         got = (report.inputs["H0"], report.inputs["m0"])
         assert [(v, math.copysign(1.0, v)) for v in got] == [(v, math.copysign(1.0, v)) for v in want]
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chains_give_the_reports_of_a_fresh_prepare(self, family):
+        # rows moving amp_v, amp_rho and gamma (>= 2 for the closed forms) in
+        # turn, each against a fresh prepare of its scenario
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        rows = [
+            lambda s: with_amp_v(s, 0.6 * s.amp_v),
+            lambda s: with_amp_rho(s, 0.02),
+            lambda s: with_gamma(s, 3.0),
+            lambda s: with_amp_v(s, -s.amp_v),
+            lambda s: with_amp_rho(s, -0.02),
+            lambda s: with_gamma(s, 2.0),
+            lambda s: with_amp_rho(s, -0.03),
+            lambda s: with_amp_v(s, -2.0 * s.amp_v),
+        ]
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        for row in rows:
+            scen = row(prepared.scenario)
+            prepared = prepared.with_scenario(scen)
+            fresh = criteria.prepare(scen, family, case.f, case.a)
+            assert report_json(prepared.report(case.tau)) == report_json(fresh.report(case.tau))
+
+    @pytest.mark.parametrize("field", ["amp_v", "amp_rho"])
+    @pytest.mark.parametrize("amp", [0.0, -0.0])
+    def test_signed_zero_flip_of_one_amplitude_samples_its_own_sign(self, field, amp, computed):
+        # the other sign's criterion is prepared first; the flipped amplitude
+        # must be sampled again: amp_v keeps the density part, amp_rho none
+        moved = with_amp_v if field == "amp_v" else with_amp_rho
+        base = bump(Geometry.cartesian1d(), amp_rho=0.01, amp_v=0.02)
+        other, scen = moved(base, -amp), moved(base, amp)
+        computed.clear()
+        prepared = criteria.prepare(other, FAMILY_LINEAR_1D_TAU).with_scenario(scen)
+        assert data_side(computed) == ((1, 2, 1) if field == "amp_v" else (2, 2, 2))
+        fresh = criteria.prepare(scen, FAMILY_LINEAR_1D_TAU)
+        assert report_json(prepared.report()) == report_json(fresh.report())
+        got, want = (prepared.H0, prepared.m0), (fresh.H0, fresh.m0)
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+        for name in ("centers", "rho", "V"):
+            assert getattr(prepared.snapshot, name).tobytes() == getattr(fresh.snapshot, name).tobytes()
+
+    @pytest.mark.parametrize("change, counts", [
+        (lambda s: replace(s, grid=replace(s.grid, cells=1024)), (2, 2, 2)),
+        (lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)), (2, 2, 2)),
+        # the cone's R is read by H(0) alone, the background by the density part
+        (lambda s: replace(s, R=0.9), (1, 2, 1)),
+        (lambda s: replace(s, eos=replace(s.eos, rho_bar=2.0)), (2, 2, 2)),
+    ], ids=["cells", "R", "cone-R", "rho_bar"])
+    @pytest.mark.parametrize("family", [FAMILY_LINEAR_1D_TAU, FAMILY_GENERAL_RADIAL])
+    def test_a_new_grid_radius_or_background_recomputes_the_parts_reading_it(self, family, change, counts, computed):
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        computed.clear()
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        moved = prepared.with_scenario(change(case.scenario))
+        assert data_side(computed) == counts
+        fresh = criteria.prepare(change(case.scenario), family, case.f, case.a)
+        assert report_json(moved.report(case.tau)) == report_json(fresh.report(case.tau))
+
     def test_unhashable_weight(self, computed):
         weight = radial_vanishing(Power(2.0), lambda x: 2.0 * np.asarray(x, dtype=float), name="r^2")
         with pytest.raises(TypeError):
@@ -567,7 +650,9 @@ class TestPreparedCriterion:
         computed.clear()
         prepared = criteria.prepare(scen, FAMILY_GENERAL_RADIAL, weight, 4.0)
         first, again = prepared.report(0.8), prepared.report(0.8)
-        assert computed == {"initial_snapshot": 1, "weight_functional_B_table": 1}
+        assert computed == {
+            "initial_snapshot": 1, "momentum_functional": 1, "mass_functional": 1, "weight_functional_B_table": 1,
+        }
         assert report_json(again) == report_json(first) == report_json(check_general(scen, weight, tau=0.8))
 
     @pytest.mark.parametrize("family", HORIZON_FAMILIES)
