@@ -26,15 +26,19 @@ from .functionals import (
     SeriesRecorder,
     _band,
     cone_band_upper,
+    initial_fields,
     initial_snapshot,
     mass_functional,
+    momentum_from_samples,
     momentum_functional,
     weight_functional_B,
     weight_functional_B_table,
+    weight_samples,
 )
 from .model import (
     CARTESIAN_CLASSES,
     RADIAL_CLASSES,
+    BumpProfile,
     EosParams,
     Geometry,
     Scenario,
@@ -389,11 +393,16 @@ def default_family(geometry: Geometry) -> str:
 # Prepared criteria
 
 
-# The scenario fields the density part of the data side reads.  The
-# amplitude also enters by bit pattern: == holds for 0.0 and -0.0, whose
-# sampled densities differ in sign.
+# The scenario fields each part of the data side reads besides the grid and
+# the geometry, which every part reads.  An amplitude also enters by bit
+# pattern: == holds for 0.0 and -0.0, whose samples differ in sign.
 def _density_key(s: Scenario) -> tuple:
-    return s.grid, s.geometry, s.eos.rho_bar, s.rho0, float(s.rho0.amp).hex()
+    return s.eos.rho_bar, s.rho0, float(s.rho0.amp).hex()
+
+
+def _shape_key(s: Scenario) -> tuple | None:
+    # a subclass may override __call__, so only a BumpProfile has a unit shape
+    return (s.v0.R, s.v0.odd) if type(s.v0) is BumpProfile else None
 
 
 class PreparedCriterion:
@@ -402,17 +411,16 @@ class PreparedCriterion:
     A check compares the data side H(0), m(0), fixed by the scenario and
     the weight, against the horizon side, thresholds fixed by the gas, R,
     the geometry, the weight, ``a`` and tau.  The data side is computed
-    once from the initial ``snapshot``.  Its density part (centers, rho
-    and m(0)) reads the grid, the geometry, ``eos.rho_bar`` and ``rho0``;
-    :meth:`with_scenario` hands it over while those are unchanged, and
-    samples V and computes H(0) on every scenario.  The horizon side is
-    computed once per tau into ``horizons``.  ``weight`` is the weight
-    H(0) integrates against: a closed form's own, else ``f``.
+    once from the initial ``snapshot``; :meth:`with_scenario` hands its
+    parts over to a scenario on the same grid and geometry while the
+    fields each part reads are unchanged.  The horizon side is computed
+    once per tau into ``horizons``.  ``weight`` is the weight H(0)
+    integrates against: a closed form's own, else ``f``.
     """
 
     def __init__(
         self, scenario: Scenario, family: str, f: TestingFunction | None, a: float, horizons: dict,
-        rho_from: PreparedCriterion | None = None,
+        handed: PreparedCriterion | None = None,
     ):
         group = FAMILY_GROUPS[family]
         row = group.closed_form
@@ -443,31 +451,54 @@ class PreparedCriterion:
         self.scenario, self.family, self.f, self.a, self.weight = scenario, family, f, a, weight
         self.group, self.horizons = group, horizons
         self.sigma = sound_speed(eos)
-        if rho_from is None:
-            snap = initial_snapshot(scenario)
+        old = handed.scenario if handed is not None else None
+        # every part of the data side reads the grid and the geometry
+        if old is None or (scenario.grid, geom) != (old.grid, old.geometry):
+            # v0's unit shape is taken by the first row that can scale it
+            snap, self.v_shape, band = initial_snapshot(scenario), None, None
+            self.m0 = mass_functional(snap, eos, geom)
         else:
-            # the density part is handed over: sample V as initial_snapshot does
-            old = rho_from.snapshot
-            snap = FieldSnapshot(t=0.0, centers=old.centers, rho=old.rho, V=scenario.v0(old.centers))
-        self.snapshot = snap
-        self.H0 = momentum_functional(snap, weight, geom, upper=cone_band_upper(snap, scenario.R))
-        self.m0 = rho_from.m0 if rho_from else mass_functional(snap, eos, geom)
+            prev = handed.snapshot
+            same_rho = _density_key(scenario) == _density_key(old)
+            shape = _shape_key(scenario)
+            same_shape = shape is not None and shape == _shape_key(old)
+            self.v_shape = (handed.v_shape or scenario.v0.unit_shape(prev.centers)) if same_shape else None
+            snap = initial_fields(scenario, prev.centers, prev.rho if same_rho else None, self.v_shape)
+            self.m0 = handed.m0 if same_rho else mass_functional(snap, eos, geom)
+            # the weight is fixed by the family, f and the geometry, all unchanged
+            band = handed.weight_band if scenario.R == old.R else None
+        if band is None:
+            band = weight_samples(snap, weight, geom, upper=cone_band_upper(snap, scenario.R))
+        self.snapshot, self.weight_band = snap, band
+        try:
+            self.H0 = momentum_from_samples(snap, band)
+        except OverflowError as exc:
+            raise OverflowError(f"the initial weighted momentum H0 is not finite: {exc}") from exc
 
     def with_scenario(self, scenario: Scenario) -> "PreparedCriterion":
         """This criterion on another scenario, handing over what the change leaves valid.
 
         ``horizons`` is kept while the gas, R and the geometry compare equal
-        (their floats are validated positive); the density part (centers,
-        rho, m(0)) while the grid, the geometry, ``eos.rho_bar`` and ``rho0``
-        are unchanged, the amplitude also by bit pattern: -0.0 compares
-        equal to 0.0 but samples a density of its own sign.  V and H(0) are
-        computed anew, so an amp_v or a gamma row evaluates them alone.
+        (their floats are validated positive).  On the same grid and
+        geometry the data side keeps the centers, and
+
+        - the density part (rho, m(0)) while ``eos.rho_bar`` and ``rho0``
+          are unchanged;
+        - v0's unit shape and support while v0 is a ``BumpProfile``, not a
+          subclass, with the same R and parity: V is its amplitude times
+          that shape;
+        - the weight samples, the cone band and f on it, while R is
+          unchanged: H(0) is their product with V, integrated.
+
+        An amplitude also compares by bit pattern: -0.0 equals 0.0 but
+        samples a density of its own sign.  An amp_v row thus costs V's
+        scaling and H(0)'s integral, as does a gamma row; an amp_rho row
+        adds rho and m(0).
         """
         old = self.scenario
         same = (scenario.eos, scenario.R, scenario.geometry) == (old.eos, old.R, old.geometry)
-        rho_from = self if _density_key(scenario) == _density_key(old) else None
         horizons = self.horizons if same else {}
-        return PreparedCriterion(scenario, self.family, self.f, self.a, horizons, rho_from)
+        return PreparedCriterion(scenario, self.family, self.f, self.a, horizons, self)
 
     def report(self, tau: float = 1.0) -> CriterionReport:
         """The criterion at horizon ``tau``, which must be positive, also for

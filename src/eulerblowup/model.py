@@ -184,6 +184,28 @@ class BumpProfile:
         vals[inside] = self.amp * self._shape(y[inside])
         return vals
 
+    def unit_shape(self, x: np.ndarray) -> tuple[slice, np.ndarray]:
+        """The support and the amplitude-1 shape of the bump on increasing ``x``.
+
+        The support is the index range of the cells with |x| <= R; the
+        shape is taken there, with ``self.amp`` left out.  It reads only
+        ``R`` and ``odd``, so every bump differing from this one in its
+        amplitude alone may scale it (see :meth:`scaled`).
+        """
+        y = x / self.R
+        inside = np.flatnonzero(np.abs(y) <= 1.0)
+        support = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+        return support, self._shape(y[support])
+
+    def scaled(self, shape: tuple[slice, np.ndarray], size: int) -> np.ndarray:
+        """``self(x)`` from ``shape = unit_shape(x)`` of a bump with this R and
+        parity, ``x`` of ``size`` cells: the expression of ``__call__``, so
+        the same bits, the sign of a zero included."""
+        support, unit = shape
+        vals = np.zeros(size)
+        vals[support] = self.amp * unit
+        return vals
+
     def _shape(self, y):
         shape = (1.0 - y ** 2) ** 2
         return y * shape if self.odd else shape

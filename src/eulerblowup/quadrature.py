@@ -77,9 +77,9 @@ def integrate_samples(values: np.ndarray, spacing: float, rule: QuadratureRule =
     The panel count is ``len(values) - 1``; Simpson requires it to be even.
     A non-finite sample raises :class:`NonFiniteIntegrandError` at its
     abscissa ``i * spacing``.  The samples are scanned only when a sum over
-    all of them is not finite, which overflow of finite samples can also
-    make it: the trapezoid rule's sum, before its end correction, or
-    Simpson's result.
+    all of them is not finite: the trapezoid rule's sum, before its end
+    correction, or Simpson's result.  Where the scan finds every sample
+    finite, the sum overflowed, and OverflowError names the rule.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -89,15 +89,22 @@ def integrate_samples(values: np.ndarray, spacing: float, rule: QuadratureRule =
     if rule.method == TRAPEZOID:
         total = v.sum()
         if not math.isfinite(total):
-            _check_finite(v, np.arange(v.size) * spacing)
+            raise _overflow(v, spacing, rule)
         return float(spacing * (total - 0.5 * (v[0] + v[-1])))
     if (v.size - 1) % 2 != 0:
         _check_finite(v, np.arange(v.size) * spacing)
         raise ValueError("Simpson rule requires an even panel count")
     total = float(spacing / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum()))
     if not math.isfinite(total):
-        _check_finite(v, np.arange(v.size) * spacing)
+        raise _overflow(v, spacing, rule)
     return total
+
+
+def _overflow(v: np.ndarray, spacing: float, rule: QuadratureRule) -> OverflowError:
+    """The error for a non-finite sum of samples: NonFiniteIntegrandError, raised
+    here, at a non-finite sample, else the OverflowError to raise."""
+    _check_finite(v, np.arange(v.size) * spacing)
+    return OverflowError(f"the {rule.method} rule's sum of {v.size} finite samples overflows")
 
 
 def _evaluate(g: Callable, xs: np.ndarray) -> np.ndarray:

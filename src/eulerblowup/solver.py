@@ -271,8 +271,16 @@ def _snapshot_view(snap: FieldSnapshot) -> _View:
 
 
 def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = SolverConfig.cfl) -> float:
-    """Largest stable time step: cfl * dx / max(|V| + c)."""
-    return float(cfl * snap.spacing / _snapshot_view(snap).max_speed(eos))
+    """Largest stable time step: cfl * dx / max(|V| + c).
+
+    Raises ValueError when that maximum is not finite: a NaN or an
+    infinity in the state, or a negative density whose sound speed is not
+    real.
+    """
+    speed = _snapshot_view(snap).max_speed(eos)
+    if not np.isfinite(speed):
+        raise ValueError(f"the largest signal speed max(|V| + c) of the state is {speed}")
+    return float(cfl * snap.spacing / speed)
 
 
 # the arrays of a workspace: name, leading dimensions, and cells past the
@@ -517,15 +525,22 @@ def step(
     dt: float,
     reconstruction: str = FIRST_ORDER,
 ) -> FieldSnapshot:
-    """Advance one time step; raises on non-positive density or unstable dt.
+    """Advance one time step; raises on non-positive density, a non-finite
+    velocity or unstable dt.
 
-    Builds a fresh workspace on every call, by design: ``run`` keeps one
-    per run, and a cache here would hold a grid's buffers alive between
-    unrelated calls.
+    A NaN density is stepped, NaN cells and all, as the kernel's fallback
+    decision for it is part of the step.  Builds a fresh workspace on
+    every call, by design: ``run`` keeps one per run, and a cache here
+    would hold a grid's buffers alive between unrelated calls.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    hard_limit = cfl_dt(snap, eos, cfl=1.0)
+    hard_limit = float(snap.spacing / _snapshot_view(snap).max_speed(eos))
+    # with a finite velocity, a NaN limit comes from the density, a NaN or a
+    # negative one without a real sound speed, which the kernel's fallback
+    # handles; the comparison below lets it pass
+    if not hard_limit > 0 and not np.isfinite(snap.V).all():
+        raise ValueError("the velocity of the state is not finite")
     if dt > hard_limit * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} exceeds the unit-CFL limit {hard_limit:g}")
     ws = _Workspace(snap.centers, snap.spacing, geometry, eos, reconstruction)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -6,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eulerblowup.criteria as criteria
 from eulerblowup.criteria import (
@@ -409,10 +411,12 @@ class TestGeneralThresholdTable:
 
 @pytest.fixture()
 def computed(monkeypatch):
-    """Count the initial snapshots, the H(0) and m(0) functionals and the B
-    tables the checks compute (``clear()`` restarts the count)."""
+    """Count the parts of the data side and the B tables the checks compute
+    (``clear()`` restarts the count): initial snapshots, rho0 and v0 samples
+    by the bump's own call, v0 unit shapes, weight samples, H(0) and m(0)."""
     counts = Counter()
-    for name in ("initial_snapshot", "momentum_functional", "mass_functional", "weight_functional_B_table"):
+    for name in ("initial_snapshot", "weight_samples", "momentum_from_samples", "mass_functional",
+                 "weight_functional_B_table"):
         original = getattr(criteria, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -420,6 +424,18 @@ def computed(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(criteria, name, counted)
+    call, unit_shape = model.BumpProfile.__call__, model.BumpProfile.unit_shape
+
+    def sampled(self, x):
+        counts["v0" if self.odd else "rho0"] += 1
+        return call(self, x)
+
+    def shaped(self, x):
+        counts["unit_shape"] += 1
+        return unit_shape(self, x)
+
+    monkeypatch.setattr(model.BumpProfile, "__call__", sampled)
+    monkeypatch.setattr(model.BumpProfile, "unit_shape", shaped)
     return counts
 
 
@@ -443,6 +459,12 @@ def report_json(report) -> str:
 HORIZON_FAMILIES = [f for f in FAMILIES if f != FAMILY_LINEAR_1D]
 
 
+@functools.lru_cache(maxsize=None)
+def certified_512() -> dict:
+    """The certified case of each family at 512 cells, by family."""
+    return {case.family: case for case in certified_suite(cells=512)}
+
+
 def with_amp_v(scenario, amp):
     return replace(scenario, v0=replace(scenario.v0, amp=amp))
 
@@ -455,9 +477,23 @@ def with_gamma(scenario, gamma):
     return replace(scenario, eos=replace(scenario.eos, gamma=gamma))
 
 
+DATA_SIDE = ("initial_snapshot", "rho0", "v0", "unit_shape", "weight_samples", "momentum_from_samples",
+             "mass_functional")
+
+
 def data_side(computed) -> tuple:
-    """(initial snapshots, H(0), m(0)) computed so far."""
-    return computed["initial_snapshot"], computed["momentum_functional"], computed["mass_functional"]
+    """(initial snapshots, rho0 samples, v0 samples, v0 unit shapes, weight
+    samples, H(0), m(0)) computed so far."""
+    return tuple(computed[name] for name in DATA_SIDE)
+
+
+def assert_same_data_side(prepared, fresh) -> None:
+    """The snapshot's bytes and the bits of H(0) and m(0) of a fresh prepare."""
+    for name in ("centers", "rho", "V"):
+        assert getattr(prepared.snapshot, name).tobytes() == getattr(fresh.snapshot, name).tobytes()
+    assert prepared.snapshot.spacing == fresh.snapshot.spacing
+    got, want = np.array([prepared.H0, prepared.m0]), np.array([fresh.H0, fresh.m0])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestPreparedCriterion:
@@ -488,25 +524,29 @@ class TestPreparedCriterion:
         prepared = criteria.prepare(case.scenario, family, case.f, case.a)
         for tau in (0.5, 1.0, 2.0, 1.0):
             prepared.report(tau)
-        assert data_side(computed) == (1, 1, 1)
-        # the density part is handed over while its fields are unchanged:
-        # an amp_v or a gamma row evaluates one H(0) and no m(0), an amp_rho
-        # row takes a whole new snapshot
+        assert data_side(computed) == (1, 1, 1, 0, 1, 1, 1)
+        # every part is handed over while its fields are unchanged: the first
+        # amp_v row samples v0's unit shape, and every row integrates one H(0);
+        # an amp_rho row adds rho and m(0), a gamma row nothing
         prepared = prepared.with_scenario(with_amp_v(prepared.scenario, 2.0 * case.scenario.amp_v))
         prepared.report(1.0)
-        assert data_side(computed) == (1, 2, 1)
+        assert data_side(computed) == (1, 1, 1, 1, 1, 2, 1)
+        prepared = prepared.with_scenario(with_amp_v(prepared.scenario, 3.0 * case.scenario.amp_v))
+        prepared.report(1.0)
+        assert data_side(computed) == (1, 1, 1, 1, 1, 3, 1)
         prepared = prepared.with_scenario(with_amp_rho(prepared.scenario, 0.01))
         prepared.report(1.0)
-        assert data_side(computed) == (2, 3, 2)
+        assert data_side(computed) == (1, 2, 1, 1, 1, 4, 2)
         prepared = prepared.with_scenario(with_gamma(prepared.scenario, 3.0))
         prepared.report(1.0)
-        assert data_side(computed) == (2, 4, 2)
+        assert data_side(computed) == (1, 2, 1, 1, 1, 5, 2)
 
     @pytest.mark.parametrize("radial", [True, False])
     def test_one_table_per_tau_along_a_chain(self, radial, seeded_weight, computed):
         # every row rebuilds its scenario, as the CLI sweep does; the horizon
         # side is handed on while the gas, R and the geometry compare equal,
-        # the density part while the amp_v rows leave its fields alone
+        # the density part, v0's unit shape and the weight samples while the
+        # amp_v rows leave their fields alone
         case = (certified_general_radial_case if radial else certified_general_1d_case)(cells=512)
         family = FAMILY_GENERAL_RADIAL if radial else criteria.FAMILY_GENERAL_1D
         weight = seeded_weight(radial, 3)
@@ -518,7 +558,8 @@ class TestPreparedCriterion:
                 replace(with_amp_v(case.scenario, amp), eos=replace(case.scenario.eos)))
             rows += [prepared.report(0.8), prepared.report(1.2)]
         assert computed == {
-            "initial_snapshot": 1, "momentum_functional": 6, "mass_functional": 1, "weight_functional_B_table": 2,
+            "initial_snapshot": 1, "rho0": 1, "v0": 1, "unit_shape": 1, "weight_samples": 1,
+            "momentum_from_samples": 6, "mass_functional": 1, "weight_functional_B_table": 2,
         }
         assert len({r.inputs["combined_threshold"] for r in rows}) == 2
 
@@ -575,7 +616,8 @@ class TestPreparedCriterion:
         other = bump(geom, amp_rho=-amp, amp_v=-amp)
         scen = bump(geom, amp_rho=amp, amp_v=amp)
         report = criteria.prepare(other, FAMILY_LINEAR_1D_TAU).with_scenario(scen).report()
-        assert computed["initial_snapshot"] == 2
+        # the density is sampled again, V scales v0's unit shape by the new zero
+        assert data_side(computed) == (1, 2, 1, 1, 1, 2, 2)
         snap = initial_snapshot(scen)
         dx = scen.grid.spacing(geom)
         want = (
@@ -607,17 +649,80 @@ class TestPreparedCriterion:
             fresh = criteria.prepare(scen, family, case.f, case.a)
             assert report_json(prepared.report(case.tau)) == report_json(fresh.report(case.tau))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(FAMILIES), rows=st.lists(st.one_of(
+        st.tuples(st.just("amp_v"), st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))),
+        st.tuples(st.just("amp_rho"), st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.05, 0.05))),
+        st.tuples(st.just("gamma"), st.sampled_from([2.0, 2.5, 3.0])),
+    ), min_size=1, max_size=8))
+    def test_random_chains_give_a_fresh_prepare(self, family, rows):
+        # amp_v is drawn relative to the case's amplitude, so zero crosses
+        # both ways; every row against a fresh prepare of its scenario
+        case = certified_512()[family]
+        moved = {"amp_v": lambda s, v: with_amp_v(s, v * case.scenario.amp_v),
+                 "amp_rho": with_amp_rho, "gamma": with_gamma}
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        for kind, value in rows:
+            scen = moved[kind](prepared.scenario, value)
+            prepared = prepared.with_scenario(scen)
+            fresh = criteria.prepare(scen, family, case.f, case.a)
+            assert_same_data_side(prepared, fresh)
+            assert report_json(prepared.report(case.tau)) == report_json(fresh.report(case.tau))
+
+    @pytest.mark.parametrize("field", ["amp_v", "amp_rho"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_amplitudes_crossing_zero_keep_their_signs(self, family, field, computed):
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        moved = with_amp_v if field == "amp_v" else with_amp_rho
+        amp = 0.5 * (getattr(case.scenario, field) or 0.02)
+        scens = [moved(case.scenario, value) for value in (amp, 0.0, -0.0, -amp, -0.0, 0.0, -0.0, amp)]
+        fresh = [criteria.prepare(scen, family, case.f, case.a) for scen in scens]
+        computed.clear()
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        for scen, want in zip(scens, fresh):
+            prepared = prepared.with_scenario(scen)
+            assert_same_data_side(prepared, want)
+            assert report_json(prepared.report(case.tau)) == report_json(want.report(case.tau))
+        # every row differs from the one before in the moved amplitude's bits
+        rows = len(scens)
+        want = (1, 1, 1, 1, 1, 1 + rows, 1) if field == "amp_v" else (1, 1 + rows, 1, 1, 1, 1 + rows, 1 + rows)
+        assert data_side(computed) == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_bump_subclass_samples_through_its_own_call(self, family, computed):
+        # a subclass may override __call__: no unit shape is taken for it,
+        # neither while it is the velocity nor when it hands over to a BumpProfile
+        class Shifted(model.BumpProfile):
+            def __call__(self, x):
+                return super().__call__(np.asarray(x, dtype=float) - 0.05)
+
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        v0 = case.scenario.v0
+        scens = [replace(case.scenario, v0=Shifted(v0.amp * k, v0.R, v0.odd)) for k in (1.0, 1.5, -0.0, 0.5)]
+        scens += [with_amp_v(case.scenario, 0.7 * v0.amp), replace(case.scenario, v0=Shifted(v0.amp, v0.R, v0.odd))]
+        computed.clear()
+        prepared = criteria.prepare(scens[0], family, case.f, case.a)
+        for scen in scens[1:]:
+            prepared = prepared.with_scenario(scen)
+            assert prepared.snapshot.V.tobytes() == scen.v0(prepared.snapshot.centers).tobytes()
+            fresh = criteria.prepare(scen, family, case.f, case.a)
+            assert_same_data_side(prepared, fresh)
+            assert report_json(prepared.report(case.tau)) == report_json(fresh.report(case.tau))
+        assert computed["unit_shape"] == 0
+        assert prepared.v_shape is None
+
     @pytest.mark.parametrize("field", ["amp_v", "amp_rho"])
     @pytest.mark.parametrize("amp", [0.0, -0.0])
     def test_signed_zero_flip_of_one_amplitude_samples_its_own_sign(self, field, amp, computed):
         # the other sign's criterion is prepared first; the flipped amplitude
-        # must be sampled again: amp_v keeps the density part, amp_rho none
+        # must be sampled again: amp_v scales v0's unit shape by its own zero,
+        # amp_rho samples the density
         moved = with_amp_v if field == "amp_v" else with_amp_rho
         base = bump(Geometry.cartesian1d(), amp_rho=0.01, amp_v=0.02)
         other, scen = moved(base, -amp), moved(base, amp)
         computed.clear()
         prepared = criteria.prepare(other, FAMILY_LINEAR_1D_TAU).with_scenario(scen)
-        assert data_side(computed) == ((1, 2, 1) if field == "amp_v" else (2, 2, 2))
+        assert data_side(computed) == ((1, 1, 1, 1, 1, 2, 1) if field == "amp_v" else (1, 2, 1, 1, 1, 2, 2))
         fresh = criteria.prepare(scen, FAMILY_LINEAR_1D_TAU)
         assert report_json(prepared.report()) == report_json(fresh.report())
         got, want = (prepared.H0, prepared.m0), (fresh.H0, fresh.m0)
@@ -626,12 +731,16 @@ class TestPreparedCriterion:
             assert getattr(prepared.snapshot, name).tobytes() == getattr(fresh.snapshot, name).tobytes()
 
     @pytest.mark.parametrize("change, counts", [
-        (lambda s: replace(s, grid=replace(s.grid, cells=1024)), (2, 2, 2)),
-        (lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)), (2, 2, 2)),
-        # the cone's R is read by H(0) alone, the background by the density part
-        (lambda s: replace(s, R=0.9), (1, 2, 1)),
-        (lambda s: replace(s, eos=replace(s.eos, rho_bar=2.0)), (2, 2, 2)),
-    ], ids=["cells", "R", "cone-R", "rho_bar"])
+        (lambda s: replace(s, grid=replace(s.grid, cells=1024)), (2, 2, 2, 0, 2, 2, 2)),
+        (lambda s: replace(s, grid=replace(s.grid, extent=2.0 * s.grid.extent)), (2, 2, 2, 0, 2, 2, 2)),
+        (lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)), (1, 2, 2, 0, 2, 2, 2)),
+        # v0's radius is read by V alone, rho0's by the density part, the
+        # cone's by the weight samples, the background by the density part
+        (lambda s: replace(s, v0=replace(s.v0, R=0.9)), (1, 1, 2, 0, 1, 2, 1)),
+        (lambda s: replace(s, rho0=replace(s.rho0, R=0.9)), (1, 2, 1, 1, 1, 2, 2)),
+        (lambda s: replace(s, R=0.9), (1, 1, 1, 1, 2, 2, 1)),
+        (lambda s: replace(s, eos=replace(s.eos, rho_bar=2.0)), (1, 2, 1, 1, 1, 2, 2)),
+    ], ids=["cells", "extent", "R", "v0-R", "rho0-R", "cone-R", "rho_bar"])
     @pytest.mark.parametrize("family", [FAMILY_LINEAR_1D_TAU, FAMILY_GENERAL_RADIAL])
     def test_a_new_grid_radius_or_background_recomputes_the_parts_reading_it(self, family, change, counts, computed):
         case = next(c for c in certified_suite(cells=512) if c.family == family)
@@ -640,6 +749,19 @@ class TestPreparedCriterion:
         moved = prepared.with_scenario(change(case.scenario))
         assert data_side(computed) == counts
         fresh = criteria.prepare(change(case.scenario), family, case.f, case.a)
+        assert_same_data_side(moved, fresh)
+        assert report_json(moved.report(case.tau)) == report_json(fresh.report(case.tau))
+
+    @pytest.mark.parametrize("family, ndim", [(FAMILY_GENERAL_RADIAL, 3), (FAMILY_POWER_RADIAL, 1)])
+    def test_a_new_geometry_samples_everything(self, family, ndim, computed):
+        # the centers of radial grids coincide, but every part reads the geometry
+        case = next(c for c in certified_suite(cells=512) if c.family == family)
+        scen = replace(case.scenario, geometry=Geometry.radial(ndim))
+        computed.clear()
+        moved = criteria.prepare(case.scenario, family, case.f, case.a).with_scenario(scen)
+        assert data_side(computed) == (2, 2, 2, 0, 2, 2, 2)
+        fresh = criteria.prepare(scen, family, case.f, case.a)
+        assert_same_data_side(moved, fresh)
         assert report_json(moved.report(case.tau)) == report_json(fresh.report(case.tau))
 
     def test_unhashable_weight(self, computed):
@@ -651,7 +773,8 @@ class TestPreparedCriterion:
         prepared = criteria.prepare(scen, FAMILY_GENERAL_RADIAL, weight, 4.0)
         first, again = prepared.report(0.8), prepared.report(0.8)
         assert computed == {
-            "initial_snapshot": 1, "momentum_functional": 1, "mass_functional": 1, "weight_functional_B_table": 1,
+            "initial_snapshot": 1, "rho0": 1, "v0": 1, "weight_samples": 1, "momentum_from_samples": 1,
+            "mass_functional": 1, "weight_functional_B_table": 1,
         }
         assert report_json(again) == report_json(first) == report_json(check_general(scen, weight, tau=0.8))
 
@@ -661,7 +784,7 @@ class TestPreparedCriterion:
         computed.clear()
         got = minimal_tau(case.scenario, family, f=case.f, a=case.a, tau_lo=0.1, tau_hi=1.0, rtol=1e-4)
         assert 0.1 < got < case.tau
-        assert computed["initial_snapshot"] == 1
+        assert data_side(computed) == (1, 1, 1, 0, 1, 1, 1)
 
 
 class TestClosedFormFamilyFlags:

@@ -91,16 +91,25 @@ class TestIntegrateSamples:
             integrate_samples(vals, 0.25, QuadratureRule(SIMPSON, 2))
         assert (err.value.abscissa, err.value.value) == (0.25, np.inf)
 
-    @pytest.mark.parametrize("vals, rule, want", [
-        ([1.0, 1e308, 1e308, 1.0], QuadratureRule(TRAPEZOID), math.inf),
-        ([1e308] * 5, QuadratureRule(SIMPSON, 2), math.inf),
-        # the end correction overflows too: inf - inf
-        ([1e308] * 4, QuadratureRule(TRAPEZOID), math.nan),
+    @pytest.mark.parametrize("vals, rule", [
+        ([1.0, 1e308, 1e308, 1.0], QuadratureRule(TRAPEZOID)),
+        ([1e308] * 5, QuadratureRule(SIMPSON, 2)),
+        # the end correction overflows too: the result would be inf - inf
+        ([1e308] * 4, QuadratureRule(TRAPEZOID)),
     ])
-    def test_overflow_from_finite_samples_is_returned(self, vals, rule, want):
+    def test_overflow_from_finite_samples_raises(self, vals, rule):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = integrate_samples(np.array(vals), 1.0, rule)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+            with pytest.raises(OverflowError, match=f"^the {rule.method} rule's sum of {len(vals)} finite samples overflows$"):
+                integrate_samples(np.array(vals), 1.0, rule)
+
+    @pytest.mark.parametrize("rule", [QuadratureRule(TRAPEZOID), QuadratureRule(SIMPSON, 2)])
+    def test_a_non_finite_sample_is_named_before_an_overflow(self, rule):
+        vals = np.array([1e308, 1e308, np.nan, 1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIntegrandError) as err:
+                integrate_samples(vals, 0.5, rule)
+        assert err.value.abscissa == 1.0
+
 
 
 class TestIntegrateFn:

@@ -89,8 +89,37 @@ class TestCflDt:
         dt = cfl_dt(snap, EOS, cfl=0.45)
         assert dt == pytest.approx(0.45 * snap.spacing / (2.0 + SQRT2), rel=1e-12)
 
+    @pytest.mark.parametrize("value, speed", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")])
+    @pytest.mark.parametrize("field", ["rho", "V"])
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)], ids=lambda g: g.label())
+    def test_non_finite_state_raises(self, geom, field, value, speed):
+        snap = initial_snapshot(bump(geom))
+        getattr(snap, field)[100] = value
+        if field == "rho" and value < 0:
+            speed = "nan"  # the square root of -inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=rf"^the largest signal speed max\(\|V\| \+ c\) of the state is {speed}$"
+        ):
+            cfl_dt(snap, EOS)
+
+    def test_negative_density_without_a_real_sound_speed_raises(self):
+        snap = constant_snapshot(Geometry.cartesian1d())
+        snap.rho[40] = -0.05
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="is nan$"):
+            cfl_dt(snap, EosParams(1.0, 1.4, 1.0))
+
 
 class TestStep:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("recon", [FIRST_ORDER, MUSCL])
+    @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)], ids=lambda g: g.label())
+    def test_non_finite_velocity_raises(self, geom, recon, value):
+        snap = initial_snapshot(bump(geom))
+        dt = cfl_dt(snap, EOS)
+        snap.V[100] = value
+        with pytest.raises(ValueError, match="^the velocity of the state is not finite$"):
+            step(snap, EOS, geom, dt, recon)
+
     def test_constant_state_is_exact_fixed_point(self):
         for geom in (Geometry.cartesian1d(), Geometry.radial(3)):
             snap = constant_snapshot(geom)
