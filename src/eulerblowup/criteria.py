@@ -25,6 +25,7 @@ from .functionals import (
     FieldSnapshot,
     SeriesRecorder,
     _band,
+    _weight_B_table,
     cone_band_upper,
     initial_fields,
     initial_snapshot,
@@ -32,7 +33,6 @@ from .functionals import (
     momentum_from_samples,
     momentum_functional,
     weight_functional_B,
-    weight_functional_B_table,
     weight_samples,
 )
 from .model import (
@@ -66,6 +66,9 @@ FAMILY_LINEAR_1D_TAU = "linear-1d-tau"
 FAMILY_LINEAR_1D = "linear-1d"
 
 _HORIZON_RULE = QuadratureRule(SIMPSON, 2048)
+# the panel indices of the horizon grid; times step, np.linspace's grid
+_HORIZON_STEPS = np.arange(_HORIZON_RULE.panels + 1, dtype=float)
+_HORIZON_STEPS.setflags(write=False)
 
 
 class HorizonRangeError(ValueError):
@@ -249,12 +252,15 @@ def general_condition_thresholds(
     The strict threshold makes the pressure-barrier inequality hold; it
     reads B(tau) from :func:`weight_functional_B` with ``_HORIZON_RULE``.
     The horizon threshold is the reciprocal of the time integral of
-    1/(a*B) by the same Simpson rule over [0, tau].  B at all of its
-    abscissae comes from one :func:`weight_functional_B_table`: one
-    vector call of a closed form, or B(0) plus a cumulative sum of
-    Gauss-Legendre growth increments.  With a quadrature B the horizon
-    threshold stays within 1e-12 relative of evaluating each abscissa's B
-    by its own Simpson rule.
+    1/(a*B) by the same Simpson rule over [0, tau].  Its abscissae are
+    ``np.linspace(0.0, tau, 2049)``'s, bit for bit, built from a constant
+    grid and checked in O(1) before any B is computed (a tau too small for
+    distinct abscissae raises HorizonRangeError).  B at all of them comes
+    from one B(t) table (:func:`weight_functional_B_table` without its
+    grid validation): one vector call of a closed form, or B(0) plus a
+    cumulative sum of Gauss-Legendre growth increments.  With a quadrature
+    B the horizon threshold stays within 1e-12 relative of evaluating each
+    abscissa's B by its own Simpson rule.
     """
     return _horizon_side(f, a, eos, R, tau, geometry)[1:]
 
@@ -268,27 +274,18 @@ def _horizon_side(
 ) -> tuple[float, float, float]:
     """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds.
 
-    Raises HorizonRangeError when tau is too small for distinct abscissae
-    or B overflows.
+    Raises HorizonRangeError, before any B is computed, when tau is too
+    small for distinct abscissae (see :func:`_horizon_times`), and when B
+    overflows.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
+    times = _horizon_times(tau, family)
     sigma = sound_speed(eos)
-    # the abscissae and spacing integrate_fn would use; integrating the table
-    # directly keeps its typed errors out of integrate_fn's per-point fallback
-    times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
     try:
         B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
-        B = weight_functional_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+        B = _weight_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
     except OverflowError as exc:
         raise _overflow("B_tau", family, tau) from exc
-    except ValueError:
-        # the table rejects the grid a subnormal tau gives; look only then
-        if np.all(times[1:] > times[:-1]):
-            raise
-        raise HorizonRangeError(
-            f"the {family} criterion cannot resolve tau={tau:g}: "
-            f"the {_HORIZON_RULE.panels}-panel horizon integral's abscissae round to repeated times"
-        ) from None
     U = R + sigma * tau
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
 
@@ -298,6 +295,29 @@ def _horizon_side(
         reciprocal = 1.0 / (a * B)
     horizon_integral = integrate_samples(reciprocal, tau / _HORIZON_RULE.panels, _HORIZON_RULE)
     return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
+
+
+def _horizon_times(tau: float, family: str) -> np.ndarray:
+    """The abscissae of the horizon integral over [0, tau], checked in O(1).
+
+    They are the panel indices times ``step = tau / panels``, the last set
+    to tau: the expression ``np.linspace(0.0, tau, panels + 1)`` evaluates
+    wherever its step is not zero, bit for bit.  Products of distinct
+    integers and a positive step increase strictly, so the grid increases
+    exactly when the step is positive and the last product is below tau;
+    otherwise (a subnormal, negative, NaN or infinite tau) HorizonRangeError.
+    An infinite step is refused before 0 * inf can warn.
+    """
+    step = tau / _HORIZON_RULE.panels
+    if 0 < step < math.inf:
+        times = _HORIZON_STEPS * step
+        if times[-2] < tau:
+            times[-1] = tau
+            return times
+    raise HorizonRangeError(
+        f"the {family} criterion cannot resolve tau={tau:g}: "
+        f"the {_HORIZON_RULE.panels}-panel horizon integral's abscissae round to repeated times"
+    )
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def weight_functional_B(
     quadrature rule.  A quadrature integrand that grows toward the radial
     origin is reported as divergent rather than silently truncated.
     """
-    if R <= 0 or sigma <= 0 or t < 0:
+    if not (R > 0 and sigma > 0 and t >= 0):
         raise ValueError("require R > 0, sigma > 0, t >= 0")
     if f.analytic_B is not None:
         return float(f.analytic_B(R, sigma, t, geometry))
@@ -196,13 +196,22 @@ def weight_functional_B_table(
     weights such as exp(2x) lose that accuracy past U = R + sigma*t of
     about 2, and there the table is the more accurate of the two.  A
     radial integrand that grows toward the origin at the last time raises
-    :class:`WeightDivergenceError`.
+    :class:`WeightDivergenceError`.  R, sigma and the grid are validated
+    here, a NaN included; the criteria's horizon grid, which checks
+    itself, goes to the unvalidated core :func:`_weight_B_table`.
     """
     ts = np.asarray(times, dtype=float)
-    if R <= 0 or sigma <= 0:
+    if not (R > 0 and sigma > 0):
         raise ValueError("require R > 0, sigma > 0")
-    if ts.ndim != 1 or ts.size < 2 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
+    if ts.ndim != 1 or ts.size < 2 or ts[0] != 0.0 or not np.all(np.diff(ts) > 0):
         raise ValueError("times must be an increasing 1-D grid of two or more, starting at 0")
+    return _weight_B_table(f, R, sigma, ts, geometry, rule)
+
+
+def _weight_B_table(
+    f: TestingFunction, R: float, sigma: float, ts: np.ndarray, geometry: Geometry, rule: QuadratureRule
+) -> np.ndarray:
+    """:func:`weight_functional_B_table` on a float grid its caller has validated."""
     if f.analytic_B is not None:
         return _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), ts)
     B0 = weight_functional_B(f, R, sigma, 0.0, geometry, rule)

@@ -411,7 +411,7 @@ def power_law_B(n: float, R: float, sigma: float, t, geometry):
     if n <= 0:
         raise ValueError("power-law exponent must be positive")
     scalar = isinstance(t, (float, int))
-    if R <= 0 or sigma <= 0 or (t < 0 if scalar else np.any(np.asarray(t) < 0)):
+    if not (R > 0 and sigma > 0 and (t >= 0 if scalar else np.all(np.asarray(t) >= 0))):
         raise ValueError("require R > 0, sigma > 0, t >= 0")
     kind = getattr(geometry, "kind", geometry)
     if kind == "cartesian1d" and n != 1:

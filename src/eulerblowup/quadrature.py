@@ -76,10 +76,10 @@ def integrate_samples(values: np.ndarray, spacing: float, rule: QuadratureRule =
 
     The panel count is ``len(values) - 1``; Simpson requires it to be even.
     A non-finite sample raises :class:`NonFiniteIntegrandError` at its
-    abscissa ``i * spacing``.  The samples are scanned only when a sum over
-    all of them is not finite: the trapezoid rule's sum, before its end
-    correction, or Simpson's result.  Where the scan finds every sample
-    finite, the sum overflowed, and OverflowError names the rule.
+    abscissa ``i * spacing``.  The samples are scanned only when the
+    rule's result is not finite.  Where the scan finds every sample
+    finite, the sum or its end correction overflowed, and OverflowError
+    names the rule.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -87,10 +87,11 @@ def integrate_samples(values: np.ndarray, spacing: float, rule: QuadratureRule =
     if not spacing > 0:
         raise ValueError("spacing must be positive")
     if rule.method == TRAPEZOID:
-        total = v.sum()
+        # Python floats: an infinite end sample gives inf - inf with no numpy warning
+        total = float(spacing * (float(v.sum()) - 0.5 * (float(v[0]) + float(v[-1]))))
         if not math.isfinite(total):
             raise _overflow(v, spacing, rule)
-        return float(spacing * (total - 0.5 * (v[0] + v[-1])))
+        return total
     if (v.size - 1) % 2 != 0:
         _check_finite(v, np.arange(v.size) * spacing)
         raise ValueError("Simpson rule requires an even panel count")

@@ -285,6 +285,15 @@ class TestCheckCommand:
         assert "threshold" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tau, code", [("1e-300", 0), ("1e-321", 2)])
+    def test_tiny_horizon_of_a_general_family_is_resolved_or_named(self, tau, code, tmp_path, capsys):
+        # 1e-300 / 2048 is a normal step; 1e-321 has fewer than 2048 ulps
+        cfg = write_config(tmp_path / "g.cfg", ["preset = ref-radial3", "grid.cells = 256"])
+        assert main(["check", "--theorem", "general-radial", "--weight", "linear", "--tau", tau,
+                     "--out", str(tmp_path / "out"), cfg]) == code
+        err = capsys.readouterr().err
+        assert ("cannot resolve tau=" in err) == (code == 2)
+
     @pytest.mark.parametrize("preset, theorem, weight", [
         ("ref-radial3", "general-radial", "linear"),
         ("cert-general-1d-exp", "general-1d", "exp:2"),

@@ -409,6 +409,54 @@ class TestGeneralThresholdTable:
         assert (report.inputs["strict_threshold"], report.inputs["horizon_threshold"]) == (strict, horizon)
 
 
+def _linspace_increases(tau):
+    """Whether np.linspace's horizon grid over [0, tau] increases strictly."""
+    with np.errstate(invalid="ignore"):  # 0 * inf at tau = inf
+        grid = np.linspace(0.0, tau, criteria._HORIZON_RULE.panels + 1)
+    return bool(np.all(grid[1:] > grid[:-1]))
+
+
+class TestHorizonGrid:
+    """The horizon integral's abscissae: a constant grid times tau/2048, checked in O(1)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tau=st.one_of(st.floats(min_value=5e-324, max_value=1e300),
+                         st.integers(1, 10_000).map(lambda k: k * 5e-324)))
+    def test_grid_is_linspace_bit_for_bit(self, tau):
+        want = np.linspace(0.0, tau, criteria._HORIZON_RULE.panels + 1)
+        try:
+            got = criteria._horizon_times(tau, FAMILY_GENERAL_RADIAL)
+        except criteria.HorizonRangeError:
+            assert not _linspace_increases(tau)
+        else:
+            assert got.tobytes() == want.tobytes()
+            assert _linspace_increases(tau)
+
+    # the step tau/2048 rounds to 1 ulp for k in [1025, 3071] and to 2 ulps
+    # for k in [3072, 5120]: the grid's last interior point is 2047 or 4094 ulps
+    @pytest.mark.parametrize("tau", [k * 5e-324 for k in (*range(1020, 1030), *range(2040, 2056),
+                                                          *range(3064, 3080), *range(4088, 4104))]
+                             + [math.inf], ids=lambda t: t.hex())
+    def test_subnormal_horizons_resolve_exactly_where_linspace_increases(self, tau):
+        args = (linear(), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0, tau, Geometry.radial(3))
+        if _linspace_increases(tau):
+            strict, horizon = general_condition_thresholds(*args)
+            assert strict > 0 and horizon > 0
+        else:
+            with pytest.raises(criteria.HorizonRangeError, match=re.escape(f"cannot resolve tau={tau:g}")):
+                general_condition_thresholds(*args)
+
+    @pytest.mark.parametrize("tau", [5e-324, 2047 * 5e-324, 3072 * 5e-324, math.inf, math.nan, -1.0])
+    def test_an_unresolved_horizon_computes_no_B(self, tau, monkeypatch):
+        called = []
+        monkeypatch.setattr(criteria, "weight_functional_B", lambda *a: called.append(a))
+        monkeypatch.setattr(criteria, "_weight_B_table", lambda *a: called.append(a))
+        with np.errstate(all="raise"), pytest.raises(criteria.HorizonRangeError, match="cannot resolve"):
+            general_condition_thresholds(linear(), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0, tau,
+                                         Geometry.radial(3))
+        assert called == []
+
+
 @pytest.fixture()
 def computed(monkeypatch):
     """Count the parts of the data side and the B tables the checks compute
@@ -416,7 +464,7 @@ def computed(monkeypatch):
     by the bump's own call, v0 unit shapes, weight samples, H(0) and m(0)."""
     counts = Counter()
     for name in ("initial_snapshot", "weight_samples", "momentum_from_samples", "mass_functional",
-                 "weight_functional_B_table"):
+                 "_weight_B_table"):
         original = getattr(criteria, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -559,7 +607,7 @@ class TestPreparedCriterion:
             rows += [prepared.report(0.8), prepared.report(1.2)]
         assert computed == {
             "initial_snapshot": 1, "rho0": 1, "v0": 1, "unit_shape": 1, "weight_samples": 1,
-            "momentum_from_samples": 6, "mass_functional": 1, "weight_functional_B_table": 2,
+            "momentum_from_samples": 6, "mass_functional": 1, "_weight_B_table": 2,
         }
         assert len({r.inputs["combined_threshold"] for r in rows}) == 2
 
@@ -574,7 +622,7 @@ class TestPreparedCriterion:
         prepared.report(0.8)
         moved = prepared.with_scenario(change(case.scenario))
         report = moved.report(0.8)
-        assert computed["weight_functional_B_table"] == 2
+        assert computed["_weight_B_table"] == 2
         fresh = criteria.prepare(change(case.scenario), case.family, case.f, case.a).report(0.8)
         assert report_json(report) == report_json(fresh)
         assert report.inputs["horizon_threshold"] != prepared.report(0.8).inputs["horizon_threshold"]
@@ -774,7 +822,7 @@ class TestPreparedCriterion:
         first, again = prepared.report(0.8), prepared.report(0.8)
         assert computed == {
             "initial_snapshot": 1, "rho0": 1, "v0": 1, "weight_samples": 1, "momentum_from_samples": 1,
-            "mass_functional": 1, "weight_functional_B_table": 1,
+            "mass_functional": 1, "_weight_B_table": 1,
         }
         assert report_json(again) == report_json(first) == report_json(check_general(scen, weight, tau=0.8))
 

@@ -234,6 +234,13 @@ class TestMassFunctional:
 
 
 class TestWeightFunctionalB:
+    @pytest.mark.parametrize("R, sigma, t", [(math.nan, SQRT2, 1.0), (1.0, math.nan, 1.0), (1.0, SQRT2, math.nan)])
+    @pytest.mark.parametrize("closed_form", [True, False], ids=["closed-form", "quadrature"])
+    def test_nan_input_raises(self, closed_form, R, sigma, t):
+        f = linear() if closed_form else WeightFn(f=linear().f, f_prime=linear().f_prime, cls=RADIAL_VANISHING)
+        with pytest.raises(ValueError, match="require R > 0, sigma > 0, t >= 0"):
+            weight_functional_B(f, R, sigma, t, Geometry.radial(1))
+
     def test_analytic_form_is_used(self):
         geom = Geometry.radial(3)
         U = 1.0 + SQRT2
@@ -430,11 +437,19 @@ class TestWeightFunctionalBTable:
             weight_functional_B_table(nan_far, 1.0, SQRT2, self._times(1.0), geom, self.RULE)
         assert abs(err.value.abscissa) > 2.0
 
-    @pytest.mark.parametrize("times", [[0.1, 0.2], [0.0, 0.5, 0.5], [0.0, -0.5], [[0.0, 1.0]], [0.0], []])
+    # np.diff of the last three holds a NaN (inf - inf warns), which no difference <= 0 test catches
+    @pytest.mark.parametrize("times", [[0.1, 0.2], [0.0, 0.5, 0.5], [0.0, -0.5], [[0.0, 1.0]], [0.0], [],
+                                       [0.0, 1.0, math.nan], [0.0, math.inf, math.inf], [0.0, math.nan, 1.0]])
     def test_time_grid_validation(self, times):
-        with pytest.raises(ValueError, match="times"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="times"):
             weight_functional_B_table(linear(), 1.0, SQRT2, np.array(times), Geometry.radial(1))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             weight_functional_B_table(linear(), 0.0, SQRT2, self._times(1.0), Geometry.radial(1))
+
+    @pytest.mark.parametrize("R, sigma", [(math.nan, SQRT2), (1.0, math.nan)])
+    def test_nan_parameter_rejected(self, R, sigma):
+        # the table's own message, before the closed form's check
+        with pytest.raises(ValueError, match="^require R > 0, sigma > 0$"):
+            weight_functional_B_table(linear(), R, sigma, self._times(1.0), Geometry.radial(1))

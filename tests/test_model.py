@@ -372,14 +372,24 @@ class TestPowerLawB:
             assert type(got) is float
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("R, sigma, t", [
+        (math.nan, SQRT2, 1.0), (1.0, math.nan, 1.0), (1.0, SQRT2, math.nan),
+        (1.0, SQRT2, np.array([0.0, 1.0, math.nan])),
+    ])
+    @pytest.mark.parametrize("geom", [Geometry.radial(1), Geometry.cartesian1d()])
+    def test_nan_input_raises(self, R, sigma, t, geom):
+        with pytest.raises(ValueError, match="require R > 0, sigma > 0, t >= 0"):
+            power_law_B(1, R, sigma, t, geom)
+
     def test_scalar_time_checks(self):
         geom = Geometry.radial(3)
         for t in (-1, -1.0, np.float64(-1e-300), np.array(-1.0)):
             with pytest.raises(ValueError, match="t >= 0"):
                 power_law_B(1, 1.0, SQRT2, t, geom)
-        # a NaN time fails no comparison and reaches the closed form
-        assert math.isnan(power_law_B(1, 1.0, SQRT2, math.nan, geom))
-        assert math.isnan(power_law_B(1, 1.0, SQRT2, np.float64(math.nan), Geometry.cartesian1d()))
+        # a NaN time is no valid time either
+        for t, geometry in ((math.nan, geom), (np.float64(math.nan), Geometry.cartesian1d())):
+            with pytest.raises(ValueError, match="t >= 0"):
+                power_law_B(1, 1.0, SQRT2, t, geometry)
         with pytest.raises(ValueError, match="linear weight only"):
             power_law_B(2, 1.0, SQRT2, 0.5, Geometry.cartesian1d())
         for geometry in ("spherical", None):

@@ -96,6 +96,8 @@ class TestIntegrateSamples:
         ([1e308] * 5, QuadratureRule(SIMPSON, 2)),
         # the end correction overflows too: the result would be inf - inf
         ([1e308] * 4, QuadratureRule(TRAPEZOID)),
+        # a finite sum (0) whose end correction alone overflows: the result would be -inf
+        ([1e308, -1e308, -1e308, 1e308], QuadratureRule(TRAPEZOID)),
     ])
     def test_overflow_from_finite_samples_raises(self, vals, rule):
         with np.errstate(over="ignore", invalid="ignore"):
