@@ -72,7 +72,9 @@ _HORIZON_STEPS.setflags(write=False)
 
 
 class HorizonRangeError(ValueError):
-    """A horizon tau at which a criterion's values leave the float range."""
+    """A horizon tau a criterion cannot evaluate: not a positive finite
+    float, too small for its horizon integral, or where its values leave
+    the float range."""
 
 
 def _overflow(quantity: str, family: str, tau: float) -> HorizonRangeError:
@@ -249,18 +251,27 @@ def general_condition_thresholds(
 ) -> tuple[float, float]:
     """(strict, horizon) H(0) thresholds of the general-weight criterion.
 
-    The strict threshold makes the pressure-barrier inequality hold; it
-    reads B(tau) from :func:`weight_functional_B` with ``_HORIZON_RULE``.
-    The horizon threshold is the reciprocal of the time integral of
-    1/(a*B) by the same Simpson rule over [0, tau].  Its abscissae are
-    ``np.linspace(0.0, tau, 2049)``'s, bit for bit, built from a constant
-    grid and checked in O(1) before any B is computed (a tau too small for
-    distinct abscissae raises HorizonRangeError).  B at all of them comes
-    from one B(t) table (:func:`weight_functional_B_table` without its
-    grid validation): one vector call of a closed form, or B(0) plus a
-    cumulative sum of Gauss-Legendre growth increments.  With a quadrature
-    B the horizon threshold stays within 1e-12 relative of evaluating each
-    abscissa's B by its own Simpson rule.
+    The strict threshold makes the pressure-barrier inequality hold at
+    B(tau).  The horizon threshold is the reciprocal of the time integral
+    of 1/(a*B) over [0, tau], that is ``a`` over the integral of 1/B.
+
+    - A weight with ``analytic_horizon`` (the built-in x**n, x and
+      exp(beta*x)) takes that integral in closed form, exact to rounding
+      at every horizon, and B(tau) from ``analytic_B``.
+    - Any other weight takes it by the 2048-panel Simpson rule
+      ``_HORIZON_RULE`` over ``np.linspace(0.0, tau, 2049)``'s abscissae,
+      bit for bit (see :func:`_horizon_times`).  B at all of them comes
+      from one B(t) table (:func:`weight_functional_B_table` without its
+      grid validation): one vector call of a closed form B, or B(0) plus
+      a cumulative sum of Gauss-Legendre growth increments.  B(tau) is
+      ``analytic_B``'s where there is one, else the table's last entry,
+      which stays within 1e-12 relative of a separate Simpson B(tau).
+
+    A tau that is not a positive finite float raises HorizonRangeError
+    before any B is computed, on either path, as does a tau too small for
+    the Simpson rule's distinct abscissae, or for distinct cone radii when
+    B is integrated by quadrature.  So does a B or horizon integral past
+    the float range.
     """
     return _horizon_side(f, a, eos, R, tau, geometry)[1:]
 
@@ -274,42 +285,59 @@ def _horizon_side(
 ) -> tuple[float, float, float]:
     """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds.
 
-    Raises HorizonRangeError, before any B is computed, when tau is too
-    small for distinct abscissae (see :func:`_horizon_times`), and when B
-    overflows.
+    Checks tau first: positive and finite on either path; on the Simpson
+    path resolved by its abscissae and, for a quadrature B, by the cone
+    radii R + sigma*t at them.  Each failure raises HorizonRangeError naming
+    tau before any B is computed.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
-    times = _horizon_times(tau, family)
+    if not 0 < tau < math.inf:
+        raise HorizonRangeError(f"the {family} criterion needs a positive finite horizon, got tau={tau:g}")
     sigma = sound_speed(eos)
+    if f.analytic_horizon is None:
+        times = _horizon_times(tau, family)
+        if f.analytic_B is None and not np.all(np.diff(R + sigma * times) > 0):
+            raise HorizonRangeError(
+                f"the {family} criterion cannot resolve tau={tau:g}: "
+                f"the cone radius R + sigma*t repeats between the horizon integral's abscissae"
+            )
     try:
-        B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE)
-        B = _weight_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+        B = None if f.analytic_horizon else _weight_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
+        B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE) if f.analytic_B else float(B[-1])
     except OverflowError as exc:
         raise _overflow("B_tau", family, tau) from exc
     U = R + sigma * tau
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
 
-    # a*B past the float range has a zero reciprocal; a zero integral is an
-    # infinite threshold, which the CLI rejects as an overflow
-    with np.errstate(over="ignore"):
-        reciprocal = 1.0 / (a * B)
-    horizon_integral = integrate_samples(reciprocal, tau / _HORIZON_RULE.panels, _HORIZON_RULE)
-    return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
+    if f.analytic_horizon is None:
+        # a*B past the float range has a zero reciprocal; a zero integral is an
+        # infinite threshold, which the CLI rejects as an overflow
+        with np.errstate(over="ignore"):
+            reciprocal = 1.0 / (a * B)
+        horizon_integral = integrate_samples(reciprocal, tau / _HORIZON_RULE.panels, _HORIZON_RULE)
+        return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
+    try:
+        # the integral of 1/B overflows where R**(n+1) underflows
+        integral = float(f.analytic_horizon(R, sigma, tau, geometry))
+    except ArithmeticError as exc:
+        raise _overflow("horizon integral", family, tau) from exc
+    if not math.isfinite(integral):
+        raise _overflow("horizon integral", family, tau)
+    return B_tau, strict, a / integral if integral else math.inf
 
 
 def _horizon_times(tau: float, family: str) -> np.ndarray:
-    """The abscissae of the horizon integral over [0, tau], checked in O(1).
+    """The abscissae of the horizon integral over a positive finite [0, tau], checked in O(1).
 
     They are the panel indices times ``step = tau / panels``, the last set
     to tau: the expression ``np.linspace(0.0, tau, panels + 1)`` evaluates
     wherever its step is not zero, bit for bit.  Products of distinct
     integers and a positive step increase strictly, so the grid increases
     exactly when the step is positive and the last product is below tau;
-    otherwise (a subnormal, negative, NaN or infinite tau) HorizonRangeError.
-    An infinite step is refused before 0 * inf can warn.
+    otherwise (a subnormal tau) HorizonRangeError.
     """
     step = tau / _HORIZON_RULE.panels
-    if 0 < step < math.inf:
+    if step > 0:
         times = _HORIZON_STEPS * step
         if times[-2] < tau:
             times[-1] = tau

@@ -316,15 +316,17 @@ _CROSS_CHECK_RULE = QuadratureRule(SIMPSON, 8192)
 
 @dataclass(frozen=True)
 class TestingFunction:
-    """Strictly increasing weight f with derivative and optional closed-form B.
+    """Strictly increasing weight f with derivative and optional closed forms.
 
     ``cls`` records which admissibility class the function certifies:
     weights vanishing at the origin for radial criteria, non-negative
     increasing weights for 1-D ones, and the two concrete families
     (powers and the identity) used by the sharp theorems.  ``analytic_B``
     maps (R, sigma, t, geometry) to the weight integral of f**2/f' over
-    the sound cone and is cross-checked against quadrature on
-    construction.
+    the sound cone.  ``analytic_horizon``, which needs ``analytic_B``,
+    maps (R, sigma, tau, geometry) to the integral of 1/B(t) over
+    [0, tau], the general criterion's horizon integral.  Both are
+    cross-checked against quadrature on construction.
     """
 
     f: Callable
@@ -332,6 +334,7 @@ class TestingFunction:
     cls: str
     analytic_B: Callable | None = None
     name: str = ""
+    analytic_horizon: Callable | None = None
 
     def weight_integrand(self, x):
         """f**2/f' with the removable 0/0 at zeros of f evaluated as 0."""
@@ -365,11 +368,16 @@ def _validate_testing_function(tf: TestingFunction) -> None:
             raise ValueError(f"testing function {tf.name or tf.cls}: f(0) must vanish")
     if tf.cls == NONNEG_INCREASING and np.any(fv < 0):
         raise ValueError(f"testing function {tf.name or tf.cls}: f must be non-negative")
+    if tf.analytic_horizon is not None and tf.analytic_B is None:
+        raise ValueError(f"testing function {tf.name or tf.cls}: analytic_horizon needs analytic_B")
     if tf.analytic_B is not None:
         _cross_check_analytic_B(tf)
 
 
 def _cross_check_analytic_B(tf: TestingFunction) -> None:
+    """B against quadrature of f**2/f' at t = 0 and 0.7, and the horizon
+    integral against the quadrature of 1/B over [0, 0.7], both with the
+    8192-panel rule."""
     geoms = []
     if tf.cls in RADIAL_CLASSES:
         geoms.append(Geometry.radial(3))
@@ -381,13 +389,21 @@ def _cross_check_analytic_B(tf: TestingFunction) -> None:
             upper = R + sigma * t
             lower = 0.0 if geom.is_radial else -upper
             numeric = integrate_fn(tf.weight_integrand, lower, upper, _CROSS_CHECK_RULE)
-            closed = float(tf.analytic_B(R, sigma, t, geom))
-            scale = max(abs(closed), 1e-30)
-            if abs(closed - numeric) > 1e-8 * scale:
-                raise ValueError(
-                    f"testing function {tf.name or tf.cls}: analytic_B disagrees with "
-                    f"quadrature ({closed!r} vs {numeric!r} at t={t}, {geom.label()})"
-                )
+            _agree(tf, "analytic_B", float(tf.analytic_B(R, sigma, t, geom)), numeric, t, geom)
+        if tf.analytic_horizon is not None:
+            tau = 0.7
+            numeric = integrate_fn(
+                lambda s: 1.0 / np.asarray(tf.analytic_B(R, sigma, s, geom), dtype=float), 0.0, tau, _CROSS_CHECK_RULE
+            )
+            _agree(tf, "analytic_horizon", float(tf.analytic_horizon(R, sigma, tau, geom)), numeric, tau, geom)
+
+
+def _agree(tf: TestingFunction, form: str, closed: float, numeric: float, t: float, geom: Geometry) -> None:
+    if abs(closed - numeric) > 1e-8 * max(abs(closed), 1e-30):
+        raise ValueError(
+            f"testing function {tf.name or tf.cls}: {form} disagrees with "
+            f"quadrature ({closed!r} vs {numeric!r} at t={t}, {geom.label()})"
+        )
 
 
 def _build(tf: TestingFunction) -> TestingFunction:
@@ -408,16 +424,8 @@ def power_law_B(n: float, R: float, sigma: float, t, geometry):
     array of times an array; a Python or numpy float or a Python int skips
     the array tests.
     """
-    if n <= 0:
-        raise ValueError("power-law exponent must be positive")
     scalar = isinstance(t, (float, int))
-    if not (R > 0 and sigma > 0 and (t >= 0 if scalar else np.all(np.asarray(t) >= 0))):
-        raise ValueError("require R > 0, sigma > 0, t >= 0")
-    kind = getattr(geometry, "kind", geometry)
-    if kind == "cartesian1d" and n != 1:
-        raise ValueError("1-D closed form is defined for the linear weight only")
-    if kind not in ("radial", "cartesian1d"):
-        raise ValueError(f"unknown geometry {geometry!r}")
+    kind = _power_law_kind(n, R, sigma, t >= 0 if scalar else np.all(np.asarray(t) >= 0), geometry)
     if scalar or np.ndim(t) == 0:
         upper = R + sigma * t
         if kind == "radial":
@@ -427,6 +435,35 @@ def power_law_B(n: float, R: float, sigma: float, t, geometry):
     if kind == "radial":
         return upper ** (n + 2) / (n * (n + 2))
     return 2.0 * upper ** 3 / 3.0
+
+
+def power_law_horizon(n: float, R: float, sigma: float, tau: float, geometry) -> float:
+    """Closed-form integral of 1/B(t) over [0, tau] for f = x**n, B as in
+    :func:`power_law_B`, at a scalar ``tau``.
+
+    With x = sigma*tau/R it is n(n+2)/((n+1) sigma R**(n+1)) times
+    1 - (1+x)**-(n+1) radially, and 3/(4 sigma R**2) times 1 - (1+x)**-2 in
+    1-D.  Each 1 - (1+x)**-k is evaluated as -expm1(-k log1p(x)), which has
+    no cancellation at small tau.
+    """
+    kind = _power_law_kind(n, R, sigma, tau >= 0, geometry)
+    k = n + 1 if kind == "radial" else 2
+    scale = n * (n + 2) / (k * sigma * R ** k) if kind == "radial" else 3.0 / (4.0 * sigma * R ** 2)
+    return scale * -math.expm1(-k * math.log1p(sigma * tau / R))
+
+
+def _power_law_kind(n: float, R: float, sigma: float, t_ok, geometry) -> str:
+    """The geometry kind of a power-law closed form, after checking its arguments."""
+    if n <= 0:
+        raise ValueError("power-law exponent must be positive")
+    if not (R > 0 and sigma > 0 and t_ok):
+        raise ValueError("require R > 0, sigma > 0, t >= 0")
+    kind = getattr(geometry, "kind", geometry)
+    if kind == "cartesian1d" and n != 1:
+        raise ValueError("1-D closed form is defined for the linear weight only")
+    if kind not in ("radial", "cartesian1d"):
+        raise ValueError(f"unknown geometry {geometry!r}")
+    return kind
 
 
 # the built-in weights are pure functions of their arguments; each is built
@@ -449,8 +486,12 @@ def power_law(n: float) -> TestingFunction:
     def analytic_B(R, sigma, t, geometry):
         return power_law_B(n, R, sigma, t, geometry)
 
+    def analytic_horizon(R, sigma, tau, geometry):
+        return power_law_horizon(n, R, sigma, tau, geometry)
+
     return _build(
-        TestingFunction(f, f_prime, POWER_LAW, analytic_B=analytic_B, name=f"r^{n:g}")
+        TestingFunction(f, f_prime, POWER_LAW, analytic_B=analytic_B, name=f"r^{n:g}",
+                        analytic_horizon=analytic_horizon)
     )
 
 
@@ -467,7 +508,10 @@ def linear() -> TestingFunction:
     def analytic_B(R, sigma, t, geometry):
         return power_law_B(1, R, sigma, t, geometry)
 
-    return _build(TestingFunction(f, f_prime, LINEAR, analytic_B=analytic_B, name="x"))
+    def analytic_horizon(R, sigma, tau, geometry):
+        return power_law_horizon(1, R, sigma, tau, geometry)
+
+    return _build(TestingFunction(f, f_prime, LINEAR, analytic_B=analytic_B, name="x", analytic_horizon=analytic_horizon))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE, typed=True)
@@ -495,8 +539,18 @@ def exponential(beta: float = 1.0) -> TestingFunction:
             raise OverflowError("math range error")
         return 2.0 * sinh / beta ** 2
 
+    def analytic_horizon(R, sigma, tau, geometry):
+        # the integral of beta**2/(2 sinh(beta*U)) is beta/(2 sigma) times the
+        # log of tanh(beta*U/2)/tanh(beta*R/2), which is log1p of this ratio
+        if getattr(geometry, "is_radial", False):
+            raise ValueError("exponential weight is for the 1-D geometry")
+        U = R + sigma * tau
+        ratio = -2.0 * math.expm1(-beta * sigma * tau) / (math.expm1(beta * R) * (1.0 + math.exp(-beta * U)))
+        return beta / (2.0 * sigma) * math.log1p(ratio)
+
     return _build(
-        TestingFunction(f, f_prime, NONNEG_INCREASING, analytic_B=analytic_B, name=f"exp({beta:g}x)")
+        TestingFunction(f, f_prime, NONNEG_INCREASING, analytic_B=analytic_B, name=f"exp({beta:g}x)",
+                        analytic_horizon=analytic_horizon)
     )
 
 

@@ -189,7 +189,7 @@ class TestCheckCommand:
         ["sweep", "--parameter", "tau", "--lo", "1", "--hi", "2", "--steps", "3"],
     ])
     def test_huge_trade_off_constant_is_invalid_input(self, a, command, tmp_path, capsys):
-        # 1/(a*B) underflows to 0 at every abscissa of the horizon integral
+        # inf is rejected; at 1.5e308 the horizon threshold, a over the integral of 1/B, overflows
         cfg = write_config(tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512"])
         out = tmp_path / "out"
         code = main([*command, "--theorem", "general-1d", "--weight", "exp:2", "--a", a, "--out", str(out), cfg])
@@ -287,25 +287,51 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("tau, code", [("1e-300", 0), ("1e-321", 2)])
     def test_tiny_horizon_of_a_general_family_is_resolved_or_named(self, tau, code, tmp_path, capsys):
-        # 1e-300 / 2048 is a normal step; 1e-321 has fewer than 2048 ulps
+        # the closed-form horizon integral resolves both; at 1e-321 it is
+        # subnormal and the threshold a over it overflows
         cfg = write_config(tmp_path / "g.cfg", ["preset = ref-radial3", "grid.cells = 256"])
         assert main(["check", "--theorem", "general-radial", "--weight", "linear", "--tau", tau,
                      "--out", str(tmp_path / "out"), cfg]) == code
         err = capsys.readouterr().err
-        assert ("cannot resolve tau=" in err) == (code == 2)
+        assert ("criterion values are not finite at tau=" in err) == (code == 2)
 
     @pytest.mark.parametrize("preset, theorem, weight", [
         ("ref-radial3", "general-radial", "linear"),
         ("cert-general-1d-exp", "general-1d", "exp:2"),
     ])
     def test_subnormal_horizon_of_a_general_family_names_it(self, preset, theorem, weight, tmp_path, capsys):
-        # tau / 2048 rounds to zero: the horizon integral has no distinct abscissae
+        # the horizon integral of 1/B up to the smallest subnormal is below
+        # a/DBL_MAX: the horizon threshold overflows
         cfg = write_config(tmp_path / "g.cfg", [f"preset = {preset}", "grid.cells = 256"])
         code = main(["check", "--theorem", theorem, "--weight", weight, "--tau", "5e-324", cfg])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith(f"error: the {theorem} criterion cannot resolve tau=4.94066e-324")
+        assert captured.err == ("error: criterion values are not finite at tau=4.94066e-324: "
+                                "horizon_threshold, combined_threshold, horizon_budget\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("preset, theorem, weight", [
+        ("ref-radial3", "general-radial", "linear"),
+        ("cert-general-1d-exp", "general-1d", "exp:2"),
+    ])
+    def test_infinite_horizon_of_a_general_family_names_it(self, preset, theorem, weight, tmp_path, capsys):
+        cfg = write_config(tmp_path / "g.cfg", [f"preset = {preset}", "grid.cells = 256"])
+        code = main(["check", "--theorem", theorem, "--weight", weight, "--tau", "inf", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: the {theorem} criterion needs a positive finite horizon, got tau=inf\n"
+        assert captured.out == ""
+
+    def test_long_horizon_of_the_linear_weight_is_exact(self, tmp_path, capsys):
+        # the closed form's 3.7712380492834; the 2048-panel Simpson rule gave 3.58283778
+        cfg = write_config(tmp_path / "g.cfg", ["preset = ref-radial3", "grid.cells = 256"])
+        assert main(["check", "--theorem", "general-radial", "--weight", "linear", "--tau", "1000", cfg]) == 0
+        assert ">= 3.77123805 [not met]" in capsys.readouterr().out
+
+    def test_a_high_power_weight_is_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "g.cfg", ["preset = ref-radial3", "grid.cells = 256"])
+        assert main(["check", "--theorem", "general-radial", "--weight", "power:100", cfg]) == 0
+        assert "horizon_budget" in capsys.readouterr().out
 
     @pytest.mark.parametrize("preset, theorem, weight, tau, quantity", [
         ("cert-linear-tau-1d", "linear-1d-tau", None, "1e300", "threshold"),
@@ -748,21 +774,18 @@ SWEEP_RANGES = {"tau": (0.3, 2.0), "amp_rho": (-0.05, 0.05), "gamma": (2.0, 3.0)
 # they recomputed both sides at every row: with numpy's AVX-512 kernels and,
 # where their last bits differ, without them. The amp_rho, gamma and R
 # digests are as the sweep wrote them when it rebuilt each row's scenario
-# from the text of its config, with AVX-512 kernels only.
+# from the text of its config, with AVX-512 kernels only.  The general-radial
+# rows and the general-1d tau and gamma rows are as the sweep wrote them when
+# the built-in weights took their horizon integral in closed form (Python
+# floats: the same bits with and without AVX-512).
 PINNED_SWEEP_CSV = {
     ("general-1d", "amp_v"): (
         "a5dfd24977024193c0be34b0fd567c2afce7ac7e918f24d9072122ba26dca8b5",
         "041a58935f5f20bdb055ffa7255235de244d41f13b2ca2a0bba0118252896be7",
     ),
-    ("general-1d", "tau"): (
-        "7f9a48a2a43d7261577d091abfc486f7bafff85ecb6932ef4d5e6883d5b37d1d",
-        "c51d31d5a8f502f31c226fd286bd8125ecb8df478bb5b578350f71692471138a",
-    ),
-    ("general-radial", "amp_v"): ("a8b2a2273b7e685aada39fba710f3771247104e1b23824367a1e2eb5f744324b",),
-    ("general-radial", "tau"): (
-        "94aa0fc5033d03493c14c0dc80440f6e3aa8fbb5348a34abd9e444a6c316478c",
-        "84fb26f182da959445a41cfeb57e9195d8094eee6192b2de060f0e788079b763",
-    ),
+    ("general-1d", "tau"): ("20acc388ca28a7ce3570855b525553b7de4ff90c5eb2dc1dfe8f6cd3bee36fff",),
+    ("general-radial", "amp_v"): ("3eaa840264b71a7d46e71e615cd0c11a12a6cdd5169084cbe8ab0eb8a2e06ddb",),
+    ("general-radial", "tau"): ("f96316bea21efcc6e160d7c026dbedd33e2492a5c68e3f4b3d31d82926908c3c",),
     ("linear-1d-tau", "amp_v"): ("1e3ec960da47419b5a941d2e0c61ec1f4e66711af819b178f3a26a219cac4fc8",),
     ("linear-1d-tau", "tau"): ("33978fee05b9441aeff2e6344e09f5861902315c0f35e2339f89078b3b756308",),
     ("linear-1d", "amp_v"): ("25482fac1e07f8ee830894685e4c9477c371d82f669d6c05f3022d0a7aed07f5",),
@@ -773,11 +796,11 @@ PINNED_SWEEP_CSV = {
     ),
     ("power-radial", "tau"): ("b5590721e44febfce883e17db7c82d7572cab31983fd5d627ee71ef4ef6a0b3a",),
     ("general-1d", "amp_rho"): ("063fece25679d4a9af1e4d95d8e743dfbb1248d88ecbcb6d53312c27b86a092c",),
-    ("general-1d", "gamma"): ("a15a37c104b3203c0655b0d8a3860f7eaaa808ccdd0bb58b416bf2d039da748a",),
+    ("general-1d", "gamma"): ("c09a79e23d31ba3b72e229a273415be1d1fb3783281f857247030a49b492d843",),
     ("general-1d", "R"): ("41362fc92891075705ab55ccb3a0fab8ace2ac8d9bda8cc63acbc4abfabf887e",),
-    ("general-radial", "amp_rho"): ("c24e49bdff2f0466cca4cafee5664d7e1223b950cae6fb428b9e478a56b70241",),
-    ("general-radial", "gamma"): ("cba50966157c0686ea16ab3872362f6d96fc9cba2d31615db24cfec109cf4b1a",),
-    ("general-radial", "R"): ("ff46cfafbe34f3779e7ae56fb5874e5830355f02044c1e641a5f681938df8264",),
+    ("general-radial", "amp_rho"): ("2a8e5dcdb037d4924bee501e330ce8741a820157affeadbd21518cf2e12cfda0",),
+    ("general-radial", "gamma"): ("cc8cd086566920ede6b379b777cf0b1ed50670195dbc55c49e328f92c64769d8",),
+    ("general-radial", "R"): ("5525e5b72feb25152562fdc363145a8747481dbdfa8fe3c91a1a399ba3a11c70",),
     ("linear-1d", "amp_rho"): ("4438e13cef262c60a6f84fdeb23e7ba34078b02d9540fa642de75ddfe0624145",),
     ("linear-1d", "gamma"): ("9bc03f04f2df0c0a825fc96191e43b9ac85f483288284a4a57b89cea1e0964c9",),
     ("linear-1d", "R"): ("6c19e170f9d3062c6d41a2d118e117f6e04c2c668e4eae8f20ca7e06554c722d",),
@@ -821,12 +844,13 @@ class TestSweepArtifactsPinned:
 # SHA-256 over the name and bytes of every snapshot_NNNN.csv, then
 # trace_summary.json, that simulate --out writes for each preset at 1024
 # cells (numpy 2.4, x86-64, AVX-512), as the solver wrote them when every
-# step of run went through step on a copied window
+# step of run went through step on a copied window; cert-general-radial-n1's
+# as they were when its certified amplitude read a closed-form horizon integral
 PINNED_SIMULATE = {
     ("cert-general-1d-exp", "muscl"): "9c0907c96172b351b30b36ad2197773e8e5e32527dbf1f62373b9fe168096220",
     ("cert-general-1d-exp", "first_order"): "747e536de7fa2d010ac86bcf685d1c697436d49562ec7c0b5f61aea0dec80ea7",
-    ("cert-general-radial-n1", "muscl"): "6f55e40315e05fdcfa2082e5643381505d5d1b056aa6366f7e0448a70ba8d451",
-    ("cert-general-radial-n1", "first_order"): "810f079a6cf9d27564658001678a924810b3c85931d4aa6200a3b34b5e815051",
+    ("cert-general-radial-n1", "muscl"): "85cf70d2f5509f78b6e054499a45badb85949325fb01f97cbb92b3d588a5fde2",
+    ("cert-general-radial-n1", "first_order"): "b42431ea990e987ebc4c6e9fabe046186a05b6bed6c6d88e374ee3e08dc297e7",
     ("cert-linear-infinite-1d", "muscl"): "c009b03cf7bb2d069672732980efd1dc5800526d4cbaa1a997c7e2df11be2711",
     ("cert-linear-infinite-1d", "first_order"): "78a2226a2bef2df82750fa52746a52ad59486f1f039683f0c0db17fdbfb08847",
     ("cert-linear-tau-1d", "muscl"): "6825fbd9acda9fd73f296c0fc0a349ad7d597f58ad93629626835e74bf220629",
@@ -869,32 +893,34 @@ class TestSimulateArtifactsPinned:
 # and every family of its geometry at tau = 1 and the presets' 4096 cells,
 # the general families with the SWEEP_PRESETS weight and a (numpy 2.4,
 # x86-64, AVX-512), as the checks wrote them when they kept each side of a
-# criterion in a memo of its last arguments
+# criterion in a memo of its last arguments; the general families' reports,
+# and cert-general-radial-n1's, as they were when the built-in weights took
+# their horizon integral in closed form
 PINNED_CHECK_REPORT = {
-    ("cert-general-1d-exp", "general-1d"): "61b48c81acc8738818c6a674a8b0c04877cd83cd73599ee002b801d6f2677178",
+    ("cert-general-1d-exp", "general-1d"): "a71a11b0f11f1649024eaf8762eecf7fe76b4166625ad7400351388308279e88",
     ("cert-general-1d-exp", "linear-1d"): "f68b011f291995eeca71413eb68a3238f074cddfb09698b908fe857e226e42df",
     ("cert-general-1d-exp", "linear-1d-tau"): "c78e889336411f84d98e4fe546e3fe5aa7147aa4beef86ca255d4c5be7d04f8b",
-    ("cert-general-radial-n1", "general-radial"): "266fbdc65a9bb1c42ed8066b6a5f766b47319492f74a9b50401de20129b6ce02",
-    ("cert-general-radial-n1", "power-radial"): "3777482a7d94793afc1c25447f97e7e05b3f9959fc02a1792ee24b132920d8b9",
-    ("cert-linear-infinite-1d", "general-1d"): "2f9471583b3f933fa5f43e84a8f14964243d4312f5d170b1c9ef6198f37e83e3",
+    ("cert-general-radial-n1", "general-radial"): "5accc5c40f18ead9bda552fd55214f0a1fb42ec949f840284df25b52dc16757e",
+    ("cert-general-radial-n1", "power-radial"): "59206d7c08c29694256bb9dfee77877c3e2087356447f53c428e0ef97c1d48ff",
+    ("cert-linear-infinite-1d", "general-1d"): "217244fade3b522c72ef9881c3aa43af212f11310afe41ac1056fb18e32a41b7",
     ("cert-linear-infinite-1d", "linear-1d"): "31135cc198d363cef67bb6e02bfde7fbf7c0fe4191cae41c4f663a3cdecdfe66",
     ("cert-linear-infinite-1d", "linear-1d-tau"): "a14022e35b6401619e830c63e53ed43139c2ee263f5768ed6cf3a8b8cff7c338",
-    ("cert-linear-tau-1d", "general-1d"): "b058b2a93a5a39d87b296cf3180d6db1d4cdd4b55ae41069a2a0de22cb31a21e",
+    ("cert-linear-tau-1d", "general-1d"): "f1973007617e3e1e40ba2ea2c15cb84a2e09a7351a53fcb17df6e0659c4286f1",
     ("cert-linear-tau-1d", "linear-1d"): "4aa15dea4017d5bdaae7d4bad55355f94fe22c287628add074eca26d9b622712",
     ("cert-linear-tau-1d", "linear-1d-tau"): "05477235542eb9101c7af5ffba4992a9af45fefde6ce5feac0587151cc034bd1",
-    ("cert-power-radial-n3", "general-radial"): "3c43a69c708c9fc24b76fd2aab62a103d51ab865a3e438079bda021e0a5dcf9c",
+    ("cert-power-radial-n3", "general-radial"): "887a4fc007d59d41eb14ba2148a2a7da27f8df63eddc854e0d19243a2b5de928",
     ("cert-power-radial-n3", "power-radial"): "e12381f8eab6b7a3659b5e0ae53ef8e29c3f4fe86d5826a5ad2ee78c8644aa99",
-    ("constant-1d", "general-1d"): "75338c21c71f70f6839501567157894eecfefff346bcb2bab3dacea1d07113e1",
+    ("constant-1d", "general-1d"): "a29047892c7647cccd1d17bcd0af90b63934358eb706f87e7e9c831bbb11e6f4",
     ("constant-1d", "linear-1d"): "e6a8fdbde7b0cef9edb054030490015cf842298d9a0e5d15c01afff9b4326118",
     ("constant-1d", "linear-1d-tau"): "d0b9039d5e9ffdc1fc476dd841d8fe3bcadd5d5f26df5783bf3ce228207dcc7d",
-    ("constant-radial3", "general-radial"): "520ed79e27716fde49043a4fa7ef2bccbfc8eb742d4fa72bd692d0d13846fa0f",
+    ("constant-radial3", "general-radial"): "bbfcd14c5ed0468ed7cdc3d91d01f270fdb4e31cdfe8835502463593156a48b8",
     ("constant-radial3", "power-radial"): "c36a0ceacdd093d29cca229596c3166457c5a4f8d8e94133eddecab53d49d6ea",
-    ("ref-1d", "general-1d"): "59783e7de2238f66d2abff24159b867d850061bb3213358b59e659e534ca73f2",
+    ("ref-1d", "general-1d"): "511e24361f1f04f8f34e654f1068c1481ac6557bd844ea6d0035a06411f58870",
     ("ref-1d", "linear-1d"): "a28f878306d61df85aa255ed1025372ce4786752730b4e806522d95a553705b1",
     ("ref-1d", "linear-1d-tau"): "bd1e8a7e1817a7067cf3fa781271d4e8f71dbab0f828cd53de5905af9e6eb4f5",
-    ("ref-radial1", "general-radial"): "8d81e37537bdf8aac2148cb937582328031cf197cdc805ea20e499413240f8f1",
+    ("ref-radial1", "general-radial"): "d72aa3d0cb895ecd7bdafa8b805c67ef17f43cd1ca2471b8d8cb02674ec1b341",
     ("ref-radial1", "power-radial"): "7df62f2115ea8cfc1f9bb693c3de10aadc92c23692cd8887a048d3a039533e67",
-    ("ref-radial3", "general-radial"): "72efc5c4cedd5036c088993460e80e726ce4b9533b1cd3baa58f5d5cafb6af3a",
+    ("ref-radial3", "general-radial"): "ee958cedd3a6149c0101e30103b722569cfe66504a440140237047d3e744ca52",
     ("ref-radial3", "power-radial"): "0d67a21f53c9c277302fc805c126463a71e4696e9ec56ad77bab495c512ba373",
 }
 

@@ -2,8 +2,11 @@ import functools
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +305,12 @@ class TestCheckGeneral:
         assert report.verdict.kind == "inconclusive"
         assert "momentum" in report.verdict.reason
 
+    @pytest.mark.parametrize("n", [100.0, 162.5])
+    def test_high_powers_give_a_verdict(self, n):
+        report = check_general(bump(Geometry.radial(3)), power_law(n), a=4.0, tau=1.0)
+        assert report.verdict.kind in ("blowup_before", "inconclusive")
+        assert math.isfinite(report.inputs["horizon_threshold"])
+
     def test_parameter_validation(self):
         scen = bump(Geometry.radial(1))
         with pytest.raises(ValueError):
@@ -314,7 +323,7 @@ class TestCheckGeneral:
             check_general(scen, linear(), a=math.inf)
 
     def test_huge_trade_off_constant_gives_an_infinite_horizon_threshold(self):
-        # 1/(a*B) underflows to 0 at every abscissa: a zero horizon integral
+        # a over the closed-form integral of 1/B overflows
         case = certified_general_1d_case(cells=512)
         report = check_general(case.scenario, case.f, a=1.5e308, tau=case.tau)
         assert report.inputs["horizon_threshold"] == math.inf
@@ -362,11 +371,16 @@ class TestGeneralThresholdTable:
          (Geometry.cartesian1d(), 0, 2.0), (Geometry.cartesian1d(), 2, 5.0)],
     )
     def test_quadrature_weight_matches_per_time_oracle(self, seeded_weight, geom, seed, tau):
+        # B(tau) is the table's last entry, which agrees with a separate
+        # Simpson B(tau) to the table's stated 1e-12 relative
         f = seeded_weight(geom.is_radial, seed)
         eos = self.EOS_RADIAL if geom.is_radial else self.EOS_1D
-        strict, horizon = general_condition_thresholds(f, 4.0, eos, 1.0, tau, geom)
+        B_tau, strict, horizon = criteria._horizon_side(f, 4.0, eos, 1.0, tau, geom)
+        table = functionals.weight_functional_B_table(
+            f, 1.0, sound_speed(eos), np.linspace(0.0, tau, 2049), geom, criteria._HORIZON_RULE)
+        assert np.array(B_tau).tobytes() == table[-1:].tobytes()
         strict_ref, horizon_ref = _per_time_thresholds(f, 4.0, eos, 1.0, tau, geom)
-        assert strict == strict_ref
+        assert abs(strict - strict_ref) <= 1e-12 * strict_ref
         assert abs(horizon - horizon_ref) <= 1e-12 * horizon_ref
 
     @pytest.mark.parametrize(
@@ -395,15 +409,16 @@ class TestGeneralThresholdTable:
         with pytest.raises(WeightDivergenceError):
             general_condition_thresholds(bad, 4.0, self.EOS_RADIAL, 1.0, 1.0, Geometry.radial(3))
 
-    def test_check_general_evaluates_B_once_at_zero_and_tau(self, seeded_weight, monkeypatch):
-        # one B(tau) shared by the report and the strict threshold, B(0) for the table
+    def test_check_general_integrates_B_once_at_zero(self, seeded_weight, monkeypatch):
+        # B(0) starts the table, whose last entry is the B(tau) of the report
+        # and the strict threshold: no separate B(tau) integral
         case = certified_general_radial_case(cells=512)
         calls = []
         original = functionals.weight_functional_B
         monkeypatch.setattr(functionals, "weight_functional_B", lambda *a: calls.append(a[3]) or original(*a))
         monkeypatch.setattr(criteria, "weight_functional_B", functionals.weight_functional_B)
         report = check_general(case.scenario, seeded_weight(True, 0), a=4.0, tau=0.8)
-        assert sorted(calls) == [0.0, 0.8]
+        assert calls == [0.0]
         strict, horizon = general_condition_thresholds(seeded_weight(True, 0), 4.0, case.scenario.eos,
                                                        case.scenario.R, 0.8, case.scenario.geometry)
         assert (report.inputs["strict_threshold"], report.inputs["horizon_threshold"]) == (strict, horizon)
@@ -435,10 +450,10 @@ class TestHorizonGrid:
     # the step tau/2048 rounds to 1 ulp for k in [1025, 3071] and to 2 ulps
     # for k in [3072, 5120]: the grid's last interior point is 2047 or 4094 ulps
     @pytest.mark.parametrize("tau", [k * 5e-324 for k in (*range(1020, 1030), *range(2040, 2056),
-                                                          *range(3064, 3080), *range(4088, 4104))]
-                             + [math.inf], ids=lambda t: t.hex())
+                                                          *range(3064, 3080), *range(4088, 4104))],
+                             ids=lambda t: t.hex())
     def test_subnormal_horizons_resolve_exactly_where_linspace_increases(self, tau):
-        args = (linear(), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0, tau, Geometry.radial(3))
+        args = (x_without_horizon_form(), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0, tau, Geometry.radial(3))
         if _linspace_increases(tau):
             strict, horizon = general_condition_thresholds(*args)
             assert strict > 0 and horizon > 0
@@ -446,15 +461,181 @@ class TestHorizonGrid:
             with pytest.raises(criteria.HorizonRangeError, match=re.escape(f"cannot resolve tau={tau:g}")):
                 general_condition_thresholds(*args)
 
-    @pytest.mark.parametrize("tau", [5e-324, 2047 * 5e-324, 3072 * 5e-324, math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("tau", [5e-324, 2047 * 5e-324, 3072 * 5e-324])
     def test_an_unresolved_horizon_computes_no_B(self, tau, monkeypatch):
         called = []
         monkeypatch.setattr(criteria, "weight_functional_B", lambda *a: called.append(a))
         monkeypatch.setattr(criteria, "_weight_B_table", lambda *a: called.append(a))
         with np.errstate(all="raise"), pytest.raises(criteria.HorizonRangeError, match="cannot resolve"):
-            general_condition_thresholds(linear(), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0, tau,
-                                         Geometry.radial(3))
+            general_condition_thresholds(x_without_horizon_form(), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0,
+                                         tau, Geometry.radial(3))
         assert called == []
+
+
+def x_without_horizon_form():
+    """The identity weight with its closed-form B but no closed-form horizon
+    integral: the Simpson path over a closed-form B table."""
+    return radial_vanishing(linear().f, linear().f_prime, analytic_B=linear().analytic_B, name="x, Simpson horizon")
+
+
+def _recording(f, calls):
+    """``f`` with every closed form recording its arguments in ``calls``."""
+    def wrap(form):
+        return None if form is None else lambda *args: calls.append(args) or form(*args)
+    return replace(f, analytic_B=wrap(f.analytic_B), analytic_horizon=wrap(f.analytic_horizon))
+
+
+class TestHorizonValidation:
+    """A horizon that is not a positive finite float is named before any B is computed."""
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight", ["linear", "x_without_horizon_form", "seeded"])
+    def test_invalid_horizon_computes_no_B(self, tau, weight, seeded_weight, monkeypatch):
+        f = {"linear": linear, "x_without_horizon_form": x_without_horizon_form,
+             "seeded": lambda: seeded_weight(True, 0)}[weight]()
+        called = []
+        monkeypatch.setattr(criteria, "weight_functional_B", lambda *a: called.append(a))
+        monkeypatch.setattr(criteria, "_weight_B_table", lambda *a: called.append(a))
+        message = f"the general-radial criterion needs a positive finite horizon, got tau={tau:g}"
+        with np.errstate(all="raise"), pytest.raises(criteria.HorizonRangeError, match=re.escape(message)):
+            general_condition_thresholds(_recording(f, called), 4.0, TestGeneralThresholdTable.EOS_RADIAL, 1.0,
+                                         tau, Geometry.radial(3))
+        assert called == []
+
+    def test_invalid_horizon_of_the_1d_family(self):
+        with pytest.raises(criteria.HorizonRangeError, match=re.escape("general-1d criterion needs a positive")):
+            general_condition_thresholds(exponential(2.0), 3.5, TestGeneralThresholdTable.EOS_1D, 1.0, -1.0,
+                                         Geometry.cartesian1d())
+
+    def test_a_horizon_too_small_to_move_the_cone_is_named(self):
+        # R + sigma*t repeats between abscissae once sigma*tau/2048 is below
+        # half an ulp of R: a quadrature B has no segments to integrate there
+        case = certified_general_radial_case(256)
+        f = radial_vanishing(lambda x: np.asarray(x, dtype=float) ** 1.5 + 0.3 * np.asarray(x, dtype=float) ** 2.5,
+                             lambda x: 1.5 * np.asarray(x, dtype=float) ** 0.5
+                             + 0.75 * np.asarray(x, dtype=float) ** 1.5, name="r^1.5 + 0.3 r^2.5")
+        message = ("the general-radial criterion cannot resolve tau=1e-14: "
+                   "the cone radius R + sigma*t repeats between the horizon integral's abscissae")
+        with pytest.raises(criteria.HorizonRangeError, match=re.escape(message)):
+            check_general(case.scenario, f, a=4.0, tau=1e-14)
+        assert check_general(case.scenario, f, a=4.0, tau=1e-12).verdict.kind == "inconclusive"
+
+
+def exact_power_horizon(n: int, R: float, sigma: float, tau: float, radial: bool) -> Fraction:
+    """The integral of 1/B over [0, tau] for f = x**n (radial) or f = x (1-D),
+    exact in the float inputs."""
+    U = Fraction(R) + Fraction(sigma) * Fraction(tau)
+    if radial:
+        return Fraction(n * (n + 2), n + 1) / Fraction(sigma) * (1 / Fraction(R) ** (n + 1) - 1 / U ** (n + 1))
+    return Fraction(3, 4) / Fraction(sigma) * (1 / Fraction(R) ** 2 - 1 / U ** 2)
+
+
+def exact_exp_horizon(beta: float, R: float, sigma: float, tau: float) -> Fraction:
+    """beta/(2 sigma) log(tanh(beta U/2) / tanh(beta R/2)), U = R + sigma*tau: the
+    integral of 1/B for f = exp(beta x), in decimal with 50 digits beyond
+    those U - R needs."""
+    b, s, r, t = map(Decimal, (beta, sigma, R, tau))
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, -(s * t / r).adjusted())
+
+        def half_tanh(z):
+            return (1 - (-z).exp()) / (1 + (-z).exp())
+
+        return Fraction(b / (2 * s) * (half_tanh(b * (r + s * t)) / half_tanh(b * r)).ln())
+
+
+# (weight, geometry, beta or None, exact integral of 1/B)
+HORIZON_FORMS = {
+    **{f"r^{n}": (power_law(n), Geometry.radial(3), None,
+                  functools.partial(lambda n, R, s, t: exact_power_horizon(n, R, s, t, True), n))
+       for n in (1, 2, 3, 4)},
+    "x, radial": (linear(), Geometry.radial(1), None, lambda R, s, t: exact_power_horizon(1, R, s, t, True)),
+    "x, 1-D": (linear(), Geometry.cartesian1d(), None, lambda R, s, t: exact_power_horizon(1, R, s, t, False)),
+    **{f"exp({b:g}x)": (exponential(b), Geometry.cartesian1d(), b, functools.partial(exact_exp_horizon, b))
+       for b in (0.5, 1.0, 2.0, 5.0)},
+}
+
+
+class TestClosedFormHorizon:
+    """The built-in weights' closed-form horizon integrals against exact oracles."""
+
+    # Measured: at most 4.3e-16 relative over these draws, and 7.3e-15 over
+    # 415 log-spaced horizons from 5e-324 to 1e3 (exp(5x), whose log1p
+    # argument is then just above the subnormal range).  Where an argument
+    # (sigma*tau/R, beta*sigma*tau or the log1p ratio) is subnormal, it
+    # carries an absolute rounding of up to 2 subnormal ulps u.  That moves
+    # the integral by at most 2u max(R, 1/beta)/(sigma B(0)), plus
+    # 2u max(1, beta/sigma) of its own rounding: measured at most 0.31 of
+    # that bound over these draws, 0.63 over the 415 horizons.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tau=st.floats(min_value=5e-324, max_value=1e3),
+           R_sigma=st.sampled_from([(1.0, SQRT2), (0.7, 0.5), (1.3, 2.3), (0.3, 1.0)]))
+    @pytest.mark.parametrize("name", sorted(HORIZON_FORMS))
+    def test_matches_the_exact_integral(self, name, tau, R_sigma):
+        f, geom, beta, exact_fn = HORIZON_FORMS[name]
+        R, sigma = R_sigma
+        got = f.analytic_horizon(R, sigma, tau, geom)
+        exact = exact_fn(R, sigma, tau)
+        error = abs(Fraction(got) - exact)
+        b = beta or 1.0
+        arguments = (sigma * tau, sigma * tau / R, b * sigma * tau, float(exact) * sigma / b)
+        if min(arguments) >= sys.float_info.min:
+            assert error <= Fraction(1e-14) * exact
+        else:
+            u = 5e-324
+            B0 = f.analytic_B(R, sigma, 0.0, geom)
+            assert error <= Fraction(2 * u * max(R, 1 / b) / (sigma * B0) + 2 * u * max(1.0, b / sigma))
+
+    def test_linear_radial3_at_a_long_horizon(self):
+        # the 2048-panel Simpson rule gave 3.58283778448743 here, 5.0 % low
+        case_eos = EosParams(1.0, 2.0, 1.0)  # ref-radial3's gas: sigma = sqrt(2), R = 1
+        _, horizon = general_condition_thresholds(linear(), 4.0, case_eos, 1.0, 1000.0, Geometry.radial(3))
+        exact = 4 / exact_power_horizon(1, 1.0, SQRT2, 1000.0, True)
+        assert abs(Fraction(horizon) - exact) <= Fraction(1e-13) * exact
+        assert horizon == pytest.approx(3.7712380492834361, rel=1e-15)
+
+    def test_exponential_preset_at_a_long_horizon(self):
+        case = certified_general_1d_case(cells=256)
+        s = case.scenario
+        _, horizon = general_condition_thresholds(case.f, case.a, s.eos, s.R, 100.0, s.geometry)
+        exact = Fraction(case.a) / exact_exp_horizon(2.0, s.R, sound_speed(s.eos), 100.0)
+        assert abs(Fraction(horizon) - exact) <= Fraction(1e-13) * exact
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(taus=st.lists(st.floats(min_value=1e-300, max_value=500.0), min_size=2, max_size=40))
+    @pytest.mark.parametrize("name", sorted(HORIZON_FORMS))
+    def test_horizon_threshold_is_non_increasing_in_tau(self, name, taus):
+        f, geom, _, _ = HORIZON_FORMS[name]
+        eos = TestGeneralThresholdTable.EOS_RADIAL if geom.is_radial else TestGeneralThresholdTable.EOS_1D
+        if f.name == "exp(5x)":
+            taus = [t for t in taus if t < 50.0]  # B overflows past U = 142
+        thresholds = [general_condition_thresholds(f, 4.0, eos, 1.0, t, geom)[1] for t in sorted(taus)]
+        assert all(later <= earlier for earlier, later in zip(thresholds, thresholds[1:]))
+
+    @pytest.mark.parametrize("name", sorted(HORIZON_FORMS))
+    def test_threshold_is_a_over_the_closed_form(self, name):
+        f, geom, _, _ = HORIZON_FORMS[name]
+        eos = TestGeneralThresholdTable.EOS_RADIAL if geom.is_radial else TestGeneralThresholdTable.EOS_1D
+        _, horizon = general_condition_thresholds(f, 3.5, eos, 0.9, 0.8, geom)
+        assert horizon == 3.5 / f.analytic_horizon(0.9, sound_speed(eos), 0.8, geom)
+
+    @pytest.mark.parametrize("tau", [1e-300, 0.37, 2.0, 1000.0])
+    def test_a_weight_without_the_form_keeps_the_simpson_sum(self, tau):
+        # bit for bit the sum over np.linspace's abscissae that every weight took before
+        f, geom, eos, a = x_without_horizon_form(), Geometry.radial(3), TestGeneralThresholdTable.EOS_RADIAL, 4.0
+        rule = criteria._HORIZON_RULE
+        B = f.analytic_B(1.0, sound_speed(eos), np.linspace(0.0, tau, rule.panels + 1), geom)
+        want = 1.0 / quadrature.integrate_samples(1.0 / (a * B), tau / rule.panels, rule)
+        _, horizon = general_condition_thresholds(f, a, eos, 1.0, tau, geom)
+        assert np.array(horizon).tobytes() == np.array(want).tobytes()
+
+    # the integral 3/(2 sigma R**2) (1 - (R/U)**2) is past the float range: R**2
+    # underflows to 0 (ZeroDivisionError) or to a subnormal (an infinite factor)
+    @pytest.mark.parametrize("R", [1e-200, 1e-160])
+    def test_an_overflowing_integral_is_named(self, R):
+        with pytest.raises(criteria.HorizonRangeError,
+                           match=re.escape("tau=1: horizon integral of the general-radial criterion overflows")):
+            general_condition_thresholds(linear(), 4.0, EOS, R, 1.0, Geometry.radial(3))
 
 
 @pytest.fixture()
@@ -549,8 +730,8 @@ class TestPreparedCriterion:
     side of each tau once along a chain of ``with_scenario`` calls."""
 
     @pytest.mark.parametrize("family, tau, message", [
-        (FAMILY_GENERAL_RADIAL, 5e-324, "cannot resolve tau=4.94066e-324"),
-        (FAMILY_GENERAL_1D, 5e-324, "cannot resolve tau=4.94066e-324"),
+        (FAMILY_GENERAL_RADIAL, math.inf, "the general-radial criterion needs a positive finite horizon, got tau=inf"),
+        (FAMILY_GENERAL_1D, math.inf, "the general-1d criterion needs a positive finite horizon, got tau=inf"),
         (FAMILY_GENERAL_RADIAL, 1e300, "tau=1e+300: B_tau of the general-radial criterion overflows"),
         (FAMILY_GENERAL_1D, 1e6, "tau=1e+06: B_tau of the general-1d criterion overflows"),
         (FAMILY_POWER_RADIAL, 1e300, "tau=1e+300: threshold of the power-radial criterion overflows"),
@@ -616,13 +797,15 @@ class TestPreparedCriterion:
         lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)),
     ], ids=["gamma", "R"])
     def test_a_new_gas_or_radius_recomputes_the_horizon(self, change, computed):
+        # the preset's linear weight takes its horizon integral in closed form
         case = certified_general_radial_case(cells=512)
-        computed.clear()
-        prepared = criteria.prepare(case.scenario, case.family, case.f, case.a)
+        calls = []
+        prepared = criteria.prepare(case.scenario, case.family, _recording(case.f, calls), case.a)
         prepared.report(0.8)
         moved = prepared.with_scenario(change(case.scenario))
         report = moved.report(0.8)
-        assert computed["_weight_B_table"] == 2
+        assert len(calls) == 4  # B(tau) and the horizon integral, per horizon side
+        assert computed["_weight_B_table"] == 0
         fresh = criteria.prepare(change(case.scenario), case.family, case.f, case.a).report(0.8)
         assert report_json(report) == report_json(fresh)
         assert report.inputs["horizon_threshold"] != prepared.report(0.8).inputs["horizon_threshold"]

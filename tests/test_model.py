@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from eulerblowup.model import (
     nonneg_increasing,
     power_law,
     power_law_B,
+    power_law_horizon,
     pressure,
     radial_vanishing,
     riemann_variable,
@@ -403,6 +405,77 @@ class TestPowerLawB:
         # f^2/f' for f = r^3 is r^4/3
         quad = integrate_fn(lambda r: r**4 / 3.0, 0.0, upper, QuadratureRule(SIMPSON, 512))
         assert closed == pytest.approx(quad, rel=1e-10)
+
+
+class TestAnalyticHorizon:
+    """The closed-form horizon integrals: construction checks and argument checks."""
+
+    @staticmethod
+    def _r2(horizon_factor: float):
+        # f = r**2: f**2/f' = r**3/2, B = U**4/8, and the integral of 1/B is
+        # 8/(3 sigma) (R**-3 - U**-3)
+        def horizon(R, sigma, tau, geom):
+            return horizon_factor * 8.0 / (3.0 * sigma) * (R ** -3 - (R + sigma * tau) ** -3)
+
+        return model._build(model.TestingFunction(
+            lambda x: np.asarray(x, dtype=float) ** 2, lambda x: 2.0 * np.asarray(x, dtype=float), model.RADIAL_VANISHING,
+            analytic_B=lambda R, sigma, t, geom: (R + sigma * np.asarray(t, dtype=float)) ** 4 / 8.0,
+            name="r2", analytic_horizon=horizon,
+        ))
+
+    def test_a_correct_antiderivative_is_accepted(self):
+        f = self._r2(1.0)
+        assert f.analytic_horizon(1.0, SQRT2, 0.7, Geometry.radial(3)) > 0
+
+    def test_an_antiderivative_off_by_a_part_per_million_is_rejected(self):
+        with pytest.raises(ValueError, match=r"testing function r2: analytic_horizon disagrees with quadrature"):
+            self._r2(1.0 + 1e-6)
+
+    def test_an_antiderivative_off_by_a_part_per_million_is_rejected_in_1d(self):
+        exp1 = exponential(1.0)
+        with pytest.raises(ValueError, match="analytic_horizon disagrees"):
+            model._build(replace(exp1, analytic_horizon=lambda *args: (1.0 + 1e-6) * exp1.analytic_horizon(*args)))
+        assert model._build(replace(exp1, name="copy")).analytic_horizon is exp1.analytic_horizon
+
+    def test_a_horizon_form_needs_a_closed_form_B(self):
+        with pytest.raises(ValueError, match="analytic_horizon needs analytic_B"):
+            model._build(replace(linear(), analytic_B=None))
+
+    @pytest.mark.parametrize("n", [74.0, 100.0, 162.5])
+    def test_high_powers_build(self, n):
+        # the horizon cross-check uses the 8192-panel rule, whose Simpson error
+        # for 1/B stays below 1e-9 relative up to the largest n whose f' is
+        # finite on the validation grid; the 2048-panel rule refused n >= 74
+        assert power_law(n).analytic_horizon is not None
+
+    def test_a_power_whose_derivative_overflows_is_refused_as_before(self):
+        with pytest.raises(ValueError, match=r"testing function r\^200: f' must be finite and positive"):
+            power_law(200.0)
+
+    def test_builtin_weights_have_the_form(self):
+        for f in (power_law(2.5), linear(), exponential(2.0)):
+            assert f.analytic_horizon is not None
+
+    def test_power_law_horizon_values(self):
+        # n = 1, R = 1, sigma = 1, tau = 1: 3/2 (1 - 1/4) radially, 3/4 (1 - 1/4) in 1-D
+        assert power_law_horizon(1, 1.0, 1.0, 1.0, Geometry.radial(3)) == pytest.approx(9.0 / 8.0, rel=1e-15)
+        assert power_law_horizon(1, 1.0, 1.0, 1.0, Geometry.cartesian1d()) == pytest.approx(9.0 / 16.0, rel=1e-15)
+        assert power_law_horizon(3, 1.0, 1.0, 0.0, Geometry.radial(3)) == 0.0
+
+    def test_power_law_horizon_checks_its_arguments(self):
+        geom = Geometry.radial(3)
+        for args in ((0, 1.0, SQRT2, 1.0, geom), (1, -1.0, SQRT2, 1.0, geom), (1, 1.0, math.nan, 1.0, geom),
+                     (1, 1.0, SQRT2, -0.5, geom), (1, 1.0, SQRT2, math.nan, geom)):
+            with pytest.raises(ValueError):
+                power_law_horizon(*args)
+        with pytest.raises(ValueError, match="linear weight only"):
+            power_law_horizon(2, 1.0, SQRT2, 0.5, Geometry.cartesian1d())
+        with pytest.raises(ValueError, match="unknown geometry"):
+            power_law_horizon(1, 1.0, SQRT2, 0.5, "spherical")
+
+    def test_exponential_horizon_is_cartesian_only(self):
+        with pytest.raises(ValueError, match="1-D geometry"):
+            exponential(2.0).analytic_horizon(1.0, SQRT2, 1.0, Geometry.radial(3))
 
 
 class TestClosedFormBArrays:
