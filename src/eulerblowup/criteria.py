@@ -16,7 +16,7 @@ cases are visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,13 +27,9 @@ from .functionals import (
     _band,
     _weight_B_table,
     cone_band_upper,
-    initial_fields,
-    initial_snapshot,
     mass_functional,
-    momentum_from_samples,
     momentum_functional,
     weight_functional_B,
-    weight_samples,
 )
 from .model import (
     CARTESIAN_CLASSES,
@@ -47,7 +43,7 @@ from .model import (
     power_law,
     sound_speed,
 )
-from .quadrature import QuadratureRule, SIMPSON, integrate_samples
+from .quadrature import NonFiniteIntegrandError, QuadratureRule, SIMPSON, integrate_samples, integrate_segments
 
 # resolved theorem families
 GENERAL_RADIAL = "general_radial"
@@ -66,9 +62,9 @@ FAMILY_LINEAR_1D_TAU = "linear-1d-tau"
 FAMILY_LINEAR_1D = "linear-1d"
 
 _HORIZON_RULE = QuadratureRule(SIMPSON, 2048)
-# the panel indices of the horizon grid; times step, np.linspace's grid
-_HORIZON_STEPS = np.arange(_HORIZON_RULE.panels + 1, dtype=float)
-_HORIZON_STEPS.setflags(write=False)
+# the data side's Gauss-Legendre segments of [0, 1] (radial) and [-1, 1]
+# (1-D), which a bump's radius scales to its support
+_DATA_EDGES = {True: np.linspace(0.0, 1.0, 65), False: np.linspace(-1.0, 1.0, 65)}
 
 
 class HorizonRangeError(ValueError):
@@ -259,8 +255,8 @@ def general_condition_thresholds(
       exp(beta*x)) takes that integral in closed form, exact to rounding
       at every horizon, and B(tau) from ``analytic_B``.
     - Any other weight takes it by the 2048-panel Simpson rule
-      ``_HORIZON_RULE`` over ``np.linspace(0.0, tau, 2049)``'s abscissae,
-      bit for bit (see :func:`_horizon_times`).  B at all of them comes
+      ``_HORIZON_RULE`` over the abscissae ``np.linspace(0.0, tau, 2049)``
+      (see :func:`_horizon_times`).  B at all of them comes
       from one B(t) table (:func:`weight_functional_B_table` without its
       grid validation): one vector call of a closed form B, or B(0) plus
       a cumulative sum of Gauss-Legendre growth increments.  B(tau) is
@@ -291,8 +287,7 @@ def _horizon_side(
     tau before any B is computed.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
-    if not 0 < tau < math.inf:
-        raise HorizonRangeError(f"the {family} criterion needs a positive finite horizon, got tau={tau:g}")
+    _check_horizon(tau, family)
     sigma = sound_speed(eos)
     if f.analytic_horizon is None:
         times = _horizon_times(tau, family)
@@ -326,22 +321,20 @@ def _horizon_side(
     return B_tau, strict, a / integral if integral else math.inf
 
 
-def _horizon_times(tau: float, family: str) -> np.ndarray:
-    """The abscissae of the horizon integral over a positive finite [0, tau], checked in O(1).
+def _check_horizon(tau: float, family: str) -> None:
+    """HorizonRangeError unless tau is a positive finite float."""
+    if not 0 < tau < math.inf:
+        raise HorizonRangeError(f"the {family} criterion needs a positive finite horizon, got tau={tau:g}")
 
-    They are the panel indices times ``step = tau / panels``, the last set
-    to tau: the expression ``np.linspace(0.0, tau, panels + 1)`` evaluates
-    wherever its step is not zero, bit for bit.  Products of distinct
-    integers and a positive step increase strictly, so the grid increases
-    exactly when the step is positive and the last product is below tau;
-    otherwise (a subnormal tau) HorizonRangeError.
-    """
-    step = tau / _HORIZON_RULE.panels
-    if step > 0:
-        times = _HORIZON_STEPS * step
-        if times[-2] < tau:
-            times[-1] = tau
-            return times
+
+def _horizon_times(tau: float, family: str) -> np.ndarray:
+    """The abscissae ``np.linspace(0.0, tau, panels + 1)`` of the horizon
+    integral over a positive finite [0, tau]; HorizonRangeError where they
+    do not increase strictly (a subnormal tau)."""
+    with np.errstate(under="ignore"):  # linspace scales by a subnormal tau
+        times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
+    if np.all(times[1:] > times[:-1]):
+        return times
     raise HorizonRangeError(
         f"the {family} criterion cannot resolve tau={tau:g}: "
         f"the {_HORIZON_RULE.panels}-panel horizon integral's abscissae round to repeated times"
@@ -441,16 +434,25 @@ def default_family(geometry: Geometry) -> str:
 # Prepared criteria
 
 
-# The scenario fields each part of the data side reads besides the grid and
-# the geometry, which every part reads.  An amplitude also enters by bit
-# pattern: == holds for 0.0 and -0.0, whose samples differ in sign.
-def _density_key(s: Scenario) -> tuple:
-    return s.eos.rho_bar, s.rho0, float(s.rho0.amp).hex()
+def _unit_integral(profile: BumpProfile, weight: Callable, geometry: Geometry) -> float:
+    """The integral of ``weight`` times ``profile`` at amplitude 1 over its
+    support, [0, R] radially and [-R, R] in 1-D, by 8-node Gauss-Legendre on
+    64 segments: exact to rounding for a polynomial weight against the
+    quartic bump."""
+    unit = replace(profile, amp=1.0)
+    # the nodes lie inside the support, where a BumpProfile is its shape;
+    # a subclass may override __call__
+    shape = (lambda x: unit._shape(x / unit.R)) if type(unit) is BumpProfile else unit
+    return float(integrate_segments(lambda x: weight(x) * shape(x), unit.R * _DATA_EDGES[geometry.is_radial]).sum())
 
 
-def _shape_key(s: Scenario) -> tuple | None:
-    # a subclass may override __call__, so only a BumpProfile has a unit shape
-    return (s.v0.R, s.v0.odd) if type(s.v0) is BumpProfile else None
+def _profile_key(s: Scenario) -> tuple | None:
+    """What the unit integrals read besides the weight: the geometry and both
+    profiles up to their amplitudes.  None for a BumpProfile subclass, whose
+    shape may read more than R and parity."""
+    if type(s.v0) is BumpProfile and type(s.rho0) is BumpProfile:
+        return s.geometry, s.v0.R, s.v0.odd, s.rho0.R, s.rho0.odd
+    return None
 
 
 class PreparedCriterion:
@@ -458,17 +460,21 @@ class PreparedCriterion:
 
     A check compares the data side H(0), m(0), fixed by the scenario and
     the weight, against the horizon side, thresholds fixed by the gas, R,
-    the geometry, the weight, ``a`` and tau.  The data side is computed
-    once from the initial ``snapshot``; :meth:`with_scenario` hands its
-    parts over to a scenario on the same grid and geometry while the
-    fields each part reads are unchanged.  The horizon side is computed
-    once per tau into ``horizons``.  ``weight`` is the weight H(0)
-    integrates against: a closed form's own, else ``f``.
+    the geometry, the weight, ``a`` and tau.  The data side is the
+    theorems' integrals of the continuous initial data, which do not read
+    the grid: H(0) = amp_v * h with h the integral of the weight against
+    v0 at amplitude 1, and m(0) = amp_rho * m1 with m1 that of r**(N-1)
+    (1 in 1-D) against rho0 at amplitude 1 (see :func:`_unit_integral`).
+    ``units = (h, m1)`` is computed once and kept by :meth:`with_scenario`
+    while the geometry and both profiles up to their amplitudes are
+    unchanged.  The horizon side is computed once per tau into
+    ``horizons``.  ``weight`` is the weight H(0) integrates against: a
+    closed form's own, else ``f``.
     """
 
     def __init__(
         self, scenario: Scenario, family: str, f: TestingFunction | None, a: float, horizons: dict,
-        handed: PreparedCriterion | None = None,
+        units: tuple[float, float] | None = None,
     ):
         group = FAMILY_GROUPS[family]
         row = group.closed_form
@@ -496,63 +502,53 @@ class PreparedCriterion:
             if f.cls not in admissible:
                 raise ValueError(f"weight class {f.cls!r} is not admissible for {geom.label()} geometry")
             weight = f
-        self.scenario, self.family, self.f, self.a, self.weight = scenario, family, f, a, weight
+        self.family, self.f, self.a, self.weight = family, f, a, weight
         self.group, self.horizons = group, horizons
         self.sigma = sound_speed(eos)
-        old = handed.scenario if handed is not None else None
-        # every part of the data side reads the grid and the geometry
-        if old is None or (scenario.grid, geom) != (old.grid, old.geometry):
-            # v0's unit shape is taken by the first row that can scale it
-            snap, self.v_shape, band = initial_snapshot(scenario), None, None
-            self.m0 = mass_functional(snap, eos, geom)
-        else:
-            prev = handed.snapshot
-            same_rho = _density_key(scenario) == _density_key(old)
-            shape = _shape_key(scenario)
-            same_shape = shape is not None and shape == _shape_key(old)
-            self.v_shape = (handed.v_shape or scenario.v0.unit_shape(prev.centers)) if same_shape else None
-            snap = initial_fields(scenario, prev.centers, prev.rho if same_rho else None, self.v_shape)
-            self.m0 = handed.m0 if same_rho else mass_functional(snap, eos, geom)
-            # the weight is fixed by the family, f and the geometry, all unchanged
-            band = handed.weight_band if scenario.R == old.R else None
-        if band is None:
-            band = weight_samples(snap, weight, geom, upper=cone_band_upper(snap, scenario.R))
-        self.snapshot, self.weight_band = snap, band
-        try:
-            self.H0 = momentum_from_samples(snap, band)
-        except OverflowError as exc:
-            raise OverflowError(f"the initial weighted momentum H0 is not finite: {exc}") from exc
+        if units is None:
+            try:
+                h = _unit_integral(scenario.v0, weight.f, geom)
+            except NonFiniteIntegrandError as exc:  # the weight overflows on the support
+                raise OverflowError(f"the initial weighted momentum H0 is not finite: {exc}") from exc
+            measure = (lambda r: r ** (geom.ndim - 1)) if geom.is_radial else np.ones_like
+            units = h, _unit_integral(scenario.rho0, measure, geom)
+        self.units = units
+        self._take_amplitudes(scenario)
+
+    def _take_amplitudes(self, scenario: Scenario) -> None:
+        h, m1 = self.units
+        self.scenario, self.H0, self.m0 = scenario, scenario.amp_v * h, scenario.amp_rho * m1
+        if not math.isfinite(self.H0):
+            raise OverflowError(
+                f"the initial weighted momentum H0 is not finite: amp_v={scenario.amp_v:g} times h={h:g}"
+            )
 
     def with_scenario(self, scenario: Scenario) -> "PreparedCriterion":
-        """This criterion on another scenario, handing over what the change leaves valid.
+        """This criterion on another scenario, keeping what the change leaves valid.
 
-        ``horizons`` is kept while the gas, R and the geometry compare equal
-        (their floats are validated positive).  On the same grid and
-        geometry the data side keeps the centers, and
-
-        - the density part (rho, m(0)) while ``eos.rho_bar`` and ``rho0``
-          are unchanged;
-        - v0's unit shape and support while v0 is a ``BumpProfile``, not a
-          subclass, with the same R and parity: V is its amplitude times
-          that shape;
-        - the weight samples, the cone band and f on it, while R is
-          unchanged: H(0) is their product with V, integrated.
-
-        An amplitude also compares by bit pattern: -0.0 equals 0.0 but
-        samples a density of its own sign.  An amp_v row thus costs V's
-        scaling and H(0)'s integral, as does a gamma row; an amp_rho row
-        adds rho and m(0).
+        ``units`` is kept while :func:`_profile_key` compares equal, and
+        ``horizons`` while the gas, R and the geometry do (their floats are
+        validated positive).  The grid is read by neither.  Where both
+        hold, the result is a copy with H(0) and m(0) rescaled, one
+        multiply each: every check of ``__init__`` reads fields that did
+        not change.
         """
         old = self.scenario
-        same = (scenario.eos, scenario.R, scenario.geometry) == (old.eos, old.R, old.geometry)
-        horizons = self.horizons if same else {}
-        return PreparedCriterion(scenario, self.family, self.f, self.a, horizons, self)
+        same_horizon = (scenario.eos, scenario.R, scenario.geometry) == (old.eos, old.R, old.geometry)
+        key = _profile_key(scenario)
+        same_units = key is not None and key == _profile_key(old)
+        if same_horizon and same_units:
+            moved = object.__new__(PreparedCriterion)  # a shallow copy, a quarter of copy.copy's cost
+            moved.__dict__.update(self.__dict__)
+            moved._take_amplitudes(scenario)
+            return moved
+        horizons = self.horizons if same_horizon else {}
+        return PreparedCriterion(scenario, self.family, self.f, self.a, horizons, self.units if same_units else None)
 
     def report(self, tau: float = 1.0) -> CriterionReport:
-        """The criterion at horizon ``tau``, which must be positive, also for
-        the horizon-free family that never reads it."""
-        if not tau > 0:
-            raise ValueError("the horizon tau must be positive")
+        """The criterion at horizon ``tau``, which must be positive and
+        finite, also for the horizon-free family that never reads it."""
+        _check_horizon(tau, self.family)
         row = self.group.closed_form
         if row is None:
             return self._general_report(tau)

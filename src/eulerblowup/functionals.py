@@ -53,27 +53,10 @@ class FieldSnapshot:
 
 
 def initial_snapshot(scenario: Scenario) -> FieldSnapshot:
-    """Sample the scenario's initial data on its grid; see :func:`initial_fields`."""
-    return initial_fields(scenario, scenario.grid.centers(scenario.geometry))
-
-
-def initial_fields(
-    scenario: Scenario, centers: np.ndarray, rho: np.ndarray | None = None, v_shape: tuple | None = None
-) -> FieldSnapshot:
-    """The scenario's initial data at t = 0 on ``centers``, its grid's cell centers.
-
-    The density is rho_bar + rho0 and the velocity v0 at the centers.  A
-    caller holding parts sampled for another scenario on the same grid and
-    geometry hands them in: ``rho``, the density of a scenario with the
-    same rho_bar and rho0 (its amplitude equal by bit pattern), and
-    ``v_shape``, the ``unit_shape(centers)`` of a bump of exactly
-    :class:`~eulerblowup.model.BumpProfile`'s class with v0's R and
-    parity, which v0's amplitude scales.  Either way the fields have the
-    bits of a fresh sample.
-    """
-    if rho is None:
-        rho = scenario.eos.rho_bar + scenario.rho0(centers)
-    V = scenario.v0(centers) if v_shape is None else scenario.v0.scaled(v_shape, centers.size)
+    """Sample the scenario's initial data on its grid."""
+    centers = scenario.grid.centers(scenario.geometry)
+    rho = scenario.eos.rho_bar + scenario.rho0(centers)
+    V = scenario.v0(centers)
     return FieldSnapshot(t=0.0, centers=centers, rho=rho, V=V)
 
 
@@ -110,30 +93,13 @@ def momentum_functional(
     """Weighted velocity integral of f * V over the grid (or up to ``upper``).
 
     Radial geometry integrates in the plain radial measure dr; the 1-D
-    geometry integrates over the symmetric interval.  It is
-    :func:`momentum_from_samples` of the :func:`weight_samples`.
-    """
-    return momentum_from_samples(snap, weight_samples(snap, f, geometry, upper))
-
-
-def weight_samples(
-    snap: FieldSnapshot, f: TestingFunction, geometry: Geometry, upper: float | None = None
-) -> tuple[slice, np.ndarray]:
-    """The band of cells within ``upper`` (see :func:`_band`) and f at their centers.
-
-    They read the centers, the geometry, ``upper`` and f alone, so a
-    snapshot on the same grid with other velocities may reuse them.
+    geometry integrates over the symmetric interval.
     """
     band = _band(snap, geometry, upper)
     if band.stop - band.start < 2:
         raise GridCoverageError("integration band covers fewer than two cells")
-    return band, np.asarray(f.f(snap.centers[band]), dtype=float)
-
-
-def momentum_from_samples(snap: FieldSnapshot, samples: tuple[slice, np.ndarray]) -> float:
-    """The trapezoid integral of f * V over the band of ``samples = (band, f values)``."""
-    band, fvals = samples
-    return integrate_samples(fvals * snap.V[band], snap.spacing)
+    vals = np.asarray(f.f(snap.centers[band]), dtype=float) * snap.V[band]
+    return integrate_samples(vals, snap.spacing)
 
 
 def mass_functional(snap: FieldSnapshot, eos: EosParams, geometry: Geometry) -> float:

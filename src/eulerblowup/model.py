@@ -184,28 +184,6 @@ class BumpProfile:
         vals[inside] = self.amp * self._shape(y[inside])
         return vals
 
-    def unit_shape(self, x: np.ndarray) -> tuple[slice, np.ndarray]:
-        """The support and the amplitude-1 shape of the bump on increasing ``x``.
-
-        The support is the index range of the cells with |x| <= R; the
-        shape is taken there, with ``self.amp`` left out.  It reads only
-        ``R`` and ``odd``, so every bump differing from this one in its
-        amplitude alone may scale it (see :meth:`scaled`).
-        """
-        y = x / self.R
-        inside = np.flatnonzero(np.abs(y) <= 1.0)
-        support = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
-        return support, self._shape(y[support])
-
-    def scaled(self, shape: tuple[slice, np.ndarray], size: int) -> np.ndarray:
-        """``self(x)`` from ``shape = unit_shape(x)`` of a bump with this R and
-        parity, ``x`` of ``size`` cells: the expression of ``__call__``, so
-        the same bits, the sign of a zero included."""
-        support, unit = shape
-        vals = np.zeros(size)
-        vals[support] = self.amp * unit
-        return vals
-
     def _shape(self, y):
         shape = (1.0 - y ** 2) ** 2
         return y * shape if self.odd else shape
@@ -312,6 +290,8 @@ CARTESIAN_CLASSES = (NONNEG_INCREASING,)
 _VALIDATION_POINTS = 1000
 _VALIDATION_SPAN = 10.0
 _CROSS_CHECK_RULE = QuadratureRule(SIMPSON, 8192)
+# half an ulp of 1: a relative correction below it is lost to rounding
+_HALF_ULP = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -444,12 +424,18 @@ def power_law_horizon(n: float, R: float, sigma: float, tau: float, geometry) ->
     With x = sigma*tau/R it is n(n+2)/((n+1) sigma R**(n+1)) times
     1 - (1+x)**-(n+1) radially, and 3/(4 sigma R**2) times 1 - (1+x)**-2 in
     1-D.  Each 1 - (1+x)**-k is evaluated as -expm1(-k log1p(x)), which has
-    no cancellation at small tau.
+    no cancellation at small tau.  Where (k+1) x/2, the relative size of its
+    next term, is below half an ulp, the integral is tau/B(0) to rounding:
+    scale * k * sigma times tau/R, which keeps full precision where
+    sigma*tau is subnormal.
     """
     kind = _power_law_kind(n, R, sigma, tau >= 0, geometry)
     k = n + 1 if kind == "radial" else 2
     scale = n * (n + 2) / (k * sigma * R ** k) if kind == "radial" else 3.0 / (4.0 * sigma * R ** 2)
-    return scale * -math.expm1(-k * math.log1p(sigma * tau / R))
+    x = sigma * tau / R
+    if (k + 1) * x / 2.0 < _HALF_ULP:
+        return scale * k * sigma * (tau / R)
+    return scale * -math.expm1(-k * math.log1p(x))
 
 
 def _power_law_kind(n: float, R: float, sigma: float, t_ok, geometry) -> str:
@@ -541,9 +527,14 @@ def exponential(beta: float = 1.0) -> TestingFunction:
 
     def analytic_horizon(R, sigma, tau, geometry):
         # the integral of beta**2/(2 sinh(beta*U)) is beta/(2 sigma) times the
-        # log of tanh(beta*U/2)/tanh(beta*R/2), which is log1p of this ratio
+        # log of tanh(beta*U/2)/tanh(beta*R/2), which is log1p of this ratio;
+        # it is tau/B(0) to rounding where its next term, relatively
+        # beta*sigma*tau*coth(beta*R)/2 <= sigma*tau*(beta + 1/R)/2, is below
+        # half an ulp, which keeps full precision where sigma*tau is subnormal
         if getattr(geometry, "is_radial", False):
             raise ValueError("exponential weight is for the 1-D geometry")
+        if sigma * tau * (beta + 1.0 / R) / 2.0 < _HALF_ULP:
+            return tau / analytic_B(R, sigma, 0.0, geometry)
         U = R + sigma * tau
         ratio = -2.0 * math.expm1(-beta * sigma * tau) / (math.expm1(beta * R) * (1.0 + math.exp(-beta * U)))
         return beta / (2.0 * sigma) * math.log1p(ratio)

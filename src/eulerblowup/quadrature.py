@@ -14,7 +14,9 @@ the criteria (segments of 1/2048 of the horizon) the segment integrals
 of a smooth integrand are exact to rounding, so such a table matches a
 separate 2048-panel Simpson integral per edge to 1e-12 relative wherever
 that Simpson value is itself this accurate; beyond, the difference is
-the Simpson rule's own error.
+the Simpson rule's own error.  The criteria also take their integrals of
+the initial data over a bump's support with it: exact to rounding for
+the quartic bump against a polynomial weight.
 """
 
 from __future__ import annotations

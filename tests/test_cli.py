@@ -322,6 +322,16 @@ class TestCheckCommand:
         assert captured.err == f"error: the {theorem} criterion needs a positive finite horizon, got tau=inf\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("theorem, weight", [
+        ("general-1d", ["--weight", "exp:2"]), ("linear-1d-tau", []), ("linear-1d", []),
+    ])
+    def test_nan_horizon_gets_the_horizon_message(self, theorem, weight, cert_config, capsys):
+        code = main(["check", "--theorem", theorem, *weight, "--tau", "nan", cert_config])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: the {theorem} criterion needs a positive finite horizon, got tau=nan\n"
+        assert captured.out == ""
+
     def test_long_horizon_of_the_linear_weight_is_exact(self, tmp_path, capsys):
         # the closed form's 3.7712380492834; the 2048-panel Simpson rule gave 3.58283778
         cfg = write_config(tmp_path / "g.cfg", ["preset = ref-radial3", "grid.cells = 256"])
@@ -410,9 +420,11 @@ class TestCheckCommand:
          "--lo", "1", "--hi", "2", "--steps", "3"],
     ])
     def test_non_finite_initial_momentum_is_invalid_input(self, command, tmp_path, capsys):
-        # finite samples of amp_v = 1e308 sum to inf - inf: H(0) is NaN
+        # H(0) = amp_v * h overflows: h > 1 on a bump of radius 10 (16 R**2/105
+        # for the linear weight), while amp_v = 1e308 on radius 1 has h < 1
         cfg = write_config(
-            tmp_path / "g.cfg", ["preset = cert-general-1d-exp", "grid.cells = 512", "amp_v = 1e308"]
+            tmp_path / "g.cfg",
+            ["preset = cert-general-1d-exp", "grid.cells = 512", "amp_v = 1e308", "R = 10", "grid.extent = 22"],
         )
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -729,17 +741,17 @@ class TestSweepCommand:
         assert err.startswith("error: sweep range") and message in err
         assert not out.exists()
 
-    def test_tau_sweep_takes_one_initial_snapshot(self, monkeypatch, tmp_path, capsys):
+    def test_tau_sweep_computes_one_data_side(self, monkeypatch, tmp_path, capsys):
         calls = []
-        original = criteria.initial_snapshot
-        monkeypatch.setattr(criteria, "initial_snapshot", lambda s: calls.append(s) or original(s))
+        original = criteria._unit_integral
+        monkeypatch.setattr(criteria, "_unit_integral", lambda *args: calls.append(args) or original(*args))
         cfg = write_config(tmp_path / "s.cfg", ["preset = cert-power-radial-n3", "grid.cells = 512"])
         code = main([
             "sweep", "--theorem", "power-radial", "--parameter", "tau",
             "--lo", "0.2", "--hi", "2", "--steps", "16", "--out", str(tmp_path / "o"), cfg,
         ])
         assert code == 0, capsys.readouterr().err
-        assert len(calls) == 1
+        assert len(calls) == 2  # h and m1
 
     def test_amplitude_sweep_computes_the_closed_form_threshold_once(self, monkeypatch, tmp_path, capsys):
         # the preset's fields, not its name: building the preset reads the threshold too
@@ -770,46 +782,35 @@ SWEEP_PRESETS = {
 SWEEP_RANGES = {"tau": (0.3, 2.0), "amp_rho": (-0.05, 0.05), "gamma": (2.0, 3.0), "R": (0.6, 1.2)}
 
 # SHA-256 of sweep.csv for 64-row sweeps at the presets' 4096 cells (numpy
-# 2.4, x86-64). The amp_v and tau digests are as the checks wrote them when
-# they recomputed both sides at every row: with numpy's AVX-512 kernels and,
-# where their last bits differ, without them. The amp_rho, gamma and R
-# digests are as the sweep wrote them when it rebuilt each row's scenario
-# from the text of its config, with AVX-512 kernels only.  The general-radial
-# rows and the general-1d tau and gamma rows are as the sweep wrote them when
-# the built-in weights took their horizon integral in closed form (Python
-# floats: the same bits with and without AVX-512).
+# 2.4, x86-64, AVX-512), as the sweep wrote them when H0 and m0 became the
+# integrals of the continuous data, amp_v * h and amp_rho * m1: every row's
+# verdict is the one of the grid-sampled H0 and m0 before.
 PINNED_SWEEP_CSV = {
-    ("general-1d", "amp_v"): (
-        "a5dfd24977024193c0be34b0fd567c2afce7ac7e918f24d9072122ba26dca8b5",
-        "041a58935f5f20bdb055ffa7255235de244d41f13b2ca2a0bba0118252896be7",
-    ),
-    ("general-1d", "tau"): ("20acc388ca28a7ce3570855b525553b7de4ff90c5eb2dc1dfe8f6cd3bee36fff",),
-    ("general-radial", "amp_v"): ("3eaa840264b71a7d46e71e615cd0c11a12a6cdd5169084cbe8ab0eb8a2e06ddb",),
-    ("general-radial", "tau"): ("f96316bea21efcc6e160d7c026dbedd33e2492a5c68e3f4b3d31d82926908c3c",),
-    ("linear-1d-tau", "amp_v"): ("1e3ec960da47419b5a941d2e0c61ec1f4e66711af819b178f3a26a219cac4fc8",),
-    ("linear-1d-tau", "tau"): ("33978fee05b9441aeff2e6344e09f5861902315c0f35e2339f89078b3b756308",),
-    ("linear-1d", "amp_v"): ("25482fac1e07f8ee830894685e4c9477c371d82f669d6c05f3022d0a7aed07f5",),
-    ("linear-1d", "tau"): ("5c0add009312ff071c04ffaac3e0009517d396434c12031b27a70674bd16957f",),
-    ("power-radial", "amp_v"): (
-        "c4106518a4e8662b0691a372863c3cdb9dc26bfc7bac661439227c0ad904d87e",
-        "d98142ed37d000fc40eea08159a43341e2d10d51e9f00c7353092a3f3477e9a3",
-    ),
-    ("power-radial", "tau"): ("b5590721e44febfce883e17db7c82d7572cab31983fd5d627ee71ef4ef6a0b3a",),
-    ("general-1d", "amp_rho"): ("063fece25679d4a9af1e4d95d8e743dfbb1248d88ecbcb6d53312c27b86a092c",),
-    ("general-1d", "gamma"): ("c09a79e23d31ba3b72e229a273415be1d1fb3783281f857247030a49b492d843",),
-    ("general-1d", "R"): ("41362fc92891075705ab55ccb3a0fab8ace2ac8d9bda8cc63acbc4abfabf887e",),
-    ("general-radial", "amp_rho"): ("2a8e5dcdb037d4924bee501e330ce8741a820157affeadbd21518cf2e12cfda0",),
-    ("general-radial", "gamma"): ("cc8cd086566920ede6b379b777cf0b1ed50670195dbc55c49e328f92c64769d8",),
-    ("general-radial", "R"): ("5525e5b72feb25152562fdc363145a8747481dbdfa8fe3c91a1a399ba3a11c70",),
-    ("linear-1d", "amp_rho"): ("4438e13cef262c60a6f84fdeb23e7ba34078b02d9540fa642de75ddfe0624145",),
-    ("linear-1d", "gamma"): ("9bc03f04f2df0c0a825fc96191e43b9ac85f483288284a4a57b89cea1e0964c9",),
-    ("linear-1d", "R"): ("6c19e170f9d3062c6d41a2d118e117f6e04c2c668e4eae8f20ca7e06554c722d",),
-    ("linear-1d-tau", "amp_rho"): ("037b918be071fc87ac4089fb2199871fbfecf9191bbae74c244ae729a0e4eb2f",),
-    ("linear-1d-tau", "gamma"): ("c1ea36cc8dd24cc8f093d5e24b7c0f19c5c326a736e3ffb97f10502d128b9be3",),
-    ("linear-1d-tau", "R"): ("19a418f9aaf847abe994ad640835264be1530a8a8889baf2f32b320ed6f8fc44",),
-    ("power-radial", "amp_rho"): ("a937b87ccd4bf970dcb99a26ac57df8e351dc437308d0cbe7a957722264c0973",),
-    ("power-radial", "gamma"): ("525cc3937d1b783a7f8372248e5b9cfed6290f83fdee53e1737b827403b714ca",),
-    ("power-radial", "R"): ("f9c508d225740ab93f586533dc62830b973eff912245bcf4e0d1dae3074ef502",),
+    ('general-1d', 'amp_v'): ("fc03aa9c381f27ac0c1fb540982768482d91dd3337d7f1fe84119a521ed3b828",),
+    ('general-1d', 'tau'): ("6326049f628e8f454c9e9e0ca90cf8a6a8c9e108db9cb1658d50a91193eb2315",),
+    ('general-radial', 'amp_v'): ("61c65427d996fe59697259a72771fd2cba93a802cc2903236ba9af9267f9fd9a",),
+    ('general-radial', 'tau'): ("e892a1d4cbd13acec047827cb8ca5e5e8c038dcdef499fc82fd686bbdbfc96ea",),
+    ('linear-1d-tau', 'amp_v'): ("49b9b80ac5549a2a6e79a221b3f3ec6cb793a8b91d5db14a62f5d93022172691",),
+    ('linear-1d-tau', 'tau'): ("1945e0abd622076009a437b1e43f6f1d417436441c7ac9d412b08ad11e9b24a9",),
+    ('linear-1d', 'amp_v'): ("0362430ac60200173769542a0cce7cd4208969295b0165c5d529cc9469304081",),
+    ('linear-1d', 'tau'): ("1c3e139e40ec809ca75134ecf139793ae76778e3ed3fdfeff023e208892be7a0",),
+    ('power-radial', 'amp_v'): ("f36b523681872ea8bb9e06d87756f0da9a4ceb1c6ef987d7e334696cb0e544a9",),
+    ('power-radial', 'tau'): ("76d610a6bbadbf41ed256a38e38caa3c27df3232c34e9e0ba7de667461e0dc3c",),
+    ('general-1d', 'amp_rho'): ("c936762269c28c6fa4ebb43b872d5dfabc317493d2bb2044b1d15265fe0a35a1",),
+    ('general-1d', 'gamma'): ("52c8ed0df467b6a3f680957ef0cc57f29de492feee941f6236ca3b81a318914e",),
+    ('general-1d', 'R'): ("7d607ce3fb8be3d262e6aa2d657deef33b1811af6a2eae9250e0251b5ee05b2f",),
+    ('general-radial', 'amp_rho'): ("4758c1968dfd38933bdbdfdaa5468ab4b01b86d400b90900e4e0dbf422f590e2",),
+    ('general-radial', 'gamma'): ("edc181a3bd42339238ac902c7f717b7e1030c817822c9beba9ac0f2bd97bcced",),
+    ('general-radial', 'R'): ("1a89c826e3c0f182a93087692b41916027c81891967847999d179f21ed19c408",),
+    ('linear-1d', 'amp_rho'): ("aaebcdd05a1bca574cdd0e1ea1b87d271b9275368c71af313248a03d2cd0f2f6",),
+    ('linear-1d', 'gamma'): ("8522f8d8792d423d2a24a472acb793b7e3b69b7e59c479d6878eb85ae325b390",),
+    ('linear-1d', 'R'): ("8016b1d64bb022f15bd50faded06c5ffd8f69f8e439e4d04ccd9765374264bf4",),
+    ('linear-1d-tau', 'amp_rho'): ("d52d3b49e1c2eeda6e8589196368ef81ae20354147b32dc562811e323242e907",),
+    ('linear-1d-tau', 'gamma'): ("dbd3ec8ac8d69952430a6282b24d2def762caa5b730c3837589d1349a8e47e5a",),
+    ('linear-1d-tau', 'R'): ("be3e34c9f5c336368254cca37d9779d1db3ade734f6f3f9e5b6b055405a55ec4",),
+    ('power-radial', 'amp_rho'): ("be9080147167283b4eec57355034586efcb984d1c93c2880a5ba2ad801fed376",),
+    ('power-radial', 'gamma'): ("05a295953d7b8219a593cbbfa6e7c248dd2ad38cea9e76e3447f44a004b94fb1",),
+    ('power-radial', 'R'): ("1d9101702922e0776a2546c3d2cb61697cfcdb5c7374d5a84c76bb60b51c0a6a",),
 }
 
 
@@ -831,9 +832,8 @@ def sweep_csv_sha256(family: str, parameter: str, tmp_path) -> str:
 
 
 class TestSweepArtifactsPinned:
-    """Sweep CSVs stay byte for byte as they were before the criterion
-    checks kept their initial-data and horizon sides between rows, and
-    before the sweep built its rows from typed field values."""
+    """Sweep CSVs stay byte for byte: whether a row keeps or recomputes a
+    side of its criterion does not move a bit."""
 
     @pytest.mark.parametrize("parameter", list(cli.SWEEPABLE))
     @pytest.mark.parametrize("family", sorted(SWEEP_PRESETS))
@@ -892,36 +892,35 @@ class TestSimulateArtifactsPinned:
 # SHA-256 of criterion_report.json that check --out writes for every preset
 # and every family of its geometry at tau = 1 and the presets' 4096 cells,
 # the general families with the SWEEP_PRESETS weight and a (numpy 2.4,
-# x86-64, AVX-512), as the checks wrote them when they kept each side of a
-# criterion in a memo of its last arguments; the general families' reports,
-# and cert-general-radial-n1's, as they were when the built-in weights took
-# their horizon integral in closed form
+# x86-64, AVX-512), as the checks wrote them when H0 and m0 became the
+# integrals of the continuous data: every verdict is the one of the
+# grid-sampled H0 and m0 before
 PINNED_CHECK_REPORT = {
-    ("cert-general-1d-exp", "general-1d"): "a71a11b0f11f1649024eaf8762eecf7fe76b4166625ad7400351388308279e88",
-    ("cert-general-1d-exp", "linear-1d"): "f68b011f291995eeca71413eb68a3238f074cddfb09698b908fe857e226e42df",
-    ("cert-general-1d-exp", "linear-1d-tau"): "c78e889336411f84d98e4fe546e3fe5aa7147aa4beef86ca255d4c5be7d04f8b",
-    ("cert-general-radial-n1", "general-radial"): "5accc5c40f18ead9bda552fd55214f0a1fb42ec949f840284df25b52dc16757e",
-    ("cert-general-radial-n1", "power-radial"): "59206d7c08c29694256bb9dfee77877c3e2087356447f53c428e0ef97c1d48ff",
-    ("cert-linear-infinite-1d", "general-1d"): "217244fade3b522c72ef9881c3aa43af212f11310afe41ac1056fb18e32a41b7",
-    ("cert-linear-infinite-1d", "linear-1d"): "31135cc198d363cef67bb6e02bfde7fbf7c0fe4191cae41c4f663a3cdecdfe66",
-    ("cert-linear-infinite-1d", "linear-1d-tau"): "a14022e35b6401619e830c63e53ed43139c2ee263f5768ed6cf3a8b8cff7c338",
-    ("cert-linear-tau-1d", "general-1d"): "f1973007617e3e1e40ba2ea2c15cb84a2e09a7351a53fcb17df6e0659c4286f1",
-    ("cert-linear-tau-1d", "linear-1d"): "4aa15dea4017d5bdaae7d4bad55355f94fe22c287628add074eca26d9b622712",
-    ("cert-linear-tau-1d", "linear-1d-tau"): "05477235542eb9101c7af5ffba4992a9af45fefde6ce5feac0587151cc034bd1",
-    ("cert-power-radial-n3", "general-radial"): "887a4fc007d59d41eb14ba2148a2a7da27f8df63eddc854e0d19243a2b5de928",
-    ("cert-power-radial-n3", "power-radial"): "e12381f8eab6b7a3659b5e0ae53ef8e29c3f4fe86d5826a5ad2ee78c8644aa99",
-    ("constant-1d", "general-1d"): "a29047892c7647cccd1d17bcd0af90b63934358eb706f87e7e9c831bbb11e6f4",
-    ("constant-1d", "linear-1d"): "e6a8fdbde7b0cef9edb054030490015cf842298d9a0e5d15c01afff9b4326118",
-    ("constant-1d", "linear-1d-tau"): "d0b9039d5e9ffdc1fc476dd841d8fe3bcadd5d5f26df5783bf3ce228207dcc7d",
-    ("constant-radial3", "general-radial"): "bbfcd14c5ed0468ed7cdc3d91d01f270fdb4e31cdfe8835502463593156a48b8",
-    ("constant-radial3", "power-radial"): "c36a0ceacdd093d29cca229596c3166457c5a4f8d8e94133eddecab53d49d6ea",
-    ("ref-1d", "general-1d"): "511e24361f1f04f8f34e654f1068c1481ac6557bd844ea6d0035a06411f58870",
-    ("ref-1d", "linear-1d"): "a28f878306d61df85aa255ed1025372ce4786752730b4e806522d95a553705b1",
-    ("ref-1d", "linear-1d-tau"): "bd1e8a7e1817a7067cf3fa781271d4e8f71dbab0f828cd53de5905af9e6eb4f5",
-    ("ref-radial1", "general-radial"): "d72aa3d0cb895ecd7bdafa8b805c67ef17f43cd1ca2471b8d8cb02674ec1b341",
-    ("ref-radial1", "power-radial"): "7df62f2115ea8cfc1f9bb693c3de10aadc92c23692cd8887a048d3a039533e67",
-    ("ref-radial3", "general-radial"): "ee958cedd3a6149c0101e30103b722569cfe66504a440140237047d3e744ca52",
-    ("ref-radial3", "power-radial"): "0d67a21f53c9c277302fc805c126463a71e4696e9ec56ad77bab495c512ba373",
+    ('cert-general-1d-exp', 'general-1d'): "0750d6a6ad2f12051a3b1f99b47af1707c8531c412bc7a78df242c2cc6fa9e2e",
+    ('cert-general-1d-exp', 'linear-1d'): "a0bdf7f181cdb733daacca22698b2c19bf3fd309883e12d81717d6019a728eb7",
+    ('cert-general-1d-exp', 'linear-1d-tau'): "4837a7ce2aa78c6b94500728c371a1615c52ffea99a983ae15dd2cf2861ba040",
+    ('cert-general-radial-n1', 'general-radial'): "859d75f9836fcd94594fab325bfab0431caa425d2db89629cb66a3653ae050e4",
+    ('cert-general-radial-n1', 'power-radial'): "0f5eb9188b7b7ea8f54b2c085da6e42d3353a7af17b8eee00550b7c35fd1880b",
+    ('cert-linear-infinite-1d', 'general-1d'): "a3c5954331ecfe9bb0104beda8aa96bef128ec676371fa8570ef910938606afc",
+    ('cert-linear-infinite-1d', 'linear-1d'): "b78bed8819f8b18599dda9891bb90defd31e8c89401588f7254883d41ab82725",
+    ('cert-linear-infinite-1d', 'linear-1d-tau'): "11eaf6efcd993de7294605807875d721489ca45a665113523c9dfa3e1d9ac129",
+    ('cert-linear-tau-1d', 'general-1d'): "ff337c0a2bf6c103542dde6990f81cb853f9c697307b45ebc8d41fdd21886f10",
+    ('cert-linear-tau-1d', 'linear-1d'): "75afedbeb67d2b3457fd07629af1d5f109ba638d71bba81f34cda08bb0b1e3e8",
+    ('cert-linear-tau-1d', 'linear-1d-tau'): "cf927dfe79901f7d2b571350c7dcb35b3b0e56e4afe710117d32e78c6b3e1363",
+    ('cert-power-radial-n3', 'general-radial'): "ae1481b1fe83cf27b07864f80ea0ba89d8dcc1dbd34ca30bba63b68bd28cbef2",
+    ('cert-power-radial-n3', 'power-radial'): "6dac8b7c59a7c8b2af4709573bdf52b3550b5c823e39598b27dce44cc8320dca",
+    ('constant-1d', 'general-1d'): "a29047892c7647cccd1d17bcd0af90b63934358eb706f87e7e9c831bbb11e6f4",
+    ('constant-1d', 'linear-1d'): "e6a8fdbde7b0cef9edb054030490015cf842298d9a0e5d15c01afff9b4326118",
+    ('constant-1d', 'linear-1d-tau'): "d0b9039d5e9ffdc1fc476dd841d8fe3bcadd5d5f26df5783bf3ce228207dcc7d",
+    ('constant-radial3', 'general-radial'): "bbfcd14c5ed0468ed7cdc3d91d01f270fdb4e31cdfe8835502463593156a48b8",
+    ('constant-radial3', 'power-radial'): "c36a0ceacdd093d29cca229596c3166457c5a4f8d8e94133eddecab53d49d6ea",
+    ('ref-1d', 'general-1d'): "2e88bb7de74d7b4f748015f99ec501acdbbf98f469e86c71315efb518760709d",
+    ('ref-1d', 'linear-1d'): "1de3767e419db20a8fe548729b5c1ff3c805d40fe7d74457ab92c6c7edb9890b",
+    ('ref-1d', 'linear-1d-tau'): "b66378d752a598f4493d3100edfcc1ab9f88d47e1d81b5e9c63bf4737dcd6dad",
+    ('ref-radial1', 'general-radial'): "488d0bb1eb5535d611baa191d3651a5d65060dc0ed42bff80f04951999b4ffb3",
+    ('ref-radial1', 'power-radial'): "e439d8dcf2d0ffde0c160644dfe797bca443011a4f892d248a92894ac044d7d4",
+    ('ref-radial3', 'general-radial'): "c08c721a15300ef9873647cb09b8e82e16f87727beed7c6f7ad780565a9f2a3c",
+    ('ref-radial3', 'power-radial'): "16f15b970319d4d2a5c6c07b2cbc71206ab0017ad40758cf08604e3c3bd666a1",
 }
 
 
@@ -934,8 +933,7 @@ def _check_cases():
 
 
 class TestCheckReportsPinned:
-    """The criterion reports stay byte for byte as they were before the
-    checks prepared each criterion once as an explicit object."""
+    """The criterion reports stay byte for byte."""
 
     def test_every_preset_and_family_is_pinned(self):
         assert sorted(_check_cases()) == sorted(PINNED_CHECK_REPORT)

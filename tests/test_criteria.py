@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eulerblowup.cli as cli
 import eulerblowup.criteria as criteria
 from eulerblowup.criteria import (
     Condition,
@@ -73,6 +75,7 @@ import eulerblowup.quadrature as quadrature
 from eulerblowup.quadrature import QuadratureRule, SIMPSON, integrate_fn
 from eulerblowup.scenarios import (
     CERTIFIED_PRESETS,
+    PRESETS,
     certified_case,
     certified_general_1d_case,
     certified_general_radial_case,
@@ -533,10 +536,10 @@ def exact_power_horizon(n: int, R: float, sigma: float, tau: float, radial: bool
 def exact_exp_horizon(beta: float, R: float, sigma: float, tau: float) -> Fraction:
     """beta/(2 sigma) log(tanh(beta U/2) / tanh(beta R/2)), U = R + sigma*tau: the
     integral of 1/B for f = exp(beta x), in decimal with 50 digits beyond
-    those U - R needs."""
+    those U - R needs and those 1 - exp(-beta R) cancels."""
     b, s, r, t = map(Decimal, (beta, sigma, R, tau))
     with localcontext() as ctx:
-        ctx.prec = 50 + max(0, -(s * t / r).adjusted())
+        ctx.prec = 50 + max(0, -(s * t / r).adjusted()) + max(0, -(b * r).adjusted())
 
         def half_tanh(z):
             return (1 - (-z).exp()) / (1 + (-z).exp())
@@ -594,6 +597,18 @@ class TestClosedFormHorizon:
         assert abs(Fraction(horizon) - exact) <= Fraction(1e-13) * exact
         assert horizon == pytest.approx(3.7712380492834361, rel=1e-15)
 
+    # sigma*tau is subnormal, the integral is not: the closed forms took the
+    # product's rounding into their log1p argument, 8.6e-10 and 1.3e-4 off for
+    # x in radial3; the integral is tau/B(0) to rounding there (measured at
+    # most 2.1e-16 relative)
+    @pytest.mark.parametrize("tau", [1e-315, 1e-320])
+    @pytest.mark.parametrize("name", sorted(HORIZON_FORMS))
+    def test_subnormal_products_keep_full_precision(self, name, tau):
+        f, geom, _, exact_fn = HORIZON_FORMS[name]
+        R, sigma = 1e-50, SQRT2
+        got, exact = f.analytic_horizon(R, sigma, tau, geom), exact_fn(R, sigma, tau)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+
     def test_exponential_preset_at_a_long_horizon(self):
         case = certified_general_1d_case(cells=256)
         s = case.scenario
@@ -640,12 +655,11 @@ class TestClosedFormHorizon:
 
 @pytest.fixture()
 def computed(monkeypatch):
-    """Count the parts of the data side and the B tables the checks compute
-    (``clear()`` restarts the count): initial snapshots, rho0 and v0 samples
-    by the bump's own call, v0 unit shapes, weight samples, H(0) and m(0)."""
+    """Count the unit integrals of the data side and the B tables the checks
+    compute (``clear()`` restarts the count); a data side is two unit
+    integrals, h and m1."""
     counts = Counter()
-    for name in ("initial_snapshot", "weight_samples", "momentum_from_samples", "mass_functional",
-                 "_weight_B_table"):
+    for name in ("_unit_integral", "_weight_B_table"):
         original = getattr(criteria, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -653,18 +667,6 @@ def computed(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(criteria, name, counted)
-    call, unit_shape = model.BumpProfile.__call__, model.BumpProfile.unit_shape
-
-    def sampled(self, x):
-        counts["v0" if self.odd else "rho0"] += 1
-        return call(self, x)
-
-    def shaped(self, x):
-        counts["unit_shape"] += 1
-        return unit_shape(self, x)
-
-    monkeypatch.setattr(model.BumpProfile, "__call__", sampled)
-    monkeypatch.setattr(model.BumpProfile, "unit_shape", shaped)
     return counts
 
 
@@ -688,6 +690,10 @@ def report_json(report) -> str:
 HORIZON_FAMILIES = [f for f in FAMILIES if f != FAMILY_LINEAR_1D]
 
 
+# the certified preset of each family
+CERTIFIED_NAMES = {p.family: name for name, p in CERTIFIED_PRESETS.items()}
+
+
 @functools.lru_cache(maxsize=None)
 def certified_512() -> dict:
     """The certified case of each family at 512 cells, by family."""
@@ -706,22 +712,14 @@ def with_gamma(scenario, gamma):
     return replace(scenario, eos=replace(scenario.eos, gamma=gamma))
 
 
-DATA_SIDE = ("initial_snapshot", "rho0", "v0", "unit_shape", "weight_samples", "momentum_from_samples",
-             "mass_functional")
-
-
-def data_side(computed) -> tuple:
-    """(initial snapshots, rho0 samples, v0 samples, v0 unit shapes, weight
-    samples, H(0), m(0)) computed so far."""
-    return tuple(computed[name] for name in DATA_SIDE)
+def data_side(computed) -> int:
+    """The unit integrals computed so far."""
+    return computed["_unit_integral"]
 
 
 def assert_same_data_side(prepared, fresh) -> None:
-    """The snapshot's bytes and the bits of H(0) and m(0) of a fresh prepare."""
-    for name in ("centers", "rho", "V"):
-        assert getattr(prepared.snapshot, name).tobytes() == getattr(fresh.snapshot, name).tobytes()
-    assert prepared.snapshot.spacing == fresh.snapshot.spacing
-    got, want = np.array([prepared.H0, prepared.m0]), np.array([fresh.H0, fresh.m0])
+    """The bits of h, m1, H(0) and m(0) of a fresh prepare."""
+    got, want = np.array([*prepared.units, prepared.H0, prepared.m0]), np.array([*fresh.units, fresh.H0, fresh.m0])
     assert got.tobytes() == want.tobytes()
 
 
@@ -747,35 +745,26 @@ class TestPreparedCriterion:
         assert prepared.report(case.tau).verdict.certifies_blowup
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_one_snapshot_per_prepare(self, family, computed):
+    def test_one_data_side_per_prepare(self, family, computed):
         case = next(c for c in certified_suite(cells=512) if c.family == family)
         computed.clear()
         prepared = criteria.prepare(case.scenario, family, case.f, case.a)
         for tau in (0.5, 1.0, 2.0, 1.0):
             prepared.report(tau)
-        assert data_side(computed) == (1, 1, 1, 0, 1, 1, 1)
-        # every part is handed over while its fields are unchanged: the first
-        # amp_v row samples v0's unit shape, and every row integrates one H(0);
-        # an amp_rho row adds rho and m(0), a gamma row nothing
-        prepared = prepared.with_scenario(with_amp_v(prepared.scenario, 2.0 * case.scenario.amp_v))
-        prepared.report(1.0)
-        assert data_side(computed) == (1, 1, 1, 1, 1, 2, 1)
-        prepared = prepared.with_scenario(with_amp_v(prepared.scenario, 3.0 * case.scenario.amp_v))
-        prepared.report(1.0)
-        assert data_side(computed) == (1, 1, 1, 1, 1, 3, 1)
-        prepared = prepared.with_scenario(with_amp_rho(prepared.scenario, 0.01))
-        prepared.report(1.0)
-        assert data_side(computed) == (1, 2, 1, 1, 1, 4, 2)
-        prepared = prepared.with_scenario(with_gamma(prepared.scenario, 3.0))
-        prepared.report(1.0)
-        assert data_side(computed) == (1, 2, 1, 1, 1, 5, 2)
+        assert data_side(computed) == 2
+        # amp_v, amp_rho and gamma rows keep h and m1: each row is a multiply
+        for row in (lambda s: with_amp_v(s, 2.0 * case.scenario.amp_v), lambda s: with_amp_v(s, -0.0),
+                    lambda s: with_amp_rho(s, 0.01), lambda s: with_gamma(s, 3.0)):
+            prepared = prepared.with_scenario(row(prepared.scenario))
+            prepared.report(1.0)
+            assert data_side(computed) == 2
+        assert (prepared.H0, prepared.m0) == (-0.0 * prepared.units[0], 0.01 * prepared.units[1])
 
     @pytest.mark.parametrize("radial", [True, False])
     def test_one_table_per_tau_along_a_chain(self, radial, seeded_weight, computed):
         # every row rebuilds its scenario, as the CLI sweep does; the horizon
-        # side is handed on while the gas, R and the geometry compare equal,
-        # the density part, v0's unit shape and the weight samples while the
-        # amp_v rows leave their fields alone
+        # side is kept while the gas, R and the geometry compare equal, the
+        # data side while the geometry and the profiles' radii do
         case = (certified_general_radial_case if radial else certified_general_1d_case)(cells=512)
         family = FAMILY_GENERAL_RADIAL if radial else criteria.FAMILY_GENERAL_1D
         weight = seeded_weight(radial, 3)
@@ -786,10 +775,7 @@ class TestPreparedCriterion:
             prepared = prepared.with_scenario(
                 replace(with_amp_v(case.scenario, amp), eos=replace(case.scenario.eos)))
             rows += [prepared.report(0.8), prepared.report(1.2)]
-        assert computed == {
-            "initial_snapshot": 1, "rho0": 1, "v0": 1, "unit_shape": 1, "weight_samples": 1,
-            "momentum_from_samples": 6, "mass_functional": 1, "_weight_B_table": 2,
-        }
+        assert computed == {"_unit_integral": 2, "_weight_B_table": 2}
         assert len({r.inputs["combined_threshold"] for r in rows}) == 2
 
     @pytest.mark.parametrize("change", [
@@ -841,22 +827,15 @@ class TestPreparedCriterion:
 
     @pytest.mark.parametrize("amp", [0.0, -0.0])
     def test_signed_zero_amplitude_gives_its_own_functionals(self, amp, computed):
-        # the other sign's criterion is prepared first; its data side must
-        # not be handed over
+        # the other sign's criterion is prepared first: the new zeros scale
+        # the kept h and m1, so H(0) and m(0) carry their signs
         geom = Geometry.cartesian1d()
         other = bump(geom, amp_rho=-amp, amp_v=-amp)
         scen = bump(geom, amp_rho=amp, amp_v=amp)
         report = criteria.prepare(other, FAMILY_LINEAR_1D_TAU).with_scenario(scen).report()
-        # the density is sampled again, V scales v0's unit shape by the new zero
-        assert data_side(computed) == (1, 2, 1, 1, 1, 2, 2)
-        snap = initial_snapshot(scen)
-        dx = scen.grid.spacing(geom)
-        want = (
-            momentum_functional(snap, linear(), geom, upper=1.0 + 3.0 * dx),
-            functionals.mass_functional(snap, scen.eos, geom),
-        )
+        assert data_side(computed) == 2
         got = (report.inputs["H0"], report.inputs["m0"])
-        assert [(v, math.copysign(1.0, v)) for v in got] == [(v, math.copysign(1.0, v)) for v in want]
+        assert [(v, math.copysign(1.0, v)) for v in got] == [(amp, math.copysign(1.0, amp))] * 2
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_chains_give_the_reports_of_a_fresh_prepare(self, family):
@@ -914,15 +893,15 @@ class TestPreparedCriterion:
             prepared = prepared.with_scenario(scen)
             assert_same_data_side(prepared, want)
             assert report_json(prepared.report(case.tau)) == report_json(want.report(case.tau))
-        # every row differs from the one before in the moved amplitude's bits
-        rows = len(scens)
-        want = (1, 1, 1, 1, 1, 1 + rows, 1) if field == "amp_v" else (1, 1 + rows, 1, 1, 1, 1 + rows, 1 + rows)
-        assert data_side(computed) == want
+        # every row differs from the one before in the moved amplitude's bits,
+        # and every row keeps h and m1
+        assert data_side(computed) == 2
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_a_bump_subclass_samples_through_its_own_call(self, family, computed):
-        # a subclass may override __call__: no unit shape is taken for it,
-        # neither while it is the velocity nor when it hands over to a BumpProfile
+    def test_a_bump_subclass_integrates_through_its_own_call(self, family, computed):
+        # a subclass may override __call__: its unit integral goes through
+        # that call, and no row keeps it, neither while it is the velocity
+        # nor when a BumpProfile follows
         class Shifted(model.BumpProfile):
             def __call__(self, x):
                 return super().__call__(np.asarray(x, dtype=float) - 0.05)
@@ -935,42 +914,41 @@ class TestPreparedCriterion:
         prepared = criteria.prepare(scens[0], family, case.f, case.a)
         for scen in scens[1:]:
             prepared = prepared.with_scenario(scen)
-            assert prepared.snapshot.V.tobytes() == scen.v0(prepared.snapshot.centers).tobytes()
             fresh = criteria.prepare(scen, family, case.f, case.a)
             assert_same_data_side(prepared, fresh)
             assert report_json(prepared.report(case.tau)) == report_json(fresh.report(case.tau))
-        assert computed["unit_shape"] == 0
-        assert prepared.v_shape is None
+        # each row: its own unit integrals and a fresh prepare's
+        assert data_side(computed) == 2 + 4 * (len(scens) - 1)
+        shifted = criteria._unit_integral(Shifted(1.0, v0.R, v0.odd), prepared.weight.f, case.scenario.geometry)
+        assert prepared.units[0] == shifted != criteria._unit_integral(replace(v0, amp=1.0), prepared.weight.f,
+                                                                      case.scenario.geometry)
 
     @pytest.mark.parametrize("field", ["amp_v", "amp_rho"])
     @pytest.mark.parametrize("amp", [0.0, -0.0])
-    def test_signed_zero_flip_of_one_amplitude_samples_its_own_sign(self, field, amp, computed):
-        # the other sign's criterion is prepared first; the flipped amplitude
-        # must be sampled again: amp_v scales v0's unit shape by its own zero,
-        # amp_rho samples the density
+    def test_signed_zero_flip_of_one_amplitude_scales_by_its_own_sign(self, field, amp, computed):
+        # the other sign's criterion is prepared first; the flipped zero
+        # scales the kept unit integral
         moved = with_amp_v if field == "amp_v" else with_amp_rho
         base = bump(Geometry.cartesian1d(), amp_rho=0.01, amp_v=0.02)
         other, scen = moved(base, -amp), moved(base, amp)
         computed.clear()
         prepared = criteria.prepare(other, FAMILY_LINEAR_1D_TAU).with_scenario(scen)
-        assert data_side(computed) == ((1, 1, 1, 1, 1, 2, 1) if field == "amp_v" else (1, 2, 1, 1, 1, 2, 2))
+        assert data_side(computed) == 2
         fresh = criteria.prepare(scen, FAMILY_LINEAR_1D_TAU)
         assert report_json(prepared.report()) == report_json(fresh.report())
+        assert_same_data_side(prepared, fresh)
         got, want = (prepared.H0, prepared.m0), (fresh.H0, fresh.m0)
         assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-        for name in ("centers", "rho", "V"):
-            assert getattr(prepared.snapshot, name).tobytes() == getattr(fresh.snapshot, name).tobytes()
 
     @pytest.mark.parametrize("change, counts", [
-        (lambda s: replace(s, grid=replace(s.grid, cells=1024)), (2, 2, 2, 0, 2, 2, 2)),
-        (lambda s: replace(s, grid=replace(s.grid, extent=2.0 * s.grid.extent)), (2, 2, 2, 0, 2, 2, 2)),
-        (lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)), (1, 2, 2, 0, 2, 2, 2)),
-        # v0's radius is read by V alone, rho0's by the density part, the
-        # cone's by the weight samples, the background by the density part
-        (lambda s: replace(s, v0=replace(s.v0, R=0.9)), (1, 1, 2, 0, 1, 2, 1)),
-        (lambda s: replace(s, rho0=replace(s.rho0, R=0.9)), (1, 2, 1, 1, 1, 2, 2)),
-        (lambda s: replace(s, R=0.9), (1, 1, 1, 1, 2, 2, 1)),
-        (lambda s: replace(s, eos=replace(s.eos, rho_bar=2.0)), (1, 2, 1, 1, 1, 2, 2)),
+        # the data side reads no grid, no background and no cone radius
+        (lambda s: replace(s, grid=replace(s.grid, cells=1024)), 2),
+        (lambda s: replace(s, grid=replace(s.grid, extent=2.0 * s.grid.extent)), 2),
+        (lambda s: replace(s, R=0.9, rho0=replace(s.rho0, R=0.9), v0=replace(s.v0, R=0.9)), 4),
+        (lambda s: replace(s, v0=replace(s.v0, R=0.9)), 4),
+        (lambda s: replace(s, rho0=replace(s.rho0, R=0.9)), 4),
+        (lambda s: replace(s, R=0.9), 2),
+        (lambda s: replace(s, eos=replace(s.eos, rho_bar=2.0)), 2),
     ], ids=["cells", "extent", "R", "v0-R", "rho0-R", "cone-R", "rho_bar"])
     @pytest.mark.parametrize("family", [FAMILY_LINEAR_1D_TAU, FAMILY_GENERAL_RADIAL])
     def test_a_new_grid_radius_or_background_recomputes_the_parts_reading_it(self, family, change, counts, computed):
@@ -984,13 +962,13 @@ class TestPreparedCriterion:
         assert report_json(moved.report(case.tau)) == report_json(fresh.report(case.tau))
 
     @pytest.mark.parametrize("family, ndim", [(FAMILY_GENERAL_RADIAL, 3), (FAMILY_POWER_RADIAL, 1)])
-    def test_a_new_geometry_samples_everything(self, family, ndim, computed):
-        # the centers of radial grids coincide, but every part reads the geometry
+    def test_a_new_geometry_recomputes_the_data_side(self, family, ndim, computed):
+        # the supports of radial geometries coincide, but m1 reads r**(N-1)
         case = next(c for c in certified_suite(cells=512) if c.family == family)
         scen = replace(case.scenario, geometry=Geometry.radial(ndim))
         computed.clear()
         moved = criteria.prepare(case.scenario, family, case.f, case.a).with_scenario(scen)
-        assert data_side(computed) == (2, 2, 2, 0, 2, 2, 2)
+        assert data_side(computed) == 4
         fresh = criteria.prepare(scen, family, case.f, case.a)
         assert_same_data_side(moved, fresh)
         assert report_json(moved.report(case.tau)) == report_json(fresh.report(case.tau))
@@ -1003,19 +981,118 @@ class TestPreparedCriterion:
         computed.clear()
         prepared = criteria.prepare(scen, FAMILY_GENERAL_RADIAL, weight, 4.0)
         first, again = prepared.report(0.8), prepared.report(0.8)
-        assert computed == {
-            "initial_snapshot": 1, "rho0": 1, "v0": 1, "weight_samples": 1, "momentum_from_samples": 1,
-            "mass_functional": 1, "_weight_B_table": 1,
-        }
+        assert computed == {"_unit_integral": 2, "_weight_B_table": 1}
         assert report_json(again) == report_json(first) == report_json(check_general(scen, weight, tau=0.8))
 
     @pytest.mark.parametrize("family", HORIZON_FAMILIES)
-    def test_minimal_tau_takes_one_initial_snapshot(self, family, computed):
+    def test_minimal_tau_computes_one_data_side(self, family, computed):
         case = next(c for c in certified_suite(cells=512) if c.family == family)
         computed.clear()
         got = minimal_tau(case.scenario, family, f=case.f, a=case.a, tau_lo=0.1, tau_hi=1.0, rtol=1e-4)
         assert 0.1 < got < case.tau
-        assert data_side(computed) == (1, 1, 1, 0, 1, 1, 1)
+        assert data_side(computed) == 2
+
+
+def exact_exp_unit(beta: float, R: float) -> Fraction:
+    """The integral of exp(beta x) y (1 - y**2)**2, y = x/R, over [-R, R], in
+    decimal with 60 digits: R [exp(b y) P(y)] from -1 to 1, b = beta R, with
+    P = sum of (-1)**k q^(k)/b**(k+1) for q = y - 2y**3 + y**5, whose
+    derivatives at y = +-1 are 0, 0, +-8, 48, +-120, 120."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, r = Decimal(beta) * Decimal(R), Decimal(R)
+        upper = 8 / b ** 3 - 48 / b ** 4 + 120 / b ** 5 - 120 / b ** 6
+        lower = -8 / b ** 3 - 48 / b ** 4 - 120 / b ** 5 - 120 / b ** 6
+        return Fraction(r * (b.exp() * upper - (-b).exp() * lower))
+
+
+def bump_at(geometry, R, amp_rho=0.3, amp_v=-2.5):
+    """A bump of radius R on a grid of 256 cells over [0, 2R] (radial) or [-2R, 2R]."""
+    return make_bump_scenario(EOS, geometry, R, amp_rho, amp_v, GridSpec(2.0 * R, 256))
+
+
+# measured: at most 3.1e-16 relative over these radii, N = 1, 2, 3, 5 and r**1 to r**4
+UNIT_RTOL = Fraction(4 * sys.float_info.epsilon)
+RADII = (1.0, 0.7, 2.5, 1e-3, 37.0)
+
+
+class TestDataSide:
+    """H(0) and m(0) are the integrals of the continuous data: amp_v * h and
+    amp_rho * m1, by Gauss-Legendre on the support, read from no grid."""
+
+    @pytest.mark.parametrize("R", RADII)
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_radial_mass_unit_is_exact(self, N, R):
+        prepared = criteria.prepare(bump_at(Geometry.radial(N), R), FAMILY_POWER_RADIAL)
+        exact = 8 * Fraction(R) ** N / (N * (N + 2) * (N + 4))
+        assert abs(Fraction(prepared.units[1]) - exact) <= UNIT_RTOL * exact
+        assert prepared.m0 == 0.3 * prepared.units[1]
+
+    @pytest.mark.parametrize("R", RADII)
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, "x"])
+    def test_radial_momentum_unit_is_exact(self, n, N, R):
+        # the weight r**n (the identity for "x") integrates in dr: h = 8 R**(n+1)/((n+2)(n+4)(n+6))
+        f = linear() if n == "x" else power_law(n)
+        prepared = criteria.prepare(bump_at(Geometry.radial(N), R), FAMILY_GENERAL_RADIAL, f)
+        k = 1 if n == "x" else n
+        exact = 8 * Fraction(R) ** (k + 1) / ((k + 2) * (k + 4) * (k + 6))
+        assert abs(Fraction(prepared.units[0]) - exact) <= UNIT_RTOL * exact
+        assert prepared.H0 == -2.5 * prepared.units[0]
+
+    @pytest.mark.parametrize("R", RADII)
+    def test_1d_linear_units_are_exact(self, R):
+        prepared = criteria.prepare(bump_at(Geometry.cartesian1d(), R), FAMILY_LINEAR_1D_TAU)
+        exact = (16 * Fraction(R) ** 2 / 105, 16 * Fraction(R) / 15)
+        for got, want in zip(prepared.units, exact):
+            assert abs(Fraction(got) - want) <= UNIT_RTOL * want
+
+    @pytest.mark.parametrize("R", [1.0, 0.7, 2.5])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 5.0])
+    def test_exponential_momentum_unit_matches_its_closed_form(self, beta, R):
+        # not a polynomial: measured at most 1.8e-16 relative
+        prepared = criteria.prepare(bump_at(Geometry.cartesian1d(), R), FAMILY_GENERAL_1D, exponential(beta), 3.5)
+        exact = exact_exp_unit(beta, R)
+        assert abs(Fraction(prepared.units[0]) - exact) <= UNIT_RTOL * exact
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_reports_read_no_grid(self, preset):
+        # H0 and m0 bit for bit at 512, 1024 and 4096 cells, every family of the geometry
+        base = PRESETS[preset](512)
+        families = [f for f, g in criteria.FAMILY_GROUPS.items() if g.radial == base.geometry.is_radial]
+        for family in families:
+            weight = None if criteria.FAMILY_GROUPS[family].closed_form else (
+                linear() if base.geometry.is_radial else exponential(2.0))
+            seen = set()
+            for cells in (512, 1024, 4096):
+                report = criteria.prepare(PRESETS[preset](cells), family, weight, 3.5).report(1.0)
+                inputs = report.inputs
+                seen.add((inputs["H0"].hex(), inputs.get("m0", 0.0).hex(), report.verdict.kind))
+            assert len(seen) == 1, (family, seen)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_amp_v_rows_are_one_multiply(self, family, tmp_path, capsys):
+        # every row of an amp_v sweep, through the CLI and through with_scenario
+        case = certified_512()[family]
+        h = criteria.prepare(case.scenario, family, case.f, case.a).units[0]
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"preset = {CERTIFIED_NAMES[family]}\ngrid.cells = 512\n")
+        weight = {FAMILY_GENERAL_RADIAL: ["--weight", "linear"], FAMILY_GENERAL_1D: ["--weight", "exp:2"]}
+        argv = ["sweep", "--theorem", family, *weight.get(family, []), "--a", repr(case.a), "--parameter", "amp_v",
+                "--lo", "-80", "--hi", "120", "--steps", "9", "--out", str(tmp_path / "o"), str(cfg)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        with open(tmp_path / "o" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["H0"]) for r in rows] == [float(r["value"]) * h for r in rows]
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        for amp in (-80.0, -0.0, 0.0, 5e-324, 37.5, 1e300):
+            prepared = prepared.with_scenario(with_amp_v(case.scenario, amp))
+            assert np.array(prepared.H0).tobytes() == np.array(amp * h).tobytes()
+
+    def test_a_weight_overflowing_on_the_support_names_H0(self):
+        scen = make_bump_scenario(EOS, Geometry.cartesian1d(), 400.0, 0.0, 1.0, GridSpec(800.0, 512))
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="H0 is not finite"):
+            criteria.prepare(scen, FAMILY_GENERAL_1D, exponential(2.0), 3.5)
 
 
 class TestClosedFormFamilyFlags:
@@ -1031,8 +1108,19 @@ class TestClosedFormFamilyFlags:
     @pytest.mark.parametrize("family", [FAMILY_LINEAR_1D, FAMILY_LINEAR_1D_TAU])
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_nonpositive_tau_is_rejected(self, family, tau):
-        with pytest.raises(ValueError, match="tau must be positive"):
+        with pytest.raises(ValueError, match="needs a positive finite horizon"):
             run_family_check(bump(Geometry.cartesian1d()), family, tau=tau)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_non_finite_tau_gets_the_horizon_message(self, family, tau):
+        # one check for every family: a NaN has no sign to blame
+        case = certified_512()[family]
+        prepared = criteria.prepare(case.scenario, family, case.f, case.a)
+        message = f"the {family} criterion needs a positive finite horizon, got tau={tau:g}"
+        with pytest.raises(criteria.HorizonRangeError, match=f"^{re.escape(message)}$"):
+            prepared.report(tau)
+        assert prepared.horizons == {}
 
     @pytest.mark.parametrize(
         "family, geom",
@@ -1138,7 +1226,10 @@ NAN = float("nan")
 
 # report.to_dict() of each resolved closed-form theorem on the negative-mass
 # bump (amp_v = 80, extent 2.6, tau = 1) or its positive-mass mirror; the
-# wording, key order, operators and verdicts are exact, floats to 1e-12
+# wording, key order, operators and verdicts are exact, floats to 1e-12.
+# H0 and m0 are the exact integrals of the data, amp_v * 8/(4*6*8) for r**2
+# and amp_rho * 8/(2*4*6) in radial2, amp_v * 16/105 and amp_rho * 16/15 in
+# 1-D; the other floats are the closed forms at those values.
 PINNED_REPORTS = {
     "power-case1": (
         check_power_radial, Geometry.radial(2), 0.05, 2.0,
@@ -1147,17 +1238,17 @@ PINNED_REPORTS = {
                     "N": 2,
                     "tau": 1.0,
                     "sigma": 1.4142135623730951,
-                    "H0": 3.3333330729590642,
-                    "m0": 0.008333386895305567,
+                    "H0": 80.0 / 24.0,
+                    "m0": 0.05 / 6.0,
                     "threshold": 1.5224077499274828},
          "conditions": [{"name": "initial_momentum_exceeds_threshold",
-                         "lhs": 3.3333330729590642,
+                         "lhs": 80.0 / 24.0,
                          "rhs": 1.5224077499274828,
                          "op": ">",
                          "satisfied": True,
-                         "margin": 1.8109253230315814}],
+                         "margin": 1.8109255834058502}],
          "verdict": {"kind": "blowup_before", "tau": 1.0},
-         "margins": {"initial_momentum_exceeds_threshold": 1.8109253230315814},
+         "margins": {"initial_momentum_exceeds_threshold": 1.8109255834058502},
          "notes": []},
     ),
     "power-case2": (
@@ -1167,25 +1258,25 @@ PINNED_REPORTS = {
                     "N": 2,
                     "tau": 1.0,
                     "sigma": 1.4142135623730951,
-                    "H0": 3.3333330729590642,
-                    "m0": -0.00833338689530557,
-                    "a": 2.2850758465379872,
-                    "threshold": 1.7394085889707676},
+                    "H0": 80.0 / 24.0,
+                    "m0": -0.05 / 6.0,
+                    "a": 2.2850742174761285,
+                    "threshold": 1.739407348922568},
          "conditions": [{"name": "root_constant_admissible",
-                         "lhs": 2.2850758465379872,
+                         "lhs": 2.2850742174761285,
                          "rhs": 2.0,
                          "op": ">",
                          "satisfied": True,
-                         "margin": 0.28507584653798723},
+                         "margin": 0.2850742174761285},
                         {"name": "initial_momentum_exceeds_threshold",
-                         "lhs": 3.3333330729590642,
-                         "rhs": 1.7394085889707676,
+                         "lhs": 80.0 / 24.0,
+                         "rhs": 1.739407348922568,
                          "op": ">",
                          "satisfied": True,
-                         "margin": 1.5939244839882967}],
+                         "margin": 1.593925984410765}],
          "verdict": {"kind": "blowup_before", "tau": 1.0},
-         "margins": {"root_constant_admissible": 0.28507584653798723,
-                     "initial_momentum_exceeds_threshold": 1.5939244839882967},
+         "margins": {"root_constant_admissible": 0.2850742174761285,
+                     "initial_momentum_exceeds_threshold": 1.593925984410765},
          "notes": []},
     ),
     "power-uncovered": (
@@ -1195,8 +1286,8 @@ PINNED_REPORTS = {
                     "N": 2,
                     "tau": 1.0,
                     "sigma": 1.7320508075688772,
-                    "H0": 3.3333330729590642,
-                    "m0": -0.00833338689530557,
+                    "H0": 80.0 / 24.0,
+                    "m0": -0.05 / 6.0,
                     "threshold": NAN},
          "conditions": [],
          "verdict": {"kind": "inconclusive",
@@ -1209,26 +1300,26 @@ PINNED_REPORTS = {
         {"theorem": "linear_1d_infinite",
          "inputs": {"geometry": "cartesian1d",
                     "sigma": 1.4142135623730951,
-                    "H0": 12.190479841641569,
-                    "m0": -0.053333335683495124,
+                    "H0": 80.0 * 16.0 / 105.0,
+                    "m0": -0.05 * 16.0 / 15.0,
                     "threshold": 3.771236166328254},
          "conditions": [{"name": "perturbed_mass_nonnegative",
-                         "lhs": -0.053333335683495124,
+                         "lhs": -0.05 * 16.0 / 15.0,
                          "rhs": 0.0,
                          "op": ">=",
                          "satisfied": False,
-                         "margin": -0.053333335683495124},
+                         "margin": -0.05 * 16.0 / 15.0},
                         {"name": "initial_momentum_exceeds_threshold",
-                         "lhs": 12.190479841641569,
+                         "lhs": 80.0 * 16.0 / 105.0,
                          "rhs": 3.771236166328254,
                          "op": ">",
                          "satisfied": True,
-                         "margin": 8.419243675313314}],
+                         "margin": 8.419240024147937}],
          "verdict": {"kind": "inconclusive",
                      "reason": "requires non-negative perturbed mass and momentum above the "
                                "threshold"},
-         "margins": {"perturbed_mass_nonnegative": -0.053333335683495124,
-                     "initial_momentum_exceeds_threshold": 8.419243675313314},
+         "margins": {"perturbed_mass_nonnegative": -0.05 * 16.0 / 15.0,
+                     "initial_momentum_exceeds_threshold": 8.419240024147937},
          "notes": []},
     ),
     "linear-tau-case1": (
@@ -1237,17 +1328,17 @@ PINNED_REPORTS = {
          "inputs": {"geometry": "cartesian1d",
                     "tau": 1.0,
                     "sigma": 1.4142135623730951,
-                    "H0": 12.190479841641569,
-                    "m0": 0.0533333356834951,
+                    "H0": 80.0 * 16.0 / 105.0,
+                    "m0": 0.05 * 16.0 / 15.0,
                     "threshold": 4.552284749830794},
          "conditions": [{"name": "initial_momentum_meets_threshold",
-                         "lhs": 12.190479841641569,
+                         "lhs": 80.0 * 16.0 / 105.0,
                          "rhs": 4.552284749830794,
                          "op": ">=",
                          "satisfied": True,
-                         "margin": 7.638195091810775}],
+                         "margin": 7.6381914406453975}],
          "verdict": {"kind": "blowup_before", "tau": 1.0},
-         "margins": {"initial_momentum_meets_threshold": 7.638195091810775},
+         "margins": {"initial_momentum_meets_threshold": 7.6381914406453975},
          "notes": []},
     ),
     "linear-tau-case2": (
@@ -1256,25 +1347,25 @@ PINNED_REPORTS = {
          "inputs": {"geometry": "cartesian1d",
                     "tau": 1.0,
                     "sigma": 1.4142135623730951,
-                    "H0": 12.190479841641569,
-                    "m0": -0.053333335683495124,
-                    "a": 1.451600970216566,
-                    "threshold": 4.956075719667343},
+                    "H0": 80.0 * 16.0 / 105.0,
+                    "m0": -0.05 * 16.0 / 15.0,
+                    "a": 1.4516009653976552,
+                    "threshold": 4.956075703214553},
          "conditions": [{"name": "root_constant_admissible",
-                         "lhs": 1.451600970216566,
+                         "lhs": 1.4516009653976552,
                          "rhs": 1.3333333333333333,
                          "op": ">",
                          "satisfied": True,
-                         "margin": 0.11826763688323272},
+                         "margin": 0.11826763206432189},
                         {"name": "initial_momentum_exceeds_threshold",
-                         "lhs": 12.190479841641569,
-                         "rhs": 4.956075719667343,
+                         "lhs": 80.0 * 16.0 / 105.0,
+                         "rhs": 4.956075703214553,
                          "op": ">",
                          "satisfied": True,
-                         "margin": 7.234404121974226}],
+                         "margin": 7.234400487261639}],
          "verdict": {"kind": "blowup_before", "tau": 1.0},
-         "margins": {"root_constant_admissible": 0.11826763688323272,
-                     "initial_momentum_exceeds_threshold": 7.234404121974226},
+         "margins": {"root_constant_admissible": 0.11826763206432189,
+                     "initial_momentum_exceeds_threshold": 7.234400487261639},
          "notes": []},
     ),
     "linear-tau-uncovered": (
@@ -1283,8 +1374,8 @@ PINNED_REPORTS = {
          "inputs": {"geometry": "cartesian1d",
                     "tau": 1.0,
                     "sigma": 1.7320508075688772,
-                    "H0": 12.190479841641569,
-                    "m0": -0.053333335683495124,
+                    "H0": 80.0 * 16.0 / 105.0,
+                    "m0": -0.05 * 16.0 / 15.0,
                     "threshold": NAN},
          "conditions": [],
          "verdict": {"kind": "inconclusive",
@@ -1333,9 +1424,9 @@ class TestClosedFormResolution:
             (check_linear_1d, bump(Geometry.cartesian1d(), gamma=1.5),
              "the horizon-free criterion requires gamma >= 2"),
             (lambda s: check_power_radial(s, tau=0.0), bump(Geometry.radial(2)),
-             "the horizon tau must be positive"),
+             "the power-radial criterion needs a positive finite horizon, got tau=0"),
             (lambda s: check_linear_1d_tau(s, tau=-1.0), bump(Geometry.cartesian1d()),
-             "the horizon tau must be positive"),
+             "the linear-1d-tau criterion needs a positive finite horizon, got tau=-1"),
         ],
     )
     def test_guard_messages(self, check, scenario, message):
@@ -1465,10 +1556,10 @@ class TestMinimalTau:
         dict(rtol=math.nan), dict(scan_points=0), dict(scan_points=1),
     ])
     def test_invalid_arguments_raise_before_any_check(self, kwargs, monkeypatch):
-        def no_check(scenario):
+        def no_check(*args):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(criteria, "initial_snapshot", no_check)
+        monkeypatch.setattr(criteria, "_unit_integral", no_check)
         with pytest.raises(ValueError):
             minimal_tau(bump(Geometry.radial(3)), FAMILY_POWER_RADIAL, **kwargs)
 
@@ -1618,10 +1709,26 @@ class TestTheoremContext:
     @pytest.mark.parametrize("cells", [512, 1024, 4096])
     @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))
     def test_context_momentum_matches_report(self, name, cells):
-        # the report's H0 and the series' H at t = 0 integrate over one band
+        # the report's H0 integrates the continuous data, the series' H at
+        # t = 0 the grid's samples: measured |H - H0| / H0 at most 6.4e-3 dx**2
+        # over 512 to 8192 cells (3.2e-3 dx**2 at 1024), so within 1e-2 dx**2
         case = certified_case(name, cells)
         ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
-        assert ctx.H(initial_snapshot(case.scenario)) == ctx.report.inputs["H0"]
+        H0, dx = ctx.report.inputs["H0"], case.scenario.grid.spacing(case.scenario.geometry)
+        assert abs(ctx.H(initial_snapshot(case.scenario)) - H0) <= 1e-2 * dx ** 2 * H0
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))
+    def test_grid_momentum_converges_to_the_report_at_second_order(self, name):
+        # measured orders between doublings of 512 to 8192 cells: 2.1 to 3.3
+        # (linear weights in 1-D, r**3 in radial3), 3.0 (x, radial1), 4.0
+        # (exp(2x), 1-D); the quartic's jump in V'' at R limits the first two
+        gaps = []
+        for cells in (1024, 2048, 4096):
+            case = certified_case(name, cells)
+            ctx = theorem_context(case.scenario, case.family, case.tau, case.f, case.a)
+            H0 = ctx.report.inputs["H0"]
+            gaps.append(abs(ctx.H(initial_snapshot(case.scenario)) - H0) / H0)
+        assert all(math.log2(coarse / fine) >= 1.9 for coarse, fine in zip(gaps, gaps[1:]))
 
     def test_recorder_smoke(self):
         case = certified_power_radial_case(cells=512)

@@ -12,23 +12,18 @@ from eulerblowup.functionals import (
     _band,
     cone_energy,
     cone_gradient_constant,
-    initial_fields,
     initial_snapshot,
     mass_functional,
-    momentum_from_samples,
     momentum_functional,
     weight_functional_B,
     weight_functional_B_table,
-    weight_samples,
 )
 from eulerblowup.model import (
-    BumpProfile,
     EosParams,
     Geometry,
     GridSpec,
     RADIAL_VANISHING,
     TestingFunction as WeightFn,
-    exponential,
     linear,
     make_bump_scenario,
     power_law,
@@ -77,62 +72,24 @@ GEOMETRIES = [Geometry.cartesian1d(), Geometry.radial(1), Geometry.radial(3)]
 SIGNED_AMPLITUDES = [0.02, -0.02, 0.0, -0.0, 5e-324, -5e-324, 1e300, -3.7]
 
 
-class TestInitialFields:
-    """Parts handed over between scenarios on one grid give the bits of a fresh sample."""
+class TestInitialSnapshot:
+    """The initial snapshot samples the scenario's own profiles on its grid."""
 
-    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("amp", SIGNED_AMPLITUDES)
     @pytest.mark.parametrize("geom", GEOMETRIES, ids=lambda g: g.label())
-    def test_scaled_unit_shape_has_the_bits_of_the_call(self, geom, odd):
-        centers = GridSpec(2.2, 512).centers(geom)
-        # radii inside the grid, on a center, past every center and below the first
-        for R in (1.0, 0.7, float(centers[300]), 5.0, 1e-9):
-            shape = BumpProfile(123.0, R, odd).unit_shape(centers)
-            for amp in SIGNED_AMPLITUDES:
-                bump = BumpProfile(amp, R, odd)
-                assert bump.scaled(shape, centers.size).tobytes() == bump(centers).tobytes()
+    def test_fields_are_the_profiles_at_the_centers(self, geom, amp):
+        scen = make_bump_scenario(EOS, geom, 1.0, 0.01, amp, GridSpec(2.2, 512))
+        snap = initial_snapshot(scen)
+        centers = scen.grid.centers(geom)
+        assert snap.centers.tobytes() == centers.tobytes()
+        assert snap.V.tobytes() == scen.v0(centers).tobytes()
+        assert snap.rho.tobytes() == (scen.eos.rho_bar + scen.rho0(centers)).tobytes()
+        assert snap.t == 0.0
 
-    def test_support_is_the_cells_within_the_radius(self):
-        centers = GridSpec(2.0, 64).centers(Geometry.cartesian1d())
-        R = float(centers[40])
-        support, unit = BumpProfile(1.0, R, odd=True).unit_shape(centers)
-        assert support == slice(23, 41)
-        assert np.array_equal(np.flatnonzero(np.abs(centers) <= R), np.arange(23, 41))
-        assert unit.size == 18
-        assert BumpProfile(1.0, 1e-9).unit_shape(centers)[0] == slice(0, 0)
-
-    @pytest.mark.parametrize("amp_v", SIGNED_AMPLITUDES)
-    @pytest.mark.parametrize("geom", GEOMETRIES, ids=lambda g: g.label())
-    def test_handed_parts_give_a_fresh_snapshot(self, geom, amp_v):
-        other = make_bump_scenario(EOS, geom, 1.0, 0.01, 0.5, GridSpec(2.2, 512))
-        scen = make_bump_scenario(EOS, geom, 1.0, 0.01, amp_v, GridSpec(2.2, 512))
-        prev = initial_snapshot(other)
-        fresh = initial_snapshot(scen)
-        for rho in (None, prev.rho):
-            for v_shape in (None, other.v0.unit_shape(prev.centers)):
-                got = initial_fields(scen, prev.centers, rho, v_shape)
-                for name in ("centers", "rho", "V"):
-                    assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
-                assert (got.t, got.spacing) == (fresh.t, fresh.spacing)
-
-    @pytest.mark.parametrize("geom, f", [
-        (Geometry.cartesian1d(), linear()), (Geometry.cartesian1d(), exponential(2.0)),
-        (Geometry.radial(3), power_law(3)), (Geometry.radial(1), linear()),
-    ], ids=["1d-linear", "1d-exp", "radial3-r^3", "radial1-linear"])
-    def test_weight_samples_of_one_snapshot_serve_another(self, geom, f):
-        # the samples read the centers, the geometry and the band alone
-        snaps = [initial_snapshot(make_bump_scenario(EOS, geom, 1.0, 0.01, amp, GridSpec(2.2, 512)))
-                 for amp in (0.02, -0.0, -7.5)]
-        upper = 1.0 + 3.0 * snaps[0].spacing
-        samples = weight_samples(snaps[0], f, geom, upper)
-        for snap in snaps:
-            got = momentum_from_samples(snap, samples)
-            want = momentum_functional(snap, f, geom, upper)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-
-    def test_weight_samples_need_two_cells(self):
+    def test_momentum_band_needs_two_cells(self):
         snap = constant_snapshot(Geometry.radial(1))
         with pytest.raises(GridCoverageError, match="fewer than two cells"):
-            weight_samples(snap, linear(), Geometry.radial(1), upper=0.001)
+            momentum_functional(snap, linear(), Geometry.radial(1), upper=0.001)
 
 
 class TestMomentumFunctional:
