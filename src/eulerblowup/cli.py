@@ -382,10 +382,15 @@ def _sweep_row(
 ) -> tuple[PreparedCriterion, dict]:
     """One row and the criterion it read: the loaded scenario at tau = value, or
     one built from its typed ``fields`` with the parameter's field at value.
+    An amplitude row takes the loaded scenario's gas, geometry, R, grid and
+    detector, already validated, and only its amplitudes from the row.
     ``prepared`` is the previous row's criterion, None on the first row."""
     field = SWEEPABLE[args.parameter]
     tau = args.tau if field else value
-    if field:
+    if field in ("amp_v", "amp_rho"):
+        amps = {"amp_rho": scen.amp_rho, "amp_v": scen.amp_v, field: value}
+        scen = make_bump_scenario(scen.eos, scen.geometry, scen.R, grid=scen.grid, detector=scen.detector, **amps)
+    elif field:
         scen = _scenario({**fields, field: value})
     if prepared is None:
         prepared = prepare(scen, args.theorem, weight, args.a)

@@ -22,11 +22,12 @@ from typing import Callable
 import numpy as np
 
 from .functionals import (
+    SUPPORT_EDGES,
     FieldSnapshot,
     SeriesRecorder,
     _band,
-    _weight_B_table,
     cone_band_upper,
+    horizon_B,
     mass_functional,
     momentum_functional,
     weight_functional_B,
@@ -43,7 +44,7 @@ from .model import (
     power_law,
     sound_speed,
 )
-from .quadrature import NonFiniteIntegrandError, QuadratureRule, SIMPSON, integrate_samples, integrate_segments
+from .quadrature import NonFiniteIntegrandError, integrate_samples, integrate_segments
 
 # resolved theorem families
 GENERAL_RADIAL = "general_radial"
@@ -60,11 +61,6 @@ FAMILY_GENERAL_1D = "general-1d"
 FAMILY_POWER_RADIAL = "power-radial"
 FAMILY_LINEAR_1D_TAU = "linear-1d-tau"
 FAMILY_LINEAR_1D = "linear-1d"
-
-_HORIZON_RULE = QuadratureRule(SIMPSON, 2048)
-# the data side's Gauss-Legendre segments of [0, 1] (radial) and [-1, 1]
-# (1-D), which a bump's radius scales to its support
-_DATA_EDGES = {True: np.linspace(0.0, 1.0, 65), False: np.linspace(-1.0, 1.0, 65)}
 
 
 class HorizonRangeError(ValueError):
@@ -254,20 +250,17 @@ def general_condition_thresholds(
     - A weight with ``analytic_horizon`` (the built-in x**n, x and
       exp(beta*x)) takes that integral in closed form, exact to rounding
       at every horizon, and B(tau) from ``analytic_B``.
-    - Any other weight takes it by the 2048-panel Simpson rule
-      ``_HORIZON_RULE`` over the abscissae ``np.linspace(0.0, tau, 2049)``
-      (see :func:`_horizon_times`).  B at all of them comes
-      from one B(t) table (:func:`weight_functional_B_table` without its
-      grid validation): one vector call of a closed form B, or B(0) plus
-      a cumulative sum of Gauss-Legendre growth increments.  B(tau) is
-      ``analytic_B``'s where there is one, else the table's last entry,
-      which stays within 1e-12 relative of a separate Simpson B(tau).
+    - Any other weight takes it by one fixed Gauss-Legendre rule,
+      :func:`~eulerblowup.functionals.horizon_B`: 64 segments of 8 nodes
+      on the cone radius R + sigma*t, graded geometrically from R to
+      R + sigma*tau.  B at the nodes is ``analytic_B``'s where there is
+      one, else B(0) plus the running integral of f**2/f' over the cone's
+      growth, and so is B(tau).  On the built-in weights with their
+      closed forms removed it is within 1e-13 relative of them.
 
     A tau that is not a positive finite float raises HorizonRangeError
-    before any B is computed, on either path, as does a tau too small for
-    the Simpson rule's distinct abscissae, or for distinct cone radii when
-    B is integrated by quadrature.  So does a B or horizon integral past
-    the float range.
+    before any B is computed, on either path.  So does a B or horizon
+    integral past the float range, or a weight that overflows on the cone.
     """
     return _horizon_side(f, a, eos, R, tau, geometry)[1:]
 
@@ -281,43 +274,36 @@ def _horizon_side(
 ) -> tuple[float, float, float]:
     """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds.
 
-    Checks tau first: positive and finite on either path; on the Simpson
-    path resolved by its abscissae and, for a quadrature B, by the cone
-    radii R + sigma*t at them.  Each failure raises HorizonRangeError naming
-    tau before any B is computed.
+    Checks tau first, positive and finite, and raises HorizonRangeError
+    naming it before any B is computed.  A closed-form horizon integral
+    reads B(tau) from :func:`weight_functional_B`; any other weight reads
+    B at the nodes and at tau from one :func:`horizon_B`.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
     _check_horizon(tau, family)
     sigma = sound_speed(eos)
-    if f.analytic_horizon is None:
-        times = _horizon_times(tau, family)
-        if f.analytic_B is None and not np.all(np.diff(R + sigma * times) > 0):
-            raise HorizonRangeError(
-                f"the {family} criterion cannot resolve tau={tau:g}: "
-                f"the cone radius R + sigma*t repeats between the horizon integral's abscissae"
-            )
     try:
-        B = None if f.analytic_horizon else _weight_B_table(f, R, sigma, times, geometry, _HORIZON_RULE)
-        B_tau = weight_functional_B(f, R, sigma, tau, geometry, _HORIZON_RULE) if f.analytic_B else float(B[-1])
+        if f.analytic_horizon is None:
+            B, weights, B_tau = horizon_B(f, R, sigma, tau, geometry)
+        else:
+            B_tau = weight_functional_B(f, R, sigma, tau, geometry)
     except OverflowError as exc:
         raise _overflow("B_tau", family, tau) from exc
     U = R + sigma * tau
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
-
-    if f.analytic_horizon is None:
-        # a*B past the float range has a zero reciprocal; a zero integral is an
-        # infinite threshold, which the CLI rejects as an overflow
-        with np.errstate(over="ignore"):
-            reciprocal = 1.0 / (a * B)
-        horizon_integral = integrate_samples(reciprocal, tau / _HORIZON_RULE.panels, _HORIZON_RULE)
-        return B_tau, strict, 1.0 / horizon_integral if horizon_integral else math.inf
     try:
-        # the integral of 1/B overflows where R**(n+1) underflows
-        integral = float(f.analytic_horizon(R, sigma, tau, geometry))
+        if f.analytic_horizon is None:
+            # a B(0) that underflows to 0 has an infinite reciprocal
+            with np.errstate(divide="ignore", over="ignore"):
+                integral = R / sigma * float(np.sum(weights / B))
+        else:
+            # the integral of 1/B overflows where R**(n+1) underflows
+            integral = float(f.analytic_horizon(R, sigma, tau, geometry))
     except ArithmeticError as exc:
         raise _overflow("horizon integral", family, tau) from exc
     if not math.isfinite(integral):
         raise _overflow("horizon integral", family, tau)
+    # a zero integral is an infinite threshold, which the CLI rejects as an overflow
     return B_tau, strict, a / integral if integral else math.inf
 
 
@@ -325,20 +311,6 @@ def _check_horizon(tau: float, family: str) -> None:
     """HorizonRangeError unless tau is a positive finite float."""
     if not 0 < tau < math.inf:
         raise HorizonRangeError(f"the {family} criterion needs a positive finite horizon, got tau={tau:g}")
-
-
-def _horizon_times(tau: float, family: str) -> np.ndarray:
-    """The abscissae ``np.linspace(0.0, tau, panels + 1)`` of the horizon
-    integral over a positive finite [0, tau]; HorizonRangeError where they
-    do not increase strictly (a subnormal tau)."""
-    with np.errstate(under="ignore"):  # linspace scales by a subnormal tau
-        times = np.linspace(0.0, tau, _HORIZON_RULE.panels + 1)
-    if np.all(times[1:] > times[:-1]):
-        return times
-    raise HorizonRangeError(
-        f"the {family} criterion cannot resolve tau={tau:g}: "
-        f"the {_HORIZON_RULE.panels}-panel horizon integral's abscissae round to repeated times"
-    )
 
 
 @dataclass(frozen=True)
@@ -443,7 +415,7 @@ def _unit_integral(profile: BumpProfile, weight: Callable, geometry: Geometry) -
     # the nodes lie inside the support, where a BumpProfile is its shape;
     # a subclass may override __call__
     shape = (lambda x: unit._shape(x / unit.R)) if type(unit) is BumpProfile else unit
-    return float(integrate_segments(lambda x: weight(x) * shape(x), unit.R * _DATA_EDGES[geometry.is_radial]).sum())
+    return float(integrate_segments(lambda x: weight(x) * shape(x), unit.R * SUPPORT_EDGES[geometry.is_radial]).sum())
 
 
 def _profile_key(s: Scenario) -> tuple | None:
@@ -810,10 +782,8 @@ class TheoremContext:
         return momentum_functional(snap, self.f, self.scenario.geometry, upper=self._upper(snap))
 
     def B(self, t: float) -> float:
-        """B(t) by the rule the criterion's own B(tau) uses."""
-        return weight_functional_B(
-            self.f, self.scenario.R, self.sigma, t, self.scenario.geometry, _HORIZON_RULE
-        )
+        """B(t) by the rule of the report's B(tau), which it is bit for bit at tau."""
+        return weight_functional_B(self.f, self.scenario.R, self.sigma, t, self.scenario.geometry)
 
     def m(self, snap: FieldSnapshot) -> float:
         return mass_functional(snap, self.scenario.eos, self.scenario.geometry)

@@ -9,13 +9,14 @@ collects them into a :class:`FunctionalSeries` as a run progresses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import EosParams, Geometry, Scenario, TestingFunction, riemann_variable, sound_speed
-from .quadrature import DEFAULT_RULE, QuadratureRule, _evaluate, integrate_fn, integrate_samples, integrate_segments
+from .quadrature import _GL8_RUNNING, _GL8_WEIGHTS, _evaluate, integrate_samples, segment_nodes
 
 
 class WeightDivergenceError(ValueError):
@@ -115,79 +116,85 @@ def mass_functional(snap: FieldSnapshot, eos: EosParams, geometry: Geometry) -> 
     return float(np.sum(diff) * snap.spacing)
 
 
-def weight_functional_B(
-    f: TestingFunction,
-    R: float,
-    sigma: float,
-    t: float,
-    geometry: Geometry,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
+def weight_functional_B(f: TestingFunction, R: float, sigma: float, t: float, geometry: Geometry) -> float:
     """Weight integral B(t) of f**2/f' over the sound cone section at time t.
 
     Uses the closed form attached to ``f`` when present, otherwise the
-    quadrature rule.  A quadrature integrand that grows toward the radial
-    origin is reported as divergent rather than silently truncated.
+    horizon rule over [0, t] (:func:`horizon_B`), the B(tau) the general
+    criteria read.  A radial integrand that grows toward the origin is
+    reported as divergent rather than silently truncated.
     """
     if not (R > 0 and sigma > 0 and t >= 0):
         raise ValueError("require R > 0, sigma > 0, t >= 0")
     if f.analytic_B is not None:
         return float(f.analytic_B(R, sigma, t, geometry))
-    upper = R + sigma * t
-    lower = 0.0 if geometry.is_radial else -upper
-    if geometry.is_radial:
-        _probe_origin(f, upper)
-    return integrate_fn(f.weight_integrand, lower, upper, rule)
+    return horizon_B(f, R, sigma, t, geometry)[2]
 
 
-def weight_functional_B_table(
-    f: TestingFunction,
-    R: float,
-    sigma: float,
-    times,
-    geometry: Geometry,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> np.ndarray:
-    """B(t) at each time of an increasing grid of two or more times, the first 0.
+# the horizon rule: 64 segments of 8-node Gauss-Legendre on the support of a
+# bump of radius 1, [0, 1] radially and [-1, 1] in 1-D, and as many graded
+# geometrically on the cone's growth
+_SEGMENTS = 64
+SUPPORT_EDGES = {True: np.linspace(0.0, 1.0, _SEGMENTS + 1), False: np.linspace(-1.0, 1.0, _SEGMENTS + 1)}
+_SUPPORT_NODES = {radial: segment_nodes(edges) for radial, edges in SUPPORT_EDGES.items()}
+_GRADING = np.arange(_SEGMENTS + 1) / _SEGMENTS
 
-    A closed form attached to ``f`` is called once on the whole array; a
-    closed form that only takes scalars is called per time.  Otherwise
-    B(0) comes from :func:`weight_functional_B` with ``rule`` and each
-    later value adds the integral over the cone's growth since the
-    previous time, [R + sigma*t_k, R + sigma*t_(k+1)] (mirrored in 1-D),
-    by :func:`~eulerblowup.quadrature.integrate_segments`.  With the
-    2048-panel Simpson rule on a 2049-point grid the table matches a
-    separate :func:`weight_functional_B` per time to 1e-12 relative
-    wherever that Simpson value is itself this accurate; fast-growing 1-D
-    weights such as exp(2x) lose that accuracy past U = R + sigma*t of
-    about 2, and there the table is the more accurate of the two.  A
-    radial integrand that grows toward the origin at the last time raises
-    :class:`WeightDivergenceError`.  R, sigma and the grid are validated
-    here, a NaN included; the criteria's horizon grid, which checks
-    itself, goes to the unvalidated core :func:`_weight_B_table`.
+
+def horizon_B(
+    f: TestingFunction, R: float, sigma: float, tau: float, geometry: Geometry
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(B at the nodes, weights, B(tau)) of the horizon rule over [0, tau].
+
+    The rule integrates in s = sigma*t/R, so the cone radius is
+    U = R + R*s and dt = (R/sigma) ds: 64 segments of 8-node
+    Gauss-Legendre with edges s_k = expm1((k/64) log1p(sigma*tau/R)),
+    graded geometrically from R to R + sigma*tau, none the difference of
+    two radii.  The integral of 1/B over [0, tau] is R/sigma times the sum
+    of ``weights / B``.
+
+    A weight with ``analytic_B`` gives B at the nodes and at tau.  Any
+    other weight takes B(0) by 64 Gauss-Legendre segments over the support,
+    [0, R] or [-R, R], and B at a node as B(0) plus the integral of f**2/f'
+    over the cone's growth up to it (mirrored in 1-D): the whole segments
+    below plus ``_GL8_RUNNING`` within its own.  B(tau) is B(0) plus every
+    segment.  That is 1024 evaluations of f**2/f' radially, 1536 in 1-D,
+    in one call.  A radial integrand that grows toward the origin raises
+    :class:`WeightDivergenceError`; a non-finite sigma*tau/R, integrand
+    value or B(tau) raises OverflowError.
     """
-    ts = np.asarray(times, dtype=float)
-    if not (R > 0 and sigma > 0):
-        raise ValueError("require R > 0, sigma > 0")
-    if ts.ndim != 1 or ts.size < 2 or ts[0] != 0.0 or not np.all(np.diff(ts) > 0):
-        raise ValueError("times must be an increasing 1-D grid of two or more, starting at 0")
-    return _weight_B_table(f, R, sigma, ts, geometry, rule)
-
-
-def _weight_B_table(
-    f: TestingFunction, R: float, sigma: float, ts: np.ndarray, geometry: Geometry, rule: QuadratureRule
-) -> np.ndarray:
-    """:func:`weight_functional_B_table` on a float grid its caller has validated."""
+    if not (R > 0 and sigma > 0 and tau >= 0):
+        raise ValueError("require R > 0, sigma > 0, tau >= 0")
+    x = sigma * tau / R
+    if not x < math.inf:
+        raise OverflowError(f"the cone's growth sigma*tau/R = {x!r} is not finite")
+    s = np.expm1(_GRADING * math.log1p(x))
+    s[-1] = x
+    nodes, half = segment_nodes(s)
+    weights = half[:, None] * _GL8_WEIGHTS
     if f.analytic_B is not None:
-        return _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), ts)
-    B0 = weight_functional_B(f, R, sigma, 0.0, geometry, rule)
-    upper = R + sigma * ts
-    if geometry.is_radial:
-        _probe_origin(f, upper[-1])
-    growth = integrate_segments(f.weight_integrand, upper)
-    if not geometry.is_radial:
-        growth = growth + integrate_segments(f.weight_integrand, -upper[::-1])[::-1]
-    return B0 + np.concatenate(([0.0], np.cumsum(growth)))
+        B = _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), (R / sigma) * nodes.ravel())
+        return B.reshape(nodes.shape), weights, float(f.analytic_B(R, sigma, tau, geometry))
+    radial = geometry.is_radial
+    if radial:
+        _probe_origin(f, R)
+    support, support_half = _SUPPORT_NODES[radial]
+    U = R + R * nodes
+    xs = np.concatenate((R * support, U) if radial else (R * support, U, -U)).ravel()
+    g = f.weight_integrand(xs)
+    if not np.isfinite(g).all():
+        i = int(np.argmax(~np.isfinite(g)))
+        raise OverflowError(f"f**2/f' is not finite at x={float(xs[i])!r} (value {float(g[i])!r})")
+    g = g.reshape(-1, *nodes.shape)
+    B0 = R * float(support_half @ (g[0] @ _GL8_WEIGHTS))
+    growth = g[1] if radial else g[1] + g[2]
+    segments = R * half * (growth @ _GL8_WEIGHTS)
+    below = np.cumsum(segments)
+    B_tau = B0 + float(below[-1])
+    if not math.isfinite(B_tau):
+        raise OverflowError("B(tau), the integral of f**2/f' over the cone, is not finite")
+    starts = np.concatenate(([0.0], below[:-1]))
+    B = B0 + (starts[:, None] + (R * half)[:, None] * (growth @ _GL8_RUNNING.T))
+    return B, weights, B_tau
 
 
 def _probe_origin(f: TestingFunction, upper: float) -> None:

@@ -319,7 +319,8 @@ class TestingFunction:
     def weight_integrand(self, x):
         """f**2/f' with the removable 0/0 at zeros of f evaluated as 0."""
         xs = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an overflowing weight gives a non-finite value its caller reports
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             num = np.asarray(self.f(xs), dtype=float) ** 2
             den = np.asarray(self.f_prime(xs), dtype=float)
             g = num / den
@@ -506,11 +507,13 @@ def exponential(beta: float = 1.0) -> TestingFunction:
     if beta <= 0:
         raise ValueError("beta must be positive")
 
+    # past x = 709/beta the weight is inf, which its callers report
     def f(x):
-        return np.exp(beta * np.asarray(x, dtype=float))
+        with np.errstate(over="ignore"):
+            return np.exp(beta * np.asarray(x, dtype=float))
 
     def f_prime(x):
-        return beta * np.exp(beta * np.asarray(x, dtype=float))
+        return beta * f(x)
 
     def analytic_B(R, sigma, t, geometry):
         if getattr(geometry, "is_radial", False):

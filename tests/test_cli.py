@@ -768,6 +768,25 @@ class TestSweepCommand:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("parameter, value", [("amp_v", 7.5), ("amp_v", -0.0), ("amp_rho", -0.3),
+                                                  ("amp_rho", -2.0), ("amp_v", float("inf"))])
+    def test_amplitude_row_is_the_rebuilt_scenario(self, parameter, value):
+        # the row takes the loaded gas, grid and detector: the scenario, or the
+        # error, of rebuilding every field
+        scen = PRESETS["cert-linear-tau-1d"](512)
+        fields = cli._field_values(scenario_to_config(scen))
+        args = argparse.Namespace(parameter=parameter, tau=1.0, theorem="linear-1d-tau", a=4.0)
+        try:
+            want = cli._scenario({**fields, parameter: value})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                cli._sweep_row(None, scen, fields, value, None, args)
+            assert str(err.value) == str(exc)
+            return
+        prepared, row = cli._sweep_row(None, scen, fields, value, None, args)
+        assert prepared.scenario == want and row["value"] == value
+
+
 # family -> (preset, weight, a): the certified presets of the sweep benchmark
 SWEEP_PRESETS = {
     "general-radial": ("cert-general-radial-n1", "linear", 4.0),

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from eulerblowup.functionals import (
     initial_snapshot,
     mass_functional,
     momentum_functional,
+    horizon_B,
     weight_functional_B,
-    weight_functional_B_table,
 )
 from eulerblowup.model import (
     EosParams,
@@ -29,7 +31,7 @@ from eulerblowup.model import (
     power_law,
     radial_vanishing,
 )
-from eulerblowup.quadrature import NonFiniteIntegrandError, QuadratureRule, SIMPSON, integrate_fn
+from eulerblowup.quadrature import QuadratureRule, SIMPSON, integrate_fn
 
 SQRT2 = math.sqrt(2.0)
 EOS = EosParams(1.0, 2.0, 1.0)
@@ -204,16 +206,17 @@ class TestWeightFunctionalB:
         got = weight_functional_B(linear(), 1.0, SQRT2, 1.0, geom)
         assert got == pytest.approx(U**3 / 3.0, rel=1e-15)
 
-    def test_quadrature_path_matches_refined_rule(self):
+    def test_quadrature_path_is_the_horizon_rule(self):
         f = radial_vanishing(
             lambda x: np.sinh(np.asarray(x, dtype=float)),
             lambda x: np.cosh(np.asarray(x, dtype=float)),
             name="sinh",
         )
         geom = Geometry.radial(2)
-        coarse = weight_functional_B(f, 1.0, SQRT2, 0.5, geom)
-        fine = weight_functional_B(f, 1.0, SQRT2, 0.5, geom, QuadratureRule(SIMPSON, 8192))
-        assert coarse == pytest.approx(fine, rel=1e-6)
+        got = weight_functional_B(f, 1.0, SQRT2, 0.5, geom)
+        assert got == horizon_B(f, 1.0, SQRT2, 0.5, geom)[2]
+        fine = integrate_fn(f.weight_integrand, 0.0, 1.0 + SQRT2 * 0.5, QuadratureRule(SIMPSON, 8192))
+        assert got == pytest.approx(fine, rel=1e-12)
 
     def test_divergent_weight_rejected(self):
         # f^2/f' = (1+r^2)^2/(2r) grows without bound toward the origin;
@@ -313,24 +316,19 @@ class TestSeries:
         assert rec.series().times.size == 0
 
 
-class TestWeightFunctionalBTable:
-    # the horizon rule of the general criteria
-    RULE = QuadratureRule(SIMPSON, 2048)
-
-    @staticmethod
-    def _times(tau):
-        return np.linspace(0.0, tau, 2049)
+class TestHorizonB:
+    """B at the nodes of the horizon rule, its weights and B(tau)."""
 
     @pytest.mark.parametrize("f, geom", [(linear(), Geometry.radial(3)), (linear(), Geometry.cartesian1d()),
                                          (power_law(2.5), Geometry.radial(2))])
     def test_closed_form_is_one_vector_call(self, f, geom):
-        ts = self._times(1.7)
-        table = weight_functional_B_table(f, 1.0, SQRT2, ts, geom, self.RULE)
-        np.testing.assert_array_equal(table, f.analytic_B(1.0, SQRT2, ts, geom))
-        scalars = np.array([weight_functional_B(f, 1.0, SQRT2, float(t), geom, self.RULE) for t in ts])
-        assert np.max(np.abs(table - scalars) / scalars) <= 4e-16
+        calls = []
+        counted = replace(f, analytic_B=lambda *a: calls.append(np.ndim(a[2])) or f.analytic_B(*a))
+        B, weights, B_tau = horizon_B(counted, 1.0, SQRT2, 1.7, geom)
+        assert calls == [1, 0] and B.shape == weights.shape == (64, 8)
+        assert B_tau == weight_functional_B(f, 1.0, SQRT2, 1.7, geom)
 
-    def test_scalar_only_closed_form_falls_back_per_time(self):
+    def test_scalar_only_closed_form_falls_back_per_node(self):
         def analytic_B(R, sigma, t, geometry):
             return math.pow(R + sigma * t, 3) / 3.0
 
@@ -339,39 +337,42 @@ class TestWeightFunctionalBTable:
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
             analytic_B=analytic_B,
         )
-        ts = self._times(0.9)
-        table = weight_functional_B_table(f, 1.0, SQRT2, ts, Geometry.radial(1), self.RULE)
-        np.testing.assert_array_equal(table, [analytic_B(1.0, SQRT2, float(t), None) for t in ts])
+        B, _, B_tau = horizon_B(f, 1.0, SQRT2, 0.9, Geometry.radial(1))
+        vector, _, _ = horizon_B(linear(), 1.0, SQRT2, 0.9, Geometry.radial(1))
+        np.testing.assert_allclose(B, vector, rtol=1e-15)
+        assert B_tau == analytic_B(1.0, SQRT2, 0.9, None)
+
+    @pytest.mark.parametrize("radial, evaluations", [(True, 1024), (False, 1536)])
+    def test_one_call_of_the_integrand(self, radial, evaluations, seeded_weight):
+        f = seeded_weight(radial, 0)
+        sizes = []
+        counted = replace(f, f=lambda x: sizes.append(np.size(x)) or f.f(x))
+        geom = Geometry.radial(3) if radial else Geometry.cartesian1d()
+        horizon_B(counted, 1.0, SQRT2, 1.0, geom)
+        # the radial origin probe, then every node at once
+        assert sizes == ([5] if radial else []) + [evaluations]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
         "geom, tau",
         [(Geometry.radial(1), 0.05), (Geometry.radial(1), 5.0), (Geometry.radial(3), 1.0),
-         (Geometry.radial(3), 5.0), (Geometry.cartesian1d(), 0.05), (Geometry.cartesian1d(), 0.4)],
+         (Geometry.radial(3), 5.0), (Geometry.cartesian1d(), 0.05), (Geometry.cartesian1d(), 5.0)],
     )
-    def test_quadrature_table_matches_per_time_rule(self, seeded_weight, seed, geom, tau):
+    def test_B_tau_matches_a_fine_rule(self, seeded_weight, seed, geom, tau):
         f = seeded_weight(geom.is_radial, seed)
-        ts = self._times(tau)
-        table = weight_functional_B_table(f, 1.0, SQRT2, ts, geom, self.RULE)
-        assert table.shape == ts.shape
-        # every 64th abscissa and the last one against a Simpson rule of their own
-        for k in list(range(0, ts.size, 64)) + [ts.size - 1]:
-            per_time = weight_functional_B(f, 1.0, SQRT2, float(ts[k]), geom, self.RULE)
-            assert abs(table[k] - per_time) <= 1e-12 * per_time, k
-        assert table[0] == weight_functional_B(f, 1.0, SQRT2, 0.0, geom, self.RULE)
+        B, _, B_tau = horizon_B(f, 1.0, SQRT2, tau, geom)
+        U = 1.0 + SQRT2 * tau
+        fine = integrate_fn(f.weight_integrand, 0.0 if geom.is_radial else -U, U, QuadratureRule(SIMPSON, 2 ** 16))
+        assert abs(B_tau - fine) <= 1e-12 * fine
+        # B increases along the nodes and ends below B(tau)
+        assert np.all(np.diff(B.ravel()) > 0) and B[-1, -1] < B_tau
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_table_beats_per_time_rule_on_long_slab_horizons(self, seeded_weight, seed):
-        # past U ~ 2 the per-time Simpson rule on exponential weights drifts
-        # above 1e-12 relative; the Gauss-Legendre increments do not
-        f = seeded_weight(False, seed)
-        geom = Geometry.cartesian1d()
-        table = weight_functional_B_table(f, 1.0, SQRT2, self._times(5.0), geom, self.RULE)
-        U = 1.0 + SQRT2 * 5.0
-        fine = integrate_fn(f.weight_integrand, -U, U, QuadratureRule(SIMPSON, 2 ** 16))
-        per_time = weight_functional_B(f, 1.0, SQRT2, 5.0, geom, self.RULE)
-        assert abs(table[-1] - fine) <= 1e-13 * fine
-        assert abs(table[-1] - fine) < abs(per_time - fine)
+    def test_zero_horizon_is_B0(self, seeded_weight):
+        f = seeded_weight(True, 0)
+        B, weights, B_tau = horizon_B(f, 1.0, SQRT2, 0.0, Geometry.radial(3))
+        assert np.all(weights == 0.0) and np.all(B == B_tau)
+        fine = integrate_fn(f.weight_integrand, 0.0, 1.0, QuadratureRule(SIMPSON, 2 ** 14))
+        assert B_tau == weight_functional_B(f, 1.0, SQRT2, 0.0, Geometry.radial(3)) == pytest.approx(fine, rel=1e-12)
 
     def test_divergent_weight_rejected(self):
         bad = WeightFn(
@@ -380,7 +381,7 @@ class TestWeightFunctionalBTable:
             cls=RADIAL_VANISHING,
         )
         with pytest.raises(WeightDivergenceError):
-            weight_functional_B_table(bad, 1.0, SQRT2, self._times(1.0), Geometry.radial(3), self.RULE)
+            horizon_B(bad, 1.0, SQRT2, 1.0, Geometry.radial(3))
 
     @pytest.mark.parametrize("geom", [Geometry.radial(2), Geometry.cartesian1d()])
     def test_nan_integrand_past_B0_raises(self, geom):
@@ -390,23 +391,16 @@ class TestWeightFunctionalBTable:
             f_prime=lambda x: np.exp(np.asarray(x, dtype=float)),
             cls=RADIAL_VANISHING,
         )
-        with pytest.raises(NonFiniteIntegrandError) as err:
-            weight_functional_B_table(nan_far, 1.0, SQRT2, self._times(1.0), geom, self.RULE)
-        assert abs(err.value.abscissa) > 2.0
+        with pytest.raises(OverflowError, match="is not finite at x=") as err:
+            horizon_B(nan_far, 1.0, SQRT2, 1.0, geom)
+        assert abs(float(re.search(r"x=(\S+) ", str(err.value)).group(1))) > 2.0
 
-    # np.diff of the last three holds a NaN (inf - inf warns), which no difference <= 0 test catches
-    @pytest.mark.parametrize("times", [[0.1, 0.2], [0.0, 0.5, 0.5], [0.0, -0.5], [[0.0, 1.0]], [0.0], [],
-                                       [0.0, 1.0, math.nan], [0.0, math.inf, math.inf], [0.0, math.nan, 1.0]])
-    def test_time_grid_validation(self, times):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="times"):
-            weight_functional_B_table(linear(), 1.0, SQRT2, np.array(times), Geometry.radial(1))
+    @pytest.mark.parametrize("R, sigma, tau", [(0.0, SQRT2, 1.0), (math.nan, SQRT2, 1.0), (1.0, math.nan, 1.0),
+                                               (1.0, SQRT2, -1.0), (1.0, SQRT2, math.nan)])
+    def test_parameter_validation(self, R, sigma, tau):
+        with pytest.raises(ValueError, match=r"^require R > 0, sigma > 0, tau >= 0$"):
+            horizon_B(linear(), R, sigma, tau, Geometry.radial(1))
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            weight_functional_B_table(linear(), 0.0, SQRT2, self._times(1.0), Geometry.radial(1))
-
-    @pytest.mark.parametrize("R, sigma", [(math.nan, SQRT2), (1.0, math.nan)])
-    def test_nan_parameter_rejected(self, R, sigma):
-        # the table's own message, before the closed form's check
-        with pytest.raises(ValueError, match="^require R > 0, sigma > 0$"):
-            weight_functional_B_table(linear(), R, sigma, self._times(1.0), Geometry.radial(1))
+    def test_a_cone_growth_past_the_float_range_overflows(self):
+        with pytest.raises(OverflowError, match=r"sigma\*tau/R = inf"):
+            horizon_B(linear(), 1e-10, SQRT2, 1e300, Geometry.radial(1))

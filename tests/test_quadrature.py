@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eulerblowup.quadrature import (
     integrate_fn,
     integrate_samples,
     integrate_segments,
+    segment_nodes,
 )
 
 
@@ -193,3 +195,38 @@ class TestIntegrateSegments:
     def test_edges_must_increase(self, edges):
         with pytest.raises(ValueError):
             integrate_segments(np.exp, np.array(edges))
+
+
+class TestRunningIntegral:
+    """The 8x8 matrix that integrates the nodes' interpolant from -1 up to each node."""
+
+    def test_matches_the_exact_matrix_of_the_float_nodes(self):
+        # the integral of each Lagrange basis polynomial, in rationals
+        xs = [Fraction(float(x)) for x in quadrature._GL8_NODES]
+
+        def basis_integral(j, upper):
+            coeffs, den = [Fraction(1)], Fraction(1)
+            for m in range(8):
+                if m != j:
+                    coeffs = [a - xs[m] * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+                    den *= xs[j] - xs[m]
+            return sum(c * (upper ** (i + 1) - (-1) ** (i + 1)) / (i + 1) for i, c in enumerate(coeffs)) / den
+
+        exact = np.array([[float(basis_integral(j, xs[k])) for j in range(8)] for k in range(8)])
+        np.testing.assert_allclose(quadrature._GL8_RUNNING, exact, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_exact_for_degree_seven(self, degree):
+        x = quadrature._GL8_NODES
+        got = quadrature._GL8_RUNNING @ x ** degree
+        exact = (x ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-15)
+
+
+class TestSegmentNodes:
+    def test_nodes_and_half_widths(self):
+        nodes, half = segment_nodes(np.array([0.0, 1.0, 1.0, 3.0]))
+        assert nodes.shape == (3, 8)
+        np.testing.assert_array_equal(half, [0.5, 0.0, 1.0])
+        np.testing.assert_array_equal(nodes[1], np.ones(8))
+        np.testing.assert_allclose(nodes[2], 2.0 + quadrature._GL8_NODES, rtol=1e-15)
