@@ -172,7 +172,9 @@ def horizon_B(
     nodes, half = segment_nodes(s)
     weights = half[:, None] * _GL8_WEIGHTS
     if f.analytic_B is not None:
-        B = _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), (R / sigma) * nodes.ravel())
+        # a B past the float range is inf at the nodes; the scalar B(tau) raises
+        with np.errstate(over="ignore"):
+            B = _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), (R / sigma) * nodes.ravel())
         return B.reshape(nodes.shape), weights, float(f.analytic_B(R, sigma, tau, geometry))
     radial = geometry.is_radial
     if radial:
@@ -187,8 +189,9 @@ def horizon_B(
     g = g.reshape(-1, *nodes.shape)
     B0 = R * float(support_half @ (g[0] @ _GL8_WEIGHTS))
     growth = g[1] if radial else g[1] + g[2]
-    segments = R * half * (growth @ _GL8_WEIGHTS)
-    below = np.cumsum(segments)
+    with np.errstate(over="ignore"):  # an infinite B(tau) raises below
+        segments = R * half * (growth @ _GL8_WEIGHTS)
+        below = np.cumsum(segments)
     B_tau = B0 + float(below[-1])
     if not math.isfinite(B_tau):
         raise OverflowError("B(tau), the integral of f**2/f' over the cone, is not finite")

@@ -409,14 +409,19 @@ ORACLE_WEIGHTS = {
     "exp(0.5x), 1-D": (exponential(0.5), Geometry.cartesian1d(), TestGeneralThresholdTable.EOS_1D),
     "exp(2x), 1-D": (exponential(2.0), Geometry.cartesian1d(), TestGeneralThresholdTable.EOS_1D),
 }
-ORACLE_TAUS = [1e-14, 1e-3, 0.5, 5.0, 1000.0]
+# subnormal horizons give an infinite horizon threshold on both paths, and
+# 1e-300 and below resolve no growth of the cone past R
+ORACLE_TAUS = [5e-324, 1e-321, 1e-300, 1e-14, 1e-3, 0.37, 0.5, 2.0, 5.0, 1000.0]
+# B(tau) of every oracle weight is past the float range
+OVERFLOW_TAUS = [1e110, 1e200, 1e300]
 # the last segment of the horizon rule spans U in [455, 501] here: 8 nodes do
 # not resolve B's growth by exp(0.5 U) across it (test_exp_growth_past_the_rule)
 UNRESOLVED_B = {("exp(0.5x), 1-D", 1000.0)}
 
 
 def _relative_errors(got, want):
-    return [abs(g - w) / abs(w) for g, w in zip(got, want)]
+    # an infinite threshold is matched only by an infinite one
+    return [abs(g - w) / abs(w) if math.isfinite(w) else (0.0 if g == w else math.inf) for g, w in zip(got, want)]
 
 
 class TestHorizonRuleOracles:
@@ -445,7 +450,23 @@ class TestHorizonRuleOracles:
         got = criteria._horizon_side(x_without_horizon_form(), 4.0, eos, 1.0, tau, geom)
         # B(tau) and the strict threshold read analytic_B itself
         assert got[:2] == want[:2]
-        assert abs(got[2] - want[2]) <= 1e-13 * want[2]
+        assert _relative_errors(got[2:], want[2:])[0] <= 1e-13
+
+    @pytest.mark.parametrize("tau", OVERFLOW_TAUS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_WEIGHTS))
+    def test_an_overflowing_B_raises_the_closed_forms_error(self, name, tau):
+        # B(tau) past the float range: the closed forms' HorizonRangeError
+        # naming B_tau, with no numpy warning from the nodes or the segments
+        f, geom, eos = ORACLE_WEIGHTS[name]
+        others = [stripped(f)] + ([x_without_horizon_form()] if f.name == linear().name else [])
+        message = f"criterion values are not finite at tau={tau:g}: B_tau of the "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(criteria.HorizonRangeError, match=re.escape(message)) as want:
+                criteria._horizon_side(f, 4.0, eos, 1.0, tau, geom)
+            for other in others:
+                with pytest.raises(criteria.HorizonRangeError, match=re.escape(str(want.value))):
+                    criteria._horizon_side(other, 4.0, eos, 1.0, tau, geom)
 
     def test_exp_growth_past_the_rule(self):
         # B grows by e**23 across the last of the 64 segments, [455, 501]:
