@@ -251,12 +251,13 @@ def general_condition_thresholds(
       exp(beta*x)) takes that integral in closed form, exact to rounding
       at every horizon, and B(tau) from ``analytic_B``.
     - Any other weight takes it by one fixed Gauss-Legendre rule,
-      :func:`~eulerblowup.functionals.horizon_B`: 64 segments of 8 nodes
-      on the cone radius R + sigma*t, graded geometrically from R to
-      R + sigma*tau.  B at the nodes is ``analytic_B``'s where there is
-      one, else B(0) plus the running integral of f**2/f' over the cone's
-      growth, and so is B(tau).  On the built-in weights with their
-      closed forms removed it is within 1e-13 relative of them.
+      :func:`~eulerblowup.functionals.horizon_B`: 127 segments of 8 nodes
+      on the cone radius R + sigma*t, the union of 64 graded geometrically
+      from R to R + sigma*tau and 64 of equal width.  B at the nodes is
+      ``analytic_B``'s where there is one, else B(0) plus the running
+      integral of f**2/f' over the cone's growth, and so is B(tau).  On
+      the built-in weights with their closed forms removed it is within
+      1e-13 relative of them.
 
     A tau that is not a positive finite float raises HorizonRangeError
     before any B is computed, on either path.  So does a B or horizon
@@ -277,30 +278,26 @@ def _horizon_side(
     Checks tau first, positive and finite, and raises HorizonRangeError
     naming it before any B is computed.  A closed-form horizon integral
     reads B(tau) from :func:`weight_functional_B`; any other weight reads
-    B at the nodes and at tau from one :func:`horizon_B`.
+    B(tau) and the integral of 1/B from one :func:`horizon_B`.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
     _check_horizon(tau, family)
     sigma = sound_speed(eos)
     try:
         if f.analytic_horizon is None:
-            B, weights, B_tau = horizon_B(f, R, sigma, tau, geometry)
+            B_tau, integral = horizon_B(f, R, sigma, tau, geometry)
         else:
             B_tau = weight_functional_B(f, R, sigma, tau, geometry)
-    except OverflowError as exc:
+    except (OverflowError, NonFiniteIntegrandError) as exc:
         raise _overflow("B_tau", family, tau) from exc
     U = R + sigma * tau
     strict = math.sqrt(2.0 * a / (a - 2.0) * B_tau * _barrier(eos) * float(f.f(U)))
-    try:
-        if f.analytic_horizon is None:
-            # a B(0) that underflows to 0 has an infinite reciprocal
-            with np.errstate(divide="ignore", over="ignore"):
-                integral = R / sigma * float(np.sum(weights / B))
-        else:
+    if f.analytic_horizon is not None:
+        try:
             # the integral of 1/B overflows where R**(n+1) underflows
             integral = float(f.analytic_horizon(R, sigma, tau, geometry))
-    except ArithmeticError as exc:
-        raise _overflow("horizon integral", family, tau) from exc
+        except ArithmeticError as exc:
+            raise _overflow("horizon integral", family, tau) from exc
     if not math.isfinite(integral):
         raise _overflow("horizon integral", family, tau)
     # a zero integral is an infinite threshold, which the CLI rejects as an overflow

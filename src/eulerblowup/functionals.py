@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import EosParams, Geometry, Scenario, TestingFunction, riemann_variable, sound_speed
-from .quadrature import _GL8_RUNNING, _GL8_WEIGHTS, _evaluate, integrate_samples, segment_nodes
+from .quadrature import _GL8_RUNNING, _GL8_WEIGHTS, _check_finite, _evaluate, integrate_samples, segment_nodes
 
 
 class WeightDivergenceError(ValueError):
@@ -128,76 +128,78 @@ def weight_functional_B(f: TestingFunction, R: float, sigma: float, t: float, ge
         raise ValueError("require R > 0, sigma > 0, t >= 0")
     if f.analytic_B is not None:
         return float(f.analytic_B(R, sigma, t, geometry))
-    return horizon_B(f, R, sigma, t, geometry)[2]
+    return horizon_B(f, R, sigma, t, geometry)[0]
 
 
 # the horizon rule: 64 segments of 8-node Gauss-Legendre on the support of a
-# bump of radius 1, [0, 1] radially and [-1, 1] in 1-D, and as many graded
-# geometrically on the cone's growth
+# bump of radius 1, [0, 1] radially and [-1, 1] in 1-D, and on the cone's
+# growth the union of 64 segments graded geometrically and 64 of equal width
 _SEGMENTS = 64
 SUPPORT_EDGES = {True: np.linspace(0.0, 1.0, _SEGMENTS + 1), False: np.linspace(-1.0, 1.0, _SEGMENTS + 1)}
 _SUPPORT_NODES = {radial: segment_nodes(edges) for radial, edges in SUPPORT_EDGES.items()}
 _GRADING = np.arange(_SEGMENTS + 1) / _SEGMENTS
 
 
-def horizon_B(
-    f: TestingFunction, R: float, sigma: float, tau: float, geometry: Geometry
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(B at the nodes, weights, B(tau)) of the horizon rule over [0, tau].
+def horizon_B(f: TestingFunction, R: float, sigma: float, tau: float, geometry: Geometry) -> tuple[float, float]:
+    """(B(tau), the integral of 1/B over [0, tau]) by the horizon rule.
 
     The rule integrates in s = sigma*t/R, so the cone radius is
-    U = R + R*s and dt = (R/sigma) ds: 64 segments of 8-node
-    Gauss-Legendre with edges s_k = expm1((k/64) log1p(sigma*tau/R)),
-    graded geometrically from R to R + sigma*tau, none the difference of
-    two radii.  The integral of 1/B over [0, tau] is R/sigma times the sum
-    of ``weights / B``.
+    U = R + R*s and dt = (R/sigma) ds, with 8-node Gauss-Legendre on 127
+    segments of [0, sigma*tau/R]: the union of the edges
+    s_k = expm1((k/64) log1p(sigma*tau/R)), graded geometrically from R to
+    R + sigma*tau and none the difference of two radii, and of the edges
+    k*sigma*tau/(64 R).  No segment grows U by more than a factor
+    (1 + sigma*tau/R)**(1/64) or spans more than sigma*tau/64 of it.
 
     A weight with ``analytic_B`` gives B at the nodes and at tau.  Any
     other weight takes B(0) by 64 Gauss-Legendre segments over the support,
     [0, R] or [-R, R], and B at a node as B(0) plus the integral of f**2/f'
     over the cone's growth up to it (mirrored in 1-D): the whole segments
     below plus ``_GL8_RUNNING`` within its own.  B(tau) is B(0) plus every
-    segment.  That is 1024 evaluations of f**2/f' radially, 1536 in 1-D,
+    segment.  That is 1528 evaluations of f**2/f' radially, 2544 in 1-D,
     in one call.  A radial integrand that grows toward the origin raises
-    :class:`WeightDivergenceError`; a non-finite sigma*tau/R, integrand
-    value or B(tau) raises OverflowError.
+    :class:`WeightDivergenceError`, a non-finite one
+    :class:`~eulerblowup.quadrature.NonFiniteIntegrandError`; a non-finite
+    sigma*tau/R or B(tau) raises OverflowError.  A B(0) that underflows to
+    0 gives an infinite integral.
     """
     if not (R > 0 and sigma > 0 and tau >= 0):
         raise ValueError("require R > 0, sigma > 0, tau >= 0")
     x = sigma * tau / R
     if not x < math.inf:
         raise OverflowError(f"the cone's growth sigma*tau/R = {x!r} is not finite")
-    s = np.expm1(_GRADING * math.log1p(x))
+    s = np.sort(np.concatenate((np.expm1(_GRADING * math.log1p(x)), x * _GRADING[1:-1])))
     s[-1] = x
     nodes, half = segment_nodes(s)
-    weights = half[:, None] * _GL8_WEIGHTS
     if f.analytic_B is not None:
         # a B past the float range is inf at the nodes; the scalar B(tau) raises
         with np.errstate(over="ignore"):
             B = _evaluate(lambda t: f.analytic_B(R, sigma, t, geometry), (R / sigma) * nodes.ravel())
-        return B.reshape(nodes.shape), weights, float(f.analytic_B(R, sigma, tau, geometry))
-    radial = geometry.is_radial
-    if radial:
-        _probe_origin(f, R)
-    support, support_half = _SUPPORT_NODES[radial]
-    U = R + R * nodes
-    xs = np.concatenate((R * support, U) if radial else (R * support, U, -U)).ravel()
-    g = f.weight_integrand(xs)
-    if not np.isfinite(g).all():
-        i = int(np.argmax(~np.isfinite(g)))
-        raise OverflowError(f"f**2/f' is not finite at x={float(xs[i])!r} (value {float(g[i])!r})")
-    g = g.reshape(-1, *nodes.shape)
-    B0 = R * float(support_half @ (g[0] @ _GL8_WEIGHTS))
-    growth = g[1] if radial else g[1] + g[2]
-    with np.errstate(over="ignore"):  # an infinite B(tau) raises below
-        segments = R * half * (growth @ _GL8_WEIGHTS)
-        below = np.cumsum(segments)
-    B_tau = B0 + float(below[-1])
-    if not math.isfinite(B_tau):
-        raise OverflowError("B(tau), the integral of f**2/f' over the cone, is not finite")
-    starts = np.concatenate(([0.0], below[:-1]))
-    B = B0 + (starts[:, None] + (R * half)[:, None] * (growth @ _GL8_RUNNING.T))
-    return B, weights, B_tau
+        B, B_tau = B.reshape(nodes.shape), float(f.analytic_B(R, sigma, tau, geometry))
+    else:
+        radial = geometry.is_radial
+        if radial:
+            _probe_origin(f, R)
+        support, support_half = _SUPPORT_NODES[radial]
+        U = R + R * nodes
+        xs = np.concatenate((R * support, U) if radial else (R * support, U, -U)).ravel()
+        g = f.weight_integrand(xs)
+        _check_finite(g, xs)
+        B0 = R * float(support_half @ (g[:support.size].reshape(support.shape) @ _GL8_WEIGHTS))
+        g = g[support.size:].reshape(-1, *nodes.shape)
+        growth = g[0] if radial else g[0] + g[1]
+        with np.errstate(over="ignore"):  # an infinite B(tau) raises below
+            segments = R * half * (growth @ _GL8_WEIGHTS)
+            below = np.cumsum(segments)
+        B_tau = B0 + float(below[-1])
+        if not math.isfinite(B_tau):
+            raise OverflowError("B(tau), the integral of f**2/f' over the cone, is not finite")
+        starts = np.concatenate(([0.0], below[:-1]))
+        B = B0 + (starts[:, None] + (R * half)[:, None] * (growth @ _GL8_RUNNING.T))
+    # a B(0) that underflows to 0 has an infinite reciprocal
+    with np.errstate(divide="ignore", over="ignore"):
+        integral = R / sigma * float(np.sum(half[:, None] * _GL8_WEIGHTS / B))
+    return B_tau, integral
 
 
 def _probe_origin(f: TestingFunction, upper: float) -> None:
