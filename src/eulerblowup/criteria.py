@@ -251,13 +251,13 @@ def general_condition_thresholds(
       exp(beta*x)) takes that integral in closed form, exact to rounding
       at every horizon, and B(tau) from ``analytic_B``.
     - Any other weight takes it by one fixed Gauss-Legendre rule,
-      :func:`~eulerblowup.functionals.horizon_B`: 127 segments of 8 nodes
-      on the cone radius R + sigma*t, the union of 64 graded geometrically
-      from R to R + sigma*tau and 64 of equal width.  B at the nodes is
-      ``analytic_B``'s where there is one, else B(0) plus the running
-      integral of f**2/f' over the cone's growth, and so is B(tau).  On
-      the built-in weights with their closed forms removed it is within
-      1e-13 relative of them.
+      :func:`~eulerblowup.functionals.horizon_B`: at least 127 segments of
+      8 nodes on the cone radius R + sigma*t, the union of at least 64
+      graded geometrically from R to R + sigma*tau and 64 of equal width.
+      B at the nodes is ``analytic_B``'s where there is one, else B(0)
+      plus the running integral of f**2/f' over the cone's growth, and so
+      is B(tau).  On the built-in weights with their closed forms removed
+      it is within 1e-13 relative of them.
 
     A tau that is not a positive finite float raises HorizonRangeError
     before any B is computed, on either path.  So does a B or horizon

@@ -133,32 +133,37 @@ def weight_functional_B(f: TestingFunction, R: float, sigma: float, t: float, ge
 
 # the horizon rule: 64 segments of 8-node Gauss-Legendre on the support of a
 # bump of radius 1, [0, 1] radially and [-1, 1] in 1-D, and on the cone's
-# growth the union of 64 segments graded geometrically and 64 of equal width
+# growth the union of at least 64 segments graded geometrically and 64 of
+# equal width; a geometric segment grows the cone by at most the factor
+# 64 segments give at sigma*tau/R = 1e6
 _SEGMENTS = 64
 SUPPORT_EDGES = {True: np.linspace(0.0, 1.0, _SEGMENTS + 1), False: np.linspace(-1.0, 1.0, _SEGMENTS + 1)}
 _SUPPORT_NODES = {radial: segment_nodes(edges) for radial, edges in SUPPORT_EDGES.items()}
 _GRADING = np.arange(_SEGMENTS + 1) / _SEGMENTS
+_MAX_LOG_GROWTH = math.log1p(1e6) / _SEGMENTS
 
 
 def horizon_B(f: TestingFunction, R: float, sigma: float, tau: float, geometry: Geometry) -> tuple[float, float]:
     """(B(tau), the integral of 1/B over [0, tau]) by the horizon rule.
 
     The rule integrates in s = sigma*t/R, so the cone radius is
-    U = R + R*s and dt = (R/sigma) ds, with 8-node Gauss-Legendre on 127
-    segments of [0, sigma*tau/R]: the union of the edges
-    s_k = expm1((k/64) log1p(sigma*tau/R)), graded geometrically from R to
+    U = R + R*s and dt = (R/sigma) ds, with 8-node Gauss-Legendre on at
+    least 127 segments of [0, sigma*tau/R]: the union of the edges
+    s_k = expm1((k/n) log1p(sigma*tau/R)), graded geometrically from R to
     R + sigma*tau and none the difference of two radii, and of the edges
-    k*sigma*tau/(64 R).  No segment grows U by more than a factor
-    (1 + sigma*tau/R)**(1/64) or spans more than sigma*tau/64 of it.
+    k*sigma*tau/(64 R).  The geometric grading has n = 64 segments up to
+    sigma*tau/R = 1e6 and more past it, so that no segment grows U by
+    more than a factor min(1 + sigma*tau/R, 1 + 1e6)**(1/64) or spans more
+    than sigma*tau/64 of it.
 
     A weight with ``analytic_B`` gives B at the nodes and at tau.  Any
     other weight takes B(0) by 64 Gauss-Legendre segments over the support,
     [0, R] or [-R, R], and B at a node as B(0) plus the integral of f**2/f'
     over the cone's growth up to it (mirrored in 1-D): the whole segments
     below plus ``_GL8_RUNNING`` within its own.  B(tau) is B(0) plus every
-    segment.  That is 1528 evaluations of f**2/f' radially, 2544 in 1-D,
-    in one call.  A radial integrand that grows toward the origin raises
-    :class:`WeightDivergenceError`, a non-finite one
+    segment.  That is at least 1528 evaluations of f**2/f' radially and
+    2544 in 1-D, in one call.  A radial integrand that grows toward the
+    origin raises :class:`WeightDivergenceError`, a non-finite one
     :class:`~eulerblowup.quadrature.NonFiniteIntegrandError`; a non-finite
     sigma*tau/R or B(tau) raises OverflowError.  A B(0) that underflows to
     0 gives an infinite integral.
@@ -168,7 +173,10 @@ def horizon_B(f: TestingFunction, R: float, sigma: float, tau: float, geometry: 
     x = sigma * tau / R
     if not x < math.inf:
         raise OverflowError(f"the cone's growth sigma*tau/R = {x!r} is not finite")
-    s = np.sort(np.concatenate((np.expm1(_GRADING * math.log1p(x)), x * _GRADING[1:-1])))
+    # the quotient is at most 64, exactly, wherever x <= 1e6
+    n = max(_SEGMENTS, math.ceil(math.log1p(x) / _MAX_LOG_GROWTH))
+    geometric = np.expm1(np.arange(n + 1) / n * math.log1p(x))
+    s = np.sort(np.concatenate((geometric, x * _GRADING[1:-1])))
     s[-1] = x
     nodes, half = segment_nodes(s)
     if f.analytic_B is not None:

@@ -1,14 +1,15 @@
 """Composite Newton-Cotes and Gauss-Legendre quadrature for sampled fields and callables.
 
-Two fixed rules (trapezoid and Simpson) integrate functionals of solver
-snapshots and cross-check closed forms against a callable.  The
-8-node Gauss-Legendre rule takes every integral the criteria need: the
-initial data over a bump's support (:func:`integrate_segments`, exact to
-rounding for the quartic bump against a polynomial weight), and B(t) with
-the integral of 1/B over a horizon, on the nodes of
-:func:`segment_nodes` with the weights ``_GL8_WEIGHTS`` and the running
-integral ``_GL8_RUNNING``.  No rule is adaptive, so every result is a pure
-function of its inputs.
+Two fixed rules (trapezoid and Simpson) integrate sampled fields, the
+functionals of solver snapshots, and through :func:`integrate_fn` a
+callable on uniform panels.  The 8-node Gauss-Legendre rule takes every
+integral of a callable the package needs: the initial data over a bump's
+support (:func:`integrate_segments`, exact to rounding for the quartic
+bump against a polynomial weight), the cross-checks of the weights'
+closed forms, and B(t) with the integral of 1/B over a horizon, on the
+nodes of :func:`segment_nodes` with the weights ``_GL8_WEIGHTS`` and the
+running integral ``_GL8_RUNNING``.  No rule is adaptive, so every result
+is a pure function of its inputs.
 """
 
 from __future__ import annotations

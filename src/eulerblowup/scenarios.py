@@ -4,17 +4,12 @@ The reference bumps are small perturbations used to exercise the
 conservation, propagation and cone-energy checks in the smooth regime.
 The certified scenarios are built backwards from the criteria: the
 velocity amplitude is chosen so the initial weighted momentum lands at a
-fixed margin (default 1.5x) above the relevant closed-form or
-quadrature threshold, which certifies breakdown before the preset
-horizon and makes the runs end in a detector event.
-
-Quartic-bump shape integrals used to convert H(0) into an amplitude:
-with g(y) = y (1 - y^2)^2,
-    int_{-1}^{1} y g(y) dy          = 16/105   (1-D identity weight)
-    int_0^1 y^2 g(y) dy             = 8/315    (radial cubic weight)
-    int_0^1 y g(y) dy               = 8/105    (radial identity weight)
-and for the exponential weight the shape integral is evaluated by
-Simpson quadrature at import.
+fixed margin (default 1.5x) above the threshold of the criterion that
+certifies the preset, which certifies breakdown before the preset
+horizon and makes the runs end in a detector event.  Both numbers come
+from that criterion, prepared on the preset at unit velocity amplitude
+(:func:`~eulerblowup.criteria.prepare`): its H(0) and its threshold at
+the horizon.  Neither reads the grid.
 
 Minimum resolution of the certified presets: with fewer cells the initial
 velocity jump per cell already reaches the detector threshold, so a run
@@ -29,19 +24,17 @@ stops at t = 0 with no step (four of the five do at 256 cells).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .criteria import (
     FAMILY_GENERAL_1D,
     FAMILY_GENERAL_RADIAL,
-    FAMILY_GROUPS,
     FAMILY_LINEAR_1D,
     FAMILY_LINEAR_1D_TAU,
     FAMILY_POWER_RADIAL,
-    general_condition_thresholds,
+    prepare,
 )
 from .model import (
     DetectorParams,
@@ -53,16 +46,7 @@ from .model import (
     exponential,
     linear,
     make_bump_scenario,
-    sound_speed,
 )
-from .quadrature import QuadratureRule, SIMPSON, integrate_fn
-
-_SHAPE_RULE = QuadratureRule(SIMPSON, 512)
-
-# exact quartic-bump shape integrals (see module docstring)
-SHAPE_1D_LINEAR = 16.0 / 105.0
-SHAPE_RADIAL_CUBIC = 8.0 / 315.0
-SHAPE_RADIAL_LINEAR = 8.0 / 105.0
 
 REFERENCE_CELLS = 4096
 CERTIFIED_MARGIN = 1.5
@@ -114,71 +98,46 @@ class CertifiedCase:
 _R, _TAU = 1.0, 1.0
 
 
-def _exp_shape(beta: float) -> float:
-    # H(0) = amp_v * R * 2 int_0^1 g(y) sinh(beta R y) dy for the odd bump
-    return 2.0 * integrate_fn(
-        lambda y: y * (1.0 - y ** 2) ** 2 * math.sinh(beta * _R * y), 0.0, 1.0, _SHAPE_RULE
-    ) * _R
-
-
 @dataclass(frozen=True)
 class _CertifiedPreset:
-    """Row of the certified-preset table.
-
-    ``shape`` is H(0) of the quartic bump per unit velocity amplitude and
-    ``weight()`` builds the weight of a general family.  The threshold is
-    the family's: see :func:`certified_case`.
+    """Row of the certified-preset table: the family that certifies the
+    preset, its gas, geometry and grid extent, ``weight()``, which builds a
+    general family's weight (None for a closed form), and ``a``.  The row
+    holds no threshold and no H(0): see :func:`certified_case`.
     """
 
     family: str
     eos: EosParams
     geometry: Geometry
     extent: float
-    shape: float
-    weight: Callable[[], TestingFunction] | None = None
+    weight: Callable[[], TestingFunction | None] = lambda: None
     a: float = 4.0
 
 
 CERTIFIED_PRESETS = {
     # 1-D identity-weight horizon criterion, case 1
-    "cert-linear-tau-1d": _CertifiedPreset(
-        FAMILY_LINEAR_1D_TAU, reference_eos(), Geometry.cartesian1d(), 2.6, SHAPE_1D_LINEAR * _R ** 2,
-    ),
+    "cert-linear-tau-1d": _CertifiedPreset(FAMILY_LINEAR_1D_TAU, reference_eos(), Geometry.cartesian1d(), 2.6),
     # 1-D identity-weight horizon-free criterion (finite-time verdict)
-    "cert-linear-infinite-1d": _CertifiedPreset(
-        FAMILY_LINEAR_1D, reference_eos(), Geometry.cartesian1d(), 2.6, SHAPE_1D_LINEAR * _R ** 2,
-    ),
+    "cert-linear-infinite-1d": _CertifiedPreset(FAMILY_LINEAR_1D, reference_eos(), Geometry.cartesian1d(), 2.6),
     # radial cubic-weight criterion, case 1, N = 3
-    "cert-power-radial-n3": _CertifiedPreset(
-        FAMILY_POWER_RADIAL, reference_eos(), Geometry.radial(3), 2.6, SHAPE_RADIAL_CUBIC * _R ** 4,
-    ),
+    "cert-power-radial-n3": _CertifiedPreset(FAMILY_POWER_RADIAL, reference_eos(), Geometry.radial(3), 2.6),
     # general radial criterion with the identity weight, N = 1
     "cert-general-radial-n1": _CertifiedPreset(
-        FAMILY_GENERAL_RADIAL, EosParams(K=0.5, gamma=2.0, rho_bar=0.5), Geometry.radial(1), 2.0,
-        SHAPE_RADIAL_LINEAR * _R ** 2, weight=linear,
+        FAMILY_GENERAL_RADIAL, EosParams(K=0.5, gamma=2.0, rho_bar=0.5), Geometry.radial(1), 2.0, weight=linear,
     ),
     # general 1-D criterion with an exponential weight: beta = 2 and a = 3.5
-    # sit near the minimizer of the combined threshold divided by the bump
-    # shape integral, which keeps the certified amplitude (and so the Mach
+    # sit near the minimizer of the combined threshold divided by H(0) at
+    # unit amplitude, which keeps the certified amplitude (and so the Mach
     # number of the run) as small as the criterion allows
     "cert-general-1d-exp": _CertifiedPreset(
         FAMILY_GENERAL_1D, EosParams(K=0.25, gamma=2.0, rho_bar=0.5), Geometry.cartesian1d(), 2.0,
-        _exp_shape(2.0), weight=lambda: exponential(2.0), a=3.5,
+        weight=lambda: exponential(2.0), a=3.5,
     ),
 }
 
 
-def certified_case(name: str, cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
-    """Certified preset ``name``: H(0) sits at ``margin`` times the threshold."""
-    p = CERTIFIED_PRESETS[name]
-    f = p.weight() if p.weight is not None else None
-    row = FAMILY_GROUPS[p.family].closed_form
-    if row is None:
-        threshold = max(general_condition_thresholds(f, p.a, p.eos, _R, _TAU, p.geometry))
-    else:
-        threshold = row.threshold(p.geometry.ndim, _R, sound_speed(p.eos), _TAU)
-    amp_v = margin * threshold / p.shape
-    scen = make_bump_scenario(
+def _scenario(p: _CertifiedPreset, cells: int, amp_v: float) -> Scenario:
+    return make_bump_scenario(
         eos=p.eos,
         geometry=p.geometry,
         R=_R,
@@ -187,7 +146,24 @@ def certified_case(name: str, cells: int = REFERENCE_CELLS, margin: float = CERT
         grid=GridSpec(extent=p.extent, cells=cells),
         detector=CERTIFIED_DETECTOR,
     )
-    return CertifiedCase(name, scen, p.family, _TAU, f=f, a=p.a)
+
+
+@cache
+def _unit_momentum_and_threshold(name: str) -> tuple[float, float]:
+    """H(0) of preset ``name`` at unit velocity amplitude, and the threshold
+    of its criterion at the preset horizon.  Neither reads the grid, so
+    both are computed once per process per preset."""
+    p = CERTIFIED_PRESETS[name]
+    prepared = prepare(_scenario(p, REFERENCE_CELLS, 1.0), p.family, p.weight(), p.a)
+    return prepared.H0, prepared.report(_TAU).threshold
+
+
+def certified_case(name: str, cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:
+    """Certified preset ``name``: H(0) sits at ``margin`` times the threshold."""
+    p = CERTIFIED_PRESETS[name]
+    h, threshold = _unit_momentum_and_threshold(name)
+    scen = _scenario(p, cells, margin * threshold / h)
+    return CertifiedCase(name, scen, p.family, _TAU, f=p.weight(), a=p.a)
 
 
 certified_linear_tau_case = partial(certified_case, "cert-linear-tau-1d")

@@ -742,10 +742,12 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_tau_sweep_computes_one_data_side(self, monkeypatch, tmp_path, capsys):
+        # the preset's fields, not its name: building the preset prepares its criterion too
+        fields = scenario_to_config(PRESETS["cert-power-radial-n3"](512))
+        cfg = write_config(tmp_path / "s.cfg", [f"{key} = {value}" for key, value in fields.items()])
         calls = []
         original = criteria._unit_integral
         monkeypatch.setattr(criteria, "_unit_integral", lambda *args: calls.append(args) or original(*args))
-        cfg = write_config(tmp_path / "s.cfg", ["preset = cert-power-radial-n3", "grid.cells = 512"])
         code = main([
             "sweep", "--theorem", "power-radial", "--parameter", "tau",
             "--lo", "0.2", "--hi", "2", "--steps", "16", "--out", str(tmp_path / "o"), cfg,
@@ -803,10 +805,12 @@ SWEEP_RANGES = {"tau": (0.3, 2.0), "amp_rho": (-0.05, 0.05), "gamma": (2.0, 3.0)
 # SHA-256 of sweep.csv for 64-row sweeps at the presets' 4096 cells (numpy
 # 2.4, x86-64, AVX-512), as the sweep wrote them when H0 and m0 became the
 # integrals of the continuous data, amp_v * h and amp_rho * m1: every row's
-# verdict is the one of the grid-sampled H0 and m0 before.
+# verdict is the one of the grid-sampled H0 and m0 before.  The general-1d
+# ones as they were when cert-general-1d-exp's amplitude read its prepared
+# criterion's H(0), with every row's verdict unchanged.
 PINNED_SWEEP_CSV = {
-    ('general-1d', 'amp_v'): ("fc03aa9c381f27ac0c1fb540982768482d91dd3337d7f1fe84119a521ed3b828",),
-    ('general-1d', 'tau'): ("6326049f628e8f454c9e9e0ca90cf8a6a8c9e108db9cb1658d50a91193eb2315",),
+    ('general-1d', 'amp_v'): ("f69449a39905b202e7e89e8e7e1a8df06faf2f4038218323da1022c56a7f972e",),
+    ('general-1d', 'tau'): ("bfcf25ffdcb6acd527b196b3340290814f4a516a6ab889e25cba223daf6c8844",),
     ('general-radial', 'amp_v'): ("61c65427d996fe59697259a72771fd2cba93a802cc2903236ba9af9267f9fd9a",),
     ('general-radial', 'tau'): ("e892a1d4cbd13acec047827cb8ca5e5e8c038dcdef499fc82fd686bbdbfc96ea",),
     ('linear-1d-tau', 'amp_v'): ("49b9b80ac5549a2a6e79a221b3f3ec6cb793a8b91d5db14a62f5d93022172691",),
@@ -815,9 +819,9 @@ PINNED_SWEEP_CSV = {
     ('linear-1d', 'tau'): ("1c3e139e40ec809ca75134ecf139793ae76778e3ed3fdfeff023e208892be7a0",),
     ('power-radial', 'amp_v'): ("f36b523681872ea8bb9e06d87756f0da9a4ceb1c6ef987d7e334696cb0e544a9",),
     ('power-radial', 'tau'): ("76d610a6bbadbf41ed256a38e38caa3c27df3232c34e9e0ba7de667461e0dc3c",),
-    ('general-1d', 'amp_rho'): ("c936762269c28c6fa4ebb43b872d5dfabc317493d2bb2044b1d15265fe0a35a1",),
-    ('general-1d', 'gamma'): ("52c8ed0df467b6a3f680957ef0cc57f29de492feee941f6236ca3b81a318914e",),
-    ('general-1d', 'R'): ("7d607ce3fb8be3d262e6aa2d657deef33b1811af6a2eae9250e0251b5ee05b2f",),
+    ('general-1d', 'amp_rho'): ("37e7298743bda6d15d26b21364de2ed811c59aa4f6457be8e707020aa998e4cb",),
+    ('general-1d', 'gamma'): ("47e5c0ec9f5941a9aca39e00455609f821794ab19937962e4fa7f25a1509368f",),
+    ('general-1d', 'R'): ("a095bf0601d6dce82b6586c244b3c11fd8cf961553a6f747715cf857cf69fcc9",),
     ('general-radial', 'amp_rho'): ("4758c1968dfd38933bdbdfdaa5468ab4b01b86d400b90900e4e0dbf422f590e2",),
     ('general-radial', 'gamma'): ("edc181a3bd42339238ac902c7f717b7e1030c817822c9beba9ac0f2bd97bcced",),
     ('general-radial', 'R'): ("1a89c826e3c0f182a93087692b41916027c81891967847999d179f21ed19c408",),
@@ -864,10 +868,11 @@ class TestSweepArtifactsPinned:
 # trace_summary.json, that simulate --out writes for each preset at 1024
 # cells (numpy 2.4, x86-64, AVX-512), as the solver wrote them when every
 # step of run went through step on a copied window; cert-general-radial-n1's
-# as they were when its certified amplitude read a closed-form horizon integral
+# as they were when its certified amplitude read a closed-form horizon integral,
+# cert-general-1d-exp's as they were when it read its prepared criterion's H(0)
 PINNED_SIMULATE = {
-    ("cert-general-1d-exp", "muscl"): "9c0907c96172b351b30b36ad2197773e8e5e32527dbf1f62373b9fe168096220",
-    ("cert-general-1d-exp", "first_order"): "747e536de7fa2d010ac86bcf685d1c697436d49562ec7c0b5f61aea0dec80ea7",
+    ("cert-general-1d-exp", "muscl"): "8c89b8992c79a37370ab77e07da8c88a7e00fb4e7f54bb4a21e2e3f0aa05e0d1",
+    ("cert-general-1d-exp", "first_order"): "66a4d4b8c75b3c5ceaf8d773f254d9921f295d7933e540aa43de90f1fe1e4c7e",
     ("cert-general-radial-n1", "muscl"): "85cf70d2f5509f78b6e054499a45badb85949325fb01f97cbb92b3d588a5fde2",
     ("cert-general-radial-n1", "first_order"): "b42431ea990e987ebc4c6e9fabe046186a05b6bed6c6d88e374ee3e08dc297e7",
     ("cert-linear-infinite-1d", "muscl"): "c009b03cf7bb2d069672732980efd1dc5800526d4cbaa1a997c7e2df11be2711",
@@ -913,11 +918,12 @@ class TestSimulateArtifactsPinned:
 # the general families with the SWEEP_PRESETS weight and a (numpy 2.4,
 # x86-64, AVX-512), as the checks wrote them when H0 and m0 became the
 # integrals of the continuous data: every verdict is the one of the
-# grid-sampled H0 and m0 before
+# grid-sampled H0 and m0 before.  cert-general-1d-exp's as they were when its
+# amplitude read its prepared criterion's H(0), with every verdict unchanged
 PINNED_CHECK_REPORT = {
-    ('cert-general-1d-exp', 'general-1d'): "0750d6a6ad2f12051a3b1f99b47af1707c8531c412bc7a78df242c2cc6fa9e2e",
-    ('cert-general-1d-exp', 'linear-1d'): "a0bdf7f181cdb733daacca22698b2c19bf3fd309883e12d81717d6019a728eb7",
-    ('cert-general-1d-exp', 'linear-1d-tau'): "4837a7ce2aa78c6b94500728c371a1615c52ffea99a983ae15dd2cf2861ba040",
+    ('cert-general-1d-exp', 'general-1d'): "765d24dca576d88f1b4f0d4182bcedf4a3db16580509d164e21724031ec45984",
+    ('cert-general-1d-exp', 'linear-1d'): "8e9f1a6b7aecc8bee821b4ba8fa52d59ee1617d340caa7154cc099fe17ef5aae",
+    ('cert-general-1d-exp', 'linear-1d-tau'): "43d2c7d87a4e40da1d1fee15e8bced1ecac8e6857974f4db811037424c90d175",
     ('cert-general-radial-n1', 'general-radial'): "859d75f9836fcd94594fab325bfab0431caa425d2db89629cb66a3653ae050e4",
     ('cert-general-radial-n1', 'power-radial'): "0f5eb9188b7b7ea8f54b2c085da6e42d3353a7af17b8eee00550b7c35fd1880b",
     ('cert-linear-infinite-1d', 'general-1d'): "a3c5954331ecfe9bb0104beda8aa96bef128ec676371fa8570ef910938606afc",

@@ -409,9 +409,10 @@ ORACLE_WEIGHTS = {
     "exp(0.5x), 1-D": (exponential(0.5), Geometry.cartesian1d(), TestGeneralThresholdTable.EOS_1D),
     "exp(2x), 1-D": (exponential(2.0), Geometry.cartesian1d(), TestGeneralThresholdTable.EOS_1D),
 }
-# subnormal horizons give an infinite horizon threshold on both paths, and
-# 1e-300 and below resolve no growth of the cone past R
-ORACLE_TAUS = [5e-324, 1e-321, 1e-300, 1e-14, 1e-3, 0.37, 0.5, 2.0, 5.0, 1000.0]
+# subnormal horizons give an infinite horizon threshold on both paths,
+# 1e-300 and below resolve no growth of the cone past R, and from 1e20 the
+# geometric grading takes more than 64 segments
+ORACLE_TAUS = [5e-324, 1e-321, 1e-300, 1e-14, 1e-3, 0.37, 0.5, 2.0, 5.0, 1000.0, 1e20, 1e40, 1e100]
 # B(tau) of every oracle weight is past the float range
 OVERFLOW_TAUS = [1e110, 1e200, 1e300]
 
