@@ -76,6 +76,11 @@ def _overflow(quantity: str, family: str, tau: float) -> HorizonRangeError:
     )
 
 
+def _holds(lhs: float, rhs: float, op: str) -> bool:
+    """One condition's comparison, exact as claimed."""
+    return lhs > rhs if op == ">" else lhs >= rhs
+
+
 @dataclass(frozen=True)
 class Condition:
     """One inequality of a criterion, compared exactly as claimed."""
@@ -87,7 +92,7 @@ class Condition:
 
     @property
     def satisfied(self) -> bool:
-        return self.lhs > self.rhs if self.op == ">" else self.lhs >= self.rhs
+        return _holds(self.lhs, self.rhs, self.op)
 
     @property
     def margin(self) -> float:
@@ -263,7 +268,8 @@ def general_condition_thresholds(
     before any B is computed, on either path.  So does a B or horizon
     integral past the float range, or a weight that overflows on the cone.
     """
-    return _horizon_side(f, a, eos, R, tau, geometry)[1:]
+    _check_horizon(tau, FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D)
+    return _horizon_side(f, a, eos, R, tau, geometry, sound_speed(eos))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +277,16 @@ def general_condition_thresholds(
 
 
 def _horizon_side(
-    f: TestingFunction, a: float, eos: EosParams, R: float, tau: float, geometry: Geometry
+    f: TestingFunction, a: float, eos: EosParams, R: float, tau: float, geometry: Geometry, sigma: float
 ) -> tuple[float, float, float]:
-    """(B(tau), strict, horizon) of the general criterion; see general_condition_thresholds.
+    """(B(tau), strict, horizon) of the general criterion at a positive finite
+    tau and the background sound speed sigma; see general_condition_thresholds.
 
-    Checks tau first, positive and finite, and raises HorizonRangeError
-    naming it before any B is computed.  A closed-form horizon integral
-    reads B(tau) from :func:`weight_functional_B`; any other weight reads
-    B(tau) and the integral of 1/B from one :func:`horizon_B`.
+    A closed-form horizon integral reads B(tau) from
+    :func:`weight_functional_B`; any other weight reads B(tau) and the
+    integral of 1/B from one :func:`horizon_B`.
     """
     family = FAMILY_GENERAL_RADIAL if geometry.is_radial else FAMILY_GENERAL_1D
-    _check_horizon(tau, family)
-    sigma = sound_speed(eos)
     try:
         if f.analytic_horizon is None:
             B_tau, integral = horizon_B(f, R, sigma, tau, geometry)
@@ -517,11 +521,64 @@ class PreparedCriterion:
     def report(self, tau: float = 1.0) -> CriterionReport:
         """The criterion at horizon ``tau``, which must be positive and
         finite, also for the horizon-free family that never reads it."""
+        theorem, rows, a, notes = self._decide(tau)
+        conds = [Condition(*r) for r in rows or ()]
+        if self.group.closed_form is None:
+            return self._general_report(theorem, conds, tau)
+        return self._closed_form_report(theorem, conds, a, notes, tau if self.group.horizon else None)
+
+    def certifies(self, tau: float = 1.0) -> bool:
+        """Whether ``report(tau)`` certifies blowup: every one of its
+        conditions holds, read without building the report."""
+        rows = self._decide(tau)[1]
+        return rows is not None and all(_holds(lhs, rhs, op) for _, lhs, rhs, op in rows)
+
+    def _decide(self, tau: float) -> tuple[str, tuple | None, float | None, list]:
+        """(theorem, rows, a, notes) at horizon ``tau``, which is checked first.
+
+        ``rows`` are the theorem's conditions as (name, lhs, rhs, op), None
+        where the data fall outside every case, and the verdict certifies
+        exactly when all of them hold.  ``a`` is a closed form's case-2 root
+        constant, else None, and ``notes`` the report's notes.
+        """
         _check_horizon(tau, self.family)
-        row = self.group.closed_form
+        H0, row = self.H0, self.group.closed_form
         if row is None:
-            return self._general_report(tau)
-        return self._closed_form_report(row, tau if self.group.horizon else None)
+            _, strict, horizon = self._horizon(tau)
+            theorem = GENERAL_RADIAL if self.scenario.geometry.is_radial else GENERAL_1D
+            rows = (
+                ("initial_momentum_positive", H0, 0.0, ">"),
+                ("pressure_barrier_strict", H0, strict, ">"),
+                ("horizon_budget", H0, horizon, ">="),
+            )
+            return theorem, rows, None, []
+        if not self.group.horizon:
+            tau = None
+        s, m0 = self.scenario, self.m0
+        if row.case2 is None or m0 >= 0.0:
+            theorem, a, notes = row.case1, None, []
+            rows = ((row.condition, H0, self._horizon(tau), row.op),)
+            if row.case2 is None:
+                rows = (("perturbed_mass_nonnegative", m0, 0.0, ">="),) + rows
+        elif s.eos.gamma != 2.0:
+            return row.case2, None, None, []
+        else:
+            N, R, sigma = s.geometry.ndim, s.R, self.sigma
+            try:
+                # the root raises first: it takes the powers the threshold takes, or larger
+                a = row.root(N, s.eos.K, m0, R, sigma, tau)
+            except OverflowError as exc:
+                raise _overflow("a", self.family, tau) from exc
+            theorem, notes = row.case2, []
+            rows = (
+                ("root_constant_admissible", a, row.a_min, ">"),
+                ("initial_momentum_exceeds_threshold", H0, row.case2_threshold(a, N, R, sigma, tau), ">"),
+            )
+            if a == row.a_min:
+                notes.append(f"root constant degenerates to the admissibility boundary a = {row.a_min:g}")
+        if H0 == rows[-1][2] and rows[-1][3] == ">":
+            notes.append(row.equality_note)
+        return theorem, rows, a, notes
 
     def _horizon(self, tau: float | None):
         # (B(tau), strict, horizon) of a general family, a closed form's case-1 threshold
@@ -529,7 +586,7 @@ class PreparedCriterion:
             s = self.scenario
             row = self.group.closed_form
             if row is None:
-                side = _horizon_side(self.f, self.a, s.eos, s.R, tau, s.geometry)
+                side = _horizon_side(self.f, self.a, s.eos, s.R, tau, s.geometry, self.sigma)
             else:
                 try:
                     side = row.threshold(s.geometry.ndim, s.R, self.sigma, tau)
@@ -538,17 +595,11 @@ class PreparedCriterion:
             self.horizons[tau] = side
         return self.horizons[tau]
 
-    def _general_report(self, tau: float) -> CriterionReport:
-        geom, H0 = self.scenario.geometry, self.H0
-        theorem = GENERAL_RADIAL if geom.is_radial else GENERAL_1D
+    def _general_report(self, theorem: str, conds: list, tau: float) -> CriterionReport:
+        H0 = self.H0
         B_tau, strict_thr, horizon_thr = self._horizon(tau)
-        conds = [
-            Condition("initial_momentum_positive", H0, 0.0, ">"),
-            Condition("pressure_barrier_strict", H0, strict_thr, ">"),
-            Condition("horizon_budget", H0, horizon_thr, ">="),
-        ]
         inputs = {
-            "geometry": geom.label(),
+            "geometry": self.scenario.geometry.label(),
             "weight": self.f.name or self.f.cls,
             "a": self.a,
             "tau": tau,
@@ -568,46 +619,25 @@ class PreparedCriterion:
             verdict = Verdict.inconclusive(f"condition {failed} not met")
         return CriterionReport(theorem, inputs, conds, verdict)
 
-    def _closed_form_report(self, row: _ClosedForm, tau: float | None) -> CriterionReport:
-        """Resolve a closed-form family; ``tau`` is None when it has no horizon."""
-        eos, geom = self.scenario.eos, self.scenario.geometry
-        N, R, sigma = geom.ndim, self.scenario.R, self.sigma
-        H0, m0 = self.H0, self.m0
+    def _closed_form_report(
+        self, theorem: str, conds: list, a: float | None, notes: list, tau: float | None
+    ) -> CriterionReport:
+        """Package a closed-form family's decision; ``tau`` is None when it has no horizon."""
+        geom, row = self.scenario.geometry, self.group.closed_form
         inputs: dict = {"geometry": geom.label()}
         if geom.is_radial:
-            inputs["N"] = N
+            inputs["N"] = geom.ndim
         if tau is not None:
             inputs["tau"] = tau
-        inputs.update(sigma=sigma, H0=H0, m0=m0)
-        notes: list[str] = []
-
-        if row.case2 is None or m0 >= 0.0:
-            theorem, shortfall = row.case1, row.shortfall
-            thr = self._horizon(tau)
-            conds = [] if row.case2 else [Condition("perturbed_mass_nonnegative", m0, 0.0, ">=")]
-            conds.append(Condition(row.condition, H0, thr, row.op))
-        elif eos.gamma != 2.0:
+        inputs.update(sigma=self.sigma, H0=self.H0, m0=self.m0)
+        if not conds:  # no case covers the data
             inputs["threshold"] = float("nan")
             verdict = Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2")
-            return CriterionReport(row.case2, inputs, [], verdict, notes)
-        else:
-            theorem, shortfall = row.case2, "negative-mass threshold not exceeded"
-            try:
-                # the root raises first: it takes the powers the threshold takes, or larger
-                a = row.root(N, eos.K, m0, R, sigma, tau)
-            except OverflowError as exc:
-                raise _overflow("a", self.family, tau) from exc
-            thr = row.case2_threshold(a, N, R, sigma, tau)
+            return CriterionReport(theorem, inputs, conds, verdict, notes)
+        if a is not None:
             inputs["a"] = a
-            conds = [
-                Condition("root_constant_admissible", a, row.a_min, ">"),
-                Condition("initial_momentum_exceeds_threshold", H0, thr, ">"),
-            ]
-            if a == row.a_min:
-                notes.append(f"root constant degenerates to the admissibility boundary a = {row.a_min:g}")
-        inputs["threshold"] = thr
-        if H0 == thr and conds[-1].op == ">":
-            notes.append(row.equality_note)
+        inputs["threshold"] = conds[-1].rhs
+        shortfall = row.shortfall if theorem == row.case1 else "negative-mass threshold not exceeded"
         certified = Verdict.blowup_finite() if tau is None else Verdict.blowup_before(tau)
         verdict = certified if all(c.satisfied for c in conds) else Verdict.inconclusive(shortfall)
         return CriterionReport(theorem, inputs, conds, verdict, notes)
@@ -697,7 +727,14 @@ def minimal_tau(
     horizons form a window, not an upper tail, so no horizon past the
     first certifying one is probed.  A window narrower than the grid
     spacing can be missed.  The bounds must be finite with
-    0 < tau_lo < tau_hi.  The family is prepared once for every probe.
+    0 < tau_lo < tau_hi.  The family is prepared once for every probe,
+    and a probe reads only whether the criterion certifies
+    (:meth:`PreparedCriterion.certifies`).
+
+    Every family's threshold is positive, so an H(0) <= 0 returns None
+    before any probe.  A general family's strict threshold grows with tau,
+    as B(tau) and f(R + sigma*tau) do, so the scan returns None at the
+    first horizon where the strict condition fails: no later one certifies.
     """
     if family not in FAMILY_GROUPS or not FAMILY_GROUPS[family].horizon:
         raise ValueError(f"family {family!r} does not take a horizon")
@@ -710,22 +747,26 @@ def minimal_tau(
     if scan_points < 2:
         raise ValueError("scan_points must be at least 2")
     prepared = prepare(scenario, family, f, a)
-
-    def positive(tau: float) -> bool:
-        return prepared.report(tau).verdict.certifies_blowup
-
-    grid = np.geomspace(tau_lo, tau_hi, scan_points)
-    first = next((i for i, t in enumerate(grid) if positive(float(t))), None)
-    if first is None:
+    H0 = prepared.H0
+    if not H0 > 0:
+        return None
+    general = FAMILY_GROUPS[family].closed_form is None
+    grid = np.geomspace(tau_lo, tau_hi, scan_points).tolist()
+    for first, tau in enumerate(grid):
+        if prepared.certifies(tau):
+            break
+        if general and not H0 > prepared.horizons[tau][1]:  # the strict condition fails from here on
+            return None
+    else:
         return None
     if first == 0:
-        return float(grid[0])
-    lo, hi = float(grid[first - 1]), float(grid[first])
+        return grid[0]
+    lo, hi = grid[first - 1], grid[first]
     while (hi - lo) > rtol * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
             break
-        if positive(mid):
+        if prepared.certifies(mid):
             hi = mid
         else:
             lo = mid

@@ -431,21 +431,21 @@ class TestHorizonRuleOracles:
     def test_stripped_weight_matches_the_closed_forms(self, name, tau):
         f, geom, eos = ORACLE_WEIGHTS[name]
         try:
-            want = criteria._horizon_side(f, 4.0, eos, 1.0, tau, geom)
+            want = criteria._horizon_side(f, 4.0, eos, 1.0, tau, geom, sound_speed(eos))
         except criteria.HorizonRangeError as exc:
             # past the float range for the closed forms too, with the same error
             with pytest.raises(criteria.HorizonRangeError, match=re.escape(str(exc))):
-                criteria._horizon_side(stripped(f), 4.0, eos, 1.0, tau, geom)
+                criteria._horizon_side(stripped(f), 4.0, eos, 1.0, tau, geom, sound_speed(eos))
             return
-        got = criteria._horizon_side(stripped(f), 4.0, eos, 1.0, tau, geom)
+        got = criteria._horizon_side(stripped(f), 4.0, eos, 1.0, tau, geom, sound_speed(eos))
         # (B(tau), strict, horizon)
         assert max(_relative_errors(got, want)) <= 1e-13
 
     @pytest.mark.parametrize("tau", ORACLE_TAUS)
     def test_a_closed_form_B_matches_the_closed_form_horizon(self, tau):
         eos, geom = TestGeneralThresholdTable.EOS_RADIAL, Geometry.radial(3)
-        want = criteria._horizon_side(linear(), 4.0, eos, 1.0, tau, geom)
-        got = criteria._horizon_side(x_without_horizon_form(), 4.0, eos, 1.0, tau, geom)
+        want = criteria._horizon_side(linear(), 4.0, eos, 1.0, tau, geom, sound_speed(eos))
+        got = criteria._horizon_side(x_without_horizon_form(), 4.0, eos, 1.0, tau, geom, sound_speed(eos))
         # B(tau) and the strict threshold read analytic_B itself
         assert got[:2] == want[:2]
         assert _relative_errors(got[2:], want[2:])[0] <= 1e-13
@@ -461,10 +461,10 @@ class TestHorizonRuleOracles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(criteria.HorizonRangeError, match=re.escape(message)) as want:
-                criteria._horizon_side(f, 4.0, eos, 1.0, tau, geom)
+                criteria._horizon_side(f, 4.0, eos, 1.0, tau, geom, sound_speed(eos))
             for other in others:
                 with pytest.raises(criteria.HorizonRangeError, match=re.escape(str(want.value))):
-                    criteria._horizon_side(other, 4.0, eos, 1.0, tau, geom)
+                    criteria._horizon_side(other, 4.0, eos, 1.0, tau, geom, sound_speed(eos))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_WEIGHTS))
     def test_running_B_matches_the_closed_form_B(self, name):
@@ -507,8 +507,8 @@ class TestHorizonRuleOracles:
         # in s = sigma*t/R, never forming R + sigma*t, and matches the closed form
         case = certified_general_radial_case(256)
         s = case.scenario
-        want = criteria._horizon_side(linear(), 4.0, s.eos, s.R, 1e-14, s.geometry)
-        got = criteria._horizon_side(stripped(linear()), 4.0, s.eos, s.R, 1e-14, s.geometry)
+        want = criteria._horizon_side(linear(), 4.0, s.eos, s.R, 1e-14, s.geometry, sound_speed(s.eos))
+        got = criteria._horizon_side(stripped(linear()), 4.0, s.eos, s.R, 1e-14, s.geometry, sound_speed(s.eos))
         assert max(_relative_errors(got, want)) <= 1e-13
         assert check_general(s, stripped(linear()), a=4.0, tau=1e-14).verdict.kind == "inconclusive"
 
@@ -1528,11 +1528,11 @@ class TestMinimalTau:
         probes = []
 
         class Fake:
-            def report(self, tau):
+            H0 = 1.0
+
+            def certifies(self, tau):
                 probes.append(tau)
-                ok = 0.1 < tau < 1.0 or tau > 50.0
-                verdict = Verdict.blowup_before(tau) if ok else Verdict.inconclusive("no")
-                return CriterionReport("fake", {}, [], verdict)
+                return 0.1 < tau < 1.0 or tau > 50.0
 
         monkeypatch.setattr(criteria, "prepare", lambda *args: Fake())
         got = minimal_tau(scen, FAMILY_POWER_RADIAL)
@@ -1574,18 +1574,161 @@ class TestMinimalTau:
 
     def test_rtol_below_the_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
         probes = []
-        report = criteria.PreparedCriterion.report
+        certifies = criteria.PreparedCriterion.certifies
 
         def bounded(self, tau=1.0):
             probes.append(tau)
             assert len(probes) < 200, "the bisection does not stop"
-            return report(self, tau)
+            return certifies(self, tau)
 
-        monkeypatch.setattr(criteria.PreparedCriterion, "report", bounded)
+        monkeypatch.setattr(criteria.PreparedCriterion, "certifies", bounded)
         case = certified_power_radial_case(cells=512)
         got = minimal_tau(case.scenario, FAMILY_POWER_RADIAL, tau_lo=0.1, tau_hi=1.0, rtol=1e-20, scan_points=8)
         assert check_power_radial(case.scenario, got).verdict.certifies_blowup
         assert not check_power_radial(case.scenario, float(np.nextafter(got, 0.0))).verdict.certifies_blowup
+
+    @pytest.mark.parametrize("name, want, probes", [
+        ("cert-general-radial-n1", "0x1.e3690d0c66ab7p-2", 48),
+        ("cert-general-1d-exp", "0x1.ff4930e499daap-2", 48),
+        ("cert-power-radial-n3", "0x1.aea92f62ac17cp-3", 44),
+        ("cert-linear-tau-1d", "0x1.6610727ae77cep-2", 46),
+    ])
+    def test_horizon_presets_pinned_with_their_probe_counts(self, name, want, probes, monkeypatch):
+        # the horizon and the probe count of the report-reading scan, bit for bit
+        case = certified_case(name)
+        seen = count_probes(monkeypatch)
+        assert minimal_tau(case.scenario, case.family, f=case.f, a=case.a).hex() == want
+        assert len(seen) == probes
+
+    @pytest.mark.parametrize("name, want, probes", [
+        ("cert-general-radial-n1", "0x1.37d88af610746p-2", 46),
+        ("cert-general-1d-exp", "0x1.cefb6b492b594p-1", 51),
+    ])
+    def test_seeded_weights_pinned_with_their_probe_counts(self, name, want, probes, seeded_weight, monkeypatch):
+        case = certified_case(name)
+        weight = seeded_weight(case.scenario.geometry.is_radial, 1)
+        seen = count_probes(monkeypatch)
+        assert minimal_tau(case.scenario, case.family, f=weight, a=case.a).hex() == want
+        assert len(seen) == probes
+
+    @pytest.mark.parametrize("scale, probes", [(0.01, 1), (-1.0, 0)])
+    @pytest.mark.parametrize("weight", ["exp:2", "exp:2 stripped", "seeded"])
+    def test_general_data_that_never_certifies_give_none(self, weight, scale, probes, seeded_weight, monkeypatch):
+        # these horizons reached exp(2x)'s overflowing B at tau = 803 and raised;
+        # H(0) <= 0 probes nothing, and the scan stops where the strict condition fails
+        case = certified_case("cert-general-1d-exp")
+        f = {"exp:2": exponential(2.0), "exp:2 stripped": stripped(exponential(2.0)),
+             "seeded": seeded_weight(False, 1)}[weight]
+        scen = with_amp_v(case.scenario, scale * case.scenario.v0.amp)
+        seen = count_probes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert minimal_tau(scen, case.family, f=f, a=case.a) is None
+        assert len(seen) == probes
+
+    @pytest.mark.parametrize("amp_v", [0.0, -2.0])
+    @pytest.mark.parametrize("family, geometry", [
+        (FAMILY_POWER_RADIAL, Geometry.radial(3)), (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d()),
+        (FAMILY_GENERAL_RADIAL, Geometry.radial(3)),
+    ])
+    def test_no_positive_momentum_probes_nothing(self, family, geometry, amp_v, monkeypatch):
+        seen = count_probes(monkeypatch)
+        f = None if criteria.FAMILY_GROUPS[family].closed_form else linear()
+        assert minimal_tau(bump(geometry, amp_v=amp_v), family, f=f) is None
+        assert seen == []
+
+
+def count_probes(monkeypatch) -> list:
+    """The horizons ``minimal_tau`` probes, recorded by PreparedCriterion.certifies."""
+    seen = []
+    certifies = criteria.PreparedCriterion.certifies
+    monkeypatch.setattr(criteria.PreparedCriterion, "certifies", lambda self, tau=1.0: seen.append(tau) or certifies(self, tau))
+    return seen
+
+
+def certifies_or_error(prepared, tau):
+    try:
+        return prepared.certifies(tau)
+    except criteria.HorizonRangeError as exc:
+        return str(exc)
+
+
+def verdict_or_error(prepared, tau):
+    try:
+        return prepared.report(tau).verdict.certifies_blowup
+    except criteria.HorizonRangeError as exc:
+        return str(exc)
+
+
+# log-uniform in [1e-3, 1e3], seeded
+AGREEMENT_TAUS = (10.0 ** np.random.default_rng(29).uniform(-3.0, 3.0, 40)).tolist()
+
+
+class TestCertifies:
+    """``certifies(tau)`` is ``report(tau)``'s verdict, read from the same
+    condition rows without building the report; an error is the same error."""
+
+    def assert_agrees(self, prepared, taus=AGREEMENT_TAUS) -> list:
+        got = [certifies_or_error(prepared, tau) for tau in taus]
+        assert got == [verdict_or_error(prepared, tau) for tau in taus]
+        return got
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_PRESETS))
+    def test_certified_presets(self, name):
+        case = certified_case(name, 512)
+        got = self.assert_agrees(criteria.prepare(case.scenario, case.family, case.f, case.a))
+        assert True in got
+        if criteria.FAMILY_GROUPS[case.family].horizon:
+            assert False in got
+
+    @pytest.mark.parametrize("family, geometry, theorem", [
+        (FAMILY_POWER_RADIAL, Geometry.radial(2), POWER_RADIAL_CASE2),
+        (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d(), LINEAR_1D_TAU_CASE2),
+    ])
+    @pytest.mark.parametrize("amp_v", [80.0, 300.0])
+    def test_negative_mass_case_two(self, family, geometry, theorem, amp_v):
+        prepared = criteria.prepare(bump(geometry, amp_rho=-0.05, amp_v=amp_v, extent=2.6), family)
+        assert prepared.report(1.0).theorem == theorem
+        assert {True, False} <= set(self.assert_agrees(prepared))
+
+    @pytest.mark.parametrize("family, geometry", [
+        (FAMILY_POWER_RADIAL, Geometry.radial(2)), (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d()),
+    ])
+    def test_negative_mass_off_gamma_two(self, family, geometry):
+        # no case covers the data, and the report has no conditions
+        prepared = criteria.prepare(bump(geometry, amp_rho=-0.05, amp_v=80.0, gamma=2.5, extent=2.6), family)
+        assert prepared.report(1.0).conditions == []
+        assert set(self.assert_agrees(prepared)) == {False}
+
+    @pytest.mark.parametrize("family, geometry, certifies", [
+        (FAMILY_POWER_RADIAL, Geometry.radial(2), False),
+        (FAMILY_LINEAR_1D, Geometry.cartesian1d(), False),
+        (FAMILY_LINEAR_1D_TAU, Geometry.cartesian1d(), True),  # non-strict: equality certifies
+    ])
+    def test_momentum_on_the_threshold(self, family, geometry, certifies, monkeypatch):
+        scen = bump(geometry, amp_v=80.0, extent=2.6)
+        H0 = criteria.prepare(scen, family).H0
+        group = criteria.FAMILY_GROUPS[family]
+        on_threshold = replace(group.closed_form, threshold=lambda N, R, sigma, tau: H0)
+        monkeypatch.setitem(criteria.FAMILY_GROUPS, family, replace(group, closed_form=on_threshold))
+        prepared = criteria.prepare(scen, family)
+        assert set(self.assert_agrees(prepared)) == {certifies}
+        assert (prepared.report(1.0).notes != []) != certifies
+
+    def test_momentum_on_the_general_strict_threshold(self, monkeypatch):
+        case = certified_case("cert-general-radial-n1", 512)
+        H0 = criteria.prepare(case.scenario, case.family, case.f, case.a).H0
+        monkeypatch.setattr(criteria, "_horizon_side", lambda *args: (1.0, H0, 0.5 * H0))
+        prepared = criteria.prepare(case.scenario, case.family, case.f, case.a)
+        assert set(self.assert_agrees(prepared)) == {False}
+        assert prepared.report(1.0).verdict.reason == "condition pressure_barrier_strict not met"
+
+    @pytest.mark.parametrize("name", ["cert-general-radial-n1", "cert-general-1d-exp"])
+    def test_seeded_weights(self, name, seeded_weight):
+        case = certified_case(name, 512)
+        weight = seeded_weight(case.scenario.geometry.is_radial, 1)
+        got = self.assert_agrees(criteria.prepare(case.scenario, case.family, weight, case.a))
+        assert {True, False} <= set(got)
 
 
 # ---------------------------------------------------------------------------

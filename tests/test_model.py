@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -544,3 +545,55 @@ class TestWeightMemoization:
             return 2.0 * np.asarray(x, dtype=float)
 
         assert radial_vanishing(f, fp) is not radial_vanishing(f, fp)
+
+
+def errstate_exp(beta, x):
+    """``exponential(beta).f`` as it was: numpy's exp under errstate(over='ignore')."""
+    with np.errstate(over="ignore"):
+        return np.exp(beta * np.asarray(x, dtype=float))
+
+
+class TestExponentialWeight:
+    """A float argument skips the errstate; every argument keeps numpy's bits."""
+
+    BETAS = (0.5, 1.0, 2.0, 3.7)
+
+    @staticmethod
+    def _arguments(beta, seed):
+        rng = np.random.default_rng(seed)
+        edge = math.log(np.finfo(float).max) / beta  # 709.78/beta
+        return np.concatenate([
+            rng.uniform(-50.0, 50.0, 200) / beta,
+            edge + rng.uniform(-1.0, 1.0, 200) / beta,  # either side of the float range
+            edge * rng.uniform(1.0, 3.0, 50),  # past it
+            [709.0 / beta, np.nextafter(709.0 / beta, 0.0), edge, np.nextafter(edge, math.inf), 0.0, -0.0,
+             -edge, math.inf, -math.inf, math.nan],
+        ])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_scalars_keep_the_errstate_bits(self, beta, seed):
+        f = exponential(beta).f
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in self._arguments(beta, seed).tolist():
+                for arg in (x, np.float64(x)):
+                    got, want = f(arg), errstate_exp(beta, arg)
+                    assert type(got) is type(want) is np.float64
+                    assert got.tobytes() == want.tobytes(), (beta, x)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_arrays_keep_the_errstate_bits(self, beta):
+        xs = self._arguments(beta, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exponential(beta).f(xs)
+        assert got.tobytes() == errstate_exp(beta, xs).tobytes()
+        assert np.isinf(got[xs > math.log(np.finfo(float).max) / beta]).all()
+
+    def test_inf_past_the_float_range_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exponential(2.0).f(400.0) == math.inf
+            assert exponential(2.0).f_prime(400.0) == math.inf
+            assert exponential(2.0).f(354.0) < math.inf
