@@ -81,6 +81,12 @@ def _holds(lhs: float, rhs: float, op: str) -> bool:
     return lhs > rhs if op == ">" else lhs >= rhs
 
 
+def _certified(rows: tuple | None) -> bool:
+    """The verdict rule: a criterion certifies exactly when its theorem
+    covers the data and every condition row (name, lhs, rhs, op) holds."""
+    return rows is not None and all(_holds(lhs, rhs, op) for _, lhs, rhs, op in rows)
+
+
 @dataclass(frozen=True)
 class Condition:
     """One inequality of a criterion, compared exactly as claimed."""
@@ -342,6 +348,8 @@ class _ClosedForm:
 
 
 _STRICT_NOTE = "H(0) sits exactly on the strict threshold"
+# a general family's inconclusive reason where it is not "condition <name> not met"
+_GENERAL_REASONS = {"initial_momentum_positive": "initial weighted momentum is not positive"}
 
 # name, theorems, weight; case-1 threshold, operator and condition; shortfall
 # reason and equality note; case-2 root constant, its bound and threshold
@@ -520,18 +528,57 @@ class PreparedCriterion:
 
     def report(self, tau: float = 1.0) -> CriterionReport:
         """The criterion at horizon ``tau``, which must be positive and
-        finite, also for the horizon-free family that never reads it."""
+        finite, also for the horizon-free family that never reads it.
+
+        It certifies exactly when :meth:`certifies` does.  Otherwise a
+        general family names its first condition that fails, and a closed
+        form gives its theorem's reason.
+        """
         theorem, rows, a, notes = self._decide(tau)
         conds = [Condition(*r) for r in rows or ()]
-        if self.group.closed_form is None:
-            return self._general_report(theorem, conds, tau)
-        return self._closed_form_report(theorem, conds, a, notes, tau if self.group.horizon else None)
+        geom, row = self.scenario.geometry, self.group.closed_form
+        if row is None:
+            B_tau, strict, horizon = self._horizon(tau)
+            inputs = {
+                "geometry": geom.label(),
+                "weight": self.f.name or self.f.cls,
+                "a": self.a,
+                "tau": tau,
+                "sigma": self.sigma,
+                "H0": self.H0,
+                "B_tau": B_tau,
+                "strict_threshold": strict,
+                "horizon_threshold": horizon,
+                "combined_threshold": max(strict, horizon),
+            }
+        else:
+            inputs = {
+                "geometry": geom.label(),
+                "N": geom.ndim if geom.is_radial else None,
+                "tau": tau if self.group.horizon else None,
+                "sigma": self.sigma,
+                "H0": self.H0,
+                "m0": self.m0,
+                "a": a,
+                "threshold": conds[-1].rhs if conds else math.nan,
+            }
+            # keys that do not apply to this family or case are left out
+            inputs = {k: v for k, v in inputs.items() if v is not None}
+        if _certified(rows):
+            verdict = Verdict.blowup_before(tau) if self.group.horizon else Verdict.blowup_finite()
+        elif row is None:
+            failed = next(c.name for c in conds if not c.satisfied)
+            verdict = Verdict.inconclusive(_GENERAL_REASONS.get(failed, f"condition {failed} not met"))
+        elif rows is None:
+            verdict = Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2")
+        else:
+            case1 = theorem == row.case1
+            verdict = Verdict.inconclusive(row.shortfall if case1 else "negative-mass threshold not exceeded")
+        return CriterionReport(theorem, inputs, conds, verdict, notes)
 
     def certifies(self, tau: float = 1.0) -> bool:
-        """Whether ``report(tau)`` certifies blowup: every one of its
-        conditions holds, read without building the report."""
-        rows = self._decide(tau)[1]
-        return rows is not None and all(_holds(lhs, rhs, op) for _, lhs, rhs, op in rows)
+        """Whether ``report(tau)`` certifies blowup, read without building the report."""
+        return _certified(self._decide(tau)[1])
 
     def _decide(self, tau: float) -> tuple[str, tuple | None, float | None, list]:
         """(theorem, rows, a, notes) at horizon ``tau``, which is checked first.
@@ -594,53 +641,6 @@ class PreparedCriterion:
                     raise _overflow("threshold", self.family, tau) from exc
             self.horizons[tau] = side
         return self.horizons[tau]
-
-    def _general_report(self, theorem: str, conds: list, tau: float) -> CriterionReport:
-        H0 = self.H0
-        B_tau, strict_thr, horizon_thr = self._horizon(tau)
-        inputs = {
-            "geometry": self.scenario.geometry.label(),
-            "weight": self.f.name or self.f.cls,
-            "a": self.a,
-            "tau": tau,
-            "sigma": self.sigma,
-            "H0": H0,
-            "B_tau": B_tau,
-            "strict_threshold": strict_thr,
-            "horizon_threshold": horizon_thr,
-            "combined_threshold": max(strict_thr, horizon_thr),
-        }
-        if not conds[0].satisfied:
-            verdict = Verdict.inconclusive("initial weighted momentum is not positive")
-        elif conds[1].satisfied and conds[2].satisfied:
-            verdict = Verdict.blowup_before(tau)
-        else:
-            failed = next(c.name for c in conds if not c.satisfied)
-            verdict = Verdict.inconclusive(f"condition {failed} not met")
-        return CriterionReport(theorem, inputs, conds, verdict)
-
-    def _closed_form_report(
-        self, theorem: str, conds: list, a: float | None, notes: list, tau: float | None
-    ) -> CriterionReport:
-        """Package a closed-form family's decision; ``tau`` is None when it has no horizon."""
-        geom, row = self.scenario.geometry, self.group.closed_form
-        inputs: dict = {"geometry": geom.label()}
-        if geom.is_radial:
-            inputs["N"] = geom.ndim
-        if tau is not None:
-            inputs["tau"] = tau
-        inputs.update(sigma=self.sigma, H0=self.H0, m0=self.m0)
-        if not conds:  # no case covers the data
-            inputs["threshold"] = float("nan")
-            verdict = Verdict.inconclusive("negative perturbed mass is only covered for gamma = 2")
-            return CriterionReport(theorem, inputs, conds, verdict, notes)
-        if a is not None:
-            inputs["a"] = a
-        inputs["threshold"] = conds[-1].rhs
-        shortfall = row.shortfall if theorem == row.case1 else "negative-mass threshold not exceeded"
-        certified = Verdict.blowup_finite() if tau is None else Verdict.blowup_before(tau)
-        verdict = certified if all(c.satisfied for c in conds) else Verdict.inconclusive(shortfall)
-        return CriterionReport(theorem, inputs, conds, verdict, notes)
 
 
 def prepare(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -105,6 +106,14 @@ def riemann_variable(eos: EosParams, rho):
 # Geometry and grid
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integral number other than a bool (a numpy integer is one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Either a 1-D slab on [-L, L] or radial symmetry in N >= 1 dimensions."""
@@ -113,6 +122,7 @@ class Geometry:
     ndim: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ndim", _integer("ndim", self.ndim))
         if self.kind not in ("cartesian1d", "radial"):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
         if self.kind == "cartesian1d" and self.ndim != 1:
@@ -126,7 +136,7 @@ class Geometry:
 
     @staticmethod
     def radial(ndim: int) -> "Geometry":
-        return Geometry("radial", int(ndim))
+        return Geometry("radial", ndim)
 
     @property
     def is_radial(self) -> bool:
@@ -148,6 +158,7 @@ class GridSpec:
             raise ValueError(f"grid extent must be finite, got {self.extent!r}")
         if not self.extent > 0:
             raise ValueError("grid extent must be positive")
+        object.__setattr__(self, "cells", _integer("cells", self.cells))
         if self.cells < 16:
             raise ValueError("need at least 16 cells")
 
@@ -410,15 +421,10 @@ def power_law_B(n: float, R: float, sigma: float, t, geometry):
     """
     scalar = isinstance(t, (float, int))
     kind = _power_law_kind(n, R, sigma, t >= 0 if scalar else np.all(np.asarray(t) >= 0), geometry)
-    if scalar or np.ndim(t) == 0:
-        upper = R + sigma * t
-        if kind == "radial":
-            return float(upper ** (n + 2) / (n * (n + 2)))
-        return float(2.0 * upper ** 3 / 3.0)
-    upper = R + sigma * np.asarray(t, dtype=float)
-    if kind == "radial":
-        return upper ** (n + 2) / (n * (n + 2))
-    return 2.0 * upper ** 3 / 3.0
+    array = not scalar and np.ndim(t) > 0
+    upper = R + sigma * (np.asarray(t, dtype=float) if array else t)
+    B = upper ** (n + 2) / (n * (n + 2)) if kind == "radial" else 2.0 * upper ** 3 / 3.0
+    return B if array else float(B)
 
 
 def power_law_horizon(n: float, R: float, sigma: float, tau: float, geometry) -> float:
@@ -487,21 +493,9 @@ def power_law(n: float) -> TestingFunction:
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE)
 def linear() -> TestingFunction:
-    """The identity weight, admissible in both geometries."""
-
-    def f(x):
-        return np.asarray(x, dtype=float) + 0.0
-
-    def f_prime(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def analytic_B(R, sigma, t, geometry):
-        return power_law_B(1, R, sigma, t, geometry)
-
-    def analytic_horizon(R, sigma, tau, geometry):
-        return power_law_horizon(1, R, sigma, tau, geometry)
-
-    return _build(TestingFunction(f, f_prime, LINEAR, analytic_B=analytic_B, name="x", analytic_horizon=analytic_horizon))
+    """The identity weight, admissible in both geometries: the power law of
+    exponent 1, whose f, f' and closed forms it takes."""
+    return _build(replace(power_law(1.0), cls=LINEAR, name="x"))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE, typed=True)
@@ -519,7 +513,9 @@ def exponential(beta: float = 1.0) -> TestingFunction:
             return np.exp(beta * np.asarray(x, dtype=float))
 
     def f_prime(x):
-        return beta * f(x)
+        # beta * f is inf, without a warning, where f is finite and it is not
+        with np.errstate(over="ignore"):
+            return beta * f(x)
 
     def analytic_B(R, sigma, t, geometry):
         if getattr(geometry, "is_radial", False):

@@ -1731,6 +1731,114 @@ class TestCertifies:
         assert {True, False} <= set(got)
 
 
+GENERAL_KEYS = ["B_tau", "H0", "a", "combined_threshold", "geometry", "horizon_threshold", "sigma",
+                "strict_threshold", "tau", "weight"]
+POWER_KEYS = ["H0", "N", "geometry", "m0", "sigma", "tau", "threshold"]
+TAU_KEYS = ["H0", "geometry", "m0", "sigma", "tau", "threshold"]
+POWER_SHORT = "initial momentum does not exceed the threshold"
+TAU_SHORT = "initial momentum below the horizon threshold"
+INFINITE_SHORT = "requires non-negative perturbed mass and momentum above the threshold"
+NEGATIVE_SHORT = "negative-mass threshold not exceeded"
+UNCOVERED = "negative perturbed mass is only covered for gamma = 2"
+
+
+class TestVerdictReasons:
+    """Every verdict a report can give: its kind, the reason of an
+    inconclusive one, the inputs it records and its notes."""
+
+    # family, amp_rho, amp_v, gamma, tau; verdict kind, reason, sorted inputs, notes
+    CASES = {
+        "general-radial H0 <= 0": (FAMILY_GENERAL_RADIAL, 0.01, -5.0, 2.0, 1.0, "inconclusive",
+                                   "initial weighted momentum is not positive", GENERAL_KEYS, []),
+        "general-radial strict fails": (FAMILY_GENERAL_RADIAL, 0.01, 0.02, 2.0, 1.0, "inconclusive",
+                                        "condition pressure_barrier_strict not met", GENERAL_KEYS, []),
+        "general-radial horizon fails": (FAMILY_GENERAL_RADIAL, 0.01, 80.0, 2.0, 0.05, "inconclusive",
+                                         "condition horizon_budget not met", GENERAL_KEYS, []),
+        "general-radial certified": (FAMILY_GENERAL_RADIAL, 0.01, 200.0, 2.0, 0.5, "blowup_before", None,
+                                     GENERAL_KEYS, []),
+        "general-1d H0 <= 0": (FAMILY_GENERAL_1D, 0.01, -5.0, 2.0, 1.0, "inconclusive",
+                               "initial weighted momentum is not positive", GENERAL_KEYS, []),
+        "general-1d strict fails": (FAMILY_GENERAL_1D, 0.01, 0.02, 2.0, 1.0, "inconclusive",
+                                    "condition pressure_barrier_strict not met", GENERAL_KEYS, []),
+        "general-1d horizon fails": (FAMILY_GENERAL_1D, 0.01, 80.0, 2.0, 0.05, "inconclusive",
+                                     "condition horizon_budget not met", GENERAL_KEYS, []),
+        "general-1d certified": (FAMILY_GENERAL_1D, 0.01, 200.0, 2.0, 0.5, "blowup_before", None, GENERAL_KEYS, []),
+        "power-radial case 1 fails": (FAMILY_POWER_RADIAL, 0.01, 0.02, 2.0, 1.0, "inconclusive", POWER_SHORT,
+                                      POWER_KEYS, []),
+        "power-radial case 1 certified": (FAMILY_POWER_RADIAL, 0.01, 80.0, 2.0, 1.0, "blowup_before", None,
+                                          POWER_KEYS, []),
+        "power-radial case 2 root at its bound": (
+            FAMILY_POWER_RADIAL, -1e-20, 300.0, 2.0, 1.0, "inconclusive", NEGATIVE_SHORT, sorted(POWER_KEYS + ["a"]),
+            ["root constant degenerates to the admissibility boundary a = 2"]),
+        "power-radial case 2 below threshold": (FAMILY_POWER_RADIAL, -0.05, 0.5, 2.0, 1.0, "inconclusive",
+                                                NEGATIVE_SHORT, sorted(POWER_KEYS + ["a"]), []),
+        "power-radial case 2 certified": (FAMILY_POWER_RADIAL, -0.05, 80.0, 2.0, 1.0, "blowup_before", None,
+                                          sorted(POWER_KEYS + ["a"]), []),
+        "power-radial negative mass at gamma 2.5": (FAMILY_POWER_RADIAL, -0.05, 80.0, 2.5, 1.0, "inconclusive",
+                                                    UNCOVERED, POWER_KEYS, []),
+        "linear-1d-tau case 1 fails": (FAMILY_LINEAR_1D_TAU, 0.01, 0.02, 2.0, 1.0, "inconclusive", TAU_SHORT,
+                                       TAU_KEYS, []),
+        "linear-1d-tau case 1 certified": (FAMILY_LINEAR_1D_TAU, 0.01, 80.0, 2.0, 1.0, "blowup_before", None,
+                                           TAU_KEYS, []),
+        "linear-1d-tau case 2 root at its bound": (
+            FAMILY_LINEAR_1D_TAU, -1e-20, 300.0, 2.0, 1.0, "inconclusive", NEGATIVE_SHORT, sorted(TAU_KEYS + ["a"]),
+            ["root constant degenerates to the admissibility boundary a = 1.33333"]),
+        "linear-1d-tau case 2 below threshold": (FAMILY_LINEAR_1D_TAU, -0.05, 0.5, 2.0, 1.0, "inconclusive",
+                                                 NEGATIVE_SHORT, sorted(TAU_KEYS + ["a"]), []),
+        "linear-1d-tau case 2 certified": (FAMILY_LINEAR_1D_TAU, -0.05, 80.0, 2.0, 1.0, "blowup_before", None,
+                                           sorted(TAU_KEYS + ["a"]), []),
+        "linear-1d-tau negative mass at gamma 2.5": (FAMILY_LINEAR_1D_TAU, -0.05, 80.0, 2.5, 1.0, "inconclusive",
+                                                     UNCOVERED, TAU_KEYS, []),
+        "linear-1d fails": (FAMILY_LINEAR_1D, 0.01, 0.02, 2.0, 1.0, "inconclusive", INFINITE_SHORT,
+                            ["H0", "geometry", "m0", "sigma", "threshold"], []),
+        "linear-1d certified": (FAMILY_LINEAR_1D, 0.01, 80.0, 2.0, 1.0, "blowup_finite", None,
+                                ["H0", "geometry", "m0", "sigma", "threshold"], []),
+        "linear-1d negative mass": (FAMILY_LINEAR_1D, -0.05, 80.0, 2.0, 1.0, "inconclusive", INFINITE_SHORT,
+                                    ["H0", "geometry", "m0", "sigma", "threshold"], []),
+    }
+    WEIGHTS = {FAMILY_GENERAL_RADIAL: linear, FAMILY_GENERAL_1D: lambda: exponential(1.0)}
+
+    @staticmethod
+    def geometry(family):
+        if family == FAMILY_GENERAL_RADIAL:
+            return Geometry.radial(1)
+        return Geometry.radial(2) if family == FAMILY_POWER_RADIAL else Geometry.cartesian1d()
+
+    @staticmethod
+    def assert_verdict(report, kind, reason, keys, notes, tau):
+        assert (report.verdict.kind, report.verdict.reason) == (kind, reason)
+        assert report.verdict.tau == (tau if kind == "blowup_before" else None)
+        assert sorted(report.inputs) == keys
+        assert report.notes == notes
+        assert report.verdict.certifies_blowup == (report.conditions != [] and all(c.satisfied for c in report.conditions))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table(self, case):
+        family, amp_rho, amp_v, gamma, tau, kind, reason, keys, notes = self.CASES[case]
+        scen = bump(self.geometry(family), amp_rho=amp_rho, amp_v=amp_v, gamma=gamma, extent=2.6)
+        weight = self.WEIGHTS.get(family)
+        report = run_family_check(scen, family, tau, weight() if weight else None, 4.0)
+        self.assert_verdict(report, kind, reason, keys, notes, tau)
+        assert (report.conditions == []) == (reason == UNCOVERED)
+
+    @pytest.mark.parametrize("family, kind, reason, keys, notes", [
+        (FAMILY_POWER_RADIAL, "inconclusive", POWER_SHORT, POWER_KEYS,
+         ["H(0) sits exactly on the threshold: the strict form does not certify, the non-strict variant would"]),
+        (FAMILY_LINEAR_1D, "inconclusive", INFINITE_SHORT, ["H0", "geometry", "m0", "sigma", "threshold"],
+         ["H(0) sits exactly on the strict threshold"]),
+        (FAMILY_LINEAR_1D_TAU, "blowup_before", None, TAU_KEYS, []),  # non-strict: equality certifies
+    ])
+    def test_momentum_on_a_threshold(self, family, kind, reason, keys, notes, monkeypatch):
+        scen = bump(self.geometry(family), amp_v=80.0, extent=2.6)
+        H0 = criteria.prepare(scen, family).H0
+        group = criteria.FAMILY_GROUPS[family]
+        on_threshold = replace(group.closed_form, threshold=lambda N, R, sigma, tau: H0)
+        monkeypatch.setitem(criteria.FAMILY_GROUPS, family, replace(group, closed_form=on_threshold))
+        report = run_family_check(scen, family, 1.0)
+        self.assert_verdict(report, kind, reason, keys, notes, 1.0)
+        assert report.inputs["threshold"] == report.inputs["H0"]
+
+
 # ---------------------------------------------------------------------------
 # The recorder's columns with boolean-mask bands, fancy indexing, a
 # finiteness scan before each sum and an array test of t in the closed-form

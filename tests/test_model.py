@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import eulerblowup.cli as cli
 import eulerblowup.model as model
 from eulerblowup.model import (
     BumpProfile,
@@ -137,6 +138,41 @@ class TestGeometryAndGrid:
     def test_non_finite_extent_is_named(self, extent):
         with pytest.raises(ValueError, match=f"^grid extent must be finite, got {extent!r}$"):
             GridSpec(extent, 64)
+
+
+class TestIntegerSizes:
+    """ndim and cells are integers: a float, even an integral one, or a bool
+    raises a ValueError naming the field instead of being truncated or
+    carried into a label; numpy integers keep working."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Geometry.radial(2.7),
+        lambda: Geometry("radial", 2.5),
+        lambda: Geometry("radial", 3.0),
+        lambda: Geometry("radial", True),
+        lambda: Geometry("radial", math.nan),
+        lambda: Geometry("cartesian1d", True),
+    ])
+    def test_non_integer_ndim_raises(self, make):
+        with pytest.raises(ValueError, match="^ndim must be an integer, got "):
+            make()
+
+    @pytest.mark.parametrize("cells", [100.5, 64.0, math.nan, math.inf, True])
+    def test_non_integer_cells_raise(self, cells):
+        with pytest.raises(ValueError, match="^cells must be an integer, got "):
+            GridSpec(2.2, cells)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int32, np.int64, np.uint16])
+    def test_numpy_integers_keep_their_labels(self, kind):
+        geometry = Geometry("radial", kind(3))
+        assert geometry == Geometry.radial(kind(3)) == Geometry.radial(3)
+        assert geometry.label() == "radial3" and cli.parse_geometry(geometry.label()) == geometry
+        assert type(geometry.ndim) is int  # a report's inputs hold it, and JSON takes no numpy integer
+        grid = GridSpec(2.2, kind(64))
+        assert grid == GridSpec(2.2, 64) and type(grid.cells) is int
+        assert grid.centers(geometry).tobytes() == GridSpec(2.2, 64).centers(geometry).tobytes()
+        scen = make_bump_scenario(EosParams(1.0, 2.0, 1.0), geometry, 1.0, 0.01, 0.02, grid)
+        assert scen.label() == "radial3-R1-ar0.01-av0.02-c64"
 
 
 class TestBumpProfile:
@@ -597,3 +633,99 @@ class TestExponentialWeight:
             assert exponential(2.0).f(400.0) == math.inf
             assert exponential(2.0).f_prime(400.0) == math.inf
             assert exponential(2.0).f(354.0) < math.inf
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_derivative_is_inf_where_beta_f_overflows(self, beta, seed):
+        # exp(beta*x) is finite up to 709.78/beta, beta*exp(beta*x) up to log(max/beta)/beta
+        xs = self._arguments(beta, seed)
+        with np.errstate(over="ignore"):
+            want = beta * errstate_exp(beta, xs)
+            scalars = [beta * errstate_exp(beta, x) for x in xs.tolist()]
+        f_prime = exponential(beta).f_prime
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_prime(xs)
+            for x, w in zip(xs.tolist(), scalars):
+                for arg in (x, np.float64(x)):
+                    g = f_prime(arg)
+                    assert type(g) is np.float64 and g.tobytes() == w.tobytes(), (beta, x)
+        assert got.tobytes() == want.tobytes()
+        finite_f = np.isfinite(errstate_exp(beta, xs))
+        assert np.isinf(got[finite_f & ~np.isfinite(want)]).all()
+        if beta > 1.0:  # a window where f is finite and f' is not
+            assert (finite_f & np.isinf(want)).any()
+
+
+class TestIdentityWeightBits:
+    """``linear()`` and ``power_law_B`` for n = 1, 1.0 and 3, pinned bit for
+    bit at seeded arguments: every kind of time a caller passes, and the
+    horizon integral's tau/B(0) branch at a tiny tau."""
+
+    rng = np.random.default_rng(30)
+    X = rng.uniform(-4.0, 4.0, 6)
+    R, SIGMA = float(0.5 + rng.uniform()), float(0.5 + 1.5 * rng.uniform())
+    T = rng.uniform(0.0, 3.0, 4)
+    TIMES = {"float": float(T[0]), "int": 2, "np.float64": np.float64(T[1]), "0-d": np.array(T[2]), "1-D": T}
+    GEOMETRIES = {"radial3": Geometry.radial(3), "cartesian1d": Geometry.cartesian1d()}
+    # B of the identity weight: x**1 radially, 2x**3/3 over [-U, U] in 1-D
+    B_LINEAR = {
+        "radial3": {
+            "float": "0x1.6bb06a0d3809bp+0", "int": "0x1.ab1e7ebf70c4fp+1", "np.float64": "0x1.58336db738474p+1",
+            "0-d": "0x1.8d1338d875db5p-1",
+            "1-D": ["0x1.6bb06a0d3809bp+0", "0x1.58336db738474p+1", "0x1.8d1338d875db4p-1", "0x1.90f1bae73e23fp+1"],
+        },
+        "cartesian1d": {
+            "float": "0x1.6bb06a0d3809bp+1", "int": "0x1.ab1e7ebf70c4fp+2", "np.float64": "0x1.58336db738474p+2",
+            "0-d": "0x1.8d1338d875db5p+0",
+            "1-D": ["0x1.6bb06a0d3809bp+1", "0x1.58336db738474p+2", "0x1.8d1338d875db4p+0", "0x1.90f1bae73e23fp+2"],
+        },
+    }
+    B_CUBE_RADIAL3 = {
+        "float": "0x1.7e697035aac84p-1", "int": "0x1.8cc853f3e681dp+1", "np.float64": "0x1.14e69946fb2b7p+1",
+        "0-d": "0x1.16e0ee8c83136p-2",
+        "1-D": ["0x1.7e697035aac84p-1", "0x1.14e69946fb2b7p+1", "0x1.16e0ee8c83136p-2", "0x1.651700fa2161dp+1"],
+    }
+    HORIZON = {
+        ("radial3", "T3"): "0x1.66363f45a86e1p+1", ("radial3", "tiny"): "0x1.f5f1266f168fcp-65",
+        ("cartesian1d", "T3"): "0x1.66363f45a86e1p+0", ("cartesian1d", "tiny"): "0x1.f5f1266f168fcp-66",
+    }
+
+    @staticmethod
+    def hexes(value):
+        if isinstance(value, np.ndarray) and value.ndim:
+            return [float(v).hex() for v in value]
+        assert type(value) is float
+        return value.hex()
+
+    def test_seeded_arguments(self):
+        assert [x.hex() for x in self.X[:2]] == ["-0x1.0e8ac21393bf4p+1", "-0x1.2260b323ee150p-1"]
+        assert (self.R.hex(), self.SIGMA.hex()) == ("0x1.a7251746055ddp-1", "0x1.542860b2543e0p-1")
+
+    def test_weight_and_integrand(self):
+        w = linear()
+        for x in self.X.tolist():
+            assert float(w.f(x)).hex() == x.hex()
+            assert float(w.f_prime(x)).hex() == (1.0).hex()
+            assert w.weight_integrand(x).hex() == (x * x).hex()
+        assert w.f(self.X).tobytes() == self.X.tobytes()
+        assert w.f_prime(self.X).tobytes() == np.ones(6).tobytes()
+        assert w.weight_integrand(self.X).tobytes() == (self.X * self.X).tobytes()
+
+    @pytest.mark.parametrize("geometry", ["radial3", "cartesian1d"])
+    @pytest.mark.parametrize("time", ["float", "int", "np.float64", "0-d", "1-D"])
+    def test_B(self, geometry, time):
+        t, geom = self.TIMES[time], self.GEOMETRIES[geometry]
+        want = self.B_LINEAR[geometry][time]
+        assert self.hexes(linear().analytic_B(self.R, self.SIGMA, t, geom)) == want
+        for n in (1, 1.0):
+            assert self.hexes(power_law_B(n, self.R, self.SIGMA, t, geom)) == want
+        if geometry == "radial3":
+            assert self.hexes(power_law_B(3, self.R, self.SIGMA, t, geom)) == self.B_CUBE_RADIAL3[time]
+
+    @pytest.mark.parametrize("geometry", ["radial3", "cartesian1d"])
+    @pytest.mark.parametrize("tau", ["T3", "tiny"])
+    def test_horizon(self, geometry, tau):
+        value = float(self.T[3]) if tau == "T3" else 1e-20  # 1e-20: the tau/B(0) branch
+        got = linear().analytic_horizon(self.R, self.SIGMA, value, self.GEOMETRIES[geometry])
+        assert got.hex() == self.HORIZON[geometry, tau]
