@@ -382,29 +382,40 @@ def _sweep_row(
 ) -> tuple[PreparedCriterion, dict]:
     """One row and the criterion it read: the loaded scenario at tau = value, or
     one built from its typed ``fields`` with the parameter's field at value.
+    ``prepared`` is the previous row's criterion, None on the first row.
+
     An amplitude row takes the loaded scenario's gas, geometry, R, grid and
-    detector, already validated, and only its amplitudes from the row.
-    ``prepared`` is the previous row's criterion, None on the first row."""
+    detector, already validated, and only its amplitudes from the row.  Only
+    the first, lo, is built and validated: the other rows differ from it in
+    one amplitude, finite and larger, and no check of a scenario rejects a
+    larger amplitude that a smaller one passes.  They rescale the first
+    row's criterion (:meth:`PreparedCriterion.outcome`).  A row whose
+    criterion values are not all finite builds its report for
+    :func:`_require_finite`.
+    """
     field = SWEEPABLE[args.parameter]
     tau = args.tau if field else value
+    amps = {}
     if field in ("amp_v", "amp_rho"):
         amps = {"amp_rho": scen.amp_rho, "amp_v": scen.amp_v, field: value}
-        scen = make_bump_scenario(scen.eos, scen.geometry, scen.R, grid=scen.grid, detector=scen.detector, **amps)
+        if prepared is None:
+            scen = _amplitude_row(scen, amps)
     elif field:
         scen = _scenario({**fields, field: value})
     if prepared is None:
         prepared = prepare(scen, args.theorem, weight, args.a)
-    elif field:
+    elif field and not amps:
         prepared = prepared.with_scenario(scen)
-    report = prepared.report(tau)
-    _require_finite(report, tau)
-    return prepared, {
-        "parameter": args.parameter,
-        "value": value,
-        "H0": report.inputs.get("H0", float("nan")),
-        "threshold": report.threshold,
-        "verdict": report.verdict.kind,
-    }
+    H0, threshold, verdict, finite = prepared.outcome(tau, **amps)
+    if not finite:  # the report names what overflowed, if anything did
+        at_row = prepared.with_scenario(_amplitude_row(scen, amps)) if amps else prepared
+        _require_finite(at_row.report(tau), tau)
+    return prepared, {"parameter": args.parameter, "value": value, "H0": H0, "threshold": threshold, "verdict": verdict}
+
+
+def _amplitude_row(scen: Scenario, amps: dict) -> Scenario:
+    """The loaded scenario with the amplitudes ``amps``."""
+    return make_bump_scenario(scen.eos, scen.geometry, scen.R, grid=scen.grid, detector=scen.detector, **amps)
 
 
 def cmd_sweep(args, argv) -> int:
@@ -418,12 +429,18 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError("sweep range must be finite")
     if args.lo >= args.hi:
         raise ConfigError("sweep range must satisfy lo < hi")
+    if not math.isfinite(args.hi - args.lo):
+        raise ConfigError(f"sweep range width hi - lo must be finite, got [{args.lo:g}, {args.hi:g}]")
     scen = load_scenario(args.scenario)
     weight = parse_weight(args.weight)
     fields = _field_values(scenario_to_config(scen))
+    try:
+        values = np.linspace(args.lo, args.hi, args.steps)
+    except MemoryError as exc:
+        raise ConfigError(f"--steps {args.steps}: too many sweep rows to allocate") from exc
     # the first row prepares: a gamma sweep may load a gamma its family rejects
     prepared, rows = None, []
-    for v in np.linspace(args.lo, args.hi, args.steps):
+    for v in values:
         prepared, row = _sweep_row(prepared, scen, fields, float(v), weight, args)
         rows.append(row)
     out = Path(args.out)

@@ -448,9 +448,9 @@ class PreparedCriterion:
     (1 in 1-D) against rho0 at amplitude 1 (see :func:`_unit_integral`).
     ``units = (h, m1)`` is computed once and kept by :meth:`with_scenario`
     while the geometry and both profiles up to their amplitudes are
-    unchanged.  The horizon side is computed once per tau into
-    ``horizons``.  ``weight`` is the weight H(0) integrates against: a
-    closed form's own, else ``f``.
+    unchanged, and :meth:`outcome` rescales it to other amplitudes.  The
+    horizon side is computed once per tau into ``horizons``.  ``weight`` is
+    the weight H(0) integrates against: a closed form's own, else ``f``.
     """
 
     def __init__(
@@ -493,36 +493,29 @@ class PreparedCriterion:
                 raise OverflowError(f"the initial weighted momentum H0 is not finite: {exc}") from exc
             measure = (lambda r: r ** (geom.ndim - 1)) if geom.is_radial else np.ones_like
             units = h, _unit_integral(scenario.rho0, measure, geom)
-        self.units = units
-        self._take_amplitudes(scenario)
+        self.units, self.scenario = units, scenario
+        self.H0, self.m0 = self._data_side(scenario.amp_v, scenario.amp_rho)
 
-    def _take_amplitudes(self, scenario: Scenario) -> None:
+    def _data_side(self, amp_v: float, amp_rho: float) -> tuple[float, float]:
+        """(H(0), m(0)) at these amplitudes, amp_v * h and amp_rho * m1; an
+        OverflowError where H(0) is not finite."""
         h, m1 = self.units
-        self.scenario, self.H0, self.m0 = scenario, scenario.amp_v * h, scenario.amp_rho * m1
-        if not math.isfinite(self.H0):
-            raise OverflowError(
-                f"the initial weighted momentum H0 is not finite: amp_v={scenario.amp_v:g} times h={h:g}"
-            )
+        H0 = amp_v * h
+        if not math.isfinite(H0):
+            raise OverflowError(f"the initial weighted momentum H0 is not finite: amp_v={amp_v:g} times h={h:g}")
+        return H0, amp_rho * m1
 
     def with_scenario(self, scenario: Scenario) -> "PreparedCriterion":
         """This criterion on another scenario, keeping what the change leaves valid.
 
         ``units`` is kept while :func:`_profile_key` compares equal, and
         ``horizons`` while the gas, R and the geometry do (their floats are
-        validated positive).  The grid is read by neither.  Where both
-        hold, the result is a copy with H(0) and m(0) rescaled, one
-        multiply each: every check of ``__init__`` reads fields that did
-        not change.
+        validated positive).  The grid is read by neither.
         """
         old = self.scenario
         same_horizon = (scenario.eos, scenario.R, scenario.geometry) == (old.eos, old.R, old.geometry)
         key = _profile_key(scenario)
         same_units = key is not None and key == _profile_key(old)
-        if same_horizon and same_units:
-            moved = object.__new__(PreparedCriterion)  # a shallow copy, a quarter of copy.copy's cost
-            moved.__dict__.update(self.__dict__)
-            moved._take_amplitudes(scenario)
-            return moved
         horizons = self.horizons if same_horizon else {}
         return PreparedCriterion(scenario, self.family, self.f, self.a, horizons, self.units if same_units else None)
 
@@ -534,7 +527,8 @@ class PreparedCriterion:
         general family names its first condition that fails, and a closed
         form gives its theorem's reason.
         """
-        theorem, rows, a, notes = self._decide(tau)
+        theorem, rows, a, notes = self._decide(tau, self.H0, self.m0)
+        threshold, kind = self._verdict(rows)
         conds = [Condition(*r) for r in rows or ()]
         geom, row = self.scenario.geometry, self.group.closed_form
         if row is None:
@@ -549,7 +543,7 @@ class PreparedCriterion:
                 "B_tau": B_tau,
                 "strict_threshold": strict,
                 "horizon_threshold": horizon,
-                "combined_threshold": max(strict, horizon),
+                "combined_threshold": threshold,
             }
         else:
             inputs = {
@@ -560,11 +554,11 @@ class PreparedCriterion:
                 "H0": self.H0,
                 "m0": self.m0,
                 "a": a,
-                "threshold": conds[-1].rhs if conds else math.nan,
+                "threshold": threshold,
             }
             # keys that do not apply to this family or case are left out
             inputs = {k: v for k, v in inputs.items() if v is not None}
-        if _certified(rows):
+        if kind != "inconclusive":
             verdict = Verdict.blowup_before(tau) if self.group.horizon else Verdict.blowup_finite()
         elif row is None:
             failed = next(c.name for c in conds if not c.satisfied)
@@ -578,10 +572,52 @@ class PreparedCriterion:
 
     def certifies(self, tau: float = 1.0) -> bool:
         """Whether ``report(tau)`` certifies blowup, read without building the report."""
-        return _certified(self._decide(tau)[1])
+        return _certified(self._decide(tau, self.H0, self.m0)[1])
 
-    def _decide(self, tau: float) -> tuple[str, tuple | None, float | None, list]:
-        """(theorem, rows, a, notes) at horizon ``tau``, which is checked first.
+    def outcome(
+        self, tau: float = 1.0, amp_v: float | None = None, amp_rho: float | None = None
+    ) -> tuple[float, float, str, bool]:
+        """(H(0), threshold, verdict kind, finite) at horizon ``tau``, read
+        without building the report: ``report(tau)``'s ``inputs["H0"]``,
+        ``threshold`` and ``verdict.kind``, bit for bit, with its errors.
+
+        ``amp_v`` and ``amp_rho``, where given, stand for a scenario that
+        differs from this one in those amplitudes only, and are not
+        validated: H(0) and m(0) are ``amp_v * h`` and ``amp_rho * m1``,
+        as preparing that scenario computes them.  ``finite`` is whether
+        H(0), m(0), sigma and every threshold, root constant and B(tau) of
+        the report are finite.  Where it is, the report holds no infinity
+        and no NaN H(0) or m(0); where it is not, it may.
+        """
+        s = self.scenario
+        H0, m0 = self._data_side(s.amp_v if amp_v is None else amp_v, s.amp_rho if amp_rho is None else amp_rho)
+        rows, a = self._decide(tau, H0, m0)[1:3]
+        threshold, kind = self._verdict(rows)
+        values = [H0, m0, self.sigma, *(rhs for _, _, rhs, _ in rows or ())]
+        if a is not None:
+            values.append(a)
+        if self.group.closed_form is None:
+            values.append(self.horizons[tau][0])  # B(tau)
+        return H0, threshold, kind, all(map(math.isfinite, values))
+
+    def _verdict(self, rows: tuple | None) -> tuple[float, str]:
+        """(threshold, verdict kind) of condition rows from :meth:`_decide`.
+
+        A closed form's threshold is its last condition's rhs, NaN where no
+        case covers the data; a general family's is the larger of its
+        strict and horizon thresholds.
+        """
+        if self.group.closed_form is None:
+            threshold = max(rows[1][2], rows[2][2])
+        else:
+            threshold = rows[-1][2] if rows else math.nan
+        if not _certified(rows):
+            return threshold, "inconclusive"
+        return threshold, "blowup_before" if self.group.horizon else "blowup_finite"
+
+    def _decide(self, tau: float, H0: float, m0: float) -> tuple[str, tuple | None, float | None, list]:
+        """(theorem, rows, a, notes) at horizon ``tau``, which is checked
+        first, for data with initial functionals H0 and m0.
 
         ``rows`` are the theorem's conditions as (name, lhs, rhs, op), None
         where the data fall outside every case, and the verdict certifies
@@ -589,7 +625,7 @@ class PreparedCriterion:
         constant, else None, and ``notes`` the report's notes.
         """
         _check_horizon(tau, self.family)
-        H0, row = self.H0, self.group.closed_form
+        row = self.group.closed_form
         if row is None:
             _, strict, horizon = self._horizon(tau)
             theorem = GENERAL_RADIAL if self.scenario.geometry.is_radial else GENERAL_1D
@@ -601,7 +637,7 @@ class PreparedCriterion:
             return theorem, rows, None, []
         if not self.group.horizon:
             tau = None
-        s, m0 = self.scenario, self.m0
+        s = self.scenario
         if row.case2 is None or m0 >= 0.0:
             theorem, a, notes = row.case1, None, []
             rows = ((row.condition, H0, self._horizon(tau), row.op),)

@@ -154,8 +154,7 @@ def _unit_momentum_and_threshold(name: str) -> tuple[float, float]:
     of its criterion at the preset horizon.  Neither reads the grid, so
     both are computed once per process per preset."""
     p = CERTIFIED_PRESETS[name]
-    prepared = prepare(_scenario(p, REFERENCE_CELLS, 1.0), p.family, p.weight(), p.a)
-    return prepared.H0, prepared.report(_TAU).threshold
+    return prepare(_scenario(p, REFERENCE_CELLS, 1.0), p.family, p.weight(), p.a).outcome(_TAU)[:2]
 
 
 def certified_case(name: str, cells: int = REFERENCE_CELLS, margin: float = CERTIFIED_MARGIN) -> CertifiedCase:

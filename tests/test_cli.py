@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from eulerblowup.cli import (
     scenario_from_config,
     scenario_to_config,
 )
-from eulerblowup.model import LINEAR, NONNEG_INCREASING, POWER_LAW
+from eulerblowup.model import LINEAR, NONNEG_INCREASING, POWER_LAW, exponential, linear, power_law
 from eulerblowup.scenarios import PRESETS
 from eulerblowup.verify import TRACE_CHECKS
 
@@ -725,6 +727,7 @@ class TestSweepCommand:
         ("1", "nan", "finite"),
         ("1", "inf", "finite"),
         ("-inf", "1", "finite"),
+        ("-1e308", "1e308", "width"),
     ])
     def test_non_finite_or_empty_range_rejected_before_sampling(
         self, parameter, lo, hi, message, ref_config, tmp_path, capsys
@@ -740,6 +743,24 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("error: sweep range") and message in err
         assert not out.exists()
+
+    def test_unallocatable_steps_is_invalid_input(self, ref_config, tmp_path, capsys):
+        # 10**13 values of 8 bytes each: the request fails at once, before any
+        # memory is taken; the address-space limit makes it fail on a host that
+        # overcommits memory too
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard), hard))
+        try:
+            code = main([
+                "sweep", "--theorem", "linear-1d-tau", "--parameter", "amp_v", "--lo", "0", "--hi", "1",
+                "--steps", str(10**13), "--out", str(tmp_path / "x"), ref_config,
+            ])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --steps 10000000000000:")
+        assert not (tmp_path / "x").exists()
 
     def test_tau_sweep_computes_one_data_side(self, monkeypatch, tmp_path, capsys):
         # the preset's fields, not its name: building the preset prepares its criterion too
@@ -787,6 +808,85 @@ class TestSweepCommand:
             return
         prepared, row = cli._sweep_row(None, scen, fields, value, None, args)
         assert prepared.scenario == want and row["value"] == value
+
+
+# parameter -> sweep ranges of the row equivalence test: vacuum and gammas
+# the closed forms reject in first rows, overflowing H0 (where |h| > 1.8)
+# and m0 (in 1-D, where m1 = 16/15), and horizons from subnormal to past the
+# float range; amp_v's are multiples of the loaded amplitude but the last
+EQUIVALENCE_RANGES = {
+    "amp_v": [(-1.0, 2.0), (0.0, 1.5), (-5e307, 1e308)],
+    "amp_rho": [(-0.05, 0.05), (-2.0, 0.5), (0.0, 1.7e308)],
+    "tau": [(1e-3, 1e3), (5e-324, 2.0), (0.5, 1e300)],
+    "gamma": [(2.0, 3.0), (1.5, 3.0)],
+    "R": [(0.6, 1.2)],
+}
+EQUIVALENCE_HORIZONS = [1e-3, 0.1, 1.0, 30.0, 1e3, 1e300, 5e-324]
+
+
+def _bits(x: float) -> str:
+    """A float's bits as text, every NaN as one."""
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def _row_or_error(call):
+    """(the call's value, None), or (None, the type and text of its error)."""
+    try:
+        return call(), None
+    except (ValueError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestSweepRowsAreReports:
+    """Every sweep row is the report of a fresh prepare on its own scenario:
+    its H0, threshold and verdict, bit for bit, or its error, word for word."""
+
+    @staticmethod
+    def _weights(family, seeded_weight):
+        # built-in weights, then one seeded weight without a closed form
+        if family == "general-radial":
+            return [linear(), power_law(2.0), seeded_weight(True, 5)]
+        if family == "general-1d":
+            return [exponential(2.0), exponential(8.0), seeded_weight(False, 5)]
+        return [None]
+
+    @staticmethod
+    def _reference(scen, family, weight, a, args, value):
+        field = cli.SWEEPABLE[args.parameter]
+        tau = args.tau if field else value
+        row = cli._scenario({**cli._field_values(scenario_to_config(scen)), field: value}) if field else scen
+        report = criteria.prepare(row, family, weight, a).report(tau)
+        cli._require_finite(report, tau)
+        return report.inputs["H0"], report.threshold, report.verdict.kind
+
+    @pytest.mark.parametrize("parameter", list(cli.SWEEPABLE))
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_match_fresh_reports(self, family, gamma, parameter, seeded_weight):
+        rng = np.random.default_rng([FAMILIES.index(family), int(gamma), list(cli.SWEEPABLE).index(parameter)])
+        preset, _, a = SWEEP_PRESETS[family]
+        base = scenario_to_config(PRESETS[preset](512))
+        # the loaded perturbed mass takes both signs: at gamma = 3 a negative
+        # one leaves the closed forms with a NaN threshold
+        for amp_rho in (-0.03, 0.02):
+            scen = cli._scenario(cli._field_values({**base, "eos.gamma": gamma, "amp_rho": amp_rho}))
+            fields = cli._field_values(scenario_to_config(scen))
+            for weight in self._weights(family, seeded_weight):
+                for lo, hi in EQUIVALENCE_RANGES[parameter]:
+                    if parameter == "amp_v" and hi < 1e300:
+                        lo, hi = lo * scen.amp_v, hi * scen.amp_v
+                    tau = float(rng.choice(EQUIVALENCE_HORIZONS))
+                    args = argparse.Namespace(parameter=parameter, tau=tau, theorem=family, a=a)
+                    prepared = None
+                    for value in np.linspace(lo, hi, int(rng.integers(3, 7))).tolist():
+                        want, want_error = _row_or_error(lambda: self._reference(scen, family, weight, a, args, value))
+                        got, got_error = _row_or_error(
+                            lambda: cli._sweep_row(prepared, scen, fields, value, weight, args))
+                        assert got_error == want_error, (value, tau)
+                        if got is not None:
+                            prepared, row = got
+                            assert [_bits(row["H0"]), _bits(row["threshold"]), row["verdict"]] == [
+                                _bits(want[0]), _bits(want[1]), want[2]], (value, tau)
 
 
 # family -> (preset, weight, a): the certified presets of the sweep benchmark
