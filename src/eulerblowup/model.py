@@ -261,8 +261,9 @@ def make_bump_scenario(
     """Build and validate a quartic-bump scenario.
 
     Rejects non-finite amplitudes, initial vacuum (rho_bar + amp_rho <= 0),
-    grids that do not contain the bump, and grids with fewer than 16 cells
-    across [0, R].
+    grids that do not contain the bump, grids with fewer than 16 cells
+    across [0, R], and an odd cell count in 1-D, where a run steps the
+    half-line behind a mirror face at x = 0.
     """
     if not R > 0:
         raise ValueError("bump radius R must be positive")
@@ -275,6 +276,8 @@ def make_bump_scenario(
         raise ValueError("grid extent must exceed the bump radius R")
     if R / grid.spacing(geometry) < 16:
         raise ValueError("grid too coarse: fewer than 16 cells across [0, R]")
+    if not geometry.is_radial and grid.cells % 2:
+        raise ValueError(f"grid.cells must be even in 1-D, where x = 0 is a cell face, got {grid.cells}")
     return Scenario(
         eos=eos,
         geometry=geometry,

@@ -5,7 +5,8 @@ Conservative variables (rho, rho*V) are advanced with a Rusanov
 minmod-limited MUSCL reconstruction stepped by two-stage SSP Runge-Kutta.
 Radial geometry adds the cell-centered geometric source -(N-1)/r * (rho*V,
 rho*V**2) and reflects the origin; the outer boundary holds the quiescent
-background, which both schemes preserve exactly.
+background, which both schemes preserve exactly.  ``run`` steps a 1-D line
+as its half x > 0 behind a mirror face at x = 0 (see "The mirror").
 
 Blowup is proxied by two detectors: a per-cell velocity jump reaching a
 fixed fraction of the background sound speed, and the CFL time step
@@ -46,30 +47,60 @@ same bits as the separate per-variable kernel it replaced:
   of a zero, a division by -2 dx would keep the sign of a NaN that the
   negation flips, and a multiplication by -1/(2 dx) the last bit.
 
-The window.  ``run`` keeps one full-grid (rho, V) state and updates it in
-place.  The background (rho_bar, 0) is a bitwise fixed point of both
-schemes, so a cell can leave it only when a perturbed cell lies within
-the reach of one step: one cell per stage, two per MUSCL step and one per
-first-order step.  The MUSCL stencil spans two cells per side, but the
-minmod slope of a background cell with a background neighbour is zero, so
-a face between two background cells carries the background flux, and a
-background cell changes in a stage only next to a perturbed one.  Each step
-therefore advances one range, the window [lo - reach - 1, hi + reach + 1]
-around the perturbed range [lo, hi], clipped to the grid and always
-starting at the origin in radial geometry, where the reflection ghost
-applies; every other cell stays as it is.  The window keeps the full
-grid's spacing, so the result equals a full-grid step bit for bit.  Its
-outermost cells lie beyond the reach: they are background cells, and the
-step leaves them as they are, bit for bit, a zero velocity of either sign
-included: their du is a zero, -0.0 in the momentum row, so adding it
-changes neither a non-zero density nor a momentum zero of either sign.  The time step and the
-detector read the window just stepped, the view: it holds every
-perturbed cell and, unless it is the whole grid, a background cell, whose
-speed |V| + c is the same in every background cell, so the maximum speed
-and the largest velocity jump are the full grid's.  Only the first time
-step and the detector at t = 0 read the full grid.  A run with no
-perturbed cell binds a window of two background cells once and only
-advances the time, so its time step costs the same on every grid.
+The window.  ``run`` keeps one (rho, V) state, the whole grid radially and
+the half-line in 1-D, and updates it in place.  The background (rho_bar,
+0) is a bitwise fixed point of both schemes, so a cell can leave it only
+when a perturbed cell lies within the reach of one step: one cell per
+stage, two per MUSCL step and one per first-order step.  The MUSCL stencil
+spans two cells per side, but the minmod slope of a background cell with a
+background neighbour is zero, so a face between two background cells
+carries the background flux, and a background cell changes in a stage only
+next to a perturbed one.  Each step therefore advances one range, the
+window [0, hi + reach + 1] up to the last perturbed cell hi, clipped to the
+state: it starts at cell 0, where the reflection ghost applies (r = 0, or
+the mirror face x = 0); every other cell stays as it is.  The window keeps
+the grid's spacing, so the result equals a step of the whole state bit for
+bit.  Its last cell lies beyond the reach: a background cell, which the
+step leaves as it is, bit for bit, a zero velocity of either sign
+included: its du is a zero, -0.0 in the momentum row, so adding it changes
+neither a non-zero density nor a momentum zero of either sign.  The time
+step and the detector read the window just stepped, the view: it holds
+every perturbed cell and, unless it is the whole state, a background cell,
+whose speed |V| + c is the same in every background cell, so the maximum
+speed and the largest velocity jump are the state's.  Only the first time
+step and the detector at t = 0 read every cell.  A run with no perturbed
+cell binds a window of two background cells once and only advances the
+time, so its time step costs the same on every grid.
+
+The mirror.  A 1-D scenario holds an even density bump and an odd velocity
+bump (``make_bump_scenario`` builds no other) on an even number of cells,
+so x = 0 is a cell face and the solution is its own mirror image: rho(-x) =
+rho(x) and V(-x) = -V(x).  That is the half-line problem with a reflecting
+wall at x = 0, which radial geometry at N = 1 already steps: no geometric
+source, and the origin reflection (rho, -rho*V) of the first two cells is
+the mirror image behind the wall (LeVeque 2002, *Finite Volume Methods for
+Hyperbolic Problems*, on reflecting boundaries).  So ``run`` steps only the
+cells n/2 .. n - 1 of the line, on their own centers, with the grid's
+spacing and scheme, in a radial-1 workspace: half the cells per step.  It
+loads the right half of the sampled data and never reads the left half.
+Each kept snapshot, recorder sample and final state, the one at t = 0
+included, is the whole line built from the half on the grid's own centers:
+rho = [rho_h reversed, rho_h] and V = [-(V_h reversed), V_h], so every trace
+is exactly mirror-symmetric, the sign of every zero included.  The time
+step reads the half's maximum speed, which is the line's.  The detector
+reads a mirror view of the window [0, m): the jumps of the image cells,
+from the image of cell m - 1 to the image of cell 0, which are the half's
+|V[k + 1] - V[k]| in reverse order, bit for bit ((-a) - (-b) = b - a), then
+the jump across x = 0, V[0] - (-V[0]) = 2 V[0], exact, at the line's m + 1
+centers there.  Every jump of the line's right half repeats an earlier one
+and every jump past the window is a zero, so the first maximum of these is
+the line's first maximum, and the event equals ``detect_blowup`` of the
+snapshot ``run`` keeps.  A half-line run differs from a step of every cell
+of the line at rounding level: the line's centers -L + (j + 1/2) dx are not
+exact negatives of each other, and its flux sum (mv_l + p_l) + mv_r + p_r
+is not mirror-equivariant in floating point, so a whole-line run loses its
+own symmetry at rounding level, and on strongly steepening data MUSCL
+amplifies that loss.
 
 The workspace.  A ``_Workspace`` owns everything a run touches for one
 grid, allocated once: the ghosted (2, n + 4) buffer U with its rho and mom
@@ -90,11 +121,12 @@ each face, every face density as one row, ...), the window's cells and
 their rho and mom rows in U and in the stage buffer, the two ghost blocks,
 the reflection pair, the shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2]
 and u[:, 2:-1], the face states of first order, coeff[a:b], and the
-window's ``view``: a ``_View`` of its cells, their V, V[1:], V[:-1] and
-scratch.  After that ``_rhs`` and ``_advance`` slice nothing
-and write each ghost pair as one (2, 2) block.  A MUSCL stage makes 28
-ufunc calls in slab geometry and 34 in radial3, and stage 1 one argmin
-of the face densities more; a first-order stage makes 20 and 26; each
+window's ``view``: a ``_View`` of its cells, their V, V[1:], V[:-1] (in a
+mirror view, both reversed) and scratch.  After that ``_rhs`` and
+``_advance`` slice nothing and write each ghost pair as one (2, 2) block.
+A MUSCL stage makes 28 ufunc calls in slab geometry, 30 in radial1 (the
+reflection's copy and negation) and 34 in radial3, and stage 1 one argmin
+of the face densities more; a first-order stage makes 20, 22 and 26; each
 density check of ``_advance`` is one argmin (see "The checks").  Most run
 on a few hundred cells, so their fixed cost is most of a step: measured
 on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a ufunc call costs 0.9
@@ -105,10 +137,12 @@ MUSCL.
 
 The workspace owns the step: ``step(a, b, t, dt)`` writes rho*V of the
 window into the mom row, hands the window to ``_advance`` and writes V =
-(rho*V)/rho back, and ``perturbed()`` finds the perturbed range among the
-bound window's cells.  ``run`` builds one workspace per run and keeps its
-state in it, rho as the density row of the buffer and V; the public
-``step`` loads a snapshot into a fresh workspace and steps every cell.
+(rho*V)/rho back, and ``last_perturbed()`` finds the last perturbed cell
+of the bound window.  ``run`` builds one workspace per run, over the
+half-line's cells in 1-D, and keeps its state in it, rho as the density
+row of the buffer and V; the public ``step`` loads a snapshot into a fresh
+workspace and steps every cell, the whole line with its far-field ghosts
+in 1-D.
 The ghost columns beyond the window are cells of the grid, background cells by the
 reach argument, or the buffer's own ghosts at its ends; the kernel
 overwrites them with (rho_bar, +0.0), or with the reflection, in the state
@@ -116,8 +150,8 @@ and the stage buffer, because a background cell may hold V = -0.0, whose
 momentum is -0.0, and the stage buffer holds an earlier step's values
 there.  The detector's threshold and cfl * dx are computed once per run;
 ``cfl_dt`` and ``detect_blowup`` read a snapshot through the same ``_View``
-as the window's view.  The state is copied only for a snapshot, a recorder sample
-or the final state.
+as the window's view.  The state is copied, or mirrored into the whole
+line, only for a snapshot, a recorder sample or the final state.
 
 The clocks.  Each of the snapshot and the sample clocks keeps only an
 integer count k: a step at t >= k * interval - eps keeps a snapshot or a
@@ -241,12 +275,25 @@ class _View:
     """Cells whose largest signal speed and velocity jump the time step and detector read, with scratch.
 
     ``speed`` and ``scratch`` have the cells' size; |V| and then the
-    velocity jumps share ``scratch``.
+    velocity jumps share ``scratch``.  A mirror view holds the cells [0, m)
+    of a half-line whose whole line is its mirror image; its jumps are the
+    line's over the image cells and across x = 0, and ``centers`` are the
+    line's m + 1 centers there (see "The mirror" in the module docstring).
     """
 
-    def __init__(self, rho: np.ndarray, V: np.ndarray, centers: np.ndarray, speed: np.ndarray, scratch: np.ndarray):
+    def __init__(
+        self, rho: np.ndarray, V: np.ndarray, centers: np.ndarray, speed: np.ndarray, scratch: np.ndarray,
+        mirror: bool = False,
+    ):
         self.rho, self.V, self.centers, self.speed, self.abs_v = rho, V, centers, speed, scratch
-        self.V_hi, self.V_lo, self.jumps = V[1:], V[:-1], scratch[:-1]
+        self.mirror = mirror
+        if mirror:
+            # the image cells' jumps, left to right: V[k + 1] - V[k] from k = m - 2 down to 0
+            back = V[::-1]
+            self.V_hi, self.V_lo, self.jumps, self.differences = back[:-1], back[1:], scratch, scratch[:-1]
+        else:
+            self.V_hi, self.V_lo, self.jumps = V[1:], V[:-1], scratch[:-1]
+            self.differences = self.jumps
 
     def max_speed(self, eos: EosParams):
         """max(|V| + c) over the cells, read at argmax (see "The checks")."""
@@ -255,8 +302,15 @@ class _View:
         return speed[speed.argmax()]
 
     def jump_event(self, t: float, threshold) -> BlowupEvent | None:
-        """A slope event at t if the largest |V[i+1] - V[i]| reaches threshold, or None."""
-        jumps = np.subtract(self.V_hi, self.V_lo, out=self.jumps)
+        """A slope event at t if the largest |V[i+1] - V[i]| reaches threshold, or None.
+
+        The event is at the first largest jump, of the whole line for a mirror view.
+        """
+        jumps = self.jumps
+        np.subtract(self.V_hi, self.V_lo, out=self.differences)
+        if self.mirror:
+            # the jump across x = 0, from the image -V[0] of cell 0 to V[0]
+            jumps[-1] = self.V[0] + self.V[0]
         np.abs(jumps, out=jumps)
         i = int(jumps.argmax())
         if jumps[i] >= threshold:
@@ -341,12 +395,17 @@ class _Workspace:
     Allocates everything once; ``bind(a, b)`` cuts the views of the window
     [a, b), its ``view`` included, only when (a, b) changes, and ``step``
     advances the state over a window (see "The workspace" in the module
-    docstring).
+    docstring).  A workspace given ``line``, the whole line's centers,
+    holds its right half; its windows start at cell 0 and their views are
+    mirror views (see "The mirror").
     """
 
-    def __init__(self, centers: np.ndarray, dx: float, geometry: Geometry, eos: EosParams, reconstruction: str):
+    def __init__(
+        self, centers: np.ndarray, dx: float, geometry: Geometry, eos: EosParams, reconstruction: str,
+        line: np.ndarray | None = None,
+    ):
         n = centers.size
-        self.centers, self.dx, self.eos = centers, dx, eos
+        self.centers, self.dx, self.eos, self.line = centers, dx, eos, line
         self.dx2 = np.array(2.0 * dx)  # du's divisor: the flux is kept doubled
         self.radial, self.muscl = geometry.is_radial, reconstruction == MUSCL
         self.U = np.empty((2, n + 4))
@@ -393,7 +452,10 @@ class _Workspace:
                 self.face_rho = states[0].reshape(-1)
                 self.stage_window = _Window(self.stage, self)
             w = self.window = _Window(self.U[:, a:b + 4], self)
-            w.view = _View(w.rho, self.V[a:b], self.centers[a:b], self.view_speed[:m], self.view_scratch[:m])
+            # a mirror view reads the line's centers from the image of cell m - 1 to cell 0
+            h = self.V.size
+            centers = self.centers[a:b] if self.line is None else self.line[h - m:h + 1]
+            w.view = _View(w.rho, self.V[a:b], centers, self.view_speed[:m], self.view_scratch[:m], self.line is not None)
             self.off, self.off_v = self.off_all[:m], self.off_v_all[:m]
             self.coeff = None if self.radial_coeff is None else self.radial_coeff[a:b]
             self.key = (a, b)
@@ -411,13 +473,13 @@ class _Workspace:
         np.divide(w.mom, w.rho, out=w.view.V)
         return w.view
 
-    def perturbed(self) -> tuple[int, int] | None:
-        """Index range [lo, hi] of the bound window's cells off (rho_bar, 0), or None."""
-        view, off, a = self.window.view, self.off, self.key[0]
+    def last_perturbed(self) -> int | None:
+        """Index of the last cell off (rho_bar, 0) in the bound window, which starts at cell 0, or None."""
+        view, off = self.window.view, self.off
         np.not_equal(view.rho, self.rho_bar, out=off)
         off |= np.not_equal(view.V, _ZERO, out=self.off_v)
-        first = int(off.argmax())
-        return (a + first, a + off.size - 1 - int(off[::-1].argmax())) if off[first] else None
+        last = off.size - 1 - int(off[::-1].argmax())
+        return last if off[last] else None
 
 
 def _rhs(w: _Window, ws: _Workspace, guard: bool) -> np.ndarray:
@@ -558,6 +620,18 @@ def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams)
     return _snapshot_view(snap).jump_event(snap.t, detector.slope_factor * signal_speed(eos, eos.rho_bar))
 
 
+def _line(rho: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole line's (rho, V), new arrays, from its right half: rho
+    mirrored and V mirrored and negated (see "The mirror" in the module
+    docstring)."""
+    h = rho.size
+    rho_line, V_line = np.empty(2 * h), np.empty(2 * h)
+    rho_line[:h], rho_line[h:] = rho[::-1], rho
+    np.negative(V[::-1], out=V_line[:h])
+    V_line[h:] = V
+    return rho_line, V_line
+
+
 def run(
     scenario: Scenario,
     config: SolverConfig,
@@ -566,12 +640,17 @@ def run(
     """Run a scenario to t_end, the first detector event or the step budget.
 
     The grid must contain the sound cone of the horizon: extent > R +
-    sigma * t_end.  Snapshots are recorded at t = 0, at every crossing of
-    the snapshot interval, and at the final time; the recorder (if given)
-    observes the state at every crossing of the detector sample interval,
-    always strictly before any detection time.  Either interval must be
-    large enough for t_end / interval to be finite.  The trace's ``stop``
-    names what ended the run.
+    sigma * t_end.  A 1-D scenario must have an even cell count, an even
+    density bump (``rho0.odd`` False) and an odd velocity bump (``v0.odd``
+    True): its run steps the half-line x > 0 behind a mirror face at x = 0
+    and reads only the right half of the initial data; every snapshot,
+    recorder sample and detector event is the whole line's, built from
+    the half (see "The mirror" in the module docstring).  Snapshots are
+    recorded at t = 0, at every crossing of the snapshot interval, and at
+    the final time; the recorder (if given) observes the state at every
+    crossing of the detector sample interval, always strictly before any
+    detection time.  Either interval must be large enough for t_end /
+    interval to be finite.  The trace's ``stop`` names what ended the run.
     """
     eos, geom, det = scenario.eos, scenario.geometry, scenario.detector
     sigma = signal_speed(eos, eos.rho_bar)
@@ -579,6 +658,13 @@ def run(
         raise ValueError(
             "grid extent does not contain the sound cone of t_end: need extent > "
             f"{scenario.R + sigma * config.t_end:g}"
+        )
+    mirror = not geom.is_radial
+    if mirror and (scenario.grid.cells % 2 or scenario.rho0.odd or not scenario.v0.odd):
+        raise ValueError(
+            "a 1-D run steps the half-line x > 0: it needs an even cell count, an even density "
+            f"bump and an odd velocity bump, got grid.cells={scenario.grid.cells}, "
+            f"rho0.odd={scenario.rho0.odd}, v0.odd={scenario.v0.odd}"
         )
     eps = 1e-12 * config.t_end
     end = config.t_end - eps  # t_end, less the rounding the loop forgives
@@ -588,19 +674,32 @@ def run(
             raise ValueError(f"{name} {interval!r} is too small to count up to t_end {config.t_end!r}")
     snap = initial_snapshot(scenario)
     centers, dx = snap.centers, snap.spacing
-    n = centers.size
     # the state (rho, V), updated in place: rho is the density row of the
     # workspace's buffer, V its velocities (see "The workspace" in the
-    # module docstring)
-    ws = _Workspace(centers, dx, geom, eos, config.reconstruction)
-    ws.rho[:], ws.V[:] = snap.rho, snap.V
+    # module docstring); in 1-D the right half of the line
+    if mirror:
+        h = centers.size // 2
+        ws = _Workspace(centers[h:], dx, Geometry.radial(1), eos, config.reconstruction, line=centers)
+        ws.rho[:], ws.V[:] = snap.rho[h:], snap.V[h:]
+    else:
+        ws = _Workspace(centers, dx, geom, eos, config.reconstruction)
+        ws.rho[:], ws.V[:] = snap.rho, snap.V
+    n = ws.V.size
+
+    def kept(t: float) -> FieldSnapshot:
+        """The state at t as a snapshot of the whole grid, new arrays."""
+        rho, V = _line(ws.rho, ws.V) if mirror else (ws.rho.copy(), ws.V.copy())
+        return FieldSnapshot(t, centers, rho, V, dx)
+
+    snap = kept(0.0)
+
     # the window's margin: the reach and one background cell beyond it
     margin = _REACH[config.reconstruction] + 1
     threshold, cfl_dx = det.slope_factor * sigma, config.cfl * dx
     # the view: the cells of the last window, which the time step and the
-    # detector read (see "The window"); the full grid at t = 0
+    # detector read (see "The window"); every cell at t = 0
     view = ws.bind(0, n).view
-    perturbed = ws.perturbed()
+    last = ws.last_perturbed()
     snapshots = [snap]
     blowup = view.jump_event(0.0, threshold)
     if blowup is None and recorder is not None:
@@ -614,22 +713,21 @@ def run(
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
         dt = min(dtc, config.t_end - t)
-        if perturbed is None:
+        if last is None:
             # nothing to step: two background cells hold the grid's speed and jump
             view = ws.bind(0, 2).view
         else:
             if not dt > 0:
                 raise ValueError("dt must be positive")
-            a = 0 if geom.is_radial else max(perturbed[0] - margin, 0)
-            view = ws.step(a, min(perturbed[1] + margin + 1, n), t, dt)
-            perturbed = ws.perturbed()
+            view = ws.step(0, min(last + margin + 1, n), t, dt)
+            last = ws.last_perturbed()
         t += dt
         steps += 1
         blowup = view.jump_event(t, threshold)
         sample = blowup is None and recorder is not None and (t >= k_sample * det.sample_interval - eps or t >= end)
         keep = t >= k_snap * config.snapshot_interval - eps or t >= end or blowup is not None
         if sample or keep:
-            snap = FieldSnapshot(t, centers, ws.rho.copy(), ws.V.copy(), dx)
+            snap = kept(t)
         if sample:
             recorder.observe(snap)
             k_sample = max(k_sample + 1, math.floor((t + eps) / det.sample_interval) + 1)
@@ -640,7 +738,7 @@ def run(
     stop = blowup.cause if blowup is not None else T_END if t >= end else MAX_STEPS
     if snapshots[-1].t < t:
         # stopped at the step budget or the dt floor between snapshots
-        snapshots.append(FieldSnapshot(t, centers, ws.rho.copy(), ws.V.copy(), dx))
+        snapshots.append(kept(t))
     series = recorder.series() if recorder is not None else None
     return SolutionTrace(
         scenario=scenario,

@@ -110,6 +110,13 @@ class TestConfigParsing:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("tau", ["-1e-3", "-1E+2", "-inf"])
+    def test_negative_horizon_in_exponent_notation_reaches_the_horizon_check(self, tau, cert_config, capsys):
+        # argparse alone reads -1e-3 as an option string ("expected one argument")
+        assert main(["check", "--theorem", "linear-1d-tau", "--tau", tau, cert_config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the linear-1d-tau criterion needs a positive finite horizon, got tau=-")
+
     def test_certifying_check(self, cert_config, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["check", "--theorem", "linear-1d-tau", "--tau", "1.0",
@@ -539,6 +546,17 @@ class TestSimulateCommand:
         columns = [series.times, series.H, series.B, series.m, series.G, series.dH_dt()]
         np.testing.assert_array_equal(back, np.column_stack(columns))
 
+    @pytest.mark.parametrize("command", [["simulate", "--out", "sim"], ["check", "--theorem", "linear-1d"]])
+    def test_odd_1d_cell_count_is_invalid_input(self, command, tmp_path, capsys):
+        # a 1-D run steps the half-line behind a mirror face at x = 0
+        cfg = write_config(tmp_path / "odd.cfg", ["preset = ref-1d", "grid.cells = 257"])
+        argv = [*command, cfg]
+        if command[0] == "simulate":
+            argv[2] = str(tmp_path / "sim")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: grid.cells must be even in 1-D, where x = 0 is a cell face, got 257\n"
+        assert not (tmp_path / "sim").exists()
+
     def test_containment_violation_is_invalid_input(self, ref_config, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--t-end", "5.0", "--out", str(out), ref_config]) == 2
@@ -743,6 +761,40 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("error: sweep range") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("-1e-3", "-2e-3", "lo < hi"),
+        ("1", "-1E+2", "lo < hi"),
+        ("-inf", "1", "finite"),
+        ("-1e308", "1e308", "width"),
+    ])
+    def test_negative_bounds_in_exponent_notation_reach_the_range_check(
+        self, lo, hi, message, ref_config, tmp_path, capsys
+    ):
+        # "--lo -1e-3" with a space: argparse alone reads -1e-3 as an option
+        # string and exits with "expected one argument"
+        argv = ["sweep", "--theorem", "linear-1d-tau", "--parameter", "amp_v", "--lo", lo, "--hi", hi,
+                "--steps", "5", "--out", str(tmp_path / "x"), ref_config]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep range") and message in err
+
+    def test_negative_bound_in_exponent_notation_is_a_value(self, ref_config, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["sweep", "--theorem", "linear-1d-tau", "--parameter", "amp_v", "--lo", "-1e-3", "--hi", "2e-3",
+                "--steps", "3", "--out", str(out), ref_config]
+        assert main(argv) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [-1e-3, 5e-4, 2e-3]
+        # the invocation records the arguments as given
+        assert json.loads((out / "invocation.json").read_text())["argv"] == argv
+
+    def test_only_negative_numbers_after_number_options_are_joined(self):
+        argv = ["sweep", "--lo", "-1e-3", "--hi", "-inf", "--steps", "-2", "--tau", "1e-3", "--a", "-x",
+                "--out", "-1e-3", "-1e-3"]
+        assert cli._join_negative_numbers(argv) == [
+            "sweep", "--lo=-1e-3", "--hi=-inf", "--steps=-2", "--tau", "1e-3", "--a", "-x", "--out", "-1e-3", "-1e-3",
+        ]
 
     def test_unallocatable_steps_is_invalid_input(self, ref_config, tmp_path, capsys):
         # 10**13 values of 8 bytes each: the request fails at once, before any
@@ -969,24 +1021,26 @@ class TestSweepArtifactsPinned:
 # cells (numpy 2.4, x86-64, AVX-512), as the solver wrote them when every
 # step of run went through step on a copied window; cert-general-radial-n1's
 # as they were when its certified amplitude read a closed-form horizon integral,
-# cert-general-1d-exp's as they were when it read its prepared criterion's H(0)
+# cert-general-1d-exp's as they were when it read its prepared criterion's H(0);
+# every 1-D preset's as run wrote them when it first stepped the half-line
+# x > 0 behind a mirror face at x = 0 and built the whole line from it
 PINNED_SIMULATE = {
-    ("cert-general-1d-exp", "muscl"): "8c89b8992c79a37370ab77e07da8c88a7e00fb4e7f54bb4a21e2e3f0aa05e0d1",
-    ("cert-general-1d-exp", "first_order"): "66a4d4b8c75b3c5ceaf8d773f254d9921f295d7933e540aa43de90f1fe1e4c7e",
+    ("cert-general-1d-exp", "muscl"): "bf0bb09dd5151fec21316b2d92aa4104ffb4f9126f94e03f73bbd2ae67edebdb",
+    ("cert-general-1d-exp", "first_order"): "8a7269706a29a728027e54fe544e155c98411d5d3eb0a6fb2db4282cc44846e7",
     ("cert-general-radial-n1", "muscl"): "85cf70d2f5509f78b6e054499a45badb85949325fb01f97cbb92b3d588a5fde2",
     ("cert-general-radial-n1", "first_order"): "b42431ea990e987ebc4c6e9fabe046186a05b6bed6c6d88e374ee3e08dc297e7",
-    ("cert-linear-infinite-1d", "muscl"): "c009b03cf7bb2d069672732980efd1dc5800526d4cbaa1a997c7e2df11be2711",
-    ("cert-linear-infinite-1d", "first_order"): "78a2226a2bef2df82750fa52746a52ad59486f1f039683f0c0db17fdbfb08847",
-    ("cert-linear-tau-1d", "muscl"): "6825fbd9acda9fd73f296c0fc0a349ad7d597f58ad93629626835e74bf220629",
-    ("cert-linear-tau-1d", "first_order"): "881491945edbce90e41285a0ff2fa52b6298d93084edb72f9251e1f7c6aa2089",
+    ("cert-linear-infinite-1d", "muscl"): "6a5feaa53ceb612ace9cbba4895948686582c0b44be76152f66f552b40d900f9",
+    ("cert-linear-infinite-1d", "first_order"): "a29192daf45b132ee90574c6d2af5a916f2bacc9c1ad55fe4bdf991825b4a58b",
+    ("cert-linear-tau-1d", "muscl"): "9df25e85af56a3da1ae54079c2a8e7d9011f4e3a015b3186a1d6ee7fc3db2eb5",
+    ("cert-linear-tau-1d", "first_order"): "d642aba8fd5743090ebb0383e781a2204f9e43a4826fe1746ec4204e92273c99",
     ("cert-power-radial-n3", "muscl"): "ca8dead762c92923646b32041eb865da80c10073bfeda9f2cf637281fcb41e8e",
     ("cert-power-radial-n3", "first_order"): "43e06a65540151024fb940b7559e903ef1217b1e7082bd8bbbe0d405bf294fc2",
-    ("constant-1d", "muscl"): "96218916437534e6408c35e7bfd179b58a6b5cc54a3bf0bdb0b8663b6a22ba89",
-    ("constant-1d", "first_order"): "96218916437534e6408c35e7bfd179b58a6b5cc54a3bf0bdb0b8663b6a22ba89",
+    ("constant-1d", "muscl"): "15cc934979838d13df5cd2df51dd4475b18819c271d3854ecf05f71f934659b0",
+    ("constant-1d", "first_order"): "15cc934979838d13df5cd2df51dd4475b18819c271d3854ecf05f71f934659b0",
     ("constant-radial3", "muscl"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
     ("constant-radial3", "first_order"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
-    ("ref-1d", "muscl"): "6cb7d57b213d920784947fd5eaf49f3e938e1b2266b5968f89d66b6a7b4f5b95",
-    ("ref-1d", "first_order"): "91e38dcaee4cda88901056fe4c99ccfd7ba11043d9752d2d48d738ff4bde756e",
+    ("ref-1d", "muscl"): "bd6fe695fc6a9c20412ce03f8d4d9f84cd8cfe8bb6c8499b42e566cdb3cc89b0",
+    ("ref-1d", "first_order"): "de91ca8180718eed2e6798a50c717b3cfcb24b24d7a73f899fd56d3d6de6dcd3",
     ("ref-radial1", "muscl"): "1100725ec7d7490519a3bb209b410f16d5d8cd59f36930378e97fd7b19105e1d",
     ("ref-radial1", "first_order"): "c704eabf7608593fad9681e60e198c8022417c510070715ea149ab310c512bcd",
     ("ref-radial3", "muscl"): "0856ef455e688613552544b7986530d01b943255aa0f021d2d35a23568dfbb16",

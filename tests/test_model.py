@@ -285,6 +285,15 @@ class TestScenarioConstruction:
                 self.eos, Geometry.radial(1), 0.05, 0.1, 0.0, GridSpec(2.0, 256)
             )
 
+    @pytest.mark.parametrize("cells", [257, 1025])
+    def test_rejects_an_odd_1d_cell_count(self, cells):
+        # a 1-D run steps the half-line behind a mirror face at x = 0
+        with pytest.raises(ValueError, match=f"^grid.cells must be even in 1-D, .* got {cells}$"):
+            make_bump_scenario(self.eos, Geometry.cartesian1d(), 1.0, 0.1, 0.0, GridSpec(2.0, cells))
+        # radial grids start at the origin, a face whatever the count
+        scen = make_bump_scenario(self.eos, Geometry.radial(1), 1.0, 0.1, 0.0, GridSpec(2.0, cells))
+        assert scen.grid.cells == cells
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             make_bump_scenario(

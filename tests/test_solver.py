@@ -297,6 +297,21 @@ class TestRun:
         assert trace.steps == 0
         assert len(trace.snapshots) == 1
 
+    @pytest.mark.parametrize("change", [
+        {"grid": GridSpec(2.2, 257)},
+        {"rho0": BumpProfile(0.01, 1.0, odd=True)},
+        {"v0": BumpProfile(0.02, 1.0, odd=False)},
+    ], ids=["odd-cells", "odd-density", "even-velocity"])
+    def test_1d_run_needs_its_mirror_image(self, change):
+        # a 1-D run steps the half-line x > 0 and mirrors it; the scenario
+        # must be one that make_bump_scenario builds
+        scen = dataclasses.replace(bump(Geometry.cartesian1d()), **change)
+        with pytest.raises(ValueError, match="^a 1-D run steps the half-line x > 0: "):
+            run(scen, SolverConfig(t_end=0.1))
+        # the radial run reflects the origin whatever the count or parity
+        radial = dataclasses.replace(bump(Geometry.radial(3)), **change)
+        assert run(radial, SolverConfig(t_end=0.01)).t_final == pytest.approx(0.01)
+
     def test_dt_floor_cause(self):
         det = DetectorParams(dt_floor=1.0)
         scen = bump(Geometry.cartesian1d(), detector=det)
@@ -645,18 +660,38 @@ class TestFaceLemma:
         assert np.all(ws.face_rho > 0), ws.face_rho
 
 
-def full_grid_run(scenario, config, step_fn, recorder=None):
+def mirrored(half, centers):
+    """The whole line of a half-line snapshot on the line's ``centers``: rho
+    mirrored, V mirrored and negated."""
+    rho = np.concatenate((half.rho[::-1], half.rho))
+    return FieldSnapshot(half.t, centers, rho, np.concatenate((-half.V[::-1], half.V)), half.spacing)
+
+
+def full_grid_run(scenario, config, step_fn, recorder=None, mirror=True):
     """Oracle for ``run``: the time step and ``step_fn`` over the whole grid.
 
     Same time step, detector, recorder and snapshot rules as ``run``, but
-    every step advances every cell.
+    every step advances every cell.  In 1-D the cells are the half-line
+    x > 0's, stepped in radial-1 geometry, whose origin reflection is the
+    mirror face at x = 0; the snapshots, the samples and the detector read
+    the whole line mirrored from them.  Without ``mirror`` a 1-D run steps
+    every cell of the line.
     """
-    eos, det = scenario.eos, scenario.detector
-    snap = initial_snapshot(scenario)
-    snapshots = [snap]
-    blowup = detect_blowup(snap, eos, det)
+    eos, det, geometry = scenario.eos, scenario.detector, scenario.geometry
+    snap = line = initial_snapshot(scenario)
+    mirror = mirror and not geometry.is_radial
+    if mirror:
+        h = line.centers.size // 2
+        geometry = Geometry.radial(1)
+        snap = FieldSnapshot(0.0, line.centers[h:], line.rho[h:], line.V[h:], line.spacing)
+
+    def whole(snap):
+        return mirrored(snap, line.centers) if mirror else snap
+
+    snapshots = [whole(snap)]
+    blowup = detect_blowup(snapshots[0], eos, det)
     if blowup is None and recorder is not None:
-        recorder.observe(snap)
+        recorder.observe(snapshots[0])
     t, steps = 0.0, 0
     k_snap = k_sample = 1
     next_snap, next_sample = config.snapshot_interval, det.sample_interval
@@ -666,20 +701,21 @@ def full_grid_run(scenario, config, step_fn, recorder=None):
         if dtc < det.dt_floor:
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
-        snap = step_fn(snap, eos, scenario.geometry, min(dtc, config.t_end - t), config.reconstruction)
+        snap = step_fn(snap, eos, geometry, min(dtc, config.t_end - t), config.reconstruction)
         t = snap.t
         steps += 1
-        blowup = detect_blowup(snap, eos, det)
+        kept = whole(snap)
+        blowup = detect_blowup(kept, eos, det)
         if blowup is None and recorder is not None and (t >= next_sample - eps or t >= config.t_end - eps):
-            recorder.observe(snap)
+            recorder.observe(kept)
             k_sample = max(k_sample + 1, math.floor((t + eps) / det.sample_interval) + 1)
             next_sample = k_sample * det.sample_interval
         if t >= next_snap - eps or t >= config.t_end - eps or blowup is not None:
-            snapshots.append(snap)
+            snapshots.append(kept)
             k_snap = max(k_snap + 1, math.floor((t + eps) / config.snapshot_interval) + 1)
             next_snap = k_snap * config.snapshot_interval
     if snapshots[-1].t < t:
-        snapshots.append(snap)
+        snapshots.append(whole(snap))
     series = recorder.series() if recorder is not None else None
     return snapshots, series, blowup, steps, t
 
@@ -806,6 +842,81 @@ class TestWindowedRun:
         assert moved.spacing == snap.spacing
 
 
+# max |run - line| over rho and V at the snapshots before detection, for
+# the 1-D presets at 512-4096 cells (numpy 2.4, x86-64): first order 3.5e-14,
+# MUSCL 1.3e-13 on ref-1d and up to 2.3e-2 on the certified data, where the
+# whole line does not keep its own mirror symmetry (its rounding asymmetry
+# grows about 2.5x per step at the velocity peak): each difference is at most
+# 1.12 times the line's own asymmetry max |line - mirror(line)|
+LINE_BOUND = {FIRST_ORDER: 1e-13, MUSCL: 5e-2}
+
+
+class TestMirrorAccuracy:
+    """The half-line run against the whole line, every cell of it stepped by
+    the reference kernel in 1-D geometry under the same time-step rule."""
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("preset, cells", [
+        ("ref-1d", 1024),
+        *((name, cells) for name in ("cert-linear-tau-1d", "cert-linear-infinite-1d", "cert-general-1d-exp")
+          for cells in (512, 1024, 4096)),
+    ])
+    def test_half_line_run_matches_the_whole_line(self, preset, cells, recon):
+        scen = PRESETS[preset](cells)
+        certified = preset.startswith("cert-")
+        # the certified presets' horizon is 1; their snapshots every 0.002
+        # land several before detection
+        config = SolverConfig(t_end=1.0 if certified else 0.5, snapshot_interval=0.002 if certified else 0.05,
+                              reconstruction=recon)
+        trace = run(scen, config)
+        snapshots, _, blowup, steps, t = full_grid_run(scen, config, reference_step, mirror=False)
+        bound = LINE_BOUND[recon] if certified else 1e-12
+        # the snapshots before either run detects
+        end = min((e.t for e in (trace.blowup, blowup) if e is not None), default=math.inf)
+        got_before, want_before = ([s for s in snaps if s.t < end] for snaps in (trace.snapshots, snapshots))
+        assert len(got_before) == len(want_before) >= (0 if end == 0.0 else 2)
+        for got, want in zip(got_before, want_before):
+            # the time steps read speeds that differ as the states do (1.4e-9 measured)
+            assert got.t == pytest.approx(want.t, rel=1e-7, abs=0.0)
+            err = max(np.abs(got.rho - want.rho).max(), np.abs(got.V - want.V).max())
+            asymmetry = max(np.abs(want.rho - want.rho[::-1]).max(), np.abs(want.V + want.V[::-1]).max())
+            assert err <= bound and err <= 1.5 * asymmetry + 1e-13, (got.t, err, asymmetry)
+        if not certified:
+            assert trace.blowup is None and blowup is None and trace.steps == steps
+            return
+        # every certified 1-D point still detects before its horizon, within
+        # one step of the whole line: a step is at most cfl dx / sigma
+        sigma = signal_speed(scen.eos, scen.eos.rho_bar)
+        assert trace.blowup.cause == blowup.cause == SLOPE_THRESHOLD
+        assert 0.0 <= trace.t_detect < 1.0
+        assert abs(trace.steps - steps) <= 1
+        assert abs(trace.t_detect - blowup.t) <= config.cfl * trace.snapshots[0].spacing / sigma
+
+
+class TestMirrorSymmetry:
+    """Every 1-D trace is exactly mirror-symmetric, and its detector event is
+    the whole line's."""
+
+    # the lower slope factors make about a third of the runs detect, some at t = 0
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        amp_rho=st.floats(-0.5, 0.5), amp_v=st.floats(-3.0, 3.0), gamma=st.sampled_from([1.4, 2.0, 3.0]),
+        recon=st.sampled_from([MUSCL, FIRST_ORDER]), cells=st.sampled_from([80, 128]),
+        slope_factor=st.sampled_from([0.005, 0.02, 0.2]),
+    )
+    def test_snapshots_are_mirror_images(self, amp_rho, amp_v, gamma, recon, cells, slope_factor):
+        eos = EosParams(1.0, gamma, 1.0)
+        scen = make_bump_scenario(
+            eos, Geometry.cartesian1d(), 1.0, amp_rho, amp_v, GridSpec(2.2, cells), DetectorParams(slope_factor)
+        )
+        trace = run(scen, SolverConfig(t_end=0.3, snapshot_interval=0.02, reconstruction=recon))
+        for snap in trace.snapshots:
+            # bit for bit, the sign of every zero included
+            assert_bitwise(snap.rho, snap.rho[::-1])
+            assert_bitwise(snap.V, -snap.V[::-1])
+        assert trace.blowup == detect_blowup(trace.snapshots[-1], eos, scen.detector)
+
+
 def loaded_workspace(preset, cells):
     """A MUSCL workspace for a preset's grid holding its initial (rho, rho*V), and its time step."""
     scen = PRESETS[preset](cells)
@@ -871,8 +982,10 @@ class TestWorkspace:
     @pytest.mark.parametrize("preset", ["ref-1d", "ref-radial3"])
     def test_run_step_loop_makes_no_window_sized_temporaries(self, preset, monkeypatch):
         # five whole steps of run, from the second kernel call to the
-        # seventh, on a window of about 3700 cells: 29 KB per row
+        # seventh, on a window of about 3700 cells: 29 KB per row; a 1-D
+        # run steps half its cells, so it gets twice as many
         kernel, widths, peak = solver._advance, [], []
+        cells = 16384 if preset == "ref-1d" else 8192
 
         def traced(ws, a, b, t, dt):
             widths.append(b - a)
@@ -885,7 +998,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(solver, "_advance", traced)
         try:
-            run(PRESETS[preset](8192), SolverConfig(t_end=0.05, snapshot_interval=1.0, max_steps=8))
+            run(PRESETS[preset](cells), SolverConfig(t_end=0.05, snapshot_interval=1.0, max_steps=8))
         finally:
             tracemalloc.stop()
         assert min(widths) > 3700
@@ -923,7 +1036,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("preset", ["constant-1d", "constant-radial3"])
     def test_unperturbed_run_reads_a_two_cell_view(self, preset, recon, monkeypatch):
-        # the full grid at t = 0, then two background cells at every step
+        # every cell at t = 0 (the half-line's in 1-D), then two background
+        # cells at every step
         max_speed, sizes = solver._View.max_speed, []
 
         def recorded(view, eos):
@@ -933,7 +1047,7 @@ class TestWorkspace:
         monkeypatch.setattr(solver._View, "max_speed", recorded)
         trace = run(PRESETS[preset](4096), SolverConfig(t_end=0.5, reconstruction=recon))
         assert trace.steps > 1 and trace.blowup is None
-        assert sizes == [4096] + [2] * (trace.steps - 1)
+        assert sizes == [4096 if trace.scenario.geometry.is_radial else 2048] + [2] * (trace.steps - 1)
 
 
 class TestRunTimeStep:
@@ -982,11 +1096,12 @@ class TestRunTimeStep:
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     @pytest.mark.parametrize("geom", [Geometry.cartesian1d(), Geometry.radial(3)])
     def test_nan_cell_stops_the_run(self, geom, recon):
-        # the NaN makes the time step NaN, which the dt guard rejects
+        # the NaN makes the time step NaN, which the dt guard rejects; it
+        # sits in the right half, which a 1-D run reads
         class OneNaN(BumpProfile):
             def __call__(self, x):
                 vals = super().__call__(x)
-                vals[vals.size // 3] = np.nan
+                vals[2 * vals.size // 3] = np.nan
                 return vals
 
         scen = dataclasses.replace(bump(geom, cells=128), rho0=OneNaN(0.01, 1.0))
