@@ -520,15 +520,10 @@ def cmd_report(args, argv) -> int:
 # Parser
 
 
-# the options that take a number: argparse reads a negative number in
-# exponent notation ("-1e-3") or "-inf" as an option string, so ``main``
-# joins such a value to its option ("--lo=-1e-3") before it parses
-_NUMBER_OPTIONS: set[str] = set()
-
-
-def _number_option(p: argparse.ArgumentParser, name: str, kind: type, **kwargs) -> None:
-    _NUMBER_OPTIONS.add(name)
-    p.add_argument(name, type=kind, **kwargs)
+# argparse reads a negative number in exponent notation ("-1e-3") or "-inf"
+# as an option string, so ``main`` joins such a value to the option before
+# it ("--lo=-1e-3"); every option but these two takes a value
+_FLAGS = ("--help", "--version")
 
 
 def _reads_as_number(arg: str) -> bool:
@@ -540,10 +535,12 @@ def _reads_as_number(arg: str) -> bool:
 
 
 def _join_negative_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with each negative number joined to the number option before it."""
+    """``argv`` with each negative number joined to the option before it."""
     joined = []
     for arg in argv:
-        if joined and joined[-1] in _NUMBER_OPTIONS and arg.startswith("-") and _reads_as_number(arg):
+        option = joined[-1] if joined else ""
+        if (option.startswith("--") and "=" not in option and option not in ("--", *_FLAGS)
+                and arg.startswith("-") and _reads_as_number(arg)):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -559,16 +556,16 @@ def _add_criterion_args(p: argparse.ArgumentParser, required_theorem: bool) -> N
         default=None if not required_theorem else argparse.SUPPRESS,
         help="criterion family",
     )
-    _number_option(p, "--tau", float, default=1.0, help="blowup horizon (default 1.0)")
-    _number_option(p, "--a", float, default=4.0, help="trade-off constant for general families")
+    p.add_argument("--tau", type=float, default=1.0, help="blowup horizon (default 1.0)")
+    p.add_argument("--a", type=float, default=4.0, help="trade-off constant for general families")
     p.add_argument("--weight", default=None, help="weight spec: linear | power:<n> | exp:<beta>")
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    _number_option(p, "--t-end", float, default=0.5, help="simulation end time")
-    _number_option(p, "--cfl", float, default=SolverConfig.cfl)
+    p.add_argument("--t-end", type=float, default=0.5, help="simulation end time")
+    p.add_argument("--cfl", type=float, default=SolverConfig.cfl)
     p.add_argument("--reconstruction", choices=(FIRST_ORDER, MUSCL), default=SolverConfig.reconstruction)
-    _number_option(p, "--snapshot-interval", float, default=SolverConfig.snapshot_interval)
+    p.add_argument("--snapshot-interval", type=float, default=SolverConfig.snapshot_interval)
 
 
 @functools.cache
@@ -600,18 +597,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="positivity,propagation,mass",
         help=f"comma list from: {', '.join(TRACE_CHECKS)} (or 'all')",
     )
-    _number_option(p_ver, "--x0", float, default=0.5, help="flow-line start for the characteristic check")
-    _number_option(p_ver, "--cone-center", float, default=0.0)
-    _number_option(p_ver, "--cone-apex", float, default=None)
+    p_ver.add_argument("--x0", type=float, default=0.5, help="flow-line start for the characteristic check")
+    p_ver.add_argument("--cone-center", type=float, default=0.0)
+    p_ver.add_argument("--cone-apex", type=float, default=None)
     p_ver.add_argument("--out", default=None, help="output directory")
     p_ver.add_argument("scenario", help="scenario config file")
 
     p_sweep = sub.add_parser("sweep", help="evaluate a criterion across a range")
     _add_criterion_args(p_sweep, required_theorem=True)
     p_sweep.add_argument("--parameter", required=True, help=f"one of {', '.join(SWEEPABLE)}")
-    _number_option(p_sweep, "--lo", float, required=True)
-    _number_option(p_sweep, "--hi", float, required=True)
-    _number_option(p_sweep, "--steps", int, required=True)
+    p_sweep.add_argument("--lo", type=float, required=True)
+    p_sweep.add_argument("--hi", type=float, required=True)
+    p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("scenario", help="scenario config file")
 
@@ -624,8 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(_join_negative_numbers(argv))
+        args = build_parser().parse_args(_join_negative_numbers(argv))
     except SystemExit as exc:
         # argparse uses exit 2 for usage errors already
         return int(exc.code or 0)

@@ -82,15 +82,21 @@ the mirror image behind the wall (LeVeque 2002, *Finite Volume Methods for
 Hyperbolic Problems*, on reflecting boundaries).  So ``run`` steps only the
 cells n/2 .. n - 1 of the line, on their own centers, with the grid's
 spacing and scheme, in a radial-1 workspace: half the cells per step.  It
-loads the right half of the sampled data and never reads the left half.
-Each kept snapshot, recorder sample and final state, the one at t = 0
-included, is the whole line built from the half on the grid's own centers:
-rho = [rho_h reversed, rho_h] and V = [-(V_h reversed), V_h], so every trace
-is exactly mirror-symmetric, the sign of every zero included.  The time
-step reads the half's maximum speed, which is the line's.  The detector
+loads the right half of the sampled data.  Each kept snapshot, recorder
+sample and final state, the one at t = 0 included, is the whole line built
+from the half on the grid's own centers: rho = [rho_h reversed, rho_h] and
+V = [0 - (V_h reversed), V_h], where 0 - v is -v for every non-zero v and
++0.0 for a zero of either sign, as the sampled background holds it, so every
+trace is exactly mirror-symmetric: rho == rho[::-1] and V == -V[::-1].  The
+time step reads the half's maximum speed, which is the line's.  The left
+half of the data is read once, for the largest speed of the whole line at
+t = 0: where that is not finite (a NaN, an infinity or a negative density),
+the first time step reads it, as a whole-line run's does, and the dt guard
+or the dt floor stops the run, a NaN on a line with no perturbed cell
+included.  The detector
 reads a mirror view of the window [0, m): the jumps of the image cells,
 from the image of cell m - 1 to the image of cell 0, which are the half's
-|V[k + 1] - V[k]| in reverse order, bit for bit ((-a) - (-b) = b - a), then
+|V[k + 1] - V[k]| in reverse order, bit for bit (|(0 - a) - (0 - b)| = |b - a|), then
 the jump across x = 0, V[0] - (-V[0]) = 2 V[0], exact, at the line's m + 1
 centers there.  Every jump of the line's right half repeats an earlier one
 and every jump past the window is a zero, so the first maximum of these is
@@ -622,12 +628,12 @@ def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams)
 
 def _line(rho: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The whole line's (rho, V), new arrays, from its right half: rho
-    mirrored and V mirrored and negated (see "The mirror" in the module
-    docstring)."""
+    mirrored and V mirrored and negated as 0 - V, which makes a zero +0.0
+    (see "The mirror" in the module docstring)."""
     h = rho.size
     rho_line, V_line = np.empty(2 * h), np.empty(2 * h)
     rho_line[:h], rho_line[h:] = rho[::-1], rho
-    np.negative(V[::-1], out=V_line[:h])
+    np.subtract(0.0, V[::-1], out=V_line[:h])
     V_line[h:] = V
     return rho_line, V_line
 
@@ -643,7 +649,8 @@ def run(
     sigma * t_end.  A 1-D scenario must have an even cell count, an even
     density bump (``rho0.odd`` False) and an odd velocity bump (``v0.odd``
     True): its run steps the half-line x > 0 behind a mirror face at x = 0
-    and reads only the right half of the initial data; every snapshot,
+    and steps only the right half of the initial data, whose left half
+    stops the run only where its largest speed is not finite; every snapshot,
     recorder sample and detector event is the whole line's, built from
     the half (see "The mirror" in the module docstring).  Snapshots are
     recorded at t = 0, at every crossing of the snapshot interval, and at
@@ -672,18 +679,18 @@ def run(
                            ("detector.sample_interval", det.sample_interval)):
         if not math.isfinite((config.t_end + eps) / interval):
             raise ValueError(f"{name} {interval!r} is too small to count up to t_end {config.t_end!r}")
-    snap = initial_snapshot(scenario)
-    centers, dx = snap.centers, snap.spacing
+    initial = initial_snapshot(scenario)
+    centers, dx = initial.centers, initial.spacing
     # the state (rho, V), updated in place: rho is the density row of the
     # workspace's buffer, V its velocities (see "The workspace" in the
     # module docstring); in 1-D the right half of the line
     if mirror:
         h = centers.size // 2
         ws = _Workspace(centers[h:], dx, Geometry.radial(1), eos, config.reconstruction, line=centers)
-        ws.rho[:], ws.V[:] = snap.rho[h:], snap.V[h:]
+        ws.rho[:], ws.V[:] = initial.rho[h:], initial.V[h:]
     else:
         ws = _Workspace(centers, dx, geom, eos, config.reconstruction)
-        ws.rho[:], ws.V[:] = snap.rho, snap.V
+        ws.rho[:], ws.V[:] = initial.rho, initial.V
     n = ws.V.size
 
     def kept(t: float) -> FieldSnapshot:
@@ -704,6 +711,11 @@ def run(
     blowup = view.jump_event(0.0, threshold)
     if blowup is None and recorder is not None:
         recorder.observe(snap)
+    if mirror and not np.isfinite(np.max(signal_speed(eos, initial.rho) + np.abs(initial.V))):
+        # a speed of the data that is not finite, perhaps in the left half,
+        # which the run never steps: the first time step reads the whole
+        # line, as a whole-line run's does (see "The mirror")
+        view = _snapshot_view(initial)
     t, steps = 0.0, 0
     # the clocks' counts: the next snapshot and sample at k * interval (see "The clocks")
     k_snap = k_sample = 1
@@ -713,12 +725,12 @@ def run(
             blowup = BlowupEvent(t=t, cause=DT_FLOOR, location=float("nan"), value=dtc)
             break
         dt = min(dtc, config.t_end - t)
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         if last is None:
             # nothing to step: two background cells hold the grid's speed and jump
             view = ws.bind(0, 2).view
         else:
-            if not dt > 0:
-                raise ValueError("dt must be positive")
             view = ws.step(0, min(last + margin + 1, n), t, dt)
             last = ws.last_perturbed()
         t += dt
