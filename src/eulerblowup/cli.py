@@ -564,7 +564,11 @@ def _add_criterion_args(p: argparse.ArgumentParser, required_theorem: bool) -> N
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, default=0.5, help="simulation end time")
     p.add_argument("--cfl", type=float, default=SolverConfig.cfl)
-    p.add_argument("--reconstruction", choices=(FIRST_ORDER, MUSCL), default=SolverConfig.reconstruction)
+    p.add_argument(
+        "--reconstruction", choices=(FIRST_ORDER, MUSCL), default=SolverConfig.reconstruction,
+        help=f"{MUSCL}: minmod-limited MUSCL-Hancock step, second order in space and time; "
+             f"{FIRST_ORDER}: first-order Rusanov step (default {SolverConfig.reconstruction})",
+    )
     p.add_argument("--snapshot-interval", type=float, default=SolverConfig.snapshot_interval)
 
 

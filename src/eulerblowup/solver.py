@@ -2,11 +2,17 @@
 
 Conservative variables (rho, rho*V) are advanced with a Rusanov
 (local Lax-Friedrichs) flux, first order by default with an optional
-minmod-limited MUSCL reconstruction stepped by two-stage SSP Runge-Kutta.
-Radial geometry adds the cell-centered geometric source -(N-1)/r * (rho*V,
-rho*V**2) and reflects the origin; the outer boundary holds the quiescent
-background, which both schemes preserve exactly.  ``run`` steps a 1-D line
-as its half x > 0 behind a mirror face at x = 0 (see "The mirror").
+minmod-limited MUSCL reconstruction advanced by one MUSCL-Hancock step:
+each cell's two limited face states are predicted half a step with the
+cell's own flux difference, and one Rusanov flux of the predicted states
+updates the cells, second order in space and time with one flux per step
+(van Leer 1979, "Towards the ultimate conservative difference scheme V";
+Toro 2009, *Riemann Solvers and Numerical Methods for Fluid Dynamics*,
+section 14.4).  Radial geometry adds the cell-centered geometric source
+-(N-1)/r * (rho*V, rho*V**2) and reflects the origin; the outer boundary
+holds the quiescent background, which both schemes preserve exactly.
+``run`` steps a 1-D line as its half x > 0 behind a mirror face at x = 0
+(see "The mirror").
 
 Blowup is proxied by two detectors: a per-cell velocity jump reaching a
 fixed fraction of the background sound speed, and the CFL time step
@@ -16,15 +22,25 @@ The kernel.  ``_advance`` advances the cells [a, b) of a workspace's
 (2, n + 4) buffer of (rho, rho*V) in place by one step, with two ghost
 columns per side: it writes the far-field background (rho_bar, +0.0) into
 the two columns beyond each end of the window, except the left pair in
-radial geometry, which ``_rhs`` fills with the reflection across r = 0.
+radial geometry, which it fills with the reflection across r = 0.
 ``step`` wraps it: it checks dt, loads a snapshot into a fresh workspace,
-advances every cell and returns a new snapshot.  ``_rhs`` works on both
-variables at once: one difference and one minmod pass for the slopes,
-the left and right face states in one (2, 2, n + 1) array, the sound
-speed, pressure and flux of those states once per stage, and one
-difference of the stacked flux.  First order evaluates them once per cell,
-since its face states are the cells themselves.  Each rewrite gives the
-same bits as the separate per-variable kernel it replaced:
+advances every cell and returns a new snapshot.  Each part works on both
+variables at once, over the cells -1 .. m of a window of m cells, the
+inner ghost of each side included.  ``_reconstruct`` makes one difference
+and one minmod pass for the slopes and writes the left and right face
+states of every cell into one (2, 2, m + 2) array.  ``_predict`` moves
+both face states of a cell by dt/(2 dx) (F(U_left) - F(U_right)), less
+dt/2 times the cell's radial source, into a second such array.
+``_rusanov`` evaluates the sound speed, pressure and flux of the face
+states once and takes one difference of the stacked flux; in radial N > 1
+the cells' source is read at their half-step state, the cell plus its
+predictor increment, so the step stays second order in time.  First order
+evaluates the flux once per cell, since its face states are the cells
+themselves, and reads the source at the cells.  The predictor of the
+reflection ghost uses the coefficient -(N - 1)/r_0, so its predicted
+states are the mirror images of cell 0's and the face at r = 0 carries no
+mass.  The kernel gives the same bits as the tests' separate per-variable
+reference step:
 
 - the same elementwise IEEE operations act on the same operands in the
   same order; stacking, in-place updates (``out=``) and swapping the
@@ -50,27 +66,29 @@ same bits as the separate per-variable kernel it replaced:
 The window.  ``run`` keeps one (rho, V) state, the whole grid radially and
 the half-line in 1-D, and updates it in place.  The background (rho_bar,
 0) is a bitwise fixed point of both schemes, so a cell can leave it only
-when a perturbed cell lies within the reach of one step: one cell per
-stage, two per MUSCL step and one per first-order step.  The MUSCL stencil
-spans two cells per side, but the minmod slope of a background cell with a
-background neighbour is zero, so a face between two background cells
-carries the background flux, and a background cell changes in a stage only
-next to a perturbed one.  Each step therefore advances one range, the
-window [0, hi + reach + 1] up to the last perturbed cell hi, clipped to the
-state: it starts at cell 0, where the reflection ghost applies (r = 0, or
-the mirror face x = 0); every other cell stays as it is.  The window keeps
-the grid's spacing, so the result equals a step of the whole state bit for
-bit.  Its last cell lies beyond the reach: a background cell, which the
-step leaves as it is, bit for bit, a zero velocity of either sign
-included: its du is a zero, -0.0 in the momentum row, so adding it changes
-neither a non-zero density nor a momentum zero of either sign.  The time
-step and the detector read the window just stepped, the view: it holds
-every perturbed cell and, unless it is the whole state, a background cell,
-whose speed |V| + c is the same in every background cell, so the maximum
-speed and the largest velocity jump are the state's.  Only the first time
-step and the detector at t = 0 read every cell.  A run with no perturbed
-cell binds a window of two background cells once and only advances the
-time, so its time step costs the same on every grid.
+when a perturbed cell lies within the reach of one step, one cell under
+either scheme.  The MUSCL stencil spans two cells per side, but the minmod
+slope of a background cell with a background neighbour is zero: both its
+face states are the background, so its flux difference and its radial
+source are zeros and its predicted states are the background too.  A face
+between two background cells therefore carries the background flux, and a
+background cell changes in a step only next to a perturbed one.  Each step
+therefore advances one range, the window [0, hi + 2] up to the last
+perturbed cell hi, clipped to the state: it starts at cell 0, where the
+reflection ghost applies (r = 0, or the mirror face x = 0); every other
+cell stays as it is.  The window keeps the grid's spacing, so the result
+equals a step of the whole state bit for bit.  Its last cell lies beyond
+the reach: a background cell, which the step leaves as it is, bit for bit,
+a zero velocity of either sign included: its du is a zero, -0.0 in the
+momentum row, so adding it changes neither a non-zero density nor a
+momentum zero of either sign.  The time step and the detector read the
+window just stepped, the view: it holds every perturbed cell and, unless
+it is the whole state, a background cell, whose speed |V| + c is the same
+in every background cell, so the maximum speed and the largest velocity
+jump are the state's.  Only the first time step and the detector at t = 0
+read every cell.  A run with no perturbed cell binds a window of two
+background cells once and only advances the time, so its time step costs
+the same on every grid.
 
 The mirror.  A 1-D scenario holds an even density bump and an odd velocity
 bump (``make_bump_scenario`` builds no other) on an even number of cells,
@@ -110,36 +128,39 @@ amplifies that loss.
 
 The workspace.  A ``_Workspace`` owns everything a run touches for one
 grid, allocated once: the ghosted (2, n + 4) buffer U with its rho and mom
-rows, the velocities V, the radial coefficient (N - 1)/r of every cell,
-the far-field ghost block, the MUSCL stage buffer, every temporary of
-``_rhs`` (slopes, face states, velocities, speeds, |v|, pressures, the
-Rusanov speed, flux, jump, du and the radial source, one flat array each)
-and the scratch of the view and of the perturbed range.  ``_rhs`` writes
-every value with ``out=``, the same ufuncs on the same operands in the
-same order, so no bit changes and a step allocates no window-sized array.
-``bind(a, b)`` cuts every view the kernel reads for the window [a, b), and
-cuts them again only when (a, b) changes: from each temporary a
-contiguous prefix shaped for b - a cells (a prefix slice of a 2-D buffer
-is strided, which slows every ufunc on it, and views of one shared buffer
-can make numpy copy an operand it cannot prove disjoint from the output),
-their rows and shifted views (flux[:, 1:], the left and right speeds of
-each face, every face density as one row, ...), the window's cells and
-their rho and mom rows in U and in the stage buffer, the two ghost blocks,
-the reflection pair, the shifted stencils u[:, 1:], u[:, :-1], u[:, 1:-2]
-and u[:, 2:-1], the face states of first order, coeff[a:b], and the
+rows, the velocities V, the radial coefficient (N - 1)/r of every cell and
+of both inner ghosts, the far-field ghost block, every temporary of the
+kernel (slopes, limited and predicted face states, the predictor's
+increment and source, velocities, speeds, |v|, pressures, the Rusanov
+speed, flux, jump, du, the half-step state and the radial source, one flat
+array each) and the scratch of the view and of the perturbed range.  The
+kernel writes every value with ``out=``, the same ufuncs on the same
+operands in the same order, so no bit changes and a step allocates no
+window-sized array.  ``bind(a, b)`` cuts every view the kernel reads for
+the window [a, b), and cuts them again only when (a, b) changes: from each
+temporary a contiguous prefix shaped for b - a cells (a prefix slice of a
+2-D buffer is strided, which slows every ufunc on it, and views of one
+shared buffer can make numpy copy an operand it cannot prove disjoint from
+the output), their rows and shifted views (flux[:, 1:], the left and
+right speeds of each face, every face density as one row, ...), the
+window's cells and their rho and mom rows in U, the two ghost blocks, the
+reflection pair, the shifted stencils u[:, 1:] and u[:, :-1], the cells
+-1 .. m, the face states of first order, the coefficients, and the
 window's ``view``: a ``_View`` of its cells, their V, V[1:], V[:-1] (in a
-mirror view, both reversed) and scratch.  After that ``_rhs`` and
-``_advance`` slice nothing and write each ghost pair as one (2, 2) block.
-A MUSCL stage makes 28 ufunc calls in slab geometry, 30 in radial1 (the
-reflection's copy and negation) and 34 in radial3, and stage 1 one argmin
-of the face densities more; a first-order stage makes 20, 22 and 26; each
-density check of ``_advance`` is one argmin (see "The checks").  Most run
-on a few hundred cells, so their fixed cost is most of a step: measured
-on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a ufunc call costs 0.9
-us on contiguous arrays with ``out=``, 0.7 us as an in-place operator and
-2.2 us on strided (2, 476) views, a Python-float operand adds 0.35 us over
-a 0-d array, a slice costs 0.2-0.5 us and a rebind about 45 us under
-MUSCL.
+mirror view, both reversed) and scratch.  After that the kernel slices
+nothing and writes each ghost pair as one (2, 2) block.  A MUSCL step
+makes 43 ufunc calls in slab geometry, 45 in radial1 (the reflection's
+copy and negation) and 55 in radial3 (the predictor's source, the
+half-step state and its source), where the two-stage SSP-RK2 step it
+replaced made 65, 69 and 77; a first-order step makes 23, 25 and 29.  Each
+count includes the density checks, one argmin each (three under MUSCL, one
+under first order; see "The checks"), and takes gamma = 2, whose pressure
+and sound speed call no pow.  Most calls run on a few hundred cells, so their fixed cost is most
+of a step: measured on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a
+ufunc call costs 0.9 us on contiguous arrays with ``out=``, 0.7 us as an
+in-place operator and 2.2 us on strided (2, 476) views, a Python-float
+operand adds 0.35 us over a 0-d array, a slice costs 0.2-0.5 us, and a
+rebind of a 3000-cell window about 25 us under MUSCL.
 
 The workspace owns the step: ``step(a, b, t, dt)`` writes rho*V of the
 window into the mom row, hands the window to ``_advance`` and writes V =
@@ -151,10 +172,9 @@ workspace and steps every cell, the whole line with its far-field ghosts
 in 1-D.
 The ghost columns beyond the window are cells of the grid, background cells by the
 reach argument, or the buffer's own ghosts at its ends; the kernel
-overwrites them with (rho_bar, +0.0), or with the reflection, in the state
-and the stage buffer, because a background cell may hold V = -0.0, whose
-momentum is -0.0, and the stage buffer holds an earlier step's values
-there.  The detector's threshold and cfl * dx are computed once per run;
+overwrites them with (rho_bar, +0.0), or with the reflection, because a
+background cell may hold V = -0.0, whose momentum is -0.0.  The
+detector's threshold and cfl * dx are computed once per run;
 ``cfl_dt`` and ``detect_blowup`` read a snapshot through the same ``_View``
 as the window's view.  The state is copied, or mirrored into the whole
 line, only for a snapshot, a recorder sample or the final state.
@@ -177,23 +197,34 @@ floating point).  ``run`` keeps the check
 dt > 0, which a NaN in the state fails: its speed, and so dt, is NaN.
 
 The checks.  Each positivity check reads one element: ``x[x.argmin()] <=
-0`` for the stage and final densities and the MUSCL face densities, and
-the time step's maximum speed is ``speed[speed.argmax()]``.  An argmin
-costs 0.65-1.6 us where ``np.minimum.reduce`` costs 1.7-2.7 us, at
-474-4400 values, and the two decide alike: without a NaN they read the
+0`` for the limited and the predicted face densities and the final
+densities, and the time step's maximum speed is ``speed[speed.argmax()]``.
+An argmin costs 0.65-1.6 us where ``np.minimum.reduce`` costs 1.7-2.7 us,
+at 474-4400 values, and the two decide alike: without a NaN they read the
 same extreme value, a zero of either sign is <= 0, and a speed |V| + c is
-never -0.0; argmin and argmax return the first NaN, so a NaN reads NaN
-and NaN <= 0 is false, as for the NaN the reduction returns.  The face
-densities are checked at stage 1 only, because stage 2 cannot fail the
-check.  Its cells passed the stage density check, so each is > 0 or NaN,
-and its ghosts are rho_bar > 0 or reflections of its cells.  A NaN cell
-gives NaN faces, which fail no check.  For positive cells u, minmod limits
-each half slope h to |h| <= fl(0.5 * u) when it points toward a smaller
-neighbour v > 0, since that difference rounds to at most u - v < u; so
-each face fl(u +- h) is at least fl(u - fl(0.5 * u)) > 0: about 0.5 * u
-for normal u, and for a subnormal u of k ulp, fl(0.5 * u) rounds half to
-even to fewer than k ulp.  The public ``step`` reaches stage 1's check on
-non-positive input.
+never -0.0; argmin and argmax return the first NaN, so a NaN reads NaN and
+NaN <= 0 is false, as for the NaN the reduction returns.  A NaN cell gives
+NaN faces, which fail no check.  Each face check falls back per cell:
+
+- where a limited face density of a cell is <= 0, both its faces take the
+  cell's own value, first order in space.  In ``run`` this check never
+  fires, and the predictor reads a real pressure: the cells passed the
+  last step's final density check, the ghosts are rho_bar > 0 or
+  reflections of cells, and limited faces of positive cells are positive.
+  For positive cells u, minmod limits each half slope h to |h| <= fl(0.5 *
+  u) when it points toward a smaller neighbour v > 0, since that
+  difference rounds to at most u - v < u; so each face fl(u +- h) is at
+  least fl(u - fl(0.5 * u)) > 0: about 0.5 * u for normal u, and for a
+  subnormal u of k ulp, fl(0.5 * u) rounds half to even to fewer than k
+  ulp.  The public ``step`` reaches it on non-positive input;
+- where a predicted face density of a cell is <= 0, both its faces take
+  their unpredicted, limited states, first order in time, and its radial
+  source reads the cell itself instead of its half-step state.  A thin
+  cell between diverging flows reaches it: its predictor drains the mass
+  of its faces.  The Rusanov flux then reads positive states wherever the
+  cells are positive.
+
+The final density check raises ``NegativeDensityError``.
 """
 
 from __future__ import annotations
@@ -345,7 +376,8 @@ def cfl_dt(snap: FieldSnapshot, eos: EosParams, cfl: float = SolverConfig.cfl) -
 
 # the arrays of a workspace: name, leading dimensions, and cells past the
 # window's m in the last dimension; the per-state arrays hold a value per
-# cell next to a face (first order) or per side of each face (MUSCL)
+# cell of the ghosted window, the cells -1 .. m, under first order, and per
+# face of each of those cells under MUSCL
 _COMMON = (
     ("a", (), 1),
     ("flux", (2,), 1),
@@ -355,22 +387,25 @@ _COMMON = (
 )
 _ARRAYS = {
     FIRST_ORDER: tuple((name, (), 2) for name in ("v", "speed", "abs_v", "p")) + _COMMON,
-    MUSCL: tuple((name, (2,), 1) for name in ("v", "speed", "abs_v", "p")) + _COMMON + (
-        ("stage", (2,), 4),
+    MUSCL: tuple((name, (2,), 2) for name in ("v", "speed", "abs_v", "p")) + _COMMON + (
         ("d", (2,), 3),
         ("half", (2,), 2),
         ("negative", (2,), 2),
-        ("states", (2, 2), 1),
+        ("faces", (2, 2), 2),
+        ("predicted", (2, 2), 2),
+        ("delta", (2,), 2),
+        ("face_source", (2,), 2),
+        ("mid", (2,), 0),
     ),
 }
 
 
 class _Window:
-    """The views of a ghosted (2, m + 4) window u that ``_rhs`` and ``_advance`` read, cut once.
+    """The views of a ghosted (2, m + 4) window u that the kernel reads, cut once.
 
     The face states are the cells next to each face under first order,
-    and the workspace's reconstructed states under MUSCL.  The state's
-    window also carries ``view``, the ``_View`` of its cells (set by
+    and the workspace's predicted states under MUSCL.  The state's window
+    also carries ``view``, the ``_View`` of its cells (set by
     ``_Workspace.bind``).
     """
 
@@ -380,13 +415,15 @@ class _Window:
         self.left_ghosts, self.right_ghosts = u[:, :2], u[:, -2:]
         # the reflection across r = 0: even density, odd velocity
         self.mirror, self.image, self.mirror_mom = u[:, 1::-1], u[:, 2:4], u[1, :2]
-        # the cells left and right of face j, between cells j - 1 and j
-        self.lower, self.upper = u[:, 1:-2], u[:, 2:-1]
         if ws.muscl:
-            self.hi, self.lo = u[:, 1:], u[:, :-1]
-            self.left, self.right, self.rho_s, self.mom_s = ws.left, ws.right, ws.rho_s, ws.mom_s
+            # the cells -1 .. m, and the cells right and left of each difference
+            self.ghosted, self.hi, self.lo = u[:, 1:-1], u[:, 1:], u[:, :-1]
+            # face j, between cells j - 1 and j, has the right face of cell j - 1 on its left
+            predicted = ws.predicted
+            self.left, self.right = predicted[:, 1, :-1], predicted[:, 0, 1:]
+            self.rho_s, self.mom_s = predicted
         else:
-            self.left, self.right = self.lower, self.upper
+            self.left, self.right = u[:, 1:-2], u[:, 2:-1]
             self.rho_s, self.mom_s = u[0, 1:-1], u[1, 1:-1]
         self.left_mom, self.right_mom = self.left[1], self.right[1]
 
@@ -424,9 +461,14 @@ class _Workspace:
         for name, lead, extra in _ARRAYS[reconstruction]:
             rows = math.prod(lead)
             self._buffers.append((name, lead, rows, extra, np.empty(rows * (n + extra))))
-        # the radial source coefficient (N - 1)/r of each cell, None when there is no source
-        radial_source = geometry.is_radial and geometry.ndim > 1
-        self.radial_coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx) if radial_source else None
+        # the radial source coefficient (N - 1)/r of the cells -1 .. n, None
+        # when there is no source: the reflection ghost's is -(N - 1)/r_0,
+        # which makes its source the mirror image of cell 0's, and the outer
+        # ghost's, which multiplies a zero momentum, is 0
+        self.radial_coeff = None
+        if geometry.is_radial and geometry.ndim > 1:
+            coeff = (geometry.ndim - 1) / np.maximum(centers, 0.5 * dx)
+            self.radial_coeff = np.concatenate((-coeff[:1], coeff, [0.0]))
         self.far_field = np.array(((eos.rho_bar, eos.rho_bar), (0.0, 0.0)))
         self.key = None
 
@@ -438,32 +480,42 @@ class _Workspace:
                 size = m + extra
                 setattr(self, name, flat[:rows * size].reshape(*lead, size) if lead else flat[:size])
             # the values at the left and the right state of every face in a per-state array
-            il, ir = (0, 1) if self.muscl else (slice(None, -1), slice(1, None))
+            il, ir = ((1, slice(None, -1)), (0, slice(1, None))) if self.muscl else (slice(None, -1), slice(1, None))
             self.speed_l, self.speed_r = self.speed[il], self.speed[ir]
             self.mv_l, self.mv_r = self.v[il], self.v[ir]
             self.p_l, self.p_r = self.p[il], self.p[ir]
             self.flux_rho, self.flux_mom = self.flux
             self.flux_hi, self.flux_lo = self.flux[:, 1:], self.flux[:, :-1]
             self.jump_rho, self.jump_mom = self.jump
-            self.source_rho, self.source_mom = self.source
             if self.muscl:
                 self.d_l, self.d_r = self.d[:, :-1], self.d[:, 1:]
-                self.half_l, self.half_r = self.half[:, :-1], self.half[:, 1:]
-                # states[var, side, j]: the left and right states of face j
-                states = self.states
-                self.left, self.right = states[:, 0], states[:, 1]
-                self.rho_s, self.mom_s = states[0], states[1]
-                self.left_rho, self.right_rho = states[0, 0], states[0, 1]
+                # faces[var, side, c]: the left (side 0) and right (side 1)
+                # face state of cell c - 1, unpredicted; predicted likewise
+                faces, predicted = self.faces, self.predicted
+                self.faces_l, self.faces_r = faces[:, 0], faces[:, 1]
+                self.faces_rho, self.faces_mom = faces
+                self.faces_mom_l, self.faces_mom_r = self.faces_mom
+                self.predicted_l, self.predicted_r = predicted[:, 0], predicted[:, 1]
                 # every face density, one contiguous row
-                self.face_rho = states[0].reshape(-1)
-                self.stage_window = _Window(self.stage, self)
+                self.face_rho, self.predicted_rho = faces[0].reshape(-1), predicted[0].reshape(-1)
+                self.v_l, self.v_r = self.v
+                self.delta_rho, self.delta_mom = self.delta
             w = self.window = _Window(self.U[:, a:b + 4], self)
             # a mirror view reads the line's centers from the image of cell m - 1 to cell 0
             h = self.V.size
             centers = self.centers[a:b] if self.line is None else self.line[h - m:h + 1]
             w.view = _View(w.rho, self.V[a:b], centers, self.view_speed[:m], self.view_scratch[:m], self.line is not None)
             self.off, self.off_v = self.off_all[:m], self.off_v_all[:m]
-            self.coeff = None if self.radial_coeff is None else self.radial_coeff[a:b]
+            self.coeff = None
+            if self.radial_coeff is not None:
+                self.coeff = self.radial_coeff[a + 1:b + 1]
+                self.source_rho, self.source_mom = self.source
+                if self.muscl:
+                    self.coeff_ghosted = self.radial_coeff[a:b + 2]
+                    self.ghosted_rho, self.ghosted_mom = w.ghosted
+                    self.face_source_rho, self.face_source_mom = self.face_source
+                    self.delta_cells = self.delta[:, 1:-1]
+                    self.mid_rho, self.mid_mom = self.mid
             self.key = (a, b)
         return self.window
 
@@ -488,34 +540,70 @@ class _Workspace:
         return last if off[last] else None
 
 
-def _rhs(w: _Window, ws: _Workspace, guard: bool) -> np.ndarray:
-    """Time derivative of the cells of the bound window w, as ``ws.du``.
+def _fall_back(rho_l: np.ndarray, rho_r: np.ndarray, faces: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Where a cell's left or right face density is <= 0, write ``states`` into both its faces.
 
-    Writes the reflection ghosts first in radial geometry.  ``guard``
-    checks the MUSCL face densities, which only stage 1 needs (see "The
-    checks" in the module docstring).
+    Returns the mask of those cells (see "The checks" in the module docstring).
     """
-    eos = ws.eos
-    if ws.radial:
-        w.mirror[...] = w.image
-        np.negative(w.mirror_mom, out=w.mirror_mom)
-    if ws.muscl:
-        np.subtract(w.hi, w.lo, out=ws.d)
-        # half the minmod slope: 0.5 * max(min(dl, dr), min(max(dl, dr), 0)),
-        # the median of dl, dr and 0
-        half = np.minimum(ws.d_l, ws.d_r, out=ws.half)
-        negative = np.maximum(ws.d_l, ws.d_r, out=ws.negative)
-        np.minimum(negative, _ZERO, out=negative)
-        np.maximum(half, negative, out=half)
-        half *= _HALF
-        np.add(w.lower, ws.half_l, out=w.left)
-        np.subtract(w.upper, ws.half_r, out=w.right)
-        # limited face states should stay positive; fall back locally
-        if guard and ws.face_rho[ws.face_rho.argmin()] <= 0:
-            bad = (ws.left_rho <= 0) | (ws.right_rho <= 0)
-            np.copyto(w.left, w.lower, where=bad)
-            np.copyto(w.right, w.upper, where=bad)
+    bad = (rho_l <= 0) | (rho_r <= 0)
+    np.copyto(faces, states, where=bad)
+    return bad
 
+
+def _reconstruct(w: _Window, ws: _Workspace) -> None:
+    """The minmod-limited face states of the cells -1 .. m of the bound window w, as ``ws.faces``.
+
+    A cell with a face density <= 0 falls back to its own value on both faces.
+    """
+    np.subtract(w.hi, w.lo, out=ws.d)
+    # half the minmod slope: 0.5 * max(min(dl, dr), min(max(dl, dr), 0)),
+    # the median of dl, dr and 0
+    half = np.minimum(ws.d_l, ws.d_r, out=ws.half)
+    negative = np.maximum(ws.d_l, ws.d_r, out=ws.negative)
+    np.minimum(negative, _ZERO, out=negative)
+    np.maximum(half, negative, out=half)
+    half *= _HALF
+    np.subtract(w.ghosted, half, out=ws.faces_l)
+    np.add(w.ghosted, half, out=ws.faces_r)
+    # limited face states should stay positive; fall back locally
+    if ws.face_rho[ws.face_rho.argmin()] <= 0:
+        _fall_back(ws.faces_rho[0], ws.faces_rho[1], ws.faces, w.ghosted[:, None])
+
+
+def _predict(w: _Window, ws: _Workspace, dt: float) -> np.ndarray | None:
+    """Advance every face state of the cells -1 .. m by dt/2 with its cell's own flux difference, as ``ws.predicted``.
+
+    The Hancock predictor: F(U_left) - F(U_right) times dt/(2 dx), less dt/2
+    times the radial source of the cell.  A cell with a predicted face
+    density <= 0 falls back to its unpredicted states; returns the mask of
+    those cells, or None.
+    """
+    eos, faces_rho, faces_mom = ws.eos, ws.faces_rho, ws.faces_mom
+    # the momentum flux mom * (mom/rho) + K rho**gamma of every face state
+    v = np.divide(faces_mom, faces_rho, out=ws.v)
+    v *= faces_mom
+    v += np.multiply(ws.K, rho_power(faces_rho, eos.gamma, out=ws.p), out=ws.p)
+    np.subtract(ws.faces_mom_l, ws.faces_mom_r, out=ws.delta_rho)
+    np.subtract(ws.v_l, ws.v_r, out=ws.delta_mom)
+    ws.delta *= dt / ws.dx2
+    if ws.coeff is not None:
+        # the radial source of the cells, (coeff * mom, (mom/rho) * coeff * mom), one block
+        np.multiply(ws.coeff_ghosted, ws.ghosted_mom, out=ws.face_source_rho)
+        np.divide(ws.ghosted_mom, ws.ghosted_rho, out=ws.face_source_mom)
+        ws.face_source_mom *= ws.face_source_rho
+        ws.face_source *= 0.5 * dt
+        ws.delta -= ws.face_source
+    np.add(ws.faces_l, ws.delta, out=ws.predicted_l)
+    np.add(ws.faces_r, ws.delta, out=ws.predicted_r)
+    rho = ws.predicted_rho
+    if rho[rho.argmin()] <= 0:
+        return _fall_back(ws.predicted[0, 0], ws.predicted[0, 1], ws.predicted, ws.faces)
+    return None
+
+
+def _rusanov(w: _Window, ws: _Workspace) -> np.ndarray:
+    """-(F[j+1] - F[j]) / dx over the cells of the bound window w, from the face states, as ``ws.du``."""
+    eos = ws.eos
     rho_s, mom_s = w.rho_s, w.mom_s
     v = np.divide(mom_s, rho_s, out=ws.v)
     speed = signal_speed(eos, rho_s, out=ws.speed)
@@ -539,12 +627,6 @@ def _rhs(w: _Window, ws: _Workspace, guard: bool) -> np.ndarray:
     du = np.subtract(ws.flux_hi, ws.flux_lo, out=ws.du)
     np.negative(du, out=du)
     du /= ws.dx2
-    if ws.coeff is not None:
-        # the radial source (coeff * mom, (mom/rho) * coeff * mom), one block
-        np.multiply(ws.coeff, w.mom, out=ws.source_rho)
-        np.divide(w.mom, w.rho, out=ws.source_mom)
-        ws.source_mom *= ws.source_rho
-        du -= ws.source
     return du
 
 
@@ -552,35 +634,39 @@ def _advance(ws: _Workspace, a: int, b: int, t: float, dt: float) -> None:
     """Advance cells [a, b) of the workspace's buffer ``ws.U`` by dt, in place.
 
     Column j + 2 of U holds cell j.  The two columns on each side of the
-    window are written as the far-field ghost (rho_bar, +0.0) first, in U
-    and in the MUSCL stage buffer, so the cells there must be background
-    cells; in radial geometry a must be 0, and the reflection fills the
-    left pair instead.  ``t`` is the time before the step.  Raises
-    NegativeDensityError on a non-positive stage or final density, leaving
-    the window's cells undefined.
+    window are written as the far-field ghost (rho_bar, +0.0) first, so the
+    cells there must be background cells; in radial geometry a must be 0,
+    and the reflection fills the left pair instead.  ``t`` is the time
+    before the step.  Raises NegativeDensityError on a non-positive final
+    density, leaving the window's cells undefined.
     """
     w = ws.bind(a, b)
-    for u in (w, ws.stage_window) if ws.muscl else (w,):
-        if not ws.radial:
-            u.left_ghosts[...] = ws.far_field
-        u.right_ghosts[...] = ws.far_field
-    state = w.cells
-    d1 = _rhs(w, ws, True)
-    d1 *= dt
-    if ws.muscl:
-        w1 = ws.stage_window
-        stage = w1.cells
-        np.add(state, d1, out=stage)
-        i = w1.rho.argmin()
-        if w1.rho[i] <= 0:
-            raise NegativeDensityError(t + dt, ws.centers[a + i], w1.rho[i])
-        d2 = _rhs(w1, ws, False)
-        d2 *= dt
-        state += stage
-        state += d2
-        state *= _HALF
+    if ws.radial:
+        w.mirror[...] = w.image
+        np.negative(w.mirror_mom, out=w.mirror_mom)
     else:
-        state += d1
+        w.left_ghosts[...] = ws.far_field
+    w.right_ghosts[...] = ws.far_field
+    state = w.cells
+    if ws.muscl:
+        _reconstruct(w, ws)
+        fell_back = _predict(w, ws, dt)
+    du = _rusanov(w, ws)
+    if ws.coeff is not None:
+        # the radial source (coeff * mom, (mom/rho) * coeff * mom), one
+        # block, at the cells' half-step state under MUSCL
+        rho, mom = w.rho, w.mom
+        if ws.muscl:
+            np.add(state, ws.delta_cells, out=ws.mid)
+            if fell_back is not None:
+                np.copyto(ws.mid, state, where=fell_back[1:-1])
+            rho, mom = ws.mid_rho, ws.mid_mom
+        np.multiply(ws.coeff, mom, out=ws.source_rho)
+        np.divide(mom, rho, out=ws.source_mom)
+        ws.source_mom *= ws.source_rho
+        du -= ws.source
+    du *= dt
+    state += du
     i = w.rho.argmin()
     if w.rho[i] <= 0:
         raise NegativeDensityError(t + dt, ws.centers[a + i], w.rho[i])
@@ -617,8 +703,8 @@ def step(
     return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=ws.V, spacing=snap.spacing)
 
 
-# cells one step can carry a disturbance: one per stage (see the module docstring)
-_REACH = {FIRST_ORDER: 1, MUSCL: 2}
+# cells one step can carry a disturbance, under either scheme (see "The window")
+_REACH = 1
 
 
 def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams) -> BlowupEvent | None:
@@ -701,7 +787,7 @@ def run(
     snap = kept(0.0)
 
     # the window's margin: the reach and one background cell beyond it
-    margin = _REACH[config.reconstruction] + 1
+    margin = _REACH + 1
     threshold, cfl_dx = det.slope_factor * sigma, config.cfl * dx
     # the view: the cells of the last window, which the time step and the
     # detector read (see "The window"); every cell at t = 0

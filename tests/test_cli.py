@@ -1027,27 +1027,29 @@ class TestSweepArtifactsPinned:
 # x > 0 behind a mirror face at x = 0 and built the whole line from it, a
 # zero velocity on the left as +0.0: constant-1d's differ from the sampled
 # data's only there, in the left cells of the bump's support, which the
-# data held as -0.0 (zero amplitude times a negative profile)
+# data held as -0.0 (zero amplitude times a negative profile); every
+# MUSCL pin but the constant presets' as the one-stage MUSCL-Hancock step
+# wrote them, when it replaced the two-stage SSP-RK2 step
 PINNED_SIMULATE = {
-    ("cert-general-1d-exp", "muscl"): "9039ca04d889f15bd9ad941c8824224b242bad4c06a9f504694bf1b7719fe5d2",
+    ("cert-general-1d-exp", "muscl"): "137aad9fd4150cdacf222f18c7c4794bdeb263015cb1233359d7a54c5ec22af2",
     ("cert-general-1d-exp", "first_order"): "454c42a8b2613371e9aee80ece1f4193e6cab43ed4f689aaa4379a72e52367cc",
-    ("cert-general-radial-n1", "muscl"): "85cf70d2f5509f78b6e054499a45badb85949325fb01f97cbb92b3d588a5fde2",
+    ("cert-general-radial-n1", "muscl"): "c6dfae76e6542156873f61b6682af0a07d1fda30f83b93e966e7b56c03e8c1d7",
     ("cert-general-radial-n1", "first_order"): "b42431ea990e987ebc4c6e9fabe046186a05b6bed6c6d88e374ee3e08dc297e7",
-    ("cert-linear-infinite-1d", "muscl"): "b5ccebbaa33a7fa4aaa550caface7e8f06b1534cc2a6806920ea723ba6ebf8c7",
+    ("cert-linear-infinite-1d", "muscl"): "a3d378416b5b79b5e73a849ff10bcb68b9433efebae4cbb256d6c161ad40eb95",
     ("cert-linear-infinite-1d", "first_order"): "d0edac29da77e5a942d63ed90d424fc2238b441273b54e0cd7a77b53c146b1a4",
-    ("cert-linear-tau-1d", "muscl"): "639db3d623477030f4ff6ea3dd4e72ee7fdf9b09c15774f9a448d753fc89743c",
+    ("cert-linear-tau-1d", "muscl"): "781a36d94a905ae930d7180402f9e036f5bacba48eb7ef6a895974bfa30c0f3f",
     ("cert-linear-tau-1d", "first_order"): "eca48bd9161f8e30be2eb79081033171d000d99718b5f4a3fcd6e81b9a576de4",
-    ("cert-power-radial-n3", "muscl"): "ca8dead762c92923646b32041eb865da80c10073bfeda9f2cf637281fcb41e8e",
+    ("cert-power-radial-n3", "muscl"): "7c0653a1c1c18b031885cc17c6b1c31d1a7c3fc182662fc1752748b18357e494",
     ("cert-power-radial-n3", "first_order"): "43e06a65540151024fb940b7559e903ef1217b1e7082bd8bbbe0d405bf294fc2",
     ("constant-1d", "muscl"): "092d547557c706cfa99c756d04d75e663356b2522bb84138b15bf818c0e16cee",
     ("constant-1d", "first_order"): "092d547557c706cfa99c756d04d75e663356b2522bb84138b15bf818c0e16cee",
     ("constant-radial3", "muscl"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
     ("constant-radial3", "first_order"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
-    ("ref-1d", "muscl"): "228e7017f921ed63d7827a7bdca5bce1f1eb8728a2ae16ac9f66295a6945b748",
+    ("ref-1d", "muscl"): "8b4ca96b8144adca835f078a3abf2387a7380d82305c50351efc2d8b0ebbf3f7",
     ("ref-1d", "first_order"): "85b6f8709c6823247d30d9b402ea29e71b850cff125db51e313ecbfb709969e0",
-    ("ref-radial1", "muscl"): "1100725ec7d7490519a3bb209b410f16d5d8cd59f36930378e97fd7b19105e1d",
+    ("ref-radial1", "muscl"): "cea9433e461ff156844f5cb718a5387222cde76bed4b2a51188527f929298846",
     ("ref-radial1", "first_order"): "c704eabf7608593fad9681e60e198c8022417c510070715ea149ab310c512bcd",
-    ("ref-radial3", "muscl"): "0856ef455e688613552544b7986530d01b943255aa0f021d2d35a23568dfbb16",
+    ("ref-radial3", "muscl"): "1a2a5d6a014008cf2ff15f916469d836ef22473d2e49128148a9f0783b8ff4e1",
     ("ref-radial3", "first_order"): "2cdf76c17900ade9f9762d7bbe7d91c1cf606ea20bf443f9a8bbdc2fb6a31c9d",
 }
 
