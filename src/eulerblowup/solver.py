@@ -29,7 +29,7 @@ variables at once, over the cells -1 .. m of a window of m cells, the
 inner ghost of each side included.  ``_reconstruct`` makes one difference
 and one minmod pass for the slopes and writes the left and right face
 states of every cell into one (2, 2, m + 2) array.  ``_predict`` moves
-both face states of a cell by dt/(2 dx) (F(U_left) - F(U_right)), less
+both face states of a cell by dt/(2 dx) * (F(U_left) - F(U_right)), less
 dt/2 times the cell's radial source, into a second such array.
 ``_rusanov`` evaluates the sound speed, pressure and flux of the face
 states once and takes one difference of the stacked flux; in radial N > 1
@@ -73,7 +73,7 @@ face states are the background, so its flux difference and its radial
 source are zeros and its predicted states are the background too.  A face
 between two background cells therefore carries the background flux, and a
 background cell changes in a step only next to a perturbed one.  Each step
-therefore advances one range, the window [0, hi + 2] up to the last
+advances one range, the window [0, hi + 2] up to the last
 perturbed cell hi, clipped to the state: it starts at cell 0, where the
 reflection ghost applies (r = 0, or the mirror face x = 0); every other
 cell stays as it is.  The window keeps the grid's spacing, so the result
@@ -141,26 +141,25 @@ the window [a, b), and cuts them again only when (a, b) changes: from each
 temporary a contiguous prefix shaped for b - a cells (a prefix slice of a
 2-D buffer is strided, which slows every ufunc on it, and views of one
 shared buffer can make numpy copy an operand it cannot prove disjoint from
-the output), their rows and shifted views (flux[:, 1:], the left and
-right speeds of each face, every face density as one row, ...), the
-window's cells and their rho and mom rows in U, the two ghost blocks, the
+the output), their rows and shifted views (flux[:, 1:], the left and right
+speeds of each face, every face density as one row, ...), the window's
+cells and their rho and mom rows in U, the two ghost blocks, the
 reflection pair, the shifted stencils u[:, 1:] and u[:, :-1], the cells
 -1 .. m, the face states of first order, the coefficients, and the
 window's ``view``: a ``_View`` of its cells, their V, V[1:], V[:-1] (in a
 mirror view, both reversed) and scratch.  After that the kernel slices
-nothing and writes each ghost pair as one (2, 2) block.  A MUSCL step
-makes 43 ufunc calls in slab geometry, 45 in radial1 (the reflection's
-copy and negation) and 55 in radial3 (the predictor's source, the
-half-step state and its source), where the two-stage SSP-RK2 step it
-replaced made 65, 69 and 77; a first-order step makes 23, 25 and 29.  Each
-count includes the density checks, one argmin each (three under MUSCL, one
-under first order; see "The checks"), and takes gamma = 2, whose pressure
-and sound speed call no pow.  Most calls run on a few hundred cells, so their fixed cost is most
-of a step: measured on a 2-vCPU x86-64 VM with numpy 2.4 at 473 cells, a
-ufunc call costs 0.9 us on contiguous arrays with ``out=``, 0.7 us as an
-in-place operator and 2.2 us on strided (2, 476) views, a Python-float
-operand adds 0.35 us over a 0-d array, a slice costs 0.2-0.5 us, and a
-rebind of a 3000-cell window about 25 us under MUSCL.
+nothing and writes each ghost pair as one (2, 2) block.  A MUSCL step makes
+43 ufunc calls in slab geometry, 45 in radial1 (the reflection's copy and
+negation) and 55 in radial3 (the predictor's source, the half-step state
+and its source); a first-order step makes 23, 25 and 29.  Each count
+includes the density checks, one argmin each (three under MUSCL, one under
+first order; see "The checks"), and takes gamma = 2, whose pressure and
+sound speed call no pow.  Most calls run on a few hundred cells, so their
+fixed cost is most of a step: measured on a 2-vCPU x86-64 VM with numpy
+2.4 at 473 cells, a ufunc call costs 0.9 us on contiguous arrays with
+``out=``, 0.7 us as an in-place operator and 2.2 us on strided (2, 476)
+views, a Python-float operand adds 0.35 us over a 0-d array, a slice costs
+0.2-0.5 us, and a rebind of a 3000-cell window about 25 us under MUSCL.
 
 The workspace owns the step: ``step(a, b, t, dt)`` writes rho*V of the
 window into the mom row, hands the window to ``_advance`` and writes V =

@@ -184,7 +184,7 @@ GAMMA3_ORDERS = {
 ACOUSTIC_ORDERS = {MUSCL: (1.915, 1.927), FIRST_ORDER: (0.993, 0.995)}
 # MUSCL's L1 error at 1024 cells under the two-stage SSP-RK2 step that the
 # MUSCL-Hancock step replaced; the step may lose at most a factor 1.2 on it
-# (MUSCL-Hancock measured 0.59-0.74 times these)
+# (MUSCL-Hancock measured 0.58-0.74 times these)
 SSP_RK2_ERROR_1024 = {
     "1d-mixed": 7.4647e-05,
     "1d-density": 6.4723e-05,

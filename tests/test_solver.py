@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -867,8 +866,7 @@ class TestWindowedRun:
 # MUSCL 3.0e-15 on ref-1d and up to 1.8e-2 on the certified data, where the
 # whole line does not keep its own mirror symmetry (its rounding asymmetry
 # grows about 2.5x per step at the velocity peak): each difference is at most
-# 1.38 times the line's own asymmetry max |line - mirror(line)| (the
-# two-stage SSP-RK2 step read 1.3e-13, 2.3e-2 and 1.12 times)
+# 1.38 times the line's own asymmetry max |line - mirror(line)|
 LINE_BOUND = {FIRST_ORDER: 1e-13, MUSCL: 5e-2}
 
 
