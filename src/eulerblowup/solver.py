@@ -539,12 +539,12 @@ class _Workspace:
         return last if off[last] else None
 
 
-def _fall_back(rho_l: np.ndarray, rho_r: np.ndarray, faces: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Where a cell's left or right face density is <= 0, write ``states`` into both its faces.
+def _fall_back(faces: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Where a cell's left or right face density in ``faces`` is <= 0, write ``states`` into both its faces.
 
     Returns the mask of those cells (see "The checks" in the module docstring).
     """
-    bad = (rho_l <= 0) | (rho_r <= 0)
+    bad = (faces[0] <= 0).any(axis=0)
     np.copyto(faces, states, where=bad)
     return bad
 
@@ -566,7 +566,7 @@ def _reconstruct(w: _Window, ws: _Workspace) -> None:
     np.add(w.ghosted, half, out=ws.faces_r)
     # limited face states should stay positive; fall back locally
     if ws.face_rho[ws.face_rho.argmin()] <= 0:
-        _fall_back(ws.faces_rho[0], ws.faces_rho[1], ws.faces, w.ghosted[:, None])
+        _fall_back(ws.faces, w.ghosted[:, None])
 
 
 def _predict(w: _Window, ws: _Workspace, dt: float) -> np.ndarray | None:
@@ -596,7 +596,7 @@ def _predict(w: _Window, ws: _Workspace, dt: float) -> np.ndarray | None:
     np.add(ws.faces_r, ws.delta, out=ws.predicted_r)
     rho = ws.predicted_rho
     if rho[rho.argmin()] <= 0:
-        return _fall_back(ws.predicted[0, 0], ws.predicted[0, 1], ws.predicted, ws.faces)
+        return _fall_back(ws.predicted, ws.faces)
     return None
 
 
