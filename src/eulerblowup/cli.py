@@ -563,7 +563,10 @@ def _add_criterion_args(p: argparse.ArgumentParser, required_theorem: bool) -> N
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, default=0.5, help="simulation end time")
-    p.add_argument("--cfl", type=float, default=SolverConfig.cfl)
+    p.add_argument(
+        "--cfl", type=float, default=SolverConfig.cfl,
+        help=f"Courant number of the time step, in (0, 1) (default {SolverConfig.cfl})",
+    )
     p.add_argument(
         "--reconstruction", choices=(FIRST_ORDER, MUSCL), default=SolverConfig.reconstruction,
         help=f"{MUSCL}: minmod-limited MUSCL-Hancock step, second order in space and time; "

@@ -1019,38 +1019,33 @@ class TestSweepArtifactsPinned:
 
 # SHA-256 over the name and bytes of every snapshot_NNNN.csv, then
 # trace_summary.json, that simulate --out writes for each preset at 1024
-# cells (numpy 2.4, x86-64, AVX-512), as the solver wrote them when every
-# step of run went through step on a copied window; cert-general-radial-n1's
-# as they were when its certified amplitude read a closed-form horizon integral,
-# cert-general-1d-exp's as they were when it read its prepared criterion's H(0);
-# every 1-D preset's as run wrote them when it first stepped the half-line
-# x > 0 behind a mirror face at x = 0 and built the whole line from it, a
-# zero velocity on the left as +0.0: constant-1d's differ from the sampled
-# data's only there, in the left cells of the bump's support, which the
-# data held as -0.0 (zero amplitude times a negative profile); every
-# MUSCL pin but the constant presets' as the one-stage MUSCL-Hancock step
-# wrote them, when it replaced the two-stage SSP-RK2 step
+# cells (numpy 2.4, x86-64, AVX-512), as the solver wrote them when its
+# default Courant number went from 0.45 to 0.8: that moves the step
+# sequence of every run, so every pin moved, the constant presets' with
+# their snapshot times.  MUSCL runs take one MUSCL-Hancock step; every 1-D
+# run steps the half-line x > 0 behind a mirror face at x = 0 and builds
+# the whole line from it, a zero velocity on the left as +0.0
 PINNED_SIMULATE = {
-    ("cert-general-1d-exp", "muscl"): "137aad9fd4150cdacf222f18c7c4794bdeb263015cb1233359d7a54c5ec22af2",
-    ("cert-general-1d-exp", "first_order"): "454c42a8b2613371e9aee80ece1f4193e6cab43ed4f689aaa4379a72e52367cc",
-    ("cert-general-radial-n1", "muscl"): "c6dfae76e6542156873f61b6682af0a07d1fda30f83b93e966e7b56c03e8c1d7",
-    ("cert-general-radial-n1", "first_order"): "b42431ea990e987ebc4c6e9fabe046186a05b6bed6c6d88e374ee3e08dc297e7",
-    ("cert-linear-infinite-1d", "muscl"): "a3d378416b5b79b5e73a849ff10bcb68b9433efebae4cbb256d6c161ad40eb95",
-    ("cert-linear-infinite-1d", "first_order"): "d0edac29da77e5a942d63ed90d424fc2238b441273b54e0cd7a77b53c146b1a4",
-    ("cert-linear-tau-1d", "muscl"): "781a36d94a905ae930d7180402f9e036f5bacba48eb7ef6a895974bfa30c0f3f",
-    ("cert-linear-tau-1d", "first_order"): "eca48bd9161f8e30be2eb79081033171d000d99718b5f4a3fcd6e81b9a576de4",
-    ("cert-power-radial-n3", "muscl"): "7c0653a1c1c18b031885cc17c6b1c31d1a7c3fc182662fc1752748b18357e494",
-    ("cert-power-radial-n3", "first_order"): "43e06a65540151024fb940b7559e903ef1217b1e7082bd8bbbe0d405bf294fc2",
-    ("constant-1d", "muscl"): "092d547557c706cfa99c756d04d75e663356b2522bb84138b15bf818c0e16cee",
-    ("constant-1d", "first_order"): "092d547557c706cfa99c756d04d75e663356b2522bb84138b15bf818c0e16cee",
-    ("constant-radial3", "muscl"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
-    ("constant-radial3", "first_order"): "299cb2cc60cc66b1c23e9aefa03cac7e708d5209946ed727d71af8589628e2fb",
-    ("ref-1d", "muscl"): "8b4ca96b8144adca835f078a3abf2387a7380d82305c50351efc2d8b0ebbf3f7",
-    ("ref-1d", "first_order"): "85b6f8709c6823247d30d9b402ea29e71b850cff125db51e313ecbfb709969e0",
-    ("ref-radial1", "muscl"): "cea9433e461ff156844f5cb718a5387222cde76bed4b2a51188527f929298846",
-    ("ref-radial1", "first_order"): "c704eabf7608593fad9681e60e198c8022417c510070715ea149ab310c512bcd",
-    ("ref-radial3", "muscl"): "1a2a5d6a014008cf2ff15f916469d836ef22473d2e49128148a9f0783b8ff4e1",
-    ("ref-radial3", "first_order"): "2cdf76c17900ade9f9762d7bbe7d91c1cf606ea20bf443f9a8bbdc2fb6a31c9d",
+    ("cert-general-1d-exp", "muscl"): "70362e25f6961dc77bf8a414c315034ef807823994867ef4c796eb771b645f5a",
+    ("cert-general-1d-exp", "first_order"): "9348bf71e3a8261a1a22a3b331a0b07d3ff059305e1d8f86ca655810d8c1ef03",
+    ("cert-general-radial-n1", "muscl"): "1b4863875473ac6b006c5a850e1ea80ed6d9dc0b554891cdb4b06b55d5aa60eb",
+    ("cert-general-radial-n1", "first_order"): "4e0cbcf2c76150d0e92f57e6c17f9c3692fa1b70a103756a43b3b7affc68f2c6",
+    ("cert-linear-infinite-1d", "muscl"): "e44747db183e36321f6159eb00d030b46bc7830e108c17255056a3b777d98774",
+    ("cert-linear-infinite-1d", "first_order"): "0a3182874938454487477fec79cbb1d0c762995d41e72adf7d474d4ad2f14a27",
+    ("cert-linear-tau-1d", "muscl"): "b3384f3154b3c2ab0cc7e8d7ff5559af4c4e8e5ae142ad7dd4953c6b5e8dd507",
+    ("cert-linear-tau-1d", "first_order"): "85b7bcbd6c8c994e181116057f77c8497bab984881b988c511b06ad40f324c59",
+    ("cert-power-radial-n3", "muscl"): "9e501d2ebfb939c45117612af14b0bfb8d8e0af6513f2a603895e355a8ff6b4d",
+    ("cert-power-radial-n3", "first_order"): "11866a30539d3a032faddae2cb28137faaec85222fcb2133ea17418900dab5a6",
+    ("constant-1d", "muscl"): "3cd4b53f8f35b01cad70883b37a119ba0cd98af481853474f0ab6544a6fbf731",
+    ("constant-1d", "first_order"): "3cd4b53f8f35b01cad70883b37a119ba0cd98af481853474f0ab6544a6fbf731",
+    ("constant-radial3", "muscl"): "de80328950a8b7700d8b9dbcbcd5abbf83dddf234b159a3067e7c709ff996469",
+    ("constant-radial3", "first_order"): "de80328950a8b7700d8b9dbcbcd5abbf83dddf234b159a3067e7c709ff996469",
+    ("ref-1d", "muscl"): "35b01d1f33dac25b0b21cca67cb0e076a5c72b3e7777a0a9057cef7ea3137e34",
+    ("ref-1d", "first_order"): "7f44833d41ea50bf23b14b9ebd6563c6d5c7c852ed2c4b0554560706d02c56c4",
+    ("ref-radial1", "muscl"): "0e860ca729901f32715788b22617ddffa300843b73aeefbb752f6b9e10e02f64",
+    ("ref-radial1", "first_order"): "e547c5f2f14ff758eec7542032eb01c1221967a0d7644afdd271703fde41b9ed",
+    ("ref-radial3", "muscl"): "aec245e6c96e25b6c56d7b6b5d2f16be0445e2a05acadabfa1d81133b73b38aa",
+    ("ref-radial3", "first_order"): "fb67970b092599c5fbd760f19b31706fb310d1d134c5b9f9808ed1e55cb25459",
 }
 
 

@@ -24,7 +24,7 @@ from eulerblowup.scenarios import (
     certified_linear_tau_case,
     reference_scenario,
 )
-from eulerblowup.solver import SolutionTrace, SolverConfig, run
+from eulerblowup.solver import T_END, SolutionTrace, SolverConfig, run
 from eulerblowup.verify import (
     CHECK_INEQUALITY,
     CHECK_POSITIVITY,
@@ -287,11 +287,14 @@ class TestPredictionValidation:
         assert "t_final=" in result.reason
         assert "no detection" not in result.reason
 
-    @pytest.mark.parametrize("max_steps, budget", [(92, True), (93, False), (94, False)])
-    def test_step_budget_is_named_only_when_it_stopped_the_run(self, max_steps, budget):
-        # ref-1d at 256 cells reaches t = 0.5 in exactly 93 steps with no
-        # detection: a budget of 93 or more stops it at the horizon
+    @pytest.mark.parametrize("extra, budget", [(-1, True), (0, False), (1, False)])
+    def test_step_budget_is_named_only_when_it_stopped_the_run(self, extra, budget):
+        # ref-1d at 256 cells reaches t = 0.5 in n steps with no detection:
+        # a budget of n or more stops it at the horizon
         scen = reference_scenario(Geometry.cartesian1d(), cells=256)
+        unbudgeted = run(scen, SolverConfig(t_end=0.5))
+        assert unbudgeted.stop == T_END and unbudgeted.blowup is None
+        max_steps = unbudgeted.steps + extra
         report_c = CriterionReport("forced", {}, [], Verdict.blowup_before(0.5))
         result = validate_blowup_prediction(scen, report_c, SolverConfig(max_steps=max_steps))
         assert result.status == FAIL
