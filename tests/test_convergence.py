@@ -117,7 +117,7 @@ def oracle_error(name, cells, recon, cfl=SolverConfig.cfl):
     if name == ACOUSTIC:
         scen = make_bump_scenario(EosParams(1.0, 2.0, 1.0), Geometry.radial(3), 1.0, 1e-6, 0.0, GridSpec(2.2, cells))
         r = initial_snapshot(scen).centers
-        return l1_error(scen, recon, 0.5, acoustic_density(scen, 0.5), r * r, cfl)
+        return l1_error(scen, recon, 0.5, acoustic_density(scen, 0.5), r * r, cfl=cfl)
     geometry, K, rho_bar, amp_rho, amp_v = GAMMA3_DATA[name]
     scen = make_bump_scenario(EosParams(K, 3.0, rho_bar), geometry, 1.0, amp_rho, amp_v, GridSpec(2.2, cells))
     t = 0.5 * gamma3_lifespan(scen)

@@ -911,7 +911,8 @@ class TestMirrorAccuracy:
         if not certified:
             assert trace.blowup is None and blowup is None and trace.steps == steps
         else:
-            # a step is at most cfl dx / sigma
+            # every certified 1-D point still detects before its horizon, within
+            # one step of the whole line: a step is at most cfl dx / sigma
             sigma = signal_speed(scen.eos, scen.eos.rho_bar)
             assert trace.blowup.cause == blowup.cause == SLOPE_THRESHOLD
             assert 0.0 <= trace.t_detect < 1.0
