@@ -72,23 +72,36 @@ slope of a background cell with a background neighbour is zero: both its
 face states are the background, so its flux difference and its radial
 source are zeros and its predicted states are the background too.  A face
 between two background cells therefore carries the background flux, and a
-background cell changes in a step only next to a perturbed one.  Each step
-advances one range, the window [0, hi + 2] up to the last
-perturbed cell hi, clipped to the state: it starts at cell 0, where the
-reflection ghost applies (r = 0, or the mirror face x = 0); every other
-cell stays as it is.  The window keeps the grid's spacing, so the result
-equals a step of the whole state bit for bit.  Its last cell lies beyond
-the reach: a background cell, which the step leaves as it is, bit for bit,
-a zero velocity of either sign included: its du is a zero, -0.0 in the
-momentum row, so adding it changes neither a non-zero density nor a
-momentum zero of either sign.  The time step and the detector read the
-window just stepped, the view: it holds every perturbed cell and, unless
-it is the whole state, a background cell, whose speed |V| + c is the same
-in every background cell, so the maximum speed and the largest velocity
-jump are the state's.  Only the first time step and the detector at t = 0
-read every cell.  A run with no perturbed cell binds a window of two
-background cells once and only advances the time, so its time step costs
-the same on every grid.
+background cell changes in a step only next to a perturbed one.  The run
+keeps a front, a cell past which every cell is a background cell: the last
+perturbed cell at t = 0, found by the run's one scan of the state.  After a
+step only the cell past the front can have left the background, so the
+front moves onto it exactly when that cell is off (rho_bar, 0), and stays
+otherwise; a cell behind it that returns to the background does not move it
+back.  So the front bounds the perturbed cells from above and never moves
+left, at a cost of two element reads per step.  Each step advances one
+range, the window [0, b): b is the front plus the reach plus one background
+cell, rounded up to a multiple of ``_BLOCK`` = 32 cells and clipped to the
+state, so the window's end, and with it every view the kernel reads (see
+"The workspace"), moves about once every 32 / cfl steps instead of at
+nearly every step.  The window starts at cell 0, where the reflection ghost
+applies (r = 0, or the mirror face x = 0); every other cell stays as it is,
+and the two cells past its end, which the kernel overwrites with its
+far-field ghosts, are background cells.  The window keeps the grid's
+spacing, so the result equals a step of the whole state bit for bit.  Its
+cells past the reach of the front are background cells, which the step
+leaves as they are, bit for bit, a zero velocity of either sign included:
+each du is a zero, -0.0 in the momentum row, so adding it changes neither a
+non-zero density nor a momentum zero of either sign.  The time step and the
+detector read the window just stepped, the view: it holds every perturbed
+cell and, unless it is the whole state, a background cell, whose speed |V|
++ c is the same in every background cell, so the maximum speed is the
+state's; and the jump between two background cells is a zero, so the
+largest velocity jump is the state's and, where it is not a zero, so is the
+first cell pair that holds it, however many background cells the view
+holds.  Only the first time step and the detector at t = 0 read every cell.
+A run with no perturbed cell binds a window of two background cells once
+and only advances the time, so its time step costs the same on every grid.
 
 The mirror.  A 1-D scenario holds an even density bump and an odd velocity
 bump (``make_bump_scenario`` builds no other) on an even number of cells,
@@ -133,7 +146,7 @@ of both inner ghosts, the far-field ghost block, every temporary of the
 kernel (slopes, limited and predicted face states, the predictor's
 increment and source, velocities, speeds, |v|, pressures, the Rusanov
 speed, flux, jump, du, the half-step state and the radial source, one flat
-array each) and the scratch of the view and of the perturbed range.  The
+array each) and the scratch of the view.  The
 kernel writes every value with ``out=``, the same ufuncs on the same
 operands in the same order, so no bit changes and a step allocates no
 window-sized array.  ``bind(a, b)`` cuts every view the kernel reads for
@@ -159,12 +172,13 @@ fixed cost is most of a step: measured on a 2-vCPU x86-64 VM with numpy
 2.4 at 473 cells, a ufunc call costs 0.9 us on contiguous arrays with
 ``out=``, 0.7 us as an in-place operator and 2.2 us on strided (2, 476)
 views, a Python-float operand adds 0.35 us over a 0-d array, a slice costs
-0.2-0.5 us, and a rebind of a 3000-cell window about 25 us under MUSCL.
+0.2-0.5 us, and a rebind of a 3000-cell window 26-35 us under MUSCL and
+13-15 us under first order (radial1 and radial3), as much as a step of a
+few hundred cells: hence the window's blocks.
 
 The workspace owns the step: ``step(a, b, t, dt)`` writes rho*V of the
 window into the mom row, hands the window to ``_advance`` and writes V =
-(rho*V)/rho back, and ``last_perturbed()`` finds the last perturbed cell
-of the bound window.  ``run`` builds one workspace per run, over the
+(rho*V)/rho back.  ``run`` builds one workspace per run, over the
 half-line's cells in 1-D, and keeps its state in it, rho as the density
 row of the buffer and V; the public ``step`` loads a snapshot into a fresh
 workspace and steps every cell, the whole line with its far-field ghosts
@@ -237,7 +251,11 @@ NaN faces, which fail no check.  Each face check falls back per cell:
   of its faces.  The Rusanov flux then reads positive states wherever the
   cells are positive.
 
-The final density check raises ``NegativeDensityError``.
+The final density check raises ``NegativeDensityError``, and so does the
+public ``step`` at the first cell whose density the step turned into a NaN:
+a negative input density has no real sound speed under most gammas, and
+the NaN faces it gives pass every check.  A NaN input cell is stepped as it
+is.
 """
 
 from __future__ import annotations
@@ -468,8 +486,7 @@ class _Workspace:
         self.rho, self.mom = self.U[:, 2:-2]
         self.V = np.empty(n)
         self.view_speed, self.view_scratch = np.empty(n), np.empty(n)
-        self.off_all, self.off_v_all = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-        self.K, self.rho_bar = np.array(eos.K), np.array(eos.rho_bar)
+        self.K = np.array(eos.K)
         self._buffers = []
         for name, lead, extra in _ARRAYS[reconstruction]:
             rows = math.prod(lead)
@@ -518,7 +535,6 @@ class _Workspace:
             h = self.V.size
             centers = self.centers[a:b] if self.line is None else self.line[h - m:h + 1]
             w.view = _View(w.rho, self.V[a:b], centers, self.view_speed[:m], self.view_scratch[:m], self.line is not None)
-            self.off, self.off_v = self.off_all[:m], self.off_v_all[:m]
             self.coeff = None
             if self.radial_coeff is not None:
                 self.coeff = self.radial_coeff[a + 1:b + 1]
@@ -543,14 +559,6 @@ class _Workspace:
         _advance(self, a, b, t, dt)
         np.divide(w.mom, w.rho, out=w.view.V)
         return w.view
-
-    def last_perturbed(self) -> int | None:
-        """Index of the last cell off (rho_bar, 0) in the bound window, which starts at cell 0, or None."""
-        view, off = self.window.view, self.off
-        np.not_equal(view.rho, self.rho_bar, out=off)
-        off |= np.not_equal(view.V, _ZERO, out=self.off_v)
-        last = off.size - 1 - int(off[::-1].argmax())
-        return last if off[last] else None
 
 
 def _fall_back(faces: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -696,7 +704,9 @@ def step(
     velocity or unstable dt.
 
     A NaN density is stepped, NaN cells and all, as the kernel's fallback
-    decision for it is part of the step.  Builds a fresh workspace on
+    decision for it is part of the step; a NaN density the step makes from
+    a number, such as a negative density's, raises NegativeDensityError
+    (see "The checks" in the module docstring).  Builds a fresh workspace on
     every call, by design: ``run`` keeps one per run, and a cache here
     would hold a grid's buffers alive between unrelated calls.
     """
@@ -713,11 +723,19 @@ def step(
     ws = _Workspace(snap.centers, snap.spacing, geometry, eos, reconstruction)
     ws.rho[:], ws.V[:] = snap.rho, snap.V
     ws.step(0, snap.rho.size, snap.t, dt)
+    # a NaN density the step made: a negative input density's sound speed or
+    # pressure is NaN (see "The checks")
+    made = np.isnan(ws.rho) & ~np.isnan(snap.rho)
+    if made.any():
+        i = int(made.argmax())
+        raise NegativeDensityError(snap.t + dt, snap.centers[i], ws.rho[i])
     return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=ws.V, spacing=snap.spacing)
 
 
 # cells one step can carry a disturbance, under either scheme (see "The window")
 _REACH = 1
+# the cells a run's window ends on a multiple of (see "The window")
+_BLOCK = 32
 
 
 def detect_blowup(snap: FieldSnapshot, eos: EosParams, detector: DetectorParams) -> BlowupEvent | None:
@@ -805,7 +823,10 @@ def run(
     # the view: the cells of the last window, which the time step and the
     # detector read (see "The window"); every cell at t = 0
     view = ws.bind(0, n).view
-    last = ws.last_perturbed()
+    # the front: every cell past it is a background cell; None for a state
+    # with no perturbed cell
+    off = np.flatnonzero((ws.rho != eos.rho_bar) | (ws.V != 0.0))
+    last = int(off[-1]) if off.size else None
     snapshots = [snap]
     blowup = view.jump_event(0.0, threshold)
     if blowup is None and recorder is not None:
@@ -830,8 +851,13 @@ def run(
             # nothing to step: two background cells hold the grid's speed and jump
             view = ws.bind(0, 2).view
         else:
-            view = ws.step(0, min(last + margin + 1, n), t, dt)
-            last = ws.last_perturbed()
+            # the window ends past the front's reach and a background cell, on a block
+            b = min(-(-(last + margin + 1) // _BLOCK) * _BLOCK, n)
+            view = ws.step(0, b, t, dt)
+            # only the cell past the front can have left the background
+            front = last + 1
+            if front < n and (ws.rho[front] != eos.rho_bar or ws.V[front] != 0.0):
+                last = front
         t += dt
         steps += 1
         blowup = view.jump_event(t, threshold)

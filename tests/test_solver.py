@@ -478,6 +478,9 @@ def reference_step(snap, eos, geometry, dt, reconstruction=FIRST_ORDER):
     if rho_new.min() <= 0:
         i = int(np.argmin(rho_new))
         raise NegativeDensityError(snap.t + dt, centers[i], rho_new[i])
+    made = np.flatnonzero(np.isnan(rho_new) & ~np.isnan(rho))
+    if made.size:
+        raise NegativeDensityError(snap.t + dt, centers[made[0]], rho_new[made[0]])
     return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho_new, V=mom_new / rho_new, spacing=dx)
 
 
@@ -597,8 +600,11 @@ class TestKernelMatchesReference:
         snap = seeded_state(3, eos, geom)
         snap.rho[40] = -0.05
         REFERENCE_FALLBACKS.clear()
-        assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
+        want = assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
         assert REFERENCE_FALLBACKS
+        # the negative cell ends non-positive, or NaN where its sound speed
+        # is not real: either way the step raises
+        assert want[0] is NegativeDensityError
 
     @pytest.mark.parametrize("left", [3.2, 3.0])
     @pytest.mark.parametrize("nan_at, bad_at", [(None, 44), (40, 50), (60, 44), (0, 44), (95, 44)])
@@ -856,6 +862,51 @@ class TestWindowedRun:
         off = np.flatnonzero((final.rho != EOS.rho_bar) | (final.V != 0.0))
         assert off[-1] - off[0] + 1 > 2048
 
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    @pytest.mark.parametrize("cells", [512, 4096])
+    @pytest.mark.parametrize("preset", ["ref-1d", "ref-radial3"])
+    def test_window_ends_past_the_reach_of_every_perturbed_cell(self, preset, cells, recon, monkeypatch):
+        # before every step short of the grid's edge, the window's last cell
+        # and every cell past it are background cells, and every perturbed
+        # cell lies more than the reach before that last cell: the argument
+        # that lets run track its front one cell at a time
+        kernel, ends = solver._advance, []
+        rho_bar = PRESETS[preset](cells).eos.rho_bar
+
+        def checked(ws, a, b, t, dt):
+            n = ws.V.size
+            if b < n:
+                assert np.all(ws.rho[b - 1:] == rho_bar) and np.all(ws.V[b - 1:] == 0.0), (t, b)
+                off = np.flatnonzero((ws.rho != rho_bar) | (ws.V != 0.0))
+                assert off.size == 0 or off[-1] < b - solver._REACH - 1, (t, b, off[-1])
+                ends.append(b)
+            kernel(ws, a, b, t, dt)
+
+        monkeypatch.setattr(solver, "_advance", checked)
+        trace = run(PRESETS[preset](cells), SolverConfig(t_end=0.5, reconstruction=recon))
+        assert trace.steps > 0 and len(ends) > trace.steps // 2
+
+    @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
+    def test_window_grows_in_blocks(self, recon, monkeypatch):
+        # the views are recut once at t = 0 and then only when the window's
+        # end moves to the next block
+        bind, keys = solver._Workspace.bind, []
+
+        def counted(ws, a, b):
+            before = ws.key
+            window = bind(ws, a, b)
+            if ws.key != before:
+                keys.append(ws.key)
+            return window
+
+        monkeypatch.setattr(solver._Workspace, "bind", counted)
+        cells = 4096
+        trace = run(PRESETS["ref-radial3"](cells), SolverConfig(t_end=0.5, reconstruction=recon))
+        assert trace.steps > 1000
+        assert len(keys) <= math.ceil(cells / solver._BLOCK) + 2
+        assert keys[0] == (0, cells)
+        assert all(b % solver._BLOCK == 0 or b == cells for _, b in keys)
+
     def test_window_keeps_the_full_grid_spacing(self):
         snap = initial_snapshot(bump(Geometry.cartesian1d(), cells=512))
         window = FieldSnapshot(snap.t, snap.centers[100:300], snap.rho[100:300], snap.V[100:300], snap.spacing)
@@ -1027,7 +1078,7 @@ class TestWorkspace:
         ws.bind(0, 512)
         kernel = [getattr(ws, name) for name, *_ in solver._ARRAYS[MUSCL]]
         for u in (first.speed, first.abs_v):
-            assert not any(np.shares_memory(u, v) for v in kernel + [ws.U, ws.V, ws.off_all, ws.off_v_all])
+            assert not any(np.shares_memory(u, v) for v in kernel + [ws.U, ws.V])
         assert not np.shares_memory(first.speed, first.abs_v)
 
     @pytest.mark.parametrize("preset", ["ref-1d", "ref-radial3"])
