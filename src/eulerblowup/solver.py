@@ -734,7 +734,7 @@ def step(
 
 # cells one step can carry a disturbance, under either scheme (see "The window")
 _REACH = 1
-# the cells a run's window ends on a multiple of (see "The window")
+# a run's window ends on a multiple of this many cells, or at the state's end (see "The window")
 _BLOCK = 32
 
 
@@ -855,9 +855,8 @@ def run(
             b = min(-(-(last + margin + 1) // _BLOCK) * _BLOCK, n)
             view = ws.step(0, b, t, dt)
             # only the cell past the front can have left the background
-            front = last + 1
-            if front < n and (ws.rho[front] != eos.rho_bar or ws.V[front] != 0.0):
-                last = front
+            if last + 1 < n and (ws.rho[last + 1] != eos.rho_bar or ws.V[last + 1] != 0.0):
+                last += 1
         t += dt
         steps += 1
         blowup = view.jump_event(t, threshold)
