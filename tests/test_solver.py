@@ -871,7 +871,8 @@ class TestWindowedRun:
         # cell lies more than the reach before that last cell: the argument
         # that lets run track its front one cell at a time
         kernel, ends = solver._advance, []
-        rho_bar = PRESETS[preset](cells).eos.rho_bar
+        scen = PRESETS[preset](cells)
+        rho_bar = scen.eos.rho_bar
 
         def checked(ws, a, b, t, dt):
             n = ws.V.size
@@ -883,7 +884,7 @@ class TestWindowedRun:
             kernel(ws, a, b, t, dt)
 
         monkeypatch.setattr(solver, "_advance", checked)
-        trace = run(PRESETS[preset](cells), SolverConfig(t_end=0.5, reconstruction=recon))
+        trace = run(scen, SolverConfig(t_end=0.5, reconstruction=recon))
         assert trace.steps > 0 and len(ends) > trace.steps // 2
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
