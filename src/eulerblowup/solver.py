@@ -252,10 +252,12 @@ NaN faces, which fail no check.  Each face check falls back per cell:
   cells are positive.
 
 The final density check raises ``NegativeDensityError``, and so does the
-public ``step`` at the first cell whose density the step turned into a NaN:
+public ``step`` at the first NaN density it makes from a state without one:
 a negative input density has no real sound speed under most gammas, and
-the NaN faces it gives pass every check.  A NaN input cell is stepped as it
-is.
+the NaN faces it gives pass every check.  A state that holds a NaN density
+is stepped as it is: its NaN reaches two cells through the MUSCL slopes, and
+it turns the face fallback off everywhere, since the kernel decides that
+with one reduction, so any NaN in the result may be its own.
 """
 
 from __future__ import annotations
@@ -705,10 +707,11 @@ def step(
 
     A NaN density is stepped, NaN cells and all, as the kernel's fallback
     decision for it is part of the step; a NaN density the step makes from
-    a number, such as a negative density's, raises NegativeDensityError
-    (see "The checks" in the module docstring).  Builds a fresh workspace on
-    every call, by design: ``run`` keeps one per run, and a cache here
-    would hold a grid's buffers alive between unrelated calls.
+    a state without one, such as a negative density's, raises
+    NegativeDensityError (see "The checks" in the module docstring).
+    Builds a fresh workspace on every call, by design: ``run`` keeps one
+    per run, and a cache here would hold a grid's buffers alive between
+    unrelated calls.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -723,10 +726,11 @@ def step(
     ws = _Workspace(snap.centers, snap.spacing, geometry, eos, reconstruction)
     ws.rho[:], ws.V[:] = snap.rho, snap.V
     ws.step(0, snap.rho.size, snap.t, dt)
-    # a NaN density the step made: a negative input density's sound speed or
-    # pressure is NaN (see "The checks")
-    made = np.isnan(ws.rho) & ~np.isnan(snap.rho)
-    if made.any():
+    # a NaN density the step made from numbers: a negative input density's
+    # sound speed or pressure is NaN; an input NaN explains any other (see
+    # "The checks")
+    made = np.isnan(ws.rho)
+    if made.any() and not np.isnan(snap.rho).any():
         i = int(made.argmax())
         raise NegativeDensityError(snap.t + dt, snap.centers[i], ws.rho[i])
     return FieldSnapshot(t=snap.t + dt, centers=snap.centers, rho=ws.rho, V=ws.V, spacing=snap.spacing)

@@ -478,8 +478,8 @@ def reference_step(snap, eos, geometry, dt, reconstruction=FIRST_ORDER):
     if rho_new.min() <= 0:
         i = int(np.argmin(rho_new))
         raise NegativeDensityError(snap.t + dt, centers[i], rho_new[i])
-    made = np.flatnonzero(np.isnan(rho_new) & ~np.isnan(rho))
-    if made.size:
+    made = np.flatnonzero(np.isnan(rho_new))
+    if made.size and not np.isnan(rho).any():
         raise NegativeDensityError(snap.t + dt, centers[made[0]], rho_new[made[0]])
     return FieldSnapshot(t=snap.t + dt, centers=centers, rho=rho_new, V=mom_new / rho_new, spacing=dx)
 
@@ -623,8 +623,10 @@ class TestKernelMatchesReference:
         if nan_at is not None:
             snap.rho[nan_at] = np.nan
         REFERENCE_FALLBACKS.clear()
-        assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
+        want = assert_same_outcome(snap, eos, geom, 1e-4, MUSCL)
         assert bool(REFERENCE_FALLBACKS) == (nan_at is None)
+        # a state with a NaN is stepped as it is, so the snapshots are compared
+        assert isinstance(want, FieldSnapshot) == (nan_at is not None)
 
     @pytest.mark.parametrize("recon", [MUSCL, FIRST_ORDER])
     def test_negative_density_error(self, recon):
